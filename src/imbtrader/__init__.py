@@ -12,7 +12,6 @@ from .dists import (
     DiscretePriceDistribution,
     ForecastScores,
     MixtureForecast,
-    QuantileSet,
     crps,
     flatten,
     score_batch,
@@ -40,7 +39,6 @@ __all__ = [
     "__version__",
     "DiscretePriceDistribution",
     "MixtureForecast",
-    "QuantileSet",
     "ForecastScores",
     "flatten",
     "crps",

@@ -19,8 +19,7 @@ import numpy as np
 
 from .data_io import MarketTick
 from .market_impact import realized_settlement_price
-from .pipeline import TrainedModels, make_forecaster
-from .price_models import sigmoid_predict
+from .pipeline import TrainedModels, attach_z, make_forecaster
 from .risk import RISK_KINDS
 from .strategy import (
     ActionSpace,
@@ -133,19 +132,6 @@ def leg_positions(actions: ActionSpace, leg: str) -> np.ndarray:
     return base if leg == "long" else -base
 
 
-def _attach_missing_z(ticks: list[MarketTick], models: TrainedModels) -> list[MarketTick]:
-    out = []
-    for t in ticks:
-        if t.z is None:
-            z = np.array([sigmoid_predict(models.weight_model, t.x)])
-            t = MarketTick(
-                timestamp=t.timestamp, x=t.x, o=t.o, s=t.s, p_mdp=t.p_mdp,
-                p_mip=t.p_mip, book=t.book, z=z,
-            )
-        out.append(t)
-    return out
-
-
 def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTick]) -> BacktestResult:
     """Replay the strategy over recorded ticks; no randomness is consumed.
 
@@ -166,7 +152,7 @@ def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTic
             f"backtest starts {selected[0].timestamp.isoformat()} but models "
             f"were trained through {models.train_end.isoformat()}"
         )
-    selected = _attach_missing_z(selected, models)
+    selected = attach_z(selected, models)
 
     legs = ("long", "short") if config.actions.allow_short else ("long",)
     positions = {leg: leg_positions(config.actions, leg) for leg in legs}
@@ -221,14 +207,14 @@ def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTic
                 adapters[leg].record(tables[leg].hindsight_losses(p_real))
                 adapters[leg].update()
 
-    report = _build_report(config, ledger, skipped, alpha_path)
+    report = _build_report(config.delta_hours, ledger, skipped, alpha_path)
     return BacktestResult(config=config, report=report, ledger=ledger, skipped=skipped)
 
 
-def _build_report(config, ledger, skipped, alpha_path) -> Report:
-    total = sum(r.profit(config.delta_hours) for r in ledger)
+def _build_report(delta_hours: float, ledger, skipped, alpha_path) -> Report:
+    total = sum(r.profit(delta_hours) for r in ledger)
     per_period = sum((r.realized_price - r.fill_price) * r.u for r in ledger)
-    volume = sum(abs(r.u) * config.delta_hours for r in ledger)
+    volume = sum(abs(r.u) * delta_hours for r in ledger)
     daily: list[tuple[date, float]] = []
     running = 0.0
     current_day = None
@@ -239,7 +225,7 @@ def _build_report(config, ledger, skipped, alpha_path) -> Report:
         if day != current_day:
             daily.append((current_day, running))
             current_day = day
-        running += r.profit(config.delta_hours)
+        running += r.profit(delta_hours)
     if current_day is not None:
         daily.append((current_day, running))
     timestamps = {r.timestamp for r in ledger}
@@ -309,6 +295,8 @@ def read_ledger(path) -> tuple[list[TradeRecord], dict, float]:
         )
     if "delta_hours" in meta:
         delta = float(meta["delta_hours"])
+        if delta <= 0.0:
+            raise ValueError(f"ledger delta_hours must be positive, got {meta['delta_hours']}")
     return records, meta, delta
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from ._optim import minimize_gd
 from .data_io import FeatureLayout, MarketTick
 from .dists import DiscretePriceDistribution, ForecastScores, MixtureForecast, flatten, score_batch
+from .market_impact import is_surplus
 from .pipeline import TrainedModels
 from .price_models import (
     FeatureScaler,
@@ -208,7 +209,7 @@ def fit_benchmark_suite(
     max_iter: int = 400,
 ) -> BenchmarkSuite:
     """Fit the state-transition and linear benchmarks on the training slice."""
-    labels = np.array([t.s >= 0.0 for t in train_ticks])
+    labels = np.array([is_surplus(t.s) for t in train_ticks])
     x = np.stack([t.x for t in train_ticks])
     o = np.stack([t.o for t in train_ticks])
     y = np.array([t.settlement_price for t in train_ticks])
@@ -226,12 +227,6 @@ def fit_benchmark_suite(
         horizon=horizon,
         train_end=train_ticks[-1].timestamp,
     )
-
-
-def _regime_distributions(suite: BenchmarkSuite, tick: MarketTick):
-    down = predict_regulation_distribution(suite.models.bank_mdp, tick.z, tick.o)
-    up = predict_regulation_distribution(suite.models.bank_mip, tick.z, tick.o)
-    return down, up
 
 
 def benchmark_forecasts(suite: BenchmarkSuite, ticks: list[MarketTick]) -> dict[str, list]:
@@ -252,7 +247,8 @@ def benchmark_forecasts(suite: BenchmarkSuite, ticks: list[MarketTick]) -> dict[
     for i, tick in enumerate(ticks):
         if tick.z is None:
             raise ValueError("ticks need the price-model input; run attach_z first")
-        down, up = _regime_distributions(suite, tick)
+        down = predict_regulation_distribution(suite.models.bank_mdp, tick.z, tick.o)
+        up = predict_regulation_distribution(suite.models.bank_mip, tick.z, tick.o)
         pi_mix = float(suite.models.weight_model.predict(tick.x))
         out["mixture"].append(flatten(MixtureForecast(pi_mix, down, up)))
         out["linear_quantile"].append(
@@ -262,7 +258,7 @@ def benchmark_forecasts(suite: BenchmarkSuite, ticks: list[MarketTick]) -> dict[
             out["static_rsmm"].append(None)
             out["dynamic_rsmm"].append(None)
             continue
-        start_positive = ticks[i - suite.horizon].s >= 0.0
+        start_positive = is_surplus(ticks[i - suite.horizon].s)
         pi_static = chain_state_probability([suite.static_matrix] * suite.horizon, start_positive)
         out["static_rsmm"].append(flatten(MixtureForecast(pi_static, down, up)))
         steps = [

@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .backtest import SimConfig, beta_sweep, read_ledger, run_backtest, write_ledger
+from .backtest import SimConfig, _build_report, beta_sweep, read_ledger, run_backtest, write_ledger
 from .benchmarks import fit_benchmark_suite, run_benchmark
 from .data_io import (
     SyntheticConfig,
@@ -26,6 +26,7 @@ from .data_io import (
     resolve_data_dir,
     write_synthetic_dataset,
 )
+from .dists import flatten
 from .pipeline import TrainedModels, attach_z, make_forecaster, train_models
 from .price_models import ReserveGrid
 from .strategy import ActionSpace
@@ -197,7 +198,7 @@ def cmd_forecast(args) -> int:
     out = _out_dir(args)
     lines = ["timestamp,pi," + ",".join(["mean", "std"] + _quantile_header()) + ",observed"]
     for tick in ticks:
-        flat = make_forecaster(models, tick, 0.0)(0.0).flatten()
+        flat = flatten(make_forecaster(models, tick, 0.0)(0.0))
         quantiles = [flat.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)]
         fields = [repr(float(tick.z[0])), repr(flat.mean()), repr(flat.std())]
         fields += [repr(q) for q in quantiles]
@@ -290,17 +291,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, meta, delta = read_ledger(args.ledger)
+    records, _, delta = read_ledger(args.ledger)
     if not records:
         raise ValueError("ledger is empty")
-    from .backtest import _build_report, SimConfig as _Sim
-
-    measure = meta.get("measure", "cvar")
-    shadow = _Sim(measure=measure if measure in MEASURES else "cvar", alpha=0.5, delta_hours=delta)
     alpha_path: dict = {}
     for r in records:
         alpha_path.setdefault(r.leg, []).append((r.timestamp, r.alpha))
-    report = _build_report(shadow, records, [], alpha_path)
+    report = _build_report(delta, records, [], alpha_path)
     out = _out_dir(args)
     _write_report_files(out, report)
     print(

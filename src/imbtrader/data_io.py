@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .market_impact import is_surplus
 from .price_models import ReserveGrid
 from .strategy import OrderBook
 
@@ -112,7 +113,7 @@ class RawRecord:
     @property
     def settlement_price(self) -> float:
         """Realized single price: downregulation on a surplus, else up."""
-        return self.p_mdp if self.s >= 0.0 else self.p_mip
+        return self.p_mdp if is_surplus(self.s) else self.p_mip
 
 
 @dataclass
@@ -134,7 +135,7 @@ class MarketTick:
 
     @property
     def settlement_price(self) -> float:
-        return self.p_mdp if self.s >= 0.0 else self.p_mip
+        return self.p_mdp if is_surplus(self.s) else self.p_mip
 
 
 @dataclass(frozen=True)
@@ -578,7 +579,7 @@ def generate_synthetic_market(
         "regime_persistence": cfg.regime_persistence,
         "signal_weights": dict(_SIGNAL_WEIGHTS),
         "signal_strength": cfg.signal_strength,
-        "base_rate": float(np.mean(s > 0.0)),
+        "base_rate": float(np.mean(is_surplus(s))),
         "mdp_anchor_column": cfg.mdp_anchor,
         "mip_anchor_column": len(cfg.afrr_volumes) + cfg.mip_anchor,
         "edge": cfg.edge,

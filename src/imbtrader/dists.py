@@ -8,7 +8,7 @@ with one distribution type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "MERGE_TOL",
     "DiscretePriceDistribution",
     "MixtureForecast",
-    "QuantileSet",
     "ForecastScores",
     "flatten",
     "crps",
@@ -81,17 +80,6 @@ class DiscretePriceDistribution:
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscretePriceDistribution is immutable")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "DiscretePriceDistribution":
-        """Build from an iterable of ``(value, mass)`` atoms."""
-        pairs = list(pairs)
-        return cls([p[0] for p in pairs], [p[1] for p in pairs])
-
-    @classmethod
-    def point(cls, value: float) -> "DiscretePriceDistribution":
-        """Distribution with all mass at a single price."""
-        return cls([value], [1.0])
 
     @property
     def n_atoms(self) -> int:
@@ -178,9 +166,6 @@ class MixtureForecast:
         if not 0.0 <= self.pi <= 1.0:
             raise ValueError(f"mixture weight {self.pi} outside [0, 1]")
 
-    def flatten(self) -> DiscretePriceDistribution:
-        return flatten(self)
-
 
 def flatten(forecast: MixtureForecast) -> DiscretePriceDistribution:
     """Collapse a two-component mixture into a single discrete distribution.
@@ -193,39 +178,6 @@ def flatten(forecast: MixtureForecast) -> DiscretePriceDistribution:
         [forecast.down.masses * forecast.pi, forecast.up.masses * (1.0 - forecast.pi)]
     )
     return DiscretePriceDistribution(values, masses)
-
-
-@dataclass(frozen=True)
-class QuantileSet:
-    """Evenly spaced quantile levels with one predicted price per level."""
-
-    levels: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=float).ravel()
-        values = np.asarray(self.values, dtype=float).ravel()
-        if levels.size < 1 or levels.size != values.size:
-            raise ValueError("levels and values must be equal-length and non-empty")
-        if np.any(levels <= 0.0) or np.any(levels >= 1.0):
-            raise ValueError("levels must lie strictly inside (0, 1)")
-        if levels.size > 1:
-            steps = np.diff(levels)
-            if np.any(steps <= 0.0):
-                raise ValueError("levels must be strictly increasing")
-            if np.any(np.abs(steps - steps[0]) > 1e-9 * max(steps[0], 1e-30)):
-                raise ValueError("levels must be evenly spaced")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "values", values)
-
-    def reorder(self) -> "QuantileSet":
-        """Sort predicted values ascending so the implied CDF is monotone."""
-        return QuantileSet(self.levels, np.sort(self.values, kind="stable"))
-
-    def to_distribution(self) -> DiscretePriceDistribution:
-        """Equal-mass point-mass distribution at the (reordered) values."""
-        n = self.values.size
-        return DiscretePriceDistribution(self.values, np.full(n, 1.0 / n))
 
 
 def crps(forecast: DiscretePriceDistribution, observed: float) -> float:

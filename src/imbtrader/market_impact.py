@@ -16,6 +16,7 @@ __all__ = [
     "Regime",
     "ImpactParams",
     "SensitivityError",
+    "is_surplus",
     "estimate_sensitivities",
     "adjust_price",
     "realized_settlement_price",
@@ -32,6 +33,11 @@ class Regime(enum.Enum):
 
 class SensitivityError(ValueError):
     """Raised when a regime has too little data to fit a slope."""
+
+
+def is_surplus(s):
+    """Whether imbalance ``s`` (scalar or array) is a surplus; zero counts as one."""
+    return s >= 0.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ def estimate_sensitivities(
         raise ValueError("imbalance and price sequences must be equal length")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(p))):
         raise ValueError("non-finite inputs")
-    pos = s >= 0.0  # zero imbalance settles in the surplus branch
+    pos = is_surplus(s)
     k_mdp = -_slope(s[pos], p[pos], "MDP regime")
     k_mip = -_slope(s[~pos], p[~pos], "MIP regime")
     return k_mdp, k_mip
@@ -99,6 +105,6 @@ def realized_settlement_price(
     The own trade shifts the imbalance to ``s + beta * u``; the sign of the
     shifted volume selects the regime and the matching adjusted price.
     """
-    if s + params.beta * u >= 0.0:
+    if is_surplus(s + params.beta * u):
         return adjust_price(p_mdp, Regime.MDP, u, params)
     return adjust_price(p_mip, Regime.MIP, u, params)

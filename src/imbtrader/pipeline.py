@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_io import FeatureLayout, MarketTick
 from .dists import MixtureForecast
-from .market_impact import ImpactParams, Regime, estimate_sensitivities
+from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
 from .price_models import (
     LogisticModel,
     QuantileModelBank,
@@ -36,7 +36,7 @@ FORMAT_VERSION = 1
 
 @dataclass
 class TrainedModels:
-    """Everything a backtest needs, pinned to its training range."""
+    """Everything a backtest needs, pinned to its training range; checked when built."""
 
     weight_model: LogisticModel
     position_model: LogisticModel
@@ -50,6 +50,14 @@ class TrainedModels:
     train_start: datetime
     train_end: datetime
     seed: int
+
+    def __post_init__(self):
+        index, last = self.position_model.position_weight_index, self.position_model.n_features - 1
+        if index != last:
+            raise ValueError(f"position_model.position_weight_index is {index}, the last feature is {last}")
+        for name in ("bank_mdp", "bank_mip"):
+            if getattr(self, name).n_outputs != self.grid.size:
+                raise ValueError(f"{name} outputs must match the grid's {self.grid.size} reserve prices")
 
     def impact_with_beta(self, beta: float) -> ImpactParams:
         return replace(self.impact, beta=beta)
@@ -137,7 +145,7 @@ def train_models(
     o = np.stack([t.o for t in ticks])
     if o.shape[1] != grid.size:
         raise ValueError(f"ticks carry {o.shape[1]} reserve prices, grid expects {grid.size}")
-    labels = (s > 0.0).astype(float)
+    labels = is_surplus(s).astype(float)
 
     weight_model = fit_logistic(x, labels, l2=l2, max_iter=logistic_max_iter)
     z = _crossvalidated_weight(x, labels, kfold, l2, logistic_max_iter)
@@ -154,7 +162,7 @@ def train_models(
         position_weight_index=x.shape[1],
     )
 
-    pos = s >= 0.0
+    pos = is_surplus(s)
     p_mdp = np.array([t.p_mdp for t in ticks])
     p_mip = np.array([t.p_mip for t in ticks])
     bank_mdp = fit_quantile_bank(
@@ -196,17 +204,11 @@ def train_models(
 
 
 def attach_z(ticks: list[MarketTick], models: TrainedModels) -> list[MarketTick]:
-    """Fill the price-model input with the weight model's prediction."""
-    out = []
-    for t in ticks:
-        z = np.array([sigmoid_predict(models.weight_model, t.x)])
-        out.append(
-            MarketTick(
-                timestamp=t.timestamp, x=t.x, o=t.o, s=t.s, p_mdp=t.p_mdp,
-                p_mip=t.p_mip, book=t.book, z=z,
-            )
-        )
-    return out
+    """Fill each missing price-model input ``z`` with the weight model's prediction."""
+    return [
+        t if t.z is not None else replace(t, z=np.array([sigmoid_predict(models.weight_model, t.x)]))
+        for t in ticks
+    ]
 
 
 def make_forecaster(models: TrainedModels, tick: MarketTick, beta_est: float):

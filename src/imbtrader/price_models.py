@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import minimize_gd
-from .dists import DiscretePriceDistribution, MixtureForecast, QuantileSet
-from .market_impact import ImpactParams, Regime
+from .dists import DiscretePriceDistribution
+from .market_impact import Regime, is_surplus
 
 __all__ = [
     "DegenerateLabelsError",
@@ -25,17 +25,12 @@ __all__ = [
     "logistic_loss_and_grad",
     "augment_with_positions",
     "ReserveGrid",
-    "SoftmaxPriceModel",
-    "softmax_weights",
-    "expected_reserve_price",
     "pinball_loss",
     "quantile_loss_and_grad",
     "QuantileModelBank",
     "fit_quantile_bank",
-    "predict_quantiles",
     "predict_regulation_distribution",
     "quantile_matrix",
-    "forecast",
 ]
 
 # Probabilities are kept strictly inside (0, 1) so downstream logits stay finite.
@@ -212,8 +207,9 @@ def augment_with_positions(
 
     Positions are sampled uniformly from [u_min, u_max]; the appended
     feature is the induced imbalance shift ``beta * u`` and the new label
-    is 1{s > -beta * u}, i.e. whether the imbalance stays positive after
-    absorbing the trade. Deterministic for a fixed seed or generator.
+    is ``is_surplus(s + beta * u)``, i.e. whether the system is still in
+    surplus after absorbing the trade. Deterministic for a fixed seed or
+    generator.
 
     Returns ``(augmented_features, labels, sampled_positions)``.
     """
@@ -228,7 +224,7 @@ def augment_with_positions(
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     u = gen.uniform(u_min, u_max, s.size)
     shift = beta * u
-    labels = s > -shift
+    labels = is_surplus(s + shift)
     return np.hstack([x, shift[:, None]]), labels, u
 
 
@@ -264,40 +260,6 @@ class ReserveGrid:
     @classmethod
     def from_dict(cls, d: dict) -> "ReserveGrid":
         return cls(tuple(d["afrr_volumes"]), tuple(d["mfrr_volumes"]))
-
-
-@dataclass(frozen=True)
-class SoftmaxPriceModel:
-    """Linear-softmax allocation over the reserve ladder."""
-
-    weight_matrix: np.ndarray  # (n_outputs, n_features)
-    biases: np.ndarray  # (n_outputs,)
-    scaler: FeatureScaler | None = None
-
-    @property
-    def n_outputs(self) -> int:
-        return self.biases.size
-
-    @property
-    def n_features(self) -> int:
-        return self.weight_matrix.shape[1]
-
-
-def softmax_weights(model: SoftmaxPriceModel, z) -> np.ndarray:
-    """Probability allocation over the ladder for one feature vector."""
-    z = np.asarray(z, dtype=float).ravel()
-    if z.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {z.size}")
-    zs = model.scaler.transform(z) if model.scaler is not None else z
-    return _stable_softmax_rows(model.weight_matrix @ zs + model.biases)
-
-
-def expected_reserve_price(model: SoftmaxPriceModel, z, o) -> float:
-    """Allocation-weighted ladder price <w(z), o>."""
-    o = np.asarray(o, dtype=float).ravel()
-    if o.size != model.n_outputs:
-        raise ValueError(f"expected {model.n_outputs} ladder prices, got {o.size}")
-    return float(softmax_weights(model, z) @ o)
 
 
 def pinball_loss(tau: float, e):
@@ -337,13 +299,26 @@ def quantile_loss_and_grad(
 
 @dataclass(frozen=True)
 class QuantileModelBank:
-    """One softmax price model per quantile level, for a single regime."""
+    """Per-level softmax price models of one regime; levels are even inside (0, 1)."""
 
     regime: Regime
     taus: np.ndarray  # (n_q,)
     weights: np.ndarray  # (n_q, n_outputs, n_features)
     biases: np.ndarray  # (n_q, n_outputs)
     scaler: FeatureScaler | None
+
+    def __post_init__(self):
+        taus = np.asarray(self.taus, dtype=float)
+        if taus.ndim != 1 or taus.size < 1 or np.any(taus <= 0.0) or np.any(taus >= 1.0):
+            raise ValueError("taus must be a non-empty 1-D array strictly inside (0, 1)")
+        steps = np.diff(taus)
+        if np.any(steps <= 0.0):
+            raise ValueError("taus must be strictly increasing")
+        if steps.size and np.any(np.abs(steps - steps[0]) > 1e-9 * max(steps[0], 1e-30)):
+            raise ValueError("taus must be evenly spaced")
+        w_shape, b_shape = np.shape(self.weights), np.shape(self.biases)
+        if len(w_shape) != 3 or w_shape[:2] != b_shape or b_shape[0] != taus.size:
+            raise ValueError(f"weights {w_shape}, biases {b_shape}: need (n_q, k, d), (n_q, k), n_q={taus.size}")
 
     @property
     def n_q(self) -> int:
@@ -352,9 +327,6 @@ class QuantileModelBank:
     @property
     def n_outputs(self) -> int:
         return self.biases.shape[1]
-
-    def model(self, i: int) -> SoftmaxPriceModel:
-        return SoftmaxPriceModel(self.weights[i], self.biases[i], self.scaler)
 
     def to_dict(self) -> dict:
         return {
@@ -435,57 +407,24 @@ def fit_quantile_bank(
     return QuantileModelBank(regime=regime, taus=taus, weights=weights, biases=biases, scaler=scaler)
 
 
-def predict_quantiles(bank: QuantileModelBank, z, o) -> QuantileSet:
-    """Raw per-level price predictions for one tick (not yet reordered)."""
-    z = np.asarray(z, dtype=float).ravel()
-    o = np.asarray(o, dtype=float).ravel()
-    if o.size != bank.n_outputs:
-        raise ValueError(f"expected {bank.n_outputs} ladder prices, got {o.size}")
-    zs = bank.scaler.transform(z) if bank.scaler is not None else z
-    logits = bank.weights @ zs + bank.biases
-    w = _stable_softmax_rows(logits)
-    return QuantileSet(bank.taus, w @ o)
-
-
-def predict_regulation_distribution(bank: QuantileModelBank, z, o) -> DiscretePriceDistribution:
-    """Equal-mass distribution over the bank's (reordered) quantile prices."""
-    return predict_quantiles(bank, z, o).to_distribution()
-
-
 def quantile_matrix(bank: QuantileModelBank, z, o) -> np.ndarray:
     """Batched quantile predictions, one row of n_q prices per input row."""
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
     o = np.atleast_2d(np.asarray(o, dtype=float))
+    if z.shape[1] != bank.weights.shape[2]:
+        raise ValueError(f"expected {bank.weights.shape[2]} features, got {z.shape[1]}")
+    if o.shape[1] != bank.n_outputs:
+        raise ValueError(f"expected {bank.n_outputs} ladder prices, got {o.shape[1]}")
     zs = bank.scaler.transform(z) if bank.scaler is not None else z
-    logits = np.einsum("qkd,nd->nqk", bank.weights, zs) + bank.biases
+    # Stacked matmuls match one tick's ``weights @ zs`` and ``w @ o`` bit for bit; einsum does not.
+    logits = np.matmul(bank.weights, zs[:, None, :, None])[..., 0] + bank.biases
     w = _stable_softmax_rows(logits)
-    return np.einsum("nqk,nk->nq", w, o)
+    return np.matmul(w, o[:, :, None])[..., 0]
 
 
-def forecast(
-    weight_model: LogisticModel,
-    mdp_bank: QuantileModelBank,
-    mip_bank: QuantileModelBank,
-    x,
-    z,
-    o,
-    u: float,
-    impact: ImpactParams,
-) -> MixtureForecast:
-    """Position-adjusted mixture forecast of the settlement price.
-
-    The mixture weight is evaluated with the imbalance shift ``beta * u``
-    appended as the position feature; each regime distribution is shifted
-    down by its sensitivity times the same trade-induced imbalance shift.
-    """
-    if weight_model.position_weight_index is None:
-        raise ValueError("weight model has no position feature; train with augmented data")
-    if weight_model.position_weight_index != weight_model.n_features - 1:
-        raise ValueError("position feature must be the last model feature")
-    x_full = np.append(np.asarray(x, dtype=float), impact.beta * u)
-    pi = sigmoid_predict(weight_model, x_full)
-    down = predict_regulation_distribution(mdp_bank, z, o).shift(-impact.k_mdp * impact.beta * u)
-    up = predict_regulation_distribution(mip_bank, z, o).shift(-impact.k_mip * impact.beta * u)
-    return MixtureForecast(pi=pi, down=down, up=up)
+def predict_regulation_distribution(bank: QuantileModelBank, z, o) -> DiscretePriceDistribution:
+    """Equal-mass distribution over one tick's quantile prices (sorted, so reordered)."""
+    prices = quantile_matrix(bank, np.reshape(z, (1, -1)), np.reshape(o, (1, -1)))[0]
+    return DiscretePriceDistribution(prices, np.full(bank.n_q, 1.0 / bank.n_q))

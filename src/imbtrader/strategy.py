@@ -78,13 +78,6 @@ class ActionSpace:
         g = self.grid()
         return g[np.lexsort((g, np.abs(g)))]
 
-    def long_only(self) -> "ActionSpace":
-        return ActionSpace(self.step, self.u_max, allow_short=False)
-
-    def short_only(self) -> "ActionSpace":
-        """Mirror grid {0, -step, ..., -u_max}, expressed via negated fills."""
-        return ActionSpace(self.step, self.u_max, allow_short=False)
-
 
 class InsufficientDepthError(RuntimeError):
     """The order book cannot fill the requested volume."""

@@ -227,6 +227,15 @@ class TestLedgerIO:
         total = sum(r.profit(delta) for r in records)
         assert total == pytest.approx(result.report.total_profit)
 
+    def test_nonpositive_delta_rejected(self, trained, tmp_path):
+        models, _, test_ticks = trained
+        config = SimConfig(measure="cvar", alpha=0.9, actions=ActionSpace(step=0.5, u_max=3.0))
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, run_backtest(config, models, test_ticks[:5]))
+        path.write_text(path.read_text().replace("delta_hours=0.25", "delta_hours=0.0"))
+        with pytest.raises(ValueError, match="delta_hours"):
+            read_ledger(path)
+
 
 class TestBetaSweep:
     def test_single_cell_equals_single_run(self, trained):

@@ -7,16 +7,31 @@ from imbtrader.dists import (
     DiscretePriceDistribution,
     ForecastScores,
     MixtureForecast,
-    QuantileSet,
     crps,
     flatten,
     score_batch,
 )
+from imbtrader.market_impact import Regime
+from imbtrader.price_models import QuantileModelBank, predict_regulation_distribution
 
 
 def uniform_dist(values):
     n = len(values)
     return DiscretePriceDistribution(values, np.full(n, 1.0 / n))
+
+
+def quantile_forecast(values):
+    """Equal-mass forecast of a bank whose level i predicts exactly ``values[i]``.
+
+    Level i puts all its softmax mass on ladder entry i, and the ladder
+    prices are ``values``, so the bank's raw outputs arrive unordered.
+    """
+    n = len(values)
+    bank = QuantileModelBank(
+        regime=Regime.MDP, taus=(np.arange(n) + 0.5) / n, weights=np.zeros((n, n, 1)),
+        biases=300.0 * np.eye(n), scaler=None,
+    )
+    return predict_regulation_distribution(bank, [0.0], values)
 
 
 class TestCanonicalForm:
@@ -111,27 +126,37 @@ class TestMoments:
 
 
 class TestReorder:
+    """Unordered quantile outputs become a sorted equal-mass forecast."""
+
     def test_basic_sort(self):
-        q = QuantileSet(np.array([0.25, 0.5, 0.75]), np.array([1.0, 3.0, 2.0]))
-        assert q.reorder().values.tolist() == [1.0, 2.0, 3.0]
+        d = quantile_forecast([1.0, 3.0, 2.0])
+        assert d.values.tolist() == [1.0, 2.0, 3.0]
 
     def test_idempotent(self):
-        q = QuantileSet(np.array([0.25, 0.5, 0.75]), np.array([5.0, 5.0, 1.0]))
-        once = q.reorder()
-        assert once.values.tolist() == [1.0, 5.0, 5.0]
-        assert once.reorder().values.tolist() == once.values.tolist()
+        once = quantile_forecast([5.0, 5.0, 1.0])
+        assert once.values.tolist() == [1.0, 5.0]
+        assert once.masses.tolist() == pytest.approx([1 / 3, 2 / 3])
+        assert DiscretePriceDistribution(once.values, once.masses) == once
 
     def test_multiset_preserved(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=9)
-        q = QuantileSet((np.arange(9) + 0.5) / 9, values)
-        assert sorted(q.reorder().values.tolist()) == sorted(values.tolist())
+        d = quantile_forecast(values)
+        assert d.values.tolist() == sorted(values.tolist())
+        assert np.all(d.masses == 1.0 / 9)
 
     def test_levels_validated(self):
-        with pytest.raises(ValueError):
-            QuantileSet(np.array([0.1, 0.5, 0.8]), np.zeros(3))  # uneven spacing
-        with pytest.raises(ValueError):
-            QuantileSet(np.array([0.0, 0.5]), np.zeros(2))  # boundary level
+        def bank(taus):
+            n = len(taus)
+            return QuantileModelBank(
+                regime=Regime.MDP, taus=np.array(taus), weights=np.zeros((n, 2, 1)),
+                biases=np.zeros((n, 2)), scaler=None,
+            )
+
+        with pytest.raises(ValueError, match="evenly spaced"):
+            bank([0.1, 0.5, 0.8])
+        with pytest.raises(ValueError, match="inside"):
+            bank([0.0, 0.5])
 
 
 class TestCrps:

@@ -1,12 +1,16 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
+from imbtrader.data_io import MarketTick
 from imbtrader.market_impact import (
     ImpactParams,
     Regime,
     SensitivityError,
     adjust_price,
     estimate_sensitivities,
+    is_surplus,
     realized_settlement_price,
 )
 
@@ -52,6 +56,21 @@ class TestEstimateSensitivities:
         p = np.array([50.0, 40.0, 200.0, 210.0])
         k_mdp, _ = estimate_sensitivities(s, p)
         assert k_mdp == pytest.approx(1.0)
+
+
+class TestIsSurplus:
+    def test_zero_imbalance_is_surplus(self):
+        assert is_surplus(0.0) and is_surplus(-0.0) and not is_surplus(-1e-300)
+        assert is_surplus(np.array([-1.0, 0.0, 1.0])).tolist() == [False, True, True]
+        tick = MarketTick(
+            timestamp=datetime(2024, 6, 1, tzinfo=timezone.utc), x=np.zeros(1), o=np.zeros(1),
+            s=0.0, p_mdp=30.0, p_mip=200.0,
+        )
+        assert tick.settlement_price == 30.0
+
+    def test_zero_shifted_imbalance_settles_mdp(self):
+        params = ImpactParams(beta=0.5, k_mdp=0.1, k_mip=0.2)
+        assert realized_settlement_price(-2.0, 4.0, params, 30.0, 200.0) == pytest.approx(30.0 - 0.1 * 0.5 * 4.0)
 
 
 class TestAdjustPrice:

@@ -1,9 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
 from imbtrader.data_io import reference_layout
-from imbtrader.pipeline import TrainedModels, make_forecaster, train_models
-from imbtrader.price_models import forecast as full_forecast
+from imbtrader.dists import MixtureForecast, flatten
+from imbtrader.pipeline import TrainedModels, attach_z, make_forecaster, train_models
+from imbtrader.price_models import predict_regulation_distribution, sigmoid_predict
+
+
+def full_forecast(weight_model, mdp_bank, mip_bank, x, z, o, u, impact):
+    """Reference: rebuild the position-adjusted mixture from scratch at one position.
+
+    The mixture weight sees the imbalance shift ``beta * u`` appended as the
+    position feature; each regime distribution is shifted down by its
+    sensitivity times the same shift.
+    """
+    if weight_model.position_weight_index != weight_model.n_features - 1:
+        raise ValueError("position feature must be the last model feature")
+    pi = sigmoid_predict(weight_model, np.append(np.asarray(x, dtype=float), impact.beta * u))
+    down = predict_regulation_distribution(mdp_bank, z, o).shift(-impact.k_mdp * impact.beta * u)
+    up = predict_regulation_distribution(mip_bank, z, o).shift(-impact.k_mip * impact.beta * u)
+    return MixtureForecast(pi=pi, down=down, up=up)
 
 
 class TestTrainModels:
@@ -25,6 +43,15 @@ class TestTrainModels:
         for tick in test_ticks[:20]:
             assert tick.z.shape == (1,)
             assert 0.0 < tick.z[0] < 1.0
+
+    def test_attach_z_keeps_existing_inputs(self, trained, small_market):
+        models, _, test_ticks = trained
+        _, raw_ticks, _ = small_market
+        mixed = [test_ticks[0], raw_ticks[-1]]
+        out = attach_z(mixed, models)
+        assert out[0] is test_ticks[0]
+        assert out[1] is not raw_ticks[-1] and raw_ticks[-1].z is None
+        assert out[1].z.tolist() == [sigmoid_predict(models.weight_model, raw_ticks[-1].x)]
 
     def test_empty_ticks_rejected(self, small_market):
         cfg, _, _ = small_market
@@ -52,7 +79,7 @@ class TestForecaster:
     def test_flattened_forecast_is_valid_distribution(self, trained):
         models, _, test_ticks = trained
         fn = make_forecaster(models, test_ticks[0], 1.0)
-        flat = fn(2.5).flatten()
+        flat = flatten(fn(2.5))
         assert abs(float(flat.masses.sum()) - 1.0) <= 1e-9
         assert np.all(np.diff(flat.values) > 0)
 
@@ -87,4 +114,23 @@ class TestSerialization:
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(ValueError, match="version"):
+            TrainedModels.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc["bank_mdp"].update(taus=[t * t for t in doc["bank_mdp"]["taus"]]), "taus must be evenly"),
+            (lambda doc: doc["grid"]["mfrr_volumes"].append(10_000.0), "bank_mdp"),
+            (lambda doc: doc["position_model"].update(position_weight_index=0), "position_weight_index"),
+        ],
+        ids=["uneven_taus", "bank_outputs_vs_grid", "position_not_last"],
+    )
+    def test_malformed_bundle_rejected(self, trained, tmp_path, edit, field):
+        models, _, _ = trained
+        path = tmp_path / "models.json"
+        models.save(path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field):
             TrainedModels.load(path)

@@ -1,21 +1,22 @@
 import json
 import math
+from dataclasses import replace
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from imbtrader.data_io import FeatureLayout, MarketTick
 from imbtrader.market_impact import ImpactParams, Regime
+from imbtrader.pipeline import TrainedModels, make_forecaster
 from imbtrader.price_models import (
     DegenerateLabelsError,
     LogisticModel,
     QuantileModelBank,
     ReserveGrid,
-    SoftmaxPriceModel,
     augment_with_positions,
-    expected_reserve_price,
     fit_logistic,
     fit_quantile_bank,
-    forecast,
     logistic_loss_and_grad,
     pinball_loss,
     predict_regulation_distribution,
@@ -23,7 +24,6 @@ from imbtrader.price_models import (
     quantile_loss_and_grad,
     quantile_matrix,
     sigmoid_predict,
-    softmax_weights,
 )
 
 
@@ -32,6 +32,28 @@ def bare_logistic(bias, weights, position_index=None):
         bias=bias, weights=np.asarray(weights, float), scaler=None,
         position_weight_index=position_index,
     )
+
+
+def one_level_bank(weight_matrix, biases):
+    """A bank with a single quantile level: one softmax allocation over the ladder."""
+    return QuantileModelBank(
+        regime=Regime.MDP,
+        taus=np.array([0.5]),
+        weights=np.asarray(weight_matrix, float)[None],
+        biases=np.asarray(biases, float)[None],
+        scaler=None,
+    )
+
+
+def softmax_weights(bank, z):
+    """Allocation of a one-level bank, read back through the one-hot ladder o = I."""
+    k = bank.n_outputs
+    return quantile_matrix(bank, np.tile(np.asarray(z, float), (k, 1)), np.eye(k))[:, 0]
+
+
+def expected_reserve_price(bank, z, o):
+    """Allocation-weighted ladder price <w(z), o> of a one-level bank."""
+    return float(quantile_matrix(bank, np.atleast_2d(np.asarray(z, float)), [o])[0, 0])
 
 
 class TestSigmoidPredict:
@@ -144,7 +166,7 @@ class TestAugmentWithPositions:
         x = rng.normal(size=(50, 2))
         s = rng.normal(size=50)
         x_aug, labels, _ = augment_with_positions(x, s, u_max=5.0, beta=0.0, rng=0)
-        assert np.array_equal(labels, s > 0)
+        assert np.array_equal(labels, s >= 0)
         assert np.all(x_aug[:, -1] == 0.0)  # zero imbalance shift appended
 
     def test_labels_follow_shifted_sign_rule(self):
@@ -152,7 +174,7 @@ class TestAugmentWithPositions:
         x = rng.normal(size=(200, 1))
         s = rng.normal(scale=3.0, size=200)
         x_aug, labels, u = augment_with_positions(x, s, u_max=5.0, beta=0.8, rng=11)
-        assert np.array_equal(labels, s > -0.8 * u)
+        assert np.array_equal(labels, s + 0.8 * u >= 0)
         assert np.allclose(x_aug[:, -1], 0.8 * u)
         assert np.all((u >= 0.0) & (u <= 5.0))
 
@@ -161,9 +183,19 @@ class TestAugmentWithPositions:
         x = np.zeros((2, 1))
         s = np.array([-3.0, -3.0])
         x_aug, labels, u = augment_with_positions(x, s, u_max=1.0, beta=1.0, rng=0)
-        by_hand = s > -1.0 * u
+        by_hand = s + 1.0 * u >= 0
         assert np.array_equal(labels, by_hand)
-        assert (-3.0 > -5.0) and not (-3.0 > -2.0)  # the rule the rows follow
+        assert (-3.0 + 5.0 >= 0) and not (-3.0 + 2.0 >= 0)  # the rule the rows follow
+
+    def test_zero_shifted_imbalance_counts_as_surplus(self):
+        # s == -beta * u exactly: the shifted imbalance is zero, which is a surplus
+        u = np.random.default_rng(3).uniform(0.0, 5.0, 40)
+        s = -0.5 * u
+        _, labels, u_drawn = augment_with_positions(np.zeros((40, 1)), s, u_max=5.0, beta=0.5, rng=3)
+        assert np.array_equal(u_drawn, u)
+        assert np.all(labels)
+        _, labels, _ = augment_with_positions(np.zeros((3, 1)), np.zeros(3), u_max=5.0, beta=0.0, rng=0)
+        assert np.all(labels)
 
     def test_deterministic_under_seed(self):
         x = np.zeros((20, 1))
@@ -185,55 +217,54 @@ class TestAugmentWithPositions:
 
 class TestSoftmaxWeights:
     def test_equal_logits_uniform(self):
-        model = SoftmaxPriceModel(np.zeros((4, 2)), np.zeros(4))
-        w = softmax_weights(model, [1.0, -1.0])
+        w = softmax_weights(one_level_bank(np.zeros((4, 2)), np.zeros(4)), [1.0, -1.0])
         assert np.allclose(w, 0.25)
         assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_dominant_logit_saturates(self):
-        model = SoftmaxPriceModel(np.zeros((3, 1)), np.array([50.0, 0.0, 0.0]))
-        w = softmax_weights(model, [0.0])
+        w = softmax_weights(one_level_bank(np.zeros((3, 1)), [50.0, 0.0, 0.0]), [0.0])
         assert w[0] >= 1.0 - 1e-15
 
     def test_direct_two_way_softmax(self):
-        model = SoftmaxPriceModel(np.zeros((2, 1)), np.array([0.0, math.log(3.0)]))
-        w = softmax_weights(model, [0.0])
+        w = softmax_weights(one_level_bank(np.zeros((2, 1)), [0.0, math.log(3.0)]), [0.0])
         assert w[0] == pytest.approx(0.25)
         assert w[1] == pytest.approx(0.75)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(size=5)
-        m1 = SoftmaxPriceModel(np.zeros((5, 1)), logits)
-        m2 = SoftmaxPriceModel(np.zeros((5, 1)), logits + 123.456)
+        m1 = one_level_bank(np.zeros((5, 1)), logits)
+        m2 = one_level_bank(np.zeros((5, 1)), logits + 123.456)
         assert np.allclose(softmax_weights(m1, [0.0]), softmax_weights(m2, [0.0]), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        model = SoftmaxPriceModel(np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            softmax_weights(model, [1.0])
+        bank = one_level_bank(np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="features"):
+            softmax_weights(bank, [1.0])
+        with pytest.raises(ValueError, match="ladder prices"):
+            quantile_matrix(bank, [[1.0, 2.0]], [[1.0, 2.0, 3.0]])
 
 
 class TestExpectedReservePrice:
     def test_one_hot_selects_entry(self):
-        model = SoftmaxPriceModel(np.zeros((3, 1)), np.array([80.0, 0.0, 0.0]))
-        assert expected_reserve_price(model, [0.0], [10.0, 20.0, 30.0]) == pytest.approx(10.0)
+        bank = one_level_bank(np.zeros((3, 1)), [80.0, 0.0, 0.0])
+        assert expected_reserve_price(bank, [0.0], [10.0, 20.0, 30.0]) == pytest.approx(10.0)
 
     def test_uniform_average(self):
-        model = SoftmaxPriceModel(np.zeros((2, 1)), np.zeros(2))
-        assert expected_reserve_price(model, [0.0], [10.0, 20.0]) == pytest.approx(15.0)
+        bank = one_level_bank(np.zeros((2, 1)), np.zeros(2))
+        assert expected_reserve_price(bank, [0.0], [10.0, 20.0]) == pytest.approx(15.0)
 
     def test_constant_ladder_is_identity(self):
         rng = np.random.default_rng(9)
-        model = SoftmaxPriceModel(rng.normal(size=(4, 2)), rng.normal(size=4))
-        assert expected_reserve_price(model, [0.3, -0.7], [42.0] * 4) == pytest.approx(42.0)
+        bank = one_level_bank(rng.normal(size=(4, 2)), rng.normal(size=4))
+        assert expected_reserve_price(bank, [0.3, -0.7], [42.0] * 4) == pytest.approx(42.0)
 
     def test_within_ladder_range(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            model = SoftmaxPriceModel(rng.normal(size=(5, 2)), rng.normal(size=5))
+            bank = one_level_bank(rng.normal(size=(5, 2)), rng.normal(size=5))
             o = rng.normal(scale=100.0, size=5)
-            got = expected_reserve_price(model, rng.normal(size=2), o)
+            got = expected_reserve_price(bank, rng.normal(size=2), o)
             assert o.min() - 1e-9 <= got <= o.max() + 1e-9
 
 
@@ -317,6 +348,25 @@ class TestQuantileBank:
         with pytest.raises(ValueError):
             fit_quantile_bank(np.zeros((0, 1)), np.zeros((0, 2)), np.zeros(0), regime=Regime.MDP, n_q=2)
 
+    @pytest.mark.parametrize(
+        "taus, weights_shape, biases_shape, message",
+        [
+            ([0.1, 0.5, 0.8], (3, 2, 1), (3, 2), "evenly spaced"),
+            ([0.0, 0.5], (2, 2, 1), (2, 2), "inside"),
+            ([0.75, 0.25], (2, 2, 1), (2, 2), "increasing"),
+            ([[0.25, 0.75]], (2, 2, 1), (2, 2), "1-D"),
+            ([0.25, 0.75], (3, 2, 1), (2, 2), "weights"),
+            ([0.25, 0.75], (2, 2), (2, 2), "weights"),
+            ([0.25, 0.75], (2, 2, 1), (2, 3), "biases"),
+        ],
+    )
+    def test_construction_checks_levels_and_shapes(self, taus, weights_shape, biases_shape, message):
+        with pytest.raises(ValueError, match=message):
+            QuantileModelBank(
+                regime=Regime.MDP, taus=np.array(taus), weights=np.zeros(weights_shape),
+                biases=np.zeros(biases_shape), scaler=None,
+            )
+
 
 class TestPredictRegulationDistribution:
     def test_two_quantiles_half_mass_each(self):
@@ -354,6 +404,8 @@ class TestPredictRegulationDistribution:
 
 
 class TestForecast:
+    """The position-adjusted mixture, built by ``make_forecaster`` on a hand-made bundle."""
+
     def setup_method(self):
         rng = np.random.default_rng(15)
         self.weight_model = LogisticModel(
@@ -379,10 +431,31 @@ class TestForecast:
         self.x = np.array([0.3, -1.0])
         self.z = np.array([0.4])
         self.o = np.array([20.0, 180.0])
+        utc = timezone.utc
+        self.models = TrainedModels(
+            weight_model=LogisticModel(bias=0.1, weights=np.array([0.5, -0.2])),
+            position_model=self.weight_model,
+            bank_mdp=self.bank_down,
+            bank_mip=self.bank_up,
+            grid=ReserveGrid((1.0,), (1.0,)),
+            impact=ImpactParams(beta=1.0, k_mdp=0.4, k_mip=0.41),
+            layout=FeatureLayout(names=("f0", "f1"), blocks={"all": (0, 2)}),
+            n_q=4,
+            kfold=1,
+            train_start=datetime(2024, 1, 1, tzinfo=utc),
+            train_end=datetime(2024, 1, 31, tzinfo=utc),
+            seed=0,
+        )
+        self.tick = MarketTick(
+            timestamp=datetime(2024, 6, 1, tzinfo=utc), x=self.x, o=self.o, s=5.0,
+            p_mdp=40.0, p_mip=180.0, z=self.z,
+        )
+
+    def forecast(self, u, beta_est=1.0):
+        return make_forecaster(self.models, self.tick, beta_est)(u)
 
     def test_zero_position_matches_unadjusted(self):
-        impact = ImpactParams(beta=1.0, k_mdp=0.4, k_mip=0.41)
-        f = forecast(self.weight_model, self.bank_down, self.bank_up, self.x, self.z, self.o, 0.0, impact)
+        f = self.forecast(0.0)
         down0 = predict_regulation_distribution(self.bank_down, self.z, self.o)
         up0 = predict_regulation_distribution(self.bank_up, self.z, self.o)
         assert f.down == down0
@@ -390,32 +463,27 @@ class TestForecast:
         assert f.pi == sigmoid_predict(self.weight_model, np.append(self.x, 0.0))
 
     def test_position_shifts_up_regime_quantiles(self):
-        impact = ImpactParams(beta=1.0, k_mdp=0.4, k_mip=0.41)
-        f0 = forecast(self.weight_model, self.bank_down, self.bank_up, self.x, self.z, self.o, 0.0, impact)
-        f5 = forecast(self.weight_model, self.bank_down, self.bank_up, self.x, self.z, self.o, 5.0, impact)
+        f0 = self.forecast(0.0)
+        f5 = self.forecast(5.0)
         assert np.allclose(f5.up.values, f0.up.values - 2.05)
         assert np.allclose(f5.down.values, f0.down.values - 2.0)
 
     def test_beta_zero_changes_nothing_with_u(self):
-        impact = ImpactParams(beta=0.0, k_mdp=0.4, k_mip=0.41)
-        f0 = forecast(self.weight_model, self.bank_down, self.bank_up, self.x, self.z, self.o, 0.0, impact)
-        f5 = forecast(self.weight_model, self.bank_down, self.bank_up, self.x, self.z, self.o, 5.0, impact)
+        f0 = self.forecast(0.0, beta_est=0.0)
+        f5 = self.forecast(5.0, beta_est=0.0)
         assert f5.pi == f0.pi
         assert f5.down == f0.down and f5.up == f0.up
 
     def test_pi_monotone_in_u_with_weight_sign(self):
-        impact = ImpactParams(beta=1.0, k_mdp=0.4, k_mip=0.41)
-        pis = [
-            forecast(self.weight_model, self.bank_down, self.bank_up, self.x, self.z, self.o, u, impact).pi
-            for u in np.linspace(-5, 5, 11)
-        ]
+        pis = [self.forecast(u).pi for u in np.linspace(-5, 5, 11)]
         assert all(a <= b for a, b in zip(pis, pis[1:]))  # w_u = 0.03 > 0
 
     def test_requires_position_feature(self):
-        impact = ImpactParams(beta=1.0, k_mdp=0.4, k_mip=0.41)
         plain = LogisticModel(bias=0.0, weights=np.zeros(2), scaler=None)
-        with pytest.raises(ValueError):
-            forecast(plain, self.bank_down, self.bank_up, self.x, self.z, self.o, 1.0, impact)
+        first = replace(self.weight_model, position_weight_index=0)
+        for position_model in (plain, first):
+            with pytest.raises(ValueError, match="position_weight_index"):
+                make_forecaster(replace(self.models, position_model=position_model), self.tick, 1.0)
 
 
 class TestSerialization:
