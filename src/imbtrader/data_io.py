@@ -271,6 +271,8 @@ def load_order_books(path) -> dict[datetime, OrderBook]:
         if header != ["timestamp", "side", "price", "volume"]:
             raise DataValidationError(f"{path.name}: header mismatch, got {header}")
         for row_no, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise DataValidationError(f"row {row_no}: expected 4 fields, got {len(row)}")
             ts = _parse_timestamp(row[0], row_no)
             side = row[1]
             if side not in ("ask", "bid"):

@@ -19,6 +19,7 @@ __all__ = [
     "MixtureForecast",
     "ForecastScores",
     "flatten",
+    "mixture_rows",
     "crps",
     "score_batch",
 ]
@@ -178,6 +179,30 @@ def flatten(forecast: MixtureForecast) -> DiscretePriceDistribution:
         [forecast.down.masses * forecast.pi, forecast.up.masses * (1.0 - forecast.pi)]
     )
     return DiscretePriceDistribution(values, masses)
+
+
+def mixture_rows(forecasts: Sequence[MixtureForecast]) -> tuple[np.ndarray, np.ndarray]:
+    """Price atoms and masses of each flattened mixture, one row per forecast.
+
+    A row holds the down atoms then the up atoms, with masses ``pi * m``
+    and ``(1 - pi) * m``, unsorted and unmerged. Zero-mass atoms are
+    dropped, and shorter rows are padded with zero-mass copies of their
+    first atom, so every row describes ``flatten`` of its forecast.
+    """
+    rows = []
+    for f in forecasts:
+        v = np.concatenate([f.down.values, f.up.values])
+        m = np.concatenate([f.down.masses * f.pi, f.up.masses * (1.0 - f.pi)])
+        keep = m > 0.0
+        rows.append((v[keep], m[keep]))
+    width = max(v.size for v, _ in rows)
+    values = np.empty((len(rows), width))
+    masses = np.zeros((len(rows), width))
+    for i, (v, m) in enumerate(rows):
+        values[i, : v.size] = v
+        values[i, v.size :] = v[0]
+        masses[i, : m.size] = m
+    return values, masses
 
 
 def crps(forecast: DiscretePriceDistribution, observed: float) -> float:

@@ -29,7 +29,7 @@ from .price_models import (
     sigmoid_predict,
 )
 
-__all__ = ["TrainedModels", "train_models", "attach_z", "make_forecaster"]
+__all__ = ["TrainedModels", "train_models", "attach_z", "PositionForecast", "make_forecaster"]
 
 FORMAT_VERSION = 1
 
@@ -55,6 +55,11 @@ class TrainedModels:
         index, last = self.position_model.position_weight_index, self.position_model.n_features - 1
         if index != last:
             raise ValueError(f"position_model.position_weight_index is {index}, the last feature is {last}")
+        n = len(self.layout.names)
+        for name, want in (("weight_model", n), ("position_model", n + 1)):
+            got = getattr(self, name).n_features
+            if got != want:
+                raise ValueError(f"{name} has {got} features, the layout's {n} names need {want}")
         for name in ("bank_mdp", "bank_mip"):
             if getattr(self, name).n_outputs != self.grid.size:
                 raise ValueError(f"{name} outputs must match the grid's {self.grid.size} reserve prices")
@@ -211,26 +216,56 @@ def attach_z(ticks: list[MarketTick], models: TrainedModels) -> list[MarketTick]
     ]
 
 
-def make_forecaster(models: TrainedModels, tick: MarketTick, beta_est: float):
-    """Position-adjusted forecast closure for one tick.
+class PositionForecast:
+    """Position-adjusted mixture forecast of one tick.
 
-    The regime distributions are predicted once and shifted per position;
-    the result is atom-for-atom identical to rebuilding the full forecast
-    at each position (covered by tests).
+    Calling it with a position ``u`` gives the ``MixtureForecast`` at ``u``:
+    each regime distribution shifted by ``-k * beta * u`` and the weight
+    ``pi(u)`` of the position model. ``mixture_rows`` gives the flattened
+    mixtures of a whole position vector as arrays, the rows that
+    ``dists.mixture_rows`` builds from the calls, bit for bit.
     """
-    if tick.z is None:
-        raise ValueError("tick has no price-model input; run attach_z first")
-    impact = models.impact_with_beta(beta_est)
-    down0 = predict_regulation_distribution(models.bank_mdp, tick.z, tick.o)
-    up0 = predict_regulation_distribution(models.bank_mip, tick.z, tick.o)
-    x = np.asarray(tick.x, dtype=float)
 
-    def forecast_fn(u: float) -> MixtureForecast:
-        pi = sigmoid_predict(models.position_model, np.append(x, impact.beta * u))
+    def __init__(self, models: TrainedModels, tick: MarketTick, beta_est: float):
+        if tick.z is None:
+            raise ValueError("tick has no price-model input; run attach_z first")
+        impact = models.impact_with_beta(beta_est)
+        self.down = predict_regulation_distribution(models.bank_mdp, tick.z, tick.o)
+        self.up = predict_regulation_distribution(models.bank_mip, tick.z, tick.o)
+        self.beta = impact.beta
+        self.slopes = (-impact.k_mdp * impact.beta, -impact.k_mip * impact.beta)
+        self._position_model = models.position_model
+        self._x = np.asarray(tick.x, dtype=float)
+
+    def pis(self, us) -> np.ndarray:
+        """Mixture weight at each position; the position feature is ``beta * u``."""
+        return self._position_model.predict_positions(self._x, self.beta * np.asarray(us, dtype=float))
+
+    def __call__(self, u: float) -> MixtureForecast:
         return MixtureForecast(
-            pi=pi,
-            down=down0.shift(-impact.k_mdp * impact.beta * u),
-            up=up0.shift(-impact.k_mip * impact.beta * u),
+            pi=float(self.pis([u])[0]),
+            down=self.down.shift(self.slopes[0] * u),
+            up=self.up.shift(self.slopes[1] * u),
         )
 
-    return forecast_fn
+    def mixture_rows(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """Price atoms and masses of the flattened mixture, one row per position."""
+        us = np.asarray(us, dtype=float)
+        pi = self.pis(us)[:, None]
+        values = np.hstack([self.down.values + (self.slopes[0] * us)[:, None],
+                            self.up.values + (self.slopes[1] * us)[:, None]])
+        masses = np.hstack([self.down.masses * pi, self.up.masses * (1.0 - pi)])
+        return values, masses
+
+
+def make_forecaster(models: TrainedModels, tick: MarketTick, beta_est: float) -> PositionForecast:
+    """Position-adjusted forecast of one tick.
+
+    The regime distributions are predicted once; positions only shift
+    them and move the mixture weight, so a decision table takes every
+    position of the tick from ``PositionForecast.mixture_rows`` at once
+    instead of building a forecast per position. A call at one position is
+    atom-for-atom identical to rebuilding the full forecast there (covered
+    by tests).
+    """
+    return PositionForecast(models, tick, beta_est)

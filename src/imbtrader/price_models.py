@@ -96,16 +96,47 @@ class LogisticModel:
         return self.weights.size
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Probabilities for a feature matrix (n, d) or single vector (d,)."""
+        """Probabilities for a feature matrix (n, d) or single vector (d,).
+
+        With a position feature the score is the score of the other
+        features plus the position term, the arithmetic of
+        ``predict_positions``, so one vector gets the same bits either way.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         mat = x[None, :] if single else x
         if mat.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {mat.shape[1]}")
-        if self.scaler is not None:
-            mat = self.scaler.transform(mat)
-        p = np.clip(_stable_sigmoid(mat @ self.weights + self.bias), _P_LO, _P_HI)
+        i = self.position_weight_index
+        if i is None:
+            if self.scaler is not None:
+                mat = self.scaler.transform(mat)
+            score = mat @ self.weights + self.bias
+        else:
+            score = self._position_scores(np.delete(mat, i, axis=1), mat[:, i])
+        p = np.clip(_stable_sigmoid(score), _P_LO, _P_HI)
         return float(p[0]) if single else p
+
+    def predict_positions(self, x, shifts) -> np.ndarray:
+        """Probabilities of one exogenous vector at each position-feature value.
+
+        ``x`` holds every feature but the position one; the score of ``x``
+        is computed once and the position term is added elementwise.
+        """
+        if self.position_weight_index is None:
+            raise ValueError("model was fitted without a position feature")
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_features - 1,):
+            raise ValueError(f"expected {self.n_features - 1} features besides the position, got {x.size}")
+        score = self._position_scores(x[None, :], np.asarray(shifts, dtype=float))
+        return np.clip(_stable_sigmoid(score), _P_LO, _P_HI)
+
+    def _position_scores(self, rest: np.ndarray, position: np.ndarray) -> np.ndarray:
+        i = self.position_weight_index
+        if self.scaler is not None:
+            rest = (rest - np.delete(self.scaler.mean, i)) / np.delete(self.scaler.scale, i)
+            position = (position - self.scaler.mean[i]) / self.scaler.scale[i]
+        return (rest @ np.delete(self.weights, i) + self.bias) + position * self.weights[i]
 
     @property
     def position_weight(self) -> float:
@@ -319,6 +350,10 @@ class QuantileModelBank:
         w_shape, b_shape = np.shape(self.weights), np.shape(self.biases)
         if len(w_shape) != 3 or w_shape[:2] != b_shape or b_shape[0] != taus.size:
             raise ValueError(f"weights {w_shape}, biases {b_shape}: need (n_q, k, d), (n_q, k), n_q={taus.size}")
+        if self.scaler is not None:
+            widths = {np.shape(self.scaler.mean), np.shape(self.scaler.scale)}
+            if widths != {(w_shape[2],)}:
+                raise ValueError(f"scaler widths {sorted(widths)} do not match the bank's {w_shape[2]} features")
 
     @property
     def n_q(self) -> int:

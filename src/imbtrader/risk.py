@@ -15,9 +15,12 @@ from .dists import DiscretePriceDistribution, MixtureForecast, flatten
 __all__ = [
     "RISK_KINDS",
     "RiskSpec",
+    "mean_rows",
     "cvar",
+    "cvar_rows",
     "cvar_grid",
     "evar",
+    "evar_rows",
     "evar_grid",
     "evaluate",
     "risk_of_negated_price",
@@ -45,32 +48,53 @@ def _check_alphas(alphas: np.ndarray) -> None:
         raise ValueError("alpha outside [0, 1]")
 
 
-def cvar_grid(dist: DiscretePriceDistribution, alphas) -> np.ndarray:
-    """Closed-form CVaR of a loss distribution at each alpha.
+def mean_rows(values: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Expectation of each row's distribution.
 
-    For interior alpha this is the average of the worst alpha-mass tail,
-    with fractional inclusion of the boundary atom; it equals the infimum
-    of ``s + E[Z - s]_+ / alpha`` exactly. ``alpha == 0`` returns the max
-    atom, ``alpha == 1`` the expectation.
+    A stacked matmul: on one row it gives the bits of
+    ``DiscretePriceDistribution.mean``, which a row sum does not.
+    """
+    return np.matmul(values[:, None, :], masses[:, :, None])[:, 0, 0]
+
+
+def cvar_rows(values: np.ndarray, masses: np.ndarray, alphas) -> np.ndarray:
+    """Closed-form CVaR of each row's loss distribution at each alpha.
+
+    ``values`` (rows x atoms) holds each row's atoms ascending, ``masses``
+    their nonnegative masses summing to one; atoms may repeat, and zero-mass
+    atoms may repeat another atom of the row. For interior alpha this is the
+    average of the worst alpha-mass tail, with fractional inclusion of the
+    boundary atom; it equals the infimum of ``s + E[Z - s]_+ / alpha``
+    exactly. ``alpha == 0`` gives the max atom, ``alpha == 1`` the
+    expectation. Returns (rows x alphas).
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_alphas(a)
-    out = np.empty(a.shape)
-    out[a == 0.0] = dist.max_value
-    out[a == 1.0] = dist.mean()
+    out = np.empty((values.shape[0], a.size))
+    out[:, a == 0.0] = values[:, -1:]
+    out[:, a == 1.0] = mean_rows(values, masses)[:, None]
     interior = (a > 0.0) & (a < 1.0)
     if np.any(interior):
         ai = a[interior]
-        v = dist.values[::-1]  # worst loss first
-        m = dist.masses[::-1]
-        cm = np.cumsum(m)
-        cmv = np.cumsum(m * v)
-        idx = np.searchsorted(cm, ai, side="left")
-        idx = np.minimum(idx, v.size - 1)
-        full_mass = np.where(idx > 0, cm[np.maximum(idx - 1, 0)], 0.0)
-        full_sum = np.where(idx > 0, cmv[np.maximum(idx - 1, 0)], 0.0)
-        out[interior] = (full_sum + (ai - full_mass) * v[idx]) / ai
+        n, k = values.shape
+        v = values[:, ::-1]  # worst loss first
+        m = masses[:, ::-1]
+        # Column i holds the mass (and mass-weighted loss) of the i worst atoms.
+        cm = np.zeros((n, k + 1))
+        cmv = np.zeros((n, k + 1))
+        np.cumsum(m, axis=1, out=cm[:, 1:])
+        np.cumsum(m * v, axis=1, out=cmv[:, 1:])
+        # Row by row, so every comparison is that of an unshifted searchsorted.
+        idx = np.stack([np.searchsorted(row, ai, side="left") for row in cm[:, 1:]])
+        idx = np.minimum(idx, k - 1)  # guard a float cumsum that ends below alpha
+        rows = np.arange(n)[:, None]
+        out[:, interior] = (cmv[rows, idx] + (ai - cm[rows, idx]) * v[rows, idx]) / ai
     return out
+
+
+def cvar_grid(dist: DiscretePriceDistribution, alphas) -> np.ndarray:
+    """Closed-form CVaR of one loss distribution at each alpha (see ``cvar_rows``)."""
+    return cvar_rows(dist.values[None, :], dist.masses[None, :], alphas)[0]
 
 
 def cvar(dist: DiscretePriceDistribution, alpha: float) -> float:
@@ -142,52 +166,56 @@ def evar(dist: DiscretePriceDistribution, alpha: float, *, value_tol: float = 1e
     return float(min(vmax, vmax + spread * best))
 
 
-def evar_grid(
-    dist: DiscretePriceDistribution, alphas, *, n_s: int = 384
-) -> np.ndarray:
-    """Entropic value-at-risk at every alpha of a grid, decision grade.
+def evar_rows(values: np.ndarray, masses: np.ndarray, alphas, *, n_s: int = 384) -> np.ndarray:
+    """Entropic value-at-risk of each row's loss distribution at each alpha.
 
-    Evaluates the dual objective's cumulant function once on a dense
-    geometric grid of the dual variable, then inverts the monotone
-    stationarity condition per alpha. Linear interpolation of the convex
-    cumulant only ever overshoots, so the result is an upper bound on the
-    true value (never below CVaR) and is clamped at the max atom.
+    Rows are laid out as for ``cvar_rows``. Per row, the dual objective's
+    cumulant function is evaluated once on a dense geometric grid of the
+    dual variable, and the monotone stationarity condition is inverted per
+    alpha. Linear interpolation of the convex cumulant only ever
+    overshoots, so the result is an upper bound on the true value (never
+    below CVaR) and is clamped at the max atom. Rows are solved one at a
+    time, so the temporaries stay (grid x atoms). Returns (rows x alphas).
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_alphas(a)
-    out = np.empty(a.shape)
-    out[a == 0.0] = dist.max_value
-    out[a == 1.0] = dist.mean()
+    out = np.empty((values.shape[0], a.size))
+    out[:, a == 0.0] = values[:, -1:]
+    out[:, a == 1.0] = mean_rows(values, masses)[:, None]
     interior = (a > 0.0) & (a < 1.0)
     if not np.any(interior):
         return out
-    if dist.n_atoms == 1:
-        out[interior] = dist.max_value
-        return out
-    vmax = dist.max_value
-    spread = vmax - dist.min_value
-    z = (dist.values - vmax) / spread
-    m = dist.masses
-
     s = np.geomspace(1e-4, 1e5, n_s)
-    ew = np.exp(np.outer(s, z))
-    p = ew @ m
-    k = np.log(p)
-    kp = (ew @ (m * z)) / p
-    stat = s * kp - k  # nondecreasing in s; stationarity target is -ln(alpha)
-
     target = -np.log(a[interior])
-    idx = np.clip(np.searchsorted(stat, target, side="left"), 1, n_s - 1)
-    lo, hi = s[idx - 1], s[idx]
-    d_stat = stat[idx] - stat[idx - 1]
-    frac = np.where(d_stat > 0.0, (target - stat[idx - 1]) / np.where(d_stat > 0, d_stat, 1.0), 1.0)
-    s_star = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-    k_star = k[idx - 1] + np.clip(frac, 0.0, 1.0) * (k[idx] - k[idx - 1])
-    vals = vmax + spread * (k_star + target) / s_star
-    # Beyond the grid the objective decreases toward the max atom.
-    vals = np.where(target >= stat[-1], vmax, vals)
-    out[interior] = np.minimum(vals, vmax)
+    for row, (v, m) in enumerate(zip(values, masses)):
+        vmax = v[-1]
+        spread = vmax - v[0]
+        if spread == 0.0:  # a single price level
+            out[row, interior] = vmax
+            continue
+        z = (v - vmax) / spread
+        ew = np.exp(np.outer(s, z))
+        p = ew @ m
+        k = np.log(p)
+        kp = (ew @ (m * z)) / p
+        stat = s * kp - k  # nondecreasing in s; stationarity target is -ln(alpha)
+
+        idx = np.clip(np.searchsorted(stat, target, side="left"), 1, n_s - 1)
+        lo, hi = s[idx - 1], s[idx]
+        d_stat = stat[idx] - stat[idx - 1]
+        frac = np.where(d_stat > 0.0, (target - stat[idx - 1]) / np.where(d_stat > 0, d_stat, 1.0), 1.0)
+        s_star = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        k_star = k[idx - 1] + np.clip(frac, 0.0, 1.0) * (k[idx] - k[idx - 1])
+        vals = vmax + spread * (k_star + target) / s_star
+        # Beyond the grid the objective decreases toward the max atom.
+        vals = np.where(target >= stat[-1], vmax, vals)
+        out[row, interior] = np.minimum(vals, vmax)
     return out
+
+
+def evar_grid(dist: DiscretePriceDistribution, alphas, *, n_s: int = 384) -> np.ndarray:
+    """Entropic value-at-risk of one loss distribution at each alpha (see ``evar_rows``)."""
+    return evar_rows(dist.values[None, :], dist.masses[None, :], alphas, n_s=n_s)[0]
 
 
 def evaluate(dist: DiscretePriceDistribution, spec: RiskSpec) -> float:

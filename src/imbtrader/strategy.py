@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dists import DiscretePriceDistribution, MixtureForecast, flatten
+from .dists import MixtureForecast, mixture_rows
 from .market_impact import ImpactParams
-from .risk import RiskSpec, cvar_grid, evar_grid
+from .risk import RiskSpec, cvar_rows, evar_rows, mean_rows
 
 __all__ = [
     "ActionSpace",
@@ -182,13 +181,31 @@ class DecisionTable:
         return (qs - realized_price) * us
 
 
-def _rho_row(kind: str, loss_dist: DiscretePriceDistribution, alphas: np.ndarray) -> np.ndarray:
+def _loss_rows(forecast_fn: ForecastFn, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Loss atoms ``-p`` and masses of the flattened forecast per position, rows ascending.
+
+    A forecast with a ``mixture_rows`` method (``pipeline.PositionForecast``)
+    builds all positions at once; any other callable is called once per
+    position.
+    """
+    whole_tick = getattr(forecast_fn, "mixture_rows", None)
+    if whole_tick is not None:
+        prices, masses = whole_tick(us)
+    else:
+        prices, masses = mixture_rows([forecast_fn(float(u)) for u in us])
+    losses = -prices
+    order = np.argsort(losses, axis=1, kind="stable")
+    rows = np.arange(losses.shape[0])[:, None]
+    return losses[rows, order], masses[rows, order]
+
+
+def _rho_rows(kind: str, losses: np.ndarray, masses: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     if kind == "expectation":
-        return np.full(alphas.size, loss_dist.mean())
+        return np.repeat(mean_rows(losses, masses)[:, None], alphas.size, axis=1)
     if kind == "cvar":
-        return cvar_grid(loss_dist, alphas)
+        return cvar_rows(losses, masses, alphas)
     if kind == "evar":
-        return evar_grid(loss_dist, alphas)
+        return evar_rows(losses, masses, alphas)
     raise ValueError(f"unknown risk kind {kind!r}")
 
 
@@ -201,20 +218,19 @@ def decision_table(
 ) -> DecisionTable:
     """Evaluate the position cost for every grid position and alpha.
 
-    The forecast is rebuilt per position (decision-dependent distribution);
-    the risk term is vectorized over the alpha grid so the same table
-    serves both the live decision and the adaptive-alpha bookkeeping.
-    ``actions`` is an ActionSpace or an explicit position array already
-    ordered by absolute size (one-sided strategy legs pass the latter).
+    The forecast depends on the position (decision-dependent
+    distribution). Its flattened mixtures for all positions form one loss
+    matrix, sorted once per row, from which the risk term of every
+    (position, alpha) pair is taken, so the same table serves both the live
+    decision and the adaptive-alpha bookkeeping. ``actions`` is an
+    ActionSpace or an explicit position array already ordered by absolute
+    size (one-sided strategy legs pass the latter).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     us = actions.ordered_grid() if isinstance(actions, ActionSpace) else np.asarray(actions, dtype=float)
-    q = np.empty(us.size)
-    rho = np.empty((us.size, alphas.size))
-    for i, u in enumerate(us):
-        _, q[i] = fill_cost(book, float(u))
-        loss_dist = flatten(forecast_fn(float(u))).negate()
-        rho[i] = _rho_row(kind, loss_dist, alphas)
+    q = np.array([fill_cost(book, float(u))[1] for u in us])
+    losses, masses = _loss_rows(forecast_fn, us)
+    rho = _rho_rows(kind, losses, masses, alphas)
     phi = (q[:, None] + rho) * us[:, None]
     return DecisionTable(positions_by_size=us, fill_prices=q, rho=rho, phi=phi)
 
@@ -407,7 +423,11 @@ class AlphaAdapter:
             raise ValueError("alpha grid must be strictly increasing")
         self.window = int(window)
         self.kind = kind
-        self._history: deque[np.ndarray] = deque(maxlen=self.window)
+        # Each row is written at i and i + window, so the trailing window is
+        # always the contiguous slice that ends at the latest write.
+        self._buffer = np.empty((2 * self.window, self.alphas.size))
+        self._end = 0
+        self._count = 0
         ones = np.flatnonzero(self.alphas == 1.0)
         self._index = int(ones[0]) if ones.size else self.alphas.size - 1
 
@@ -423,15 +443,19 @@ class AlphaAdapter:
         losses = np.asarray(losses, dtype=float)
         if losses.shape != self.alphas.shape:
             raise ValueError("loss vector shape does not match the alpha grid")
-        self._history.append(losses)
+        i = self._end % self.window
+        self._buffer[i] = losses
+        self._buffer[i + self.window] = losses
+        self._end = i + self.window + 1
+        self._count = min(self._count + 1, self.window)
 
     def windowed_mean(self) -> np.ndarray:
-        if not self._history:
+        if not self._count:
             raise ValueError("no recorded losses yet")
-        return np.sum(np.stack(tuple(self._history)), axis=0) / len(self._history)
+        return np.sum(self._buffer[self._end - self._count : self._end], axis=0) / self._count
 
     def update(self) -> float:
         """Re-select alpha from the trailing window; returns the new value."""
-        if self._history:
+        if self._count:
             self._index = select_alpha(self.windowed_mean(), self.alphas, self._index)
         return self.current_alpha

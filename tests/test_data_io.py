@@ -78,6 +78,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataValidationError, match="header"):
             load_market_csv(tmp_path / "market.csv", MarketCsvSchema(small_cfg().grid))
 
+    @pytest.mark.parametrize("edit, got", [(lambda f: f[:3], 3), (lambda f: f + ["1.0"], 5)],
+                             ids=["short", "long"])
+    def test_book_row_width_rejected_with_row(self, tmp_path, edit, got):
+        _, books, _ = generate_synthetic_market(small_cfg(n_periods=4))
+        path = tmp_path / "books.csv"
+        write_order_books(path, books)
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError, match=f"row 4: expected 4 fields, got {got}"):
+            load_order_books(path)
+
     def test_misaligned_timestamp_rejected(self, tmp_path):
         cfg = small_cfg(n_periods=5)
         records, _, _ = generate_synthetic_market(cfg)

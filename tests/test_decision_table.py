@@ -1,0 +1,172 @@
+"""The array decision table against the per-position object table it replaced."""
+import numpy as np
+import pytest
+
+from imbtrader.backtest import leg_positions
+from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten, mixture_rows
+from imbtrader.pipeline import make_forecaster
+from imbtrader.strategy import ActionSpace, OrderBook, decision_table, default_alpha_grid, fill_cost
+
+PAPER_GRID = ActionSpace(step=0.1, u_max=5.0)
+KINDS = ("expectation", "cvar", "evar")
+
+
+def reference_cvar_grid(dist, alphas):
+    """CVaR of one canonical loss distribution per alpha: worst-alpha-mass tail average."""
+    out = np.empty(alphas.shape)
+    out[alphas == 0.0] = dist.max_value
+    out[alphas == 1.0] = dist.mean()
+    interior = (alphas > 0.0) & (alphas < 1.0)
+    ai = alphas[interior]
+    v, m = dist.values[::-1], dist.masses[::-1]
+    cm, cmv = np.cumsum(m), np.cumsum(m * v)
+    idx = np.minimum(np.searchsorted(cm, ai, side="left"), v.size - 1)
+    full_mass = np.where(idx > 0, cm[np.maximum(idx - 1, 0)], 0.0)
+    full_sum = np.where(idx > 0, cmv[np.maximum(idx - 1, 0)], 0.0)
+    out[interior] = (full_sum + (ai - full_mass) * v[idx]) / ai
+    return out
+
+
+def reference_evar_grid(dist, alphas, n_s=384):
+    """EVaR of one canonical loss distribution per alpha on the 384-point dual grid."""
+    out = np.empty(alphas.shape)
+    out[alphas == 0.0] = dist.max_value
+    out[alphas == 1.0] = dist.mean()
+    interior = (alphas > 0.0) & (alphas < 1.0)
+    if dist.n_atoms == 1:
+        out[interior] = dist.max_value
+        return out
+    vmax, spread = dist.max_value, dist.max_value - dist.min_value
+    z, m = (dist.values - vmax) / spread, dist.masses
+    s = np.geomspace(1e-4, 1e5, n_s)
+    ew = np.exp(np.outer(s, z))
+    k = np.log(ew @ m)
+    stat = s * (ew @ (m * z)) / (ew @ m) - k
+    target = -np.log(alphas[interior])
+    idx = np.clip(np.searchsorted(stat, target, side="left"), 1, n_s - 1)
+    d_stat = stat[idx] - stat[idx - 1]
+    frac = np.clip(np.where(d_stat > 0.0, (target - stat[idx - 1]) / np.where(d_stat > 0, d_stat, 1.0), 1.0), 0.0, 1.0)
+    s_star = s[idx - 1] + frac * (s[idx] - s[idx - 1])
+    k_star = k[idx - 1] + frac * (k[idx] - k[idx - 1])
+    vals = np.where(target >= stat[-1], vmax, vmax + spread * (k_star + target) / s_star)
+    out[interior] = np.minimum(vals, vmax)
+    return out
+
+
+def object_table(forecast_fn, book, us, kind, alphas):
+    """Reference table: one flattened, negated distribution object per position.
+
+    Returns (fill prices, rho, phi) as the table did before it worked on
+    arrays: ``flatten`` -> ``negate`` -> one risk row per position.
+    """
+    us = np.asarray(us, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    q = np.empty(us.size)
+    rho = np.empty((us.size, alphas.size))
+    for i, u in enumerate(us):
+        _, q[i] = fill_cost(book, float(u))
+        loss = flatten(forecast_fn(float(u))).negate()
+        if kind == "expectation":
+            rho[i] = loss.mean()
+        elif kind == "cvar":
+            rho[i] = reference_cvar_grid(loss, alphas)
+        else:
+            rho[i] = reference_evar_grid(loss, alphas)
+    return q, rho, (q[:, None] + rho) * us[:, None]
+
+
+def uniform_dist(values):
+    return DiscretePriceDistribution(values, np.full(len(values), 1.0 / len(values)))
+
+
+class TestAgainstObjectTable:
+    @pytest.mark.parametrize("leg", ["long", "short"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trained_bundle(self, trained, kind, leg):
+        models, _, test_ticks = trained
+        positions = leg_positions(PAPER_GRID, leg)
+        alphas = default_alpha_grid(kind, 200)
+        for tick in test_ticks[:12]:
+            pf = make_forecaster(models, tick, 1.0)
+            table = decision_table(pf, tick.book, positions, kind, alphas)
+            q, rho, phi = object_table(pf, tick.book, positions, kind, alphas)
+            assert np.array_equal(table.fill_prices, q)
+            assert np.max(np.abs(table.rho - rho)) <= 1e-9
+            assert np.array_equal(table.argmin_rows(), np.argmin(phi, axis=0))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_atom_count_changes_with_position(self, kind):
+        def fn(u):
+            n = 1 + int(round(abs(u)))  # 1 to 6 down atoms, 6 to 1 up atoms
+            pi = 1.0 if u == 0.0 else 0.35  # at u = 0 the up atoms carry no mass
+            return MixtureForecast(pi, uniform_dist(np.linspace(20.0, 70.0, n)),
+                                   uniform_dist(np.linspace(110.0, 240.0, 7 - n)))
+
+        actions = ActionSpace(step=1.0, u_max=5.0, allow_short=True)
+        book = OrderBook(asks=((85.0, 10.0),), bids=((80.0, 10.0),))
+        alphas = default_alpha_grid(kind, 40)
+        table = decision_table(fn, book, actions, kind, alphas)
+        _, rho, phi = object_table(fn, book, actions.ordered_grid(), kind, alphas)
+        assert np.max(np.abs(table.rho - rho)) <= 1e-9
+        assert np.array_equal(table.argmin_rows(), np.argmin(phi, axis=0))
+
+
+class TestRowBuilders:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_forecast_object_and_plain_callable_agree_bit_for_bit(self, trained, kind):
+        models, _, test_ticks = trained
+        alphas = default_alpha_grid(kind, 200)
+        for tick in test_ticks[:6]:
+            for beta_est in (0.0, 0.5, 1.0):
+                pf = make_forecaster(models, tick, beta_est)
+                for leg in ("long", "short"):
+                    positions = leg_positions(PAPER_GRID, leg)
+                    a = decision_table(pf, tick.book, positions, kind, alphas)
+                    b = decision_table(lambda u: pf(u), tick.book, positions, kind, alphas)
+                    assert np.array_equal(a.rho, b.rho)
+                    assert np.array_equal(a.phi, b.phi)
+
+    def test_whole_tick_rows_equal_per_position_rows(self, trained):
+        models, _, test_ticks = trained
+        us = PAPER_GRID.grid()
+        for tick in test_ticks[:20]:
+            pf = make_forecaster(models, tick, 1.0)
+            values, masses = pf.mixture_rows(us)
+            ref_values, ref_masses = mixture_rows([pf(float(u)) for u in us])
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(masses, ref_masses)
+            assert np.array_equal(pf.pis(us), [pf(float(u)).pi for u in us])
+
+    def test_padding_keeps_each_row_distribution(self):
+        forecasts = [
+            MixtureForecast(0.25, uniform_dist([10.0, 20.0, 30.0]), uniform_dist([50.0])),
+            MixtureForecast(1.0, uniform_dist([15.0]), uniform_dist([60.0, 70.0])),
+        ]
+        values, masses = mixture_rows(forecasts)
+        assert values.shape == (2, 4)
+        for f, v, m in zip(forecasts, values, masses):
+            assert DiscretePriceDistribution(v[m > 0.0], m[m > 0.0]) == flatten(f)
+            assert set(v[m == 0.0]) <= set(v[m > 0.0])
+
+
+class TestTies:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_ties_go_to_smallest_abs_position(self, kind):
+        # Powers of two keep every risk value exact: rho = -64 = -q, so phi == 0 everywhere.
+        fn = lambda u: MixtureForecast(0.5, uniform_dist([64.0]), uniform_dist([64.0]))  # noqa: E731
+        actions = ActionSpace(step=0.5, u_max=5.0, allow_short=True)
+        alphas = default_alpha_grid(kind, 40)
+        table = decision_table(fn, OrderBook(asks=((64.0, 10.0),), bids=((64.0, 10.0),)), actions, kind, alphas)
+        assert np.all(table.phi == 0.0)
+        us, _, _ = table.best_positions()
+        assert np.all(us == 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_symmetric_tie_goes_to_the_short_side(self, kind):
+        fn = lambda u: MixtureForecast(0.5, uniform_dist([64.0]), uniform_dist([64.0]))  # noqa: E731
+        actions = ActionSpace(step=0.5, u_max=5.0, allow_short=True)
+        alphas = default_alpha_grid(kind, 40)
+        table = decision_table(fn, OrderBook(asks=((60.0, 10.0),), bids=((68.0, 10.0),)), actions, kind, alphas)
+        us, _, costs = table.best_positions()
+        assert np.all(costs == -20.0)
+        assert np.all(us == -5.0)  # ordered grid: short before long at equal |u|

@@ -122,8 +122,14 @@ class TestSerialization:
             (lambda doc: doc["bank_mdp"].update(taus=[t * t for t in doc["bank_mdp"]["taus"]]), "taus must be evenly"),
             (lambda doc: doc["grid"]["mfrr_volumes"].append(10_000.0), "bank_mdp"),
             (lambda doc: doc["position_model"].update(position_weight_index=0), "position_weight_index"),
+            (lambda doc: doc["weight_model"]["weights"].pop(), "weight_model has"),
+            (lambda doc: (doc["position_model"]["weights"].insert(0, 0.0),
+                          doc["position_model"].update(position_weight_index=len(doc["position_model"]["weights"]) - 1)),
+             "position_model has"),
+            (lambda doc: [doc["bank_mip"]["scaler"][k].append(1.0) for k in ("mean", "scale")], "scaler widths"),
         ],
-        ids=["uneven_taus", "bank_outputs_vs_grid", "position_not_last"],
+        ids=["uneven_taus", "bank_outputs_vs_grid", "position_not_last", "weight_features_vs_layout",
+             "position_features_vs_layout", "bank_scaler_width"],
     )
     def test_malformed_bundle_rejected(self, trained, tmp_path, edit, field):
         models, _, _ = trained
