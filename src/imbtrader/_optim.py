@@ -2,28 +2,49 @@
 
 Deterministic by construction (no shuffling, no randomness), so every fit
 in the package is bit-reproducible for a given dataset and initial point.
+One call solves a batch of independent problems: each keeps its own step
+size, iteration count and stopping state, and every round evaluates all
+problems still running in one objective call.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["GdResult", "minimize_gd"]
+__all__ = ["GdResult", "minimize_gd", "problem_blocks", "log_unfinished"]
+
+# Stacked objectives evaluate their problems in blocks whose largest
+# temporary holds at most this many float64 elements (256 KiB), so the
+# temporaries of a batch stay this small however many problems it holds.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
 class GdResult:
-    x: np.ndarray
-    fun: float
-    grad_norm: float
-    iterations: int
-    converged: bool
+    """Per-problem outcome of a batched fit: one row or entry per problem."""
+
+    x: np.ndarray  # (P, m)
+    fun: np.ndarray  # (P,)
+    grad_norm: np.ndarray  # (P,)
+    iterations: np.ndarray  # (P,)
+    converged: np.ndarray  # (P,)
+    stalled: np.ndarray  # (P,) the line search gave up before the gradient test passed
+
+
+def _row_dots(g: np.ndarray) -> np.ndarray:
+    # A stacked (1, m) @ (m, 1) matmul is the 1-D ``g @ g`` of each row, bit for bit.
+    return np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0]
+
+
+def _max_norms(g: np.ndarray) -> np.ndarray:
+    return np.abs(g).max(axis=1, initial=0.0)
 
 
 def minimize_gd(
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    value_and_grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0,
     *,
     grad_tol: float = 1e-6,
@@ -34,35 +55,68 @@ def minimize_gd(
     grow: float = 2.0,
     min_step: float = 1e-18,
 ) -> GdResult:
-    """Minimize a differentiable objective by steepest descent.
+    """Minimize P independent differentiable objectives by steepest descent.
 
-    The step size backtracks until the Armijo sufficient-decrease condition
-    holds and is grown geometrically after each accepted step, which lets
-    the iterates cover the exponentially growing parameter scales that
-    separable classification data and near-one-hot softmax fits produce.
-    Terminates on the max-norm of the gradient, the iteration cap, or a
-    stalled line search.
+    ``x0`` is (P, m). ``value_and_grad(x, idx)`` takes the points (R, m) of
+    the problems ``idx`` (R,) and returns their values (R,) and gradients
+    (R, m). Each problem's step size backtracks until the Armijo
+    sufficient-decrease condition holds and is grown geometrically after
+    each accepted step, which lets the iterates cover the exponentially
+    growing parameter scales that separable classification data and
+    near-one-hot softmax fits produce. A problem stops on the max-norm of
+    its gradient, the iteration cap, or a stalled line search.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = value_and_grad(x)
-    step = float(initial_step)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm <= grad_tol:
-            return GdResult(x, f, gnorm, iterations - 1, True)
-        gsq = float(g @ g)
-        step = min(step * grow, 1e12)
-        while True:
-            x_new = x - step * g
-            f_new, g_new = value_and_grad(x_new)
-            if np.isfinite(f_new) and f_new <= f - armijo * step * gsq:
-                break
-            step *= shrink
-            if step < min_step:
-                # Line search stalled (e.g., at a subgradient kink); report
-                # the best point found so far.
-                return GdResult(x, f, gnorm, iterations, False)
-        x, f, g = x_new, f_new, g_new
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    return GdResult(x, f, gnorm, max_iter, gnorm <= grad_tol)
+    x = np.array(x0, dtype=float, ndmin=2)
+    n_problems = x.shape[0]
+    f, g = value_and_grad(x, np.arange(n_problems))
+    f, g = np.array(f, dtype=float), np.array(g, dtype=float)
+    gnorm = _max_norms(g)
+    iterations = np.zeros(n_problems, dtype=int)
+    converged = gnorm <= grad_tol
+    stalled = np.zeros(n_problems, dtype=bool)
+    active = ~converged & (max_iter > 0)
+    gsq = np.zeros(n_problems)
+    step = np.full(n_problems, float(initial_step))
+
+    def begin(idx):  # start the next iteration: a new search direction and a grown step
+        gsq[idx] = _row_dots(g[idx])
+        step[idx] = np.minimum(step[idx] * grow, 1e12)
+
+    begin(np.flatnonzero(active))
+    while (running := np.flatnonzero(active)).size:
+        x_new = x[running] - step[running, None] * g[running]
+        f_new, g_new = value_and_grad(x_new, running)
+        ok = np.isfinite(f_new) & (f_new <= f[running] - armijo * step[running] * gsq[running])
+        moved = running[ok]
+        x[moved], f[moved], g[moved] = x_new[ok], f_new[ok], g_new[ok]
+        iterations[moved] += 1
+        gnorm[moved] = _max_norms(g[moved])
+        converged[moved] = gnorm[moved] <= grad_tol
+        active[moved] = ~converged[moved] & (iterations[moved] < max_iter)
+        begin(moved[active[moved]])
+        backtrack = running[~ok]
+        step[backtrack] *= shrink
+        # A stalled line search (e.g., at a subgradient kink) keeps the best
+        # point found so far and counts the iteration it stalled in.
+        gave_up = backtrack[step[backtrack] < min_step]
+        iterations[gave_up] += 1
+        stalled[gave_up] = True
+        active[gave_up] = False
+    return GdResult(x, f, gnorm, iterations, converged, stalled)
+
+
+def problem_blocks(n_problems: int, per_problem: int) -> list[slice]:
+    """Consecutive slices of problems whose stacked temporaries fit the block budget."""
+    size = max(1, _BLOCK_ELEMENTS // max(per_problem, 1))
+    return [slice(i, i + size) for i in range(0, n_problems, size)]
+
+
+def log_unfinished(logger: logging.Logger, label: str, result: GdResult, max_iter: int) -> None:
+    """Warn once when some problems of a batch hit the iteration cap or stalled."""
+    capped = int(np.sum(~result.converged & ~result.stalled))
+    stalled = int(np.sum(result.stalled))
+    if capped or stalled:
+        logger.warning(
+            "%s: %d/%d levels hit max_iter=%d, %d stalled",
+            label, capped, result.converged.size, max_iter, stalled,
+        )

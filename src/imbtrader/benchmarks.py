@@ -14,7 +14,7 @@ from datetime import datetime
 
 import numpy as np
 
-from ._optim import minimize_gd
+from ._optim import log_unfinished, minimize_gd, problem_blocks
 from .data_io import FeatureLayout, MarketTick
 from .dists import DiscretePriceDistribution, ForecastScores, MixtureForecast, flatten, score_batch
 from .market_impact import is_surplus
@@ -36,6 +36,7 @@ __all__ = [
     "dynamic_transition_matrix",
     "LinearQuantileBank",
     "linear_pinball_loss_and_grad",
+    "linear_pinball_loss_and_grad_rows",
     "fit_linear_quantile_bank",
     "dynamic_feature_columns",
     "BenchmarkSuite",
@@ -126,11 +127,29 @@ def dynamic_transition_matrix(models: tuple[LogisticModel, LogisticModel], featu
 
 def linear_pinball_loss_and_grad(params: np.ndarray, x: np.ndarray, y: np.ndarray, tau: float):
     """Mean pinball loss of an affine predictor; analytic gradient."""
-    w, b = params[:-1], params[-1]
-    e = y - (x @ w + b)
-    val = float(np.mean(np.where(e >= 0.0, tau * e, (tau - 1.0) * e)))
-    d = -np.where(e >= 0.0, tau, tau - 1.0) / y.size
-    return val, np.concatenate([x.T @ d, [d.sum()]])
+    val, grad = linear_pinball_loss_and_grad_rows(np.reshape(params, (1, -1)), x, y, [tau])
+    return float(val[0]), grad[0]
+
+
+def linear_pinball_loss_and_grad_rows(params: np.ndarray, x: np.ndarray, y: np.ndarray, taus):
+    """``linear_pinball_loss_and_grad`` for a stack of parameter rows (P, m), one level each.
+
+    Problems are evaluated in blocks of bounded size; stacked matmuls give
+    every row the bits of its own one-row call.
+    """
+    taus = np.asarray(taus, dtype=float)
+    vals = np.empty(params.shape[0])
+    grads = np.empty(params.shape)
+    for blk in problem_blocks(params.shape[0], y.size):
+        e = np.matmul(x, params[blk, :-1, None])[..., 0]
+        e += params[blk, -1:]
+        np.subtract(y, e, out=e)
+        coef = np.where(e >= 0.0, taus[blk, None], taus[blk, None] - 1.0)
+        vals[blk] = np.mean(np.multiply(coef, e, out=e), axis=1)
+        d = np.divide(np.negative(coef, out=coef), y.size, out=coef)
+        grads[blk, :-1] = np.matmul(x.T, d[:, :, None])[..., 0]
+        grads[blk, -1] = d.sum(axis=1)
+    return vals, grads
 
 
 @dataclass(frozen=True)
@@ -159,19 +178,17 @@ def fit_linear_quantile_bank(x, y, *, n_q: int, grad_tol: float = 1e-6, max_iter
     taus = quantile_levels(n_q)
     scaler = FeatureScaler.fit(x)
     xs = scaler.transform(x)
-    weights = np.empty((n_q, x.shape[1]))
-    biases = np.empty(n_q)
-    for i, tau in enumerate(taus):
-        x0 = np.zeros(x.shape[1] + 1)
-        x0[-1] = float(np.quantile(y, tau))  # start at the unconditional quantile
-        result = minimize_gd(
-            lambda p, t=tau: linear_pinball_loss_and_grad(p, xs, y, t),
-            x0,
-            grad_tol=grad_tol,
-            max_iter=max_iter,
-        )
-        weights[i] = result.x[:-1]
-        biases[i] = result.x[-1]
+    x0 = np.zeros((n_q, x.shape[1] + 1))
+    x0[:, -1] = np.quantile(y, taus)  # start at the unconditional quantile
+    result = minimize_gd(
+        lambda p, idx: linear_pinball_loss_and_grad_rows(p, xs, y, taus[idx]),
+        x0,
+        grad_tol=grad_tol,
+        max_iter=max_iter,
+    )
+    log_unfinished(logger, "bank linear", result, max_iter)
+    weights = result.x[:, :-1].copy()
+    biases = result.x[:, -1].copy()
     return LinearQuantileBank(taus=taus, weights=weights, biases=biases, scaler=scaler)
 
 

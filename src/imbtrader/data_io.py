@@ -22,6 +22,7 @@ assert recovery.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import os
 from dataclasses import dataclass, field
@@ -56,6 +57,8 @@ __all__ = [
     "resolve_data_dir",
     "DATA_DIR_ENV",
 ]
+
+logger = logging.getLogger(__name__)
 
 DATA_DIR_ENV = "IMBTRADER_DATA_DIR"
 
@@ -414,6 +417,14 @@ def load_dataset(data_dir, grid: ReserveGrid) -> list[MarketTick]:
     records = load_market_csv(data_dir / "market.csv", MarketCsvSchema(grid))
     books_path = data_dir / "books.csv"
     books = load_order_books(books_path) if books_path.exists() else None
+    if books:
+        known = {record.timestamp for record in records}
+        unmatched = [ts for ts in books if ts not in known]
+        if unmatched:
+            logger.warning(
+                "%s: %d order books have no market.csv row and are ignored; first at %s",
+                books_path.name, len(unmatched), min(unmatched).isoformat(),
+            )
     return assemble_ticks(records, build_features(records), books)
 
 

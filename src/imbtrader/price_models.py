@@ -8,11 +8,12 @@ All fitting is deterministic full-batch gradient descent.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import minimize_gd
+from ._optim import log_unfinished, minimize_gd, problem_blocks
 from .dists import DiscretePriceDistribution
 from .market_impact import Regime, is_surplus
 
@@ -27,11 +28,14 @@ __all__ = [
     "ReserveGrid",
     "pinball_loss",
     "quantile_loss_and_grad",
+    "quantile_loss_and_grad_rows",
     "QuantileModelBank",
     "fit_quantile_bank",
     "predict_regulation_distribution",
     "quantile_matrix",
 ]
+
+logger = logging.getLogger(__name__)
 
 # Probabilities are kept strictly inside (0, 1) so downstream logits stay finite.
 _P_LO = 1e-300
@@ -51,10 +55,11 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stable_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ew = np.exp(shifted)
-    return ew / ew.sum(axis=-1, keepdims=True)
+def _softmax_rows_inplace(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, written over ``logits``."""
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
+    np.exp(logits, out=logits)
+    return np.divide(logits, logits.sum(axis=-1, keepdims=True), out=logits)
 
 
 @dataclass(frozen=True)
@@ -211,15 +216,20 @@ def fit_logistic(
         raise DegenerateLabelsError("training data contains a single label")
     scaler = FeatureScaler.fit(x) if (standardize and x.shape[1] > 0) else None
     xs = scaler.transform(x) if scaler is not None else x
+
+    def objective(params, _):
+        val, grad = logistic_loss_and_grad(params[0], xs, y, l2)
+        return np.array([val]), grad[None]
+
     result = minimize_gd(
-        lambda p: logistic_loss_and_grad(p, xs, y, l2),
-        np.zeros(x.shape[1] + 1),
+        objective,
+        np.zeros((1, x.shape[1] + 1)),
         grad_tol=grad_tol,
         max_iter=max_iter,
     )
     return LogisticModel(
-        bias=float(result.x[0]),
-        weights=result.x[1:].copy(),
+        bias=float(result.x[0, 0]),
+        weights=result.x[0, 1:].copy(),
         scaler=scaler,
         position_weight_index=position_weight_index,
     )
@@ -315,17 +325,39 @@ def quantile_loss_and_grad(
     ``params`` flattens the (n_outputs, n_features) weight matrix followed
     by the biases. Uses the subgradient tau at a zero residual.
     """
+    val, grad = quantile_loss_and_grad_rows(np.reshape(params, (1, -1)), z, o, y, [tau], n_outputs)
+    return float(val[0]), grad[0]
+
+
+def quantile_loss_and_grad_rows(params, z, o, y, taus, n_outputs: int):
+    """``quantile_loss_and_grad`` for a stack of parameter rows, one level each.
+
+    ``params`` is (P, n_outputs * (n_features + 1)) and ``taus`` (P,); returns
+    the losses (P,) and gradients (P, m). Problems are evaluated in blocks of
+    bounded size, and every row gets the bits of its own one-row call.
+    """
     n, d = z.shape
-    w_mat = params[: n_outputs * d].reshape(n_outputs, d)
-    b = params[n_outputs * d :]
-    weights = _stable_softmax_rows(z @ w_mat.T + b)
-    yhat = np.sum(weights * o, axis=1)
-    e = y - yhat
-    val = float(np.mean(np.where(e >= 0.0, tau * e, (tau - 1.0) * e)))
-    dval_dyhat = -np.where(e >= 0.0, tau, tau - 1.0) / n
-    dlogits = dval_dyhat[:, None] * weights * (o - yhat[:, None])
-    grad = np.concatenate([(dlogits.T @ z).ravel(), dlogits.sum(axis=0)])
-    return val, grad
+    kd = n_outputs * d
+    taus = np.asarray(taus, dtype=float)
+    vals = np.empty(params.shape[0])
+    grads = np.empty(params.shape)
+    for blk in problem_blocks(params.shape[0], n * n_outputs):
+        w_mat = params[blk, :kd].reshape(-1, n_outputs, d)
+        # Stacked matmuls give each slice the bits of its own 2-D product; einsum does not.
+        weights = np.matmul(z, w_mat.transpose(0, 2, 1))
+        weights += params[blk, None, kd:]
+        _softmax_rows_inplace(weights)
+        scratch = np.multiply(weights, o)
+        yhat = scratch.sum(axis=2)
+        e = y - yhat
+        coef = np.where(e >= 0.0, taus[blk, None], taus[blk, None] - 1.0)
+        vals[blk] = np.mean(coef * e, axis=1)
+        np.subtract(o, yhat[:, :, None], out=scratch)
+        weights *= (-coef / n)[:, :, None]
+        weights *= scratch  # d loss / d logits
+        grads[blk, :kd] = np.matmul(weights.transpose(0, 2, 1), z).reshape(-1, kd)
+        grads[blk, kd:] = weights.sum(axis=1)
+    return vals, grads
 
 
 @dataclass(frozen=True)
@@ -383,6 +415,15 @@ class QuantileModelBank:
         )
 
 
+def _ladder_level_losses(residuals: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Mean pinball loss (n_q, k) of each pure ladder level, given residuals (n, k)."""
+    out = np.empty((taus.size, residuals.shape[1]))
+    for blk in problem_blocks(taus.size, residuals.size):
+        t = taus[blk, None, None]
+        out[blk] = np.mean(np.where(residuals >= 0.0, t, t - 1.0) * residuals, axis=1)
+    return out
+
+
 def quantile_levels(n_q: int) -> np.ndarray:
     """n_q evenly spaced levels placed at bin midpoints of (0, 1)."""
     if n_q < 2:
@@ -404,7 +445,8 @@ def fit_quantile_bank(
 
     ``z`` are the model inputs, ``o`` the per-row ladder prices, and ``y``
     the observed regulation prices of this regime. Every level starts from
-    a uniform allocation and is trained to its own pinball loss.
+    its best pure ladder level and is trained to its own pinball loss; one
+    solver call fits all levels.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
@@ -416,29 +458,23 @@ def fit_quantile_bank(
     if y.size == 0:
         raise ValueError(f"no training rows for regime {regime.value}")
     taus = quantile_levels(n_q)
-    n_out = o.shape[1]
+    n_out, d = o.shape[1], z.shape[1]
     scaler = FeatureScaler.fit(z)
     zs = scaler.transform(z)
-    weights = np.empty((n_q, n_out, z.shape[1]))
-    biases = np.empty((n_q, n_out))
-    residuals = y[:, None] - o  # per-row error of each pure ladder level
-    for i, tau in enumerate(taus):
-        # The softmax pullback of the pinball loss is non-convex with flat
-        # one-hot corners; warm-starting at the best pure ladder level keeps
-        # early line-search jumps out of the wrong corner.
-        level_loss = np.mean(
-            np.where(residuals >= 0.0, tau * residuals, (tau - 1.0) * residuals), axis=0
-        )
-        x0 = np.zeros(n_out * z.shape[1] + n_out)
-        x0[n_out * z.shape[1] + int(np.argmin(level_loss))] = 2.0
-        result = minimize_gd(
-            lambda p, t=tau: quantile_loss_and_grad(p, zs, o, y, t, n_out),
-            x0,
-            grad_tol=grad_tol,
-            max_iter=max_iter,
-        )
-        weights[i] = result.x[: n_out * z.shape[1]].reshape(n_out, z.shape[1])
-        biases[i] = result.x[n_out * z.shape[1] :]
+    # The softmax pullback of the pinball loss is non-convex with flat
+    # one-hot corners; warm-starting each level at its best pure ladder
+    # level keeps early line-search jumps out of the wrong corner.
+    x0 = np.zeros((n_q, n_out * d + n_out))
+    x0[np.arange(n_q), n_out * d + _ladder_level_losses(y[:, None] - o, taus).argmin(axis=1)] = 2.0
+    result = minimize_gd(
+        lambda p, idx: quantile_loss_and_grad_rows(p, zs, o, y, taus[idx], n_out),
+        x0,
+        grad_tol=grad_tol,
+        max_iter=max_iter,
+    )
+    log_unfinished(logger, f"bank {regime.value}", result, max_iter)
+    weights = result.x[:, : n_out * d].reshape(n_q, n_out, d).copy()
+    biases = result.x[:, n_out * d :].copy()
     return QuantileModelBank(regime=regime, taus=taus, weights=weights, biases=biases, scaler=scaler)
 
 
@@ -455,7 +491,7 @@ def quantile_matrix(bank: QuantileModelBank, z, o) -> np.ndarray:
     zs = bank.scaler.transform(z) if bank.scaler is not None else z
     # Stacked matmuls match one tick's ``weights @ zs`` and ``w @ o`` bit for bit; einsum does not.
     logits = np.matmul(bank.weights, zs[:, None, :, None])[..., 0] + bank.biases
-    w = _stable_softmax_rows(logits)
+    w = _softmax_rows_inplace(logits)
     return np.matmul(w, o[:, :, None])[..., 0]
 
 

@@ -1,3 +1,4 @@
+import logging
 from datetime import timedelta, timezone
 
 import numpy as np
@@ -159,6 +160,22 @@ class TestSyntheticGenerator:
         assert len(ticks) == cfg.n_periods - 7
         assert all(t.book is not None for t in ticks)
         assert truth["k_mdp"] == cfg.k_mdp
+
+    def test_unmatched_books_reported(self, tmp_path, caplog):
+        cfg = small_cfg(n_periods=96)
+        write_synthetic_dataset(tmp_path, cfg)
+        with caplog.at_level(logging.WARNING, logger="imbtrader.data_io"):
+            matched = load_dataset(tmp_path, cfg.grid)
+        assert caplog.records == []
+        _, books, _ = generate_synthetic_market(small_cfg(n_periods=96 + 3))
+        write_order_books(tmp_path / "books.csv", books)
+        with caplog.at_level(logging.WARNING, logger="imbtrader.data_io"):
+            ticks = load_dataset(tmp_path, cfg.grid)
+        first = (matched[-1].timestamp + timedelta(minutes=15)).isoformat()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"books.csv: 3 order books have no market.csv row and are ignored; first at {first}"
+        ]
+        assert [t.timestamp for t in ticks] == [t.timestamp for t in matched]
 
     def test_noise_free_sensitivity_recovery(self):
         cfg = small_cfg(n_periods=96 * 10, price_noise_std=0.0, price_gap_std=0.0)

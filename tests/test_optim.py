@@ -1,0 +1,294 @@
+"""Batched gradient descent and the batched bank fits against one-problem oracles.
+
+The oracles are the one-problem solver and per-level bank loops the package
+used before its fits were batched; the batched code must reproduce them bit
+for bit.
+"""
+import logging
+
+import numpy as np
+import pytest
+
+from imbtrader._optim import GdResult, _row_dots, log_unfinished, minimize_gd, problem_blocks
+from imbtrader.benchmarks import fit_linear_quantile_bank, linear_pinball_loss_and_grad_rows
+from imbtrader.data_io import SyntheticConfig, synthetic_ticks
+from imbtrader.market_impact import Regime
+from imbtrader.price_models import (
+    FeatureScaler,
+    fit_quantile_bank,
+    quantile_levels,
+    quantile_loss_and_grad_rows,
+)
+
+
+def oracle_minimize_gd(value_and_grad, x0, *, grad_tol=1e-6, max_iter=1000, initial_step=1.0,
+                       armijo=1e-4, shrink=0.5, grow=2.0, min_step=1e-18):
+    """One-problem steepest descent with Armijo backtracking: (x, fun, grad_norm, iterations, converged)."""
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = value_and_grad(x)
+    step = float(initial_step)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        if gnorm <= grad_tol:
+            return x, f, gnorm, iterations - 1, True
+        gsq = float(g @ g)
+        step = min(step * grow, 1e12)
+        while True:
+            x_new = x - step * g
+            f_new, g_new = value_and_grad(x_new)
+            if np.isfinite(f_new) and f_new <= f - armijo * step * gsq:
+                break
+            step *= shrink
+            if step < min_step:
+                return x, f, gnorm, iterations, False
+        x, f, g = x_new, f_new, g_new
+    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+    return x, f, gnorm, max_iter, gnorm <= grad_tol
+
+
+def oracle_quantile_loss_and_grad(params, z, o, y, tau, n_outputs):
+    n, d = z.shape
+    w_mat = params[: n_outputs * d].reshape(n_outputs, d)
+    b = params[n_outputs * d :]
+    logits = z @ w_mat.T + b
+    ew = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = ew / ew.sum(axis=-1, keepdims=True)
+    yhat = np.sum(weights * o, axis=1)
+    e = y - yhat
+    val = float(np.mean(np.where(e >= 0.0, tau * e, (tau - 1.0) * e)))
+    dval_dyhat = -np.where(e >= 0.0, tau, tau - 1.0) / n
+    dlogits = dval_dyhat[:, None] * weights * (o - yhat[:, None])
+    return val, np.concatenate([(dlogits.T @ z).ravel(), dlogits.sum(axis=0)])
+
+
+def oracle_fit_quantile_bank(z, o, y, *, n_q, grad_tol=1e-6, max_iter=400):
+    """Per-level loop: (taus, weights, biases, per-level oracle results)."""
+    taus = quantile_levels(n_q)
+    n_out, d = o.shape[1], z.shape[1]
+    zs = FeatureScaler.fit(z).transform(z)
+    weights, biases, outcomes = np.empty((n_q, n_out, d)), np.empty((n_q, n_out)), []
+    residuals = y[:, None] - o
+    for i, tau in enumerate(taus):
+        level_loss = np.mean(
+            np.where(residuals >= 0.0, tau * residuals, (tau - 1.0) * residuals), axis=0
+        )
+        x0 = np.zeros(n_out * d + n_out)
+        x0[n_out * d + int(np.argmin(level_loss))] = 2.0
+        out = oracle_minimize_gd(
+            lambda p, t=tau: oracle_quantile_loss_and_grad(p, zs, o, y, t, n_out),
+            x0, grad_tol=grad_tol, max_iter=max_iter,
+        )
+        weights[i] = out[0][: n_out * d].reshape(n_out, d)
+        biases[i] = out[0][n_out * d :]
+        outcomes.append(out)
+    return taus, weights, biases, outcomes
+
+
+def oracle_linear_pinball_loss_and_grad(params, x, y, tau):
+    w, b = params[:-1], params[-1]
+    e = y - (x @ w + b)
+    val = float(np.mean(np.where(e >= 0.0, tau * e, (tau - 1.0) * e)))
+    d = -np.where(e >= 0.0, tau, tau - 1.0) / y.size
+    return val, np.concatenate([x.T @ d, [d.sum()]])
+
+
+def oracle_fit_linear_quantile_bank(x, y, *, n_q, grad_tol=1e-6, max_iter=400):
+    taus = quantile_levels(n_q)
+    xs = FeatureScaler.fit(x).transform(x)
+    weights, biases = np.empty((n_q, x.shape[1])), np.empty(n_q)
+    for i, tau in enumerate(taus):
+        x0 = np.zeros(x.shape[1] + 1)
+        x0[-1] = float(np.quantile(y, tau))
+        out = oracle_minimize_gd(
+            lambda p, t=tau: oracle_linear_pinball_loss_and_grad(p, xs, y, t),
+            x0, grad_tol=grad_tol, max_iter=max_iter,
+        )
+        weights[i] = out[0][:-1]
+        biases[i] = out[0][-1]
+    return weights, biases
+
+
+def batched(problems):
+    """A batched objective from one-problem ``(x) -> (f, g)`` callables."""
+
+    def value_and_grad(x, idx):
+        pairs = [problems[i](row) for i, row in zip(idx, x)]
+        return np.array([f for f, _ in pairs]), np.array([g for _, g in pairs])
+
+    return value_and_grad
+
+
+def quadratic(scales, centre):
+    scales, centre = np.asarray(scales, float), np.asarray(centre, float)
+
+    def f(x):
+        r = x - centre
+        return 0.5 * float(np.sum(scales * r * r)), scales * r
+
+    return f
+
+
+def kink(x):
+    """max(x, -2x) per coordinate, with the subgradient 1 at the kink."""
+    return float(np.sum(np.maximum(x, -2.0 * x))), np.where(x >= 0.0, 1.0, -2.0)
+
+
+def finite_only_at_origin(x):
+    return (0.0 if not np.any(x) else np.nan), np.ones_like(x)
+
+
+def slope(x):
+    """Unbounded linear descent: every step is accepted, so the step size reaches its cap."""
+    c = np.array([1e-5, -2e-5])
+    return float(c @ x), c
+
+
+MIXED = [
+    quadratic([1.0, 2.0], [0.5, -1.0]),  # converged at x0 = centre
+    quadratic([1.0, 3.0], [2.0, -1.0]),  # converges after some steps
+    quadratic([1.0, 1e3], [10.0, 10.0]),  # too ill-conditioned for the cap
+    kink,  # lands on the kink in one step, then no step decreases f
+    finite_only_at_origin,  # every trial step is non-finite
+    slope,  # runs to the cap with the step size capped at 1e12
+]
+MIXED_X0 = np.array([[0.5, -1.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])
+
+
+def assert_same(result: GdResult, i: int, oracle):
+    x, fun, gnorm, iterations, converged = oracle
+    assert np.array_equal(result.x[i], x)
+    assert result.fun[i] == fun or (np.isnan(result.fun[i]) and np.isnan(fun))
+    assert result.grad_norm[i] == gnorm
+    assert result.iterations[i] == iterations
+    assert bool(result.converged[i]) == converged
+
+
+class TestMinimizeGd:
+    def test_mixed_batch_matches_one_problem_oracle(self):
+        result = minimize_gd(batched(MIXED), MIXED_X0, max_iter=60)
+        oracles = [oracle_minimize_gd(fn, x0, max_iter=60) for fn, x0 in zip(MIXED, MIXED_X0)]
+        for i, oracle in enumerate(oracles):
+            assert_same(result, i, oracle)
+        # the batch covers every way a problem can stop
+        assert result.iterations[0] == 0 and result.converged[0]
+        assert 0 < result.iterations[1] < 60 and result.converged[1]
+        assert result.iterations[2] == 60 and not result.converged[2] and not result.stalled[2]
+        assert np.array_equal(result.x[3], [0.0, 0.0]) and result.iterations[3] == 2
+        assert result.stalled[4] and result.iterations[4] == 1
+        assert result.iterations[5] == 60 and not result.converged[5]
+        assert result.stalled.tolist() == [False, False, False, True, True, False]
+
+    def test_row_dots_are_one_dimensional_dot_products(self):
+        g = np.random.default_rng(4).normal(size=(40, 119)) * 10.0 ** np.arange(-20, 20)[:, None]
+        assert np.array_equal(_row_dots(g), [row @ row for row in g])
+
+    def test_zero_iteration_cap_evaluates_x0_only(self):
+        result = minimize_gd(batched(MIXED), MIXED_X0, max_iter=0)
+        for i, (fn, x0) in enumerate(zip(MIXED, MIXED_X0)):
+            assert_same(result, i, oracle_minimize_gd(fn, x0, max_iter=0))
+
+    def test_batch_of_several_blocks_matches_one_at_a_time(self):
+        rng = np.random.default_rng(7)
+        n, k, d, n_q = 1200, 8, 2, 7
+        z = rng.normal(size=(n, d))
+        o = np.sort(rng.normal(50.0, 20.0, size=(n, k)), axis=1)
+        y = o[np.arange(n), rng.integers(0, k, n)] + rng.normal(0.0, 5.0, n)
+        taus = quantile_levels(n_q)
+        assert len(problem_blocks(n_q, n * k)) > 1
+        x0 = rng.normal(0.0, 0.5, size=(n_q, k * d + k))
+        result = minimize_gd(
+            lambda p, idx: quantile_loss_and_grad_rows(p, z, o, y, taus[idx], k), x0, max_iter=40
+        )
+        for i, tau in enumerate(taus):
+            alone = minimize_gd(
+                lambda p, _: quantile_loss_and_grad_rows(p, z, o, y, taus[i : i + 1], k),
+                x0[i : i + 1], max_iter=40,
+            )
+            oracle = oracle_minimize_gd(
+                lambda p: oracle_quantile_loss_and_grad(p, z, o, y, tau, k), x0[i], max_iter=40
+            )
+            assert_same(result, i, oracle)
+            assert_same(alone, 0, oracle)
+
+
+def ladder_data(seed, n, k, d):
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.0, 1.0, size=(n, d))
+    o = np.sort(rng.normal(60.0, 25.0, size=(n, k)), axis=1)
+    pick = np.clip((z[:, 0] * k).astype(int), 0, k - 1)
+    y = o[np.arange(n), pick] + rng.normal(0.0, 3.0, n)
+    return z, o, y
+
+
+def market_data(n_periods, d):
+    """Upregulation rows of a synthetic market, with d uniform model inputs."""
+    ticks, _ = synthetic_ticks(SyntheticConfig(seed=3, n_periods=n_periods, price_noise_std=5.0,
+                                               price_gap_std=10.0))
+    mip = [t for t in ticks if t.s < 0.0]
+    z = np.random.default_rng(d).uniform(0.0, 1.0, size=(len(mip), d))
+    return z, np.stack([t.o for t in mip]), np.array([t.p_mip for t in mip])
+
+
+class TestBankBitIdentity:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_quantile_bank_matches_per_level_loop(self, d):
+        z, o, y = market_data(400, d)
+        bank = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=12, max_iter=120)
+        taus, weights, biases, outcomes = oracle_fit_quantile_bank(z, o, y, n_q=12, max_iter=120)
+        assert np.array_equal(bank.taus, taus)
+        assert np.array_equal(bank.weights, weights)
+        assert np.array_equal(bank.biases, biases)
+        # the data exercises levels that converge and levels that hit the cap
+        assert {out[4] for out in outcomes} == {True, False}
+
+    def test_quantile_bank_over_several_blocks(self):
+        z, o, y = market_data(3000, 1)
+        assert len(problem_blocks(6, o.size)) > 1
+        bank = fit_quantile_bank(z[:, 0], o, y, regime=Regime.MIP, n_q=6, max_iter=60)
+        _, weights, biases, _ = oracle_fit_quantile_bank(z, o, y, n_q=6, max_iter=60)
+        assert np.array_equal(bank.weights, weights)
+        assert np.array_equal(bank.biases, biases)
+
+    @pytest.mark.parametrize("n", [120, 3000])
+    def test_linear_bank_matches_per_level_loop(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 4))
+        y = x @ np.array([2.0, -1.0, 0.5, 0.0]) + rng.standard_t(3.0, n)
+        bank = fit_linear_quantile_bank(x, y, n_q=15, max_iter=150)
+        weights, biases = oracle_fit_linear_quantile_bank(x, y, n_q=15, max_iter=150)
+        assert np.array_equal(bank.weights, weights)
+        assert np.array_equal(bank.biases, biases)
+
+    def test_linear_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(90, 3)), rng.normal(size=90)
+        params, taus = rng.normal(size=(5, 4)), quantile_levels(5)
+        vals, grads = linear_pinball_loss_and_grad_rows(params, x, y, taus)
+        for i, tau in enumerate(taus):
+            val, grad = oracle_linear_pinball_loss_and_grad(params[i], x, y, tau)
+            assert vals[i] == val and np.array_equal(grads[i], grad)
+
+
+class TestFitLogging:
+    def test_one_line_per_bank_with_counts(self, caplog):
+        z, o, y = ladder_data(2, 150, 6, 1)
+        x = np.hstack([z, o])
+        with caplog.at_level(logging.WARNING):
+            fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=10, max_iter=3)
+            fit_linear_quantile_bank(x, y, n_q=4, max_iter=2)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("imbtrader.price_models", "bank mip: 10/10 levels hit max_iter=3, 0 stalled"),
+            ("imbtrader.benchmarks", "bank linear: 4/4 levels hit max_iter=2, 0 stalled"),
+        ]
+
+    def test_counts_capped_and_stalled_and_stays_quiet_when_all_converged(self, caplog):
+        logger = logging.getLogger("imbtrader.test")
+        result = minimize_gd(batched(MIXED), MIXED_X0, max_iter=60)
+        with caplog.at_level(logging.WARNING, logger="imbtrader.test"):
+            log_unfinished(logger, "bank x", result, 60)
+            done = minimize_gd(batched(MIXED[:2]), MIXED_X0[:2], max_iter=60)
+            log_unfinished(logger, "bank y", done, 60)
+        assert [r.getMessage() for r in caplog.records] == [
+            "bank x: 2/6 levels hit max_iter=60, 2 stalled",
+        ]
