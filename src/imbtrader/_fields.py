@@ -1,0 +1,110 @@
+"""Typed readers for the fields of a JSON document, for the model-bundle reader.
+
+Every error is a ``FieldError`` that names the dotted path of the field it
+is about (``bank_mip.taus: missing``), however deep the field sits.
+"""
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+# bool first: Python's True and False are ints as well
+_JSON_TYPES = (
+    (bool, "boolean"), (int, "number"), (float, "number"), (str, "string"), (list, "array"), (dict, "object"),
+)
+
+
+class FieldError(ValueError):
+    """A missing or malformed field, named by its dotted path ('' for the document itself)."""
+
+    def __init__(self, path: str, problem: str):
+        super().__init__(f"{path}: {problem}" if path else problem)
+        self.path, self.problem = path, problem
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)), type(value).__name__)
+
+
+def _expected(what: str, value) -> TypeError:
+    return TypeError(f"expected {what}, got {_json_type(value)}")
+
+
+def _read(path: str, read: Callable, value):
+    """``read(value)``; a failure becomes a FieldError under ``path``."""
+    try:
+        return read(value)
+    except FieldError as e:
+        raise FieldError(f"{path}.{e.path}" if e.path else path, e.problem) from None
+    except (TypeError, ValueError) as e:
+        raise FieldError(path, str(e)) from None
+
+
+def read_fields(d, readers: dict[str, Callable]) -> dict:
+    """Read an object that has exactly the fields of ``readers``, in their order."""
+    if not isinstance(d, dict):
+        raise FieldError("", str(_expected("an object", d)))
+    out = {}
+    for key, read in readers.items():
+        if key not in d:
+            raise FieldError(key, "missing")
+        out[key] = _read(key, read, d[key])
+    for key in d:
+        if key not in readers:
+            raise FieldError(str(key), "unexpected field")
+    return out
+
+
+def number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _expected("a number", value)
+    return float(value)
+
+
+def integer(value) -> int:
+    if isinstance(value, float):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _expected("an integer", value)
+    return value
+
+
+def string(value) -> str:
+    if not isinstance(value, str):
+        raise _expected("a string", value)
+    return value
+
+
+def floats(value) -> np.ndarray:
+    """A (nested) array of numbers as a float array."""
+    if not isinstance(value, list):
+        raise _expected("an array of numbers", value)
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError("expected an array of numbers, found a value that is not a number")
+    return arr.astype(float)
+
+
+def optional(read: Callable) -> Callable:
+    return lambda value: None if value is None else read(value)
+
+
+def array_of(read: Callable) -> Callable:
+    def read_array(value) -> list:
+        if not isinstance(value, list):
+            raise _expected("an array", value)
+        return [_read(str(i), read, item) for i, item in enumerate(value)]
+
+    return read_array
+
+
+def object_of(read: Callable) -> Callable:
+    def read_object(value) -> dict:
+        if not isinstance(value, dict):
+            raise _expected("an object", value)
+        return {key: _read(key, read, item) for key, item in value.items()}
+
+    return read_object

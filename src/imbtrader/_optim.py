@@ -4,12 +4,16 @@ Deterministic by construction (no shuffling, no randomness), so every fit
 in the package is bit-reproducible for a given dataset and initial point.
 One call solves a batch of independent problems: each keeps its own step
 size, iteration count and stopping state, and every round evaluates all
-problems still running in one objective call.
+problems still running in one objective call. A batch is split across the
+CPUs the process may use; since no problem reads another's state, every
+result is the same bit for bit whatever the number of threads.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -43,6 +47,14 @@ def _max_norms(g: np.ndarray) -> np.ndarray:
     return np.abs(g).max(axis=1, initial=0.0)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def minimize_gd(
     value_and_grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0,
@@ -65,8 +77,36 @@ def minimize_gd(
     growing parameter scales that separable classification data and
     near-one-hot softmax fits produce. A problem stops on the max-norm of
     its gradient, the iteration cap, or a stalled line search.
+
+    With W = min(P, usable CPUs) >= 2, problem i is solved in group i mod W:
+    the calling thread solves group 0 and W - 1 worker threads the others,
+    so ``value_and_grad`` must be safe to call from several threads at once.
     """
     x = np.array(x0, dtype=float, ndmin=2)
+    settings = (grad_tol, max_iter, initial_step, armijo, shrink, grow, min_step)
+    n_problems = x.shape[0]
+    n_groups = min(n_problems, _usable_cpus())
+    if n_groups < 2:
+        return _descend(value_and_grad, x, *settings)
+    groups = [np.arange(i, n_problems, n_groups) for i in range(n_groups)]
+
+    def solve(group: np.ndarray) -> GdResult:
+        return _descend(lambda p, idx: value_and_grad(p, group[idx]), x[group], *settings)
+
+    with ThreadPoolExecutor(n_groups - 1) as pool:
+        workers = [pool.submit(solve, group) for group in groups[1:]]
+        parts = [solve(groups[0])] + [w.result() for w in workers]
+    merged = {}
+    for field in fields(GdResult):
+        first = getattr(parts[0], field.name)
+        merged[field.name] = out = np.empty((n_problems,) + first.shape[1:], first.dtype)
+        for group, part in zip(groups, parts):
+            out[group] = getattr(part, field.name)
+    return GdResult(**merged)
+
+
+def _descend(value_and_grad, x, grad_tol, max_iter, initial_step, armijo, shrink, grow, min_step) -> GdResult:
+    """Solve the batch ``x`` (P, m) on the current thread, updating ``x`` in place."""
     n_problems = x.shape[0]
     f, g = value_and_grad(x, np.arange(n_problems))
     f, g = np.array(f, dtype=float), np.array(g, dtype=float)

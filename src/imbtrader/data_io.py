@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import array_of, integer, object_of, read_fields, string
 from .market_impact import is_surplus
 from .price_models import ReserveGrid
 from .strategy import OrderBook
@@ -157,10 +158,15 @@ class FeatureLayout:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureLayout":
-        return cls(
-            names=tuple(d["names"]),
-            blocks={k: (int(v[0]), int(v[1])) for k, v in d["blocks"].items()},
-        )
+        fields = read_fields(d, {"names": array_of(string), "blocks": object_of(_block_bounds)})
+        return cls(names=tuple(fields["names"]), blocks=fields["blocks"])
+
+
+def _block_bounds(value) -> tuple[int, int]:
+    bounds = tuple(array_of(integer)(value))
+    if len(bounds) != 2:
+        raise ValueError(f"expected [start, end], got {len(bounds)} numbers")
+    return bounds
 
 
 @dataclass

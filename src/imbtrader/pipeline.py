@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import FieldError, integer, number, read_fields, string
 from .data_io import FeatureLayout, MarketTick
 from .dists import MixtureForecast
 from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
@@ -88,24 +89,43 @@ class TrainedModels:
 
     @classmethod
     def load(cls, path) -> "TrainedModels":
-        doc = json.loads(Path(path).read_text())
-        version = doc.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported model file version {version!r}")
-        return cls(
-            weight_model=LogisticModel.from_dict(doc["weight_model"]),
-            position_model=LogisticModel.from_dict(doc["position_model"]),
-            bank_mdp=QuantileModelBank.from_dict(doc["bank_mdp"]),
-            bank_mip=QuantileModelBank.from_dict(doc["bank_mip"]),
-            grid=ReserveGrid.from_dict(doc["grid"]),
-            impact=ImpactParams(**doc["impact"]),
-            layout=FeatureLayout.from_dict(doc["layout"]),
-            n_q=int(doc["n_q"]),
-            kfold=int(doc["kfold"]),
-            train_start=datetime.fromisoformat(doc["train_start"]),
-            train_end=datetime.fromisoformat(doc["train_end"]),
-            seed=int(doc["seed"]),
-        )
+        """Read a bundle written by ``save``; a bad field raises a ValueError naming its dotted path."""
+        path = Path(path)
+        try:
+            fields = read_fields(json.loads(path.read_text()), _BUNDLE_FIELDS)
+        except FieldError as e:
+            raise ValueError(f"{path.name}: {e}") from None
+        del fields["format_version"], fields["package"]
+        return cls(**fields)
+
+
+def _format_version(value) -> int:
+    if integer(value) != FORMAT_VERSION:
+        raise ValueError(f"unsupported model file version {value!r}")
+    return value
+
+
+def _timestamp(value) -> datetime:
+    return datetime.fromisoformat(string(value))
+
+
+# The fields of models.json in the order they are checked: the version first.
+_BUNDLE_FIELDS = {
+    "format_version": _format_version,
+    "package": string,
+    "train_start": _timestamp,
+    "train_end": _timestamp,
+    "seed": integer,
+    "n_q": integer,
+    "kfold": integer,
+    "grid": ReserveGrid.from_dict,
+    "impact": lambda d: ImpactParams(**read_fields(d, {"beta": number, "k_mdp": number, "k_mip": number})),
+    "layout": FeatureLayout.from_dict,
+    "weight_model": LogisticModel.from_dict,
+    "position_model": LogisticModel.from_dict,
+    "bank_mdp": QuantileModelBank.from_dict,
+    "bank_mip": QuantileModelBank.from_dict,
+}
 
 
 def _crossvalidated_weight(x: np.ndarray, labels: np.ndarray, kfold: int, l2: float, max_iter: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import array_of, floats, integer, number, optional, read_fields, string
 from ._optim import log_unfinished, minimize_gd, problem_blocks
 from .dists import DiscretePriceDistribution
 from .market_impact import Regime, is_surplus
@@ -84,7 +85,7 @@ class FeatureScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureScaler":
-        return cls(mean=np.asarray(d["mean"], float), scale=np.asarray(d["scale"], float))
+        return cls(**read_fields(d, {"mean": floats, "scale": floats}))
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,12 @@ class LogisticModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LogisticModel":
-        return cls(
-            bias=float(d["bias"]),
-            weights=np.asarray(d["weights"], float),
-            scaler=None if d["scaler"] is None else FeatureScaler.from_dict(d["scaler"]),
-            position_weight_index=d["position_weight_index"],
-        )
+        return cls(**read_fields(d, {
+            "bias": number,
+            "weights": floats,
+            "scaler": optional(FeatureScaler.from_dict),
+            "position_weight_index": optional(integer),
+        }))
 
 
 def sigmoid_predict(model: LogisticModel, x) -> float:
@@ -300,7 +301,7 @@ class ReserveGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReserveGrid":
-        return cls(tuple(d["afrr_volumes"]), tuple(d["mfrr_volumes"]))
+        return cls(**read_fields(d, {"afrr_volumes": array_of(number), "mfrr_volumes": array_of(number)}))
 
 
 def pinball_loss(tau: float, e):
@@ -406,13 +407,13 @@ class QuantileModelBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantileModelBank":
-        return cls(
-            regime=Regime(d["regime"]),
-            taus=np.asarray(d["taus"], float),
-            weights=np.asarray(d["weights"], float),
-            biases=np.asarray(d["biases"], float),
-            scaler=None if d["scaler"] is None else FeatureScaler.from_dict(d["scaler"]),
-        )
+        return cls(**read_fields(d, {
+            "regime": lambda v: Regime(string(v)),
+            "taus": floats,
+            "weights": floats,
+            "biases": floats,
+            "scaler": optional(FeatureScaler.from_dict),
+        }))
 
 
 def _ladder_level_losses(residuals: np.ndarray, taus: np.ndarray) -> np.ndarray:

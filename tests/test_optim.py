@@ -2,13 +2,16 @@
 
 The oracles are the one-problem solver and per-level bank loops the package
 used before its fits were batched; the batched code must reproduce them bit
-for bit.
+for bit, whether a batch is solved on one thread or split across several.
 """
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from imbtrader import _optim
 from imbtrader._optim import GdResult, _row_dots, log_unfinished, minimize_gd, problem_blocks
 from imbtrader.benchmarks import fit_linear_quantile_bank, linear_pinball_loss_and_grad_rows
 from imbtrader.data_io import SyntheticConfig, synthetic_ticks
@@ -292,3 +295,130 @@ class TestFitLogging:
         assert [r.getMessage() for r in caplog.records] == [
             "bank x: 2/6 levels hit max_iter=60, 2 stalled",
         ]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs the solver sees as usable."""
+    return lambda n: monkeypatch.setattr(_optim, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+GD_FIELDS = ("x", "fun", "grad_norm", "iterations", "converged", "stalled")
+# MIXED plus a second problem that converges after some steps, so P is odd
+ODD = MIXED + [quadratic([2.0, 1.0], [-1.0, 3.0])]
+ODD_X0 = np.vstack([MIXED_X0, [[1.0, 1.0]]])
+
+
+class TestSplitBatch:
+    @pytest.mark.parametrize("n_cpus", [2, 3, 4, 16])
+    @pytest.mark.parametrize("picks", [range(7), range(6), [3, 4], [2]], ids=["P7", "P6", "P2", "P1"])
+    def test_split_matches_serial_and_oracle(self, cpus, n_cpus, picks):
+        problems, x0 = [ODD[i] for i in picks], ODD_X0[list(picks)]
+        cpus(1)
+        serial = minimize_gd(batched(problems), x0, max_iter=60)
+        cpus(n_cpus)
+        split = minimize_gd(batched(problems), x0, max_iter=60)
+        for name in GD_FIELDS:
+            got, want = getattr(split, name), getattr(serial, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), name
+        for i, (fn, start) in enumerate(zip(problems, x0)):
+            assert_same(split, i, oracle_minimize_gd(fn, start, max_iter=60))
+
+    def test_split_batch_covers_every_stop_reason(self, cpus):
+        cpus(2)
+        result = minimize_gd(batched(ODD), ODD_X0, max_iter=60)
+        assert result.iterations[0] == 0 and result.converged[0]  # converged at x0
+        assert result.iterations[2] == 60 and not result.converged[2]  # iteration cap
+        assert result.stalled[3] and np.isfinite(result.fun[3])  # stalled at a kink
+        assert result.stalled[4] and result.iterations[4] == 1  # only non-finite trial values
+        assert result.converged.tolist() == [True, True, False, False, False, False, True]
+
+    def test_objective_receives_global_indices(self, cpus):
+        cpus(2)
+        calls = []
+
+        def value_and_grad(x, idx):
+            calls.append((threading.get_ident(), tuple(idx.tolist())))
+            return batched(ODD)(x, idx)
+
+        minimize_gd(value_and_grad, ODD_X0, max_iter=60)
+        groups = {}
+        for thread, idx in calls:
+            groups.setdefault(thread, set()).update(idx)
+        assert sorted(map(sorted, groups.values())) == [[0, 2, 4, 6], [1, 3, 5]]
+        assert threading.get_ident() in groups and 0 in groups[threading.get_ident()]
+
+    def test_worker_exception_reaches_caller(self, cpus):
+        cpus(2)
+        raised_on = []
+
+        def value_and_grad(x, idx):
+            if 3 in idx:
+                raised_on.append(threading.current_thread())
+                raise FloatingPointError("problem 3 failed")
+            return batched(ODD)(x, idx)
+
+        with pytest.raises(FloatingPointError, match="problem 3 failed"):
+            minimize_gd(value_and_grad, ODD_X0, max_iter=60)
+        assert raised_on and raised_on[0] is not threading.main_thread()
+
+    def test_one_usable_cpu_starts_no_thread(self, cpus, thread_starts):
+        cpus(1)
+        minimize_gd(batched(ODD), ODD_X0, max_iter=60)
+        assert thread_starts == []
+        cpus(4)
+        minimize_gd(batched(ODD[:1]), ODD_X0[:1], max_iter=60)  # one problem: no split
+        assert thread_starts == []
+        minimize_gd(batched(ODD), ODD_X0, max_iter=60)
+        assert 0 < len(thread_starts) <= 3  # an idle worker may take a later group
+
+    def test_cpu_view_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(_optim.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert _optim._usable_cpus() == 3
+        monkeypatch.delattr(_optim.os, "sched_getaffinity")
+        monkeypatch.setattr(_optim.os, "cpu_count", lambda: None)
+        assert _optim._usable_cpus() == 1
+
+    def test_banks_identical_with_one_and_two_cpus(self, cpus):
+        z, o, y = market_data(400, 2)
+        x = np.hstack([z, o])
+        fits = []
+        for n_cpus in (1, 2):
+            cpus(n_cpus)
+            fits.append((
+                fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=11, max_iter=120),
+                fit_linear_quantile_bank(x, y, n_q=11, max_iter=150),
+            ))
+        (bank1, linear1), (bank2, linear2) = fits
+        assert np.array_equal(bank1.weights, bank2.weights)
+        assert np.array_equal(bank1.biases, bank2.biases)
+        assert np.array_equal(linear1.weights, linear2.weights)
+        assert np.array_equal(linear1.biases, linear2.biases)
+
+    def test_many_threads_with_frequent_switches_match_serial(self, cpus):
+        """More threads than cores, switching every microsecond: a lost or misplaced row would show."""
+        z, o, y = market_data(400, 1)
+        cpus(1)
+        serial = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=16, max_iter=40)
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=16, max_iter=40)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(split.weights, serial.weights)
+        assert np.array_equal(split.biases, serial.biases)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from imbtrader.data_io import reference_layout
 from imbtrader.dists import MixtureForecast, flatten
 from imbtrader.pipeline import TrainedModels, attach_z, make_forecaster, train_models
-from imbtrader.price_models import predict_regulation_distribution, sigmoid_predict
+from imbtrader.price_models import LogisticModel, predict_regulation_distribution, sigmoid_predict
 
 
 def full_forecast(weight_model, mdp_bank, mip_bank, x, z, o, u, impact):
@@ -140,3 +141,80 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=field):
             TrainedModels.load(path)
+
+
+# Every top-level field of models.json, with a value of the wrong JSON type for it
+WRONG_TYPE = {"format_version": "1", "package": 5, "train_start": 5, "train_end": None, "seed": "7",
+              "n_q": None, "kfold": 3.0, "grid": [], "impact": "0.5", "layout": 0, "weight_model": None,
+              "position_model": [], "bank_mdp": True, "bank_mip": "mip"}
+BUNDLE_FIELDS = list(WRONG_TYPE)
+NESTED = [
+    # (id, edit, message); one or more nested fields per model
+    ("weight_model.bias", lambda doc: doc["weight_model"].pop("bias"), "weight_model.bias: missing"),
+    ("weight_model.scaler.mean", lambda doc: doc["weight_model"]["scaler"].pop("mean"),
+     "weight_model.scaler.mean: missing"),
+    ("position_model.position_weight_index", lambda doc: doc["position_model"].update(position_weight_index="107"),
+     "position_model.position_weight_index: expected an integer, got string"),
+    ("bank_mdp.weights", lambda doc: doc["bank_mdp"].update(weights="0.5"),
+     "bank_mdp.weights: expected an array of numbers, got string"),
+    ("bank_mdp.biases", lambda doc: doc["bank_mdp"]["biases"][2].__setitem__(0, "1.5"),
+     "bank_mdp.biases: expected an array of numbers, found a value that is not a number"),
+    ("bank_mip.taus", lambda doc: doc["bank_mip"].pop("taus"), "bank_mip.taus: missing"),
+    ("bank_mip.regime", lambda doc: doc["bank_mip"].update(regime="up"), "bank_mip.regime: 'up' is not a valid Regime"),
+    ("grid.afrr_volumes", lambda doc: doc["grid"]["afrr_volumes"].__setitem__(1, "50"),
+     "grid.afrr_volumes.1: expected a number, got string"),
+    ("impact.gamma", lambda doc: doc["impact"].update(gamma=1.0), "impact.gamma: unexpected field"),
+    ("impact.beta", lambda doc: doc["impact"].update(beta=None), "impact.beta: expected a number, got null"),
+    ("layout.names", lambda doc: doc["layout"].pop("names"), "layout.names: missing"),
+    ("layout.blocks", lambda doc: [v.pop() for v in doc["layout"]["blocks"].values()], "expected [start, end]"),
+    ("extra", lambda doc: doc.update(extra=1), "extra: unexpected field"),
+]
+
+
+class TestBundleReaderErrors:
+    @pytest.fixture
+    def saved(self, trained, tmp_path):
+        """Save the trained bundle; return its document and ``rewrite(doc) -> path``."""
+        path = tmp_path / "models.json"
+        trained[0].save(path)
+
+        def rewrite(doc):
+            path.write_text(json.dumps(doc))
+            return path
+
+        return json.loads(path.read_text()), rewrite
+
+    def test_fields_are_the_saved_ones(self, saved):
+        assert sorted(saved[0]) == sorted(BUNDLE_FIELDS)
+
+    @pytest.mark.parametrize("field", BUNDLE_FIELDS)
+    def test_missing_field_named(self, saved, field):
+        doc, rewrite = saved
+        del doc[field]
+        with pytest.raises(ValueError, match=re.escape(f"models.json: {field}: missing")):
+            TrainedModels.load(rewrite(doc))
+
+    @pytest.mark.parametrize("field", BUNDLE_FIELDS)
+    def test_retyped_field_named(self, saved, field):
+        doc, rewrite = saved
+        doc[field] = WRONG_TYPE[field]
+        with pytest.raises(ValueError, match=re.escape(f"models.json: {field}: ")):
+            TrainedModels.load(rewrite(doc))
+
+    @pytest.mark.parametrize("edit, message", [case[1:] for case in NESTED], ids=[case[0] for case in NESTED])
+    def test_nested_field_named(self, saved, edit, message):
+        doc, rewrite = saved
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            TrainedModels.load(rewrite(doc))
+        assert str(info.value).startswith("models.json: ")
+
+    def test_document_not_an_object(self, saved):
+        with pytest.raises(ValueError, match=re.escape("models.json: expected an object, got array")):
+            TrainedModels.load(saved[1]([]))
+
+    def test_position_weight_index_must_be_an_integer(self, trained):
+        doc = trained[0].position_model.to_dict()
+        assert LogisticModel.from_dict(doc).position_weight_index == doc["position_weight_index"]
+        with pytest.raises(ValueError, match="position_weight_index: expected an integer, got string"):
+            LogisticModel.from_dict(dict(doc, position_weight_index=str(doc["position_weight_index"])))
