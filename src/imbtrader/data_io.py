@@ -290,6 +290,8 @@ def load_order_books(path) -> dict[datetime, OrderBook]:
                 price, volume = float(row[2]), float(row[3])
             except ValueError as exc:
                 raise DataValidationError(f"row {row_no}: unparseable number: {exc}") from None
+            if not (math.isfinite(price) and math.isfinite(volume)):
+                raise DataValidationError(f"row {row_no}: non-finite value")
             sides.setdefault(ts, {"ask": [], "bid": []})[side].append((price, volume))
     books = {}
     for ts, ladders in sides.items():

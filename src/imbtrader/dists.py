@@ -20,6 +20,7 @@ __all__ = [
     "ForecastScores",
     "flatten",
     "mixture_rows",
+    "regime_rows",
     "crps",
     "score_batch",
 ]
@@ -181,6 +182,18 @@ def flatten(forecast: MixtureForecast) -> DiscretePriceDistribution:
     return DiscretePriceDistribution(values, masses)
 
 
+def _padded(rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack (values, masses) rows, padding short rows with zero-mass copies of their first atom."""
+    width = max(v.size for v, _ in rows)
+    values = np.empty((len(rows), width))
+    masses = np.zeros((len(rows), width))
+    for i, (v, m) in enumerate(rows):
+        values[i, : v.size] = v
+        values[i, v.size :] = v[0]
+        masses[i, : m.size] = m
+    return values, masses
+
+
 def mixture_rows(forecasts: Sequence[MixtureForecast]) -> tuple[np.ndarray, np.ndarray]:
     """Price atoms and masses of each flattened mixture, one row per forecast.
 
@@ -195,14 +208,21 @@ def mixture_rows(forecasts: Sequence[MixtureForecast]) -> tuple[np.ndarray, np.n
         m = np.concatenate([f.down.masses * f.pi, f.up.masses * (1.0 - f.pi)])
         keep = m > 0.0
         rows.append((v[keep], m[keep]))
-    width = max(v.size for v, _ in rows)
-    values = np.empty((len(rows), width))
-    masses = np.zeros((len(rows), width))
-    for i, (v, m) in enumerate(rows):
-        values[i, : v.size] = v
-        values[i, v.size :] = v[0]
-        masses[i, : m.size] = m
-    return values, masses
+    return _padded(rows)
+
+
+def regime_rows(forecasts: Sequence[MixtureForecast]):
+    """Mixture weight and each regime's price atoms and masses, one row per forecast.
+
+    Returns ``(pi, (down_values, down_masses), (up_values, up_masses))``;
+    rows of a regime are padded as in ``mixture_rows``.
+    """
+    pi = np.array([f.pi for f in forecasts])
+    return (
+        pi,
+        _padded([(f.down.values, f.down.masses) for f in forecasts]),
+        _padded([(f.up.values, f.up.masses) for f in forecasts]),
+    )
 
 
 def crps(forecast: DiscretePriceDistribution, observed: float) -> float:

@@ -241,9 +241,10 @@ class PositionForecast:
 
     Calling it with a position ``u`` gives the ``MixtureForecast`` at ``u``:
     each regime distribution shifted by ``-k * beta * u`` and the weight
-    ``pi(u)`` of the position model. ``mixture_rows`` gives the flattened
-    mixtures of a whole position vector as arrays, the rows that
-    ``dists.mixture_rows`` builds from the calls, bit for bit.
+    ``pi(u)`` of the position model. ``mixture_rows`` and ``regime_rows``
+    give the flattened mixtures, or the weights and regimes, of a whole
+    position vector as arrays: the rows that ``dists.mixture_rows`` and
+    ``dists.regime_rows`` build from the calls, bit for bit.
     """
 
     def __init__(self, models: TrainedModels, tick: MarketTick, beta_est: float):
@@ -267,6 +268,15 @@ class PositionForecast:
             down=self.down.shift(self.slopes[0] * u),
             up=self.up.shift(self.slopes[1] * u),
         )
+
+    def regime_rows(self, us):
+        """Mixture weight and each regime's price atoms and masses, one row per position."""
+        us = np.asarray(us, dtype=float)
+        regimes = []
+        for dist, slope in zip((self.down, self.up), self.slopes):
+            masses = np.broadcast_to(dist.masses, (us.size, dist.n_atoms))
+            regimes.append((dist.values + (slope * us)[:, None], masses))
+        return (self.pis(us), *regimes)
 
     def mixture_rows(self, us) -> tuple[np.ndarray, np.ndarray]:
         """Price atoms and masses of the flattened mixture, one row per position."""

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dists import MixtureForecast, mixture_rows
+from .dists import MixtureForecast, mixture_rows, regime_rows
 from .market_impact import ImpactParams
-from .risk import RiskSpec, cvar_rows, evar_rows, mean_rows
+from .risk import RiskSpec, cvar_rows, evar_bracket_rows, mean_rows
 
 __all__ = [
     "ActionSpace",
@@ -95,6 +95,8 @@ class OrderBook:
         if not asks and not bids:
             raise ValueError("order book needs at least one level")
         for side, levels, sign in (("asks", asks, 1.0), ("bids", bids, -1.0)):
+            if not all(math.isfinite(p) and math.isfinite(v) for p, v in levels):
+                raise ValueError(f"{side}: prices and volumes must be finite")
             prices = [p for p, _ in levels]
             if any(v <= 0.0 for _, v in levels):
                 raise ValueError(f"{side}: volumes must be positive")
@@ -181,32 +183,38 @@ class DecisionTable:
         return (qs - realized_price) * us
 
 
-def _loss_rows(forecast_fn: ForecastFn, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Loss atoms ``-p`` and masses of the flattened forecast per position, rows ascending.
+def _whole_tick(forecast_fn: ForecastFn, method: str, builder, us: np.ndarray):
+    """Rows of every position from the forecast's own ``method`` if it has one.
 
-    A forecast with a ``mixture_rows`` method (``pipeline.PositionForecast``)
-    builds all positions at once; any other callable is called once per
-    position.
+    ``pipeline.PositionForecast`` builds all positions at once; any other
+    callable is called once per position and its forecasts go to ``builder``.
     """
-    whole_tick = getattr(forecast_fn, "mixture_rows", None)
+    whole_tick = getattr(forecast_fn, method, None)
     if whole_tick is not None:
-        prices, masses = whole_tick(us)
-    else:
-        prices, masses = mixture_rows([forecast_fn(float(u)) for u in us])
+        return whole_tick(us)
+    return builder([forecast_fn(float(u)) for u in us])
+
+
+def _rho_rows(kind: str, forecast_fn: ForecastFn, us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Risk of the loss ``-p`` per (position, alpha).
+
+    CVaR and the expectation take the flattened mixture, its loss atoms
+    sorted once per row; EVaR takes the weight and the two regimes, whose
+    cumulants it computes once for all positions.
+    """
+    if kind == "evar":
+        pi, (down, m_down), (up, m_up) = _whole_tick(forecast_fn, "regime_rows", regime_rows, us)
+        return evar_bracket_rows(np.stack([pi, 1.0 - pi], axis=1), [(-down, m_down), (-up, m_up)], alphas)[0]
+    if kind not in ("expectation", "cvar"):
+        raise ValueError(f"unknown risk kind {kind!r}")
+    prices, masses = _whole_tick(forecast_fn, "mixture_rows", mixture_rows, us)
     losses = -prices
     order = np.argsort(losses, axis=1, kind="stable")
     rows = np.arange(losses.shape[0])[:, None]
-    return losses[rows, order], masses[rows, order]
-
-
-def _rho_rows(kind: str, losses: np.ndarray, masses: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    if kind == "expectation":
-        return np.repeat(mean_rows(losses, masses)[:, None], alphas.size, axis=1)
+    losses, masses = losses[rows, order], masses[rows, order]
     if kind == "cvar":
         return cvar_rows(losses, masses, alphas)
-    if kind == "evar":
-        return evar_rows(losses, masses, alphas)
-    raise ValueError(f"unknown risk kind {kind!r}")
+    return np.repeat(mean_rows(losses, masses)[:, None], alphas.size, axis=1)
 
 
 def decision_table(
@@ -219,18 +227,17 @@ def decision_table(
     """Evaluate the position cost for every grid position and alpha.
 
     The forecast depends on the position (decision-dependent
-    distribution). Its flattened mixtures for all positions form one loss
-    matrix, sorted once per row, from which the risk term of every
-    (position, alpha) pair is taken, so the same table serves both the live
-    decision and the adaptive-alpha bookkeeping. ``actions`` is an
+    distribution). The forecasts of all positions form one set of arrays
+    (see ``_rho_rows``), from which the risk term of every (position,
+    alpha) pair is taken, so the same table serves both the live decision
+    and the adaptive-alpha bookkeeping. ``actions`` is an
     ActionSpace or an explicit position array already ordered by absolute
     size (one-sided strategy legs pass the latter).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     us = actions.ordered_grid() if isinstance(actions, ActionSpace) else np.asarray(actions, dtype=float)
     q = np.array([fill_cost(book, float(u))[1] for u in us])
-    losses, masses = _loss_rows(forecast_fn, us)
-    rho = _rho_rows(kind, losses, masses, alphas)
+    rho = _rho_rows(kind, forecast_fn, us, alphas)
     phi = (q[:, None] + rho) * us[:, None]
     return DecisionTable(positions_by_size=us, fill_prices=q, rho=rho, phi=phi)
 
@@ -419,6 +426,8 @@ class AlphaAdapter:
         self.alphas = np.asarray(alphas, dtype=float)
         if self.alphas.ndim != 1 or self.alphas.size < 1:
             raise ValueError("alpha grid must be a non-empty 1-D array")
+        if not np.all((self.alphas >= 0.0) & (self.alphas <= 1.0)):
+            raise ValueError("alpha grid must lie in [0, 1]")  # NaN fails this too
         if np.any(np.diff(self.alphas) <= 0.0):
             raise ValueError("alpha grid must be strictly increasing")
         self.window = int(window)

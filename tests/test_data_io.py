@@ -91,6 +91,20 @@ class TestCsvRoundTrip:
         with pytest.raises(DataValidationError, match=f"row 4: expected 4 fields, got {got}"):
             load_order_books(path)
 
+    @pytest.mark.parametrize("field, value", [(2, "nan"), (3, "inf"), (2, "-inf"), (3, "nan")],
+                             ids=["price-nan", "volume-inf", "price-neg-inf", "volume-nan"])
+    def test_book_non_finite_rejected_with_row(self, tmp_path, field, value):
+        _, books, _ = generate_synthetic_market(small_cfg(n_periods=4))
+        path = tmp_path / "books.csv"
+        write_order_books(path, books)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[field] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError, match="row 3: non-finite value"):
+            load_order_books(path)
+
     def test_misaligned_timestamp_rejected(self, tmp_path):
         cfg = small_cfg(n_periods=5)
         records, _, _ = generate_synthetic_market(cfg)

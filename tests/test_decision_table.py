@@ -1,14 +1,21 @@
 """The array decision table against the per-position object table it replaced."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from evar_oracle import oracle_evar_grid
 
 from imbtrader.backtest import leg_positions
 from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten, mixture_rows
 from imbtrader.pipeline import make_forecaster
+from imbtrader.risk import evar_bracket_rows
 from imbtrader.strategy import ActionSpace, OrderBook, decision_table, default_alpha_grid, fill_cost
 
 PAPER_GRID = ActionSpace(step=0.1, u_max=5.0)
 KINDS = ("expectation", "cvar", "evar")
+# |rho - reference| per measure, EUR/MWh: CVaR and the expectation repeat the
+# reference's arithmetic; EVaR interpolates between the kernel's dual nodes.
+RHO_TOL = {"expectation": 1e-9, "cvar": 1e-9, "evar": 1e-6}
 
 
 def reference_cvar_grid(dist, alphas):
@@ -24,32 +31,6 @@ def reference_cvar_grid(dist, alphas):
     full_mass = np.where(idx > 0, cm[np.maximum(idx - 1, 0)], 0.0)
     full_sum = np.where(idx > 0, cmv[np.maximum(idx - 1, 0)], 0.0)
     out[interior] = (full_sum + (ai - full_mass) * v[idx]) / ai
-    return out
-
-
-def reference_evar_grid(dist, alphas, n_s=384):
-    """EVaR of one canonical loss distribution per alpha on the 384-point dual grid."""
-    out = np.empty(alphas.shape)
-    out[alphas == 0.0] = dist.max_value
-    out[alphas == 1.0] = dist.mean()
-    interior = (alphas > 0.0) & (alphas < 1.0)
-    if dist.n_atoms == 1:
-        out[interior] = dist.max_value
-        return out
-    vmax, spread = dist.max_value, dist.max_value - dist.min_value
-    z, m = (dist.values - vmax) / spread, dist.masses
-    s = np.geomspace(1e-4, 1e5, n_s)
-    ew = np.exp(np.outer(s, z))
-    k = np.log(ew @ m)
-    stat = s * (ew @ (m * z)) / (ew @ m) - k
-    target = -np.log(alphas[interior])
-    idx = np.clip(np.searchsorted(stat, target, side="left"), 1, n_s - 1)
-    d_stat = stat[idx] - stat[idx - 1]
-    frac = np.clip(np.where(d_stat > 0.0, (target - stat[idx - 1]) / np.where(d_stat > 0, d_stat, 1.0), 1.0), 0.0, 1.0)
-    s_star = s[idx - 1] + frac * (s[idx] - s[idx - 1])
-    k_star = k[idx - 1] + frac * (k[idx] - k[idx - 1])
-    vals = np.where(target >= stat[-1], vmax, vmax + spread * (k_star + target) / s_star)
-    out[interior] = np.minimum(vals, vmax)
     return out
 
 
@@ -71,7 +52,7 @@ def object_table(forecast_fn, book, us, kind, alphas):
         elif kind == "cvar":
             rho[i] = reference_cvar_grid(loss, alphas)
         else:
-            rho[i] = reference_evar_grid(loss, alphas)
+            rho[i] = oracle_evar_grid(loss, alphas)
     return q, rho, (q[:, None] + rho) * us[:, None]
 
 
@@ -91,7 +72,7 @@ class TestAgainstObjectTable:
             table = decision_table(pf, tick.book, positions, kind, alphas)
             q, rho, phi = object_table(pf, tick.book, positions, kind, alphas)
             assert np.array_equal(table.fill_prices, q)
-            assert np.max(np.abs(table.rho - rho)) <= 1e-9
+            assert np.max(np.abs(table.rho - rho)) <= RHO_TOL[kind]
             assert np.array_equal(table.argmin_rows(), np.argmin(phi, axis=0))
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -107,8 +88,39 @@ class TestAgainstObjectTable:
         alphas = default_alpha_grid(kind, 40)
         table = decision_table(fn, book, actions, kind, alphas)
         _, rho, phi = object_table(fn, book, actions.ordered_grid(), kind, alphas)
-        assert np.max(np.abs(table.rho - rho)) <= 1e-9
+        assert np.max(np.abs(table.rho - rho)) <= RHO_TOL[kind]
         assert np.array_equal(table.argmin_rows(), np.argmin(phi, axis=0))
+
+
+class TestEvarKernelOnTrainedBundle:
+    @pytest.mark.parametrize("leg", ["long", "short"])
+    def test_bracket_holds_the_oracle(self, trained, leg):
+        models, _, test_ticks = trained
+        positions = leg_positions(PAPER_GRID, leg)
+        alphas = default_alpha_grid("evar", 200)
+        for tick in test_ticks[:6]:
+            pf = make_forecaster(models, tick, 1.0)
+            pi, (down, m_down), (up, m_up) = pf.regime_rows(positions)
+            est, lower, upper = evar_bracket_rows(np.stack([pi, 1.0 - pi], axis=1),
+                                                  [(-down, m_down), (-up, m_up)], alphas)
+            oracle = np.stack([oracle_evar_grid(flatten(pf(float(u))).negate(), alphas) for u in positions])
+            assert np.all(lower <= est) and np.all(est <= upper)
+            assert np.all(lower <= oracle + 1e-8) and np.all(oracle <= upper + 1e-8)
+            assert np.max(np.abs(est - oracle)) <= 1e-6
+
+    def test_peak_memory_of_one_table(self, trained):
+        models, _, test_ticks = trained
+        alphas = default_alpha_grid("evar", 200)
+        pf = make_forecaster(models, test_ticks[0], 1.0)
+        positions = leg_positions(PAPER_GRID, "short")
+        decision_table(pf, test_ticks[0].book, positions, "evar", alphas)  # warm caches first
+        tracemalloc.start()
+        try:
+            decision_table(pf, test_ticks[0].book, positions, "evar", alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestRowBuilders:

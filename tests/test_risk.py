@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from evar_oracle import oracle_evar_grid
 
-from imbtrader.dists import DiscretePriceDistribution, MixtureForecast
+from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten, regime_rows
 from imbtrader.risk import (
     RiskSpec,
     cvar,
     cvar_grid,
     evaluate,
     evar,
+    evar_bracket_rows,
     evar_grid,
+    evar_rows,
     risk_of_negated_price,
 )
 
@@ -138,15 +141,18 @@ class TestEvar:
 
 class TestEvarGrid:
     def test_matches_one_dimensional_solver(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            d = random_dist(rng, max_atoms=30)
-            alphas = np.linspace(0.01, 0.99, 25)
-            grid = evar_grid(d, alphas)
-            spread = d.max_value - d.min_value
-            for a, v in zip(alphas, grid):
-                exact = evar(d, float(a))
-                assert exact - 1e-9 <= v <= exact + 2e-4 * spread
+        # The oracle is the ternary search of the dual program; the kernel's bracket must hold it.
+        rng = np.random.default_rng(5)
+        alphas = np.concatenate([[0.0], np.sort(rng.uniform(0.001, 0.999, 40)), [1.0]])
+        for _ in range(50):
+            d = random_dist(rng)
+            est, lower, upper = evar_bracket_rows(np.ones((1, 1)), [(d.values[None], d.masses[None])], alphas)
+            oracle = oracle_evar_grid(d, alphas)
+            assert np.all(lower <= est) and np.all(est <= upper)
+            assert np.all(lower <= oracle + 1e-8) and np.all(oracle <= upper + 1e-8)
+            assert np.max(np.abs(est[0] - oracle)) <= 1e-6
+            assert np.array_equal(est[0], evar_grid(d, alphas))
+            assert all(evar(d, float(a)) == v for a, v in zip(alphas[::8], est[0, ::8]))
 
     def test_boundary_alphas_exact(self):
         d = uniform_dist([1.0, 2.0, 8.0])
@@ -160,6 +166,91 @@ class TestEvarGrid:
         for _ in range(25):
             d = random_dist(rng)
             assert np.all(evar_grid(d, alphas) >= cvar_grid(d, alphas) - 1e-9)
+
+
+def mixture_bracket(forecasts, alphas):
+    """EVaR kernel on the loss regimes of price mixtures, as ``decision_table`` calls it."""
+    pi, (down, m_down), (up, m_up) = regime_rows(forecasts)
+    return evar_bracket_rows(np.stack([pi, 1.0 - pi], axis=1), [(-down, m_down), (-up, m_up)], alphas)
+
+
+class TestEvarKernel:
+    def test_mixture_rows_match_the_flattened_oracle(self):
+        rng = np.random.default_rng(6)
+        alphas = np.linspace(0.0, 1.0, 31)
+        # Equal masses: shifted up regimes may share the first row's cumulant, scaled down regimes may not.
+        down, up = random_dist(rng, 20), random_dist(rng, 20)
+        forecasts = [MixtureForecast(0.4, down.scale(c), up.shift(50.0 * c)) for c in (1.0, 0.5, 2.0, 3.0)]
+        forecasts += [MixtureForecast(float(rng.uniform()), random_dist(rng, 20), random_dist(rng, 20))
+                      for _ in range(6)]
+        est, lower, upper = mixture_bracket(forecasts, alphas)
+        for f, e, lo, hi in zip(forecasts, est, lower, upper):
+            oracle = oracle_evar_grid(flatten(f).negate(), alphas)
+            assert np.max(np.abs(e - oracle)) <= 1e-6
+            assert np.all(lo <= oracle + 1e-8) and np.all(oracle <= hi + 1e-8)
+
+    @pytest.mark.parametrize("pi", [0.0, 1.0])
+    def test_zero_weight_regime_never_sets_the_max(self, pi):
+        live = uniform_dist([10.0, 20.0, 40.0])
+        dead = uniform_dist([-500.0, -400.0])  # its losses 400 and 500 would top every live one
+        f = MixtureForecast(pi, live, dead) if pi == 1.0 else MixtureForecast(pi, dead, live)
+        alphas = np.linspace(0.0, 1.0, 21)
+        est, lower, upper = mixture_bracket([f], alphas)
+        alone = evar_grid(live.negate(), alphas)
+        assert est[0, 0] == -10.0
+        np.testing.assert_allclose(est[0], alone, rtol=0.0, atol=1e-12)
+        assert np.all(upper[0] <= -10.0)
+
+    def test_zero_spread_rows_give_exactly_the_max(self):
+        point = DiscretePriceDistribution([64.0], [1.0])
+        spread = uniform_dist([30.0, 90.0])
+        alphas = np.linspace(0.0, 1.0, 41)
+        est, lower, upper = mixture_bracket([MixtureForecast(0.3, point, point),
+                                             MixtureForecast(0.3, spread, spread)], alphas)
+        for part in (est, lower, upper):
+            assert np.all(part[0] == -64.0)
+
+    def test_zero_mass_padding_is_ignored(self):
+        rng = np.random.default_rng(8)
+        alphas = np.linspace(0.0, 1.0, 26)
+        for _ in range(10):
+            d = random_dist(rng, 15)
+            k = d.n_atoms
+            values = np.concatenate([d.values, [d.max_value + 1e6, d.min_value - 1e6, d.values[0]]])
+            masses = np.concatenate([d.masses, np.zeros(3)])
+            order = rng.permutation(k + 3)
+            padded = evar_rows(values[None, order], masses[None, order], alphas)[0]
+            np.testing.assert_allclose(padded, evar_grid(d, alphas), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("values, masses", [([0.0, 1.0], [0.95, 0.05]), ([0.0, 1.0], [0.3, 0.7]),
+                                                ([0.0, 1.0 - 1e-4, 1.0], [0.5, 0.3, 0.2]),
+                                                ([0.0, 1.0 - 1e-6, 1.0], [0.5, 0.3, 0.2])])
+    def test_top_mass_near_alpha(self, values, masses):
+        # From alpha = P(max atom) down the value is the max atom. Just above it the dual
+        # minimizer is large, and with an atom close below the max it lies past the last node.
+        d = DiscretePriceDistribution(values, masses)
+        alphas = d.masses[-1] * np.array([1 - 1e-3, 1 - 1e-12, 1, 1 + 1e-12, 1 + 1e-6, 1 + 1e-3, 1.1, 1.4])
+        est, lower, upper = evar_bracket_rows(np.ones((1, 1)), [(d.values[None], d.masses[None])], alphas)
+        oracle = oracle_evar_grid(d, alphas)
+        assert np.all(est[0, :3] == d.max_value)
+        assert np.all(est[0] <= d.max_value)
+        assert np.max(np.abs(est[0] - oracle)) <= 1e-6
+        assert np.all(lower[0] <= oracle + 1e-8) and np.all(oracle <= upper[0] + 1e-8)
+
+
+class TestNonFiniteAlpha:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_by_every_measure(self, bad):
+        d = uniform_dist([1.0, 2.0, 4.0])
+        alphas = np.array([0.2, bad, 0.9])
+        for fn in (cvar_grid, evar_grid):
+            with pytest.raises(ValueError, match="alpha"):
+                fn(d, alphas)
+        for fn in (cvar, evar):
+            with pytest.raises(ValueError, match="alpha"):
+                fn(d, bad)
+        with pytest.raises(ValueError):
+            RiskSpec("evar", bad)
 
 
 class TestRiskOfNegatedPrice:

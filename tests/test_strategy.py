@@ -117,6 +117,14 @@ class TestFillCost:
         with pytest.raises(ValueError):
             OrderBook(asks=((80.0, 0.0),))
 
+    @pytest.mark.parametrize("level", [(float("nan"), 5.0), (80.0, float("nan")), (float("inf"), 5.0),
+                                       (80.0, float("inf"))])
+    def test_non_finite_levels_rejected(self, level):
+        with pytest.raises(ValueError, match="finite"):
+            OrderBook(asks=(level,))
+        with pytest.raises(ValueError, match="finite"):
+            OrderBook(asks=((70.0, 1.0),), bids=(level,))
+
 
 class TestPositionLoss:
     def test_zero_position(self):
@@ -321,6 +329,11 @@ class TestAlphaGridAndAdapter:
             assert grid.size == 200
             assert grid[-1] == 1.0
             assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_alpha_grid_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            AlphaAdapter(np.array([0.0, 0.5, bad]), window=5, kind="cvar")
 
     def test_warm_start_is_expectation(self):
         adapter = AlphaAdapter(np.linspace(0, 1, 11), window=5, kind="cvar")
