@@ -23,7 +23,7 @@ from .market_impact import (
     estimate_sensitivities,
     realized_settlement_price,
 )
-from .risk import RiskSpec, cvar, evar, risk_of_negated_price
+from .risk import RiskSpec, cvar, evar
 from .strategy import (
     ActionSpace,
     AlphaAdapter,
@@ -51,7 +51,6 @@ __all__ = [
     "RiskSpec",
     "cvar",
     "evar",
-    "risk_of_negated_price",
     "ActionSpace",
     "OrderBook",
     "TradeRecord",

@@ -25,6 +25,11 @@ __all__ = ["GdResult", "minimize_gd", "problem_blocks", "log_unfinished"]
 # temporaries of a batch stay this small however many problems it holds.
 _BLOCK_ELEMENTS = 1 << 15
 
+# Gradient max-norm that counts as converged, and the line search: first step,
+# Armijo sufficient-decrease factor, backtracking and growth factors, and the
+# step below which the search stalls. Every fit in the package uses these.
+_GRAD_TOL, _INITIAL_STEP, _ARMIJO, _SHRINK, _GROW, _MIN_STEP = 1e-6, 1.0, 1e-4, 0.5, 2.0, 1e-18
+
 
 @dataclass
 class GdResult:
@@ -59,13 +64,7 @@ def minimize_gd(
     value_and_grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0,
     *,
-    grad_tol: float = 1e-6,
     max_iter: int = 1000,
-    initial_step: float = 1.0,
-    armijo: float = 1e-4,
-    shrink: float = 0.5,
-    grow: float = 2.0,
-    min_step: float = 1e-18,
 ) -> GdResult:
     """Minimize P independent differentiable objectives by steepest descent.
 
@@ -83,15 +82,14 @@ def minimize_gd(
     so ``value_and_grad`` must be safe to call from several threads at once.
     """
     x = np.array(x0, dtype=float, ndmin=2)
-    settings = (grad_tol, max_iter, initial_step, armijo, shrink, grow, min_step)
     n_problems = x.shape[0]
     n_groups = min(n_problems, _usable_cpus())
     if n_groups < 2:
-        return _descend(value_and_grad, x, *settings)
+        return _descend(value_and_grad, x, max_iter)
     groups = [np.arange(i, n_problems, n_groups) for i in range(n_groups)]
 
     def solve(group: np.ndarray) -> GdResult:
-        return _descend(lambda p, idx: value_and_grad(p, group[idx]), x[group], *settings)
+        return _descend(lambda p, idx: value_and_grad(p, group[idx]), x[group], max_iter)
 
     with ThreadPoolExecutor(n_groups - 1) as pool:
         workers = [pool.submit(solve, group) for group in groups[1:]]
@@ -105,40 +103,40 @@ def minimize_gd(
     return GdResult(**merged)
 
 
-def _descend(value_and_grad, x, grad_tol, max_iter, initial_step, armijo, shrink, grow, min_step) -> GdResult:
+def _descend(value_and_grad, x, max_iter) -> GdResult:
     """Solve the batch ``x`` (P, m) on the current thread, updating ``x`` in place."""
     n_problems = x.shape[0]
     f, g = value_and_grad(x, np.arange(n_problems))
     f, g = np.array(f, dtype=float), np.array(g, dtype=float)
     gnorm = _max_norms(g)
     iterations = np.zeros(n_problems, dtype=int)
-    converged = gnorm <= grad_tol
+    converged = gnorm <= _GRAD_TOL
     stalled = np.zeros(n_problems, dtype=bool)
     active = ~converged & (max_iter > 0)
     gsq = np.zeros(n_problems)
-    step = np.full(n_problems, float(initial_step))
+    step = np.full(n_problems, _INITIAL_STEP)
 
     def begin(idx):  # start the next iteration: a new search direction and a grown step
         gsq[idx] = _row_dots(g[idx])
-        step[idx] = np.minimum(step[idx] * grow, 1e12)
+        step[idx] = np.minimum(step[idx] * _GROW, 1e12)
 
     begin(np.flatnonzero(active))
     while (running := np.flatnonzero(active)).size:
         x_new = x[running] - step[running, None] * g[running]
         f_new, g_new = value_and_grad(x_new, running)
-        ok = np.isfinite(f_new) & (f_new <= f[running] - armijo * step[running] * gsq[running])
+        ok = np.isfinite(f_new) & (f_new <= f[running] - _ARMIJO * step[running] * gsq[running])
         moved = running[ok]
         x[moved], f[moved], g[moved] = x_new[ok], f_new[ok], g_new[ok]
         iterations[moved] += 1
         gnorm[moved] = _max_norms(g[moved])
-        converged[moved] = gnorm[moved] <= grad_tol
+        converged[moved] = gnorm[moved] <= _GRAD_TOL
         active[moved] = ~converged[moved] & (iterations[moved] < max_iter)
         begin(moved[active[moved]])
         backtrack = running[~ok]
-        step[backtrack] *= shrink
+        step[backtrack] *= _SHRINK
         # A stalled line search (e.g., at a subgradient kink) keeps the best
         # point found so far and counts the iteration it stalled in.
-        gave_up = backtrack[step[backtrack] < min_step]
+        gave_up = backtrack[step[backtrack] < _MIN_STEP]
         iterations[gave_up] += 1
         stalled[gave_up] = True
         active[gave_up] = False

@@ -11,6 +11,7 @@ and excluded from both the ledger and the adaptive window.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
 from pathlib import Path
@@ -82,8 +83,8 @@ class SimConfig:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        if self.delta_hours <= 0.0:
-            raise ValueError("delta_hours must be positive")
+        if not 0.0 < self.delta_hours < math.inf:  # NaN fails too
+            raise ValueError(f"delta_hours must be positive and finite, got {self.delta_hours}")
 
     @property
     def adaptive(self) -> bool:
@@ -265,12 +266,29 @@ def write_ledger(path, result: BacktestResult) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _ledger_record(parts: list[str]) -> TradeRecord:
+    if len(parts) != len(LEDGER_COLUMNS):
+        raise ValueError(f"expected {len(LEDGER_COLUMNS)} fields, got {len(parts)}")
+    u, fill_price, realized_price, alpha = numbers = [float(p) for p in parts[2:6]]
+    for name, value in zip(LEDGER_COLUMNS[2:6], numbers):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is {value}")
+    return TradeRecord(
+        timestamp=datetime.fromisoformat(parts[0]), leg=parts[1], u=u, fill_price=fill_price,
+        realized_price=realized_price, alpha=alpha, measure=parts[6],
+    )
+
+
 def read_ledger(path) -> tuple[list[TradeRecord], dict, float]:
-    """Parse a ledger CSV back into records, header metadata, and delta."""
+    """Parse a ledger CSV back into records, header metadata, and delta.
+
+    A malformed data row (wrong field count, a bad timestamp or number, or a
+    non-finite number) raises a ``ValueError`` that names its line.
+    """
     meta: dict = {}
     records: list[TradeRecord] = []
     delta = 0.25
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line:
             continue
         if line.startswith("#"):
@@ -281,22 +299,14 @@ def read_ledger(path) -> tuple[list[TradeRecord], dict, float]:
             continue
         if line.startswith("timestamp,"):
             continue
-        parts = line.split(",")
-        records.append(
-            TradeRecord(
-                timestamp=datetime.fromisoformat(parts[0]),
-                leg=parts[1],
-                u=float(parts[2]),
-                fill_price=float(parts[3]),
-                realized_price=float(parts[4]),
-                alpha=float(parts[5]),
-                measure=parts[6],
-            )
-        )
+        try:
+            records.append(_ledger_record(line.split(",")))
+        except ValueError as exc:
+            raise ValueError(f"ledger line {lineno}: {exc}") from exc
     if "delta_hours" in meta:
         delta = float(meta["delta_hours"])
-        if delta <= 0.0:
-            raise ValueError(f"ledger delta_hours must be positive, got {meta['delta_hours']}")
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"ledger delta_hours must be positive and finite, got {meta['delta_hours']}")
     return records, meta, delta
 
 

@@ -100,7 +100,7 @@ def markov_state_probability(matrix, start_positive: bool, horizon: int = DEFAUL
     return chain_state_probability([matrix] * horizon, start_positive)
 
 
-def fit_transition_models(labels, features, *, l2: float = 1e-4, max_iter: int = 2000):
+def fit_transition_models(labels, features, *, max_iter: int = 2000):
     """Input-conditioned transitions: one logistic model per current state.
 
     Each model predicts P(next state is positive) from the next period's
@@ -113,8 +113,8 @@ def fit_transition_models(labels, features, *, l2: float = 1e-4, max_iter: int =
     prev = labels[:-1]
     nxt = labels[1:].astype(float)
     rows = features[1:]
-    from_pos = fit_logistic(rows[prev], nxt[prev], l2=l2, max_iter=max_iter)
-    from_neg = fit_logistic(rows[~prev], nxt[~prev], l2=l2, max_iter=max_iter)
+    from_pos = fit_logistic(rows[prev], nxt[prev], max_iter=max_iter)
+    from_neg = fit_logistic(rows[~prev], nxt[~prev], max_iter=max_iter)
     return from_pos, from_neg
 
 
@@ -170,7 +170,7 @@ class LinearQuantileBank:
         return DiscretePriceDistribution(values, np.full(values.size, 1.0 / values.size))
 
 
-def fit_linear_quantile_bank(x, y, *, n_q: int, grad_tol: float = 1e-6, max_iter: int = 400) -> LinearQuantileBank:
+def fit_linear_quantile_bank(x, y, *, n_q: int, max_iter: int = 400) -> LinearQuantileBank:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.ndim != 2 or x.shape[0] != y.size or y.size == 0:
@@ -183,7 +183,6 @@ def fit_linear_quantile_bank(x, y, *, n_q: int, grad_tol: float = 1e-6, max_iter
     result = minimize_gd(
         lambda p, idx: linear_pinball_loss_and_grad_rows(p, xs, y, taus[idx]),
         x0,
-        grad_tol=grad_tol,
         max_iter=max_iter,
     )
     log_unfinished(logger, "bank linear", result, max_iter)
@@ -222,7 +221,6 @@ def fit_benchmark_suite(
     models: TrainedModels,
     *,
     horizon: int = DEFAULT_HORIZON,
-    n_q: int | None = None,
     max_iter: int = 400,
 ) -> BenchmarkSuite:
     """Fit the state-transition and linear benchmarks on the training slice."""
@@ -234,7 +232,7 @@ def fit_benchmark_suite(
     dyn_cols = dynamic_feature_columns(models.layout)
     transition_models = fit_transition_models(labels, x[:, dyn_cols], max_iter=max_iter)
     linear_bank = fit_linear_quantile_bank(
-        np.hstack([x, o]), y, n_q=n_q or models.n_q, max_iter=max_iter
+        np.hstack([x, o]), y, n_q=models.n_q, max_iter=max_iter
     )
     return BenchmarkSuite(
         models=models,

@@ -1,9 +1,8 @@
 """Discrete price distributions, mixture composition, and forecast scoring.
 
-Prices are EUR/MWh throughout. Every forecast in this package is a finite
-set of point masses; two-regime mixtures flatten back into the same
-representation, so the risk, strategy, and scoring layers only ever deal
-with one distribution type.
+Prices are EUR/MWh throughout. Every forecast is a finite set of point
+masses. A two-regime mixture is a weight and two such distributions:
+``flatten`` collapses it, ``regime_rows`` stacks many into decision-table rows.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ __all__ = [
     "MixtureForecast",
     "ForecastScores",
     "flatten",
-    "mixture_rows",
     "regime_rows",
     "crps",
     "score_batch",
@@ -194,28 +192,11 @@ def _padded(rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, 
     return values, masses
 
 
-def mixture_rows(forecasts: Sequence[MixtureForecast]) -> tuple[np.ndarray, np.ndarray]:
-    """Price atoms and masses of each flattened mixture, one row per forecast.
-
-    A row holds the down atoms then the up atoms, with masses ``pi * m``
-    and ``(1 - pi) * m``, unsorted and unmerged. Zero-mass atoms are
-    dropped, and shorter rows are padded with zero-mass copies of their
-    first atom, so every row describes ``flatten`` of its forecast.
-    """
-    rows = []
-    for f in forecasts:
-        v = np.concatenate([f.down.values, f.up.values])
-        m = np.concatenate([f.down.masses * f.pi, f.up.masses * (1.0 - f.pi)])
-        keep = m > 0.0
-        rows.append((v[keep], m[keep]))
-    return _padded(rows)
-
-
 def regime_rows(forecasts: Sequence[MixtureForecast]):
     """Mixture weight and each regime's price atoms and masses, one row per forecast.
 
     Returns ``(pi, (down_values, down_masses), (up_values, up_masses))``;
-    rows of a regime are padded as in ``mixture_rows``.
+    shorter rows of a regime are padded with zero-mass copies of their first atom.
     """
     pi = np.array([f.pi for f in forecasts])
     return (

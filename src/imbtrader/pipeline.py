@@ -241,10 +241,9 @@ class PositionForecast:
 
     Calling it with a position ``u`` gives the ``MixtureForecast`` at ``u``:
     each regime distribution shifted by ``-k * beta * u`` and the weight
-    ``pi(u)`` of the position model. ``mixture_rows`` and ``regime_rows``
-    give the flattened mixtures, or the weights and regimes, of a whole
-    position vector as arrays: the rows that ``dists.mixture_rows`` and
-    ``dists.regime_rows`` build from the calls, bit for bit.
+    ``pi(u)`` of the position model. ``regime_rows`` gives the weights and
+    regimes of a whole position vector as arrays: the rows that
+    ``dists.regime_rows`` builds from the calls, bit for bit.
     """
 
     def __init__(self, models: TrainedModels, tick: MarketTick, beta_est: float):
@@ -278,22 +277,13 @@ class PositionForecast:
             regimes.append((dist.values + (slope * us)[:, None], masses))
         return (self.pis(us), *regimes)
 
-    def mixture_rows(self, us) -> tuple[np.ndarray, np.ndarray]:
-        """Price atoms and masses of the flattened mixture, one row per position."""
-        us = np.asarray(us, dtype=float)
-        pi = self.pis(us)[:, None]
-        values = np.hstack([self.down.values + (self.slopes[0] * us)[:, None],
-                            self.up.values + (self.slopes[1] * us)[:, None]])
-        masses = np.hstack([self.down.masses * pi, self.up.masses * (1.0 - pi)])
-        return values, masses
-
 
 def make_forecaster(models: TrainedModels, tick: MarketTick, beta_est: float) -> PositionForecast:
     """Position-adjusted forecast of one tick.
 
     The regime distributions are predicted once; positions only shift
     them and move the mixture weight, so a decision table takes every
-    position of the tick from ``PositionForecast.mixture_rows`` at once
+    position of the tick from ``PositionForecast.regime_rows`` at once
     instead of building a forecast per position. A call at one position is
     atom-for-atom identical to rebuilding the full forecast there (covered
     by tests).

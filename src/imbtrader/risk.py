@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import DiscretePriceDistribution, MixtureForecast, flatten
+from .dists import DiscretePriceDistribution
 
 __all__ = [
     "RISK_KINDS",
@@ -24,10 +24,7 @@ __all__ = [
     "cvar_grid",
     "evar",
     "evar_bracket_rows",
-    "evar_rows",
     "evar_grid",
-    "evaluate",
-    "risk_of_negated_price",
 ]
 
 RISK_KINDS = ("expectation", "cvar", "evar")
@@ -75,17 +72,20 @@ def cvar_rows(values: np.ndarray, masses: np.ndarray, alphas) -> np.ndarray:
     """Closed-form CVaR of each row's loss distribution at each alpha.
 
     ``values`` (rows x atoms) holds each row's atoms ascending, ``masses``
-    their nonnegative masses summing to one; atoms may repeat, and zero-mass
-    atoms may repeat another atom of the row. For interior alpha this is the
-    average of the worst alpha-mass tail, with fractional inclusion of the
-    boundary atom; it equals the infimum of ``s + E[Z - s]_+ / alpha``
-    exactly. ``alpha == 0`` gives the max atom, ``alpha == 1`` the
-    expectation. Returns (rows x alphas).
+    their nonnegative masses summing to one; atoms may repeat, and atoms of
+    zero mass count for nothing. For interior alpha this is the average of
+    the worst alpha-mass tail, with fractional inclusion of the boundary
+    atom; it equals the infimum of ``s + E[Z - s]_+ / alpha`` exactly.
+    ``alpha == 0`` gives the largest atom of positive mass, ``alpha == 1``
+    the expectation. Returns (rows x alphas).
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_alphas(a)
     out = np.empty((values.shape[0], a.size))
-    out[:, a == 0.0] = values[:, -1:]
+    zero = a == 0.0
+    if np.any(zero):  # rows ascend, so the last atom of positive mass is the largest
+        top = values.shape[1] - 1 - np.argmax(masses[:, ::-1] > 0.0, axis=1)
+        out[:, zero] = values[np.arange(values.shape[0]), top][:, None]
     out[:, a == 1.0] = mean_rows(values, masses)[:, None]
     interior = (a > 0.0) & (a < 1.0)
     if np.any(interior):
@@ -202,34 +202,11 @@ def evar_bracket_rows(weights: np.ndarray, regimes, alphas) -> tuple[np.ndarray,
     return tuple(out)
 
 
-def evar_rows(values: np.ndarray, masses: np.ndarray, alphas) -> np.ndarray:
-    """Entropic value-at-risk of each row's loss distribution (one regime) at each alpha."""
-    return evar_bracket_rows(np.ones((values.shape[0], 1)), [(values, masses)], alphas)[0]
-
-
 def evar_grid(dist: DiscretePriceDistribution, alphas) -> np.ndarray:
-    """Entropic value-at-risk of one loss distribution at each alpha (see ``evar_rows``)."""
-    return evar_rows(dist.values[None, :], dist.masses[None, :], alphas)[0]
+    """Entropic value-at-risk of one loss distribution at each alpha (see ``evar_bracket_rows``)."""
+    return evar_bracket_rows(np.ones((1, 1)), [(dist.values[None, :], dist.masses[None, :])], alphas)[0][0]
 
 
 def evar(dist: DiscretePriceDistribution, alpha: float) -> float:
     """Entropic value-at-risk: the tightest Chernoff bound on the alpha-tail."""
     return float(evar_grid(dist, [alpha])[0])
-
-
-def evaluate(dist: DiscretePriceDistribution, spec: RiskSpec) -> float:
-    """Apply the configured risk measure to a loss distribution."""
-    if spec.kind == "expectation":
-        return dist.mean()
-    if spec.kind == "cvar":
-        return cvar(dist, spec.alpha)
-    return evar(dist, spec.alpha)
-
-
-def risk_of_negated_price(forecast: MixtureForecast, spec: RiskSpec) -> float:
-    """Risk of the loss ``-p`` under a flattened price forecast.
-
-    This is the distribution-dependent term of the position cost
-    ``(q(u) + rho[-p]) * u``.
-    """
-    return evaluate(flatten(forecast).negate(), spec)

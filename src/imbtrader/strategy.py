@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dists import MixtureForecast, mixture_rows, regime_rows
+from .dists import MixtureForecast, regime_rows
 from .market_impact import ImpactParams
-from .risk import RiskSpec, cvar_rows, evar_bracket_rows, mean_rows
+from .risk import RISK_KINDS, RiskSpec, cvar_rows, evar_bracket_rows, mean_rows
 
 __all__ = [
     "ActionSpace",
@@ -42,6 +42,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 ForecastFn = Callable[[float], MixtureForecast]
+
+# Newton fast path: iteration cap, and the step (MW) below which it has converged.
+_NEWTON_MAX_ITER, _NEWTON_TOL = 60, 1e-12
 
 
 @dataclass(frozen=True)
@@ -183,32 +186,24 @@ class DecisionTable:
         return (qs - realized_price) * us
 
 
-def _whole_tick(forecast_fn: ForecastFn, method: str, builder, us: np.ndarray):
-    """Rows of every position from the forecast's own ``method`` if it has one.
-
-    ``pipeline.PositionForecast`` builds all positions at once; any other
-    callable is called once per position and its forecasts go to ``builder``.
-    """
-    whole_tick = getattr(forecast_fn, method, None)
-    if whole_tick is not None:
-        return whole_tick(us)
-    return builder([forecast_fn(float(u)) for u in us])
-
-
 def _rho_rows(kind: str, forecast_fn: ForecastFn, us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Risk of the loss ``-p`` per (position, alpha).
+    """Risk of the loss ``-p`` per (position, alpha), from the regime rows of every position.
 
-    CVaR and the expectation take the flattened mixture, its loss atoms
-    sorted once per row; EVaR takes the weight and the two regimes, whose
-    cumulants it computes once for all positions.
+    A forecast without ``regime_rows`` is called once per position. EVaR
+    computes each regime's cumulant once for all positions; CVaR and the
+    expectation flatten the regimes, down atoms then up, and sort each row.
     """
-    if kind == "evar":
-        pi, (down, m_down), (up, m_up) = _whole_tick(forecast_fn, "regime_rows", regime_rows, us)
-        return evar_bracket_rows(np.stack([pi, 1.0 - pi], axis=1), [(-down, m_down), (-up, m_up)], alphas)[0]
-    if kind not in ("expectation", "cvar"):
+    if kind not in RISK_KINDS:
         raise ValueError(f"unknown risk kind {kind!r}")
-    prices, masses = _whole_tick(forecast_fn, "mixture_rows", mixture_rows, us)
-    losses = -prices
+    whole_tick = getattr(forecast_fn, "regime_rows", None)
+    if whole_tick is not None:
+        pi, (down, m_down), (up, m_up) = whole_tick(us)
+    else:
+        pi, (down, m_down), (up, m_up) = regime_rows([forecast_fn(float(u)) for u in us])
+    if kind == "evar":
+        return evar_bracket_rows(np.stack([pi, 1.0 - pi], axis=1), [(-down, m_down), (-up, m_up)], alphas)[0]
+    losses = -np.hstack([down, up])
+    masses = np.hstack([m_down * pi[:, None], m_up * (1.0 - pi)[:, None]])
     order = np.argsort(losses, axis=1, kind="stable")
     rows = np.arange(losses.shape[0])[:, None]
     losses, masses = losses[rows, order], masses[rows, order]
@@ -288,9 +283,6 @@ def newton_expected_position(
     actions: ActionSpace,
     impact: ImpactParams,
     w_u: float,
-    *,
-    max_iter: int = 60,
-    tol: float = 1e-12,
 ) -> NewtonResult:
     """Fast path for the expectation measure on a long-only segment.
 
@@ -351,12 +343,12 @@ def newton_expected_position(
         else:
             u = actions.u_max / 2.0
             iterations = 0
-            for iterations in range(1, max_iter + 1):
+            for iterations in range(1, _NEWTON_MAX_ITER + 1):
                 d1, d2 = derivatives(u)
                 if d2 <= 0.0:
                     return _fallback("non-convex curvature encountered")
                 u_new = min(max(u - d1 / d2, 0.0), actions.u_max)
-                if abs(u_new - u) <= tol:
+                if abs(u_new - u) <= _NEWTON_TOL:
                     u = u_new
                     break
                 u = u_new

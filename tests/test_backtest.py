@@ -83,6 +83,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(window=0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta_hours"):
+            SimConfig(delta_hours=delta)
+
     def test_adaptive_flag(self):
         assert SimConfig(alpha=None).adaptive
         assert not SimConfig(alpha=0.9).adaptive
@@ -211,6 +216,16 @@ class TestAgainstSynthetic:
         assert set(result.report.alpha_path) == {"long", "short"}
 
 
+@pytest.fixture
+def ledger_lines(trained, tmp_path):
+    """A written ledger of a short fixed-alpha run: its path and its lines."""
+    models, _, test_ticks = trained
+    config = SimConfig(measure="cvar", alpha=0.9, actions=ActionSpace(step=0.5, u_max=3.0))
+    path = tmp_path / "ledger.csv"
+    write_ledger(path, run_backtest(config, models, test_ticks[:5]))
+    return path, path.read_text().splitlines()
+
+
 class TestLedgerIO:
     def test_round_trip(self, trained, tmp_path):
         models, _, test_ticks = trained
@@ -234,6 +249,26 @@ class TestLedgerIO:
         write_ledger(path, run_backtest(config, models, test_ticks[:5]))
         path.write_text(path.read_text().replace("delta_hours=0.25", "delta_hours=0.0"))
         with pytest.raises(ValueError, match="delta_hours"):
+            read_ledger(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_delta_rejected(self, ledger_lines, value):
+        path, lines = ledger_lines
+        path.write_text("\n".join(lines).replace("delta_hours=0.25", f"delta_hours={value}") + "\n")
+        with pytest.raises(ValueError, match="delta_hours"):
+            read_ledger(path)
+
+    # (field index, new text); None truncates the row to five fields.
+    @pytest.mark.parametrize("field, value", [
+        (None, None), (0, "yesterday"), (2, "two"), (2, "nan"), (3, "nan"), (4, "inf"), (5, "nan"),
+    ])
+    def test_malformed_row_names_its_line(self, ledger_lines, field, value):
+        path, lines = ledger_lines
+        assert lines[4].startswith("timestamp,")  # so lines[6] is line 7, the second data row
+        row = lines[6].split(",")
+        lines[6] = ",".join(row[:5] if field is None else row[:field] + [value] + row[field + 1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^ledger line 7: "):
             read_ledger(path)
 
 

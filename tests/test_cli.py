@@ -165,6 +165,15 @@ class TestErrorsAndMisc:
         )
         assert code == 0
 
+    def test_non_finite_delta_hours_rejected(self, workspace, capsys):
+        config = workspace["root"] / "nan_delta.yaml"
+        config.write_text(yaml.safe_dump({**SMOKE_CONFIG, "strategy": {**SMOKE_CONFIG["strategy"],
+                                                                      "delta_hours": float("nan")}}))
+        code = main(["backtest", "--config", str(config), "--data", str(workspace["data"]),
+                     "--models", str(workspace["models"]), "--out", str(workspace["root"] / "bt_nan")])
+        assert code == 1
+        assert "delta_hours" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

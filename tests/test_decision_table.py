@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from evar_oracle import oracle_evar_grid
+from flat_oracle import mixture_rows
 
 from imbtrader.backtest import leg_positions
-from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten, mixture_rows
-from imbtrader.pipeline import make_forecaster
-from imbtrader.risk import evar_bracket_rows
+from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten, regime_rows
+from imbtrader.pipeline import PositionForecast, make_forecaster
+from imbtrader.risk import cvar_grid, evar_bracket_rows
 from imbtrader.strategy import ActionSpace, OrderBook, decision_table, default_alpha_grid, fill_cost
 
 PAPER_GRID = ActionSpace(step=0.1, u_max=5.0)
@@ -143,22 +144,68 @@ class TestRowBuilders:
         us = PAPER_GRID.grid()
         for tick in test_ticks[:20]:
             pf = make_forecaster(models, tick, 1.0)
-            values, masses = pf.mixture_rows(us)
-            ref_values, ref_masses = mixture_rows([pf(float(u)) for u in us])
-            assert np.array_equal(values, ref_values)
-            assert np.array_equal(masses, ref_masses)
-            assert np.array_equal(pf.pis(us), [pf(float(u)).pi for u in us])
+            forecasts = [pf(float(u)) for u in us]
+            pi, (down, m_down), (up, m_up) = rows = pf.regime_rows(us)
+            ref_pi, (ref_down, ref_m_down), (ref_up, ref_m_up) = regime_rows(forecasts)
+            for got, ref in zip((pi, down, m_down, up, m_up), (ref_pi, ref_down, ref_m_down, ref_up, ref_m_up)):
+                assert np.array_equal(got, ref)
+            assert np.array_equal(pi, [f.pi for f in forecasts])
+            # Flattened as the table flattens them, the rows are those of the old flattened builder.
+            values, masses = mixture_rows(forecasts)
+            assert np.array_equal(np.hstack([down, up]), values)
+            assert np.array_equal(np.hstack([m_down * pi[:, None], m_up * (1.0 - pi)[:, None]]), masses)
 
     def test_padding_keeps_each_row_distribution(self):
         forecasts = [
             MixtureForecast(0.25, uniform_dist([10.0, 20.0, 30.0]), uniform_dist([50.0])),
             MixtureForecast(1.0, uniform_dist([15.0]), uniform_dist([60.0, 70.0])),
         ]
-        values, masses = mixture_rows(forecasts)
-        assert values.shape == (2, 4)
-        for f, v, m in zip(forecasts, values, masses):
-            assert DiscretePriceDistribution(v[m > 0.0], m[m > 0.0]) == flatten(f)
-            assert set(v[m == 0.0]) <= set(v[m > 0.0])
+        pi, down, up = regime_rows(forecasts)
+        assert np.array_equal(pi, [0.25, 1.0])
+        assert down[0].shape == (2, 3) and up[0].shape == (2, 2)
+        for name, (values, masses) in (("down", down), ("up", up)):
+            for f, v, m in zip(forecasts, values, masses):
+                assert DiscretePriceDistribution(v[m > 0.0], m[m > 0.0]) == getattr(f, name)
+                assert set(v[m == 0.0]) <= set(v[m > 0.0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_row_builder_per_table(self, trained, kind):
+        class CountingForecast(PositionForecast):
+            calls = {"regime_rows": 0, "__call__": 0}
+
+            def regime_rows(self, us):
+                self.calls["regime_rows"] += 1
+                return super().regime_rows(us)
+
+            def __call__(self, u):
+                self.calls["__call__"] += 1
+                return super().__call__(u)
+
+        models, _, test_ticks = trained
+        alphas = default_alpha_grid(kind, 200)
+        for tick in test_ticks[:3]:
+            pf = CountingForecast(models, tick, 1.0)
+            for leg in ("long", "short"):
+                decision_table(pf, tick.book, leg_positions(PAPER_GRID, leg), kind, alphas)
+        assert CountingForecast.calls == {"regime_rows": 6, "__call__": 0}
+
+
+class TestDeadRegime:
+    @pytest.mark.parametrize("pi", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_plain_callable_reads_only_the_live_regime(self, kind, pi):
+        live = uniform_dist([10.0, 20.0, 40.0])
+        dead = uniform_dist([-500.0, -400.0])  # its losses 400 and 500 would top every live one
+        forecast = MixtureForecast(pi, live, dead) if pi == 1.0 else MixtureForecast(pi, dead, live)
+        alphas = default_alpha_grid(kind, 41)
+        table = decision_table(lambda u: forecast, OrderBook(asks=((30.0, 10.0),)), [0.0, 1.0, 2.0], kind, alphas)
+        loss = live.negate()
+        if kind == "expectation":
+            np.testing.assert_allclose(table.rho, loss.mean(), rtol=0.0, atol=1e-12)
+            return
+        assert np.all(table.rho[:, alphas == 0.0] == -10.0)
+        alone = cvar_grid(loss, alphas) if kind == "cvar" else oracle_evar_grid(loss, alphas)
+        np.testing.assert_allclose(table.rho, np.broadcast_to(alone, table.rho.shape), rtol=0.0, atol=RHO_TOL[kind])
 
 
 class TestTies:

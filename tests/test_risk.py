@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
 from evar_oracle import oracle_evar_grid
+from flat_oracle import evaluate, risk_of_negated_price
 
 from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten, regime_rows
-from imbtrader.risk import (
-    RiskSpec,
-    cvar,
-    cvar_grid,
-    evaluate,
-    evar,
-    evar_bracket_rows,
-    evar_grid,
-    evar_rows,
-    risk_of_negated_price,
-)
+from imbtrader.risk import RiskSpec, cvar, cvar_grid, cvar_rows, evar, evar_bracket_rows, evar_grid
+from imbtrader.strategy import OrderBook, decision_table
 
 
 def uniform_dist(values):
@@ -219,7 +211,7 @@ class TestEvarKernel:
             values = np.concatenate([d.values, [d.max_value + 1e6, d.min_value - 1e6, d.values[0]]])
             masses = np.concatenate([d.masses, np.zeros(3)])
             order = rng.permutation(k + 3)
-            padded = evar_rows(values[None, order], masses[None, order], alphas)[0]
+            padded = evar_bracket_rows(np.ones((1, 1)), [(values[None, order], masses[None, order])], alphas)[0][0]
             np.testing.assert_allclose(padded, evar_grid(d, alphas), rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("values, masses", [([0.0, 1.0], [0.95, 0.05]), ([0.0, 1.0], [0.3, 0.7]),
@@ -253,20 +245,29 @@ class TestNonFiniteAlpha:
             RiskSpec("evar", bad)
 
 
+def table_rho(forecast, spec):
+    """Risk of the negated price as ``decision_table`` reads it, for a forecast that ignores u."""
+    table = decision_table(lambda u: forecast, OrderBook(asks=((1.0, 1.0),)), np.zeros(1), spec.kind, [spec.alpha])
+    return float(table.rho[0, 0])
+
+
 class TestRiskOfNegatedPrice:
+    """The decision table's risk term against the per-object oracle."""
+
     def test_point_mass_price(self):
         m = MixtureForecast(
             0.5, DiscretePriceDistribution([100.0], [1.0]), DiscretePriceDistribution([100.0], [1.0])
         )
         for spec in (RiskSpec("expectation"), RiskSpec("cvar", 0.5), RiskSpec("evar", 0.5)):
             assert risk_of_negated_price(m, spec) == pytest.approx(-100.0, abs=1e-8)
+            assert table_rho(m, spec) == pytest.approx(-100.0, abs=1e-8)
 
     def test_expectation_is_negated_mean(self):
         m = MixtureForecast(
             0.3, uniform_dist([10.0, 30.0]), uniform_dist([100.0, 300.0])
         )
-        got = risk_of_negated_price(m, RiskSpec("expectation"))
-        assert got == pytest.approx(-(0.3 * 20.0 + 0.7 * 200.0))
+        for got in (risk_of_negated_price(m, RiskSpec("expectation")), table_rho(m, RiskSpec("expectation"))):
+            assert got == pytest.approx(-(0.3 * 20.0 + 0.7 * 200.0))
 
     def test_two_atom_cvar_example(self):
         m = MixtureForecast(
@@ -274,6 +275,7 @@ class TestRiskOfNegatedPrice:
         )
         # losses {-200: .5, 0: .5}; worst half is the 0 atom
         assert risk_of_negated_price(m, RiskSpec("cvar", 0.5)) == pytest.approx(0.0)
+        assert table_rho(m, RiskSpec("cvar", 0.5)) == pytest.approx(0.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -283,6 +285,18 @@ class TestRiskOfNegatedPrice:
 
     def test_evaluate_dispatch(self):
         d = uniform_dist([1.0, 3.0])
-        assert evaluate(d, RiskSpec("expectation")) == 2.0
-        assert evaluate(d, RiskSpec("cvar", 0.5)) == 3.0
-        assert evaluate(d, RiskSpec("evar", 0.0)) == 3.0
+        m = MixtureForecast(1.0, d.negate(), d.negate())  # the loss -p is d
+        for spec, want in ((RiskSpec("expectation"), 2.0), (RiskSpec("cvar", 0.5), 3.0), (RiskSpec("evar", 0.0), 3.0)):
+            assert evaluate(d, spec) == want
+            assert table_rho(m, spec) == want
+
+
+class TestCvarRows:
+    def test_zero_mass_atoms_count_for_nothing(self):
+        # The atoms at 500 and -50 carry no mass, as in a flattened mixture whose regime has weight 0.
+        values = np.array([[-50.0, -40.0, -20.0, -10.0, 500.0]])
+        masses = np.array([[0.0, 1 / 3, 1 / 3, 1 / 3, 0.0]])
+        alphas = np.linspace(0.0, 1.0, 21)
+        got = cvar_rows(values, masses, alphas)[0]
+        assert got[0] == -10.0
+        np.testing.assert_allclose(got, cvar_grid(uniform_dist([-40.0, -20.0, -10.0]), alphas), rtol=0.0, atol=1e-12)
