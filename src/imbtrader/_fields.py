@@ -5,6 +5,7 @@ is about (``bank_mip.taus: missing``), however deep the field sits.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -39,7 +40,7 @@ def _read(path: str, read: Callable, value):
         return read(value)
     except FieldError as e:
         raise FieldError(f"{path}.{e.path}" if e.path else path, e.problem) from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise FieldError(path, str(e)) from None
 
 
@@ -61,6 +62,8 @@ def read_fields(d, readers: dict[str, Callable]) -> dict:
 def number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _expected("a number", value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -79,13 +82,18 @@ def string(value) -> str:
 
 
 def floats(value) -> np.ndarray:
-    """A (nested) array of numbers as a float array."""
+    """A (nested) array of finite numbers as a float array; a bad element is named by its indices."""
     if not isinstance(value, list):
         raise _expected("an array of numbers", value)
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise TypeError("expected an array of numbers, found a value that is not a number")
-    return arr.astype(float)
+    arr = arr.astype(float)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        index = tuple(bad[0].tolist())
+        raise FieldError(".".join(map(str, index)), f"expected a finite number, got {float(arr[index])!r}")
+    return arr
 
 
 def optional(read: Callable) -> Callable:

@@ -29,11 +29,10 @@ from .data_io import (
 from .dists import flatten
 from .pipeline import TrainedModels, attach_z, make_forecaster, train_models
 from .price_models import ReserveGrid
+from .risk import RISK_KINDS
 from .strategy import ActionSpace
 
 logger = logging.getLogger(__name__)
-
-MEASURES = ("expectation", "cvar", "evar")
 
 
 def _load_config(path) -> dict:
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p, needs_models=True)
         p.add_argument("--from", dest="start")
         p.add_argument("--to", dest="end")
-        p.add_argument("--measure", choices=MEASURES, default=None)
+        p.add_argument("--measure", choices=RISK_KINDS, default=None)
         p.add_argument("--alpha", default=None, help="risk weight in [0,1] or 'adaptive'")
         p.add_argument("--beta-est", dest="beta_est", type=float, default=None)
         p.add_argument("--beta-true", dest="beta_true", type=float, default=None)

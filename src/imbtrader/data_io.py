@@ -39,8 +39,7 @@ from .strategy import OrderBook
 __all__ = [
     "DataValidationError",
     "BASE_COLUMNS",
-    "MarketCsvSchema",
-    "RawRecord",
+    "MarketRecords",
     "MarketTick",
     "FeatureLayout",
     "FeatureSet",
@@ -86,38 +85,29 @@ class DataValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class MarketCsvSchema:
-    """Column contract of ``market.csv`` for a given reserve grid."""
+class MarketRecords:
+    """Quarter-hours of market data as columns.
 
-    grid: ReserveGrid
+    Row ``i`` of ``values`` holds the numbers of the ``market.csv`` row for
+    ``timestamps[i]`` in file column order: every column after ``timestamp``,
+    the reserve-ladder prices last.
+    """
 
-    @property
-    def columns(self) -> list[str]:
-        return BASE_COLUMNS + self.grid.column_labels()
+    timestamps: list[datetime]
+    values: np.ndarray
 
+    def __post_init__(self):
+        if self.values.ndim != 2 or len(self.values) != len(self.timestamps):
+            raise ValueError(f"values must have one row per timestamp, got shape {self.values.shape}")
 
-@dataclass
-class RawRecord:
-    """One validated quarter-hour of market data."""
-
-    timestamp: datetime
-    s: float
-    p_mdp: float
-    p_mip: float
-    solar_id: float
-    solar_da: float
-    wind_id: float
-    wind_da: float
-    load_id: float
-    load_da: float
-    price_da: float
-    price_id: float
-    reserve_prices: np.ndarray
+    def column(self, name: str) -> np.ndarray:
+        """The column named ``name`` in ``BASE_COLUMNS``."""
+        return self.values[:, BASE_COLUMNS.index(name) - 1]
 
     @property
-    def settlement_price(self) -> float:
-        """Realized single price: downregulation on a surplus, else up."""
-        return self.p_mdp if is_surplus(self.s) else self.p_mip
+    def reserve_prices(self) -> np.ndarray:
+        """The reserve-ladder price columns, aFRR first (a view of ``values``)."""
+        return self.values[:, len(BASE_COLUMNS) - 1 :]
 
 
 @dataclass
@@ -171,7 +161,7 @@ def _block_bounds(value) -> tuple[int, int]:
 
 @dataclass
 class FeatureSet:
-    """Feature matrix aligned to ``records[first_index:]``."""
+    """Feature matrix aligned to the records' rows from ``first_index`` on."""
 
     x: np.ndarray
     first_index: int
@@ -201,16 +191,17 @@ def _validate_cadence(timestamps: list[datetime]) -> None:
             )
 
 
-def load_market_csv(path, schema: MarketCsvSchema) -> list[RawRecord]:
-    """Read and validate a ``market.csv`` file.
+def load_market_csv(path, grid: ReserveGrid) -> MarketRecords:
+    """Read and validate a ``market.csv`` file with the columns of ``grid``.
 
     Raises ``DataValidationError`` with the offending row number on header
     mismatches, unparseable numbers, misaligned timestamps, duplicates,
     or gaps in the quarter-hour cadence.
     """
     path = Path(path)
-    expected = schema.columns
-    records: list[RawRecord] = []
+    expected = BASE_COLUMNS + grid.column_labels()
+    timestamps: list[datetime] = []
+    rows: list[list[float]] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -218,56 +209,29 @@ def load_market_csv(path, schema: MarketCsvSchema) -> list[RawRecord]:
             raise DataValidationError(
                 f"{path.name}: header mismatch; expected {expected}, got {header}"
             )
-        n_reserve = schema.grid.size
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise DataValidationError(f"row {row_no}: expected {len(expected)} fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], row_no)
+            timestamps.append(_parse_timestamp(row[0], row_no))
             try:
                 numbers = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise DataValidationError(f"row {row_no}: unparseable number: {exc}") from None
             if not all(math.isfinite(v) for v in numbers):
                 raise DataValidationError(f"row {row_no}: non-finite value")
-            records.append(
-                RawRecord(
-                    timestamp=ts,
-                    s=numbers[0],
-                    p_mdp=numbers[1],
-                    p_mip=numbers[2],
-                    solar_id=numbers[3],
-                    solar_da=numbers[4],
-                    wind_id=numbers[5],
-                    wind_da=numbers[6],
-                    load_id=numbers[7],
-                    load_da=numbers[8],
-                    price_da=numbers[9],
-                    price_id=numbers[10],
-                    reserve_prices=np.array(numbers[11 : 11 + n_reserve]),
-                )
-            )
-    _validate_cadence([r.timestamp for r in records])
-    return records
+            rows.append(numbers)
+    _validate_cadence(timestamps)
+    return MarketRecords(timestamps, np.array(rows).reshape(len(rows), len(expected) - 1))
 
 
-def write_market_csv(path, records: list[RawRecord], schema: MarketCsvSchema) -> None:
+def write_market_csv(path, records: MarketRecords, grid: ReserveGrid) -> None:
     """Write records in the documented schema; floats keep full precision."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(schema.columns)
-        for r in records:
-            writer.writerow(
-                [r.timestamp.isoformat()]
-                + [
-                    repr(v)
-                    for v in (
-                        r.s, r.p_mdp, r.p_mip, r.solar_id, r.solar_da, r.wind_id,
-                        r.wind_da, r.load_id, r.load_da, r.price_da, r.price_id,
-                    )
-                ]
-                + [repr(float(v)) for v in r.reserve_prices]
-            )
+        writer.writerow(BASE_COLUMNS + grid.column_labels())
+        for ts, row in zip(records.timestamps, records.values.tolist()):
+            writer.writerow([ts.isoformat()] + [repr(v) for v in row])
 
 
 def load_order_books(path) -> dict[datetime, OrderBook]:
@@ -325,7 +289,7 @@ def quarter_of_day(ts: datetime) -> int:
     return ts.hour * 4 + ts.minute // 15
 
 
-def build_features(records: list[RawRecord], lags: tuple[int, ...] = IMBALANCE_LAGS) -> FeatureSet:
+def build_features(records: MarketRecords) -> FeatureSet:
     """Mixture-weight features per the reference schema.
 
     Blocks: lagged imbalance volumes (information cutoff one hour before
@@ -334,54 +298,41 @@ def build_features(records: list[RawRecord], lags: tuple[int, ...] = IMBALANCE_L
     mean, and the intraday/day-ahead price difference. Rows without full
     lag history are dropped (``first_index`` marks the first kept record).
     """
-    max_lag = max(lags)
-    n = len(records)
+    max_lag = max(IMBALANCE_LAGS)
+    n = len(records.timestamps)
     if n <= max_lag:
         raise DataValidationError(f"need more than {max_lag} records for lag features, got {n}")
-    s = np.array([r.s for r in records])
-    solar_id = np.array([r.solar_id for r in records])
-    wind_id = np.array([r.wind_id for r in records])
-    load_id = np.array([r.load_id for r in records])
-    diffs = np.column_stack(
-        [
-            solar_id - np.array([r.solar_da for r in records]),
-            wind_id - np.array([r.wind_da for r in records]),
-            load_id - np.array([r.load_da for r in records]),
-        ]
-    )
-    price_diff = np.array([r.price_id - r.price_da for r in records])
+    s = records.column("s_mw")
+    intraday = np.column_stack([records.column(f"{k}_id") for k in ("solar", "wind", "load")])
+    diffs = intraday - np.column_stack([records.column(f"{k}_da") for k in ("solar", "wind", "load")])
+    price_diff = records.column("price_id") - records.column("price_da")
 
-    # hourly mean of the intraday forecasts over the (possibly partial) clock hour
-    hour_keys = [(r.timestamp.date(), r.timestamp.hour) for r in records]
-    sums: dict[tuple, np.ndarray] = {}
-    counts: dict[tuple, int] = {}
-    stacked = np.column_stack([solar_id, wind_id, load_id])
-    for key, row in zip(hour_keys, stacked):
-        if key in sums:
-            sums[key] += row
-            counts[key] += 1
-        else:
-            sums[key] = row.copy()
-            counts[key] = 1
-    deviations = np.array([stacked[i] - sums[k] / counts[k] for i, k in enumerate(hour_keys)])
+    # hourly mean of the intraday forecasts over the (possibly partial) clock
+    # hour; the sums start at -0.0, the additive identity, so each is the
+    # left-to-right sum of its hour's rows
+    hours = [ts.toordinal() * 24 + ts.hour for ts in records.timestamps]
+    _, hour_of_row, counts = np.unique(hours, return_inverse=True, return_counts=True)
+    sums = np.full((counts.size, 3), -0.0)
+    np.add.at(sums, hour_of_row, intraday)
+    deviations = intraday - sums[hour_of_row] / counts[hour_of_row, None]
 
-    quarters = np.array([quarter_of_day(r.timestamp) for r in records])
+    quarters = np.array([quarter_of_day(ts) for ts in records.timestamps])
     onehot = np.zeros((n, QUARTERS_PER_DAY))
     onehot[np.arange(n), quarters] = 1.0
 
     rows = np.arange(max_lag, n)
-    lag_block = np.column_stack([s[rows - lag] for lag in lags])
+    lag_block = np.column_stack([s[rows - lag] for lag in IMBALANCE_LAGS])
     x = np.hstack(
         [lag_block, onehot[rows], diffs[rows], deviations[rows], price_diff[rows, None]]
     )
-    return FeatureSet(x=x, first_index=max_lag, layout=reference_layout(lags))
+    return FeatureSet(x=x, first_index=max_lag, layout=reference_layout())
 
 
-def reference_layout(lags: tuple[int, ...] = IMBALANCE_LAGS) -> FeatureLayout:
+def reference_layout() -> FeatureLayout:
     """Layout of the feature vector ``build_features`` emits (data independent)."""
-    names: list[str] = [f"s_lag_{lag}" for lag in lags]
-    blocks = {"imbalance_lags": (0, len(lags))}
-    start = len(lags)
+    names: list[str] = [f"s_lag_{lag}" for lag in IMBALANCE_LAGS]
+    blocks = {"imbalance_lags": (0, len(IMBALANCE_LAGS))}
+    start = len(IMBALANCE_LAGS)
     names += [f"quarter_{q}" for q in range(QUARTERS_PER_DAY)]
     blocks["quarter_onehot"] = (start, start + QUARTERS_PER_DAY)
     start += QUARTERS_PER_DAY
@@ -397,36 +348,33 @@ def reference_layout(lags: tuple[int, ...] = IMBALANCE_LAGS) -> FeatureLayout:
 
 
 def assemble_ticks(
-    records: list[RawRecord],
+    records: MarketRecords,
     features: FeatureSet,
     books: dict[datetime, OrderBook] | None = None,
 ) -> list[MarketTick]:
     """Join records, features, and (optionally) order books into ticks."""
-    ticks = []
-    for offset, record in enumerate(records[features.first_index :]):
-        book = books.get(record.timestamp) if books is not None else None
-        ticks.append(
-            MarketTick(
-                timestamp=record.timestamp,
-                x=features.x[offset],
-                o=record.reserve_prices,
-                s=record.s,
-                p_mdp=record.p_mdp,
-                p_mip=record.p_mip,
-                book=book,
-            )
+    start = features.first_index
+    # tolist() keeps s and the prices Python floats, as ledgers print them
+    s, p_mdp, p_mip = (records.column(name)[start:].tolist() for name in ("s_mw", "p_mdp", "p_mip"))
+    return [
+        MarketTick(
+            timestamp=ts, x=x, o=o, s=s_t, p_mdp=mdp_t, p_mip=mip_t,
+            book=books.get(ts) if books is not None else None,
         )
-    return ticks
+        for ts, x, o, s_t, mdp_t, mip_t in zip(
+            records.timestamps[start:], features.x, records.reserve_prices[start:], s, p_mdp, p_mip
+        )
+    ]
 
 
 def load_dataset(data_dir, grid: ReserveGrid) -> list[MarketTick]:
     """Load ``market.csv`` (and ``books.csv`` when present) from a directory."""
     data_dir = Path(data_dir)
-    records = load_market_csv(data_dir / "market.csv", MarketCsvSchema(grid))
+    records = load_market_csv(data_dir / "market.csv", grid)
     books_path = data_dir / "books.csv"
     books = load_order_books(books_path) if books_path.exists() else None
     if books:
-        known = {record.timestamp for record in records}
+        known = set(records.timestamps)
         unmatched = [ts for ts in books if ts not in known]
         if unmatched:
             logger.warning(
@@ -507,7 +455,7 @@ _SIGNAL_WEIGHTS = {"solar": 0.004, "wind": 0.003, "load": -0.003, "price": -0.05
 
 def generate_synthetic_market(
     cfg: SyntheticConfig,
-) -> tuple[list[RawRecord], dict[datetime, OrderBook], dict]:
+) -> tuple[MarketRecords, dict[datetime, OrderBook], dict]:
     """Simulate a two-regime balancing market with planted parameters.
 
     The latent regime follows a logistic law that is linear in features the
@@ -557,32 +505,22 @@ def generate_synthetic_market(
     mfrr = np.asarray(cfg.mfrr_volumes)
     afrr_prices = p_mdp_sys[:, None] + cfg.afrr_ladder_slope * (afrr - afrr[cfg.mdp_anchor])
     mfrr_prices = p_mip_sys[:, None] + cfg.mfrr_ladder_slope * (mfrr - mfrr[cfg.mip_anchor])
-    reserve = np.hstack([afrr_prices, mfrr_prices])
 
     pi = 1.0 / (1.0 + np.exp(-logits))
     expected_settlement = pi * p_mdp_sys + (1.0 - pi) * p_mip_sys
     best_ask = expected_settlement - cfg.edge + cfg.book_noise_std * rng.normal(size=n)
 
-    records = []
+    # columns in BASE_COLUMNS order, then the reserve ladder
+    values = np.column_stack([
+        s, p_mdp, p_mip,
+        solar_da + diff_solar, solar_da,
+        wind_da + diff_wind, wind_da,
+        load_da + diff_load, load_da,
+        price_da, price_da + diff_price,
+        afrr_prices, mfrr_prices,
+    ])
     books: dict[datetime, OrderBook] = {}
     for t, ts in enumerate(timestamps):
-        records.append(
-            RawRecord(
-                timestamp=ts,
-                s=float(s[t]),
-                p_mdp=float(p_mdp[t]),
-                p_mip=float(p_mip[t]),
-                solar_id=float(solar_da[t] + diff_solar[t]),
-                solar_da=float(solar_da[t]),
-                wind_id=float(wind_da[t] + diff_wind[t]),
-                wind_da=float(wind_da[t]),
-                load_id=float(load_da[t] + diff_load[t]),
-                load_da=float(load_da[t]),
-                price_da=float(price_da[t]),
-                price_id=float(price_da[t] + diff_price[t]),
-                reserve_prices=reserve[t].copy(),
-            )
-        )
         asks = tuple(
             (float(best_ask[t] + level * cfg.book_tick), cfg.book_level_volume)
             for level in range(cfg.book_levels)
@@ -605,7 +543,7 @@ def generate_synthetic_market(
         "mip_anchor_column": len(cfg.afrr_volumes) + cfg.mip_anchor,
         "edge": cfg.edge,
     }
-    return records, books, truth
+    return MarketRecords(timestamps, values), books, truth
 
 
 def synthetic_ticks(cfg: SyntheticConfig) -> tuple[list[MarketTick], dict]:
@@ -620,6 +558,6 @@ def write_synthetic_dataset(out_dir, cfg: SyntheticConfig) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, books, truth = generate_synthetic_market(cfg)
-    write_market_csv(out_dir / "market.csv", records, MarketCsvSchema(cfg.grid))
+    write_market_csv(out_dir / "market.csv", records, cfg.grid)
     write_order_books(out_dir / "books.csv", books)
     return truth

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fields import FieldError, integer, number, read_fields, string
-from .data_io import FeatureLayout, MarketTick
+from .data_io import FeatureLayout, MarketTick, reference_layout
 from .dists import MixtureForecast
 from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
 from .price_models import (
@@ -154,7 +154,6 @@ def train_models(
     seed: int = 0,
     logistic_max_iter: int = 2000,
     bank_max_iter: int = 400,
-    layout: FeatureLayout | None = None,
 ) -> TrainedModels:
     """Fit the full model set on feature-complete training ticks.
 
@@ -200,17 +199,12 @@ def train_models(
     k_mdp, k_mip = estimate_sensitivities(s, np.where(pos, p_mdp, p_mip))
     impact = ImpactParams(beta=1.0, k_mdp=max(k_mdp, 0.0), k_mip=max(k_mip, 0.0))
 
-    if layout is None:
-        from .data_io import reference_layout
-
-        reference = reference_layout()
-        if len(reference.names) == x.shape[1]:
-            layout = reference
-        else:
-            layout = FeatureLayout(
-                names=tuple(f"f{i}" for i in range(x.shape[1])),
-                blocks={"all": (0, x.shape[1])},
-            )
+    layout = reference_layout()
+    if len(layout.names) != x.shape[1]:
+        layout = FeatureLayout(
+            names=tuple(f"f{i}" for i in range(x.shape[1])),
+            blocks={"all": (0, x.shape[1])},
+        )
 
     return TrainedModels(
         weight_model=weight_model,

@@ -9,6 +9,7 @@ All fitting is deterministic full-batch gradient descent.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,6 +281,8 @@ class ReserveGrid:
             arr = tuple(float(v) for v in vols)
             if len(arr) == 0:
                 raise ValueError(f"{name} must be non-empty")
+            if not all(math.isfinite(v) for v in arr):
+                raise ValueError(f"{name} must be finite, got {arr}")
             if arr[0] <= 0.0 or any(b <= a for a, b in zip(arr, arr[1:])):
                 raise ValueError(f"{name} must be strictly increasing and positive")
             object.__setattr__(self, name, arr)

@@ -56,6 +56,9 @@ class ActionSpace:
     allow_short: bool = False
 
     def __post_init__(self):
+        for name, value in (("step", self.step), ("u_max", self.u_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.step <= 0.0:
             raise ValueError("step must be positive")
         n = self.u_max / self.step

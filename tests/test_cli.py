@@ -174,6 +174,16 @@ class TestErrorsAndMisc:
         assert code == 1
         assert "delta_hours" in capsys.readouterr().err
 
+    def test_infinite_u_max_rejected(self, workspace, capsys):
+        config = workspace["root"] / "inf_u_max.yaml"
+        config.write_text(yaml.safe_dump({**SMOKE_CONFIG, "strategy": {**SMOKE_CONFIG["strategy"],
+                                                                      "u_max_mw": float("inf")}}))
+        assert ".inf" in config.read_text()
+        code = main(["backtest", "--config", str(config), "--data", str(workspace["data"]),
+                     "--models", str(workspace["models"]), "--out", str(workspace["root"] / "bt_inf")])
+        assert code == 1
+        assert "u_max" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,12 +1,18 @@
+import csv
 import logging
-from datetime import timedelta, timezone
+import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from imbtrader.data_io import (
+    BASE_COLUMNS,
     DataValidationError,
-    MarketCsvSchema,
+    MarketRecords,
     SyntheticConfig,
     build_features,
     generate_synthetic_market,
@@ -20,7 +26,7 @@ from imbtrader.data_io import (
     write_order_books,
     write_synthetic_dataset,
 )
-from imbtrader.market_impact import estimate_sensitivities
+from imbtrader.market_impact import estimate_sensitivities, is_surplus
 from imbtrader.price_models import fit_logistic
 
 UTC = timezone.utc
@@ -32,19 +38,22 @@ def small_cfg(**overrides):
     return SyntheticConfig(**defaults)
 
 
+def with_timestamps(records, timestamps):
+    return MarketRecords(timestamps, records.values)
+
+
+def bits(a):
+    return a.shape, a.tobytes()
+
+
 class TestCsvRoundTrip:
     def test_round_trip_identical(self, tmp_path):
         cfg = small_cfg(price_noise_std=6.0, price_gap_std=10.0, book_noise_std=1.0)
         records, books, _ = generate_synthetic_market(cfg)
-        schema = MarketCsvSchema(cfg.grid)
-        write_market_csv(tmp_path / "market.csv", records, schema)
-        loaded = load_market_csv(tmp_path / "market.csv", schema)
-        assert len(loaded) == len(records)
-        for a, b in zip(records, loaded):
-            assert a.timestamp == b.timestamp
-            assert a.s == b.s and a.p_mdp == b.p_mdp and a.p_mip == b.p_mip
-            assert a.price_id == b.price_id
-            assert np.array_equal(a.reserve_prices, b.reserve_prices)
+        write_market_csv(tmp_path / "market.csv", records, cfg.grid)
+        loaded = load_market_csv(tmp_path / "market.csv", cfg.grid)
+        assert loaded.timestamps == records.timestamps
+        assert bits(loaded.values) == bits(records.values)
         write_order_books(tmp_path / "books.csv", books)
         loaded_books = load_order_books(tmp_path / "books.csv")
         assert loaded_books == books
@@ -52,32 +61,42 @@ class TestCsvRoundTrip:
     def test_well_formed_day_loads_fully(self, tmp_path):
         cfg = small_cfg(n_periods=96)
         records, _, _ = generate_synthetic_market(cfg)
-        schema = MarketCsvSchema(cfg.grid)
-        write_market_csv(tmp_path / "market.csv", records, schema)
-        assert len(load_market_csv(tmp_path / "market.csv", schema)) == 96
+        write_market_csv(tmp_path / "market.csv", records, cfg.grid)
+        loaded = load_market_csv(tmp_path / "market.csv", cfg.grid)
+        assert len(loaded.timestamps) == 96
+        assert loaded.values.shape == (96, len(BASE_COLUMNS) - 1 + cfg.grid.size)
+
+    def test_empty_data_section_keeps_its_width(self, tmp_path):
+        cfg = small_cfg()
+        width = len(BASE_COLUMNS) - 1 + cfg.grid.size
+        write_market_csv(tmp_path / "market.csv", MarketRecords([], np.empty((0, width))), cfg.grid)
+        loaded = load_market_csv(tmp_path / "market.csv", cfg.grid)
+        assert loaded.timestamps == []
+        assert loaded.values.shape == (0, width)
+        assert loaded.reserve_prices.shape == (0, cfg.grid.size)
 
     def test_duplicate_timestamp_rejected_with_row(self, tmp_path):
         cfg = small_cfg(n_periods=10)
         records, _, _ = generate_synthetic_market(cfg)
-        records[5].timestamp = records[4].timestamp
-        schema = MarketCsvSchema(cfg.grid)
-        write_market_csv(tmp_path / "market.csv", records, schema)
+        timestamps = list(records.timestamps)
+        timestamps[5] = timestamps[4]
+        write_market_csv(tmp_path / "market.csv", with_timestamps(records, timestamps), cfg.grid)
         with pytest.raises(DataValidationError, match="row 7"):
-            load_market_csv(tmp_path / "market.csv", schema)
+            load_market_csv(tmp_path / "market.csv", cfg.grid)
 
     def test_gap_rejected(self, tmp_path):
         cfg = small_cfg(n_periods=10)
         records, _, _ = generate_synthetic_market(cfg)
-        del records[3]
-        schema = MarketCsvSchema(cfg.grid)
-        write_market_csv(tmp_path / "market.csv", records, schema)
-        with pytest.raises(DataValidationError, match="gap"):
-            load_market_csv(tmp_path / "market.csv", schema)
+        kept = [i for i in range(10) if i != 3]
+        gapped = MarketRecords([records.timestamps[i] for i in kept], records.values[kept])
+        write_market_csv(tmp_path / "market.csv", gapped, cfg.grid)
+        with pytest.raises(DataValidationError, match="row 5: gap"):
+            load_market_csv(tmp_path / "market.csv", cfg.grid)
 
     def test_header_mismatch_rejected(self, tmp_path):
         (tmp_path / "market.csv").write_text("time,s\n2024-01-01T00:00:00+00:00,1\n")
         with pytest.raises(DataValidationError, match="header"):
-            load_market_csv(tmp_path / "market.csv", MarketCsvSchema(small_cfg().grid))
+            load_market_csv(tmp_path / "market.csv", small_cfg().grid)
 
     @pytest.mark.parametrize("edit, got", [(lambda f: f[:3], 3), (lambda f: f + ["1.0"], 5)],
                              ids=["short", "long"])
@@ -108,12 +127,10 @@ class TestCsvRoundTrip:
     def test_misaligned_timestamp_rejected(self, tmp_path):
         cfg = small_cfg(n_periods=5)
         records, _, _ = generate_synthetic_market(cfg)
-        for r in records:
-            r.timestamp = r.timestamp + timedelta(minutes=7)
-        schema = MarketCsvSchema(cfg.grid)
-        write_market_csv(tmp_path / "market.csv", records, schema)
+        shifted = [ts + timedelta(minutes=7) for ts in records.timestamps]
+        write_market_csv(tmp_path / "market.csv", with_timestamps(records, shifted), cfg.grid)
         with pytest.raises(DataValidationError, match="aligned"):
-            load_market_csv(tmp_path / "market.csv", schema)
+            load_market_csv(tmp_path / "market.csv", cfg.grid)
 
 
 class TestBuildFeatures:
@@ -126,7 +143,7 @@ class TestBuildFeatures:
     def test_lag_columns_match_history(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=30))
         features = build_features(records)
-        s = [r.s for r in records]
+        s = records.column("s_mw").tolist()
         sl = features.layout.block_slice("imbalance_lags")
         for row, idx in enumerate(range(7, 30)):
             assert features.x[row, sl].tolist() == [s[idx - 4], s[idx - 5], s[idx - 6], s[idx - 7]]
@@ -135,28 +152,39 @@ class TestBuildFeatures:
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=200))
         features = build_features(records)
         sl = features.layout.block_slice("quarter_onehot")
-        for row, record in enumerate(records[7:]):
+        for row, ts in enumerate(records.timestamps[7:]):
             onehot = features.x[row, sl]
             assert onehot.sum() == 1.0
-            assert onehot[quarter_of_day(record.timestamp)] == 1.0
+            assert onehot[quarter_of_day(ts)] == 1.0
 
     def test_hourly_deviation_matches_naive_recomputation(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=96))
         features = build_features(records)
         sl = features.layout.block_slice("hourly_deviation")
-        for row, record in enumerate(records[7:]):
+        intraday = [records.column(f"{k}_id") for k in ("solar", "wind", "load")]
+        for row, ts in enumerate(records.timestamps[7:], start=7):
             same_hour = [
-                r for r in records
-                if (r.timestamp.date(), r.timestamp.hour)
-                == (record.timestamp.date(), record.timestamp.hour)
+                i for i, other in enumerate(records.timestamps)
+                if (other.date(), other.hour) == (ts.date(), ts.hour)
             ]
-            naive = record.solar_id - np.mean([r.solar_id for r in same_hour])
-            assert features.x[row, sl][0] == pytest.approx(naive, abs=1e-9)
+            naive = [column[row] - np.mean(column[same_hour]) for column in intraday]
+            assert features.x[row - 7, sl].tolist() == pytest.approx(naive, abs=1e-9)
+
+    def test_hourly_sums_add_rows_in_order(self):
+        # -0.0 + -0.0 is -0.0 and 0.0 + -0.0 is 0.0: the sum must start from
+        # the first row, not from +0.0, to keep the sign of an all-zero hour
+        records, _, _ = generate_synthetic_market(small_cfg(n_periods=16))
+        values = records.values.copy()
+        solar_id = BASE_COLUMNS.index("solar_id") - 1
+        values[:, solar_id] = -0.0
+        features = build_features(MarketRecords(records.timestamps, values))
+        deviation = features.x[:, features.layout.block_slice("hourly_deviation")][:, 0]
+        assert [math.copysign(1.0, v) for v in deviation] == [1.0] * len(deviation)
 
     def test_too_short_history_rejected(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=10))
         with pytest.raises(DataValidationError):
-            build_features(records[:7])
+            build_features(MarketRecords(records.timestamps[:7], records.values[:7]))
 
 
 class TestSyntheticGenerator:
@@ -194,8 +222,8 @@ class TestSyntheticGenerator:
     def test_noise_free_sensitivity_recovery(self):
         cfg = small_cfg(n_periods=96 * 10, price_noise_std=0.0, price_gap_std=0.0)
         records, _, truth = generate_synthetic_market(cfg)
-        s = np.array([r.s for r in records])
-        price = np.array([r.settlement_price for r in records])
+        s = records.column("s_mw")
+        price = np.where(is_surplus(s), records.column("p_mdp"), records.column("p_mip"))
         k_mdp, k_mip = estimate_sensitivities(s, price)
         assert k_mdp == pytest.approx(truth["k_mdp"], abs=1e-6)
         assert k_mip == pytest.approx(truth["k_mip"], abs=1e-6)
@@ -203,15 +231,15 @@ class TestSyntheticGenerator:
     def test_anchored_ladder_columns_equal_prices_when_noiseless(self):
         cfg = small_cfg(price_noise_std=0.0, price_gap_std=0.0)
         records, _, truth = generate_synthetic_market(cfg)
-        for r in records:
-            assert r.reserve_prices[truth["mdp_anchor_column"]] == pytest.approx(r.p_mdp)
-            assert r.reserve_prices[truth["mip_anchor_column"]] == pytest.approx(r.p_mip)
+        reserve = records.reserve_prices
+        assert reserve[:, truth["mdp_anchor_column"]] == pytest.approx(records.column("p_mdp"))
+        assert reserve[:, truth["mip_anchor_column"]] == pytest.approx(records.column("p_mip"))
 
     def test_zero_signal_gives_base_rate_weight(self):
         cfg = small_cfg(n_periods=96 * 20, signal_strength=0.0, regime_persistence=0.0, seed=9)
         records, _, truth = generate_synthetic_market(cfg)
         features = build_features(records)
-        labels = np.array([r.s > 0 for r in records[features.first_index :]], dtype=float)
+        labels = (records.column("s_mw")[features.first_index :] > 0).astype(float)
         model = fit_logistic(features.x, labels, max_iter=300)
         preds = model.predict(features.x)
         assert np.mean(preds) == pytest.approx(labels.mean(), abs=0.02)
@@ -244,3 +272,76 @@ class TestResolveDataDir:
         monkeypatch.delenv("IMBTRADER_DATA_DIR", raising=False)
         with pytest.raises(ValueError):
             resolve_data_dir(None)
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _not_a_timestamp(text):
+    try:
+        datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        return True
+    return False
+
+
+CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12)
+PROPERTY_CFG = small_cfg(n_periods=12)
+WIDTH = len(BASE_COLUMNS) - 1 + PROPERTY_CFG.grid.size
+
+
+class TestMarketCsvProperties:
+    @pytest.fixture(scope="class")
+    def market_rows(self, tmp_path_factory):
+        """A written market.csv and its parsed rows, header first."""
+        path = tmp_path_factory.mktemp("market") / "market.csv"
+        write_market_csv(path, generate_synthetic_market(PROPERTY_CFG)[0], PROPERTY_CFG.grid)
+        with path.open(newline="") as fh:
+            return path, list(csv.reader(fh))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_one_bad_cell_names_its_row(self, market_rows, data):
+        path, rows = market_rows
+        r = data.draw(st.integers(1, len(rows) - 1), label="data row")
+        cells = list(rows[r])
+        kind = data.draw(st.sampled_from(["not a number", "non-finite", "missing", "extra", "timestamp"]))
+        if kind == "timestamp":
+            cells[0] = data.draw(CELL_TEXT.filter(_not_a_timestamp))
+        elif kind == "missing":
+            del cells[data.draw(st.integers(0, len(cells) - 1))]
+        elif kind == "extra":
+            cells.insert(data.draw(st.integers(0, len(cells))), data.draw(CELL_TEXT))
+        else:
+            bad = CELL_TEXT.filter(_not_a_number) if kind == "not a number" else st.sampled_from(
+                ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "1e400"]
+            )
+            cells[data.draw(st.integers(1, len(cells) - 1))] = data.draw(bad)
+        corrupt = path.with_name("corrupt.csv")
+        with corrupt.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows[:r] + [cells] + rows[r + 1 :])
+        with pytest.raises(DataValidationError, match=f"^row {r + 1}: "):
+            load_market_csv(corrupt, PROPERTY_CFG.grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.datetimes(datetime(2000, 1, 1), datetime(2099, 12, 31)).map(
+            lambda d: d.replace(minute=d.minute // 15 * 15, second=0, microsecond=0, tzinfo=UTC)
+        ),
+        values=hnp.arrays(
+            float, st.tuples(st.integers(0, 8), st.just(WIDTH)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_write_then_load_is_exact(self, market_rows, start, values):
+        records = MarketRecords([start + i * timedelta(minutes=15) for i in range(len(values))], values)
+        path = market_rows[0].with_name("round_trip.csv")
+        write_market_csv(path, records, PROPERTY_CFG.grid)
+        loaded = load_market_csv(path, PROPERTY_CFG.grid)
+        assert loaded.timestamps == records.timestamps
+        assert bits(loaded.values) == bits(values)

@@ -1,8 +1,14 @@
+import copy
 import json
+import math
 import re
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbtrader.data_io import reference_layout
 from imbtrader.dists import MixtureForecast, flatten
@@ -213,8 +219,66 @@ class TestBundleReaderErrors:
         with pytest.raises(ValueError, match=re.escape("models.json: expected an object, got array")):
             TrainedModels.load(saved[1]([]))
 
+    @pytest.mark.parametrize("path, bad, shown", [
+        (("position_model", "bias"), math.nan, "nan"),
+        (("impact", "k_mdp"), math.inf, "inf"),
+        (("grid", "afrr_volumes", 1), math.nan, "nan"),
+        (("weight_model", "weights", 3), -math.inf, "-inf"),
+        (("weight_model", "scaler", "scale", 5), math.inf, "inf"),
+        (("bank_mdp", "weights", 2, 1, 0), math.nan, "nan"),
+        (("bank_mip", "taus", 0), math.nan, "nan"),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_non_finite_number_named(self, saved, path, bad, shown):
+        doc, rewrite = saved
+        reduce(getitem, path[:-1], doc)[path[-1]] = bad
+        with pytest.raises(ValueError, match=re.escape(
+            f"models.json: {'.'.join(map(str, path))}: expected a finite number, got {shown}"
+        )):
+            TrainedModels.load(rewrite(doc))
+
+    def test_number_too_large_for_a_float_named(self, saved):
+        doc, rewrite = saved
+        doc["position_model"]["bias"] = 10**400
+        with pytest.raises(ValueError, match=re.escape("models.json: position_model.bias: ")):
+            TrainedModels.load(rewrite(doc))
+
     def test_position_weight_index_must_be_an_integer(self, trained):
         doc = trained[0].position_model.to_dict()
         assert LogisticModel.from_dict(doc).position_weight_index == doc["position_weight_index"]
         with pytest.raises(ValueError, match="position_weight_index: expected an integer, got string"):
             LogisticModel.from_dict(dict(doc, position_weight_index=str(doc["position_weight_index"])))
+
+
+def numeric_leaves(doc, path=()):
+    """Paths of every number in a JSON document; booleans are not numbers."""
+    if isinstance(doc, dict):
+        return [leaf for key, value in doc.items() for leaf in numeric_leaves(value, path + (key,))]
+    if isinstance(doc, list):
+        return [leaf for i, value in enumerate(doc) for leaf in numeric_leaves(value, path + (i,))]
+    return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+class TestNonFiniteBundleProperty:
+    @pytest.fixture(scope="class")
+    def bundle(self, trained, tmp_path_factory):
+        """The saved bundle's path and document, and its numeric leaves grouped by field."""
+        path = tmp_path_factory.mktemp("bundle") / "models.json"
+        trained[0].save(path)
+        doc = json.loads(path.read_text())
+        fields: dict[tuple, list[tuple]] = {}
+        for leaf in numeric_leaves(doc):
+            fields.setdefault(tuple(k for k in leaf if isinstance(k, str)), []).append(leaf)
+        return path, doc, fields
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_non_finite_leaf_is_named(self, bundle, data):
+        path, doc, fields = bundle
+        # a field first, then one of its numbers, so scalars are drawn as often as large arrays
+        field = data.draw(st.sampled_from(sorted(fields, key=str)), label="field")
+        leaf = data.draw(st.sampled_from(fields[field]), label="leaf")
+        edited = copy.deepcopy(doc)
+        reduce(getitem, leaf[:-1], edited)[leaf[-1]] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        path.write_text(json.dumps(edited))
+        with pytest.raises(ValueError, match=re.escape(f"models.json: {'.'.join(map(str, leaf))}: ")):
+            TrainedModels.load(path)

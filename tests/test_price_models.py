@@ -515,3 +515,12 @@ class TestSerialization:
         assert grid.column_labels()[0] == "afrr_1"
         with pytest.raises(ValueError):
             ReserveGrid((50.0, 1.0), (1.0,))
+
+    @pytest.mark.parametrize("afrr, mfrr, field", [
+        ((float("nan"),), (1.0,), "afrr_volumes"),
+        ((1.0, float("nan")), (1.0,), "afrr_volumes"),
+        ((1.0,), (1.0, float("inf")), "mfrr_volumes"),
+    ], ids=["afrr-nan-only", "afrr-nan-last", "mfrr-inf-last"])
+    def test_reserve_grid_rejects_non_finite_volumes(self, afrr, mfrr, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ReserveGrid(afrr, mfrr)

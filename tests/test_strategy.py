@@ -78,6 +78,12 @@ class TestActionSpace:
         with pytest.raises(ValueError):
             ActionSpace(step=-0.1, u_max=1.0)
 
+    @pytest.mark.parametrize("field", ["step", "u_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ActionSpace(**{"step": 0.5, "u_max": 1.0, field: value})
+
 
 class TestFillCost:
     def test_single_level(self):
