@@ -6,7 +6,9 @@ the recorded ladder, settle at the impact-adjusted realized price, and
 append one ledger row per strategy leg. Long and short legs run as two
 one-sided decisions with separate alpha tracks; their net position drives
 the settlement price. Ticks with missing or too-shallow books are skipped
-and excluded from both the ledger and the adaptive window.
+and excluded from both the ledger and the adaptive window. A reactivity
+sweep is one replay that carries every (assumed, true) pair; a single
+backtest is its one-pair case.
 """
 from __future__ import annotations
 
@@ -141,6 +143,61 @@ def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTic
     regulation prices and the realized imbalance, shifted by the net
     executed position of both legs.
     """
+    return _replay(config, models, ticks, [config.beta_est], [config.beta_true])[0][0]
+
+
+class _Cell:
+    """One (beta_est, beta_true) pair of a replay: its settlement, ledger and alpha tracks."""
+
+    def __init__(self, config: SimConfig, models: TrainedModels, legs, alphas):
+        self.config, self.alphas = config, alphas
+        self.impact_true = models.impact_with_beta(config.beta_true)
+        self.adapters = (
+            {leg: AlphaAdapter(alphas, config.window, config.measure) for leg in legs}
+            if config.adaptive else None
+        )
+        self.ledger: list[TradeRecord] = []
+        self.alpha_path: dict = {leg: [] for leg in legs}
+
+    def trade(self, tick: MarketTick, tables: dict, best: dict) -> None:
+        """Execute this cell's choice from the shared tables, settle it, and update its alphas."""
+        executed = {}
+        for leg, (us, qs, _) in best.items():
+            idx = self.adapters[leg].current_index if self.adapters else 0
+            alpha_used = float(self.alphas[idx])
+            executed[leg] = (float(us[idx]), float(qs[idx]), alpha_used)
+            self.alpha_path[leg].append((tick.timestamp, alpha_used))
+        u_net = sum(u for u, _, _ in executed.values())
+        p_real = realized_settlement_price(tick.s, u_net, self.impact_true, tick.p_mdp, tick.p_mip)
+        for leg, (u, q, alpha_used) in executed.items():
+            self.ledger.append(
+                TradeRecord(
+                    timestamp=tick.timestamp, leg=leg, u=u, fill_price=q,
+                    realized_price=p_real, alpha=alpha_used, measure=self.config.measure,
+                )
+            )
+        if self.adapters:
+            for leg, adapter in self.adapters.items():
+                adapter.record(tables[leg].hindsight_losses(p_real))
+                adapter.update()
+
+    def result(self, skipped: list[tuple[datetime, str]]) -> BacktestResult:
+        report = _build_report(self.config.delta_hours, self.ledger, skipped, self.alpha_path)
+        return BacktestResult(config=self.config, report=report, ledger=self.ledger, skipped=list(skipped))
+
+
+def _replay(
+    config: SimConfig, models: TrainedModels, ticks, beta_est_grid, beta_true_grid
+) -> list[list[BacktestResult]]:
+    """One pass over the ticks for every (assumed, true) reactivity pair.
+
+    Range filter, skip checks and the two regime predictions run once per
+    tick; the decision tables once per tick, assumed reactivity and leg,
+    since decisions do not depend on the true reactivity. Each pair keeps
+    its own settlement, ledger and adaptive alphas, which are fed the
+    shared tables' hindsight losses. Returns one ``BacktestResult`` per
+    pair, indexed ``[i_est][i_true]``.
+    """
     selected = [
         t for t in ticks
         if (config.start is None or t.timestamp >= config.start)
@@ -159,15 +216,14 @@ def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTic
     positions = {leg: leg_positions(config.actions, leg) for leg in legs}
     if config.adaptive:
         alphas = default_alpha_grid(config.measure, config.alpha_grid_size)
-        adapters = {leg: AlphaAdapter(alphas, config.window, config.measure) for leg in legs}
     else:
         alphas = np.array([config.alpha])
-        adapters = None
-    impact_true = models.impact_with_beta(config.beta_true)
+    cells = [
+        [_Cell(replace(config, beta_est=e, beta_true=t), models, legs, alphas) for t in beta_true_grid]
+        for e in beta_est_grid
+    ]
 
-    ledger: list[TradeRecord] = []
     skipped: list[tuple[datetime, str]] = []
-    alpha_path: dict = {leg: [] for leg in legs}
     for tick in selected:
         if tick.book is None:
             skipped.append((tick.timestamp, "missing order book"))
@@ -181,35 +237,18 @@ def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTic
             logger.info("skipping %s: insufficient book depth", tick.timestamp.isoformat())
             continue
 
-        forecast_fn = make_forecaster(models, tick, config.beta_est)
-        tables = {
-            leg: decision_table(forecast_fn, tick.book, positions[leg], config.measure, alphas)
-            for leg in legs
-        }
-        executed = {}
-        for leg in legs:
-            us, qs, _ = tables[leg].best_positions()
-            idx = adapters[leg].current_index if config.adaptive else 0
-            alpha_used = float(alphas[idx])
-            executed[leg] = (float(us[idx]), float(qs[idx]), alpha_used)
-            alpha_path[leg].append((tick.timestamp, alpha_used))
-        u_net = sum(u for u, _, _ in executed.values())
-        p_real = realized_settlement_price(tick.s, u_net, impact_true, tick.p_mdp, tick.p_mip)
-        for leg in legs:
-            u, q, alpha_used = executed[leg]
-            ledger.append(
-                TradeRecord(
-                    timestamp=tick.timestamp, leg=leg, u=u, fill_price=q,
-                    realized_price=p_real, alpha=alpha_used, measure=config.measure,
-                )
-            )
-        if config.adaptive:
-            for leg in legs:
-                adapters[leg].record(tables[leg].hindsight_losses(p_real))
-                adapters[leg].update()
+        forecast = make_forecaster(models, tick, config.beta_est)
+        for b_est, row in zip(beta_est_grid, cells):
+            forecast_at = forecast.with_beta(b_est)
+            tables = {
+                leg: decision_table(forecast_at, tick.book, positions[leg], config.measure, alphas)
+                for leg in legs
+            }
+            best = {leg: table.best_positions() for leg, table in tables.items()}
+            for cell in row:
+                cell.trade(tick, tables, best)
 
-    report = _build_report(config.delta_hours, ledger, skipped, alpha_path)
-    return BacktestResult(config=config, report=report, ledger=ledger, skipped=skipped)
+    return [[cell.result(skipped) for cell in row] for row in cells]
 
 
 def _build_report(delta_hours: float, ledger, skipped, alpha_path) -> Report:
@@ -338,12 +377,13 @@ def beta_sweep(
     beta_est_grid,
     beta_true_grid,
 ) -> SweepResult:
-    """Run one backtest per (assumed, true) reactivity pair."""
+    """Profit of every (assumed, true) reactivity pair, from one replay of the ticks.
+
+    Each cell equals ``run_backtest`` at its pair; the decision tables are
+    built once per assumed reactivity and shared by every true one.
+    """
     est = np.atleast_1d(np.asarray(beta_est_grid, dtype=float))
     true = np.atleast_1d(np.asarray(beta_true_grid, dtype=float))
-    profits = np.empty((est.size, true.size))
-    for i, b_est in enumerate(est):
-        for j, b_true in enumerate(true):
-            cell = replace(config, beta_est=float(b_est), beta_true=float(b_true))
-            profits[i, j] = run_backtest(cell, models, ticks).report.total_profit
+    results = _replay(config, models, ticks, [float(b) for b in est], [float(b) for b in true])
+    profits = np.array([[r.report.total_profit for r in row] for row in results]).reshape(est.size, true.size)
     return SweepResult(beta_est_grid=est, beta_true_grid=true, profits=profits)

@@ -439,9 +439,12 @@ class SyntheticConfig:
         return ReserveGrid(self.afrr_volumes, self.mfrr_volumes)
 
     def __post_init__(self):
+        if self.n_periods < 1:
+            raise ValueError(f"n_periods must be at least 1, got {self.n_periods}")
         for name in ("price_gap_std", "price_noise_std", "book_noise_std", "imbalance_scale"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         if not 0 <= self.mdp_anchor < len(self.afrr_volumes):
             raise ValueError("mdp_anchor outside the aFRR ladder")
         if not 0 <= self.mip_anchor < len(self.mfrr_volumes):

@@ -8,6 +8,7 @@ JSON document with named weights.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -243,13 +244,28 @@ class PositionForecast:
     def __init__(self, models: TrainedModels, tick: MarketTick, beta_est: float):
         if tick.z is None:
             raise ValueError("tick has no price-model input; run attach_z first")
-        impact = models.impact_with_beta(beta_est)
         self.down = predict_regulation_distribution(models.bank_mdp, tick.z, tick.o)
         self.up = predict_regulation_distribution(models.bank_mip, tick.z, tick.o)
-        self.beta = impact.beta
-        self.slopes = (-impact.k_mdp * impact.beta, -impact.k_mip * impact.beta)
+        self._impact = models.impact
+        self._set_beta(beta_est)
         self._position_model = models.position_model
         self._x = np.asarray(tick.x, dtype=float)
+
+    def _set_beta(self, beta_est: float) -> None:
+        impact = replace(self._impact, beta=beta_est)
+        self.beta = impact.beta
+        self.slopes = (-impact.k_mdp * impact.beta, -impact.k_mip * impact.beta)
+
+    def with_beta(self, beta_est: float) -> PositionForecast:
+        """The same tick's forecast at another assumed reactivity.
+
+        The two predicted regime distributions are shared, not predicted
+        again; the result is identical to ``PositionForecast(models, tick,
+        beta_est)``.
+        """
+        other = copy.copy(self)
+        other._set_beta(beta_est)
+        return other
 
     def pis(self, us) -> np.ndarray:
         """Mixture weight at each position; the position feature is ``beta * u``."""

@@ -1,8 +1,11 @@
+from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from imbtrader import backtest, pipeline
 from imbtrader.backtest import (
     LeakageError,
     SimConfig,
@@ -70,6 +73,14 @@ def toy_tick(ts=None, price=100.0, ask=80.0, s=5.0):
         book=OrderBook(asks=((ask, 10.0),), bids=((ask - 1.0, 10.0),)),
         z=np.array([0.5]),
     )
+
+
+def with_bad_books(ticks):
+    """A copy of the ticks with a too-shallow book at index 5 and no book at index 6."""
+    ticks = list(ticks)
+    ticks[5] = replace(ticks[5], book=OrderBook(asks=((50.0, 0.5),), bids=((49.0, 0.5),)))
+    ticks[6] = replace(ticks[6], book=None)
+    return ticks
 
 
 class TestSimConfig:
@@ -186,23 +197,11 @@ class TestAgainstSynthetic:
 
     def test_skipped_ticks_excluded(self, trained):
         models, _, test_ticks = trained
-        ticks = list(test_ticks[:20])
-        starved = MarketTick(
-            timestamp=ticks[5].timestamp, x=ticks[5].x, o=ticks[5].o, s=ticks[5].s,
-            p_mdp=ticks[5].p_mdp, p_mip=ticks[5].p_mip,
-            book=OrderBook(asks=((50.0, 0.5),), bids=((49.0, 0.5),)),
-            z=ticks[5].z,
-        )
-        bookless = MarketTick(
-            timestamp=ticks[6].timestamp, x=ticks[6].x, o=ticks[6].o, s=ticks[6].s,
-            p_mdp=ticks[6].p_mdp, p_mip=ticks[6].p_mip, book=None, z=ticks[6].z,
-        )
-        ticks[5] = starved
-        ticks[6] = bookless
+        ticks = with_bad_books(test_ticks[:20])
         result = run_backtest(self.make_config(), models, ticks)
         assert result.report.n_skipped == 2
         skipped_ts = {ts for ts, _ in result.skipped}
-        assert starved.timestamp in skipped_ts and bookless.timestamp in skipped_ts
+        assert ticks[5].timestamp in skipped_ts and ticks[6].timestamp in skipped_ts
         assert all(r.timestamp not in skipped_ts for r in result.ledger)
 
     def test_short_leg_enabled(self, trained):
@@ -272,19 +271,49 @@ class TestLedgerIO:
             read_ledger(path)
 
 
+SWEEP_GRID = [0.0, 0.5, 1.0]
+
+
 class TestBetaSweep:
-    def test_single_cell_equals_single_run(self, trained):
+    @pytest.mark.parametrize("measure, alpha, allow_short", [
+        ("cvar", None, False), ("evar", None, True), ("expectation", 0.9, False),
+    ], ids=["cvar-adaptive-long", "evar-adaptive-short", "expectation-fixed-long"])
+    def test_single_cell_equals_single_run(self, trained, measure, alpha, allow_short):
         models, _, test_ticks = trained
+        ticks = with_bad_books(test_ticks[:60])
         config = SimConfig(
-            measure="cvar", alpha=0.9, actions=ActionSpace(step=0.5, u_max=3.0),
+            measure=measure, alpha=alpha, window=10, alpha_grid_size=24,
+            actions=ActionSpace(step=0.5, u_max=3.0, allow_short=allow_short),
         )
-        sweep = beta_sweep(config, models, test_ticks[:60], [0.5], [0.5])
-        single = run_backtest(
-            SimConfig(measure="cvar", alpha=0.9, beta_est=0.5, beta_true=0.5,
-                      actions=ActionSpace(step=0.5, u_max=3.0)),
-            models, test_ticks[:60],
+        sweep = beta_sweep(config, models, ticks, SWEEP_GRID, SWEEP_GRID)
+        for i, b_est in enumerate(SWEEP_GRID):
+            for j, b_true in enumerate(SWEEP_GRID):
+                single = run_backtest(replace(config, beta_est=b_est, beta_true=b_true), models, ticks)
+                assert single.report.n_skipped == 2
+                assert sweep.profits[i, j] == single.report.total_profit
+
+    def test_tables_and_predictions_shared_across_cells(self, trained, monkeypatch):
+        # Decisions depend on beta_est only and the regime predictions on neither beta.
+        models, _, test_ticks = trained
+        ticks = with_bad_books(test_ticks[:20])
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(backtest, "decision_table", counted("tables", backtest.decision_table))
+        monkeypatch.setattr(pipeline, "predict_regulation_distribution",
+                            counted("predictions", pipeline.predict_regulation_distribution))
+        config = SimConfig(
+            measure="cvar", alpha=None, window=10, alpha_grid_size=24,
+            actions=ActionSpace(step=0.5, u_max=3.0, allow_short=True),
         )
-        assert sweep.profits[0, 0] == single.report.total_profit
+        beta_sweep(config, models, ticks, SWEEP_GRID, SWEEP_GRID)
+        traded = len(ticks) - 2
+        assert calls == {"tables": 3 * traded * 2, "predictions": 2 * traded}
 
     def test_margin_erosion_fixture_monotone(self):
         # noiseless, profitable-edge market; fixed alpha so decisions are

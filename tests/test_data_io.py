@@ -252,6 +252,22 @@ class TestSyntheticGenerator:
             assert book.depth("ask") >= 5.0
             assert book.depth("bid") >= 5.0
 
+    @pytest.mark.parametrize("n_periods", [0, -1])
+    def test_too_few_periods_rejected(self, n_periods):
+        with pytest.raises(ValueError, match="^n_periods must be at least 1"):
+            small_cfg(n_periods=n_periods)
+
+    @pytest.mark.parametrize("field", ["price_gap_std", "price_noise_std", "book_noise_std", "imbalance_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_scale_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite"):
+            small_cfg(**{field: value})
+
+    def test_one_period_market(self):
+        records, books, truth = generate_synthetic_market(small_cfg(n_periods=1))
+        assert len(records.timestamps) == 1 and len(books) == 1
+        assert all(math.isfinite(v) for v in truth.values() if isinstance(v, float))
+
     def test_synthetic_ticks_helper(self):
         ticks, truth = synthetic_ticks(small_cfg(n_periods=96))
         assert len(ticks) == 96 - 7

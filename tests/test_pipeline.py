@@ -83,6 +83,22 @@ class TestForecaster:
                 assert fast.down == slow.down
                 assert fast.up == slow.up
 
+    def test_with_beta_matches_a_fresh_forecast(self, trained):
+        models, _, test_ticks = trained
+        tick = test_ticks[10]
+        base = make_forecaster(models, tick, 1.0)
+        us = np.linspace(-3.0, 3.0, 13)
+        for beta_est in (0.0, 0.5, 1.0):
+            shared, fresh = base.with_beta(beta_est), make_forecaster(models, tick, beta_est)
+            assert shared.down is base.down and shared.up is base.up
+            assert (shared.beta, shared.slopes) == (fresh.beta, fresh.slopes)
+            got, want = shared.regime_rows(us), fresh.regime_rows(us)
+            assert got[0].tobytes() == want[0].tobytes()
+            for (values, masses), (values_want, masses_want) in zip(got[1:], want[1:]):
+                assert values.tobytes() == values_want.tobytes()
+                assert masses.tobytes() == masses_want.tobytes()
+        assert base.beta == 1.0
+
     def test_flattened_forecast_is_valid_distribution(self, trained):
         models, _, test_ticks = trained
         fn = make_forecaster(models, test_ticks[0], 1.0)
