@@ -86,7 +86,9 @@ def cvar_rows(values: np.ndarray, masses: np.ndarray, alphas) -> np.ndarray:
     if np.any(zero):  # rows ascend, so the last atom of positive mass is the largest
         top = values.shape[1] - 1 - np.argmax(masses[:, ::-1] > 0.0, axis=1)
         out[:, zero] = values[np.arange(values.shape[0]), top][:, None]
-    out[:, a == 1.0] = mean_rows(values, masses)[:, None]
+    one = a == 1.0
+    if np.any(one):
+        out[:, one] = mean_rows(values, masses)[:, None]
     interior = (a > 0.0) & (a < 1.0)
     if np.any(interior):
         ai = a[interior]
@@ -98,8 +100,13 @@ def cvar_rows(values: np.ndarray, masses: np.ndarray, alphas) -> np.ndarray:
         cmv = np.zeros((n, k + 1))
         np.cumsum(m, axis=1, out=cm[:, 1:])
         np.cumsum(m * v, axis=1, out=cmv[:, 1:])
-        # Row by row, so every comparison is that of an unshifted searchsorted.
-        idx = np.stack([np.searchsorted(row, ai, side="left") for row in cm[:, 1:]])
+        # The tail index is searchsorted(row, alpha, "left"). A cumsum of nonnegative masses never
+        # decreases, so that index is also the count of partial masses below alpha: loop over the
+        # shorter axis with the same comparisons.
+        if ai.size < n:
+            idx = np.stack([np.count_nonzero(cm[:, 1:] < x, axis=1) for x in ai], axis=1)
+        else:
+            idx = np.stack([np.searchsorted(row, ai, side="left") for row in cm[:, 1:]])
         idx = np.minimum(idx, k - 1)  # guard a float cumsum that ends below alpha
         rows = np.arange(n)[:, None]
         out[:, interior] = (cmv[rows, idx] + (ai - cm[rows, idx]) * v[rows, idx]) / ai

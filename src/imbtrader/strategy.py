@@ -18,7 +18,7 @@ import numpy as np
 
 from .dists import MixtureForecast, regime_rows
 from .market_impact import ImpactParams
-from .risk import RISK_KINDS, RiskSpec, cvar_rows, evar_bracket_rows, mean_rows
+from .risk import RISK_KINDS, RiskSpec, _check_alphas, cvar_rows, evar_bracket_rows, mean_rows
 
 __all__ = [
     "ActionSpace",
@@ -195,9 +195,11 @@ def _rho_rows(kind: str, forecast_fn: ForecastFn, us: np.ndarray, alphas: np.nda
     A forecast without ``regime_rows`` is called once per position. EVaR
     computes each regime's cumulant once for all positions; CVaR and the
     expectation flatten the regimes, down atoms then up, and sort each row.
+    Every measure rejects alphas outside [0, 1] or NaN.
     """
     if kind not in RISK_KINDS:
         raise ValueError(f"unknown risk kind {kind!r}")
+    _check_alphas(alphas)
     whole_tick = getattr(forecast_fn, "regime_rows", None)
     if whole_tick is not None:
         pi, (down, m_down), (up, m_up) = whole_tick(us)
@@ -208,8 +210,8 @@ def _rho_rows(kind: str, forecast_fn: ForecastFn, us: np.ndarray, alphas: np.nda
     losses = -np.hstack([down, up])
     masses = np.hstack([m_down * pi[:, None], m_up * (1.0 - pi)[:, None]])
     order = np.argsort(losses, axis=1, kind="stable")
-    rows = np.arange(losses.shape[0])[:, None]
-    losses, masses = losses[rows, order], masses[rows, order]
+    order += np.arange(0, losses.size, losses.shape[1])[:, None]  # flat index of each sorted atom
+    losses, masses = np.take(losses, order), np.take(masses, order)
     if kind == "cvar":
         return cvar_rows(losses, masses, alphas)
     return np.repeat(mean_rows(losses, masses)[:, None], alphas.size, axis=1)

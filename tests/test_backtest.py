@@ -276,8 +276,8 @@ SWEEP_GRID = [0.0, 0.5, 1.0]
 
 class TestBetaSweep:
     @pytest.mark.parametrize("measure, alpha, allow_short", [
-        ("cvar", None, False), ("evar", None, True), ("expectation", 0.9, False),
-    ], ids=["cvar-adaptive-long", "evar-adaptive-short", "expectation-fixed-long"])
+        ("cvar", None, False), ("evar", None, True), ("expectation", 0.9, False), ("cvar", 0.9, True),
+    ], ids=["cvar-adaptive-long", "evar-adaptive-short", "expectation-fixed-long", "cvar-fixed-short"])
     def test_single_cell_equals_single_run(self, trained, measure, alpha, allow_short):
         models, _, test_ticks = trained
         ticks = with_bad_books(test_ticks[:60])

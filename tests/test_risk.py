@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from evar_oracle import oracle_evar_grid
+from flat_oracle import cvar_rows as per_row_cvar_rows
 from flat_oracle import evaluate, risk_of_negated_price
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten, regime_rows
 from imbtrader.risk import RiskSpec, cvar, cvar_grid, cvar_rows, evar, evar_bracket_rows, evar_grid
-from imbtrader.strategy import OrderBook, decision_table
+from imbtrader.strategy import ActionSpace, OrderBook, decision_table
 
 
 def uniform_dist(values):
@@ -300,3 +303,64 @@ class TestCvarRows:
         got = cvar_rows(values, masses, alphas)[0]
         assert got[0] == -10.0
         np.testing.assert_allclose(got, cvar_grid(uniform_dist([-40.0, -20.0, -10.0]), alphas), rtol=0.0, atol=1e-12)
+
+
+# Alphas at the edges of [0, 1] and of the float range inside it.
+EDGE_ALPHAS = (0.0, 1.0, float(np.nextafter(1.0, 0.0)), 5e-324)
+
+
+@st.composite
+def loss_rows(draw):
+    """Ascending loss rows with repeated atoms and zero masses, and alphas that include partial masses."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 12))
+    values = np.sort(np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                                            min_size=n, max_size=n)), dtype=float), axis=1)
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                                     min_size=n, max_size=n)), dtype=float)
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    masses = weights / weights.sum(axis=1, keepdims=True)
+    # The kernel's partial masses of one row, so some alphas equal a cumsum exactly.
+    partial = np.cumsum(masses[draw(st.integers(0, n - 1)), ::-1])
+    alpha = st.one_of(st.sampled_from(EDGE_ALPHAS), st.floats(0.0, 1.0),
+                      st.sampled_from([float(c) for c in partial if 0.0 < c < 1.0] or [0.5]))
+    alphas = draw(st.lists(alpha, min_size=1, max_size=6))
+    alphas += draw(st.lists(st.sampled_from(alphas), max_size=3))  # duplicates, in any order
+    return values, masses, np.array(alphas)
+
+
+class TestCvarTailIndex:
+    """The tail index as a count of partial masses below alpha against one searchsorted per row."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(loss_rows())
+    def test_bits_equal_the_per_row_kernel(self, case):
+        values, masses, alphas = case
+        n = values.shape[0]
+        few = alphas[: n - 1]  # fewer alphas than rows: one count per alpha
+        many = np.resize(alphas, max(n, alphas.size))  # at least as many: one searchsorted per row
+        assert few.size < n <= many.size
+        for a in (few, many):
+            assert np.array_equal(cvar_rows(values, masses, a), per_row_cvar_rows(values, masses, a))
+
+    def test_alpha_at_a_partial_mass_ends_the_tail_at_that_atom(self):
+        # At alpha = the mass of the two worst atoms, the tail taken as the worst atom plus alpha
+        # minus its mass of the second, and the tail of both plus a zero-length slice of the third,
+        # give the same CVaR but not the same bits. searchsorted(..., "left") takes the first.
+        values = np.array([[-1.3, 1.0, 1.3, 6.4]] * 3)
+        masses = np.array([[2.0, 7.0, 6.0, 8.0]] * 3) / 23.0
+        worst = masses[0, 3]
+        alpha = np.cumsum(masses[0, ::-1])[1]
+        got = cvar_rows(values, masses, [alpha])
+        assert np.array_equal(got, per_row_cvar_rows(values, masses, [alpha]))
+        assert np.all(got == (worst * 6.4 + (alpha - worst) * 1.3) / alpha)
+        assert np.all(got != (worst * 6.4 + masses[0, 2] * 1.3) / alpha)
+
+
+class TestAlphaChecksInTables:
+    @pytest.mark.parametrize("kind", ["expectation", "cvar", "evar"])
+    @pytest.mark.parametrize("alphas", [[np.nan, 2.0], [0.5, np.nan], [0.5, 2.0], [-0.1]])
+    def test_every_measure_rejects_bad_alphas(self, kind, alphas):
+        f = MixtureForecast(0.5, uniform_dist([10.0, 30.0]), uniform_dist([100.0, 300.0]))
+        with pytest.raises(ValueError, match="alpha"):
+            decision_table(lambda u: f, OrderBook(asks=((1.0, 5.0),)), ActionSpace(step=1.0, u_max=2.0), kind, alphas)
