@@ -1,7 +1,8 @@
-"""Typed readers for the fields of a JSON document, for the model-bundle reader.
+"""Typed readers for the fields of a JSON or YAML document: the model bundle and the CLI config.
 
 Every error is a ``FieldError`` that names the dotted path of the field it
-is about (``bank_mip.taus: missing``), however deep the field sits.
+is about (``bank_mip.taus: missing``, ``model.bank_max_itr: unexpected
+field``), however deep the field sits.
 """
 from __future__ import annotations
 
@@ -45,18 +46,26 @@ def _read(path: str, read: Callable, value):
 
 
 def read_fields(d, readers: dict[str, Callable]) -> dict:
-    """Read an object that has exactly the fields of ``readers``, in their order."""
-    if not isinstance(d, dict):
-        raise FieldError("", str(_expected("an object", d)))
-    out = {}
-    for key, read in readers.items():
-        if key not in d:
-            raise FieldError(key, "missing")
-        out[key] = _read(key, read, d[key])
-    for key in d:
-        if key not in readers:
-            raise FieldError(str(key), "unexpected field")
+    """Read an object that has exactly the fields of ``readers``."""
+    out = some_fields(readers)(d)
+    missing = next((key for key in readers if key not in out), None)
+    if missing is not None:
+        raise FieldError(missing, "missing")
     return out
+
+
+def some_fields(readers: dict[str, Callable]) -> Callable:
+    """A reader for an object that has some of the fields of ``readers``; the result holds only those."""
+
+    def read_some(d) -> dict:
+        if not isinstance(d, dict):
+            raise FieldError("", str(_expected("an object", d)))
+        unexpected = next((key for key in d if key not in readers), None)
+        if unexpected is not None:
+            raise FieldError(str(unexpected), "unexpected field")
+        return {key: _read(key, readers[key], value) for key, value in d.items()}
+
+    return read_some
 
 
 def number(value) -> float:
@@ -67,11 +76,22 @@ def number(value) -> float:
     return float(value)
 
 
+def numeric(value) -> float:
+    """A ``number``, or a string that spells one: YAML 1.1 leaves ``1e-4`` (no decimal point) a string."""
+    return number(float(value) if isinstance(value, str) else value)
+
+
 def integer(value) -> int:
     if isinstance(value, float):
         raise TypeError(f"expected an integer, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, int):
         raise _expected("an integer", value)
+    return value
+
+
+def boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise _expected("a boolean", value)
     return value
 
 

@@ -54,10 +54,6 @@ class LeakageError(RuntimeError):
     """Backtest range overlaps the model training range."""
 
 
-def _default_actions() -> ActionSpace:
-    return ActionSpace(step=0.1, u_max=5.0)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One backtest run; ``alpha=None`` selects adaptive tuning."""
@@ -68,7 +64,7 @@ class SimConfig:
     beta_true: float = 1.0
     window: int = 500
     alpha_grid_size: int = 200
-    actions: ActionSpace = field(default_factory=_default_actions)
+    actions: ActionSpace = field(default_factory=ActionSpace)
     delta_hours: float = 0.25
     start: datetime | None = None
     end: datetime | None = None
@@ -318,34 +314,40 @@ def _ledger_record(parts: list[str]) -> TradeRecord:
     )
 
 
+def _ledger_delta(text: str) -> float:
+    try:
+        delta = float(text)
+    except ValueError:
+        delta = math.nan
+    if not 0.0 < delta < math.inf:  # NaN fails too
+        raise ValueError(f"delta_hours must be positive and finite, got {text}")
+    return delta
+
+
 def read_ledger(path) -> tuple[list[TradeRecord], dict, float]:
     """Parse a ledger CSV back into records, header metadata, and delta.
 
     A malformed data row (wrong field count, a bad timestamp or number, or a
-    non-finite number) raises a ``ValueError`` that names its line.
+    non-finite number) or header ``delta_hours`` raises a ``ValueError``
+    that names its line. Without a ``delta_hours`` header the delta is
+    ``SimConfig``'s default.
     """
     meta: dict = {}
     records: list[TradeRecord] = []
-    delta = 0.25
+    delta = SimConfig.delta_hours
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, value = token.split("=", 1)
-                    meta[key] = value
-            continue
-        if line.startswith("timestamp,"):
+        if not line or line.startswith("timestamp,"):
             continue
         try:
-            records.append(_ledger_record(line.split(",")))
+            if line.startswith("#"):
+                header = dict(token.split("=", 1) for token in line[1:].split() if "=" in token)
+                if "delta_hours" in header:
+                    delta = _ledger_delta(header["delta_hours"])
+                meta.update(header)
+            else:
+                records.append(_ledger_record(line.split(",")))
         except ValueError as exc:
             raise ValueError(f"ledger line {lineno}: {exc}") from exc
-    if "delta_hours" in meta:
-        delta = float(meta["delta_hours"])
-        if not 0.0 < delta < math.inf:
-            raise ValueError(f"ledger delta_hours must be positive and finite, got {meta['delta_hours']}")
     return records, meta, delta
 
 

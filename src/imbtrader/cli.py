@@ -1,56 +1,33 @@
 """Command-line pipeline: generate, train, forecast, benchmark, backtest, sweep, report.
 
-Every command reads an optional YAML config (flags win over config values,
-which win over defaults), writes its artifacts into ``--out``, and is
-idempotent: identical inputs and seed produce byte-identical outputs. The
-data directory may come from ``--data`` or the ``IMBTRADER_DATA_DIR``
-environment variable.
+Every command reads an optional YAML config, checked once into the keyword
+arguments of the library calls it feeds (flags win over config values,
+which win over the defaults of those calls), writes its artifacts into
+``--out``, and is idempotent: identical inputs and seed produce
+byte-identical outputs. The data directory may come from ``--data`` or the
+``IMBTRADER_DATA_DIR`` environment variable.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import yaml
 
 from . import __version__
+from ._fields import FieldError, array_of, boolean, integer, numeric, some_fields, string
 from .backtest import SimConfig, _build_report, beta_sweep, read_ledger, run_backtest, write_ledger
 from .benchmarks import fit_benchmark_suite, run_benchmark
-from .data_io import (
-    SyntheticConfig,
-    load_dataset,
-    resolve_data_dir,
-    write_synthetic_dataset,
-)
-from .dists import flatten
+from .data_io import SyntheticConfig, load_dataset, resolve_data_dir, write_synthetic_dataset
+from .dists import MixtureForecast, flatten
 from .pipeline import TrainedModels, attach_z, make_forecaster, train_models
-from .price_models import ReserveGrid
 from .risk import RISK_KINDS
 from .strategy import ActionSpace
-
-logger = logging.getLogger(__name__)
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
-        raise ValueError("config file must contain a mapping")
-    return doc
-
-
-def _section(config: dict, name: str) -> dict:
-    value = config.get(name, {})
-    return value if isinstance(value, dict) else {}
-
 
 def _parse_when(text):
     if text is None:
@@ -59,76 +36,96 @@ def _parse_when(text):
     return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
 
 
-def _reserve_grid(config: dict) -> ReserveGrid:
-    reserves = _section(config, "reserves")
-    defaults = SyntheticConfig()
-    return ReserveGrid(
-        tuple(reserves.get("afrr_volumes", defaults.afrr_volumes)),
-        tuple(reserves.get("mfrr_volumes", defaults.mfrr_volumes)),
-    )
+def _timestamp(value) -> datetime:
+    """An ISO timestamp string, or the date or datetime an unquoted YAML timestamp becomes."""
+    return _parse_when(value if isinstance(value, date) else string(value))
 
 
-def _synthetic_config(config: dict, seed_override) -> SyntheticConfig:
-    section = dict(_section(config, "synthetic"))
-    reserves = _section(config, "reserves")
-    if "afrr_volumes" in reserves:
-        section["afrr_volumes"] = tuple(reserves["afrr_volumes"])
-    if "mfrr_volumes" in reserves:
-        section["mfrr_volumes"] = tuple(reserves["mfrr_volumes"])
-    if "start" in section:
-        section["start"] = _parse_when(section["start"])
-    if seed_override is not None:
-        section["seed"] = seed_override
-    elif "seed" not in section:
-        section["seed"] = int(config.get("seed", 0))
-    return SyntheticConfig(**section)
-
-
-def _actions(config: dict) -> ActionSpace:
-    strategy = _section(config, "strategy")
-    return ActionSpace(
-        step=float(strategy.get("step_mw", 0.1)),
-        u_max=float(strategy.get("u_max_mw", 5.0)),
-        allow_short=bool(strategy.get("allow_short", False)),
-    )
-
-
-def _parse_alpha(value):
-    if value is None:
-        return None, False
+def _alpha(value) -> float | None:
+    """A risk weight in [0, 1], or ``adaptive`` (None: re-tuned every period)."""
     if isinstance(value, str) and value.strip().lower() == "adaptive":
-        return None, True
-    return float(value), True
+        return None
+    return numeric(value)
+
+
+# readers of the synthetic keys, by SyntheticConfig's field annotations (strings: annotations are postponed)
+_READ_BY_TYPE = {"int": integer, "float": numeric, "datetime": _timestamp}
+_RESERVES = ("afrr_volumes", "mfrr_volumes")
+_ACTION_KEYS = {"step_mw": "step", "u_max_mw": "u_max", "allow_short": "allow_short"}
+
+# Each section's keys are the keyword arguments of the call it feeds: `synthetic` and
+# `reserves` of SyntheticConfig, `model` of train_models, `benchmark` of
+# fit_benchmark_suite, and `strategy` of ActionSpace (renamed by _ACTION_KEYS) and SimConfig.
+_read_config = some_fields({
+    "seed": integer,
+    "synthetic": some_fields({
+        f.name: _READ_BY_TYPE[f.type] for f in dataclasses.fields(SyntheticConfig) if f.name not in _RESERVES
+    }),
+    "reserves": some_fields(dict.fromkeys(_RESERVES, lambda v: tuple(array_of(numeric)(v)))),
+    "model": some_fields({
+        **dict.fromkeys(("n_q", "kfold", "logistic_max_iter", "bank_max_iter"), integer), "l2": numeric,
+    }),
+    "strategy": some_fields({
+        "step_mw": numeric, "u_max_mw": numeric, "allow_short": boolean, "measure": string, "alpha": _alpha,
+        "window": integer, "alpha_grid_size": integer, "beta_est": numeric, "beta_true": numeric,
+        "delta_hours": numeric,
+    }),
+    "benchmark": some_fields({"horizon": integer, "max_iter": integer}),
+})
+
+
+def _load_config(path) -> dict:
+    """The config file's keys, checked, as keyword arguments per library call.
+
+    A key the file leaves out is left out here too, so its default is the
+    one of the call it feeds. An unknown key or a value of the wrong type
+    raises ``ValueError("<file>: <section>.<key>: <problem>")``.
+    """
+    doc = None
+    if path is not None:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    try:
+        config = _read_config({} if doc is None else doc)
+    except FieldError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    strategy = config.get("strategy", {})
+    return {
+        "seed": config.get("seed"),
+        "synthetic": {**config.get("synthetic", {}), **config.get("reserves", {})},
+        "model": config.get("model", {}),
+        "actions": {_ACTION_KEYS[k]: v for k, v in strategy.items() if k in _ACTION_KEYS},
+        "sim": {k: v for k, v in strategy.items() if k not in _ACTION_KEYS},
+        "benchmark": config.get("benchmark", {}),
+    }
+
+
+def _given(**kwargs) -> dict:
+    """The arguments that are not None: a flag or key left out keeps the default of the call."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
+def _seed(config: dict, args):
+    return args.seed if args.seed is not None else config["seed"]
 
 
 def _sim_config(config: dict, args) -> SimConfig:
-    strategy = _section(config, "strategy")
-    measure = args.measure or strategy.get("measure", "cvar")
-    alpha_flag, flag_given = _parse_alpha(args.alpha)
-    if flag_given:
-        alpha = alpha_flag
-    else:
-        alpha, _ = _parse_alpha(strategy.get("alpha", "adaptive"))
+    sim = {
+        **config["sim"],
+        **_given(measure=args.measure, beta_est=args.beta_est, beta_true=args.beta_true, window=args.window,
+                 seed=_seed(config, args)),
+    }
+    if args.alpha is not None:
+        sim["alpha"] = _alpha(args.alpha)
     return SimConfig(
-        measure=measure,
-        alpha=alpha,
-        beta_est=args.beta_est if args.beta_est is not None else float(strategy.get("beta_est", 1.0)),
-        beta_true=args.beta_true if args.beta_true is not None else float(strategy.get("beta_true", 1.0)),
-        window=args.window if args.window is not None else int(strategy.get("window", 500)),
-        alpha_grid_size=int(strategy.get("alpha_grid_size", 200)),
-        actions=_actions(config),
-        delta_hours=float(strategy.get("delta_hours", 0.25)),
-        start=_parse_when(args.start),
-        end=_parse_when(args.end),
-        seed=args.seed if args.seed is not None else int(config.get("seed", 0)),
+        **sim, actions=ActionSpace(**config["actions"]), start=_parse_when(args.start), end=_parse_when(args.end)
     )
 
 
-def _filter_range(ticks, start, end):
-    return [
-        t for t in ticks
-        if (start is None or t.timestamp >= start) and (end is None or t.timestamp <= end)
-    ]
+def _filter_range(ticks, args):
+    """The ticks inside the ``--from`` / ``--to`` range."""
+    start, end = _parse_when(args.start), _parse_when(args.end)
+    return [t for t in ticks if (start is None or t.timestamp >= start) and (end is None or t.timestamp <= end)]
 
 
 def _out_dir(args) -> Path:
@@ -137,14 +134,20 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _grid(config: dict):
+    return SyntheticConfig(**config["synthetic"]).grid
+
+
 def _load_ticks(args, config):
-    data_dir = resolve_data_dir(args.data)
-    return load_dataset(data_dir, _reserve_grid(config))
+    return load_dataset(resolve_data_dir(args.data), _grid(config))
 
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
-    cfg = _synthetic_config(config, args.seed)
+    synthetic = config["synthetic"]
+    # the flag, then synthetic.seed, then the top-level seed
+    seed = args.seed if args.seed is not None else synthetic.get("seed", config["seed"])
+    cfg = SyntheticConfig(**{**synthetic, **_given(seed=seed)})
     out = _out_dir(args)
     truth = write_synthetic_dataset(out, cfg)
     (out / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
@@ -154,23 +157,15 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    model_cfg = _section(config, "model")
-    strategy = _section(config, "strategy")
-    ticks = _filter_range(_load_ticks(args, config), _parse_when(args.start), _parse_when(args.end))
+    ticks = _filter_range(_load_ticks(args, config), args)
     if not ticks:
         raise ValueError("no training ticks in the requested range")
     models = train_models(
         ticks,
-        grid=_reserve_grid(config),
-        n_q=int(model_cfg.get("n_q", 100)),
-        kfold=int(model_cfg.get("kfold", 5)),
-        l2=float(model_cfg.get("l2", 1e-4)),
-        u_max=float(strategy.get("u_max_mw", 5.0)),
-        train_short_positions=bool(strategy.get("allow_short", False))
-        or bool(model_cfg.get("train_short_positions", True)),
-        seed=args.seed if args.seed is not None else int(config.get("seed", 0)),
-        logistic_max_iter=int(model_cfg.get("logistic_max_iter", 2000)),
-        bank_max_iter=int(model_cfg.get("bank_max_iter", 400)),
+        grid=_grid(config),
+        u_max=ActionSpace(**config["actions"]).u_max,
+        **config["model"],
+        **_given(seed=_seed(config, args)),
     )
     out = _out_dir(args)
     models.save(out / "models.json")
@@ -182,27 +177,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _quantile_header():
-    return ["p10", "p25", "p50", "p75", "p90"]
-
-
 def cmd_forecast(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
-    ticks = _filter_range(_load_ticks(args, config), _parse_when(args.start), _parse_when(args.end))
+    ticks = _filter_range(_load_ticks(args, config), args)
     ticks = [t for t in ticks if t.timestamp > models.train_end]
     if not ticks:
         raise ValueError("no forecast ticks after the training range")
     ticks = attach_z(ticks, models)
     out = _out_dir(args)
-    lines = ["timestamp,pi," + ",".join(["mean", "std"] + _quantile_header()) + ",observed"]
+    lines = ["timestamp,pi,mean,std,p10,p25,p50,p75,p90,observed"]
     for tick in ticks:
-        flat = flatten(make_forecaster(models, tick, 0.0)(0.0))
-        quantiles = [flat.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)]
-        fields = [repr(float(tick.z[0])), repr(flat.mean()), repr(flat.std())]
-        fields += [repr(q) for q in quantiles]
-        fields.append(repr(tick.settlement_price))
-        lines.append(tick.timestamp.isoformat() + "," + ",".join(fields))
+        # the weight model's mixture: the forecast the benchmark's `mixture` row scores
+        f = make_forecaster(models, tick, 0.0)
+        flat = flatten(MixtureForecast(float(tick.z[0]), f.down, f.up))
+        values = [float(tick.z[0]), flat.mean(), flat.std()] + [flat.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)]
+        lines.append(",".join([tick.timestamp.isoformat()] + [repr(v) for v in values + [tick.settlement_price]]))
     (out / "forecasts.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {len(ticks)} forecasts to {out / 'forecasts.csv'}")
     return 0
@@ -211,22 +201,12 @@ def cmd_forecast(args) -> int:
 def cmd_benchmark(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
-    bench_cfg = _section(config, "benchmark")
     ticks = _load_ticks(args, config)
     train_ticks = [t for t in ticks if t.timestamp <= models.train_end]
-    eval_ticks = _filter_range(
-        [t for t in ticks if t.timestamp > models.train_end],
-        _parse_when(args.start),
-        _parse_when(args.end),
-    )
+    eval_ticks = [t for t in _filter_range(ticks, args) if t.timestamp > models.train_end]
     if not train_ticks or not eval_ticks:
         raise ValueError("benchmark needs ticks on both sides of the training boundary")
-    suite = fit_benchmark_suite(
-        train_ticks,
-        models,
-        horizon=int(bench_cfg.get("horizon", 5)),
-        max_iter=int(bench_cfg.get("max_iter", 400)),
-    )
+    suite = fit_benchmark_suite(train_ticks, models, **config["benchmark"])
     table = run_benchmark(suite, attach_z(eval_ticks, models))
     out = _out_dir(args)
     (out / "benchmark.csv").write_text(table.to_csv_string())

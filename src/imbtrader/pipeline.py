@@ -151,7 +151,6 @@ def train_models(
     kfold: int = 5,
     l2: float = 1e-4,
     u_max: float = 5.0,
-    train_short_positions: bool = True,
     seed: int = 0,
     logistic_max_iter: int = 2000,
     bank_max_iter: int = 400,
@@ -160,8 +159,9 @@ def train_models(
 
     The position-augmented weight model is trained with artificial trades
     whose appended feature is the induced imbalance shift (full reactivity),
-    sampled over the signed range when short positions are enabled so one
-    model serves both position types.
+    sampled uniformly over ``[-u_max, u_max]`` so one model serves long and
+    short positions. The keyword arguments other than ``grid``, ``u_max``
+    and ``seed`` are the keys of the CLI config's ``model`` section.
     """
     if not ticks:
         raise ValueError("no training ticks")
@@ -175,10 +175,7 @@ def train_models(
     weight_model = fit_logistic(x, labels, l2=l2, max_iter=logistic_max_iter)
     z = _crossvalidated_weight(x, labels, kfold, l2, logistic_max_iter)
 
-    u_min = -u_max if train_short_positions else 0.0
-    x_aug, aug_labels, _ = augment_with_positions(
-        x, s, u_max=u_max, beta=1.0, rng=seed, u_min=u_min
-    )
+    x_aug, aug_labels, _ = augment_with_positions(x, s, u_max=u_max, beta=1.0, rng=seed, u_min=-u_max)
     position_model = fit_logistic(
         x_aug,
         aug_labels.astype(float),

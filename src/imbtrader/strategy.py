@@ -51,8 +51,8 @@ _NEWTON_MAX_ITER, _NEWTON_TOL = 60, 1e-12
 class ActionSpace:
     """Finite grid of tradable positions: multiples of ``step`` up to ``u_max``."""
 
-    step: float
-    u_max: float
+    step: float = 0.1
+    u_max: float = 5.0
     allow_short: bool = False
 
     def __post_init__(self):

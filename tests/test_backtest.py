@@ -257,6 +257,21 @@ class TestLedgerIO:
         with pytest.raises(ValueError, match="delta_hours"):
             read_ledger(path)
 
+    def test_unreadable_delta_names_its_header_line(self, ledger_lines):
+        path, lines = ledger_lines
+        assert "delta_hours=0.25" in lines[1]  # line 2
+        path.write_text("\n".join(lines).replace("delta_hours=0.25", "delta_hours=abc") + "\n")
+        with pytest.raises(ValueError, match="^ledger line 2: delta_hours must be positive and finite, got abc$"):
+            read_ledger(path)
+
+    def test_header_without_delta_takes_the_sim_default(self, ledger_lines):
+        path, lines = ledger_lines
+        path.write_text("\n".join(lines).replace("delta_hours=0.25", "") + "\n")
+        records, meta, delta = read_ledger(path)
+        assert "delta_hours" not in meta
+        assert delta == SimConfig.delta_hours
+        assert len(records) == len(lines) - 5
+
     # (field index, new text); None truncates the row to five fields.
     @pytest.mark.parametrize("field, value", [
         (None, None), (0, "yesterday"), (2, "two"), (2, "nan"), (3, "nan"), (4, "inf"), (5, "nan"),

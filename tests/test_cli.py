@@ -1,12 +1,18 @@
+import inspect
 import json
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 import yaml
 
-from imbtrader.cli import main
-from imbtrader.data_io import load_dataset
+from imbtrader.backtest import SimConfig
+from imbtrader.benchmarks import benchmark_forecasts, fit_benchmark_suite
+from imbtrader.cli import _load_config, _sim_config, build_parser, main
+from imbtrader.data_io import SyntheticConfig, load_dataset
+from imbtrader.pipeline import TrainedModels, attach_z, train_models
 from imbtrader.price_models import ReserveGrid
+from imbtrader.strategy import ActionSpace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,6 +127,26 @@ class TestPipelineCommands:
         assert lines[0].startswith("timestamp,pi,mean,std,")
         assert len(lines) > 10
 
+    def test_forecast_rows_are_the_benchmark_mixture(self, workspace):
+        out = workspace["root"] / "fc_mixture"
+        assert main(
+            ["forecast", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--models", str(workspace["models"]), "--out", str(out)]
+        ) == 0
+        models = TrainedModels.load(workspace["models"])
+        ticks = load_dataset(workspace["data"], models.grid)
+        eval_ticks = attach_z([t for t in ticks if t.timestamp > models.train_end], models)
+        suite = fit_benchmark_suite([t for t in ticks if t.timestamp <= models.train_end], models, max_iter=5)
+        mixture = benchmark_forecasts(suite, eval_ticks)["mixture"]
+        rows = [line.split(",") for line in (out / "forecasts.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(eval_ticks) == len(mixture)
+        for row, tick, flat in zip(rows, eval_ticks, mixture):
+            assert row[0] == tick.timestamp.isoformat()
+            assert float(row[1]) == float(models.weight_model.predict(tick.x))
+            assert [float(v) for v in row[2:9]] == [flat.mean(), flat.std()] + [
+                flat.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)
+            ]
+
     def test_sweep_grid_shape(self, workspace):
         out = workspace["root"] / "sweep"
         code = main(
@@ -195,3 +221,107 @@ class TestErrorsAndMisc:
         ticks = load_dataset(REPO_ROOT / "data" / "fixture_day", grid)
         assert len(ticks) == 96 - 7
         assert all(t.book is not None for t in ticks)
+
+
+EXAMPLE_CONFIG = REPO_ROOT / "configs" / "example.yaml"
+
+# A config text and the error it must end with: "<file>: <section>.<key>: <problem>".
+BAD_CONFIGS = {
+    "misspelt key": ("model: {bank_max_itr: 100}", "model.bank_max_itr: unexpected field"),
+    "section not a mapping": ("model: 5", "model: expected an object, got number"),
+    "word for an integer": ("strategy: {window: ten}", "strategy.window: expected an integer, got string"),
+    "quoted boolean": ("strategy: {allow_short: 'false'}", "strategy.allow_short: expected a boolean, got string"),
+    "fraction for an integer": ("benchmark: {horizon: 5.5}", "benchmark.horizon: expected an integer, got 5.5"),
+    "reserves under synthetic": (
+        "synthetic: {afrr_volumes: [1, 50, 100, 150, 200]}", "synthetic.afrr_volumes: unexpected field",
+    ),
+    "removed training knob": ("model: {train_short_positions: false}", "model.train_short_positions: unexpected field"),
+    "quoted seed": ("seed: '7'", "seed: expected an integer, got string"),
+    "unknown section": ("strategies: {window: 5}", "strategies: unexpected field"),
+    "word for a number": ("model: {l2: small}", "model.l2: could not convert string to float: 'small'"),
+    "bad ladder volume": (
+        "reserves: {mfrr_volumes: [1, x]}", "reserves.mfrr_volumes.1: could not convert string to float: 'x'",
+    ),
+    "bad timestamp": ("synthetic: {start: 5}", "synthetic.start: expected a string, got number"),
+    "document is a list": ("- seed\n- 7", "expected an object, got array"),
+}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command", ["generate", "train", "backtest"])
+    @pytest.mark.parametrize("text, problem", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_bad_config_names_its_dotted_path(self, tmp_path, capsys, command, text, problem):
+        config = tmp_path / "config.yaml"
+        config.write_text(text + "\n")
+        args = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command != "generate":
+            args += ["--data", str(tmp_path / "no_data")]
+        if command == "backtest":
+            args += ["--models", str(tmp_path / "no_models.json")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+
+    @pytest.mark.parametrize("text, expected", [
+        (None, {}),
+        ("", {}),
+        ("model: {l2: 1e-4}", {"model": {"l2": 1e-4}}),
+        ("model: {l2: 1.0e-4}", {"model": {"l2": 1e-4}}),
+        ("synthetic: {start: 2024-01-01T00:00:00+00:00}",
+         {"synthetic": {"start": datetime(2024, 1, 1, tzinfo=timezone.utc)}}),
+        ("synthetic: {start: 2024-01-01 06:00:00}",
+         {"synthetic": {"start": datetime(2024, 1, 1, 6, tzinfo=timezone.utc)}}),
+        ("synthetic: {start: '2024-01-01T00:00:00Z'}",
+         {"synthetic": {"start": datetime(2024, 1, 1, tzinfo=timezone.utc)}}),
+        ("reserves: {afrr_volumes: [1, 2.5e1, 50]}", {"synthetic": {"afrr_volumes": (1.0, 25.0, 50.0)}}),
+        ("strategy: {alpha: adaptive, u_max_mw: 2, allow_short: true}",
+         {"sim": {"alpha": None}, "actions": {"u_max": 2.0, "allow_short": True}}),
+    ], ids=["no config", "empty file", "l2 without a point", "l2 with a point", "unquoted timestamp", "naive timestamp",
+            "quoted timestamp", "reserves", "strategy split"])
+    def test_good_config_loads(self, tmp_path, text, expected):
+        config = None if text is None else tmp_path / "config.yaml"
+        if config is not None:
+            config.write_text(text + "\n")
+        empty = {"seed": None, "synthetic": {}, "model": {}, "actions": {}, "sim": {}, "benchmark": {}}
+        assert _load_config(config) == {**empty, **expected}
+
+    def test_generate_without_config_uses_the_library_defaults(self, tmp_path):
+        out = tmp_path / "gen"
+        assert main(["generate", "--out", str(out)]) == 0
+        truth = json.loads((out / "truth.json").read_text())
+        assert truth["k_mdp"] == SyntheticConfig().k_mdp
+        assert len((out / "market.csv").read_text().splitlines()) == 1 + SyntheticConfig().n_periods
+
+    def _sim(self, tmp_path, *flags) -> SimConfig:
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(SMOKE_CONFIG | {"strategy": {**SMOKE_CONFIG["strategy"], "alpha": 0.9}}))
+        args = build_parser().parse_args(
+            ["backtest", "--config", str(config), "--out", str(tmp_path), "--models", "models.json", *flags]
+        )
+        return _sim_config(_load_config(args.config), args)
+
+    def test_config_wins_over_defaults(self, tmp_path):
+        sim = self._sim(tmp_path)
+        assert (sim.seed, sim.window, sim.alpha, sim.measure) == (5, 20, 0.9, "cvar")
+        assert sim.alpha_grid_size == 16 and sim.actions == ActionSpace(step=0.5, u_max=2.0)
+        assert (sim.beta_est, sim.delta_hours) == (SimConfig.beta_est, SimConfig.delta_hours)
+
+    def test_flags_win_over_config(self, tmp_path):
+        sim = self._sim(tmp_path, "--seed", "9", "--window", "3", "--alpha", "adaptive", "--measure", "evar",
+                        "--beta-est", "0.5", "--from", "2024-01-05T00:00:00")
+        assert (sim.seed, sim.window, sim.alpha, sim.measure, sim.beta_est) == (9, 3, None, "evar", 0.5)
+        assert sim.start == datetime(2024, 1, 5, tzinfo=timezone.utc)
+        assert self._sim(tmp_path, "--alpha", "0.25").alpha == 0.25
+
+    def test_example_config_loads_every_key(self):
+        doc = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+        config = _load_config(EXAMPLE_CONFIG)
+        assert config["seed"] == doc["seed"]
+        assert config["synthetic"].keys() == doc["synthetic"].keys() | doc["reserves"].keys()
+        assert config["model"].keys() == doc["model"].keys()
+        assert len(config["actions"]) + len(config["sim"]) == len(doc["strategy"])
+        assert config["benchmark"].keys() == doc["benchmark"].keys()
+        # every key is a keyword of the call its section feeds
+        SyntheticConfig(**config["synthetic"])
+        SimConfig(**config["sim"], actions=ActionSpace(**config["actions"]))
+        inspect.signature(train_models).bind_partial(**config["model"])
+        inspect.signature(fit_benchmark_suite).bind_partial(**config["benchmark"])
