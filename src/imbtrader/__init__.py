@@ -14,7 +14,6 @@ from .dists import (
     MixtureForecast,
     crps,
     flatten,
-    score_batch,
 )
 from .market_impact import (
     ImpactParams,
@@ -42,7 +41,6 @@ __all__ = [
     "ForecastScores",
     "flatten",
     "crps",
-    "score_batch",
     "Regime",
     "ImpactParams",
     "estimate_sensitivities",

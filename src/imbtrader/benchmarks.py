@@ -16,24 +16,16 @@ import numpy as np
 
 from ._optim import log_unfinished, minimize_gd, problem_blocks
 from .data_io import FeatureLayout, MarketTick
-from .dists import DiscretePriceDistribution, ForecastScores, MixtureForecast, flatten, score_batch
+from .dists import ForecastScores, canonical_rows, flatten_rows, score_rows
 from .market_impact import is_surplus
-from .pipeline import TrainedModels
-from .price_models import (
-    FeatureScaler,
-    LogisticModel,
-    fit_logistic,
-    predict_regulation_distribution,
-    quantile_levels,
-)
+from .pipeline import TrainedModels, forecast_rows
+from .price_models import FeatureScaler, LogisticModel, fit_logistic, quantile_levels
 
 __all__ = [
     "SplitMismatchError",
     "fit_static_transitions",
     "chain_state_probability",
-    "markov_state_probability",
     "fit_transition_models",
-    "dynamic_transition_matrix",
     "LinearQuantileBank",
     "linear_pinball_loss_and_grad",
     "linear_pinball_loss_and_grad_rows",
@@ -93,13 +85,6 @@ def chain_state_probability(matrices, start_positive: bool) -> float:
     return float(nu[_STATE_POS])
 
 
-def markov_state_probability(matrix, start_positive: bool, horizon: int = DEFAULT_HORIZON) -> float:
-    """Static-chain state probability after ``horizon`` quarter-hours."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    return chain_state_probability([matrix] * horizon, start_positive)
-
-
 def fit_transition_models(labels, features, *, max_iter: int = 2000):
     """Input-conditioned transitions: one logistic model per current state.
 
@@ -116,13 +101,6 @@ def fit_transition_models(labels, features, *, max_iter: int = 2000):
     from_pos = fit_logistic(rows[prev], nxt[prev], max_iter=max_iter)
     from_neg = fit_logistic(rows[~prev], nxt[~prev], max_iter=max_iter)
     return from_pos, from_neg
-
-
-def dynamic_transition_matrix(models: tuple[LogisticModel, LogisticModel], features) -> np.ndarray:
-    """Per-step transition matrix from the two conditional logistic models."""
-    p_pos = float(models[0].predict(np.asarray(features, dtype=float)))
-    p_neg = float(models[1].predict(np.asarray(features, dtype=float)))
-    return np.array([[p_pos, 1.0 - p_pos], [p_neg, 1.0 - p_neg]])
 
 
 def linear_pinball_loss_and_grad(params: np.ndarray, x: np.ndarray, y: np.ndarray, tau: float):
@@ -162,12 +140,9 @@ class LinearQuantileBank:
     scaler: FeatureScaler
 
     def predict_matrix(self, x) -> np.ndarray:
+        """One row of n_q prices per input row; a stacked matmul gives each row the bits of its own call."""
         xs = self.scaler.transform(np.atleast_2d(np.asarray(x, dtype=float)))
-        return xs @ self.weights.T + self.biases
-
-    def predict_distribution(self, x) -> DiscretePriceDistribution:
-        values = self.predict_matrix(x)[0]
-        return DiscretePriceDistribution(values, np.full(values.size, 1.0 / values.size))
+        return np.matmul(xs[:, None, :], self.weights.T)[:, 0] + self.biases
 
 
 def fit_linear_quantile_bank(x, y, *, n_q: int, max_iter: int = 400) -> LinearQuantileBank:
@@ -244,48 +219,6 @@ def fit_benchmark_suite(
     )
 
 
-def benchmark_forecasts(suite: BenchmarkSuite, ticks: list[MarketTick]) -> dict[str, list]:
-    """Per-model forecast distributions on a contiguous tick sequence.
-
-    Markov models need the balancing state ``horizon`` periods back, so
-    their first ``horizon`` entries are None; the caller aligns on indices
-    every model covers.
-    """
-    dyn_cols = dynamic_feature_columns(suite.models.layout)
-    n = len(ticks)
-    out: dict[str, list] = {
-        "mixture": [],
-        "static_rsmm": [],
-        "dynamic_rsmm": [],
-        "linear_quantile": [],
-    }
-    for i, tick in enumerate(ticks):
-        if tick.z is None:
-            raise ValueError("ticks need the price-model input; run attach_z first")
-        down = predict_regulation_distribution(suite.models.bank_mdp, tick.z, tick.o)
-        up = predict_regulation_distribution(suite.models.bank_mip, tick.z, tick.o)
-        pi_mix = float(suite.models.weight_model.predict(tick.x))
-        out["mixture"].append(flatten(MixtureForecast(pi_mix, down, up)))
-        out["linear_quantile"].append(
-            suite.linear_bank.predict_distribution(np.concatenate([tick.x, tick.o]))
-        )
-        if i < suite.horizon:
-            out["static_rsmm"].append(None)
-            out["dynamic_rsmm"].append(None)
-            continue
-        start_positive = is_surplus(ticks[i - suite.horizon].s)
-        pi_static = chain_state_probability([suite.static_matrix] * suite.horizon, start_positive)
-        out["static_rsmm"].append(flatten(MixtureForecast(pi_static, down, up)))
-        steps = [
-            dynamic_transition_matrix(suite.transition_models, ticks[j].x[dyn_cols])
-            for j in range(i - suite.horizon + 1, i + 1)
-        ]
-        pi_dyn = chain_state_probability(steps, start_positive)
-        out["dynamic_rsmm"].append(flatten(MixtureForecast(pi_dyn, down, up)))
-    assert all(len(v) == n for v in out.values())
-    return out
-
-
 @dataclass
 class BenchmarkTable:
     """Per-model forecast metrics over one aligned evaluation slice."""
@@ -310,21 +243,31 @@ class BenchmarkTable:
 
 
 def run_benchmark(suite: BenchmarkSuite, ticks: list[MarketTick]) -> BenchmarkTable:
-    """Score every benchmark model on the ticks all of them can forecast."""
+    """Score every benchmark model on the ticks all of them can forecast: all but the first
+    ``horizon``, whose balancing state ``horizon`` periods back the Markov models need."""
     if ticks and ticks[0].timestamp <= suite.train_end:
-        raise SplitMismatchError(
-            f"evaluation starts {ticks[0].timestamp.isoformat()}, inside the training range"
-        )
-    forecasts = benchmark_forecasts(suite, ticks)
-    valid = [
-        i for i in range(len(ticks))
-        if all(series[i] is not None for series in forecasts.values())
-    ]
-    if not valid:
+        raise SplitMismatchError(f"evaluation starts {ticks[0].timestamp.isoformat()}, inside the training range")
+    h = suite.horizon
+    scored = ticks[h:]
+    if not scored:
         raise ValueError("no evaluation ticks with full benchmark coverage")
-    observed = [ticks[i].settlement_price for i in valid]
-    rows = []
-    for name in ("mixture", "static_rsmm", "dynamic_rsmm", "linear_quantile"):
-        series = [forecasts[name][i] for i in valid]
-        rows.append((name, score_batch(series, observed)))
-    return BenchmarkTable(rows=rows, n_scored=len(valid))
+    pi, down, up = forecast_rows(suite.models, scored)
+    start_positive = [bool(is_surplus(t.s)) for t in ticks[: len(ticks) - h]]
+    static = {s: chain_state_probability([suite.static_matrix] * h, s) for s in (True, False)}
+    dyn_cols = dynamic_feature_columns(suite.models.layout)
+    # one tick at a time: a product over all ticks would move the last bits of the probabilities
+    p = np.array([[m.predict(t.x[dyn_cols]) for m in suite.transition_models] for t in ticks])
+    steps = np.stack([p, 1.0 - p], axis=2)  # tick i: [[p_pos, 1 - p_pos], [p_neg, 1 - p_neg]]
+    weights = {
+        "mixture": pi,
+        "static_rsmm": np.array([static[s] for s in start_positive]),
+        # tick k + h steps from the state of tick k through the matrices of ticks k+1 .. k+h
+        "dynamic_rsmm": np.array([chain_state_probability(steps[k + 1 : k + h + 1], s)
+                                  for k, s in enumerate(start_positive)]),
+    }
+    observed = [t.settlement_price for t in scored]
+    rows = [(name, score_rows(*flatten_rows(w, down, up), observed)) for name, w in weights.items()]
+    prices = suite.linear_bank.predict_matrix(np.stack([np.concatenate([t.x, t.o]) for t in scored]))
+    linear = canonical_rows(prices, np.full(prices.shape, 1.0 / prices.shape[1]))
+    rows.append(("linear_quantile", score_rows(*linear, observed)))
+    return BenchmarkTable(rows=rows, n_scored=len(scored))

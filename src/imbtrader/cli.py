@@ -17,6 +17,7 @@ import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -24,8 +25,8 @@ from ._fields import FieldError, array_of, boolean, integer, numeric, some_field
 from .backtest import SimConfig, _build_report, beta_sweep, read_ledger, run_backtest, write_ledger
 from .benchmarks import fit_benchmark_suite, run_benchmark
 from .data_io import SyntheticConfig, load_dataset, resolve_data_dir, write_synthetic_dataset
-from .dists import MixtureForecast, flatten
-from .pipeline import TrainedModels, attach_z, make_forecaster, train_models
+from .dists import flatten_rows, moment_rows, quantile_rows
+from .pipeline import TrainedModels, attach_z, forecast_rows, train_models
 from .risk import RISK_KINDS
 from .strategy import ActionSpace
 
@@ -46,6 +47,15 @@ def _alpha(value) -> float | None:
     if isinstance(value, str) and value.strip().lower() == "adaptive":
         return None
     return numeric(value)
+
+
+def _alpha_flag(text: str) -> str:
+    """``--alpha``, checked when the flags are parsed, so a bad value fails naming the flag."""
+    try:
+        SimConfig(alpha=_alpha(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 # readers of the synthetic keys, by SyntheticConfig's field annotations (strings: annotations are postponed)
@@ -79,7 +89,8 @@ def _load_config(path) -> dict:
 
     A key the file leaves out is left out here too, so its default is the
     one of the call it feeds. An unknown key or a value of the wrong type
-    raises ``ValueError("<file>: <section>.<key>: <problem>")``.
+    raises ``ValueError("<file>: <section>.<key>: <problem>")``, a strategy
+    value ``ActionSpace`` or ``SimConfig`` rejects ``"<file>: strategy: ..."``.
     """
     doc = None
     if path is not None:
@@ -90,7 +101,7 @@ def _load_config(path) -> dict:
     except FieldError as exc:
         raise ValueError(f"{path}: {exc}") from None
     strategy = config.get("strategy", {})
-    return {
+    kwargs = {
         "seed": config.get("seed"),
         "synthetic": {**config.get("synthetic", {}), **config.get("reserves", {})},
         "model": config.get("model", {}),
@@ -98,6 +109,11 @@ def _load_config(path) -> dict:
         "sim": {k: v for k, v in strategy.items() if k not in _ACTION_KEYS},
         "benchmark": config.get("benchmark", {}),
     }
+    try:
+        SimConfig(**kwargs["sim"], actions=ActionSpace(**kwargs["actions"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: strategy: {exc}") from None
+    return kwargs
 
 
 def _given(**kwargs) -> dict:
@@ -184,14 +200,13 @@ def cmd_forecast(args) -> int:
     ticks = [t for t in ticks if t.timestamp > models.train_end]
     if not ticks:
         raise ValueError("no forecast ticks after the training range")
-    ticks = attach_z(ticks, models)
+    # the weight model's mixture: the rows the benchmark's `mixture` row scores
+    pi, down, up = forecast_rows(models, attach_z(ticks, models))
+    flat = flatten_rows(pi, down, up)
+    columns = [pi, *moment_rows(*flat), *quantile_rows(*flat, (0.1, 0.25, 0.5, 0.75, 0.9)).T]
     out = _out_dir(args)
     lines = ["timestamp,pi,mean,std,p10,p25,p50,p75,p90,observed"]
-    for tick in ticks:
-        # the weight model's mixture: the forecast the benchmark's `mixture` row scores
-        f = make_forecaster(models, tick, 0.0)
-        flat = flatten(MixtureForecast(float(tick.z[0]), f.down, f.up))
-        values = [float(tick.z[0]), flat.mean(), flat.std()] + [flat.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)]
+    for tick, values in zip(ticks, np.column_stack(columns).tolist()):
         lines.append(",".join([tick.timestamp.isoformat()] + [repr(v) for v in values + [tick.settlement_price]]))
     (out / "forecasts.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {len(ticks)} forecasts to {out / 'forecasts.csv'}")
@@ -202,7 +217,7 @@ def cmd_benchmark(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
     ticks = _load_ticks(args, config)
-    train_ticks = [t for t in ticks if t.timestamp <= models.train_end]
+    train_ticks = [t for t in ticks if models.train_start <= t.timestamp <= models.train_end]
     eval_ticks = [t for t in _filter_range(ticks, args) if t.timestamp > models.train_end]
     if not train_ticks or not eval_ticks:
         raise ValueError("benchmark needs ticks on both sides of the training boundary")
@@ -332,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--from", dest="start")
         p.add_argument("--to", dest="end")
         p.add_argument("--measure", choices=RISK_KINDS, default=None)
-        p.add_argument("--alpha", default=None, help="risk weight in [0,1] or 'adaptive'")
+        p.add_argument("--alpha", type=_alpha_flag, default=None, help="risk weight in [0,1] or 'adaptive'")
         p.add_argument("--beta-est", dest="beta_est", type=float, default=None)
         p.add_argument("--beta-true", dest="beta_true", type=float, default=None)
         p.add_argument("--window", type=int, default=None, help="adaptive window size N")

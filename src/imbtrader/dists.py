@@ -3,6 +3,8 @@
 Prices are EUR/MWh throughout. Every forecast is a finite set of point
 masses. A two-regime mixture is a weight and two such distributions:
 ``flatten`` collapses it, ``regime_rows`` stacks many into decision-table rows.
+Many forecasts are canonical rows, one padded row per forecast with the atoms of its
+``DiscretePriceDistribution`` bit for bit, that ``flatten_rows`` mixes and ``score_rows`` scores.
 """
 from __future__ import annotations
 
@@ -19,8 +21,12 @@ __all__ = [
     "ForecastScores",
     "flatten",
     "regime_rows",
+    "canonical_rows",
+    "flatten_rows",
+    "moment_rows",
+    "quantile_rows",
     "crps",
-    "score_batch",
+    "score_rows",
 ]
 
 # Total mass must equal one within this tolerance.
@@ -95,23 +101,6 @@ class DiscretePriceDistribution:
 
     def mean(self) -> float:
         return float(self.values @ self.masses)
-
-    def std(self) -> float:
-        mu = self.mean()
-        var = float((self.values * self.values) @ self.masses) - mu * mu
-        return float(np.sqrt(max(var, 0.0)))
-
-    def quantile(self, tau: float) -> float:
-        """Left-continuous CDF inverse: smallest value with CDF >= tau."""
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"quantile level {tau} outside [0, 1]")
-        cdf = np.cumsum(self.masses)
-        idx = int(np.searchsorted(cdf, tau, side="left"))
-        idx = min(idx, self.values.size - 1)  # guard float cumsum < 1 at tau=1
-        return float(self.values[idx])
-
-    def median(self) -> float:
-        return self.quantile(0.5)
 
     def cdf(self, x: float) -> float:
         """P(X <= x)."""
@@ -206,6 +195,70 @@ def regime_rows(forecasts: Sequence[MixtureForecast]):
     )
 
 
+def canonical_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: the atoms of ``DiscretePriceDistribution(values[i], masses[i])`` bit for bit, then
+    zero-mass copies of the first atom as padding. Masses merge in value order, as ``np.bincount`` sums.
+    """
+    order = np.argsort(values, axis=1, kind="stable")
+    # sorting stably and then dropping zero masses keeps the order of dropping them first
+    row, col = np.nonzero(np.take_along_axis(masses, order, axis=1) > 0.0)
+    v, m = values[row, order[row, col]], masses[row, order[row, col]]
+    starts = np.concatenate(([True], (row[1:] != row[:-1]) | (np.diff(v) > MERGE_TOL)))
+    counts = np.bincount(row[starts], minlength=values.shape[0])
+    if not np.all(counts):
+        raise ValueError("a row has no atom with positive mass")
+    slot = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    out_v = np.repeat(v[starts][slot == 0][:, None], counts.max(), axis=1)
+    out_m = np.zeros(out_v.shape)
+    out_v[row[starts], slot] = v[starts]
+    out_m[row[starts], slot] = np.bincount(np.cumsum(starts) - 1, weights=m)
+    return out_v, out_m
+
+
+def flatten_rows(pi, down, up) -> tuple[np.ndarray, np.ndarray]:
+    """``flatten`` of many mixtures: weights ``pi`` and each regime's canonical (values, masses) rows."""
+    pi = np.asarray(pi, dtype=float)[:, None]
+    return canonical_rows(np.hstack([down[0], up[0]]), np.hstack([down[1] * pi, up[1] * (1.0 - pi)]))
+
+
+def _atoms(values: np.ndarray, masses: np.ndarray):
+    """Each canonical row's atoms and masses without its padding."""
+    return [(v[:k], m[:k]) for v, m, k in zip(values, masses, np.count_nonzero(masses, axis=1))]
+
+
+def moment_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of each canonical row, with products over its own atoms only,
+    as ``DiscretePriceDistribution.mean``: with the padding they would sum in another order."""
+    atoms = _atoms(values, masses)
+    means = np.array([v @ m for v, m in atoms])
+    var = np.array([(v * v) @ m for v, m in atoms]) - means * means
+    return means, np.sqrt(np.maximum(var, 0.0))
+
+
+def quantile_rows(values: np.ndarray, masses: np.ndarray, taus) -> np.ndarray:
+    """Left-continuous CDF inverse (the smallest value with CDF >= tau) of each canonical row at each level."""
+    if np.any((np.asarray(taus) < 0.0) | (np.asarray(taus) > 1.0)):
+        raise ValueError(f"quantile levels {taus} outside [0, 1]")
+    cdf = np.cumsum(masses, axis=1)
+    idx = np.count_nonzero(cdf[:, None, :] < np.reshape(taus, (-1, 1)), axis=2)  # searchsorted, side="left"
+    # the padding repeats the last CDF value, so a float cumsum < tau falls back to the last atom
+    return np.take_along_axis(values, np.minimum(idx, np.count_nonzero(masses, axis=1)[:, None] - 1), axis=1)
+
+
+def _crps(values: np.ndarray, masses: np.ndarray, observed: float) -> float:
+    if not np.isfinite(observed):
+        raise ValueError("observed price must be finite")
+    pts = np.unique(np.concatenate([values, [observed]]))
+    if pts.size < 2:
+        return 0.0
+    cdf = np.cumsum(masses)
+    idx = np.searchsorted(values, pts[:-1], side="right")
+    f = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
+    h = (pts[:-1] >= observed).astype(float)
+    seg = np.diff(pts)
+    return float(np.sum((f - h) ** 2 * seg))
+
+
 def crps(forecast: DiscretePriceDistribution, observed: float) -> float:
     """Continuous ranked probability score of a discrete forecast.
 
@@ -213,17 +266,7 @@ def crps(forecast: DiscretePriceDistribution, observed: float) -> float:
     forecast CDF and the observation step function are piecewise constant,
     so the integrand is summed in closed form over its breakpoints.
     """
-    if not np.isfinite(observed):
-        raise ValueError("observed price must be finite")
-    pts = np.unique(np.concatenate([forecast.values, [observed]]))
-    if pts.size < 2:
-        return 0.0
-    cdf = np.cumsum(forecast.masses)
-    idx = np.searchsorted(forecast.values, pts[:-1], side="right")
-    f = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-    h = (pts[:-1] >= observed).astype(float)
-    seg = np.diff(pts)
-    return float(np.sum((f - h) ** 2 * seg))
+    return _crps(forecast.values, forecast.masses, observed)
 
 
 @dataclass(frozen=True)
@@ -235,29 +278,21 @@ class ForecastScores:
     std: float
     crps: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.rmse, self.mae, self.std, self.crps)
 
-
-def score_batch(
-    forecasts: Sequence[DiscretePriceDistribution],
-    observations: Sequence[float],
-) -> ForecastScores:
-    """Score a sequence of forecasts against realized prices.
+def score_rows(values: np.ndarray, masses: np.ndarray, observed) -> ForecastScores:
+    """Score canonical forecast rows (see ``canonical_rows``) against realized prices.
 
     RMSE compares the forecast means with the observations, MAE the
     forecast medians, ``std`` is the average forecast standard deviation
-    (sharpness), and ``crps`` the average per-step CRPS.
+    (sharpness), and ``crps`` the average per-row CRPS; each row gets the
+    bits of its ``DiscretePriceDistribution``.
     """
-    if len(forecasts) != len(observations):
-        raise ValueError("forecasts and observations must be equal length")
-    if len(forecasts) == 0:
-        raise ValueError("empty batch")
-    obs = np.asarray(observations, dtype=float)
-    means = np.array([d.mean() for d in forecasts])
-    medians = np.array([d.median() for d in forecasts])
-    stds = np.array([d.std() for d in forecasts])
-    scores = np.array([crps(d, y) for d, y in zip(forecasts, obs)])
+    obs = np.asarray(observed, dtype=float)
+    if obs.size == 0 or obs.shape != (values.shape[0],):
+        raise ValueError("need one observation per forecast row, and at least one row")
+    means, stds = moment_rows(values, masses)
+    medians = quantile_rows(values, masses, 0.5)[:, 0]
+    scores = np.array([_crps(v, m, y) for (v, m), y in zip(_atoms(values, masses), obs)])
     return ForecastScores(
         rmse=float(np.sqrt(np.mean((means - obs) ** 2))),
         mae=float(np.mean(np.abs(medians - obs))),

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._fields import FieldError, integer, number, read_fields, string
 from .data_io import FeatureLayout, MarketTick, reference_layout
-from .dists import MixtureForecast
+from .dists import MixtureForecast, canonical_rows
 from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
 from .price_models import (
     LogisticModel,
@@ -28,10 +28,11 @@ from .price_models import (
     fit_logistic,
     fit_quantile_bank,
     predict_regulation_distribution,
+    quantile_matrix,
     sigmoid_predict,
 )
 
-__all__ = ["TrainedModels", "train_models", "attach_z", "PositionForecast", "make_forecaster"]
+__all__ = ["TrainedModels", "train_models", "attach_z", "forecast_rows", "PositionForecast", "make_forecaster"]
 
 FORMAT_VERSION = 1
 
@@ -226,6 +227,16 @@ def attach_z(ticks: list[MarketTick], models: TrainedModels) -> list[MarketTick]
         t if t.z is not None else replace(t, z=np.array([sigmoid_predict(models.weight_model, t.x)]))
         for t in ticks
     ]
+
+
+def forecast_rows(models: TrainedModels, ticks: list[MarketTick]):
+    """The weight model's mixture of every tick: ``(pi, down, up)``, each tick's ``z`` (see ``attach_z``)
+    and the (values, masses) canonical rows of the regimes its ``PositionForecast`` holds."""
+    if any(t.z is None for t in ticks):
+        raise ValueError("ticks need the price-model input; run attach_z first")
+    z, o = np.stack([t.z for t in ticks]), np.stack([t.o for t in ticks])
+    prices = [quantile_matrix(bank, z, o) for bank in (models.bank_mdp, models.bank_mip)]
+    return z[:, 0], *(canonical_rows(q, np.full(q.shape, 1.0 / q.shape[1])) for q in prices)
 
 
 class PositionForecast:

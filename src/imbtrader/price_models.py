@@ -490,7 +490,8 @@ def quantile_matrix(bank: QuantileModelBank, z, o) -> np.ndarray:
         raise ValueError(f"expected {bank.n_outputs} ladder prices, got {o.shape[1]}")
     zs = bank.scaler.transform(z) if bank.scaler is not None else z
     # Stacked matmuls match one tick's ``weights @ zs`` and ``w @ o`` bit for bit; einsum does not.
-    logits = np.matmul(bank.weights, zs[:, None, :, None])[..., 0] + bank.biases
+    logits = np.matmul(bank.weights, zs[:, None, :, None])[..., 0]
+    logits += bank.biases  # in place: the logits of many ticks are the largest array here
     w = _softmax_rows_inplace(logits)
     return np.matmul(w, o[:, :, None])[..., 0]
 

@@ -1,6 +1,8 @@
 import pytest
 
+from imbtrader import benchmarks, cli, pipeline, price_models
 from imbtrader.data_io import SyntheticConfig, synthetic_ticks
+from imbtrader.dists import DiscretePriceDistribution
 from imbtrader.pipeline import attach_z, train_models
 
 
@@ -27,3 +29,23 @@ def trained(small_market):
     )
     test_ticks = attach_z(ticks[split:], models)
     return models, ticks[:split], test_ticks
+
+
+@pytest.fixture
+def distribution_objects(monkeypatch):
+    """Names of the ``DiscretePriceDistribution`` constructions and ``predict_regulation_distribution`` calls made."""
+    made = []
+
+    def counted(name, call):
+        def record(*args, **kwargs):
+            made.append(name)
+            return call(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(DiscretePriceDistribution, "__init__",
+                        counted("DiscretePriceDistribution", DiscretePriceDistribution.__init__))
+    for module in (price_models, pipeline, benchmarks, cli):
+        if hasattr(module, "predict_regulation_distribution"):
+            monkeypatch.setattr(module, "predict_regulation_distribution",
+                                counted("predict_regulation_distribution", module.predict_regulation_distribution))
+    return made

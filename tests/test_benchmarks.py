@@ -3,19 +3,19 @@ import logging
 import numpy as np
 import pytest
 
+from benchmark_oracle import benchmark_rows, dynamic_transition_matrix, markov_state_probability
 from imbtrader.benchmarks import (
     SplitMismatchError,
     chain_state_probability,
     dynamic_feature_columns,
-    dynamic_transition_matrix,
     fit_benchmark_suite,
     fit_linear_quantile_bank,
     fit_static_transitions,
     fit_transition_models,
     linear_pinball_loss_and_grad,
-    markov_state_probability,
     run_benchmark,
 )
+from imbtrader.dists import canonical_rows
 from imbtrader.price_models import LogisticModel, pinball_loss
 
 
@@ -98,9 +98,16 @@ class TestLinearQuantileBank:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(100, 2))
         bank = fit_linear_quantile_bank(x, np.full(100, 42.0), n_q=3)
-        dist = bank.predict_distribution(np.zeros(2))
-        assert dist.n_atoms == 1
-        assert dist.values[0] == pytest.approx(42.0, abs=1e-3)
+        prices = bank.predict_matrix(np.zeros(2))
+        values, masses = canonical_rows(prices, np.full(prices.shape, 1.0 / 3))
+        assert values.shape == (1, 1) and masses[0, 0] == pytest.approx(1.0)
+        assert values[0, 0] == pytest.approx(42.0, abs=1e-3)
+
+    def test_rows_get_the_bits_of_one_row_calls(self):
+        rng = np.random.default_rng(6)
+        bank = fit_linear_quantile_bank(rng.normal(size=(80, 4)), rng.normal(size=80), n_q=5, max_iter=20)
+        x = rng.normal(size=(300, 4))
+        assert np.array_equal(bank.predict_matrix(x), np.vstack([bank.predict_matrix(row) for row in x]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -157,6 +164,17 @@ class TestBenchmarkRun:
         table = run_benchmark(suite, test_ticks)
         scores = dict(table.rows)
         assert scores["static_rsmm"] == scores["dynamic_rsmm"]
+
+    def test_rows_equal_the_per_tick_object_oracle(self, trained):
+        models, train_ticks, test_ticks = trained
+        suite = fit_benchmark_suite(train_ticks, models, max_iter=150)
+        assert run_benchmark(suite, test_ticks).rows == benchmark_rows(suite, test_ticks)
+
+    def test_no_distribution_object_per_tick(self, trained, distribution_objects):
+        models, train_ticks, test_ticks = trained
+        suite = fit_benchmark_suite(train_ticks, models, max_iter=150)
+        run_benchmark(suite, test_ticks)
+        assert distribution_objects == []
 
     def test_split_mismatch_rejected(self, trained):
         models, train_ticks, test_ticks = trained

@@ -6,12 +6,15 @@ from pathlib import Path
 import pytest
 import yaml
 
+from benchmark_oracle import quantile, score_batch, std
+from imbtrader import cli
 from imbtrader.backtest import SimConfig
-from imbtrader.benchmarks import benchmark_forecasts, fit_benchmark_suite
+from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
 from imbtrader.cli import _load_config, _sim_config, build_parser, main
 from imbtrader.data_io import SyntheticConfig, load_dataset
+from imbtrader.dists import MixtureForecast, flatten
 from imbtrader.pipeline import TrainedModels, attach_z, train_models
-from imbtrader.price_models import ReserveGrid
+from imbtrader.price_models import ReserveGrid, predict_regulation_distribution
 from imbtrader.strategy import ActionSpace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -136,16 +139,57 @@ class TestPipelineCommands:
         models = TrainedModels.load(workspace["models"])
         ticks = load_dataset(workspace["data"], models.grid)
         eval_ticks = attach_z([t for t in ticks if t.timestamp > models.train_end], models)
-        suite = fit_benchmark_suite([t for t in ticks if t.timestamp <= models.train_end], models, max_iter=5)
-        mixture = benchmark_forecasts(suite, eval_ticks)["mixture"]
+        # the weight model's mixture of each tick, one distribution object per tick
+        mixture = [
+            flatten(MixtureForecast(
+                float(models.weight_model.predict(t.x)),
+                predict_regulation_distribution(models.bank_mdp, t.z, t.o),
+                predict_regulation_distribution(models.bank_mip, t.z, t.o),
+            ))
+            for t in eval_ticks
+        ]
         rows = [line.split(",") for line in (out / "forecasts.csv").read_text().splitlines()[1:]]
-        assert len(rows) == len(eval_ticks) == len(mixture)
+        assert len(rows) == len(eval_ticks)
         for row, tick, flat in zip(rows, eval_ticks, mixture):
             assert row[0] == tick.timestamp.isoformat()
             assert float(row[1]) == float(models.weight_model.predict(tick.x))
-            assert [float(v) for v in row[2:9]] == [flat.mean(), flat.std()] + [
-                flat.quantile(q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)
+            assert [float(v) for v in row[2:9]] == [flat.mean(), std(flat)] + [
+                quantile(flat, q) for q in (0.1, 0.25, 0.5, 0.75, 0.9)
             ]
+        # and the benchmark's `mixture` row scores the same forecasts
+        suite = fit_benchmark_suite([t for t in ticks if t.timestamp <= models.train_end], models, max_iter=5)
+        observed = [t.settlement_price for t in eval_ticks[suite.horizon :]]
+        assert dict(run_benchmark(suite, eval_ticks).rows)["mixture"] == score_batch(
+            mixture[suite.horizon :], observed
+        )
+
+    def test_forecast_builds_no_distribution_object_per_tick(self, workspace, distribution_objects):
+        assert main(
+            ["forecast", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--models", str(workspace["models"]), "--out", str(workspace["root"] / "fc_counted")]
+        ) == 0
+        assert distribution_objects == []
+
+    def test_benchmark_fits_on_the_training_range(self, workspace, monkeypatch):
+        models_dir = workspace["root"] / "models_from"
+        assert main(
+            ["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--out", str(models_dir), "--from", "2024-01-02T00:00:00+00:00", "--to", TRAIN_END]
+        ) == 0
+        fitted = []
+
+        def capture(train_ticks, models, **kwargs):
+            fitted.append((train_ticks[0].timestamp, train_ticks[-1].timestamp))
+            return fit_benchmark_suite(train_ticks, models, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_benchmark_suite", capture)
+        assert main(
+            ["benchmark", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--models", str(models_dir / "models.json"), "--out", str(workspace["root"] / "bench_from")]
+        ) == 0
+        models = TrainedModels.load(models_dir / "models.json")
+        assert models.train_start == datetime(2024, 1, 2, tzinfo=timezone.utc)
+        assert fitted == [(models.train_start, models.train_end)]
 
     def test_sweep_grid_shape(self, workspace):
         out = workspace["root"] / "sweep"
@@ -244,6 +288,9 @@ BAD_CONFIGS = {
     ),
     "bad timestamp": ("synthetic: {start: 5}", "synthetic.start: expected a string, got number"),
     "document is a list": ("- seed\n- 7", "expected an object, got array"),
+    "window out of range": ("strategy: {window: 0}", "strategy: window must be at least 1"),
+    "position grid": ("strategy: {step_mw: 0.3, u_max_mw: 1.0}", "strategy: u_max 1.0 is not a multiple of step 0.3"),
+    "alpha out of range": ("strategy: {alpha: 1.5}", "strategy: alpha 1.5 outside [0, 1]"),
 }
 
 
@@ -260,6 +307,17 @@ class TestConfig:
             args += ["--models", str(tmp_path / "no_models.json")]
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+
+    @pytest.mark.parametrize("value, problem", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("1.5", "alpha 1.5 outside [0, 1]"),
+        ("nan", "expected a finite number, got nan"),
+    ])
+    def test_bad_alpha_flag_fails_in_argparse(self, capsys, value, problem):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["backtest", "--out", "out", "--models", "models.json", "--alpha", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --alpha: {problem}\n")
 
     @pytest.mark.parametrize("text, expected", [
         (None, {}),

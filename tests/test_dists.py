@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmark_oracle import score_batch, std
 from imbtrader.dists import (
+    MERGE_TOL,
     DiscretePriceDistribution,
     ForecastScores,
     MixtureForecast,
+    canonical_rows,
     crps,
     flatten,
-    score_batch,
+    flatten_rows,
+    moment_rows,
+    quantile_rows,
+    score_rows,
 )
 from imbtrader.market_impact import Regime
 from imbtrader.price_models import QuantileModelBank, predict_regulation_distribution
@@ -18,6 +24,30 @@ from imbtrader.price_models import QuantileModelBank, predict_regulation_distrib
 def uniform_dist(values):
     n = len(values)
     return DiscretePriceDistribution(values, np.full(n, 1.0 / n))
+
+
+def as_rows(dists):
+    """Distribution objects as canonical rows: their atoms, padded with zero-mass copies of the first."""
+    width = max(d.n_atoms for d in dists)
+    values = np.array([np.pad(d.values, (0, width - d.n_atoms), constant_values=d.values[0]) for d in dists])
+    return values, np.array([np.pad(d.masses, (0, width - d.n_atoms)) for d in dists])
+
+
+# Atom values with exact duplicates, ties within MERGE_TOL and near misses just outside it.
+ATOM_VALUES = st.sampled_from([-3.0, 0.0, 1.0, 2.5, 100.0]).flatmap(
+    lambda v: st.sampled_from([v, v + 0.5 * MERGE_TOL, v + MERGE_TOL, v - MERGE_TOL, v + 3 * MERGE_TOL])
+)
+
+
+@st.composite
+def distribution_rows(draw, n_rows, max_atoms=10):
+    """(values, masses) of ``n_rows`` distributions with zero masses among the atoms; every row keeps one."""
+    k = draw(st.integers(1, max_atoms))
+    values = np.array(draw(st.lists(ATOM_VALUES, min_size=n_rows * k, max_size=n_rows * k))).reshape(n_rows, k)
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=n_rows * k, max_size=n_rows * k)), dtype=float)
+    weights = weights.reshape(n_rows, k)
+    weights[:, 0] += weights.sum(axis=1) == 0.0
+    return values, weights / weights.sum(axis=1, keepdims=True)
 
 
 def quantile_forecast(values):
@@ -97,17 +127,14 @@ class TestMoments:
     def test_point_mass(self):
         d = DiscretePriceDistribution([42.0], [1.0])
         assert d.mean() == 42.0
-        assert d.std() == 0.0
+        assert [m.tolist() for m in moment_rows(*as_rows([d]))] == [[42.0], [0.0]]
 
     def test_uniform_expectation(self):
         assert uniform_dist([1.0, 2.0, 3.0, 4.0]).mean() == pytest.approx(2.5)
 
     def test_quantile_left_continuous_inverse(self):
         d = DiscretePriceDistribution([0.0, 1.0], [0.5, 0.5])
-        assert d.quantile(0.5) == 0.0
-        assert d.quantile(0.5 + 1e-12) == 1.0
-        assert d.quantile(0.0) == 0.0
-        assert d.quantile(1.0) == 1.0
+        assert quantile_rows(*as_rows([d]), [0.5, 0.5 + 1e-12, 0.0, 1.0]).tolist() == [[0.0, 1.0, 0.0, 1.0]]
 
     def test_quantile_monotone_in_tau(self):
         rng = np.random.default_rng(3)
@@ -115,14 +142,26 @@ class TestMoments:
             n = rng.integers(1, 15)
             masses = rng.random(n) + 1e-3
             d = DiscretePriceDistribution(rng.normal(size=n) * 50, masses / masses.sum())
-            taus = np.sort(rng.random(30))
-            qs = [d.quantile(t) for t in taus]
-            assert all(a <= b for a, b in zip(qs, qs[1:]))
+            qs = quantile_rows(*as_rows([d]), np.sort(rng.random(30)))[0]
+            assert np.all(np.diff(qs) >= 0.0)
+
+    def test_quantile_of_a_padded_row_stays_on_its_atoms(self):
+        # ten masses of 0.1 sum to just under 1, so tau = 1 falls past the CDF; the padding must not answer
+        short = DiscretePriceDistribution(np.arange(10.0), np.full(10, 0.1))
+        wide = uniform_dist(np.arange(20.0))
+        assert quantile_rows(*as_rows([short, wide]), 1.0).tolist() == [[9.0], [19.0]]
+
+    def test_moments_of_wide_rows_are_the_objects(self):
+        # products over the padding too would sum in another order at these widths
+        rng = np.random.default_rng(8)
+        dists = [uniform_dist(rng.normal(size=k) * 50.0) for k in rng.integers(1, 200, size=60)]
+        means, stds = moment_rows(*as_rows(dists))
+        assert means.tolist() == [d.mean() for d in dists]
+        assert stds.tolist() == [std(d) for d in dists]
 
     def test_quantile_rejects_out_of_range(self):
-        d = DiscretePriceDistribution([1.0], [1.0])
         with pytest.raises(ValueError):
-            d.quantile(1.5)
+            quantile_rows(*as_rows([DiscretePriceDistribution([1.0], [1.0])]), 1.5)
 
 
 class TestReorder:
@@ -188,14 +227,16 @@ class TestCrps:
 
 
 class TestScoreBatch:
+    """``score_rows``, the batch scorer of canonical rows."""
+
     def test_perfect_forecasts(self):
         obs = [10.0, -5.0, 30.0]
         forecasts = [DiscretePriceDistribution([y], [1.0]) for y in obs]
-        assert score_batch(forecasts, obs) == ForecastScores(0.0, 0.0, 0.0, 0.0)
+        assert score_rows(*as_rows(forecasts), obs) == ForecastScores(0.0, 0.0, 0.0, 0.0)
 
     def test_single_pair_closed_form(self):
         d = DiscretePriceDistribution([0.0, 2.0], [0.5, 0.5])
-        scores = score_batch([d], [1.0])
+        scores = score_rows(*as_rows([d]), [1.0])
         assert scores.rmse == pytest.approx(0.0)
         assert scores.mae == pytest.approx(1.0)  # median convention: left inverse -> 0
         assert scores.std == pytest.approx(1.0)
@@ -203,8 +244,36 @@ class TestScoreBatch:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            score_batch([], [])
+            score_rows(np.empty((0, 1)), np.empty((0, 1)), [])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            score_batch([DiscretePriceDistribution([1.0], [1.0])], [1.0, 2.0])
+            score_rows(*as_rows([DiscretePriceDistribution([1.0], [1.0])]), [1.0, 2.0])
+
+
+class TestRows:
+    """The row kernels give each row the bits of its distribution object."""
+
+    @given(st.integers(1, 6).flatmap(distribution_rows))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_rows_are_the_objects(self, rows):
+        values, masses = canonical_rows(*rows)
+        for v, m, raw_v, raw_m in zip(values, masses, *rows):
+            d = DiscretePriceDistribution(raw_v, raw_m)
+            assert np.array_equal(v[: d.n_atoms], d.values) and np.array_equal(m[: d.n_atoms], d.masses)
+            assert np.all(v[d.n_atoms :] == v[0]) and np.all(m[d.n_atoms :] == 0.0)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_scorer_equals_the_object_oracle(self, data):
+        n = data.draw(st.integers(1, 6))
+        raw_down, raw_up = data.draw(distribution_rows(n)), data.draw(distribution_rows(n))
+        pi = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+        observed = data.draw(st.lists(ATOM_VALUES | st.floats(-200.0, 200.0), min_size=n, max_size=n))
+        values, masses = flatten_rows(np.array(pi), canonical_rows(*raw_down), canonical_rows(*raw_up))
+        flat = [
+            flatten(MixtureForecast(p, DiscretePriceDistribution(*down), DiscretePriceDistribution(*up)))
+            for p, down, up in zip(pi, zip(*raw_down), zip(*raw_up))
+        ]
+        assert np.array_equal(values, as_rows(flat)[0]) and np.array_equal(masses, as_rows(flat)[1])
+        assert score_rows(values, masses, observed) == score_batch(flat, observed)
