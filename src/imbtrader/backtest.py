@@ -22,7 +22,8 @@ import numpy as np
 
 from .data_io import MarketTick
 from .market_impact import realized_settlement_price
-from .pipeline import TrainedModels, attach_z, make_forecaster
+from .dists import row_atoms
+from .pipeline import PositionForecast, TrainedModels, attach_z, forecast_rows
 from .risk import RISK_KINDS
 from .strategy import (
     ActionSpace,
@@ -185,11 +186,12 @@ class _Cell:
 def _replay(
     config: SimConfig, models: TrainedModels, ticks, beta_est_grid, beta_true_grid
 ) -> list[list[BacktestResult]]:
-    """One pass over the ticks for every (assumed, true) reactivity pair.
+    """One replay of the ticks for every (assumed, true) reactivity pair.
 
-    Range filter, skip checks and the two regime predictions run once per
-    tick; the decision tables once per tick, assumed reactivity and leg,
-    since decisions do not depend on the true reactivity. Each pair keeps
+    Range filter and skip checks run once per tick, the regime predictions
+    once for all traded ticks (``forecast_rows``), and the decision tables
+    once per tick, assumed reactivity and leg, since decisions do not
+    depend on the true reactivity. Each pair keeps
     its own settlement, ledger and adaptive alphas, which are fed the
     shared tables' hindsight losses. Returns one ``BacktestResult`` per
     pair, indexed ``[i_est][i_true]``.
@@ -220,24 +222,27 @@ def _replay(
     ]
 
     skipped: list[tuple[datetime, str]] = []
+    traded = []
     for tick in selected:
         if tick.book is None:
-            skipped.append((tick.timestamp, "missing order book"))
-            logger.info("skipping %s: missing order book", tick.timestamp.isoformat())
-            continue
-        depth_bad = tick.book.depth("ask") < config.actions.u_max or (
+            reason = "missing order book"
+        elif tick.book.depth("ask") < config.actions.u_max or (
             "short" in legs and tick.book.depth("bid") < config.actions.u_max
-        )
-        if depth_bad:
-            skipped.append((tick.timestamp, "insufficient book depth"))
-            logger.info("skipping %s: insufficient book depth", tick.timestamp.isoformat())
+        ):
+            reason = "insufficient book depth"
+        else:
+            traded.append(tick)
             continue
+        skipped.append((tick.timestamp, reason))
+        logger.info("skipping %s: %s", tick.timestamp.isoformat(), reason)
 
-        forecast = make_forecaster(models, tick, config.beta_est)
+    # the regime predictions depend on neither reactivity: one forecast_rows call for every traded tick
+    regimes = [row_atoms(*rows) for rows in forecast_rows(models, traded)[1:]] if traded else ([], [])
+    for tick, down, up in zip(traded, *regimes):
         for b_est, row in zip(beta_est_grid, cells):
-            forecast_at = forecast.with_beta(b_est)
+            forecast = PositionForecast(models, tick.x, down, up, b_est)
             tables = {
-                leg: decision_table(forecast_at, tick.book, positions[leg], config.measure, alphas)
+                leg: decision_table(forecast, tick.book, positions[leg], config.measure, alphas)
                 for leg in legs
             }
             best = {leg: table.best_positions() for leg, table in tables.items()}

@@ -199,6 +199,8 @@ def fit_benchmark_suite(
     max_iter: int = 400,
 ) -> BenchmarkSuite:
     """Fit the state-transition and linear benchmarks on the training slice."""
+    if horizon < 1:  # at 0 the Markov rows would start from the realized state they forecast
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     labels = np.array([is_surplus(t.s) for t in train_ticks])
     x = np.stack([t.x for t in train_ticks])
     o = np.stack([t.o for t in train_ticks])

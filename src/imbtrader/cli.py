@@ -49,13 +49,21 @@ def _alpha(value) -> float | None:
     return numeric(value)
 
 
-def _alpha_flag(text: str) -> str:
-    """``--alpha``, checked when the flags are parsed, so a bad value fails naming the flag."""
-    try:
-        SimConfig(alpha=_alpha(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+# The SimConfig fields a flag sets, with the reader of the flag's text.
+_SIM_FLAGS = {"alpha": _alpha, "beta_est": float, "beta_true": float, "window": int}
+
+
+def _sim_flag(name: str):
+    """The flag of ``SimConfig.<name>``, read and range-checked when the flags are parsed, so a bad
+    value fails naming the flag. It returns the text, so None still means the flag was not given
+    (``--alpha adaptive`` reads as None)."""
+    def check(text: str) -> str:
+        try:
+            SimConfig(**{name: _SIM_FLAGS[name](text)})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+    return check
 
 
 # readers of the synthetic keys, by SyntheticConfig's field annotations (strings: annotations are postponed)
@@ -126,13 +134,8 @@ def _seed(config: dict, args):
 
 
 def _sim_config(config: dict, args) -> SimConfig:
-    sim = {
-        **config["sim"],
-        **_given(measure=args.measure, beta_est=args.beta_est, beta_true=args.beta_true, window=args.window,
-                 seed=_seed(config, args)),
-    }
-    if args.alpha is not None:
-        sim["alpha"] = _alpha(args.alpha)
+    flags = {name: read(getattr(args, name)) for name, read in _SIM_FLAGS.items() if getattr(args, name) is not None}
+    sim = {**config["sim"], **_given(measure=args.measure, seed=_seed(config, args)), **flags}
     return SimConfig(
         **sim, actions=ActionSpace(**config["actions"]), start=_parse_when(args.start), end=_parse_when(args.end)
     )
@@ -347,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--from", dest="start")
         p.add_argument("--to", dest="end")
         p.add_argument("--measure", choices=RISK_KINDS, default=None)
-        p.add_argument("--alpha", type=_alpha_flag, default=None, help="risk weight in [0,1] or 'adaptive'")
-        p.add_argument("--beta-est", dest="beta_est", type=float, default=None)
-        p.add_argument("--beta-true", dest="beta_true", type=float, default=None)
-        p.add_argument("--window", type=int, default=None, help="adaptive window size N")
+        p.add_argument("--alpha", type=_sim_flag("alpha"), help="risk weight in [0,1] or 'adaptive'")
+        p.add_argument("--beta-est", dest="beta_est", type=_sim_flag("beta_est"))
+        p.add_argument("--beta-true", dest="beta_true", type=_sim_flag("beta_true"))
+        p.add_argument("--window", type=_sim_flag("window"), help="adaptive window size N")
         if name == "sweep":
             p.add_argument("--beta-est-grid", required=True, help="comma-separated values")
             p.add_argument("--beta-true-grid", required=True, help="comma-separated values")

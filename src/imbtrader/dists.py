@@ -3,8 +3,9 @@
 Prices are EUR/MWh throughout. Every forecast is a finite set of point
 masses. A two-regime mixture is a weight and two such distributions:
 ``flatten`` collapses it, ``regime_rows`` stacks many into decision-table rows.
-Many forecasts are canonical rows, one padded row per forecast with the atoms of its
-``DiscretePriceDistribution`` bit for bit, that ``flatten_rows`` mixes and ``score_rows`` scores.
+Many forecasts are canonical rows, one padded row per forecast, that ``flatten_rows`` mixes
+and ``score_rows`` scores; ``canonical_rows`` is the one canonicalization, and a
+``DiscretePriceDistribution`` holds the atoms of one such row without its padding.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ __all__ = [
     "flatten",
     "regime_rows",
     "canonical_rows",
+    "row_atoms",
     "flatten_rows",
     "moment_rows",
     "quantile_rows",
@@ -39,10 +41,11 @@ MERGE_TOL = 1e-12
 class DiscretePriceDistribution:
     """Finite point-mass distribution over scalar prices.
 
-    Canonical form is enforced on construction: atoms sorted ascending by
-    value, near-duplicate values merged (mass summed), zero-mass atoms
-    dropped, all masses nonnegative and summing to one within ``MASS_TOL``.
-    Instances are immutable; the backing arrays are marked read-only.
+    Canonical form is enforced on construction, by ``canonical_rows`` on one
+    row: atoms sorted ascending by value, near-duplicate values merged (mass
+    summed), zero-mass atoms dropped, all masses nonnegative and summing to
+    one within ``MASS_TOL``. Instances are immutable; the backing arrays are
+    marked read-only.
     """
 
     __slots__ = ("values", "masses")
@@ -64,21 +67,7 @@ class DiscretePriceDistribution:
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
 
-        keep = m > 0.0  # zero-mass atoms drop first so they cannot shift a merge
-        if not np.any(keep):
-            raise ValueError("all atoms have zero mass")
-        v = v[keep]
-        m = m[keep]
-        order = np.argsort(v, kind="stable")
-        v = v[order]
-        m = m[order]
-        if v.size > 1 and np.any(np.diff(v) <= MERGE_TOL):
-            group = np.concatenate(([0], np.cumsum(np.diff(v) > MERGE_TOL)))
-            first = np.searchsorted(group, np.arange(group[-1] + 1), side="left")
-            v = v[first]
-            m = np.bincount(group, weights=m)
-        v = np.ascontiguousarray(v)
-        m = np.ascontiguousarray(m)
+        (v,), (m,) = canonical_rows(v[None, :], m[None, :])
         v.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -196,8 +185,9 @@ def regime_rows(forecasts: Sequence[MixtureForecast]):
 
 
 def canonical_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row i: the atoms of ``DiscretePriceDistribution(values[i], masses[i])`` bit for bit, then
-    zero-mass copies of the first atom as padding. Masses merge in value order, as ``np.bincount`` sums.
+    """Canonical form of every row: atoms sorted stably by value, zero masses dropped, values within
+    ``MERGE_TOL`` of their left neighbour merged into it, then zero-mass copies of the first atom as
+    padding. Masses merge in value order, as ``np.bincount`` sums.
     """
     order = np.argsort(values, axis=1, kind="stable")
     # sorting stably and then dropping zero masses keeps the order of dropping them first
@@ -221,7 +211,7 @@ def flatten_rows(pi, down, up) -> tuple[np.ndarray, np.ndarray]:
     return canonical_rows(np.hstack([down[0], up[0]]), np.hstack([down[1] * pi, up[1] * (1.0 - pi)]))
 
 
-def _atoms(values: np.ndarray, masses: np.ndarray):
+def row_atoms(values: np.ndarray, masses: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each canonical row's atoms and masses without its padding."""
     return [(v[:k], m[:k]) for v, m, k in zip(values, masses, np.count_nonzero(masses, axis=1))]
 
@@ -229,7 +219,7 @@ def _atoms(values: np.ndarray, masses: np.ndarray):
 def moment_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard deviation of each canonical row, with products over its own atoms only,
     as ``DiscretePriceDistribution.mean``: with the padding they would sum in another order."""
-    atoms = _atoms(values, masses)
+    atoms = row_atoms(values, masses)
     means = np.array([v @ m for v, m in atoms])
     var = np.array([(v * v) @ m for v, m in atoms]) - means * means
     return means, np.sqrt(np.maximum(var, 0.0))
@@ -292,7 +282,7 @@ def score_rows(values: np.ndarray, masses: np.ndarray, observed) -> ForecastScor
         raise ValueError("need one observation per forecast row, and at least one row")
     means, stds = moment_rows(values, masses)
     medians = quantile_rows(values, masses, 0.5)[:, 0]
-    scores = np.array([_crps(v, m, y) for (v, m), y in zip(_atoms(values, masses), obs)])
+    scores = np.array([_crps(v, m, y) for (v, m), y in zip(row_atoms(values, masses), obs)])
     return ForecastScores(
         rmse=float(np.sqrt(np.mean((means - obs) ** 2))),
         mae=float(np.mean(np.abs(medians - obs))),

@@ -8,7 +8,6 @@ JSON document with named weights.
 """
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -18,7 +17,7 @@ import numpy as np
 
 from ._fields import FieldError, integer, number, read_fields, string
 from .data_io import FeatureLayout, MarketTick, reference_layout
-from .dists import MixtureForecast, canonical_rows
+from .dists import DiscretePriceDistribution, MixtureForecast, canonical_rows, row_atoms
 from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
 from .price_models import (
     LogisticModel,
@@ -27,7 +26,6 @@ from .price_models import (
     augment_with_positions,
     fit_logistic,
     fit_quantile_bank,
-    predict_regulation_distribution,
     quantile_matrix,
     sigmoid_predict,
 )
@@ -64,8 +62,11 @@ class TrainedModels:
             if got != want:
                 raise ValueError(f"{name} has {got} features, the layout's {n} names need {want}")
         for name in ("bank_mdp", "bank_mip"):
-            if getattr(self, name).n_outputs != self.grid.size:
+            bank = getattr(self, name)
+            if bank.n_outputs != self.grid.size:
                 raise ValueError(f"{name} outputs must match the grid's {self.grid.size} reserve prices")
+            if bank.n_q != self.n_q:
+                raise ValueError(f"{name} has {bank.n_q} quantile levels, n_q is {self.n_q}")
 
     def impact_with_beta(self, beta: float) -> ImpactParams:
         return replace(self.impact, beta=beta)
@@ -231,17 +232,22 @@ def attach_z(ticks: list[MarketTick], models: TrainedModels) -> list[MarketTick]
 
 def forecast_rows(models: TrainedModels, ticks: list[MarketTick]):
     """The weight model's mixture of every tick: ``(pi, down, up)``, each tick's ``z`` (see ``attach_z``)
-    and the (values, masses) canonical rows of the regimes its ``PositionForecast`` holds."""
+    and each regime's canonical (values, masses) rows of its bank's equal-mass quantile prices."""
     if any(t.z is None for t in ticks):
         raise ValueError("ticks need the price-model input; run attach_z first")
     z, o = np.stack([t.z for t in ticks]), np.stack([t.o for t in ticks])
-    prices = [quantile_matrix(bank, z, o) for bank in (models.bank_mdp, models.bank_mip)]
-    return z[:, 0], *(canonical_rows(q, np.full(q.shape, 1.0 / q.shape[1])) for q in prices)
+    # both banks in one canonical_rows call: for one tick, a call per bank costs more than the predictions
+    prices = np.vstack([quantile_matrix(bank, z, o) for bank in (models.bank_mdp, models.bank_mip)])
+    values, masses = canonical_rows(prices, np.full(prices.shape, 1.0 / models.n_q))
+    n = len(ticks)
+    return z[:, 0], (values[:n], masses[:n]), (values[n:], masses[n:])
 
 
 class PositionForecast:
     """Position-adjusted mixture forecast of one tick.
 
+    Built from the tick's features and each regime's atoms and masses: one
+    row of ``forecast_rows`` without its padding (see ``dists.row_atoms``).
     Calling it with a position ``u`` gives the ``MixtureForecast`` at ``u``:
     each regime distribution shifted by ``-k * beta * u`` and the weight
     ``pi(u)`` of the position model. ``regime_rows`` gives the weights and
@@ -249,61 +255,41 @@ class PositionForecast:
     ``dists.regime_rows`` builds from the calls, bit for bit.
     """
 
-    def __init__(self, models: TrainedModels, tick: MarketTick, beta_est: float):
-        if tick.z is None:
-            raise ValueError("tick has no price-model input; run attach_z first")
-        self.down = predict_regulation_distribution(models.bank_mdp, tick.z, tick.o)
-        self.up = predict_regulation_distribution(models.bank_mip, tick.z, tick.o)
-        self._impact = models.impact
-        self._set_beta(beta_est)
-        self._position_model = models.position_model
-        self._x = np.asarray(tick.x, dtype=float)
-
-    def _set_beta(self, beta_est: float) -> None:
-        impact = replace(self._impact, beta=beta_est)
+    def __init__(self, models: TrainedModels, x, down, up, beta_est: float):
+        impact = models.impact_with_beta(beta_est)
         self.beta = impact.beta
         self.slopes = (-impact.k_mdp * impact.beta, -impact.k_mip * impact.beta)
-
-    def with_beta(self, beta_est: float) -> PositionForecast:
-        """The same tick's forecast at another assumed reactivity.
-
-        The two predicted regime distributions are shared, not predicted
-        again; the result is identical to ``PositionForecast(models, tick,
-        beta_est)``.
-        """
-        other = copy.copy(self)
-        other._set_beta(beta_est)
-        return other
+        self.down, self.up = down, up
+        self._position_model = models.position_model
+        self._x = np.asarray(x, dtype=float)
 
     def pis(self, us) -> np.ndarray:
         """Mixture weight at each position; the position feature is ``beta * u``."""
         return self._position_model.predict_positions(self._x, self.beta * np.asarray(us, dtype=float))
 
     def __call__(self, u: float) -> MixtureForecast:
-        return MixtureForecast(
-            pi=float(self.pis([u])[0]),
-            down=self.down.shift(self.slopes[0] * u),
-            up=self.up.shift(self.slopes[1] * u),
-        )
+        down, up = (DiscretePriceDistribution(v + slope * u, m) for (v, m), slope in self._regimes())
+        return MixtureForecast(pi=float(self.pis([u])[0]), down=down, up=up)
 
     def regime_rows(self, us):
         """Mixture weight and each regime's price atoms and masses, one row per position."""
         us = np.asarray(us, dtype=float)
-        regimes = []
-        for dist, slope in zip((self.down, self.up), self.slopes):
-            masses = np.broadcast_to(dist.masses, (us.size, dist.n_atoms))
-            regimes.append((dist.values + (slope * us)[:, None], masses))
+        regimes = [(v + (slope * us)[:, None], np.broadcast_to(m, (us.size, m.size)))
+                   for (v, m), slope in self._regimes()]
         return (self.pis(us), *regimes)
+
+    def _regimes(self):
+        return zip((self.down, self.up), self.slopes)
 
 
 def make_forecaster(models: TrainedModels, tick: MarketTick, beta_est: float) -> PositionForecast:
-    """Position-adjusted forecast of one tick.
+    """Position-adjusted forecast of one tick, from its ``forecast_rows``.
 
-    The regime distributions are predicted once; positions only shift
-    them and move the mixture weight, so a decision table takes every
-    position of the tick from ``PositionForecast.regime_rows`` at once
-    instead of building a forecast per position. A call at one position is
-    atom-for-atom identical to rebuilding the full forecast there (covered
-    by tests).
+    Positions only shift the regime distributions and move the mixture
+    weight, so a decision table takes every position of the tick from
+    ``PositionForecast.regime_rows`` at once instead of building a forecast
+    per position. A call at one position is atom-for-atom identical to
+    rebuilding the full forecast there (covered by tests).
     """
-    return PositionForecast(models, tick, beta_est)
+    _, down, up = forecast_rows(models, [tick])
+    return PositionForecast(models, tick.x, row_atoms(*down)[0], row_atoms(*up)[0], beta_est)

@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from imbtrader import backtest, pipeline
+from imbtrader import backtest
 from imbtrader.backtest import (
     LeakageError,
     SimConfig,
@@ -307,8 +307,9 @@ class TestBetaSweep:
                 assert single.report.n_skipped == 2
                 assert sweep.profits[i, j] == single.report.total_profit
 
-    def test_tables_and_predictions_shared_across_cells(self, trained, monkeypatch):
-        # Decisions depend on beta_est only and the regime predictions on neither beta.
+    def test_tables_and_predictions_shared_across_cells(self, trained, monkeypatch, distribution_objects):
+        # Decisions depend on beta_est only and the regime predictions on neither beta: one
+        # forecast_rows call per replay, and no distribution object.
         models, _, test_ticks = trained
         ticks = with_bad_books(test_ticks[:20])
         calls = Counter()
@@ -320,15 +321,15 @@ class TestBetaSweep:
             return wrapper
 
         monkeypatch.setattr(backtest, "decision_table", counted("tables", backtest.decision_table))
-        monkeypatch.setattr(pipeline, "predict_regulation_distribution",
-                            counted("predictions", pipeline.predict_regulation_distribution))
+        monkeypatch.setattr(backtest, "forecast_rows", counted("predictions", backtest.forecast_rows))
         config = SimConfig(
             measure="cvar", alpha=None, window=10, alpha_grid_size=24,
             actions=ActionSpace(step=0.5, u_max=3.0, allow_short=True),
         )
         beta_sweep(config, models, ticks, SWEEP_GRID, SWEEP_GRID)
         traded = len(ticks) - 2
-        assert calls == {"tables": 3 * traded * 2, "predictions": 2 * traded}
+        assert calls == {"tables": 3 * traded * 2, "predictions": 1}
+        assert distribution_objects == []
 
     def test_margin_erosion_fixture_monotone(self):
         # noiseless, profitable-edge market; fixed alpha so decisions are

@@ -176,6 +176,13 @@ class TestBenchmarkRun:
         run_benchmark(suite, test_ticks)
         assert distribution_objects == []
 
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_horizon_below_one_rejected(self, trained, horizon):
+        # at 0 the Markov rows would start from the realized state they score
+        models, train_ticks, _ = trained
+        with pytest.raises(ValueError, match=f"^horizon must be at least 1, got {horizon}$"):
+            fit_benchmark_suite(train_ticks, models, horizon=horizon)
+
     def test_split_mismatch_rejected(self, trained):
         models, train_ticks, test_ticks = trained
         suite = fit_benchmark_suite(train_ticks, models, max_iter=150)

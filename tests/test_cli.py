@@ -119,6 +119,17 @@ class TestPipelineCommands:
         assert len(lines) == 5  # four models
         assert all(len(line.split(",")) == 5 for line in lines)
 
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_benchmark_horizon_below_one_fails(self, workspace, capsys, horizon):
+        config = workspace["root"] / f"horizon_{horizon}.yaml"
+        config.write_text(yaml.safe_dump(SMOKE_CONFIG | {"benchmark": {"horizon": horizon, "max_iter": 100}}))
+        code = main(
+            ["benchmark", "--config", str(config), "--data", str(workspace["data"]),
+             "--models", str(workspace["models"]), "--out", str(workspace["root"] / f"bench_{horizon}")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: horizon must be at least 1, got {horizon}\n"
+
     def test_forecast_outputs(self, workspace):
         out = workspace["root"] / "fc"
         code = main(
@@ -318,6 +329,23 @@ class TestConfig:
             build_parser().parse_args(["backtest", "--out", "out", "--models", "models.json", "--alpha", value])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument --alpha: {problem}\n")
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--window", "0", "window must be at least 1"),
+        ("--window", "2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("--beta-est", "2", "beta_est 2.0 outside [0, 1]"),
+        ("--beta-true", "-1", "beta_true -1.0 outside [0, 1]"),
+        ("--beta-true", "nan", "beta_true nan outside [0, 1]"),
+    ])
+    def test_bad_strategy_flag_fails_in_argparse(self, capsys, command, flag, value, problem):
+        args = [command, "--out", "out", "--models", "models.json", flag, value]
+        if command == "sweep":
+            args += ["--beta-est-grid", "1", "--beta-true-grid", "1"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {problem}\n")
 
     @pytest.mark.parametrize("text, expected", [
         (None, {}),

@@ -184,7 +184,8 @@ class TestRowBuilders:
         models, _, test_ticks = trained
         alphas = default_alpha_grid(kind, 200)
         for tick in test_ticks[:3]:
-            pf = CountingForecast(models, tick, 1.0)
+            rows = make_forecaster(models, tick, 1.0)
+            pf = CountingForecast(models, tick.x, rows.down, rows.up, 1.0)
             for leg in ("long", "short"):
                 decision_table(pf, tick.book, leg_positions(PAPER_GRID, leg), kind, alphas)
         assert CountingForecast.calls == {"regime_rows": 6, "__call__": 0}

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmark_oracle import score_batch, std
+from canonical_oracle import canonical_atoms
 from imbtrader.dists import (
     MERGE_TOL,
     DiscretePriceDistribution,
@@ -257,11 +258,15 @@ class TestRows:
     @given(st.integers(1, 6).flatmap(distribution_rows))
     @settings(max_examples=200, deadline=None)
     def test_canonical_rows_are_the_objects(self, rows):
+        # Both the kernel and the object that calls it on one row keep the bits of the one-row oracle.
         values, masses = canonical_rows(*rows)
         for v, m, raw_v, raw_m in zip(values, masses, *rows):
+            want_v, want_m = canonical_atoms(raw_v, raw_m)
+            k = want_v.size
+            assert v[:k].tobytes() == want_v.tobytes() and m[:k].tobytes() == want_m.tobytes()
+            assert np.all(v[k:] == v[0]) and np.all(m[k:] == 0.0)
             d = DiscretePriceDistribution(raw_v, raw_m)
-            assert np.array_equal(v[: d.n_atoms], d.values) and np.array_equal(m[: d.n_atoms], d.masses)
-            assert np.all(v[d.n_atoms :] == v[0]) and np.all(m[d.n_atoms :] == 0.0)
+            assert d.values.tobytes() == want_v.tobytes() and d.masses.tobytes() == want_m.tobytes()
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

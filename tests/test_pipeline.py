@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbtrader import backtest
+from imbtrader.backtest import SimConfig, beta_sweep
 from imbtrader.data_io import reference_layout
 from imbtrader.dists import MixtureForecast, flatten
-from imbtrader.pipeline import TrainedModels, attach_z, make_forecaster, train_models
+from imbtrader.pipeline import PositionForecast, TrainedModels, attach_z, make_forecaster, train_models
 from imbtrader.price_models import LogisticModel, predict_regulation_distribution, sigmoid_predict
+from imbtrader.strategy import ActionSpace
 
 
 def full_forecast(weight_model, mdp_bank, mip_bank, x, z, o, u, impact):
@@ -83,21 +86,37 @@ class TestForecaster:
                 assert fast.down == slow.down
                 assert fast.up == slow.up
 
-    def test_with_beta_matches_a_fresh_forecast(self, trained):
+    def test_replay_forecasts_match_a_fresh_forecast(self, trained, monkeypatch):
+        # The replay builds each (tick, beta_est) forecast from the rows of one forecast_rows call.
         models, _, test_ticks = trained
-        tick = test_ticks[10]
-        base = make_forecaster(models, tick, 1.0)
+        ticks, grid = test_ticks[:8], [0.0, 0.5, 1.0]
+        built = []
+
+        class Recorded(PositionForecast):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(backtest, "PositionForecast", Recorded)
+        config = SimConfig(measure="cvar", alpha=0.9, actions=ActionSpace(step=0.5, u_max=3.0))
+        beta_sweep(config, models, ticks, grid, [1.0])
+        assert len(built) == len(ticks) * len(grid)
         us = np.linspace(-3.0, 3.0, 13)
-        for beta_est in (0.0, 0.5, 1.0):
-            shared, fresh = base.with_beta(beta_est), make_forecaster(models, tick, beta_est)
-            assert shared.down is base.down and shared.up is base.up
-            assert (shared.beta, shared.slopes) == (fresh.beta, fresh.slopes)
-            got, want = shared.regime_rows(us), fresh.regime_rows(us)
+        for forecast, (tick, beta_est) in zip(built, [(t, b) for t in ticks for b in grid]):
+            fresh = make_forecaster(models, tick, beta_est)
+            got, want = forecast.regime_rows(us), fresh.regime_rows(us)
             assert got[0].tobytes() == want[0].tobytes()
             for (values, masses), (values_want, masses_want) in zip(got[1:], want[1:]):
                 assert values.tobytes() == values_want.tobytes()
                 assert masses.tobytes() == masses_want.tobytes()
-        assert base.beta == 1.0
+            for u in (-3.0, 0.0, 2.5):
+                a, b = forecast(u), fresh(u)
+                assert (a.pi, a.down, a.up) == (b.pi, b.down, b.up)
+
+    def test_rows_build_no_distribution_object(self, trained, distribution_objects):
+        models, _, test_ticks = trained
+        make_forecaster(models, test_ticks[0], 1.0).regime_rows(np.linspace(0.0, 5.0, 51))
+        assert distribution_objects == []
 
     def test_flattened_forecast_is_valid_distribution(self, trained):
         models, _, test_ticks = trained
@@ -150,9 +169,10 @@ class TestSerialization:
                           doc["position_model"].update(position_weight_index=len(doc["position_model"]["weights"]) - 1)),
              "position_model has"),
             (lambda doc: [doc["bank_mip"]["scaler"][k].append(1.0) for k in ("mean", "scale")], "scaler widths"),
+            (lambda doc: doc.update(n_q=doc["n_q"] + 1), "bank_mdp has 12 quantile levels, n_q is 13"),
         ],
         ids=["uneven_taus", "bank_outputs_vs_grid", "position_not_last", "weight_features_vs_layout",
-             "position_features_vs_layout", "bank_scaler_width"],
+             "position_features_vs_layout", "bank_scaler_width", "bank_levels_vs_n_q"],
     )
     def test_malformed_bundle_rejected(self, trained, tmp_path, edit, field):
         models, _, _ = trained
