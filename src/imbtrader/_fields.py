@@ -1,5 +1,7 @@
 """Typed readers for the fields of a JSON or YAML document: the model bundle and the CLI config.
 
+``timestamp`` is also the package's one reader of a timestamp text: the
+CSV loaders, the ledger reader and the ``--from``/``--to`` flags use it.
 Every error is a ``FieldError`` that names the dotted path of the field it
 is about (``bank_mip.taus: missing``, ``model.bank_max_itr: unexpected
 field``), however deep the field sits.
@@ -7,6 +9,7 @@ field``), however deep the field sits.
 from __future__ import annotations
 
 import math
+from datetime import date, datetime, timezone
 from typing import Callable
 
 import numpy as np
@@ -99,6 +102,19 @@ def string(value) -> str:
     if not isinstance(value, str):
         raise _expected("a string", value)
     return value
+
+
+def timestamp(value) -> datetime:
+    """An ISO 8601 timestamp in UTC: ``Z`` or an offset is converted, a timestamp without one is read as UTC.
+
+    A date or datetime, which YAML makes of an unquoted timestamp, is read from its text the same way.
+    """
+    text = str(value) if isinstance(value, date) else string(value)
+    ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    try:
+        return (ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)).astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{text!r} is out of range in UTC") from None
 
 
 def floats(value) -> np.ndarray:

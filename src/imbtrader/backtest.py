@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import timestamp
 from .data_io import MarketTick
 from .market_impact import realized_settlement_price
 from .dists import row_atoms
@@ -31,6 +32,7 @@ from .strategy import (
     TradeRecord,
     decision_table,
     default_alpha_grid,
+    leg_positions,
 )
 
 __all__ = [
@@ -126,12 +128,6 @@ class BacktestResult:
     skipped: list[tuple[datetime, str]]
 
 
-def leg_positions(actions: ActionSpace, leg: str) -> np.ndarray:
-    """One-sided position grid of a strategy leg, ordered by absolute size."""
-    base = np.arange(actions.n_steps + 1) * actions.step
-    return base if leg == "long" else -base
-
-
 def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTick]) -> BacktestResult:
     """Replay the strategy over recorded ticks; no randomness is consumed.
 
@@ -153,8 +149,8 @@ class _Cell:
             {leg: AlphaAdapter(alphas, config.window, config.measure) for leg in legs}
             if config.adaptive else None
         )
+        self.legs = legs
         self.ledger: list[TradeRecord] = []
-        self.alpha_path: dict = {leg: [] for leg in legs}
 
     def trade(self, tick: MarketTick, tables: dict, best: dict) -> None:
         """Execute this cell's choice from the shared tables, settle it, and update its alphas."""
@@ -163,7 +159,6 @@ class _Cell:
             idx = self.adapters[leg].current_index if self.adapters else 0
             alpha_used = float(self.alphas[idx])
             executed[leg] = (float(us[idx]), float(qs[idx]), alpha_used)
-            self.alpha_path[leg].append((tick.timestamp, alpha_used))
         u_net = sum(u for u, _, _ in executed.values())
         p_real = realized_settlement_price(tick.s, u_net, self.impact_true, tick.p_mdp, tick.p_mip)
         for leg, (u, q, alpha_used) in executed.items():
@@ -179,7 +174,7 @@ class _Cell:
                 adapter.update()
 
     def result(self, skipped: list[tuple[datetime, str]]) -> BacktestResult:
-        report = _build_report(self.config.delta_hours, self.ledger, skipped, self.alpha_path)
+        report = _build_report(self.config.delta_hours, self.ledger, skipped, self.legs)
         return BacktestResult(config=self.config, report=report, ledger=self.ledger, skipped=list(skipped))
 
 
@@ -252,14 +247,20 @@ def _replay(
     return [[cell.result(skipped) for cell in row] for row in cells]
 
 
-def _build_report(delta_hours: float, ledger, skipped, alpha_path) -> Report:
+def _build_report(delta_hours: float, ledger, skipped, legs=()) -> Report:
+    """Aggregates of a ledger; the alpha path of each leg is read off its records.
+
+    ``legs`` seeds the path, so a leg without records still reports an empty one.
+    """
     total = sum(r.profit(delta_hours) for r in ledger)
     per_period = sum((r.realized_price - r.fill_price) * r.u for r in ledger)
     volume = sum(abs(r.u) * delta_hours for r in ledger)
     daily: list[tuple[date, float]] = []
+    alpha_path: dict = {leg: [] for leg in legs}
     running = 0.0
     current_day = None
     for r in ledger:
+        alpha_path.setdefault(r.leg, []).append((r.timestamp, r.alpha))
         day = r.timestamp.date()
         if current_day is None:
             current_day = day
@@ -314,7 +315,7 @@ def _ledger_record(parts: list[str]) -> TradeRecord:
         if not math.isfinite(value):
             raise ValueError(f"{name} is {value}")
     return TradeRecord(
-        timestamp=datetime.fromisoformat(parts[0]), leg=parts[1], u=u, fill_price=fill_price,
+        timestamp=timestamp(parts[0]), leg=parts[1], u=u, fill_price=fill_price,
         realized_price=realized_price, alpha=alpha, measure=parts[6],
     )
 

@@ -14,14 +14,13 @@ import dataclasses
 import json
 import logging
 import sys
-from datetime import date, datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from ._fields import FieldError, array_of, boolean, integer, numeric, some_fields, string
+from ._fields import FieldError, array_of, boolean, integer, numeric, some_fields, string, timestamp
 from .backtest import SimConfig, _build_report, beta_sweep, read_ledger, run_backtest, write_ledger
 from .benchmarks import fit_benchmark_suite, run_benchmark
 from .data_io import SyntheticConfig, load_dataset, resolve_data_dir, write_synthetic_dataset
@@ -29,17 +28,6 @@ from .dists import flatten_rows, moment_rows, quantile_rows
 from .pipeline import TrainedModels, attach_z, forecast_rows, train_models
 from .risk import RISK_KINDS
 from .strategy import ActionSpace
-
-def _parse_when(text):
-    if text is None:
-        return None
-    ts = datetime.fromisoformat(str(text).replace("Z", "+00:00"))
-    return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
-
-
-def _timestamp(value) -> datetime:
-    """An ISO timestamp string, or the date or datetime an unquoted YAML timestamp becomes."""
-    return _parse_when(value if isinstance(value, date) else string(value))
 
 
 def _alpha(value) -> float | None:
@@ -67,7 +55,7 @@ def _sim_flag(name: str):
 
 
 # readers of the synthetic keys, by SyntheticConfig's field annotations (strings: annotations are postponed)
-_READ_BY_TYPE = {"int": integer, "float": numeric, "datetime": _timestamp}
+_READ_BY_TYPE = {"int": integer, "float": numeric, "datetime": timestamp}
 _RESERVES = ("afrr_volumes", "mfrr_volumes")
 _ACTION_KEYS = {"step_mw": "step", "u_max_mw": "u_max", "allow_short": "allow_short"}
 
@@ -136,14 +124,12 @@ def _seed(config: dict, args):
 def _sim_config(config: dict, args) -> SimConfig:
     flags = {name: read(getattr(args, name)) for name, read in _SIM_FLAGS.items() if getattr(args, name) is not None}
     sim = {**config["sim"], **_given(measure=args.measure, seed=_seed(config, args)), **flags}
-    return SimConfig(
-        **sim, actions=ActionSpace(**config["actions"]), start=_parse_when(args.start), end=_parse_when(args.end)
-    )
+    return SimConfig(**sim, actions=ActionSpace(**config["actions"]), start=args.start, end=args.end)
 
 
 def _filter_range(ticks, args):
     """The ticks inside the ``--from`` / ``--to`` range."""
-    start, end = _parse_when(args.start), _parse_when(args.end)
+    start, end = args.start, args.end
     return [t for t in ticks if (start is None or t.timestamp >= start) and (end is None or t.timestamp <= end)]
 
 
@@ -291,10 +277,7 @@ def cmd_report(args) -> int:
     records, _, delta = read_ledger(args.ledger)
     if not records:
         raise ValueError("ledger is empty")
-    alpha_path: dict = {}
-    for r in records:
-        alpha_path.setdefault(r.leg, []).append((r.timestamp, r.alpha))
-    report = _build_report(delta, records, [], alpha_path)
+    report = _build_report(delta, records, [])
     out = _out_dir(args)
     _write_report_files(out, report)
     print(
@@ -319,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         if needs_data:
             p.add_argument("--data", help="dataset directory (or set IMBTRADER_DATA_DIR)")
+            p.add_argument("--from", dest="start", type=timestamp, help="first timestamp (ISO 8601; no offset: UTC)")
+            p.add_argument("--to", dest="end", type=timestamp, help="last timestamp (ISO 8601; no offset: UTC)")
         if needs_models:
             p.add_argument("--models", required=True, help="models.json from `train`")
 
@@ -328,27 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit all models and save the bundle")
     common(p)
-    p.add_argument("--from", dest="start", help="first training timestamp (ISO)")
-    p.add_argument("--to", dest="end", help="last training timestamp (ISO)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("forecast", help="write per-period forecast summaries")
     common(p, needs_models=True)
-    p.add_argument("--from", dest="start")
-    p.add_argument("--to", dest="end")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("benchmark", help="score the mixture model against benchmarks")
     common(p, needs_models=True)
-    p.add_argument("--from", dest="start")
-    p.add_argument("--to", dest="end")
     p.set_defaults(func=cmd_benchmark)
 
     for name, func in (("backtest", cmd_backtest), ("sweep", cmd_sweep)):
         p = sub.add_parser(name, help=f"run the trading {name}")
         common(p, needs_models=True)
-        p.add_argument("--from", dest="start")
-        p.add_argument("--to", dest="end")
         p.add_argument("--measure", choices=RISK_KINDS, default=None)
         p.add_argument("--alpha", type=_sim_flag("alpha"), help="risk weight in [0,1] or 'adaptive'")
         p.add_argument("--beta-est", dest="beta_est", type=_sim_flag("beta_est"))

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import array_of, integer, object_of, read_fields, string
+from ._fields import array_of, integer, object_of, read_fields, string, timestamp
 from .market_impact import is_surplus
 from .price_models import ReserveGrid
 from .strategy import OrderBook
@@ -168,14 +168,11 @@ class FeatureSet:
     layout: FeatureLayout
 
 
-def _parse_timestamp(text: str, row: int) -> datetime:
+def _row_timestamp(text: str, row: int) -> datetime:
     try:
-        ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        return timestamp(text)
     except ValueError as exc:
         raise DataValidationError(f"row {row}: bad timestamp {text!r}: {exc}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 def _validate_cadence(timestamps: list[datetime]) -> None:
@@ -212,7 +209,7 @@ def load_market_csv(path, grid: ReserveGrid) -> MarketRecords:
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise DataValidationError(f"row {row_no}: expected {len(expected)} fields, got {len(row)}")
-            timestamps.append(_parse_timestamp(row[0], row_no))
+            timestamps.append(_row_timestamp(row[0], row_no))
             try:
                 numbers = [float(v) for v in row[1:]]
             except ValueError as exc:
@@ -246,7 +243,7 @@ def load_order_books(path) -> dict[datetime, OrderBook]:
         for row_no, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise DataValidationError(f"row {row_no}: expected 4 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], row_no)
+            ts = _row_timestamp(row[0], row_no)
             side = row[1]
             if side not in ("ask", "bid"):
                 raise DataValidationError(f"row {row_no}: side must be ask or bid, got {side!r}")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import FieldError, integer, number, read_fields, string
+from ._fields import FieldError, integer, number, read_fields, string, timestamp
 from .data_io import FeatureLayout, MarketTick, reference_layout
 from .dists import DiscretePriceDistribution, MixtureForecast, canonical_rows, row_atoms
 from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
@@ -108,16 +108,12 @@ def _format_version(value) -> int:
     return value
 
 
-def _timestamp(value) -> datetime:
-    return datetime.fromisoformat(string(value))
-
-
 # The fields of models.json in the order they are checked: the version first.
 _BUNDLE_FIELDS = {
     "format_version": _format_version,
     "package": string,
-    "train_start": _timestamp,
-    "train_end": _timestamp,
+    "train_start": timestamp,
+    "train_end": timestamp,
     "seed": integer,
     "n_q": integer,
     "kfold": integer,

@@ -22,6 +22,7 @@ from .risk import RISK_KINDS, RiskSpec, _check_alphas, cvar_rows, evar_bracket_r
 
 __all__ = [
     "ActionSpace",
+    "leg_positions",
     "OrderBook",
     "InsufficientDepthError",
     "fill_cost",
@@ -69,19 +70,22 @@ class ActionSpace:
     def n_steps(self) -> int:
         return int(round(self.u_max / self.step))
 
-    def grid(self) -> np.ndarray:
-        """All positions, ascending; includes the negative side when shorts are allowed."""
-        lo = -self.n_steps if self.allow_short else 0
-        return np.arange(lo, self.n_steps + 1) * self.step
-
     def ordered_grid(self) -> np.ndarray:
-        """Positions ordered by absolute size (ties: short before long).
+        """Positions ordered by absolute size (ties: short before long): the legs interleaved.
 
         This is the enumeration order of the optimizer, so exact cost ties
         resolve toward the smallest absolute position.
         """
-        g = self.grid()
-        return g[np.lexsort((g, np.abs(g)))]
+        if not self.allow_short:
+            return leg_positions(self, "long")
+        # [-0.0, 0.0, -s, s, ...] without the short leg's -0.0: zero is the long leg's 0.0
+        return np.column_stack((leg_positions(self, "short"), leg_positions(self, "long"))).ravel()[1:]
+
+
+def leg_positions(actions: ActionSpace, leg: str) -> np.ndarray:
+    """One-sided position grid of a strategy leg, ordered by absolute size; the short leg starts at -0.0."""
+    base = np.arange(actions.n_steps + 1) * actions.step
+    return base if leg == "long" else -base
 
 
 class InsufficientDepthError(RuntimeError):

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -110,6 +111,11 @@ class TestLegPositions:
         assert leg_positions(actions, "long").tolist() == [0.0, 0.5, 1.0, 1.5]
         assert leg_positions(actions, "short").tolist() == [0.0, -0.5, -1.0, -1.5]
 
+    def test_flat_short_is_negative_zero(self):
+        # ledgers print a flat short leg as -0.0
+        flat = leg_positions(ActionSpace(step=0.5, u_max=1.5), "short")[0]
+        assert flat == 0.0 and np.signbit(flat)
+
 
 class TestHandLedger:
     def test_single_tick_point_mass(self):
@@ -170,6 +176,18 @@ class TestAgainstSynthetic:
         with pytest.raises(LeakageError):
             run_backtest(config, models, train_ticks[-10:])
 
+    def test_bundle_train_end_without_offset_reads_as_utc(self, trained, tmp_path):
+        models, train_ticks, _ = trained
+        path = tmp_path / "models.json"
+        models.save(path)
+        doc = json.loads(path.read_text())
+        doc["train_end"] = models.train_end.replace(tzinfo=None).isoformat()
+        path.write_text(json.dumps(doc))
+        loaded = TrainedModels.load(path)
+        assert loaded.train_end == models.train_end and loaded.train_end.tzinfo == UTC
+        with pytest.raises(LeakageError):
+            run_backtest(self.make_config(), loaded, train_ticks[-10:])
+
     def test_adaptive_alpha_path_recorded(self, trained):
         models, _, test_ticks = trained
         config = self.make_config()
@@ -213,6 +231,13 @@ class TestAgainstSynthetic:
         legs = {r.leg for r in result.ledger}
         assert legs == {"long", "short"}
         assert set(result.report.alpha_path) == {"long", "short"}
+
+    def test_all_skipped_two_legs_keep_empty_alpha_paths(self, trained):
+        models, _, test_ticks = trained
+        config = self.make_config(actions=ActionSpace(step=0.5, u_max=3.0, allow_short=True))
+        result = run_backtest(config, models, [replace(t, book=None) for t in test_ticks[:5]])
+        assert result.ledger == [] and result.report.n_skipped == 5
+        assert result.report.to_dict()["alpha_path"] == {"long": [], "short": []}
 
 
 @pytest.fixture

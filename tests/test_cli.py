@@ -229,6 +229,19 @@ class TestPipelineCommands:
         assert derived["traded_volume_mwh"] == pytest.approx(original["traded_volume_mwh"])
         assert derived["daily_cumulative"] == original["daily_cumulative"]
 
+    def test_report_rebuilds_a_two_leg_alpha_path(self, workspace):
+        config = workspace["root"] / "short.yaml"
+        config.write_text(yaml.safe_dump(SMOKE_CONFIG | {"strategy": {**SMOKE_CONFIG["strategy"], "allow_short": True}}))
+        bt_out, rp_out = workspace["root"] / "bt_short", workspace["root"] / "rp_short"
+        assert main(
+            ["backtest", "--config", str(config), "--data", str(workspace["data"]), "--models", str(workspace["models"]),
+             "--out", str(bt_out), "--measure", "evar", "--to", "2024-01-05T23:45:00+00:00"]
+        ) == 0
+        assert main(["report", "--ledger", str(bt_out / "ledger.csv"), "--out", str(rp_out)]) == 0
+        alpha_path = (bt_out / "alpha_path.csv").read_bytes()
+        assert alpha_path.count(b"\nlong,") == alpha_path.count(b"\nshort,") == 96
+        assert (rp_out / "alpha_path.csv").read_bytes() == alpha_path
+
 
 class TestErrorsAndMisc:
     def test_missing_data_dir_fails_cleanly(self, tmp_path, monkeypatch, capsys):
@@ -346,6 +359,30 @@ class TestConfig:
             build_parser().parse_args(args)
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {problem}\n")
+
+    @pytest.mark.parametrize("command", ["train", "forecast", "benchmark", "backtest", "sweep"])
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--to", "yesterday", "invalid timestamp value: 'yesterday'"),
+        ("--from", "2024-13-01", "invalid timestamp value: '2024-13-01'"),
+        ("--to", "0001-01-01T00:00:00+01:00", "invalid timestamp value: '0001-01-01T00:00:00+01:00'"),
+    ])
+    def test_bad_range_flag_fails_in_argparse(self, capsys, command, flag, value, problem):
+        args = [command, "--out", "out", flag, value]
+        if command != "train":
+            args += ["--models", "models.json"]
+        if command == "sweep":
+            args += ["--beta-est-grid", "1", "--beta-true-grid", "1"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {problem}\n")
+
+    def test_bad_range_flag_fails_before_reading_data(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(tmp_path / "no_data"), "--out", str(tmp_path / "out"), "--to", "yesterday"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --to: invalid timestamp value: 'yesterday'\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, expected", [
         (None, {}),

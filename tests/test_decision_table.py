@@ -141,7 +141,7 @@ class TestRowBuilders:
 
     def test_whole_tick_rows_equal_per_position_rows(self, trained):
         models, _, test_ticks = trained
-        us = PAPER_GRID.grid()
+        us = leg_positions(PAPER_GRID, "long")
         for tick in test_ticks[:20]:
             pf = make_forecaster(models, tick, 1.0)
             forecasts = [pf(float(u)) for u in us]

@@ -210,6 +210,7 @@ NESTED = [
     ("layout.names", lambda doc: doc["layout"].pop("names"), "layout.names: missing"),
     ("layout.blocks", lambda doc: [v.pop() for v in doc["layout"]["blocks"].values()], "expected [start, end]"),
     ("extra", lambda doc: doc.update(extra=1), "extra: unexpected field"),
+    ("train_end", lambda doc: doc.update(train_end="yesterday"), "train_end: Invalid isoformat string: 'yesterday'"),
 ]
 
 

@@ -1,8 +1,11 @@
 import logging
 import math
 
+import grid_oracle
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from imbtrader.dists import DiscretePriceDistribution, MixtureForecast
 from imbtrader.market_impact import ImpactParams
@@ -60,17 +63,21 @@ ACTIONS = ActionSpace(step=0.1, u_max=5.0)
 
 
 class TestActionSpace:
-    def test_grid_long_only(self):
-        space = ActionSpace(step=0.5, u_max=1.0)
-        assert space.grid().tolist() == [0.0, 0.5, 1.0]
-
-    def test_grid_with_shorts(self):
-        space = ActionSpace(step=0.5, u_max=1.0, allow_short=True)
-        assert space.grid().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
-
     def test_ordered_grid_by_absolute_size(self):
         space = ActionSpace(step=0.5, u_max=1.0, allow_short=True)
         assert space.ordered_grid().tolist() == [0.0, -0.5, 0.5, -1.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        step=st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False),
+        n_steps=st.integers(0, 120),
+        allow_short=st.booleans(),
+    )
+    def test_ordered_grid_is_the_sorted_grid(self, step, n_steps, allow_short):
+        space = ActionSpace(step=step, u_max=n_steps * step, allow_short=allow_short)
+        assume(space.n_steps == n_steps)
+        # bytes, so the sign of zero counts too
+        assert space.ordered_grid().tobytes() == grid_oracle.ordered_grid(space).tobytes()
 
     def test_validates_multiple(self):
         with pytest.raises(ValueError):
