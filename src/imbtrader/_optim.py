@@ -1,12 +1,19 @@
-"""Full-batch gradient descent with backtracking line search.
+"""The package's two solvers: batched gradient descent and a batched quantile LP.
 
-Deterministic by construction (no shuffling, no randomness), so every fit
-in the package is bit-reproducible for a given dataset and initial point.
-One call solves a batch of independent problems: each keeps its own step
-size, iteration count and stopping state, and every round evaluates all
-problems still running in one objective call. A batch is split across the
-CPUs the process may use; since no problem reads another's state, every
-result is the same bit for bit whatever the number of threads.
+Both are deterministic by construction (no shuffling, no randomness), so
+every fit in the package is bit-reproducible for a given dataset and
+initial point.
+
+Gradient descent (``minimize_gd``) uses a backtracking line search. One
+call solves a batch of independent problems: each keeps its own step size,
+iteration count and stopping state, and every round evaluates all problems
+still running in one objective call. A batch is split across the CPUs the
+process may use; since no problem reads another's state, every result is
+the same bit for bit whatever the number of threads.
+
+Linear quantile regression (``fit_quantile_lp``) is a linear program,
+solved exactly for every level at once by a primal-dual interior-point
+method (Frisch-Newton).
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["GdResult", "minimize_gd", "problem_blocks", "log_unfinished"]
+__all__ = ["GdResult", "minimize_gd", "problem_blocks", "log_unfinished", "LpResult", "fit_quantile_lp"]
 
 # Stacked objectives evaluate their problems in blocks whose largest
 # temporary holds at most this many float64 elements (256 KiB), so the
@@ -149,12 +156,250 @@ def problem_blocks(n_problems: int, per_problem: int) -> list[slice]:
     return [slice(i, i + size) for i in range(0, n_problems, size)]
 
 
-def log_unfinished(logger: logging.Logger, label: str, result: GdResult, max_iter: int) -> None:
-    """Warn once when some problems of a batch hit the iteration cap or stalled."""
+def log_unfinished(logger: logging.Logger, label: str, result, max_iter: int, *,
+                   unit: str = "levels", note: str = "") -> None:
+    """Warn once when some problems of a batch hit the iteration cap or stalled.
+
+    ``result`` is a ``GdResult`` or an ``LpResult``; ``note`` ends the line.
+    """
     capped = int(np.sum(~result.converged & ~result.stalled))
     stalled = int(np.sum(result.stalled))
     if capped or stalled:
         logger.warning(
-            "%s: %d/%d levels hit max_iter=%d, %d stalled",
-            label, capped, result.converged.size, max_iter, stalled,
+            "%s: %d/%d %s hit max_iter=%d, %d stalled%s",
+            label, capped, result.converged.size, unit, max_iter, stalled, note and f"; {note}",
         )
+
+
+# The quantile LP: a level is solved once its duality gap is at most _GAP_TOL
+# of its null loss, the loss of its unconditional quantile; each step goes at
+# most _STEP_FRACTION of the way to the boundary (rq.fit.fnb's beta); starting
+# dual slacks are at least _START_SLACK of the target's scale; a dense column
+# enters the design when the part of it outside the columns before it keeps
+# more than _RANK_TOL of its norm. A level stalls when _STALL_ITERATIONS
+# iterations in a row leave its gap no smaller: single early ones happen while
+# the iterates move away from the uncentred least-squares start.
+_GAP_TOL, _STEP_FRACTION, _START_SLACK, _RANK_TOL, _STALL_ITERATIONS = 1e-8, 0.99995, 1e-6, 1e-9, 3
+
+
+@dataclass
+class LpResult:
+    """Per-level outcome of ``fit_quantile_lp``: one row or entry per level."""
+
+    weights: np.ndarray  # (P, d), on the columns of x
+    intercepts: np.ndarray  # (P,)
+    gap: np.ndarray  # (P,) duality gap over the level's null loss
+    iterations: np.ndarray  # (P,)
+    converged: np.ndarray  # (P,) the gap reached _GAP_TOL
+    stalled: np.ndarray  # (P,) _STALL_ITERATIONS iterations in a row left the gap no smaller
+
+
+@dataclass(frozen=True)
+class _Design:
+    """The LP's design matrix [D, R], with its rows sorted by indicator group.
+
+    D holds the indicator columns ``indicators`` of x: the rows of group j
+    are ``counts[j]`` consecutive rows from ``starts[j]``, and the
+    ``counts[-1]`` rows in no group come last. R (``dense``) holds the kept
+    columns of an intercept followed by the other columns of x,
+    standardized; ``columns`` gives each one's column of x (-1 for the
+    intercept), and ``mean`` and ``scale`` its standardization.
+    """
+
+    order: np.ndarray
+    indicators: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    dense: np.ndarray
+    outer: np.ndarray  # (n, m * m): each row's R_i R_i'
+    columns: np.ndarray
+    mean: np.ndarray
+    scale: np.ndarray
+
+    def group_sums(self, v: np.ndarray) -> np.ndarray:
+        """D'v for rows ``v`` (B, n): each group's sum."""
+        return np.add.reduceat(v[:, : v.shape[1] - self.counts[-1]], self.starts, axis=1)
+
+    def transpose_dot(self, v: np.ndarray):
+        """X'v for rows ``v`` (B, n), as the D and R parts."""
+        return self.group_sums(v), v @ self.dense
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """X[a, b] for coefficient rows ``a`` (B, k) and ``b`` (B, m)."""
+        padded = np.concatenate([a, np.zeros((a.shape[0], 1))], axis=1)  # rows in no group
+        return np.repeat(padded, self.counts, axis=1) + b @ self.dense.T
+
+    def normal(self, q: np.ndarray):
+        """X'QX for row weights ``q`` (B, n): its diagonal D block, D'QR, and the Schur complement of D.
+
+        Every temporary is (B, n) or smaller: R'QR comes from the rows' outer products.
+        """
+        m = self.dense.shape[1]
+        g = self.group_sums(q)
+        c = np.stack([self.group_sums(q * column) for column in self.dense.T], axis=2)
+        s = (q @ self.outer).reshape(-1, m, m)
+        s -= np.matmul(c.transpose(0, 2, 1), c / g[:, :, None])
+        return g, c, s
+
+    def solve(self, normal, v_d: np.ndarray, v_r: np.ndarray):
+        """The D and R parts of (X'QX)^-1 [v_d, v_r]."""
+        g, c, s = normal
+        a = v_d / g
+        b = np.linalg.solve(s, (v_r - np.matmul(a[:, None, :], c)[:, 0])[..., None])[..., 0]
+        return a - np.matmul(c, b[..., None])[..., 0] / g, b
+
+
+def _design(x: np.ndarray) -> _Design:
+    """Split x into indicator columns with disjoint non-empty supports, taken in
+    column order, and an intercept plus the other columns, standardized and
+    kept when a Gram-Schmidt QR of [D, R] gives them a diagonal above
+    _RANK_TOL of their norm (twice orthogonalized, so working precision)."""
+    n, d = x.shape
+    group = np.full(n, -1)
+    indicators = []
+    for j in np.flatnonzero(np.all((x == 0.0) | (x == 1.0), axis=0) & np.any(x == 1.0, axis=0)):
+        support = x[:, j] == 1.0
+        if np.all(group[support] < 0):
+            group[support] = len(indicators)
+            indicators.append(j)
+    k = len(indicators)
+    group[group < 0] = k
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=k + 1)
+    starts = np.cumsum(counts[:k]) - counts[:k]
+    others = np.setdiff1d(np.arange(d), indicators)
+    rest = x[order][:, others]
+    mean = np.concatenate(([0.0], rest.mean(axis=0)))
+    scale = np.concatenate(([1.0], rest.std(axis=0)))
+    scale[scale == 0.0] = 1.0
+    columns = np.concatenate(([-1], others))
+    dense = (np.hstack([np.ones((n, 1)), rest]) - mean) / scale
+    # R's part outside D: each group's mean removed
+    outside = dense.copy()
+    grouped = n - counts[k]
+    outside[:grouped] -= np.repeat(np.add.reduceat(dense[:grouped], starts, axis=0) / counts[:k, None],
+                                   counts[:k], axis=0)
+    basis, keep = np.empty((n, 0)), []
+    for i in range(dense.shape[1]):
+        v = outside[:, i]
+        for _ in range(2):
+            v = v - basis @ (basis.T @ v)
+        norm = np.linalg.norm(v)
+        if norm > _RANK_TOL * np.linalg.norm(dense[:, i]):
+            basis = np.column_stack([basis, v / norm])
+            keep.append(i)
+    dense = dense[:, keep]
+    return _Design(order=order, indicators=np.array(indicators, dtype=int), starts=starts, counts=counts,
+                   dense=dense, outer=(dense[:, :, None] * dense[:, None, :]).reshape(n, -1),
+                   columns=columns[keep], mean=mean[keep], scale=scale[keep])
+
+
+def _step_length(v1, dv1, v2, dv2) -> np.ndarray:
+    """Per row, the step t <= 1 that goes _STEP_FRACTION of the way to the first zero of
+    v1 + t dv1 or v2 + t dv2 (all v > 0), as a column (B, 1)."""
+    worst = np.maximum((-dv1 / v1).max(axis=1), (-dv2 / v2).max(axis=1))  # 1 / the longest feasible step
+    return np.minimum(1.0, _STEP_FRACTION / np.maximum(worst, _STEP_FRACTION))[:, None]
+
+
+def fit_quantile_lp(x, y, taus, *, max_iter: int) -> LpResult:
+    """Linear quantile regressions of ``y`` (n,) on ``x`` (n, d), one per level of ``taus``.
+
+    Each level minimizes sum_i rho_tau(y_i - x_i w - b) exactly: the
+    Koenker & Bassett (1978) linear program, solved through its dual by the
+    Frisch-Newton interior-point method with Mehrotra's predictor-corrector
+    steps (Portnoy & Koenker 1997; ``rq.fit.fnb`` in R's quantreg). The
+    levels run as one batch, in blocks of bounded size. The Newton system
+    X'QX is solved through the Schur complement of its indicator block,
+    which is diagonal; columns that are linear combinations of earlier
+    ones, and the intercept when the indicators cover every row, get weight
+    0. A level stops when its duality gap is at most _GAP_TOL of its null
+    loss (floored at the rounding level of the data, so that a constant
+    target converges too), when the gap stalls, or after ``max_iter``
+    iterations.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    design = _design(x)
+    n = y.size
+    # The LP solved is the regression's dual, min c'a subject to X'a = (1 - tau) X'1 and
+    # 0 <= a <= 1; its own dual point eta is minus the coefficients.
+    c = -y[design.order]
+    y_scale = np.abs(y).max() or 1.0
+    # The start: the least-squares dual point, with every slack at least _START_SLACK of the scale.
+    least_squares = design.solve(design.normal(np.ones((1, n))), *design.transpose_dot(c[None]))
+    r = c - design.dot(*least_squares)[0]
+    z = np.maximum(r, 0.0) + _START_SLACK * y_scale
+    start = (np.hstack(least_squares)[0], z, z - r)
+    parts = [_interior_point(design, c, taus[blk], start, y_scale, max_iter)
+             for blk in problem_blocks(taus.size, 4 * n)]  # a level's iterate (a, s, z, w) is 4n floats
+    beta, gap, iterations, converged, stalled = (np.concatenate(p) for p in zip(*parts))
+    k = design.indicators.size
+    dense = beta[:, k:] / design.scale
+    weights = np.zeros((taus.size, x.shape[1]))
+    weights[:, design.indicators] = beta[:, :k]
+    of_x = design.columns >= 0
+    weights[:, design.columns[of_x]] = dense[:, of_x]
+    intercepts = dense[:, ~of_x].sum(axis=1) - dense[:, of_x] @ design.mean[of_x]
+    return LpResult(weights, intercepts, gap, iterations, converged, stalled)
+
+
+def _interior_point(design: _Design, c, taus, start, y_scale, max_iter):
+    """Solve one block of levels from the shared ``start`` (eta, z, w).
+
+    Returns per level: the coefficients (minus the final dual point eta),
+    the relative gap, the iteration count, and the converged and stalled
+    flags.
+    """
+    n, n_q = c.size, taus.size
+    eta, z, w = (np.repeat(v[None], n_q, axis=0) for v in start)
+    a = np.repeat(1.0 - taus[:, None], n, axis=1)  # the primal point: feasible by construction
+    s = 1.0 - a
+    y = -c
+    e = y - np.quantile(y, taus, method="inverted_cdf")[:, None]
+    null_loss = np.where(e >= 0.0, taus[:, None] * e, (taus[:, None] - 1.0) * e).sum(axis=1)
+    scale = np.maximum(null_loss, n * np.finfo(float).eps * y_scale)
+    gap = (z * a).sum(axis=1) + (w * s).sum(axis=1)
+    iterations = np.zeros(n_q, dtype=int)
+    converged = gap <= _GAP_TOL * scale
+    stalled = np.zeros(n_q, dtype=bool)
+    flat = np.zeros(n_q, dtype=int)  # iterations in a row that left the gap no smaller
+    active = ~converged & (max_iter > 0)
+    while (run := np.flatnonzero(active)).size:
+        ar, sr, zr, wr = a[run], s[run], z[run], w[run]
+        q = 1.0 / (zr / ar + wr / sr)
+        r = zr - wr
+        normal = design.normal(q)
+
+        def newton(v):  # the step (d_eta, d_a) that takes the dual residual v to 0
+            d_eta = design.solve(normal, *design.transpose_dot(q * v))
+            return np.hstack(d_eta), q * (design.dot(*d_eta) - v)
+
+        # predictor: the affine-scaling step
+        _, da = newton(r)
+        dz = -zr * (da / ar + 1.0)
+        dw = -wr * (1.0 - da / sr)
+        fp, fd = _step_length(ar, da, sr, -da), _step_length(zr, dz, wr, dw)
+        # corrector: centre on mu, smaller the more the predictor would shrink the gap
+        mu = gap[run]
+        reach = ((zr + fd * dz) * (ar + fp * da)).sum(axis=1) + ((wr + fd * dw) * (sr - fp * da)).sum(axis=1)
+        mu = (mu * (reach / mu) ** 3 / (2 * n))[:, None]
+        dadz, dsdw = da * dz, -da * dw
+        ainv, sinv = 1.0 / ar, 1.0 / sr
+        xi = mu * (ainv - sinv)
+        v = r + dadz - dsdw - xi
+        d_eta, da = newton(v)
+        dz = mu * ainv - zr - ainv * zr * da - dadz
+        dw = mu * sinv - wr + sinv * wr * da - dsdw
+        fp, fd = _step_length(ar, da, sr, -da), _step_length(zr, dz, wr, dw)
+        a[run], s[run] = ar + fp * da, sr - fp * da
+        eta[run] += fd * d_eta
+        z[run], w[run] = zr + fd * dz, wr + fd * dw
+        new_gap = (z[run] * a[run]).sum(axis=1) + (w[run] * s[run]).sum(axis=1)
+        iterations[run] += 1
+        converged[run] = new_gap <= _GAP_TOL * scale[run]
+        flat[run] = np.where(new_gap < gap[run], 0, flat[run] + 1)
+        stalled[run] = ~converged[run] & (flat[run] >= _STALL_ITERATIONS)
+        gap[run] = new_gap
+        active[run] = ~converged[run] & ~stalled[run] & (iterations[run] < max_iter)
+    return -eta, gap / scale, iterations, converged, stalled

@@ -14,7 +14,7 @@ from datetime import datetime
 
 import numpy as np
 
-from ._optim import log_unfinished, minimize_gd, problem_blocks
+from ._optim import fit_quantile_lp, log_unfinished
 from .data_io import FeatureLayout, MarketTick
 from .dists import ForecastScores, canonical_rows, flatten_rows, score_rows
 from .market_impact import is_surplus
@@ -27,8 +27,6 @@ __all__ = [
     "chain_state_probability",
     "fit_transition_models",
     "LinearQuantileBank",
-    "linear_pinball_loss_and_grad",
-    "linear_pinball_loss_and_grad_rows",
     "fit_linear_quantile_bank",
     "dynamic_feature_columns",
     "BenchmarkSuite",
@@ -103,33 +101,6 @@ def fit_transition_models(labels, features, *, max_iter: int = 2000):
     return from_pos, from_neg
 
 
-def linear_pinball_loss_and_grad(params: np.ndarray, x: np.ndarray, y: np.ndarray, tau: float):
-    """Mean pinball loss of an affine predictor; analytic gradient."""
-    val, grad = linear_pinball_loss_and_grad_rows(np.reshape(params, (1, -1)), x, y, [tau])
-    return float(val[0]), grad[0]
-
-
-def linear_pinball_loss_and_grad_rows(params: np.ndarray, x: np.ndarray, y: np.ndarray, taus):
-    """``linear_pinball_loss_and_grad`` for a stack of parameter rows (P, m), one level each.
-
-    Problems are evaluated in blocks of bounded size; stacked matmuls give
-    every row the bits of its own one-row call.
-    """
-    taus = np.asarray(taus, dtype=float)
-    vals = np.empty(params.shape[0])
-    grads = np.empty(params.shape)
-    for blk in problem_blocks(params.shape[0], y.size):
-        e = np.matmul(x, params[blk, :-1, None])[..., 0]
-        e += params[blk, -1:]
-        np.subtract(y, e, out=e)
-        coef = np.where(e >= 0.0, taus[blk, None], taus[blk, None] - 1.0)
-        vals[blk] = np.mean(np.multiply(coef, e, out=e), axis=1)
-        d = np.divide(np.negative(coef, out=coef), y.size, out=coef)
-        grads[blk, :-1] = np.matmul(x.T, d[:, :, None])[..., 0]
-        grads[blk, -1] = d.sum(axis=1)
-    return vals, grads
-
-
 @dataclass(frozen=True)
 class LinearQuantileBank:
     """Per-level affine models of the settlement price (implicit benchmark)."""
@@ -146,23 +117,25 @@ class LinearQuantileBank:
 
 
 def fit_linear_quantile_bank(x, y, *, n_q: int, max_iter: int = 400) -> LinearQuantileBank:
+    """Exact linear quantile regressions of ``y`` on ``x``, one per level, in one LP solver call.
+
+    ``max_iter`` caps the interior-point iterations of each level.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.ndim != 2 or x.shape[0] != y.size or y.size == 0:
         raise ValueError("inconsistent training shapes")
+    for name, values in (("x", x), ("y", y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"non-finite {name}")
     taus = quantile_levels(n_q)
     scaler = FeatureScaler.fit(x)
-    xs = scaler.transform(x)
-    x0 = np.zeros((n_q, x.shape[1] + 1))
-    x0[:, -1] = np.quantile(y, taus)  # start at the unconditional quantile
-    result = minimize_gd(
-        lambda p, idx: linear_pinball_loss_and_grad_rows(p, xs, y, taus[idx]),
-        x0,
-        max_iter=max_iter,
-    )
-    log_unfinished(logger, "bank linear", result, max_iter)
-    weights = result.x[:, :-1].copy()
-    biases = result.x[:, -1].copy()
+    result = fit_quantile_lp(x, y, taus, max_iter=max_iter)
+    log_unfinished(logger, "bank linear", result, max_iter,
+                   note=f"largest relative duality gap {result.gap.max():.1e}")
+    # the same affine models on the scaler's standardized columns
+    weights = result.weights * scaler.scale
+    biases = result.intercepts + result.weights @ scaler.mean
     return LinearQuantileBank(taus=taus, weights=weights, biases=biases, scaler=scaler)
 
 

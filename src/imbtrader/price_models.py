@@ -227,6 +227,8 @@ def fit_logistic(
         np.zeros((1, x.shape[1] + 1)),
         max_iter=max_iter,
     )
+    log_unfinished(logger, f"logistic fit ({y.size} rows x {x.shape[1]} features)", result, max_iter,
+                   unit="fits")
     return LogisticModel(
         bias=float(result.x[0, 0]),
         weights=result.x[0, 1:].copy(),
@@ -458,6 +460,9 @@ def fit_quantile_bank(
         raise ValueError("inconsistent training shapes")
     if y.size == 0:
         raise ValueError(f"no training rows for regime {regime.value}")
+    for name, values in (("z", z), ("o", o), ("y", y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"non-finite {name}")
     taus = quantile_levels(n_q)
     n_out, d = o.shape[1], z.shape[1]
     scaler = FeatureScaler.fit(z)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from benchmark_oracle import benchmark_rows, dynamic_transition_matrix, markov_state_probability
+from linear_bank_oracle import descent_linear_quantile_bank, linear_pinball_loss_and_grad
+from imbtrader._optim import _GAP_TOL, _design, fit_quantile_lp
 from imbtrader.benchmarks import (
+    LinearQuantileBank,
     SplitMismatchError,
     chain_state_probability,
     dynamic_feature_columns,
@@ -12,7 +15,6 @@ from imbtrader.benchmarks import (
     fit_linear_quantile_bank,
     fit_static_transitions,
     fit_transition_models,
-    linear_pinball_loss_and_grad,
     run_benchmark,
 )
 from imbtrader.dists import canonical_rows
@@ -81,6 +83,12 @@ class TestMarkovPropagation:
         assert dynamic == static
 
 
+def training_losses(bank, x, y) -> np.ndarray:
+    """Each level's mean pinball loss on the training rows."""
+    preds = bank.predict_matrix(x)
+    return np.array([np.mean(pinball_loss(tau, y - preds[:, i])) for i, tau in enumerate(bank.taus)])
+
+
 class TestLinearQuantileBank:
     def test_planted_linear_recovery(self):
         rng = np.random.default_rng(3)
@@ -108,6 +116,55 @@ class TestLinearQuantileBank:
         bank = fit_linear_quantile_bank(rng.normal(size=(80, 4)), rng.normal(size=80), n_q=5, max_iter=20)
         x = rng.normal(size=(300, 4))
         assert np.array_equal(bank.predict_matrix(x), np.vstack([bank.predict_matrix(row) for row in x]))
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        rng = np.random.default_rng(9)
+        data = {"x": rng.normal(size=(60, 3)), "y": rng.normal(size=60)}
+        data[name][7] = bad
+        with pytest.raises(ValueError, match=f"^non-finite {name}$"):
+            fit_linear_quantile_bank(data["x"], data["y"], n_q=4)
+
+    def test_every_level_at_most_the_descent_loss(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(400, 5))
+        y = x @ np.array([3.0, -1.0, 0.5, 0.0, 2.0]) + 4.0 + rng.standard_t(2.0, 400) * (1.0 + np.abs(x[:, 0]))
+        bank = fit_linear_quantile_bank(x, y, n_q=9)
+        descent = descent_linear_quantile_bank(x, y, n_q=9)
+        exact, reference = (training_losses(b, x, y) for b in (bank, descent))
+        assert np.all(exact <= reference)
+        result = fit_quantile_lp(x, y, bank.taus, max_iter=400)
+        assert np.all(result.converged) and np.all(result.gap <= _GAP_TOL)
+        # the loss is convex, so a point that no small step improves on is its minimum
+        for direction in rng.normal(size=(20, 6)):
+            for step in (1e-3, -1e-3):
+                moved = LinearQuantileBank(bank.taus, bank.weights + step * direction[:5],
+                                           bank.biases + step * direction[5], bank.scaler)
+                assert np.all(training_losses(moved, x, y) >= exact * (1.0 - _GAP_TOL))
+
+    def test_intercept_only_gives_the_sample_quantiles(self):
+        y = np.random.default_rng(12).lognormal(size=101)
+        bank = fit_linear_quantile_bank(np.empty((101, 0)), y, n_q=4)
+        assert bank.biases == pytest.approx(np.quantile(y, bank.taus, method="inverted_cdf"), rel=1e-6)
+
+    @pytest.mark.parametrize("categories", [6, 5], ids=["every_row_in_a_group", "reference_category"])
+    def test_indicator_block_and_dense_design_agree(self, categories):
+        # The same regression with the indicators scaled by 2: no longer 0/1, so every column is
+        # dense. Odd group sizes keep size * tau off the integers at every level (tau = odd / 18),
+        # so each level has one optimum; with a whole optimal face the two runs may stop at
+        # different points of it.
+        rng = np.random.default_rng(13)
+        group = rng.permutation(np.repeat(np.arange(6), [49, 51, 47, 53, 45, 55]))
+        n = group.size
+        x = np.hstack([np.eye(6)[group][:, :categories], rng.normal(size=(n, 3))])
+        y = 10.0 * group + x[:, -3:] @ np.array([1.0, -2.0, 0.5]) + rng.standard_t(3.0, n)
+        doubled = x.copy()
+        doubled[:, :categories] *= 2.0
+        assert _design(x).indicators.size == categories and _design(doubled).indicators.size == 0
+        fitted = fit_linear_quantile_bank(x, y, n_q=9).predict_matrix(x)
+        dense = fit_linear_quantile_bank(doubled, y, n_q=9).predict_matrix(doubled)
+        assert np.abs(fitted - dense).max() <= 1e-8 * np.abs(fitted).max()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)

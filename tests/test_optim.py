@@ -1,8 +1,10 @@
-"""Batched gradient descent and the batched bank fits against one-problem oracles.
+"""Batched gradient descent and the batched descent fits against one-problem oracles.
 
 The oracles are the one-problem solver and per-level bank loops the package
 used before its fits were batched; the batched code must reproduce them bit
 for bit, whether a batch is solved on one thread or split across several.
+The batched descent fits are the softmax banks and the descent fit of the
+linear bank, which the tests keep as the reference for its LP fit.
 """
 import logging
 import sys
@@ -11,13 +13,15 @@ import threading
 import numpy as np
 import pytest
 
+from linear_bank_oracle import descent_linear_quantile_bank, linear_pinball_loss_and_grad_rows
 from imbtrader import _optim
 from imbtrader._optim import GdResult, _row_dots, log_unfinished, minimize_gd, problem_blocks
-from imbtrader.benchmarks import fit_linear_quantile_bank, linear_pinball_loss_and_grad_rows
+from imbtrader.benchmarks import fit_linear_quantile_bank
 from imbtrader.data_io import SyntheticConfig, synthetic_ticks
 from imbtrader.market_impact import Regime
 from imbtrader.price_models import (
     FeatureScaler,
+    fit_logistic,
     fit_quantile_bank,
     quantile_levels,
     quantile_loss_and_grad_rows,
@@ -258,7 +262,7 @@ class TestBankBitIdentity:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 4))
         y = x @ np.array([2.0, -1.0, 0.5, 0.0]) + rng.standard_t(3.0, n)
-        bank = fit_linear_quantile_bank(x, y, n_q=15, max_iter=150)
+        bank = descent_linear_quantile_bank(x, y, n_q=15, max_iter=150)
         weights, biases = oracle_fit_linear_quantile_bank(x, y, n_q=15, max_iter=150)
         assert np.array_equal(bank.weights, weights)
         assert np.array_equal(bank.biases, biases)
@@ -279,11 +283,16 @@ class TestFitLogging:
         x = np.hstack([z, o])
         with caplog.at_level(logging.WARNING):
             fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=10, max_iter=3)
+            linear = _optim.fit_quantile_lp(x, y, quantile_levels(4), max_iter=2)
             fit_linear_quantile_bank(x, y, n_q=4, max_iter=2)
+            fit_logistic(x, y > np.median(y), max_iter=2)
         assert [(r.name, r.getMessage()) for r in caplog.records] == [
             ("imbtrader.price_models", "bank mip: 10/10 levels hit max_iter=3, 0 stalled"),
-            ("imbtrader.benchmarks", "bank linear: 4/4 levels hit max_iter=2, 0 stalled"),
+            ("imbtrader.benchmarks", "bank linear: 4/4 levels hit max_iter=2, 0 stalled; "
+                                     f"largest relative duality gap {linear.gap.max():.1e}"),
+            ("imbtrader.price_models", "logistic fit (150 rows x 7 features): 1/1 fits hit max_iter=2, 0 stalled"),
         ]
+        assert linear.gap.max() > _optim._GAP_TOL
 
     def test_counts_capped_and_stalled_and_stays_quiet_when_all_converged(self, caplog):
         logger = logging.getLogger("imbtrader.test")

@@ -348,6 +348,16 @@ class TestQuantileBank:
         with pytest.raises(ValueError):
             fit_quantile_bank(np.zeros((0, 1)), np.zeros((0, 2)), np.zeros(0), regime=Regime.MDP, n_q=2)
 
+    @pytest.mark.parametrize("name", ["z", "o", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        rng = np.random.default_rng(14)
+        data = {"z": rng.uniform(size=(30, 1)), "o": np.sort(rng.normal(50.0, 9.0, (30, 3)), axis=1),
+                "y": rng.normal(50.0, 9.0, 30)}
+        data[name][4] = bad
+        with pytest.raises(ValueError, match=f"^non-finite {name}$"):
+            fit_quantile_bank(data["z"], data["o"], data["y"], regime=Regime.MIP, n_q=3)
+
     @pytest.mark.parametrize(
         "taus, weights_shape, biases_shape, message",
         [
