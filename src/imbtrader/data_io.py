@@ -11,7 +11,8 @@ Two file schemas are defined here and documented in the README:
 
 ``books.csv``
     Order-book snapshot rows: timestamp, side (``ask``/``bid``), price,
-    volume; asks best-first ascending, bids best-first descending.
+    volume; asks best-first ascending, bids best-first descending. In
+    memory the books of a file are one stack of arrays, ``OrderBooks``.
 
 Timestamps are UTC everywhere; conversion from market-local time happens
 at the boundary, before files reach this module. The synthetic generator
@@ -27,6 +28,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +36,13 @@ import numpy as np
 from ._fields import array_of, integer, object_of, read_fields, string, timestamp
 from .market_impact import is_surplus
 from .price_models import ReserveGrid
-from .strategy import OrderBook
+from .strategy import SIDES, OrderBook, ladder_fault
 
 __all__ = [
     "DataValidationError",
     "BASE_COLUMNS",
     "MarketRecords",
+    "OrderBooks",
     "MarketTick",
     "FeatureLayout",
     "FeatureSet",
@@ -78,6 +81,7 @@ BASE_COLUMNS = [
     "price_da",
     "price_id",
 ]
+BOOK_COLUMNS = ["timestamp", "side", "price", "volume"]
 
 
 class DataValidationError(ValueError):
@@ -108,6 +112,24 @@ class MarketRecords:
     def reserve_prices(self) -> np.ndarray:
         """The reserve-ladder price columns, aFRR first (a view of ``values``)."""
         return self.values[:, len(BASE_COLUMNS) - 1 :]
+
+
+@dataclass(frozen=True)
+class OrderBooks:
+    """Order books as one stack, one book per timestamp, in time order.
+
+    ``prices`` and ``volumes`` are (books, 2 sides, levels), asks first and
+    best level first; ``counts`` (books, 2) holds each side's level count,
+    and the cells past it are zero. Loading or generating checks the stack.
+    """
+
+    timestamps: list[datetime]
+    prices: np.ndarray
+    volumes: np.ndarray
+    counts: np.ndarray
+
+    def book(self, i: int) -> OrderBook:
+        return OrderBook.of(self.prices[i], self.volumes[i], self.counts[i])
 
 
 @dataclass
@@ -168,11 +190,53 @@ class FeatureSet:
     layout: FeatureLayout
 
 
-def _row_timestamp(text: str, row: int) -> datetime:
+def _read_columns(path: Path, header: list[str]) -> list[tuple[str, ...]]:
+    """The data rows of a CSV file with ``header``, as columns.
+
+    This and the readers below check one rule at a time over all rows; the
+    ``DataValidationError`` names the first row that breaks it.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise DataValidationError(f"{path.name}: header mismatch; expected {header}, got {found}")
+        rows = list(reader)
+    widths = np.fromiter(map(len, rows), int, len(rows))
+    _reject_first(widths != len(header), lambda i: f"expected {len(header)} fields, got {widths[i]}")
+    return list(zip(*rows)) or [()] * len(header)
+
+
+def _reject_first(bad: np.ndarray, message) -> None:
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise DataValidationError(f"row {hits[0] + 2}: {message(hits[0])}")
+
+
+def _read_timestamps(texts: tuple[str, ...]) -> list[datetime]:
+    """Each text as a UTC timestamp; a text that repeats is parsed once."""
+    parsed = {}
+    for text in dict.fromkeys(texts):
+        try:
+            parsed[text] = timestamp(text)
+        except ValueError as exc:
+            raise DataValidationError(f"row {texts.index(text) + 2}: bad timestamp {text!r}: {exc}") from None
+    return list(map(parsed.get, texts))
+
+
+def _read_numbers(columns: list[tuple[str, ...]]) -> np.ndarray:
+    """The columns as a (rows, columns) array of finite numbers."""
     try:
-        return timestamp(text)
-    except ValueError as exc:
-        raise DataValidationError(f"row {row}: bad timestamp {text!r}: {exc}") from None
+        flat = np.fromiter(map(float, chain.from_iterable(columns)), float, len(columns) * len(columns[0]))
+    except ValueError:  # name the first row with a cell that is not a number
+        for row, cells in enumerate(zip(*columns), start=2):
+            try:
+                list(map(float, cells))
+            except ValueError as exc:
+                raise DataValidationError(f"row {row}: unparseable number: {exc}") from None
+    values = np.ascontiguousarray(flat.reshape(len(columns), -1).T)
+    _reject_first(~np.isfinite(values).all(axis=1), lambda i: "non-finite value")
+    return values
 
 
 def _validate_cadence(timestamps: list[datetime]) -> None:
@@ -195,30 +259,11 @@ def load_market_csv(path, grid: ReserveGrid) -> MarketRecords:
     mismatches, unparseable numbers, misaligned timestamps, duplicates,
     or gaps in the quarter-hour cadence.
     """
-    path = Path(path)
-    expected = BASE_COLUMNS + grid.column_labels()
-    timestamps: list[datetime] = []
-    rows: list[list[float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise DataValidationError(
-                f"{path.name}: header mismatch; expected {expected}, got {header}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise DataValidationError(f"row {row_no}: expected {len(expected)} fields, got {len(row)}")
-            timestamps.append(_row_timestamp(row[0], row_no))
-            try:
-                numbers = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise DataValidationError(f"row {row_no}: unparseable number: {exc}") from None
-            if not all(math.isfinite(v) for v in numbers):
-                raise DataValidationError(f"row {row_no}: non-finite value")
-            rows.append(numbers)
+    columns = _read_columns(Path(path), BASE_COLUMNS + grid.column_labels())
+    timestamps = _read_timestamps(columns[0])
+    values = _read_numbers(columns[1:])
     _validate_cadence(timestamps)
-    return MarketRecords(timestamps, np.array(rows).reshape(len(rows), len(expected) - 1))
+    return MarketRecords(timestamps, values)
 
 
 def write_market_csv(path, records: MarketRecords, grid: ReserveGrid) -> None:
@@ -231,49 +276,46 @@ def write_market_csv(path, records: MarketRecords, grid: ReserveGrid) -> None:
             writer.writerow([ts.isoformat()] + [repr(v) for v in row])
 
 
-def load_order_books(path) -> dict[datetime, OrderBook]:
-    """Read ``books.csv`` into per-timestamp ladders."""
-    path = Path(path)
-    sides: dict[datetime, dict[str, list[tuple[float, float]]]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp", "side", "price", "volume"]:
-            raise DataValidationError(f"{path.name}: header mismatch, got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataValidationError(f"row {row_no}: expected 4 fields, got {len(row)}")
-            ts = _row_timestamp(row[0], row_no)
-            side = row[1]
-            if side not in ("ask", "bid"):
-                raise DataValidationError(f"row {row_no}: side must be ask or bid, got {side!r}")
-            try:
-                price, volume = float(row[2]), float(row[3])
-            except ValueError as exc:
-                raise DataValidationError(f"row {row_no}: unparseable number: {exc}") from None
-            if not (math.isfinite(price) and math.isfinite(volume)):
-                raise DataValidationError(f"row {row_no}: non-finite value")
-            sides.setdefault(ts, {"ask": [], "bid": []})[side].append((price, volume))
-    books = {}
-    for ts, ladders in sides.items():
-        try:
-            books[ts] = OrderBook(asks=tuple(ladders["ask"]), bids=tuple(ladders["bid"]))
-        except ValueError as exc:
-            raise DataValidationError(f"book at {ts.isoformat()}: {exc}") from None
-    return books
+def load_order_books(path) -> OrderBooks:
+    """Read and validate ``books.csv`` into one stack of books, sorted by timestamp.
+
+    A book's rows need not be adjacent. A wrong width, timestamp, side or
+    number, a non-finite value, and a level that breaks a ladder rule
+    (``strategy.ladder_fault``) raise ``DataValidationError`` naming the row.
+    """
+    columns = _read_columns(Path(path), BOOK_COLUMNS)
+    stamps = _read_timestamps(columns[0])
+    sides = np.array(columns[1], dtype=str)
+    _reject_first((sides != "ask") & (sides != "bid"), lambda i: f"side must be ask or bid, got {columns[1][i]!r}")
+    values = _read_numbers(columns[2:])
+    timestamps = sorted(set(stamps))
+    index = {ts: i for i, ts in enumerate(timestamps)}
+    ladders = 2 * np.fromiter(map(index.get, stamps), int, len(stamps)) + (sides == "bid")  # 2 * book + side
+    order = np.argsort(ladders, kind="stable")  # the rows of each ladder, in file order
+    ladders = ladders[order]
+    levels = np.arange(ladders.size) - np.searchsorted(ladders, ladders)
+    cells = np.zeros((3, len(timestamps), 2, levels.max(initial=0) + 1))  # price, volume and row of each level
+    cells[:, ladders // 2, ladders % 2, levels] = np.vstack([values.T, np.arange(ladders.size)])[:, order]
+    prices, volumes, row_of = cells
+    counts = np.bincount(ladders, minlength=2 * len(timestamps)).reshape(-1, 2)
+    fault = ladder_fault(prices, volumes, counts, rank=row_of)
+    if fault:
+        raise DataValidationError(f"row {int(row_of[fault[0]]) + 2}: {fault[1]}")
+    return OrderBooks(timestamps, prices, volumes, counts)
 
 
-def write_order_books(path, books: dict[datetime, OrderBook]) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_order_books(path, books: OrderBooks) -> None:
+    """Write ``books.csv``: each book its asks then its bids, best first; floats keep full precision."""
+    live = np.arange(books.prices.shape[-1]) < books.counts[..., None]
+    book, side, _ = np.nonzero(live)
+    stamps = [ts.isoformat() for ts in books.timestamps]
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", "side", "price", "volume"])
-        for ts in sorted(books):
-            book = books[ts]
-            for price, volume in book.asks:
-                writer.writerow([ts.isoformat(), "ask", repr(price), repr(volume)])
-            for price, volume in book.bids:
-                writer.writerow([ts.isoformat(), "bid", repr(price), repr(volume)])
+        writer.writerow(BOOK_COLUMNS)
+        writer.writerows(zip(
+            [stamps[i] for i in book], [SIDES[i] for i in side],
+            map(repr, books.prices[live].tolist()), map(repr, books.volumes[live].tolist()),
+        ))
 
 
 # Imbalance lags in quarter-hours. Trading closes just over an hour before
@@ -347,16 +389,17 @@ def reference_layout() -> FeatureLayout:
 def assemble_ticks(
     records: MarketRecords,
     features: FeatureSet,
-    books: dict[datetime, OrderBook] | None = None,
+    books: OrderBooks | None = None,
 ) -> list[MarketTick]:
     """Join records, features, and (optionally) order books into ticks."""
     start = features.first_index
+    book_of = {ts: i for i, ts in enumerate(books.timestamps)} if books is not None else {}
     # tolist() keeps s and the prices Python floats, as ledgers print them
     s, p_mdp, p_mip = (records.column(name)[start:].tolist() for name in ("s_mw", "p_mdp", "p_mip"))
     return [
         MarketTick(
             timestamp=ts, x=x, o=o, s=s_t, p_mdp=mdp_t, p_mip=mip_t,
-            book=books.get(ts) if books is not None else None,
+            book=books.book(book_of[ts]) if ts in book_of else None,
         )
         for ts, x, o, s_t, mdp_t, mip_t in zip(
             records.timestamps[start:], features.x, records.reserve_prices[start:], s, p_mdp, p_mip
@@ -370,9 +413,9 @@ def load_dataset(data_dir, grid: ReserveGrid) -> list[MarketTick]:
     records = load_market_csv(data_dir / "market.csv", grid)
     books_path = data_dir / "books.csv"
     books = load_order_books(books_path) if books_path.exists() else None
-    if books:
+    if books is not None:
         known = set(records.timestamps)
-        unmatched = [ts for ts in books if ts not in known]
+        unmatched = [ts for ts in books.timestamps if ts not in known]
         if unmatched:
             logger.warning(
                 "%s: %d order books have no market.csv row and are ignored; first at %s",
@@ -436,12 +479,21 @@ class SyntheticConfig:
         return ReserveGrid(self.afrr_volumes, self.mfrr_volumes)
 
     def __post_init__(self):
-        if self.n_periods < 1:
-            raise ValueError(f"n_periods must be at least 1, got {self.n_periods}")
-        for name in ("price_gap_std", "price_noise_std", "book_noise_std", "imbalance_scale"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        scales = ("price_gap_std", "price_noise_std", "book_noise_std", "imbalance_scale")
+        rules = {  # NaN fails every rule
+            "n_periods": ("at least 1", self.n_periods >= 1),
+            **{name: ("nonnegative and finite", 0.0 <= getattr(self, name) < math.inf) for name in scales},
+            "book_levels": ("at least 1", self.book_levels >= 1),
+            # a one-level book never adds the tick, so only a non-finite tick breaks it
+            "book_tick": ("positive and finite", math.isfinite(self.book_tick)
+                          and (self.book_tick > 0.0 or self.book_levels == 1)),
+            "book_level_volume": ("positive and finite", 0.0 < self.book_level_volume < math.inf),
+            "book_spread": ("finite", math.isfinite(self.book_spread)),
+            "edge": ("finite", math.isfinite(self.edge)),
+        }
+        for name, (rule, ok) in rules.items():
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         if not 0 <= self.mdp_anchor < len(self.afrr_volumes):
             raise ValueError("mdp_anchor outside the aFRR ladder")
         if not 0 <= self.mip_anchor < len(self.mfrr_volumes):
@@ -455,7 +507,7 @@ _SIGNAL_WEIGHTS = {"solar": 0.004, "wind": 0.003, "load": -0.003, "price": -0.05
 
 def generate_synthetic_market(
     cfg: SyntheticConfig,
-) -> tuple[MarketRecords, dict[datetime, OrderBook], dict]:
+) -> tuple[MarketRecords, OrderBooks, dict]:
     """Simulate a two-regime balancing market with planted parameters.
 
     The latent regime follows a logistic law that is linear in features the
@@ -519,17 +571,13 @@ def generate_synthetic_market(
         price_da, price_da + diff_price,
         afrr_prices, mfrr_prices,
     ])
-    books: dict[datetime, OrderBook] = {}
-    for t, ts in enumerate(timestamps):
-        asks = tuple(
-            (float(best_ask[t] + level * cfg.book_tick), cfg.book_level_volume)
-            for level in range(cfg.book_levels)
-        )
-        bids = tuple(
-            (float(best_ask[t] - cfg.book_spread - level * cfg.book_tick), cfg.book_level_volume)
-            for level in range(cfg.book_levels)
-        )
-        books[ts] = OrderBook(asks=asks, bids=bids)
+    steps = np.arange(cfg.book_levels) * cfg.book_tick
+    prices = np.stack([best_ask[:, None] + steps, best_ask[:, None] - cfg.book_spread - steps], axis=1)
+    volumes = np.full(prices.shape, cfg.book_level_volume)
+    books = OrderBooks(timestamps, prices, volumes, np.full((n, 2), cfg.book_levels))
+    fault = ladder_fault(books.prices, books.volumes, books.counts)
+    if fault:  # a price that overflows, or a tick too small to move a price
+        raise ValueError(f"book at {timestamps[fault[0][0]].isoformat()}: {fault[1]}")
 
     truth = {
         "k_mdp": cfg.k_mdp,

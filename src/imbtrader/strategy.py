@@ -25,6 +25,8 @@ __all__ = [
     "leg_positions",
     "OrderBook",
     "InsufficientDepthError",
+    "ladder_fault",
+    "fill_prices",
     "fill_cost",
     "position_loss",
     "DecisionTable",
@@ -92,35 +94,71 @@ class InsufficientDepthError(RuntimeError):
     """The order book cannot fill the requested volume."""
 
 
-@dataclass(frozen=True)
+SIDES = ("ask", "bid")
+LADDER_RULES = ("prices and volumes must be finite", "volumes must be positive", "prices must be strictly {}")
+
+
+def ladder_fault(prices, volumes, counts, rank=None) -> tuple[tuple[int, int, int], str] | None:
+    """The first level of a book stack that breaks a rule of ``LADDER_RULES``: its (book, side, level) and message.
+
+    Books are stacked (books, 2 sides, levels), asks first and best level
+    first, with each side's level count in ``counts``; asks must ascend and
+    bids descend. Faults come in the ``rank`` order of their levels, else by
+    book, side, rule and level, after any book without a level.
+    """
+    empty = np.flatnonzero(counts.sum(axis=-1) == 0)
+    if empty.size:
+        return (int(empty[0]), 0, 0), "order book needs at least one level"
+    live = np.arange(prices.shape[-1]) < counts[..., None]
+    finite = np.isfinite(prices) & np.isfinite(volumes)
+    beyond = np.ones_like(live)  # a non-finite price breaks the first rule; zero keeps its neighbours' steps finite
+    beyond[..., 1:] = np.diff(np.where(finite, prices, 0.0), axis=-1) * np.array([[1.0], [-1.0]]) > 0.0
+    faults = np.stack([~finite, ~(volumes > 0.0), ~beyond], axis=-2) & live[..., None, :]
+    book, side, rule, level = np.nonzero(faults)
+    if not book.size:
+        return None
+    i = 0 if rank is None else np.argmin(rank[book, side, level])
+    message = LADDER_RULES[rule[i]].format(("ascending", "descending")[side[i]])
+    return (book[i], side[i], level[i]), f"{SIDES[side[i]]}s: {message}"
+
+
 class OrderBook:
-    """Price/volume ladder; asks ascending by price, bids descending."""
+    """One book as a stack row: (2 sides, levels) ``prices`` and ``volumes``, and each side's level ``counts``.
 
-    asks: tuple[tuple[float, float], ...] = ()
-    bids: tuple[tuple[float, float], ...] = ()
+    ``OrderBook(asks=, bids=)`` checks its (price, volume) levels, best first, with ``ladder_fault``.
+    """
 
-    def __post_init__(self):
-        asks = tuple((float(p), float(v)) for p, v in self.asks)
-        bids = tuple((float(p), float(v)) for p, v in self.bids)
-        if not asks and not bids:
-            raise ValueError("order book needs at least one level")
-        for side, levels, sign in (("asks", asks, 1.0), ("bids", bids, -1.0)):
-            if not all(math.isfinite(p) and math.isfinite(v) for p, v in levels):
-                raise ValueError(f"{side}: prices and volumes must be finite")
-            prices = [p for p, _ in levels]
-            if any(v <= 0.0 for _, v in levels):
-                raise ValueError(f"{side}: volumes must be positive")
-            if any(sign * (b - a) <= 0.0 for a, b in zip(prices, prices[1:])):
-                raise ValueError(f"{side}: prices must be strictly {'ascending' if sign > 0 else 'descending'}")
-        object.__setattr__(self, "asks", asks)
-        object.__setattr__(self, "bids", bids)
+    __slots__ = ("prices", "volumes", "counts")
+
+    def __init__(self, asks=(), bids=()):
+        sides = (tuple(asks), tuple(bids))
+        counts = np.array([len(levels) for levels in sides])
+        ladder = np.zeros((2, max(counts.max(), 1), 2))  # (side, level, price or volume)
+        for side, levels in enumerate(sides):
+            ladder[side, : len(levels)] = np.array(levels, dtype=float).reshape(len(levels), 2)
+        fault = ladder_fault(ladder[None, ..., 0], ladder[None, ..., 1], counts[None])
+        if fault:
+            raise ValueError(fault[1])
+        self.prices, self.volumes, self.counts = ladder[..., 0], ladder[..., 1], counts
+
+    @classmethod
+    def of(cls, prices: np.ndarray, volumes: np.ndarray, counts: np.ndarray) -> "OrderBook":
+        """A row of a checked stack, unchecked."""
+        book = cls.__new__(cls)
+        book.prices, book.volumes, book.counts = prices, volumes, counts
+        return book
 
     def depth(self, side: str) -> float:
-        levels = self.asks if side == "ask" else self.bids
-        return float(sum(v for _, v in levels))
+        # left to right, as the depth test against u_max expects; np.sum adds 8 or more levels in another order
+        return float(np.cumsum(self.volumes[SIDES.index(side)])[-1])
 
     def best_price(self) -> float:
-        return self.asks[0][0] if self.asks else self.bids[0][0]
+        return float(self.prices[0 if self.counts[0] else 1, 0])
+
+
+def fill_prices(book: OrderBook, us) -> np.ndarray:
+    """Volume-weighted average fill price of each position of ``us`` (see ``fill_cost``)."""
+    return _fills(book, np.asarray(us, dtype=float))[1]
 
 
 def fill_cost(book: OrderBook, u: float) -> tuple[float, float]:
@@ -131,24 +169,28 @@ def fill_cost(book: OrderBook, u: float) -> tuple[float, float]:
     ``u == 0`` the cost is zero and the price is the best book level, kept
     for reporting continuity.
     """
-    if u == 0.0:
-        return 0.0, book.best_price()
-    levels = book.asks if u > 0.0 else book.bids
-    side = "ask" if u > 0.0 else "bid"
-    remaining = abs(u)
-    cost = 0.0
-    for price, volume in levels:
-        take = min(volume, remaining)
+    cost, q = _fills(book, np.array([u], dtype=float))
+    return float(cost[0]), float(q[0])
+
+
+def _fills(book: OrderBook, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed cost and average price of every position, filled in one pass over the levels.
+
+    Each position takes ``min(volume, remaining)`` of each level of its side,
+    the steps of a lone fill, so it gets a lone fill's bits; filled, it takes zero.
+    """
+    side, size = (us < 0.0).astype(int), np.abs(us)
+    remaining, cost = size.copy(), np.zeros_like(size)
+    for price, volume in zip(book.prices[side].T, book.volumes[side].T):
+        take = np.minimum(volume, remaining)
         cost += price * take
         remaining -= take
-        if remaining <= 0.0:
-            break
-    if remaining > 1e-12:
-        raise InsufficientDepthError(
-            f"{side} depth {book.depth(side):g} MW cannot fill {abs(u):g} MW"
-        )
-    avg = cost / abs(u)
-    return cost * (1.0 if u > 0.0 else -1.0), avg
+    short = np.flatnonzero(remaining > 1e-12)
+    if short.size:
+        name = SIDES[side[short[0]]]
+        raise InsufficientDepthError(f"{name} depth {book.depth(name):g} MW cannot fill {size[short[0]]:g} MW")
+    q = np.divide(cost, size, out=np.full_like(size, book.best_price()), where=us != 0.0)
+    return np.where(side == 1, -cost, cost), q
 
 
 def position_loss(imbalance_price: float, fill_price: float, u: float) -> float:
@@ -240,7 +282,7 @@ def decision_table(
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     us = actions.ordered_grid() if isinstance(actions, ActionSpace) else np.asarray(actions, dtype=float)
-    q = np.array([fill_cost(book, float(u))[1] for u in us])
+    q = fill_prices(book, us)
     rho = _rho_rows(kind, forecast_fn, us, alphas)
     phi = (q[:, None] + rho) * us[:, None]
     return DecisionTable(positions_by_size=us, fill_prices=q, rho=rho, phi=phi)
@@ -311,7 +353,7 @@ def newton_expected_position(
         return _fallback("grid includes short positions")
     if not math.isclose(impact.k_mdp, impact.k_mip, rel_tol=1e-9, abs_tol=1e-12):
         return _fallback("regime sensitivities differ")
-    if not book.asks or book.asks[0][1] + 1e-12 < actions.u_max:
+    if not book.counts[0] or book.volumes[0, 0] + 1e-12 < actions.u_max:
         return _fallback("order book is not a single linear ask segment over the grid")
 
     base = forecast_fn(0.0)
@@ -322,7 +364,7 @@ def newton_expected_position(
     gap = c_down - c_up
     k = impact.k_mdp
     beta = impact.beta
-    ask = book.asks[0][0]
+    ask = float(book.prices[0, 0])
     if gap < 0.0:
         return _fallback("regime mean gap is negative; convexity conditions not met")
     if gap > 0.0 and beta > 0.0 and w_u != 0.0:

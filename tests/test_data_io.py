@@ -2,6 +2,7 @@ import csv
 import logging
 import math
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from imbtrader.market_impact import estimate_sensitivities, is_surplus
 from imbtrader.price_models import fit_logistic
 
 UTC = timezone.utc
+FIXTURE_DAY = Path(__file__).resolve().parents[1] / "data" / "fixture_day"
 
 
 def small_cfg(**overrides):
@@ -56,7 +58,30 @@ class TestCsvRoundTrip:
         assert bits(loaded.values) == bits(records.values)
         write_order_books(tmp_path / "books.csv", books)
         loaded_books = load_order_books(tmp_path / "books.csv")
-        assert loaded_books == books
+        assert loaded_books.timestamps == books.timestamps
+        for name in ("prices", "volumes", "counts"):
+            assert bits(getattr(loaded_books, name)) == bits(getattr(books, name))
+
+    def test_fixture_day_rewrites_byte_for_byte(self, tmp_path):
+        grid = SyntheticConfig().grid
+        write_market_csv(tmp_path / "market.csv", load_market_csv(FIXTURE_DAY / "market.csv", grid), grid)
+        write_order_books(tmp_path / "books.csv", load_order_books(FIXTURE_DAY / "books.csv"))
+        for name in ("market.csv", "books.csv"):
+            assert (tmp_path / name).read_bytes() == (FIXTURE_DAY / name).read_bytes()
+
+    def test_book_rows_need_not_be_adjacent(self, tmp_path):
+        _, books, _ = generate_synthetic_market(small_cfg(n_periods=4))
+        path = tmp_path / "books.csv"
+        write_order_books(path, books)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + lines[1:][::-1]) + "\n")  # every ladder reversed
+        with pytest.raises(DataValidationError, match="^row 3: bids: prices must be strictly descending$"):
+            load_order_books(path)
+        bids_first = sorted(lines[1:], key=lambda line: ",ask," in line)  # stable: each ladder keeps its order
+        path.write_text("\n".join(lines[:1] + bids_first) + "\n")
+        loaded = load_order_books(path)
+        assert loaded.timestamps == books.timestamps
+        assert bits(loaded.prices) == bits(books.prices)
 
     def test_well_formed_day_loads_fully(self, tmp_path):
         cfg = small_cfg(n_periods=96)
@@ -108,6 +133,25 @@ class TestCsvRoundTrip:
         lines[3] = ",".join(edit(lines[3].split(",")))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataValidationError, match=f"row 4: expected 4 fields, got {got}"):
+            load_order_books(path)
+
+    @pytest.mark.parametrize("line, field, value, message", [
+        (2, 2, "1.0", "row 3: asks: prices must be strictly ascending"),
+        (5, 2, "1e9", "row 6: bids: prices must be strictly descending"),
+        (3, 3, "0.0", "row 4: asks: volumes must be positive"),
+        (4, 3, "-6.0", "row 5: bids: volumes must be positive"),
+        (6, 1, "offer", "row 7: side must be ask or bid, got 'offer'"),
+    ], ids=["asks-not-ascending", "bids-not-descending", "zero-volume", "negative-volume", "bad-side"])
+    def test_book_ladder_fault_rejected_with_row(self, tmp_path, line, field, value, message):
+        _, books, _ = generate_synthetic_market(small_cfg(n_periods=4))
+        path = tmp_path / "books.csv"
+        write_order_books(path, books)
+        lines = path.read_text().splitlines()
+        cells = lines[line].split(",")
+        cells[field] = value
+        lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError, match=f"^{message}$"):
             load_order_books(path)
 
     @pytest.mark.parametrize("field, value", [(2, "nan"), (3, "inf"), (2, "-inf"), (3, "nan")],
@@ -248,7 +292,7 @@ class TestSyntheticGenerator:
     def test_books_have_grid_depth(self):
         cfg = small_cfg()
         _, books, _ = generate_synthetic_market(cfg)
-        for book in books.values():
+        for book in map(books.book, range(len(books.timestamps))):
             assert book.depth("ask") >= 5.0
             assert book.depth("bid") >= 5.0
 
@@ -263,9 +307,41 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite"):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("book_levels", 0, "must be at least 1"),
+        ("book_levels", -2, "must be at least 1"),
+        ("book_tick", 0.0, "must be positive and finite"),
+        ("book_tick", -1.5, "must be positive and finite"),
+        ("book_tick", math.nan, "must be positive and finite"),
+        ("book_tick", math.inf, "must be positive and finite"),
+        ("book_level_volume", 0.0, "must be positive and finite"),
+        ("book_level_volume", -6.0, "must be positive and finite"),
+        ("book_level_volume", math.inf, "must be positive and finite"),
+        ("book_level_volume", math.nan, "must be positive and finite"),
+        ("book_spread", math.nan, "must be finite"),
+        ("book_spread", -math.inf, "must be finite"),
+        ("edge", math.inf, "must be finite"),
+        ("edge", math.nan, "must be finite"),
+    ])
+    def test_bad_book_field_rejected_by_name(self, field, value, problem):
+        with pytest.raises(ValueError, match=f"^{field} {problem}"):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("overrides", [dict(book_spread=-3.0), dict(book_levels=1, book_tick=0.0)],
+                             ids=["crossed-spread", "one-level-zero-tick"])
+    def test_book_fields_that_generate_are_kept(self, overrides):
+        _, books, _ = generate_synthetic_market(small_cfg(n_periods=4, **overrides))
+        assert books.prices.shape == (4, 2, overrides.get("book_levels", 3))
+
+    def test_tick_below_price_resolution_rejected(self):
+        # 1e-20 passes the config but does not move a price of ~100: the stack check names the book
+        message = "^book at 2024-01-01T00:00:00[+]00:00: asks: prices must be strictly ascending$"
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic_market(small_cfg(n_periods=4, book_tick=1e-20))
+
     def test_one_period_market(self):
         records, books, truth = generate_synthetic_market(small_cfg(n_periods=1))
-        assert len(records.timestamps) == 1 and len(books) == 1
+        assert len(records.timestamps) == 1 and len(books.timestamps) == 1
         assert all(math.isfinite(v) for v in truth.values() if isinstance(v, float))
 
     def test_synthetic_ticks_helper(self):

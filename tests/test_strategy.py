@@ -1,6 +1,8 @@
 import logging
 import math
+import re
 
+import fill_oracle
 import grid_oracle
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from imbtrader.strategy import (
     decision_table,
     default_alpha_grid,
     fill_cost,
+    fill_prices,
     newton_expected_position,
     optimal_position,
     position_loss,
@@ -137,6 +140,64 @@ class TestFillCost:
             OrderBook(asks=(level,))
         with pytest.raises(ValueError, match="finite"):
             OrderBook(asks=((70.0, 1.0),), bids=(level,))
+
+
+@st.composite
+def ladders(draw, sign):
+    """Up to 10 levels best first: asks (sign 1) ascend, bids (sign -1) descend."""
+    n = draw(st.integers(0, 10))
+    best = draw(st.floats(-300.0, 300.0))
+    steps = draw(st.lists(st.floats(1e-3, 40.0), min_size=n, max_size=n))
+    volumes = draw(st.lists(st.sampled_from([1.0, 6.0]) | st.floats(1e-3, 50.0), min_size=n, max_size=n))
+    prices = best + sign * np.concatenate([[0.0], np.cumsum(steps)[:-1]]) if n else []
+    return tuple((float(p), v) for p, v in zip(prices, volumes))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestFillOracle:
+    """``fill_prices`` and ``fill_cost`` against the per-position loop of ``fill_oracle``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fills_match_the_per_position_loop(self, data):
+        asks, bids = data.draw(ladders(1)), data.draw(ladders(-1))
+        assume(asks or bids)
+        book = OrderBook(asks=asks, bids=bids)
+        # the cumulative volumes, added left to right as a fill subtracts them
+        edges = [sign * edge for sign, levels in ((1.0, asks), (-1.0, bids))
+                 for edge in np.cumsum([v for _, v in levels]).tolist()]
+        depth = max((abs(e) for e in edges), default=1.0)
+        # just past an edge: within the 1e-12 MW tolerance of a fill, and beyond it
+        near = [e + math.copysign(d, e) for e in edges for d in (1e-13, 1e-10)]
+        position = st.sampled_from([0.0, -0.0] + edges + near) | st.floats(-1.2 * depth, 1.2 * depth)
+        us = data.draw(st.lists(position, min_size=1, max_size=12))
+        try:
+            expected = fill_oracle.fill_prices(asks, bids, us)
+        except InsufficientDepthError as exc:
+            with pytest.raises(InsufficientDepthError, match=f"^{re.escape(str(exc))}$"):
+                fill_prices(book, us)
+        else:
+            assert bits(fill_prices(book, us)) == bits(expected)
+        for u in us:
+            try:
+                expected = fill_oracle.fill_cost(asks, bids, u)
+            except InsufficientDepthError as exc:
+                with pytest.raises(InsufficientDepthError, match=f"^{re.escape(str(exc))}$"):
+                    fill_cost(book, u)
+            else:
+                assert bits(fill_cost(book, u)) == bits(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_depth_adds_levels_left_to_right(self, data):
+        asks, bids = data.draw(ladders(1)), data.draw(ladders(-1))
+        assume(asks or bids)
+        book = OrderBook(asks=asks, bids=bids)
+        for side, levels in (("ask", asks), ("bid", bids)):
+            assert bits(book.depth(side)) == bits(fill_oracle.depth(levels))
 
 
 class TestPositionLoss:
