@@ -24,7 +24,7 @@ from ._fields import timestamp
 from .data_io import MarketTick
 from .market_impact import realized_settlement_price
 from .dists import row_atoms
-from .pipeline import PositionForecast, TrainedModels, attach_z, forecast_rows
+from .pipeline import LeakageError, PositionForecast, TrainedModels, attach_z, check_out_of_sample, forecast_rows
 from .risk import RISK_KINDS
 from .strategy import (
     ActionSpace,
@@ -53,10 +53,6 @@ logger = logging.getLogger(__name__)
 LEDGER_COLUMNS = ["timestamp", "leg", "u_mw", "fill_price", "realized_price", "alpha", "measure", "profit_eur"]
 
 
-class LeakageError(RuntimeError):
-    """Backtest range overlaps the model training range."""
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One backtest run; ``alpha=None`` selects adaptive tuning."""
@@ -69,8 +65,6 @@ class SimConfig:
     alpha_grid_size: int = 200
     actions: ActionSpace = field(default_factory=ActionSpace)
     delta_hours: float = 0.25
-    start: datetime | None = None
-    end: datetime | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -82,8 +76,9 @@ class SimConfig:
                 raise ValueError(f"{name} {b} outside [0, 1]")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
+        for name, least in (("window", 1), ("alpha_grid_size", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         if not 0.0 < self.delta_hours < math.inf:  # NaN fails too
             raise ValueError(f"delta_hours must be positive and finite, got {self.delta_hours}")
 
@@ -131,10 +126,10 @@ class BacktestResult:
 def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTick]) -> BacktestResult:
     """Replay the strategy over recorded ticks; no randomness is consumed.
 
-    Raises ``LeakageError`` when the tick range overlaps the model training
-    range. Settlement applies the true reactivity to the recorded
-    regulation prices and the realized imbalance, shifted by the net
-    executed position of both legs.
+    Raises ``LeakageError`` naming the first tick at or before the models'
+    training end, and ``ValueError`` on no ticks. Settlement applies the
+    true reactivity to the recorded regulation prices and the realized
+    imbalance, shifted by the net executed position of both legs.
     """
     return _replay(config, models, ticks, [config.beta_est], [config.beta_true])[0][0]
 
@@ -183,7 +178,7 @@ def _replay(
 ) -> list[list[BacktestResult]]:
     """One replay of the ticks for every (assumed, true) reactivity pair.
 
-    Range filter and skip checks run once per tick, the regime predictions
+    Leakage and skip checks run once per tick, the regime predictions
     once for all traded ticks (``forecast_rows``), and the decision tables
     once per tick, assumed reactivity and leg, since decisions do not
     depend on the true reactivity. Each pair keeps
@@ -191,19 +186,9 @@ def _replay(
     shared tables' hindsight losses. Returns one ``BacktestResult`` per
     pair, indexed ``[i_est][i_true]``.
     """
-    selected = [
-        t for t in ticks
-        if (config.start is None or t.timestamp >= config.start)
-        and (config.end is None or t.timestamp <= config.end)
-    ]
-    if not selected:
-        raise ValueError("no ticks in the requested range")
-    if selected[0].timestamp <= models.train_end:
-        raise LeakageError(
-            f"backtest starts {selected[0].timestamp.isoformat()} but models "
-            f"were trained through {models.train_end.isoformat()}"
-        )
-    selected = attach_z(selected, models)
+    if not ticks:
+        raise ValueError("no ticks to replay")
+    check_out_of_sample(ticks, models.train_end)
 
     legs = ("long", "short") if config.actions.allow_short else ("long",)
     positions = {leg: leg_positions(config.actions, leg) for leg in legs}
@@ -218,7 +203,7 @@ def _replay(
 
     skipped: list[tuple[datetime, str]] = []
     traded = []
-    for tick in selected:
+    for tick in attach_z(ticks, models):
         if tick.book is None:
             reason = "missing order book"
         elif tick.book.depth("ask") < config.actions.u_max or (

@@ -18,7 +18,7 @@ from ._optim import fit_quantile_lp, log_unfinished
 from .data_io import FeatureLayout, MarketTick
 from .dists import ForecastScores, canonical_rows, flatten_rows, score_rows
 from .market_impact import is_surplus
-from .pipeline import TrainedModels, forecast_rows
+from .pipeline import LeakageError, TrainedModels, check_out_of_sample, forecast_rows
 from .price_models import FeatureScaler, LogisticModel, fit_logistic, quantile_levels
 
 __all__ = [
@@ -45,8 +45,7 @@ DEFAULT_HORIZON = 5
 _STATE_POS, _STATE_NEG = 0, 1
 
 
-class SplitMismatchError(ValueError):
-    """Evaluation data overlaps the benchmark training range."""
+SplitMismatchError = LeakageError  # run_benchmark's error under the older name that callers catch
 
 
 def fit_static_transitions(labels) -> np.ndarray:
@@ -219,9 +218,9 @@ class BenchmarkTable:
 
 def run_benchmark(suite: BenchmarkSuite, ticks: list[MarketTick]) -> BenchmarkTable:
     """Score every benchmark model on the ticks all of them can forecast: all but the first
-    ``horizon``, whose balancing state ``horizon`` periods back the Markov models need."""
-    if ticks and ticks[0].timestamp <= suite.train_end:
-        raise SplitMismatchError(f"evaluation starts {ticks[0].timestamp.isoformat()}, inside the training range")
+    ``horizon``, whose balancing state ``horizon`` periods back the Markov models need. A tick at or before
+    the suite's or its bundle's training end (the ``mixture`` row scores the bundle) raises ``LeakageError``."""
+    check_out_of_sample(ticks, max(suite.train_end, suite.models.train_end))
     h = suite.horizon
     scored = ticks[h:]
     if not scored:

@@ -54,6 +54,16 @@ def _sim_flag(name: str):
     return check
 
 
+def _beta_grid(which: str):
+    """The flag of a comma-separated grid of ``SimConfig.beta_<which>`` values, each checked by ``_sim_flag``."""
+    def read(text: str) -> list[float]:
+        values = [float(_sim_flag(f"beta_{which}")(v)) for v in text.split(",") if v.strip() != ""]
+        if not values:
+            raise argparse.ArgumentTypeError("empty grid")
+        return values
+    return read
+
+
 # readers of the synthetic keys, by SyntheticConfig's field annotations (strings: annotations are postponed)
 _READ_BY_TYPE = {"int": integer, "float": numeric, "datetime": timestamp}
 _RESERVES = ("afrr_volumes", "mfrr_volumes")
@@ -124,13 +134,18 @@ def _seed(config: dict, args):
 def _sim_config(config: dict, args) -> SimConfig:
     flags = {name: read(getattr(args, name)) for name, read in _SIM_FLAGS.items() if getattr(args, name) is not None}
     sim = {**config["sim"], **_given(measure=args.measure, seed=_seed(config, args)), **flags}
-    return SimConfig(**sim, actions=ActionSpace(**config["actions"]), start=args.start, end=args.end)
+    return SimConfig(**sim, actions=ActionSpace(**config["actions"]))
 
 
-def _filter_range(ticks, args):
-    """The ticks inside the ``--from`` / ``--to`` range."""
-    start, end = args.start, args.end
+def _between(ticks, start, end):
+    """The ticks from ``start`` to ``end``, both included; None leaves that side open."""
     return [t for t in ticks if (start is None or t.timestamp >= start) and (end is None or t.timestamp <= end)]
+
+
+def _out_of_sample(ticks, args, models: TrainedModels):
+    """The ticks inside ``--from`` / ``--to`` and strictly after the bundle's training end: the ones
+    ``forecast``, ``benchmark``, ``backtest`` and ``sweep`` score or trade."""
+    return [t for t in _between(ticks, args.start, args.end) if t.timestamp > models.train_end]
 
 
 def _out_dir(args) -> Path:
@@ -162,7 +177,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    ticks = _filter_range(_load_ticks(args, config), args)
+    ticks = _between(_load_ticks(args, config), args.start, args.end)
     if not ticks:
         raise ValueError("no training ticks in the requested range")
     models = train_models(
@@ -185,8 +200,7 @@ def cmd_train(args) -> int:
 def cmd_forecast(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
-    ticks = _filter_range(_load_ticks(args, config), args)
-    ticks = [t for t in ticks if t.timestamp > models.train_end]
+    ticks = _out_of_sample(_load_ticks(args, config), args, models)
     if not ticks:
         raise ValueError("no forecast ticks after the training range")
     # the weight model's mixture: the rows the benchmark's `mixture` row scores
@@ -206,8 +220,8 @@ def cmd_benchmark(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
     ticks = _load_ticks(args, config)
-    train_ticks = [t for t in ticks if models.train_start <= t.timestamp <= models.train_end]
-    eval_ticks = [t for t in _filter_range(ticks, args) if t.timestamp > models.train_end]
+    train_ticks = _between(ticks, models.train_start, models.train_end)
+    eval_ticks = _out_of_sample(ticks, args, models)
     if not train_ticks or not eval_ticks:
         raise ValueError("benchmark needs ticks on both sides of the training boundary")
     suite = fit_benchmark_suite(train_ticks, models, **config["benchmark"])
@@ -234,8 +248,7 @@ def cmd_backtest(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
     sim = _sim_config(config, args)
-    ticks = [t for t in _load_ticks(args, config) if t.timestamp > models.train_end]
-    result = run_backtest(sim, models, ticks)
+    result = run_backtest(sim, models, _out_of_sample(_load_ticks(args, config), args, models))
     out = _out_dir(args)
     write_ledger(out / "ledger.csv", result)
     _write_report_files(out, result.report)
@@ -248,19 +261,12 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list[float]:
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
-    if not values:
-        raise ValueError("empty grid")
-    return values
-
-
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
     sim = _sim_config(config, args)
-    ticks = [t for t in _load_ticks(args, config) if t.timestamp > models.train_end]
-    sweep = beta_sweep(sim, models, ticks, _parse_grid(args.beta_est_grid), _parse_grid(args.beta_true_grid))
+    ticks = _out_of_sample(_load_ticks(args, config), args, models)
+    sweep = beta_sweep(sim, models, ticks, args.beta_est_grid, args.beta_true_grid)
     out = _out_dir(args)
     (out / "sweep.csv").write_text(sweep.to_csv_string())
     monotone = sweep.row_monotone_non_increasing()
@@ -332,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta-true", dest="beta_true", type=_sim_flag("beta_true"))
         p.add_argument("--window", type=_sim_flag("window"), help="adaptive window size N")
         if name == "sweep":
-            p.add_argument("--beta-est-grid", required=True, help="comma-separated values")
-            p.add_argument("--beta-true-grid", required=True, help="comma-separated values")
+            for b in ("est", "true"):
+                p.add_argument(f"--beta-{b}-grid", required=True, type=_beta_grid(b), help="comma-separated values")
         p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="aggregate an existing ledger (no recomputation)")

@@ -30,9 +30,22 @@ from .price_models import (
     sigmoid_predict,
 )
 
-__all__ = ["TrainedModels", "train_models", "attach_z", "forecast_rows", "PositionForecast", "make_forecaster"]
+__all__ = ["LeakageError", "check_out_of_sample", "TrainedModels", "train_models", "attach_z", "forecast_rows",
+           "PositionForecast", "make_forecaster"]
 
 FORMAT_VERSION = 1
+
+
+class LeakageError(ValueError):
+    """A scored or traded tick at or before the end of a training range."""
+
+
+def check_out_of_sample(ticks, train_end: datetime) -> None:
+    """Raise ``LeakageError`` naming the first tick, in list order, at or before ``train_end``; every tick
+    is looked at, since a list need not be sorted."""
+    for t in ticks:
+        if t.timestamp <= train_end:
+            raise LeakageError(f"tick {t.timestamp.isoformat()} is not after the training end {train_end.isoformat()}")
 
 
 @dataclass

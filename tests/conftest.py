@@ -31,6 +31,15 @@ def trained(small_market):
     return models, ticks[:split], test_ticks
 
 
+@pytest.fixture(scope="session")
+def seed5_bundle():
+    """A bundle (n_q = 8) trained on the first 400 ticks of a six-day market, and all the market's ticks: its
+    training range ends at tick 399, 2024-01-05T05:30Z."""
+    cfg = SyntheticConfig(seed=5, n_periods=96 * 6, price_noise_std=8.0, price_gap_std=5.0)
+    ticks, _ = synthetic_ticks(cfg)
+    return train_models(ticks[:400], grid=cfg.grid, n_q=8), ticks
+
+
 @pytest.fixture
 def distribution_objects(monkeypatch):
     """Names of the ``DiscretePriceDistribution`` constructions and ``predict_regulation_distribution`` calls made."""

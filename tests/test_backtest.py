@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -95,6 +96,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(window=0)
 
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_alpha_grid_below_two_rejected_by_name(self, size):
+        with pytest.raises(ValueError, match="^alpha_grid_size must be at least 2$"):
+            SimConfig(alpha_grid_size=size)
+
     @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
     def test_non_finite_delta_rejected(self, delta):
         with pytest.raises(ValueError, match="delta_hours"):
@@ -142,6 +148,10 @@ class TestHandLedger:
         assert result.report.total_profit == 0.0
         assert result.report.traded_volume_mwh == 0.0
 
+    def test_no_ticks_rejected(self):
+        with pytest.raises(ValueError, match="^no ticks to replay$"):
+            run_backtest(SimConfig(alpha=0.9), toy_models(), [])
+
 
 class TestAgainstSynthetic:
     def make_config(self, **overrides):
@@ -187,6 +197,14 @@ class TestAgainstSynthetic:
         assert loaded.train_end == models.train_end and loaded.train_end.tzinfo == UTC
         with pytest.raises(LeakageError):
             run_backtest(self.make_config(), loaded, train_ticks[-10:])
+
+    def test_in_sample_tick_after_the_first_rejected(self, seed5_bundle):
+        # the first tick is out of sample, so a check of the first tick alone lets the last two through
+        models, ticks = seed5_bundle
+        replay = attach_z(ticks[450:460], models)[::-1] + attach_z(ticks[390:392], models)
+        message = f"tick {ticks[390].timestamp.isoformat()} is not after the training end {models.train_end.isoformat()}"
+        with pytest.raises(LeakageError, match=f"^{re.escape(message)}$"):
+            run_backtest(SimConfig(alpha=0.9), models, replay)
 
     def test_adaptive_alpha_path_recorded(self, trained):
         models, _, test_ticks = trained

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from imbtrader.benchmarks import (
     run_benchmark,
 )
 from imbtrader.dists import canonical_rows
+from imbtrader.pipeline import LeakageError, attach_z
 from imbtrader.price_models import LogisticModel, pinball_loss
 
 
@@ -245,6 +247,17 @@ class TestBenchmarkRun:
         suite = fit_benchmark_suite(train_ticks, models, max_iter=150)
         with pytest.raises(SplitMismatchError):
             run_benchmark(suite, train_ticks[-20:] + test_ticks)
+
+    def test_split_mismatch_is_the_leakage_error(self):
+        assert SplitMismatchError is LeakageError
+
+    def test_bundle_training_range_rejected(self, seed5_bundle):
+        # the suite's own fit ends at tick 99, but the mixture row scores the bundle's forecasts
+        models, ticks = seed5_bundle
+        suite = fit_benchmark_suite(ticks[:100], models)
+        message = f"tick {ticks[150].timestamp.isoformat()} is not after the training end {models.train_end.isoformat()}"
+        with pytest.raises(LeakageError, match=f"^{re.escape(message)}$"):
+            run_benchmark(suite, attach_z(ticks[150:300], models))
 
     def test_dynamic_feature_columns_subset(self, trained):
         models, _, _ = trained

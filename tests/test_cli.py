@@ -97,6 +97,24 @@ class TestPipelineCommands:
         for name in ("ledger.csv", "report.json", "cumulative.csv", "alpha_path.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def _ledger_rows(self, workspace, name, *flags) -> list[str]:
+        out = workspace["root"] / name
+        assert main(
+            ["backtest", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+             "--models", str(workspace["models"]), "--out", str(out), "--to", "2024-01-05T23:45:00+00:00", *flags]
+        ) == 0
+        return [line for line in (out / "ledger.csv").read_text().splitlines() if not line.startswith("#")][1:]
+
+    def test_backtest_from_after_training_is_the_first_ledger_row(self, workspace):
+        rows = self._ledger_rows(workspace, "bt_from", "--from", "2024-01-05T12:00:00+00:00")
+        assert rows[0].startswith("2024-01-05T12:00:00+00:00,")
+
+    def test_backtest_from_inside_training_is_cut_at_the_training_end(self, workspace):
+        # --from inside the bundle's training range trades the same ticks as no --from: those after TRAIN_END
+        inside = self._ledger_rows(workspace, "bt_from_train", "--from", "2024-01-02T00:00:00+00:00")
+        assert inside == self._ledger_rows(workspace, "bt_to")
+        assert inside[0].startswith("2024-01-05T00:00:00+00:00,")
+
     def test_fixed_alpha_flag(self, workspace):
         out = workspace["root"] / "bt_fixed"
         code = main(
@@ -315,6 +333,7 @@ BAD_CONFIGS = {
     "window out of range": ("strategy: {window: 0}", "strategy: window must be at least 1"),
     "position grid": ("strategy: {step_mw: 0.3, u_max_mw: 1.0}", "strategy: u_max 1.0 is not a multiple of step 0.3"),
     "alpha out of range": ("strategy: {alpha: 1.5}", "strategy: alpha 1.5 outside [0, 1]"),
+    "alpha grid of one": ("strategy: {alpha_grid_size: 1}", "strategy: alpha_grid_size must be at least 2"),
 }
 
 
@@ -343,13 +362,23 @@ class TestConfig:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument --alpha: {problem}\n")
 
-    @pytest.mark.parametrize("command", ["backtest", "sweep"])
-    @pytest.mark.parametrize("flag, value, problem", [
-        ("--window", "0", "window must be at least 1"),
-        ("--window", "2.5", "invalid literal for int() with base 10: '2.5'"),
-        ("--beta-est", "2", "beta_est 2.0 outside [0, 1]"),
-        ("--beta-true", "-1", "beta_true -1.0 outside [0, 1]"),
-        ("--beta-true", "nan", "beta_true nan outside [0, 1]"),
+    @pytest.mark.parametrize("flag, value, problem, command", [
+        (*case, command) for case in [
+            ("--window", "0", "window must be at least 1"),
+            ("--window", "2.5", "invalid literal for int() with base 10: '2.5'"),
+            ("--beta-est", "2", "beta_est 2.0 outside [0, 1]"),
+            ("--beta-true", "-1", "beta_true -1.0 outside [0, 1]"),
+            ("--beta-true", "nan", "beta_true nan outside [0, 1]"),
+        ] for command in ("backtest", "sweep")
+    ] + [
+        # the grids are sweep flags; each value is read and checked like the single value's flag
+        (*case, "sweep") for case in [
+            ("--beta-est-grid", "0,2", "beta_est 2.0 outside [0, 1]"),
+            ("--beta-true-grid", "1,abc", "could not convert string to float: 'abc'"),
+            ("--beta-true-grid", "0.5,nan", "beta_true nan outside [0, 1]"),
+            ("--beta-est-grid", "", "empty grid"),
+            ("--beta-true-grid", " , ", "empty grid"),
+        ]
     ])
     def test_bad_strategy_flag_fails_in_argparse(self, capsys, command, flag, value, problem):
         args = [command, "--out", "out", "--models", "models.json", flag, value]
@@ -359,6 +388,14 @@ class TestConfig:
             build_parser().parse_args(args)
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {problem}\n")
+
+    def test_bad_grid_fails_before_reading_files(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--data", str(tmp_path / "no_data"), "--models", str(tmp_path / "no_models.json"),
+                  "--out", str(tmp_path / "out"), "--beta-est-grid", "0,2", "--beta-true-grid", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --beta-est-grid: beta_est 2.0 outside [0, 1]\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "forecast", "benchmark", "backtest", "sweep"])
     @pytest.mark.parametrize("flag, value, problem", [
@@ -430,9 +467,8 @@ class TestConfig:
 
     def test_flags_win_over_config(self, tmp_path):
         sim = self._sim(tmp_path, "--seed", "9", "--window", "3", "--alpha", "adaptive", "--measure", "evar",
-                        "--beta-est", "0.5", "--from", "2024-01-05T00:00:00")
+                        "--beta-est", "0.5")
         assert (sim.seed, sim.window, sim.alpha, sim.measure, sim.beta_est) == (9, 3, None, "evar", 0.5)
-        assert sim.start == datetime(2024, 1, 5, tzinfo=timezone.utc)
         assert self._sim(tmp_path, "--alpha", "0.25").alpha == 0.25
 
     def test_example_config_loads_every_key(self):

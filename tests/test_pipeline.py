@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbtrader import backtest
-from imbtrader.backtest import SimConfig, beta_sweep
+from imbtrader.backtest import SimConfig, beta_sweep, run_backtest
+from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
 from imbtrader.data_io import reference_layout
 from imbtrader.dists import MixtureForecast, flatten
-from imbtrader.pipeline import PositionForecast, TrainedModels, attach_z, make_forecaster, train_models
+from imbtrader.pipeline import LeakageError, PositionForecast, TrainedModels, attach_z, make_forecaster, train_models
 from imbtrader.price_models import LogisticModel, predict_regulation_distribution, sigmoid_predict
 from imbtrader.strategy import ActionSpace
 
@@ -319,3 +320,29 @@ class TestNonFiniteBundleProperty:
         path.write_text(json.dumps(edited))
         with pytest.raises(ValueError, match=re.escape(f"models.json: {'.'.join(map(str, leaf))}: ")):
             TrainedModels.load(path)
+
+
+class TestTrainingBoundary:
+    @pytest.fixture(scope="class")
+    def scored(self, trained):
+        """A benchmark suite fitted on the bundle's training range, and the training ticks with z."""
+        models, train_ticks, _ = trained
+        return fit_benchmark_suite(train_ticks, models, max_iter=50), attach_z(train_ticks, models)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_in_sample_ticks_anywhere_rejected(self, trained, scored, data):
+        models, _, test_ticks = trained
+        suite, inside = scored
+        ticks = data.draw(st.lists(st.sampled_from(test_ticks), max_size=6), label="out of sample")
+        # the last training tick, the boundary itself, about half the time
+        for tick in data.draw(st.lists(st.sampled_from(inside) | st.just(inside[-1]), min_size=1, max_size=3)):
+            ticks.insert(data.draw(st.integers(0, len(ticks)), label="position"), tick)
+        first = next(t for t in ticks if t.timestamp <= models.train_end)
+        message = f"tick {first.timestamp.isoformat()} is not after the training end {models.train_end.isoformat()}"
+        config = SimConfig(alpha=0.9, actions=ActionSpace(step=0.5, u_max=2.0))
+        for run in (lambda: run_backtest(config, models, ticks),
+                    lambda: beta_sweep(config, models, ticks, [0.5, 1.0], [1.0]),
+                    lambda: run_benchmark(suite, ticks)):
+            with pytest.raises(LeakageError, match=f"^{re.escape(message)}$"):
+                run()
