@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import array_of, integer, object_of, read_fields, string, timestamp
+from ._fields import timestamp
 from .market_impact import is_surplus
 from .price_models import ReserveGrid
 from .strategy import SIDES, OrderBook, ladder_fault
@@ -161,24 +161,14 @@ class FeatureLayout:
     names: tuple[str, ...]
     blocks: dict[str, tuple[int, int]]
 
+    def __post_init__(self):
+        for name, (start, end) in self.blocks.items():
+            if not 0 <= start <= end <= len(self.names):
+                raise ValueError(f"block {name!r} is [{start}, {end}], need 0 <= start <= end <= {len(self.names)}")
+
     def block_slice(self, name: str) -> slice:
         start, end = self.blocks[name]
         return slice(start, end)
-
-    def to_dict(self) -> dict:
-        return {"names": list(self.names), "blocks": {k: list(v) for k, v in self.blocks.items()}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureLayout":
-        fields = read_fields(d, {"names": array_of(string), "blocks": object_of(_block_bounds)})
-        return cls(names=tuple(fields["names"]), blocks=fields["blocks"])
-
-
-def _block_bounds(value) -> tuple[int, int]:
-    bounds = tuple(array_of(integer)(value))
-    if len(bounds) != 2:
-        raise ValueError(f"expected [start, end], got {len(bounds)} numbers")
-    return bounds
 
 
 @dataclass

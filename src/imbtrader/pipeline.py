@@ -3,8 +3,8 @@
 The bundle is what backtests pin: both logistic weight models (plain for
 the price-model input, position-augmented for trading), the two quantile
 banks, the reserve grid, estimated sensitivities, the feature layout, and
-the training date range for leakage checks. Serialization is a versioned
-JSON document with named weights.
+the training date range for leakage checks. The bundle's file format, a
+versioned JSON document with named weights, is one field table here.
 """
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import FieldError, integer, number, read_fields, string, timestamp
+from ._fields import array_of, floats, integer, number, object_of, optional, read_fields, string, timestamp
 from .data_io import FeatureLayout, MarketTick, reference_layout
 from .dists import DiscretePriceDistribution, MixtureForecast, canonical_rows, row_atoms
 from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
 from .price_models import (
+    FeatureScaler,
     LogisticModel,
     QuantileModelBank,
     ReserveGrid,
@@ -74,45 +75,36 @@ class TrainedModels:
             got = getattr(self, name).n_features
             if got != want:
                 raise ValueError(f"{name} has {got} features, the layout's {n} names need {want}")
-        for name in ("bank_mdp", "bank_mip"):
+        for name, regime in (("bank_mdp", Regime.MDP), ("bank_mip", Regime.MIP)):
             bank = getattr(self, name)
+            if bank.regime is not regime:
+                raise ValueError(f"{name}.regime is {bank.regime.value}, expected {regime.value}")
             if bank.n_outputs != self.grid.size:
                 raise ValueError(f"{name} outputs must match the grid's {self.grid.size} reserve prices")
             if bank.n_q != self.n_q:
                 raise ValueError(f"{name} has {bank.n_q} quantile levels, n_q is {self.n_q}")
+        if self.train_start > self.train_end:
+            start, end = self.train_start.isoformat(), self.train_end.isoformat()
+            raise ValueError(f"train_start {start} is after train_end {end}")
 
     def impact_with_beta(self, beta: float) -> ImpactParams:
         return replace(self.impact, beta=beta)
 
     def save(self, path) -> None:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "package": "imbtrader",
-            "train_start": self.train_start.isoformat(),
-            "train_end": self.train_end.isoformat(),
-            "seed": self.seed,
-            "n_q": self.n_q,
-            "kfold": self.kfold,
-            "grid": self.grid.to_dict(),
-            "impact": {"beta": self.impact.beta, "k_mdp": self.impact.k_mdp, "k_mip": self.impact.k_mip},
-            "layout": self.layout.to_dict(),
-            "weight_model": self.weight_model.to_dict(),
-            "position_model": self.position_model.to_dict(),
-            "bank_mdp": self.bank_mdp.to_dict(),
-            "bank_mip": self.bank_mip.to_dict(),
-        }
-        Path(path).write_text(json.dumps(doc))
+        Path(path).write_text(json.dumps(_HEADER | _to_json(self)))
 
     @classmethod
     def load(cls, path) -> "TrainedModels":
         """Read a bundle written by ``save``; a bad field raises a ValueError naming its dotted path."""
         path = Path(path)
+        doc = json.loads(path.read_text())
         try:
-            fields = read_fields(json.loads(path.read_text()), _BUNDLE_FIELDS)
-        except FieldError as e:
+            return _reader(cls)(doc)
+        except ValueError as e:
             raise ValueError(f"{path.name}: {e}") from None
-        del fields["format_version"], fields["package"]
-        return cls(**fields)
+
+
+_HEADER = {"format_version": FORMAT_VERSION, "package": "imbtrader"}
 
 
 def _format_version(value) -> int:
@@ -121,22 +113,68 @@ def _format_version(value) -> int:
     return value
 
 
-# The fields of models.json in the order they are checked: the version first.
-_BUNDLE_FIELDS = {
-    "format_version": _format_version,
-    "package": string,
-    "train_start": timestamp,
-    "train_end": timestamp,
-    "seed": integer,
-    "n_q": integer,
-    "kfold": integer,
-    "grid": ReserveGrid.from_dict,
-    "impact": lambda d: ImpactParams(**read_fields(d, {"beta": number, "k_mdp": number, "k_mip": number})),
-    "layout": FeatureLayout.from_dict,
-    "weight_model": LogisticModel.from_dict,
-    "position_model": LogisticModel.from_dict,
-    "bank_mdp": QuantileModelBank.from_dict,
-    "bank_mip": QuantileModelBank.from_dict,
+def _block_bounds(value) -> tuple[int, int]:
+    bounds = tuple(array_of(integer)(value))
+    if len(bounds) != 2:
+        raise ValueError(f"expected [start, end], got {len(bounds)} numbers")
+    return bounds
+
+
+def _reader(kind):
+    """A reader of one bundle type: its fields through its table, then its constructor, which checks them."""
+
+    def read(d):
+        fields = read_fields(d, _FORMAT[kind])
+        return kind(**{key: value for key, value in fields.items() if key not in _HEADER})
+
+    return read
+
+
+def _to_json(value):
+    """The JSON value of one bundle value: a bundle type through its table, every other kind by one rule."""
+    if type(value) in _FORMAT:
+        return {key: _to_json(getattr(value, key)) for key in _FORMAT[type(value)] if key not in _HEADER}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Regime):
+        return value.value
+    if isinstance(value, datetime):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return list(value)  # the format's tuples hold numbers or strings
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    return value  # None, an int, a float or a string
+
+
+# The models.json format: the fields of each bundle type and their readers, in the order they are written
+# and checked, after the two ``_HEADER`` keys that open the document (the version first). ``load`` reads a
+# document through these tables and ``save`` writes one by walking them, so a field is added in one place.
+_FORMAT = {
+    TrainedModels: {
+        "format_version": _format_version,
+        "package": string,
+        "train_start": timestamp,
+        "train_end": timestamp,
+        "seed": integer,
+        "n_q": integer,
+        "kfold": integer,
+        "grid": _reader(ReserveGrid),
+        "impact": _reader(ImpactParams),
+        "layout": _reader(FeatureLayout),
+        "weight_model": _reader(LogisticModel),
+        "position_model": _reader(LogisticModel),
+        "bank_mdp": _reader(QuantileModelBank),
+        "bank_mip": _reader(QuantileModelBank),
+    },
+    ReserveGrid: {"afrr_volumes": array_of(number), "mfrr_volumes": array_of(number)},
+    ImpactParams: {"beta": number, "k_mdp": number, "k_mip": number},
+    FeatureLayout: {"names": lambda v: tuple(array_of(string)(v)), "blocks": object_of(_block_bounds)},
+    LogisticModel: {"bias": number, "weights": floats, "scaler": optional(_reader(FeatureScaler)),
+                    "position_weight_index": optional(integer)},
+    FeatureScaler: {"mean": floats, "scale": floats},
+    QuantileModelBank: {"regime": lambda v: Regime(string(v)), "taus": floats, "weights": floats, "biases": floats,
+                        "scaler": optional(_reader(FeatureScaler))},
 }
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import array_of, floats, integer, number, optional, read_fields, string
 from ._optim import log_unfinished, minimize_gd, problem_blocks
 from .dists import DiscretePriceDistribution
 from .market_impact import Regime, is_surplus
@@ -71,6 +70,11 @@ class FeatureScaler:
     mean: np.ndarray
     scale: np.ndarray
 
+    def __post_init__(self):
+        bad = np.flatnonzero(~(np.asarray(self.scale) > 0.0))
+        if bad.size:
+            raise ValueError(f"scale entries must be > 0, entry {bad[0]} is {float(self.scale[bad[0]])!r}")
+
     @classmethod
     def fit(cls, x: np.ndarray) -> "FeatureScaler":
         mean = x.mean(axis=0)
@@ -81,13 +85,6 @@ class FeatureScaler:
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) / self.scale
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureScaler":
-        return cls(**read_fields(d, {"mean": floats, "scale": floats}))
-
 
 @dataclass(frozen=True)
 class LogisticModel:
@@ -97,6 +94,18 @@ class LogisticModel:
     weights: np.ndarray
     scaler: FeatureScaler | None = None
     position_weight_index: int | None = None
+
+    def __post_init__(self):
+        shape = np.shape(self.weights)
+        if len(shape) != 1:
+            raise ValueError(f"weights must be 1-D, got shape {shape}")
+        if self.scaler is not None:
+            widths = {np.shape(self.scaler.mean), np.shape(self.scaler.scale)}
+            if widths != {shape}:
+                raise ValueError(f"scaler widths {sorted(widths)} do not match the model's {shape[0]} weights")
+        i = self.position_weight_index
+        if i is not None and not 0 <= i < shape[0]:
+            raise ValueError(f"position_weight_index {i} is outside the {shape[0]} weights")
 
     @property
     def n_features(self) -> int:
@@ -155,23 +164,6 @@ class LogisticModel:
         if self.scaler is not None:
             w /= float(self.scaler.scale[self.position_weight_index])
         return w
-
-    def to_dict(self) -> dict:
-        return {
-            "bias": self.bias,
-            "weights": self.weights.tolist(),
-            "scaler": None if self.scaler is None else self.scaler.to_dict(),
-            "position_weight_index": self.position_weight_index,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogisticModel":
-        return cls(**read_fields(d, {
-            "bias": number,
-            "weights": floats,
-            "scaler": optional(FeatureScaler.from_dict),
-            "position_weight_index": optional(integer),
-        }))
 
 
 def sigmoid_predict(model: LogisticModel, x) -> float:
@@ -299,13 +291,6 @@ class ReserveGrid:
             f"mfrr_{v:g}" for v in self.mfrr_volumes
         ]
 
-    def to_dict(self) -> dict:
-        return {"afrr_volumes": list(self.afrr_volumes), "mfrr_volumes": list(self.mfrr_volumes)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReserveGrid":
-        return cls(**read_fields(d, {"afrr_volumes": array_of(number), "mfrr_volumes": array_of(number)}))
-
 
 def pinball_loss(tau: float, e):
     """Quantile loss: tau * e above the quantile, (tau - 1) * e below."""
@@ -398,25 +383,6 @@ class QuantileModelBank:
     @property
     def n_outputs(self) -> int:
         return self.biases.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "taus": self.taus.tolist(),
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-            "scaler": None if self.scaler is None else self.scaler.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantileModelBank":
-        return cls(**read_fields(d, {
-            "regime": lambda v: Regime(string(v)),
-            "taus": floats,
-            "weights": floats,
-            "biases": floats,
-            "scaler": optional(FeatureScaler.from_dict),
-        }))
 
 
 def _ladder_level_losses(residuals: np.ndarray, taus: np.ndarray) -> np.ndarray:

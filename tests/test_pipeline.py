@@ -15,9 +15,12 @@ from imbtrader.backtest import SimConfig, beta_sweep, run_backtest
 from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
 from imbtrader.data_io import reference_layout
 from imbtrader.dists import MixtureForecast, flatten
-from imbtrader.pipeline import LeakageError, PositionForecast, TrainedModels, attach_z, make_forecaster, train_models
+from imbtrader.pipeline import (
+    LeakageError, PositionForecast, TrainedModels, _reader, _to_json, attach_z, make_forecaster, train_models,
+)
 from imbtrader.price_models import LogisticModel, predict_regulation_distribution, sigmoid_predict
 from imbtrader.strategy import ActionSpace
+from test_backtest import toy_models
 
 
 def full_forecast(weight_model, mdp_bank, mip_bank, x, z, o, u, impact):
@@ -133,6 +136,28 @@ class TestForecaster:
             make_forecaster(models, raw_ticks[0], 1.0)
 
 
+# test_backtest.toy_models() as saved: the key order, and a value of every kind the format writes
+TOY_BUNDLE_TEXT = (
+    '{"format_version": 1, "package": "imbtrader", "train_start": "2024-01-01T00:00:00+00:00", '
+    '"train_end": "2024-01-31T00:00:00+00:00", "seed": 0, "n_q": 2, "kfold": 1, '
+    '"grid": {"afrr_volumes": [1.0], "mfrr_volumes": [1.0]}, "impact": {"beta": 1.0, "k_mdp": 0.0, "k_mip": 0.0}, '
+    '"layout": {"names": ["f0", "f1"], "blocks": {"all": [0, 2]}}, '
+    '"weight_model": {"bias": 0.0, "weights": [0.0, 0.0], "scaler": null, "position_weight_index": null}, '
+    '"position_model": {"bias": 0.0, "weights": [0.0, 0.0, 0.0], "scaler": null, "position_weight_index": 2}, '
+    '"bank_mdp": {"regime": "mdp", "taus": [0.25, 0.75], "weights": [[[0.0], [0.0]], [[0.0], [0.0]]], '
+    '"biases": [[300.0, 0.0], [300.0, 0.0]], "scaler": null}, '
+    '"bank_mip": {"regime": "mip", "taus": [0.25, 0.75], "weights": [[[0.0], [0.0]], [[0.0], [0.0]]], '
+    '"biases": [[0.0, 300.0], [0.0, 300.0]], "scaler": null}}'
+)
+
+
+def resize(model, edit):
+    """Apply ``edit`` to a saved logistic model's weights and its scaler's mean and scale alike, so the
+    model stays whole in itself."""
+    for values in (model["weights"], model["scaler"]["mean"], model["scaler"]["scale"]):
+        edit(values)
+
+
 class TestSerialization:
     def test_save_load_round_trip(self, trained, tmp_path):
         models, _, test_ticks = trained
@@ -150,6 +175,19 @@ class TestSerialization:
         assert fa.pi == fb.pi
         assert fa.down == fb.down and fa.up == fb.up
 
+    @pytest.mark.parametrize("bundle", ["trained", "toy"])
+    def test_save_load_save_gives_the_same_bytes(self, trained, tmp_path, bundle):
+        # the toy bundle has no scalers, a position index, tuples, Regime values and datetimes
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        (trained[0] if bundle == "trained" else toy_models()).save(first)
+        TrainedModels.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_toy_bundle_text(self, tmp_path):
+        path = tmp_path / "models.json"
+        toy_models().save(path)
+        assert path.read_text() == TOY_BUNDLE_TEXT
+
     def test_version_checked(self, trained, tmp_path):
         models, _, _ = trained
         path = tmp_path / "models.json"
@@ -165,8 +203,8 @@ class TestSerialization:
             (lambda doc: doc["bank_mdp"].update(taus=[t * t for t in doc["bank_mdp"]["taus"]]), "taus must be evenly"),
             (lambda doc: doc["grid"]["mfrr_volumes"].append(10_000.0), "bank_mdp"),
             (lambda doc: doc["position_model"].update(position_weight_index=0), "position_weight_index"),
-            (lambda doc: doc["weight_model"]["weights"].pop(), "weight_model has"),
-            (lambda doc: (doc["position_model"]["weights"].insert(0, 0.0),
+            (lambda doc: resize(doc["weight_model"], list.pop), "weight_model has"),
+            (lambda doc: (resize(doc["position_model"], lambda v: v.insert(0, 1.0)),
                           doc["position_model"].update(position_weight_index=len(doc["position_model"]["weights"]) - 1)),
              "position_model has"),
             (lambda doc: [doc["bank_mip"]["scaler"][k].append(1.0) for k in ("mean", "scale")], "scaler widths"),
@@ -212,6 +250,27 @@ NESTED = [
     ("layout.blocks", lambda doc: [v.pop() for v in doc["layout"]["blocks"].values()], "expected [start, end]"),
     ("extra", lambda doc: doc.update(extra=1), "extra: unexpected field"),
     ("train_end", lambda doc: doc.update(train_end="yesterday"), "train_end: Invalid isoformat string: 'yesterday'"),
+    # read field by field, then rejected by the constructor of the model that holds them
+    ("weight_model.weights-2d", lambda doc: doc["weight_model"].update(weights=[doc["weight_model"]["weights"]]),
+     "weight_model: weights must be 1-D, got shape (1, 107)"),
+    ("weight_model.scaler.mean-short", lambda doc: doc["weight_model"]["scaler"]["mean"].pop(),
+     "weight_model: scaler widths [(106,), (107,)] do not match the model's 107 weights"),
+    ("weight_model.position_weight_index-outside", lambda doc: doc["weight_model"].update(position_weight_index=107),
+     "weight_model: position_weight_index 107 is outside the 107 weights"),
+    ("weight_model.position_weight_index-negative", lambda doc: doc["weight_model"].update(position_weight_index=-1),
+     "weight_model: position_weight_index -1 is outside the 107 weights"),
+    ("bank_mdp.scaler.scale-zero", lambda doc: doc["bank_mdp"]["scaler"].update(scale=[0.0]),
+     "bank_mdp.scaler: scale entries must be > 0, entry 0 is 0.0"),
+    ("position_model.scaler.scale-negative", lambda doc: doc["position_model"]["scaler"]["scale"].__setitem__(5, -1.0),
+     "position_model.scaler: scale entries must be > 0, entry 5 is -1.0"),
+    ("layout.blocks-past-the-names", lambda doc: doc["layout"]["blocks"].update(price_diff=[106, 200]),
+     "layout: block 'price_diff' is [106, 200], need 0 <= start <= end <= 107"),
+    ("layout.blocks-negative-start", lambda doc: doc["layout"]["blocks"].update(price_diff=[-3, 2]),
+     "layout: block 'price_diff' is [-3, 2], need 0 <= start <= end <= 107"),
+    ("bank_mdp.regime-of-the-other-bank", lambda doc: doc["bank_mdp"].update(regime="mip"),
+     "models.json: bank_mdp.regime is mip, expected mdp"),
+    ("train_start-after-train_end", lambda doc: doc.update(train_start=doc["train_end"], train_end=doc["train_start"]),
+     "models.json: train_start 2024-01-05T19:30:00+00:00 is after train_end 2024-01-01T01:45:00+00:00"),
 ]
 
 
@@ -281,10 +340,10 @@ class TestBundleReaderErrors:
             TrainedModels.load(rewrite(doc))
 
     def test_position_weight_index_must_be_an_integer(self, trained):
-        doc = trained[0].position_model.to_dict()
-        assert LogisticModel.from_dict(doc).position_weight_index == doc["position_weight_index"]
+        doc, read = _to_json(trained[0].position_model), _reader(LogisticModel)
+        assert read(doc).position_weight_index == doc["position_weight_index"]
         with pytest.raises(ValueError, match="position_weight_index: expected an integer, got string"):
-            LogisticModel.from_dict(dict(doc, position_weight_index=str(doc["position_weight_index"])))
+            read(dict(doc, position_weight_index=str(doc["position_weight_index"])))
 
 
 def numeric_leaves(doc, path=()):

@@ -8,7 +8,7 @@ import pytest
 
 from imbtrader.data_io import FeatureLayout, MarketTick
 from imbtrader.market_impact import ImpactParams, Regime
-from imbtrader.pipeline import TrainedModels, make_forecaster
+from imbtrader.pipeline import TrainedModels, _reader, _to_json, make_forecaster
 from imbtrader.price_models import (
     DegenerateLabelsError,
     LogisticModel,
@@ -496,13 +496,18 @@ class TestForecast:
                 make_forecaster(replace(self.models, position_model=position_model), self.tick, 1.0)
 
 
+def table_round_trip(value):
+    """``value`` written through the models.json field table as JSON text and read back through it."""
+    return _reader(type(value))(json.loads(json.dumps(_to_json(value))))
+
+
 class TestSerialization:
     def test_logistic_round_trip(self):
         rng = np.random.default_rng(16)
         x = rng.normal(size=(100, 3))
         y = (x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=100) > 0).astype(float)
         model = fit_logistic(x, y, position_weight_index=2)
-        restored = LogisticModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        restored = table_round_trip(model)
         assert np.array_equal(restored.predict(x), model.predict(x))
         assert restored.position_weight == model.position_weight
 
@@ -512,7 +517,7 @@ class TestSerialization:
         o = rng.normal(scale=30.0, size=(50, 3)) + 100.0
         y = o[:, 1] + rng.normal(scale=5.0, size=50)
         bank = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=3, max_iter=100)
-        restored = QuantileModelBank.from_dict(json.loads(json.dumps(bank.to_dict())))
+        restored = table_round_trip(bank)
         assert restored.regime is Regime.MIP
         probe_z, probe_o = [0.1], [90.0, 100.0, 140.0]
         assert predict_regulation_distribution(restored, probe_z, probe_o) == \
@@ -520,7 +525,7 @@ class TestSerialization:
 
     def test_reserve_grid_round_trip_and_validation(self):
         grid = ReserveGrid((1.0, 50.0, 100.0), (1.0, 100.0, 700.0))
-        assert ReserveGrid.from_dict(grid.to_dict()) == grid
+        assert table_round_trip(grid) == grid
         assert grid.size == 6
         assert grid.column_labels()[0] == "afrr_1"
         with pytest.raises(ValueError):
