@@ -24,7 +24,7 @@ from ._fields import timestamp
 from .data_io import MarketTick
 from .market_impact import realized_settlement_price
 from .dists import row_atoms
-from .pipeline import LeakageError, PositionForecast, TrainedModels, attach_z, check_out_of_sample, forecast_rows
+from .pipeline import LeakageError, PositionForecast, TrainedModels, check_out_of_sample, forecast_rows
 from .risk import RISK_KINDS
 from .strategy import (
     ActionSpace,
@@ -203,7 +203,7 @@ def _replay(
 
     skipped: list[tuple[datetime, str]] = []
     traded = []
-    for tick in attach_z(ticks, models):
+    for tick in ticks:
         if tick.book is None:
             reason = "missing order book"
         elif tick.book.depth("ask") < config.actions.u_max or (

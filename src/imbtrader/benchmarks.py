@@ -18,11 +18,10 @@ from ._optim import fit_quantile_lp, log_unfinished
 from .data_io import FeatureLayout, MarketTick
 from .dists import ForecastScores, canonical_rows, flatten_rows, score_rows
 from .market_impact import is_surplus
-from .pipeline import LeakageError, TrainedModels, check_out_of_sample, forecast_rows
+from .pipeline import TrainedModels, check_out_of_sample, forecast_rows
 from .price_models import FeatureScaler, LogisticModel, fit_logistic, quantile_levels
 
 __all__ = [
-    "SplitMismatchError",
     "fit_static_transitions",
     "chain_state_probability",
     "fit_transition_models",
@@ -43,9 +42,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_HORIZON = 5
 
 _STATE_POS, _STATE_NEG = 0, 1
-
-
-SplitMismatchError = LeakageError  # run_benchmark's error under the older name that callers catch
 
 
 def fit_static_transitions(labels) -> np.ndarray:

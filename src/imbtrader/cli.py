@@ -5,7 +5,9 @@ arguments of the library calls it feeds (flags win over config values,
 which win over the defaults of those calls), writes its artifacts into
 ``--out``, and is idempotent: identical inputs and seed produce
 byte-identical outputs. The data directory may come from ``--data`` or the
-``IMBTRADER_DATA_DIR`` environment variable.
+``IMBTRADER_DATA_DIR`` environment variable. Only ``generate`` and ``train``
+read the config's ``reserves``; the commands that load a bundle read the
+reserve ladder from ``models.json``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .backtest import SimConfig, _build_report, beta_sweep, read_ledger, run_bac
 from .benchmarks import fit_benchmark_suite, run_benchmark
 from .data_io import SyntheticConfig, load_dataset, resolve_data_dir, write_synthetic_dataset
 from .dists import flatten_rows, moment_rows, quantile_rows
-from .pipeline import TrainedModels, attach_z, forecast_rows, train_models
+from .pipeline import TrainedModels, forecast_rows, train_models
 from .risk import RISK_KINDS
 from .strategy import ActionSpace
 
@@ -154,12 +156,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _grid(config: dict):
-    return SyntheticConfig(**config["synthetic"]).grid
-
-
-def _load_ticks(args, config):
-    return load_dataset(resolve_data_dir(args.data), _grid(config))
+def _load_ticks(args, grid):
+    """The dataset's ticks; ``market.csv`` must have the columns of the reserve ladder ``grid``."""
+    return load_dataset(resolve_data_dir(args.data), grid)
 
 
 def cmd_generate(args) -> int:
@@ -177,12 +176,13 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    ticks = _between(_load_ticks(args, config), args.start, args.end)
+    grid = SyntheticConfig(**config["synthetic"]).grid
+    ticks = _between(_load_ticks(args, grid), args.start, args.end)
     if not ticks:
         raise ValueError("no training ticks in the requested range")
     models = train_models(
         ticks,
-        grid=_grid(config),
+        grid=grid,
         u_max=ActionSpace(**config["actions"]).u_max,
         **config["model"],
         **_given(seed=_seed(config, args)),
@@ -198,13 +198,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    config = _load_config(args.config)
+    _load_config(args.config)  # checked, though forecast reads none of its keys
     models = TrainedModels.load(args.models)
-    ticks = _out_of_sample(_load_ticks(args, config), args, models)
+    ticks = _out_of_sample(_load_ticks(args, models.grid), args, models)
     if not ticks:
         raise ValueError("no forecast ticks after the training range")
     # the weight model's mixture: the rows the benchmark's `mixture` row scores
-    pi, down, up = forecast_rows(models, attach_z(ticks, models))
+    pi, down, up = forecast_rows(models, ticks)
     flat = flatten_rows(pi, down, up)
     columns = [pi, *moment_rows(*flat), *quantile_rows(*flat, (0.1, 0.25, 0.5, 0.75, 0.9)).T]
     out = _out_dir(args)
@@ -219,13 +219,13 @@ def cmd_forecast(args) -> int:
 def cmd_benchmark(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
-    ticks = _load_ticks(args, config)
+    ticks = _load_ticks(args, models.grid)
     train_ticks = _between(ticks, models.train_start, models.train_end)
     eval_ticks = _out_of_sample(ticks, args, models)
     if not train_ticks or not eval_ticks:
         raise ValueError("benchmark needs ticks on both sides of the training boundary")
     suite = fit_benchmark_suite(train_ticks, models, **config["benchmark"])
-    table = run_benchmark(suite, attach_z(eval_ticks, models))
+    table = run_benchmark(suite, eval_ticks)
     out = _out_dir(args)
     (out / "benchmark.csv").write_text(table.to_csv_string())
     (out / "benchmark.txt").write_text(table.to_text())
@@ -248,7 +248,7 @@ def cmd_backtest(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
     sim = _sim_config(config, args)
-    result = run_backtest(sim, models, _out_of_sample(_load_ticks(args, config), args, models))
+    result = run_backtest(sim, models, _out_of_sample(_load_ticks(args, models.grid), args, models))
     out = _out_dir(args)
     write_ledger(out / "ledger.csv", result)
     _write_report_files(out, result.report)
@@ -265,7 +265,7 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     models = TrainedModels.load(args.models)
     sim = _sim_config(config, args)
-    ticks = _out_of_sample(_load_ticks(args, config), args, models)
+    ticks = _out_of_sample(_load_ticks(args, models.grid), args, models)
     sweep = beta_sweep(sim, models, ticks, args.beta_est_grid, args.beta_true_grid)
     out = _out_dir(args)
     (out / "sweep.csv").write_text(sweep.to_csv_string())
@@ -302,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="count", default=0, help="increase log verbosity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_data=True, needs_models=False):
+    def common(p, needs_data=True, needs_models=False, seeded=True):
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         if needs_data:
             p.add_argument("--data", help="dataset directory (or set IMBTRADER_DATA_DIR)")
             p.add_argument("--from", dest="start", type=timestamp, help="first timestamp (ISO 8601; no offset: UTC)")
@@ -322,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("forecast", help="write per-period forecast summaries")
-    common(p, needs_models=True)
+    common(p, needs_models=True, seeded=False)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("benchmark", help="score the mixture model against benchmarks")
-    common(p, needs_models=True)
+    common(p, needs_models=True, seeded=False)
     p.set_defaults(func=cmd_benchmark)
 
     for name, func in (("backtest", cmd_backtest), ("sweep", cmd_sweep)):

@@ -28,7 +28,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -136,8 +136,8 @@ class OrderBooks:
 class MarketTick:
     """Feature-complete snapshot consumed by models and the backtester.
 
-    ``z`` is the price-model input (the mixture-weight output) and is
-    attached by the training pipeline; raw loading leaves it None.
+    ``z`` optionally overrides the price-model input (the mixture-weight output);
+    loading leaves it None, and a forecast computes it with the bundle's weight model.
     """
 
     timestamp: datetime
@@ -166,10 +166,6 @@ class FeatureLayout:
             if not 0 <= start <= end <= len(self.names):
                 raise ValueError(f"block {name!r} is [{start}, {end}], need 0 <= start <= end <= {len(self.names)}")
 
-    def block_slice(self, name: str) -> slice:
-        start, end = self.blocks[name]
-        return slice(start, end)
-
 
 @dataclass
 class FeatureSet:
@@ -188,13 +184,26 @@ def _read_columns(path: Path, header: list[str]) -> list[tuple[str, ...]]:
     """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise DataValidationError(f"{path.name}: header mismatch; expected {header}, got {found}")
+        fault = _header_fault(next(reader, None), header)
+        if fault:
+            raise DataValidationError(f"{path.name}: {fault}")
         rows = list(reader)
     widths = np.fromiter(map(len, rows), int, len(rows))
     _reject_first(widths != len(header), lambda i: f"expected {len(header)} fields, got {widths[i]}")
     return list(zip(*rows)) or [()] * len(header)
+
+
+def _header_fault(found: list[str] | None, header: list[str]) -> str | None:
+    """What is wrong with the header row ``found``: its first column that differs from ``header``, or None."""
+    if not found:
+        return "no header row"
+    for column, (got, want) in enumerate(zip_longest(found, header), start=1):
+        if got is None:
+            return f"header column {column} {want!r} is missing (the header has {len(found)} columns)"
+        if want is None:
+            return f"header column {column} {got!r} is extra (expected {len(header)} columns)"
+        if got != want:
+            return f"header column {column} is {got!r}, expected {want!r}"
 
 
 def _reject_first(bad: np.ndarray, message) -> None:
@@ -245,9 +254,9 @@ def _validate_cadence(timestamps: list[datetime]) -> None:
 def load_market_csv(path, grid: ReserveGrid) -> MarketRecords:
     """Read and validate a ``market.csv`` file with the columns of ``grid``.
 
-    Raises ``DataValidationError`` with the offending row number on header
-    mismatches, unparseable numbers, misaligned timestamps, duplicates,
-    or gaps in the quarter-hour cadence.
+    Raises ``DataValidationError`` naming the first header column that
+    differs from the grid's, or the offending row number on unparseable
+    numbers, misaligned timestamps, duplicates, or quarter-hour gaps.
     """
     columns = _read_columns(Path(path), BASE_COLUMNS + grid.column_labels())
     timestamps = _read_timestamps(columns[0])

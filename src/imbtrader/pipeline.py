@@ -97,10 +97,9 @@ class TrainedModels:
     def load(cls, path) -> "TrainedModels":
         """Read a bundle written by ``save``; a bad field raises a ValueError naming its dotted path."""
         path = Path(path)
-        doc = json.loads(path.read_text())
         try:
-            return _reader(cls)(doc)
-        except ValueError as e:
+            return _reader(cls)(json.loads(path.read_text()))
+        except ValueError as e:  # a JSONDecodeError too
             raise ValueError(f"{path.name}: {e}") from None
 
 
@@ -269,20 +268,20 @@ def train_models(
     )
 
 
+def _z(models: TrainedModels, tick: MarketTick) -> np.ndarray:
+    """A tick's price-model input: its own ``z``, or else the weight model's prediction at its features."""
+    return np.array([sigmoid_predict(models.weight_model, tick.x)]) if tick.z is None else tick.z
+
+
 def attach_z(ticks: list[MarketTick], models: TrainedModels) -> list[MarketTick]:
     """Fill each missing price-model input ``z`` with the weight model's prediction."""
-    return [
-        t if t.z is not None else replace(t, z=np.array([sigmoid_predict(models.weight_model, t.x)]))
-        for t in ticks
-    ]
+    return [t if t.z is not None else replace(t, z=_z(models, t)) for t in ticks]
 
 
 def forecast_rows(models: TrainedModels, ticks: list[MarketTick]):
-    """The weight model's mixture of every tick: ``(pi, down, up)``, each tick's ``z`` (see ``attach_z``)
-    and each regime's canonical (values, masses) rows of its bank's equal-mass quantile prices."""
-    if any(t.z is None for t in ticks):
-        raise ValueError("ticks need the price-model input; run attach_z first")
-    z, o = np.stack([t.z for t in ticks]), np.stack([t.o for t in ticks])
+    """The weight model's mixture of every tick, ``(pi, down, up)``: each tick's ``z`` (its own, else the weight
+    model's prediction) and each regime's canonical (values, masses) rows of its bank's equal-mass quantile prices."""
+    z, o = np.stack([_z(models, t) for t in ticks]), np.stack([t.o for t in ticks])
     # both banks in one canonical_rows call: for one tick, a call per bank costs more than the predictions
     prices = np.vstack([quantile_matrix(bank, z, o) for bank in (models.bank_mdp, models.bank_mip)])
     values, masses = canonical_rows(prices, np.full(prices.shape, 1.0 / models.n_q))

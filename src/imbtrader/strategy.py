@@ -28,7 +28,6 @@ __all__ = [
     "ladder_fault",
     "fill_prices",
     "fill_cost",
-    "position_loss",
     "DecisionTable",
     "decision_table",
     "PositionDecision",
@@ -191,15 +190,6 @@ def _fills(book: OrderBook, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InsufficientDepthError(f"{name} depth {book.depth(name):g} MW cannot fill {size[short[0]]:g} MW")
     q = np.divide(cost, size, out=np.full_like(size, book.best_price()), where=us != 0.0)
     return np.where(side == 1, -cost, cost), q
-
-
-def position_loss(imbalance_price: float, fill_price: float, u: float) -> float:
-    """Per-period loss ``(q - p) * u`` of holding ``u`` MW to settlement.
-
-    Negative values are profits. The quarter-hour energy factor is applied
-    in ledger accounting, not here.
-    """
-    return (fill_price - imbalance_price) * u
 
 
 @dataclass

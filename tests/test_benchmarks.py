@@ -9,7 +9,6 @@ from linear_bank_oracle import descent_linear_quantile_bank, linear_pinball_loss
 from imbtrader._optim import _GAP_TOL, _design, fit_quantile_lp
 from imbtrader.benchmarks import (
     LinearQuantileBank,
-    SplitMismatchError,
     chain_state_probability,
     dynamic_feature_columns,
     fit_benchmark_suite,
@@ -245,11 +244,8 @@ class TestBenchmarkRun:
     def test_split_mismatch_rejected(self, trained):
         models, train_ticks, test_ticks = trained
         suite = fit_benchmark_suite(train_ticks, models, max_iter=150)
-        with pytest.raises(SplitMismatchError):
+        with pytest.raises(LeakageError):
             run_benchmark(suite, train_ticks[-20:] + test_ticks)
-
-    def test_split_mismatch_is_the_leakage_error(self):
-        assert SplitMismatchError is LeakageError
 
     def test_bundle_training_range_rejected(self, seed5_bundle):
         # the suite's own fit ends at tick 99, but the mixture row scores the bundle's forecasts

@@ -309,6 +309,70 @@ class TestErrorsAndMisc:
         assert all(t.book is not None for t in ticks)
 
 
+# A market on a non-default aFRR ladder; no strategy section, so a model command's flags alone set its run.
+LADDER_CONFIG = {
+    "synthetic": {**SMOKE_CONFIG["synthetic"], "seed": 5},
+    "reserves": {"afrr_volumes": [1, 60, 120, 180, 240]},
+    "model": SMOKE_CONFIG["model"],
+}
+MODEL_COMMANDS = {
+    "forecast": [],
+    "benchmark": ["--to", "2024-01-05T23:45:00+00:00"],
+    "backtest": ["--to", "2024-01-05T23:45:00+00:00", "--alpha", "0.9"],
+    "sweep": ["--to", "2024-01-05T23:45:00+00:00", "--alpha", "0.9", "--beta-est-grid", "1", "--beta-true-grid", "0,1"],
+}
+OUTPUTS = {"forecast": "forecasts.csv", "benchmark": "benchmark.csv", "backtest": "ledger.csv", "sweep": "sweep.csv"}
+
+
+class TestBundleLadder:
+    """The commands that load models.json read market.csv with the bundle's reserve ladder."""
+
+    @pytest.fixture(scope="class")
+    def ladder(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ladder")
+        config = root / "config.yaml"
+        config.write_text(yaml.safe_dump(LADDER_CONFIG))
+        assert main(["generate", "--config", str(config), "--out", str(root / "data")]) == 0
+        assert main(["train", "--config", str(config), "--data", str(root / "data"), "--out", str(root / "models"),
+                     "--to", TRAIN_END]) == 0
+        return {"root": root, "config": config, "data": root / "data", "models": root / "models" / "models.json"}
+
+    def _run(self, command, data, models, out, *config) -> int:
+        return main([command, *config, "--data", str(data), "--models", str(models), "--out", str(out),
+                     *MODEL_COMMANDS[command]])
+
+    def test_bundle_ladder_is_not_the_default(self, ladder):
+        models = TrainedModels.load(ladder["models"])
+        assert models.grid.afrr_volumes == (1.0, 60.0, 120.0, 180.0, 240.0)
+        assert models.grid != SyntheticConfig().grid
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_without_config_matches_the_configured_run(self, ladder, command):
+        root = ladder["root"]
+        outs = [root / f"{command}_{name}" for name in ("configured", "bare")]
+        assert self._run(command, ladder["data"], ladder["models"], outs[0], "--config", str(ladder["config"])) == 0
+        assert self._run(command, ladder["data"], ladder["models"], outs[1]) == 0
+        assert (outs[0] / OUTPUTS[command]).read_bytes() == (outs[1] / OUTPUTS[command]).read_bytes()
+
+    @pytest.mark.parametrize("configured", [False, True], ids=["bare", "configured"])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_data_on_another_ladder_fails_naming_the_column(self, ladder, workspace, capsys, command, configured):
+        # the default-ladder market of `workspace` with the non-default bundle; the config's ladder is the bundle's
+        config = ["--config", str(ladder["config"])] if configured else []
+        out = ladder["root"] / f"mismatch_{command}_{configured}"
+        assert self._run(command, workspace["data"], ladder["models"], out, *config) == 1
+        assert capsys.readouterr().err == "error: market.csv: header column 14 is 'afrr_50', expected 'afrr_60'\n"
+
+    def test_books_header_fault_named(self, ladder, capsys):
+        data = ladder["root"] / "bad_books"
+        data.mkdir()
+        (data / "market.csv").write_bytes((ladder["data"] / "market.csv").read_bytes())
+        books = (ladder["data"] / "books.csv").read_text()
+        (data / "books.csv").write_text(books.replace("timestamp,side,price,volume", "timestamp,side,px,volume", 1))
+        assert self._run("forecast", data, ladder["models"], ladder["root"] / "fc_bad_books") == 1
+        assert capsys.readouterr().err == "error: books.csv: header column 3 is 'px', expected 'price'\n"
+
+
 EXAMPLE_CONFIG = REPO_ROOT / "configs" / "example.yaml"
 
 # A config text and the error it must end with: "<file>: <section>.<key>: <problem>".
@@ -413,6 +477,16 @@ class TestConfig:
             build_parser().parse_args(args)
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {problem}\n")
+
+    @pytest.mark.parametrize("command", ["forecast", "benchmark"])
+    def test_seed_only_where_a_command_reads_it(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--out", "out", "--models", "models.json", "--seed", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 3\n")
+        for seeded in (["generate"], ["train"], ["backtest", "--models", "models.json"],
+                       ["sweep", "--models", "models.json", "--beta-est-grid", "1", "--beta-true-grid", "1"]):
+            assert build_parser().parse_args([*seeded, "--out", "out", "--seed", "3"]).seed == 3
 
     def test_bad_range_flag_fails_before_reading_data(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import csv
 import logging
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -118,10 +119,39 @@ class TestCsvRoundTrip:
         with pytest.raises(DataValidationError, match="row 5: gap"):
             load_market_csv(tmp_path / "market.csv", cfg.grid)
 
-    def test_header_mismatch_rejected(self, tmp_path):
-        (tmp_path / "market.csv").write_text("time,s\n2024-01-01T00:00:00+00:00,1\n")
-        with pytest.raises(DataValidationError, match="header"):
+    def test_market_on_another_ladder_names_the_first_differing_column(self, tmp_path):
+        cfg = small_cfg(n_periods=10, afrr_volumes=(1.0, 60.0, 120.0, 180.0, 240.0))
+        records, _, _ = generate_synthetic_market(cfg)
+        write_market_csv(tmp_path / "market.csv", records, cfg.grid)
+        message = "market.csv: header column 14 is 'afrr_60', expected 'afrr_50'"
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
             load_market_csv(tmp_path / "market.csv", small_cfg().grid)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header: [], "no header row"),
+        (lambda header: ["time", "s"], "header column 1 is 'time', expected 'timestamp'"),
+        (lambda header: header[:15], "header column 16 'afrr_150' is missing (the header has 15 columns)"),
+        (lambda header: header + ["mfrr_900"], "header column 24 'mfrr_900' is extra (expected 23 columns)"),
+        (lambda header: header[:2] + ["p_mip", "p_mdp"] + header[4:], "header column 3 is 'p_mip', expected 'p_mdp'"),
+    ], ids=["no_header_row", "another_schema", "missing_columns", "extra_column", "swapped_columns"])
+    def test_market_header_fault_named(self, tmp_path, edit, message):
+        grid = small_cfg().grid
+        cells = edit(BASE_COLUMNS + grid.column_labels())
+        path = tmp_path / "market.csv"
+        path.write_text(",".join(cells) + "\n" if cells else "")
+        with pytest.raises(DataValidationError, match=f"^{re.escape('market.csv: ' + message)}$"):
+            load_market_csv(path, grid)
+
+    @pytest.mark.parametrize("header, message", [
+        ("", "no header row"),
+        ("timestamp,side,px,volume", "header column 3 is 'px', expected 'price'"),
+        ("timestamp,side,price", "header column 4 'volume' is missing (the header has 3 columns)"),
+    ], ids=["no_header_row", "renamed_column", "missing_column"])
+    def test_book_header_fault_named(self, tmp_path, header, message):
+        path = tmp_path / "books.csv"
+        path.write_text(header + "\n" if header else "")
+        with pytest.raises(DataValidationError, match=f"^{re.escape('books.csv: ' + message)}$"):
+            load_order_books(path)
 
     @pytest.mark.parametrize("edit, got", [(lambda f: f[:3], 3), (lambda f: f + ["1.0"], 5)],
                              ids=["short", "long"])
@@ -188,14 +218,14 @@ class TestBuildFeatures:
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=30))
         features = build_features(records)
         s = records.column("s_mw").tolist()
-        sl = features.layout.block_slice("imbalance_lags")
+        sl = slice(*features.layout.blocks["imbalance_lags"])
         for row, idx in enumerate(range(7, 30)):
             assert features.x[row, sl].tolist() == [s[idx - 4], s[idx - 5], s[idx - 6], s[idx - 7]]
 
     def test_quarter_one_hot(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=200))
         features = build_features(records)
-        sl = features.layout.block_slice("quarter_onehot")
+        sl = slice(*features.layout.blocks["quarter_onehot"])
         for row, ts in enumerate(records.timestamps[7:]):
             onehot = features.x[row, sl]
             assert onehot.sum() == 1.0
@@ -204,7 +234,7 @@ class TestBuildFeatures:
     def test_hourly_deviation_matches_naive_recomputation(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=96))
         features = build_features(records)
-        sl = features.layout.block_slice("hourly_deviation")
+        sl = slice(*features.layout.blocks["hourly_deviation"])
         intraday = [records.column(f"{k}_id") for k in ("solar", "wind", "load")]
         for row, ts in enumerate(records.timestamps[7:], start=7):
             same_hour = [
@@ -222,7 +252,7 @@ class TestBuildFeatures:
         solar_id = BASE_COLUMNS.index("solar_id") - 1
         values[:, solar_id] = -0.0
         features = build_features(MarketRecords(records.timestamps, values))
-        deviation = features.x[:, features.layout.block_slice("hourly_deviation")][:, 0]
+        deviation = features.x[:, slice(*features.layout.blocks["hourly_deviation"])][:, 0]
         assert [math.copysign(1.0, v) for v in deviation] == [1.0] * len(deviation)
 
     def test_too_short_history_rejected(self):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import replace
 from functools import reduce
 from operator import getitem
 
@@ -16,7 +17,8 @@ from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
 from imbtrader.data_io import reference_layout
 from imbtrader.dists import MixtureForecast, flatten
 from imbtrader.pipeline import (
-    LeakageError, PositionForecast, TrainedModels, _reader, _to_json, attach_z, make_forecaster, train_models,
+    LeakageError, PositionForecast, TrainedModels, _reader, _to_json, attach_z, forecast_rows, make_forecaster,
+    train_models,
 )
 from imbtrader.price_models import LogisticModel, predict_regulation_distribution, sigmoid_predict
 from imbtrader.strategy import ActionSpace
@@ -129,11 +131,70 @@ class TestForecaster:
         assert abs(float(flat.masses.sum()) - 1.0) <= 1e-9
         assert np.all(np.diff(flat.values) > 0)
 
-    def test_requires_z(self, trained, small_market):
-        models, _, _ = trained
-        _, raw_ticks, _ = small_market
-        with pytest.raises(ValueError):
-            make_forecaster(models, raw_ticks[0], 1.0)
+
+
+def without_z(ticks):
+    return [replace(t, z=None) for t in ticks]
+
+
+def rows_bits(rows):
+    """The bytes of every array of a ``forecast_rows`` result, or of a ``regime_rows`` one."""
+    pi, down, up = rows
+    return [np.ascontiguousarray(a).tobytes() for a in (pi, *down, *up)]
+
+
+class TestBankInput:
+    """A forecast takes each tick's own price-model input ``z``, or else computes it with the weight model."""
+
+    def test_forecast_rows_same_bits_without_z(self, trained):
+        models, _, test_ticks = trained
+        ticks = test_ticks[:40]
+        assert rows_bits(forecast_rows(models, without_z(ticks))) == rows_bits(forecast_rows(models, ticks))
+
+    def test_forecaster_same_bits_without_z(self, trained):
+        models, _, test_ticks = trained
+        us = np.linspace(-3.0, 3.0, 13)
+        for tick in test_ticks[:5]:
+            for beta_est in (0.0, 1.0):
+                raw = make_forecaster(models, replace(tick, z=None), beta_est)
+                attached = make_forecaster(models, tick, beta_est)
+                assert rows_bits(raw.regime_rows(us)) == rows_bits(attached.regime_rows(us))
+
+    def test_hand_set_z_is_kept(self, trained):
+        models, _, test_ticks = trained
+        tick = replace(test_ticks[0], z=np.array([0.3]))
+        pi, _, _ = forecast_rows(models, [tick])
+        assert pi.tolist() == [0.3]
+        assert attach_z([tick], models)[0] is tick
+        forecast = make_forecaster(models, tick, 0.0)(0.0)
+        assert forecast.down == predict_regulation_distribution(models.bank_mdp, tick.z, tick.o)
+        assert forecast.up == predict_regulation_distribution(models.bank_mip, tick.z, tick.o)
+        assert forecast.down != make_forecaster(models, test_ticks[0], 0.0)(0.0).down
+
+    def test_replays_and_benchmark_same_without_z(self, trained):
+        models, train_ticks, test_ticks = trained
+        ticks, raw = test_ticks[:30], without_z(test_ticks[:30])
+        config = SimConfig(measure="cvar", window=5, alpha_grid_size=8, actions=ActionSpace(step=0.5, u_max=2.0))
+        a, b = run_backtest(config, models, raw), run_backtest(config, models, ticks)
+        assert (a.ledger, a.report, a.skipped) == (b.ledger, b.report, b.skipped)
+        sweeps = [beta_sweep(config, models, t, [0.5, 1.0], [0.0, 1.0]).profits.tobytes() for t in (raw, ticks)]
+        assert sweeps[0] == sweeps[1]
+        suite = fit_benchmark_suite(train_ticks, models, max_iter=50)
+        assert run_benchmark(suite, raw).rows == run_benchmark(suite, ticks).rows
+
+    def test_replay_forecasts_the_given_ticks(self, trained, monkeypatch):
+        # no copy of a tick to attach its z: forecast_rows gets the replay's own tick objects
+        models, _, test_ticks = trained
+        raw, seen = without_z(test_ticks[:10]), []
+
+        def capture(models, ticks):
+            seen.extend(ticks)
+            return forecast_rows(models, ticks)
+
+        monkeypatch.setattr(backtest, "forecast_rows", capture)
+        run_backtest(SimConfig(alpha=0.9, actions=ActionSpace(step=0.5, u_max=2.0)), models, raw)
+        assert len(seen) == len(raw) and all(a is b for a, b in zip(seen, raw))
+        assert all(t.z is None for t in raw)
 
 
 # test_backtest.toy_models() as saved: the key order, and a value of every kind the format writes
@@ -311,6 +372,12 @@ class TestBundleReaderErrors:
         with pytest.raises(ValueError, match=re.escape(message)) as info:
             TrainedModels.load(rewrite(doc))
         assert str(info.value).startswith("models.json: ")
+
+    def test_truncated_bundle_named(self, saved):
+        path = saved[1](saved[0])
+        path.write_text(path.read_text()[:1000])
+        with pytest.raises(ValueError, match=r"^models\.json: .+: line 1 column \d+ \(char \d+\)$"):
+            TrainedModels.load(path)
 
     def test_document_not_an_object(self, saved):
         with pytest.raises(ValueError, match=re.escape("models.json: expected an object, got array")):

@@ -17,6 +17,7 @@ from imbtrader.strategy import (
     AlphaAdapter,
     InsufficientDepthError,
     OrderBook,
+    TradeRecord,
     convexity_bound,
     decision_table,
     default_alpha_grid,
@@ -24,7 +25,6 @@ from imbtrader.strategy import (
     fill_prices,
     newton_expected_position,
     optimal_position,
-    position_loss,
     select_alpha,
 )
 
@@ -200,15 +200,21 @@ class TestFillOracle:
             assert bits(book.depth(side)) == bits(fill_oracle.depth(levels))
 
 
-class TestPositionLoss:
-    def test_zero_position(self):
-        assert position_loss(100.0, 80.0, 0.0) == 0.0
+def trade(u: float) -> TradeRecord:
+    """A trade of ``u`` MW filled at 80 EUR/MWh and settled at 100 EUR/MWh."""
+    return TradeRecord(timestamp=None, leg="long", u=u, fill_price=80.0, realized_price=100.0, alpha=1.0,
+                       measure="cvar")
 
-    def test_long_profit_is_negative_loss(self):
-        assert position_loss(100.0, 80.0, 1.0) == -20.0
+
+class TestTradeProfit:
+    def test_zero_position(self):
+        assert trade(0.0).profit(1.0) == 0.0
+
+    def test_long_below_the_settlement_price_profits(self):
+        assert trade(1.0).profit(1.0) == 20.0
 
     def test_short_sign_symmetry(self):
-        assert position_loss(100.0, 80.0, -1.0) == 20.0
+        assert trade(-1.0).profit(1.0) == -20.0
 
 
 class TestOptimalPosition:
