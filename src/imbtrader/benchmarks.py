@@ -147,6 +147,11 @@ def dynamic_feature_columns(layout: FeatureLayout) -> np.ndarray:
     return np.concatenate([np.arange(*layout.blocks[name]) for name in wanted])
 
 
+def _linear_design(ticks: list[MarketTick]) -> np.ndarray:
+    """The implicit linear benchmark's input rows ``[x, o]``: a tick's features, then its reserve-ladder prices."""
+    return np.hstack([np.stack([t.x for t in ticks]), np.stack([t.o for t in ticks])])
+
+
 @dataclass
 class BenchmarkSuite:
     """Trained benchmark models sharing one regulation-price bank pair."""
@@ -171,14 +176,11 @@ def fit_benchmark_suite(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     labels = np.array([is_surplus(t.s) for t in train_ticks])
     x = np.stack([t.x for t in train_ticks])
-    o = np.stack([t.o for t in train_ticks])
     y = np.array([t.settlement_price for t in train_ticks])
     static_matrix = fit_static_transitions(labels)
     dyn_cols = dynamic_feature_columns(models.layout)
     transition_models = fit_transition_models(labels, x[:, dyn_cols], max_iter=max_iter)
-    linear_bank = fit_linear_quantile_bank(
-        np.hstack([x, o]), y, n_q=models.n_q, max_iter=max_iter
-    )
+    linear_bank = fit_linear_quantile_bank(_linear_design(train_ticks), y, n_q=models.n_q, max_iter=max_iter)
     return BenchmarkSuite(
         models=models,
         static_matrix=static_matrix,
@@ -237,7 +239,7 @@ def run_benchmark(suite: BenchmarkSuite, ticks: list[MarketTick]) -> BenchmarkTa
     }
     observed = [t.settlement_price for t in scored]
     rows = [(name, score_rows(*flatten_rows(w, down, up), observed)) for name, w in weights.items()]
-    prices = suite.linear_bank.predict_matrix(np.stack([np.concatenate([t.x, t.o]) for t in scored]))
+    prices = suite.linear_bank.predict_matrix(_linear_design(scored))
     linear = canonical_rows(prices, np.full(prices.shape, 1.0 / prices.shape[1]))
     rows.append(("linear_quantile", score_rows(*linear, observed)))
     return BenchmarkTable(rows=rows, n_scored=len(scored))

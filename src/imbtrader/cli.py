@@ -28,6 +28,7 @@ from .benchmarks import fit_benchmark_suite, run_benchmark
 from .data_io import SyntheticConfig, load_dataset, resolve_data_dir, write_synthetic_dataset
 from .dists import flatten_rows, moment_rows, quantile_rows
 from .pipeline import TrainedModels, forecast_rows, train_models
+from .price_models import ReserveGrid
 from .risk import RISK_KINDS
 from .strategy import ActionSpace
 
@@ -69,6 +70,8 @@ def _beta_grid(which: str):
 # readers of the synthetic keys, by SyntheticConfig's field annotations (strings: annotations are postponed)
 _READ_BY_TYPE = {"int": integer, "float": numeric, "datetime": timestamp}
 _RESERVES = ("afrr_volumes", "mfrr_volumes")
+# the ladder `train` fits on: the `reserves` keys, else the generator's volumes
+_DEFAULT_RESERVES = {f.name: f.default for f in dataclasses.fields(SyntheticConfig) if f.name in _RESERVES}
 _ACTION_KEYS = {"step_mw": "step", "u_max_mw": "u_max", "allow_short": "allow_short"}
 
 # Each section's keys are the keyword arguments of the call it feeds: `synthetic` and
@@ -112,6 +115,7 @@ def _load_config(path) -> dict:
     kwargs = {
         "seed": config.get("seed"),
         "synthetic": {**config.get("synthetic", {}), **config.get("reserves", {})},
+        "reserves": config.get("reserves", {}),
         "model": config.get("model", {}),
         "actions": {_ACTION_KEYS[k]: v for k, v in strategy.items() if k in _ACTION_KEYS},
         "sim": {k: v for k, v in strategy.items() if k not in _ACTION_KEYS},
@@ -130,7 +134,8 @@ def _given(**kwargs) -> dict:
 
 
 def _seed(config: dict, args):
-    return args.seed if args.seed is not None else config["seed"]
+    flag = getattr(args, "seed", None)  # sweep has no --seed
+    return flag if flag is not None else config["seed"]
 
 
 def _sim_config(config: dict, args) -> SimConfig:
@@ -176,7 +181,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    grid = SyntheticConfig(**config["synthetic"]).grid
+    grid = ReserveGrid(**{**_DEFAULT_RESERVES, **config["reserves"]})
     ticks = _between(_load_ticks(args, grid), args.start, args.end)
     if not ticks:
         raise ValueError("no training ticks in the requested range")
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func in (("backtest", cmd_backtest), ("sweep", cmd_sweep)):
         p = sub.add_parser(name, help=f"run the trading {name}")
-        common(p, needs_models=True)
+        common(p, needs_models=True, seeded=name == "backtest")  # only a backtest ledger records a seed
         p.add_argument("--measure", choices=RISK_KINDS, default=None)
         p.add_argument("--alpha", type=_sim_flag("alpha"), help="risk weight in [0,1] or 'adaptive'")
         p.add_argument("--beta-est", dest="beta_est", type=_sim_flag("beta_est"))

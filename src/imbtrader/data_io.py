@@ -45,7 +45,6 @@ __all__ = [
     "OrderBooks",
     "MarketTick",
     "FeatureLayout",
-    "FeatureSet",
     "load_market_csv",
     "write_market_csv",
     "load_order_books",
@@ -167,15 +166,6 @@ class FeatureLayout:
                 raise ValueError(f"block {name!r} is [{start}, {end}], need 0 <= start <= end <= {len(self.names)}")
 
 
-@dataclass
-class FeatureSet:
-    """Feature matrix aligned to the records' rows from ``first_index`` on."""
-
-    x: np.ndarray
-    first_index: int
-    layout: FeatureLayout
-
-
 def _read_columns(path: Path, header: list[str]) -> list[tuple[str, ...]]:
     """The data rows of a CSV file with ``header``, as columns.
 
@@ -238,9 +228,13 @@ def _read_numbers(columns: list[tuple[str, ...]]) -> np.ndarray:
     return values
 
 
+def _on_quarter_hour(ts: datetime) -> bool:
+    return ts.minute % 15 == 0 and ts.second == 0 and ts.microsecond == 0
+
+
 def _validate_cadence(timestamps: list[datetime]) -> None:
     for i, ts in enumerate(timestamps):
-        if ts.minute % 15 != 0 or ts.second != 0 or ts.microsecond != 0:
+        if not _on_quarter_hour(ts):
             raise DataValidationError(f"row {i + 2}: timestamp {ts.isoformat()} not quarter-hour aligned")
     for i, (a, b) in enumerate(zip(timestamps, timestamps[1:])):
         if b == a:
@@ -327,14 +321,25 @@ def quarter_of_day(ts: datetime) -> int:
     return ts.hour * 4 + ts.minute // 15
 
 
-def build_features(records: MarketRecords) -> FeatureSet:
-    """Mixture-weight features per the reference schema.
+# The mixture-weight feature vector: its blocks in column order, each with its column names.
+# ``build_features`` stacks its blocks in this order and ``reference_layout`` names them from it.
+FEATURE_BLOCKS = (
+    ("imbalance_lags", tuple(f"s_lag_{lag}" for lag in IMBALANCE_LAGS)),
+    ("quarter_onehot", tuple(f"quarter_{q}" for q in range(QUARTERS_PER_DAY))),
+    ("forecast_diffs", ("solar_id_minus_da", "wind_id_minus_da", "load_id_minus_da")),
+    ("hourly_deviation", ("solar_hourly_dev", "wind_hourly_dev", "load_hourly_dev")),
+    ("price_diff", ("price_id_minus_da",)),
+)
 
-    Blocks: lagged imbalance volumes (information cutoff one hour before
-    delivery), one-hot quarter of day, intraday-minus-day-ahead forecast
-    differences, deviation of the intraday forecasts from their hourly
-    mean, and the intraday/day-ahead price difference. Rows without full
-    lag history are dropped (``first_index`` marks the first kept record).
+
+def build_features(records: MarketRecords) -> np.ndarray:
+    """Mixture-weight features per the reference schema, one row per record from row ``max(IMBALANCE_LAGS)`` on.
+
+    Blocks (``FEATURE_BLOCKS``): lagged imbalance volumes (information
+    cutoff one hour before delivery), one-hot quarter of day,
+    intraday-minus-day-ahead forecast differences, deviation of the intraday
+    forecasts from their hourly mean, and the intraday/day-ahead price
+    difference. The first records, without full lag history, get no row.
     """
     max_lag = max(IMBALANCE_LAGS)
     n = len(records.timestamps)
@@ -359,49 +364,45 @@ def build_features(records: MarketRecords) -> FeatureSet:
     onehot[np.arange(n), quarters] = 1.0
 
     rows = np.arange(max_lag, n)
-    lag_block = np.column_stack([s[rows - lag] for lag in IMBALANCE_LAGS])
-    x = np.hstack(
-        [lag_block, onehot[rows], diffs[rows], deviations[rows], price_diff[rows, None]]
-    )
-    return FeatureSet(x=x, first_index=max_lag, layout=reference_layout())
+    blocks = {
+        "imbalance_lags": np.column_stack([s[rows - lag] for lag in IMBALANCE_LAGS]),
+        "quarter_onehot": onehot[rows],
+        "forecast_diffs": diffs[rows],
+        "hourly_deviation": deviations[rows],
+        "price_diff": price_diff[rows, None],
+    }
+    return np.hstack([blocks[name] for name, _ in FEATURE_BLOCKS])
 
 
 def reference_layout() -> FeatureLayout:
     """Layout of the feature vector ``build_features`` emits (data independent)."""
-    names: list[str] = [f"s_lag_{lag}" for lag in IMBALANCE_LAGS]
-    blocks = {"imbalance_lags": (0, len(IMBALANCE_LAGS))}
-    start = len(IMBALANCE_LAGS)
-    names += [f"quarter_{q}" for q in range(QUARTERS_PER_DAY)]
-    blocks["quarter_onehot"] = (start, start + QUARTERS_PER_DAY)
-    start += QUARTERS_PER_DAY
-    names += ["solar_id_minus_da", "wind_id_minus_da", "load_id_minus_da"]
-    blocks["forecast_diffs"] = (start, start + 3)
-    start += 3
-    names += ["solar_hourly_dev", "wind_hourly_dev", "load_hourly_dev"]
-    blocks["hourly_deviation"] = (start, start + 3)
-    start += 3
-    names += ["price_id_minus_da"]
-    blocks["price_diff"] = (start, start + 1)
+    names: list[str] = []
+    blocks = {}
+    for block, columns in FEATURE_BLOCKS:
+        blocks[block] = (len(names), len(names) + len(columns))
+        names += columns
     return FeatureLayout(names=tuple(names), blocks=blocks)
 
 
 def assemble_ticks(
     records: MarketRecords,
-    features: FeatureSet,
+    x: np.ndarray,
     books: OrderBooks | None = None,
 ) -> list[MarketTick]:
-    """Join records, features, and (optionally) order books into ticks."""
-    start = features.first_index
+    """Join records, their ``build_features`` matrix, and (optionally) order books into ticks."""
+    start = max(IMBALANCE_LAGS)
+    if len(x) != len(records.timestamps) - start:
+        raise ValueError(f"{len(x)} feature rows for {len(records.timestamps)} records, need one from row {start} on")
     book_of = {ts: i for i, ts in enumerate(books.timestamps)} if books is not None else {}
     # tolist() keeps s and the prices Python floats, as ledgers print them
     s, p_mdp, p_mip = (records.column(name)[start:].tolist() for name in ("s_mw", "p_mdp", "p_mip"))
     return [
         MarketTick(
-            timestamp=ts, x=x, o=o, s=s_t, p_mdp=mdp_t, p_mip=mip_t,
+            timestamp=ts, x=x_t, o=o, s=s_t, p_mdp=mdp_t, p_mip=mip_t,
             book=books.book(book_of[ts]) if ts in book_of else None,
         )
-        for ts, x, o, s_t, mdp_t, mip_t in zip(
-            records.timestamps[start:], features.x, records.reserve_prices[start:], s, p_mdp, p_mip
+        for ts, x_t, o, s_t, mdp_t, mip_t in zip(
+            records.timestamps[start:], x, records.reserve_prices[start:], s, p_mdp, p_mip
         )
     ]
 
@@ -481,6 +482,7 @@ class SyntheticConfig:
         scales = ("price_gap_std", "price_noise_std", "book_noise_std", "imbalance_scale")
         rules = {  # NaN fails every rule
             "n_periods": ("at least 1", self.n_periods >= 1),
+            "start": ("quarter-hour aligned", _on_quarter_hour(self.start)),
             **{name: ("nonnegative and finite", 0.0 <= getattr(self, name) < math.inf) for name in scales},
             "book_levels": ("at least 1", self.book_levels >= 1),
             # a one-level book never adds the tick, so only a non-finite tick breaks it

@@ -28,7 +28,6 @@ from .price_models import (
     fit_logistic,
     fit_quantile_bank,
     quantile_matrix,
-    sigmoid_predict,
 )
 
 __all__ = ["LeakageError", "check_out_of_sample", "TrainedModels", "train_models", "attach_z", "forecast_rows",
@@ -203,7 +202,8 @@ def train_models(
     logistic_max_iter: int = 2000,
     bank_max_iter: int = 400,
 ) -> TrainedModels:
-    """Fit the full model set on feature-complete training ticks.
+    """Fit the full model set on feature-complete training ticks (``build_features`` rows, which the bundle's
+    ``reference_layout`` names: ticks of another width fail its width check).
 
     The position-augmented weight model is trained with artificial trades
     whose appended feature is the induced imbalance shift (full reactivity),
@@ -245,13 +245,6 @@ def train_models(
     k_mdp, k_mip = estimate_sensitivities(s, np.where(pos, p_mdp, p_mip))
     impact = ImpactParams(beta=1.0, k_mdp=max(k_mdp, 0.0), k_mip=max(k_mip, 0.0))
 
-    layout = reference_layout()
-    if len(layout.names) != x.shape[1]:
-        layout = FeatureLayout(
-            names=tuple(f"f{i}" for i in range(x.shape[1])),
-            blocks={"all": (0, x.shape[1])},
-        )
-
     return TrainedModels(
         weight_model=weight_model,
         position_model=position_model,
@@ -259,7 +252,7 @@ def train_models(
         bank_mip=bank_mip,
         grid=grid,
         impact=impact,
-        layout=layout,
+        layout=reference_layout(),
         n_q=n_q,
         kfold=kfold,
         train_start=ticks[0].timestamp,
@@ -270,7 +263,7 @@ def train_models(
 
 def _z(models: TrainedModels, tick: MarketTick) -> np.ndarray:
     """A tick's price-model input: its own ``z``, or else the weight model's prediction at its features."""
-    return np.array([sigmoid_predict(models.weight_model, tick.x)]) if tick.z is None else tick.z
+    return np.array([models.weight_model.predict(tick.x)]) if tick.z is None else tick.z
 
 
 def attach_z(ticks: list[MarketTick], models: TrainedModels) -> list[MarketTick]:

@@ -22,7 +22,6 @@ __all__ = [
     "DegenerateLabelsError",
     "FeatureScaler",
     "LogisticModel",
-    "sigmoid_predict",
     "fit_logistic",
     "logistic_loss_and_grad",
     "augment_with_positions",
@@ -154,21 +153,6 @@ class LogisticModel:
             rest = (rest - self.scaler.mean[others]) / self.scaler.scale[others]
             position = (position - self.scaler.mean[i]) / self.scaler.scale[i]
         return (rest @ self.weights[others] + self.bias) + position * self.weights[i]
-
-    @property
-    def position_weight(self) -> float:
-        """Weight of the position feature in original (per-MW-shift) units."""
-        if self.position_weight_index is None:
-            raise ValueError("model was fitted without a position feature")
-        w = float(self.weights[self.position_weight_index])
-        if self.scaler is not None:
-            w /= float(self.scaler.scale[self.position_weight_index])
-        return w
-
-
-def sigmoid_predict(model: LogisticModel, x) -> float:
-    """Probability of a positive system imbalance for one feature vector."""
-    return float(model.predict(np.asarray(x, dtype=float)))
 
 
 def logistic_loss_and_grad(params: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):

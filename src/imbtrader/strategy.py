@@ -427,6 +427,7 @@ def default_alpha_grid(kind: str, size: int = 200) -> np.ndarray:
         n_tail = max(size // 5, 1)
         tail = np.linspace(0.0, 0.9, n_tail, endpoint=False)
         head = np.linspace(0.9, 1.0, size - n_tail)
+        head[-1] = 1.0  # a one-point head (size 2) is its end; a longer one ends at 1.0 already
         return np.concatenate([tail, head])
     return np.linspace(0.0, 1.0, size)
 

@@ -71,6 +71,15 @@ class TestPipelineCommands:
         grid = ReserveGrid((1, 50, 100, 150, 200), (1, 100, 200, 300, 500, 700))
         assert len(load_dataset(data, grid)) == 96 * 6 - 7
 
+    def test_train_reads_only_the_reserves_of_the_generator_settings(self, workspace):
+        # a synthetic section SyntheticConfig rejects is no concern of train, which generates nothing
+        config = workspace["root"] / "no_periods.yaml"
+        config.write_text(yaml.safe_dump(SMOKE_CONFIG | {"synthetic": {**SMOKE_CONFIG["synthetic"], "n_periods": 0}}))
+        out = workspace["root"] / "models_no_periods"
+        assert main(["train", "--config", str(config), "--data", str(workspace["data"]), "--out", str(out),
+                     "--to", TRAIN_END]) == 0
+        assert (out / "models.json").read_bytes() == workspace["models"].read_bytes()
+
     def test_backtest_smoke_pipeline(self, workspace):
         out = workspace["root"] / "bt"
         code = main(
@@ -296,6 +305,13 @@ class TestErrorsAndMisc:
         assert code == 1
         assert "u_max" in capsys.readouterr().err
 
+    def test_generate_rejects_an_off_grid_start(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("synthetic: {start: '2024-01-01T00:07:00+00:00'}\n")
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "gen")]) == 1
+        assert capsys.readouterr().err == "error: start must be quarter-hour aligned, got 2024-01-01 00:07:00+00:00\n"
+        assert not (tmp_path / "gen" / "market.csv").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -478,14 +494,18 @@ class TestConfig:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {problem}\n")
 
-    @pytest.mark.parametrize("command", ["forecast", "benchmark"])
+    @pytest.mark.parametrize("command", [
+        ["forecast", "--models", "models.json"],
+        ["benchmark", "--models", "models.json"],
+        # a sweep replays without randomness, and sweep.csv and sweep.txt record no seed
+        ["sweep", "--models", "models.json", "--beta-est-grid", "1", "--beta-true-grid", "1"],
+    ], ids=["forecast", "benchmark", "sweep"])
     def test_seed_only_where_a_command_reads_it(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, "--out", "out", "--models", "models.json", "--seed", "3"])
+            build_parser().parse_args([*command, "--out", "out", "--seed", "3"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 3\n")
-        for seeded in (["generate"], ["train"], ["backtest", "--models", "models.json"],
-                       ["sweep", "--models", "models.json", "--beta-est-grid", "1", "--beta-true-grid", "1"]):
+        for seeded in (["generate"], ["train"], ["backtest", "--models", "models.json"]):
             assert build_parser().parse_args([*seeded, "--out", "out", "--seed", "3"]).seed == 3
 
     def test_bad_range_flag_fails_before_reading_data(self, tmp_path, capsys):
@@ -506,7 +526,8 @@ class TestConfig:
          {"synthetic": {"start": datetime(2024, 1, 1, 6, tzinfo=timezone.utc)}}),
         ("synthetic: {start: '2024-01-01T00:00:00Z'}",
          {"synthetic": {"start": datetime(2024, 1, 1, tzinfo=timezone.utc)}}),
-        ("reserves: {afrr_volumes: [1, 2.5e1, 50]}", {"synthetic": {"afrr_volumes": (1.0, 25.0, 50.0)}}),
+        ("reserves: {afrr_volumes: [1, 2.5e1, 50]}",
+         {"synthetic": {"afrr_volumes": (1.0, 25.0, 50.0)}, "reserves": {"afrr_volumes": (1.0, 25.0, 50.0)}}),
         ("strategy: {alpha: adaptive, u_max_mw: 2, allow_short: true}",
          {"sim": {"alpha": None}, "actions": {"u_max": 2.0, "allow_short": True}}),
     ], ids=["no config", "empty file", "l2 without a point", "l2 with a point", "unquoted timestamp", "naive timestamp",
@@ -515,7 +536,7 @@ class TestConfig:
         config = None if text is None else tmp_path / "config.yaml"
         if config is not None:
             config.write_text(text + "\n")
-        empty = {"seed": None, "synthetic": {}, "model": {}, "actions": {}, "sim": {}, "benchmark": {}}
+        empty = {"seed": None, "synthetic": {}, "reserves": {}, "model": {}, "actions": {}, "sim": {}, "benchmark": {}}
         assert _load_config(config) == {**empty, **expected}
 
     def test_generate_without_config_uses_the_library_defaults(self, tmp_path):

@@ -13,15 +13,18 @@ from hypothesis.extra import numpy as hnp
 
 from imbtrader.data_io import (
     BASE_COLUMNS,
+    FEATURE_BLOCKS,
     DataValidationError,
     MarketRecords,
     SyntheticConfig,
+    assemble_ticks,
     build_features,
     generate_synthetic_market,
     load_dataset,
     load_market_csv,
     load_order_books,
     quarter_of_day,
+    reference_layout,
     resolve_data_dir,
     synthetic_ticks,
     write_market_csv,
@@ -210,31 +213,31 @@ class TestCsvRoundTrip:
 class TestBuildFeatures:
     def test_rows_dropped_for_missing_lags(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=20))
-        features = build_features(records)
-        assert features.first_index == 7
-        assert features.x.shape[0] == 13
+        x = build_features(records)
+        assert x.shape == (13, len(reference_layout().names))
+        assert [t.timestamp for t in assemble_ticks(records, x)] == records.timestamps[7:]
 
     def test_lag_columns_match_history(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=30))
-        features = build_features(records)
+        x = build_features(records)
         s = records.column("s_mw").tolist()
-        sl = slice(*features.layout.blocks["imbalance_lags"])
+        sl = slice(*reference_layout().blocks["imbalance_lags"])
         for row, idx in enumerate(range(7, 30)):
-            assert features.x[row, sl].tolist() == [s[idx - 4], s[idx - 5], s[idx - 6], s[idx - 7]]
+            assert x[row, sl].tolist() == [s[idx - 4], s[idx - 5], s[idx - 6], s[idx - 7]]
 
     def test_quarter_one_hot(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=200))
-        features = build_features(records)
-        sl = slice(*features.layout.blocks["quarter_onehot"])
+        x = build_features(records)
+        sl = slice(*reference_layout().blocks["quarter_onehot"])
         for row, ts in enumerate(records.timestamps[7:]):
-            onehot = features.x[row, sl]
+            onehot = x[row, sl]
             assert onehot.sum() == 1.0
             assert onehot[quarter_of_day(ts)] == 1.0
 
     def test_hourly_deviation_matches_naive_recomputation(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=96))
-        features = build_features(records)
-        sl = slice(*features.layout.blocks["hourly_deviation"])
+        x = build_features(records)
+        sl = slice(*reference_layout().blocks["hourly_deviation"])
         intraday = [records.column(f"{k}_id") for k in ("solar", "wind", "load")]
         for row, ts in enumerate(records.timestamps[7:], start=7):
             same_hour = [
@@ -242,7 +245,7 @@ class TestBuildFeatures:
                 if (other.date(), other.hour) == (ts.date(), ts.hour)
             ]
             naive = [column[row] - np.mean(column[same_hour]) for column in intraday]
-            assert features.x[row - 7, sl].tolist() == pytest.approx(naive, abs=1e-9)
+            assert x[row - 7, sl].tolist() == pytest.approx(naive, abs=1e-9)
 
     def test_hourly_sums_add_rows_in_order(self):
         # -0.0 + -0.0 is -0.0 and 0.0 + -0.0 is 0.0: the sum must start from
@@ -251,9 +254,22 @@ class TestBuildFeatures:
         values = records.values.copy()
         solar_id = BASE_COLUMNS.index("solar_id") - 1
         values[:, solar_id] = -0.0
-        features = build_features(MarketRecords(records.timestamps, values))
-        deviation = features.x[:, slice(*features.layout.blocks["hourly_deviation"])][:, 0]
+        x = build_features(MarketRecords(records.timestamps, values))
+        deviation = x[:, slice(*reference_layout().blocks["hourly_deviation"])][:, 0]
         assert [math.copysign(1.0, v) for v in deviation] == [1.0] * len(deviation)
+
+    def test_layout_is_the_block_table(self):
+        layout = reference_layout()
+        assert [name for name, _ in FEATURE_BLOCKS] == list(layout.blocks)
+        for name, columns in FEATURE_BLOCKS:
+            assert layout.names[slice(*layout.blocks[name])] == columns
+        assert layout.blocks["imbalance_lags"] == (0, 4) and layout.blocks["price_diff"] == (106, 107)
+        assert layout.names[:2] == ("s_lag_4", "s_lag_5") and layout.names[-1] == "price_id_minus_da"
+
+    def test_assemble_rejects_another_row_count(self):
+        records, _, _ = generate_synthetic_market(small_cfg(n_periods=20))
+        with pytest.raises(ValueError, match="^12 feature rows for 20 records, need one from row 7 on$"):
+            assemble_ticks(records, build_features(records)[1:])
 
     def test_too_short_history_rejected(self):
         records, _, _ = generate_synthetic_market(small_cfg(n_periods=10))
@@ -312,10 +328,10 @@ class TestSyntheticGenerator:
     def test_zero_signal_gives_base_rate_weight(self):
         cfg = small_cfg(n_periods=96 * 20, signal_strength=0.0, regime_persistence=0.0, seed=9)
         records, _, truth = generate_synthetic_market(cfg)
-        features = build_features(records)
-        labels = (records.column("s_mw")[features.first_index :] > 0).astype(float)
-        model = fit_logistic(features.x, labels, max_iter=300)
-        preds = model.predict(features.x)
+        x = build_features(records)
+        labels = (records.column("s_mw")[7:] > 0).astype(float)
+        model = fit_logistic(x, labels, max_iter=300)
+        preds = model.predict(x)
         assert np.mean(preds) == pytest.approx(labels.mean(), abs=0.02)
         assert abs(truth["base_rate"] - labels.mean()) < 0.05
 
@@ -330,6 +346,12 @@ class TestSyntheticGenerator:
     def test_too_few_periods_rejected(self, n_periods):
         with pytest.raises(ValueError, match="^n_periods must be at least 1"):
             small_cfg(n_periods=n_periods)
+
+    @pytest.mark.parametrize("minutes, seconds", [(7, 0), (15, 30), (0, 0.5)])
+    def test_start_off_the_quarter_hour_rejected(self, minutes, seconds):
+        start = datetime(2024, 1, 1, tzinfo=UTC) + timedelta(minutes=minutes, seconds=seconds)
+        with pytest.raises(ValueError, match=f"^start must be quarter-hour aligned, got {re.escape(str(start))}$"):
+            small_cfg(start=start)
 
     @pytest.mark.parametrize("field", ["price_gap_std", "price_noise_std", "book_noise_std", "imbalance_scale"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])

@@ -20,7 +20,7 @@ from imbtrader.pipeline import (
     LeakageError, PositionForecast, TrainedModels, _reader, _to_json, attach_z, forecast_rows, make_forecaster,
     train_models,
 )
-from imbtrader.price_models import LogisticModel, predict_regulation_distribution, sigmoid_predict
+from imbtrader.price_models import LogisticModel, predict_regulation_distribution
 from imbtrader.strategy import ActionSpace
 from test_backtest import toy_models
 
@@ -34,7 +34,7 @@ def full_forecast(weight_model, mdp_bank, mip_bank, x, z, o, u, impact):
     """
     if weight_model.position_weight_index != weight_model.n_features - 1:
         raise ValueError("position feature must be the last model feature")
-    pi = sigmoid_predict(weight_model, np.append(np.asarray(x, dtype=float), impact.beta * u))
+    pi = weight_model.predict(np.append(np.asarray(x, dtype=float), impact.beta * u))
     down = predict_regulation_distribution(mdp_bank, z, o).shift(-impact.k_mdp * impact.beta * u)
     up = predict_regulation_distribution(mip_bank, z, o).shift(-impact.k_mip * impact.beta * u)
     return MixtureForecast(pi=pi, down=down, up=up)
@@ -67,7 +67,14 @@ class TestTrainModels:
         out = attach_z(mixed, models)
         assert out[0] is test_ticks[0]
         assert out[1] is not raw_ticks[-1] and raw_ticks[-1].z is None
-        assert out[1].z.tolist() == [sigmoid_predict(models.weight_model, raw_ticks[-1].x)]
+        assert out[1].z.tolist() == [models.weight_model.predict(raw_ticks[-1].x)]
+
+    def test_ticks_of_another_width_rejected(self, small_market):
+        # train_models names its features with reference_layout(); ticks of another width fail the bundle's check
+        cfg, ticks, _ = small_market
+        narrow = [replace(t, x=t.x[:5]) for t in ticks[:300]]
+        with pytest.raises(ValueError, match="^weight_model has 5 features, the layout's 107 names need 107$"):
+            train_models(narrow, grid=cfg.grid, n_q=4, kfold=2, logistic_max_iter=20, bank_max_iter=5)
 
     def test_empty_ticks_rejected(self, small_market):
         cfg, _, _ = small_market

@@ -23,7 +23,6 @@ from imbtrader.price_models import (
     quantile_levels,
     quantile_loss_and_grad,
     quantile_matrix,
-    sigmoid_predict,
 )
 
 
@@ -59,23 +58,23 @@ def expected_reserve_price(bank, z, o):
 class TestSigmoidPredict:
     def test_zero_score_is_half(self):
         model = bare_logistic(0.0, [0.0, 0.0])
-        assert sigmoid_predict(model, [3.0, -1.0]) == 0.5
+        assert model.predict([3.0, -1.0]) == 0.5
 
     def test_direct_evaluation(self):
         model = bare_logistic(0.0, [1.0])
-        assert sigmoid_predict(model, [math.log(3.0)]) == pytest.approx(0.75)
+        assert model.predict([math.log(3.0)]) == pytest.approx(0.75)
 
     def test_saturation_without_overflow(self):
         model = bare_logistic(0.0, [1.0])
-        p = sigmoid_predict(model, [1e6])
+        p = model.predict([1e6])
         assert 1.0 - 1e-12 < p < 1.0
-        p_lo = sigmoid_predict(model, [-1e6])
+        p_lo = model.predict([-1e6])
         assert 0.0 < p_lo < 1e-12
 
     def test_dimension_mismatch(self):
         model = bare_logistic(0.0, [1.0, 2.0])
         with pytest.raises(ValueError):
-            sigmoid_predict(model, [1.0])
+            model.predict([1.0])
 
     def test_strictly_inside_unit_interval_and_monotone(self):
         rng = np.random.default_rng(0)
@@ -83,7 +82,7 @@ class TestSigmoidPredict:
         scores = []
         for t in np.linspace(-50, 50, 21):
             x = t * model.weights  # moves along the weight direction
-            p = sigmoid_predict(model, x)
+            p = model.predict(x)
             assert 0.0 < p < 1.0
             scores.append(p)
         assert all(a <= b for a, b in zip(scores, scores[1:]))
@@ -470,7 +469,7 @@ class TestForecast:
         up0 = predict_regulation_distribution(self.bank_up, self.z, self.o)
         assert f.down == down0
         assert f.up == up0
-        assert f.pi == sigmoid_predict(self.weight_model, np.append(self.x, 0.0))
+        assert f.pi == self.weight_model.predict(np.append(self.x, 0.0))
 
     def test_position_shifts_up_regime_quantiles(self):
         f0 = self.forecast(0.0)
@@ -509,7 +508,9 @@ class TestSerialization:
         model = fit_logistic(x, y, position_weight_index=2)
         restored = table_round_trip(model)
         assert np.array_equal(restored.predict(x), model.predict(x))
-        assert restored.position_weight == model.position_weight
+        assert restored.position_weight_index == model.position_weight_index == 2
+        assert np.array_equal(restored.weights, model.weights)
+        assert np.array_equal(restored.scaler.scale, model.scaler.scale)
 
     def test_bank_round_trip(self):
         rng = np.random.default_rng(17)

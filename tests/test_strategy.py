@@ -410,6 +410,18 @@ class TestAlphaGridAndAdapter:
             assert grid[-1] == 1.0
             assert np.all(np.diff(grid) > 0)
 
+    @pytest.mark.parametrize("kind", ["cvar", "evar"])
+    def test_every_grid_size_contains_one(self, kind):
+        for size in range(2, 65):
+            grid = default_alpha_grid(kind, size)
+            assert grid.size == size and 1.0 in grid
+            assert np.all(np.diff(grid) > 0) and grid[0] >= 0.0 and grid[-1] <= 1.0
+
+    def test_smallest_evar_grid_is_its_ends(self):
+        # a one-point head used to be its start, 0.9; the adapter starts at the last alpha
+        assert default_alpha_grid("evar", 2).tolist() == [0.0, 1.0]
+        assert default_alpha_grid("evar", 3).tolist() == [0.0, 0.9, 1.0]
+
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
     def test_alpha_grid_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
