@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
 from pathlib import Path
@@ -77,7 +78,10 @@ class SimConfig:
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         for name, least in (("window", 1), ("alpha_grid_size", 2)):
-            if getattr(self, name) < least:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
                 raise ValueError(f"{name} must be at least {least}")
         if not 0.0 < self.delta_hours < math.inf:  # NaN fails too
             raise ValueError(f"delta_hours must be positive and finite, got {self.delta_hours}")
@@ -147,13 +151,13 @@ class _Cell:
         self.legs = legs
         self.ledger: list[TradeRecord] = []
 
-    def trade(self, tick: MarketTick, tables: dict, best: dict) -> None:
-        """Execute this cell's choice from the shared tables, settle it, and update its alphas."""
+    def trade(self, tick: MarketTick, tables: dict) -> None:
+        """Execute this cell's choice from the shared tables' decisions, settle it, and update its alphas."""
         executed = {}
-        for leg, (us, qs, _) in best.items():
+        for leg, table in tables.items():
+            us, qs, _ = table.best_positions()
             idx = self.adapters[leg].current_index if self.adapters else 0
-            alpha_used = float(self.alphas[idx])
-            executed[leg] = (float(us[idx]), float(qs[idx]), alpha_used)
+            executed[leg] = (float(us[idx]), float(qs[idx]), float(self.alphas[idx]))
         u_net = sum(u for u, _, _ in executed.values())
         p_real = realized_settlement_price(tick.s, u_net, self.impact_true, tick.p_mdp, tick.p_mip)
         for leg, (u, q, alpha_used) in executed.items():
@@ -181,9 +185,9 @@ def _replay(
     Leakage and skip checks run once per tick, the regime predictions
     once for all traded ticks (``forecast_rows``), and the decision tables
     once per tick, assumed reactivity and leg, since decisions do not
-    depend on the true reactivity. Each pair keeps
-    its own settlement, ledger and adaptive alphas, which are fed the
-    shared tables' hindsight losses. Returns one ``BacktestResult`` per
+    depend on the true reactivity. Each pair keeps its own settlement,
+    ledger and adaptive alphas, and reads its legs' decisions and
+    hindsight losses off the shared tables. Returns one ``BacktestResult`` per
     pair, indexed ``[i_est][i_true]``.
     """
     if not ticks:
@@ -225,9 +229,8 @@ def _replay(
                 leg: decision_table(forecast, tick.book, positions[leg], config.measure, alphas)
                 for leg in legs
             }
-            best = {leg: table.best_positions() for leg, table in tables.items()}
             for cell in row:
-                cell.trade(tick, tables, best)
+                cell.trade(tick, tables)
 
     return [[cell.result(skipped) for cell in row] for row in cells]
 

@@ -138,12 +138,13 @@ def dynamic_feature_columns(layout: FeatureLayout) -> np.ndarray:
     """Columns the dynamic Markov benchmark conditions on.
 
     Quarter-of-day one-hot, production and load derived variables, and the
-    intraday/day-ahead price difference; falls back to every column for
-    layouts without those blocks.
+    intraday/day-ahead price difference; a layout without one of those
+    blocks raises a ``ValueError`` naming the first missing one.
     """
     wanted = ("quarter_onehot", "forecast_diffs", "hourly_deviation", "price_diff")
-    if not all(name in layout.blocks for name in wanted):
-        return np.arange(len(layout.names))
+    missing = next((name for name in wanted if name not in layout.blocks), None)
+    if missing is not None:
+        raise ValueError(f"the dynamic benchmark needs the feature block {missing!r}, the layout has none")
     return np.concatenate([np.arange(*layout.blocks[name]) for name in wanted])
 
 
@@ -171,14 +172,16 @@ def fit_benchmark_suite(
     horizon: int = DEFAULT_HORIZON,
     max_iter: int = 400,
 ) -> BenchmarkSuite:
-    """Fit the state-transition and linear benchmarks on the training slice."""
+    """Fit the state-transition and linear benchmarks on the training slice; bad inputs fail before any fit."""
     if horizon < 1:  # at 0 the Markov rows would start from the realized state they forecast
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+    dyn_cols = dynamic_feature_columns(models.layout)
     labels = np.array([is_surplus(t.s) for t in train_ticks])
     x = np.stack([t.x for t in train_ticks])
     y = np.array([t.settlement_price for t in train_ticks])
     static_matrix = fit_static_transitions(labels)
-    dyn_cols = dynamic_feature_columns(models.layout)
     transition_models = fit_transition_models(labels, x[:, dyn_cols], max_iter=max_iter)
     linear_bank = fit_linear_quantile_bank(_linear_design(train_ticks), y, n_q=models.n_q, max_iter=max_iter)
     return BenchmarkSuite(

@@ -139,7 +139,7 @@ def _seed(config: dict, args):
 
 
 def _sim_config(config: dict, args) -> SimConfig:
-    flags = {name: read(getattr(args, name)) for name, read in _SIM_FLAGS.items() if getattr(args, name) is not None}
+    flags = {name: read(text) for name, read in _SIM_FLAGS.items() if (text := getattr(args, name, None)) is not None}
     sim = {**config["sim"], **_given(measure=args.measure, seed=_seed(config, args)), **flags}
     return SimConfig(**sim, actions=ActionSpace(**config["actions"]))
 
@@ -336,15 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     for name, func in (("backtest", cmd_backtest), ("sweep", cmd_sweep)):
-        p = sub.add_parser(name, help=f"run the trading {name}")
+        # flags in full only: an abbreviation would read sweep's --beta-est as --beta-est-grid
+        p = sub.add_parser(name, help=f"run the trading {name}", allow_abbrev=False)
         common(p, needs_models=True, seeded=name == "backtest")  # only a backtest ledger records a seed
         p.add_argument("--measure", choices=RISK_KINDS, default=None)
         p.add_argument("--alpha", type=_sim_flag("alpha"), help="risk weight in [0,1] or 'adaptive'")
-        p.add_argument("--beta-est", dest="beta_est", type=_sim_flag("beta_est"))
-        p.add_argument("--beta-true", dest="beta_true", type=_sim_flag("beta_true"))
         p.add_argument("--window", type=_sim_flag("window"), help="adaptive window size N")
-        if name == "sweep":
-            for b in ("est", "true"):
+        for b in ("est", "true"):  # a sweep takes both reactivities from its grids
+            if name == "backtest":
+                p.add_argument(f"--beta-{b}", dest=f"beta_{b}", type=_sim_flag(f"beta_{b}"))
+            else:
                 p.add_argument(f"--beta-{b}-grid", required=True, type=_beta_grid(b), help="comma-separated values")
         p.set_defaults(func=func)
 

@@ -27,6 +27,7 @@ from .price_models import (
     augment_with_positions,
     fit_logistic,
     fit_quantile_bank,
+    quantile_levels,
     quantile_matrix,
 )
 
@@ -203,7 +204,9 @@ def train_models(
     bank_max_iter: int = 400,
 ) -> TrainedModels:
     """Fit the full model set on feature-complete training ticks (``build_features`` rows, which the bundle's
-    ``reference_layout`` names: ticks of another width fail its width check).
+    ``reference_layout`` names). Ticks of another width, ``kfold`` below 2, a negative iteration cap, ``n_q``
+    below 2, a ``u_max`` that is not positive and (by ``fit_logistic``'s rule) a negative or non-finite ``l2``
+    are rejected by name before any solver runs.
 
     The position-augmented weight model is trained with artificial trades
     whose appended feature is the induced imbalance shift (full reactivity),
@@ -218,12 +221,22 @@ def train_models(
     o = np.stack([t.o for t in ticks])
     if o.shape[1] != grid.size:
         raise ValueError(f"ticks carry {o.shape[1]} reserve prices, grid expects {grid.size}")
+    layout = reference_layout()
+    if x.shape[1] != len(layout.names):
+        raise ValueError(f"ticks carry {x.shape[1]} features, the layout names {len(layout.names)}")
+    if kfold < 2:
+        raise ValueError(f"kfold must be at least 2, got {kfold}")
+    for name, cap in (("logistic_max_iter", logistic_max_iter), ("bank_max_iter", bank_max_iter)):
+        if cap < 0:
+            raise ValueError(f"{name} must be at least 0, got {cap}")
+    quantile_levels(n_q)  # rejects n_q below 2
+    # its own seeded generator: drawn before the fits, it rejects a u_max that is not positive first
+    x_aug, aug_labels, _ = augment_with_positions(x, s, u_max=u_max, beta=1.0, rng=seed, u_min=-u_max)
     labels = is_surplus(s).astype(float)
 
     weight_model = fit_logistic(x, labels, l2=l2, max_iter=logistic_max_iter)
     z = _crossvalidated_weight(x, labels, kfold, l2, logistic_max_iter)
 
-    x_aug, aug_labels, _ = augment_with_positions(x, s, u_max=u_max, beta=1.0, rng=seed, u_min=-u_max)
     position_model = fit_logistic(
         x_aug,
         aug_labels.astype(float),
@@ -252,7 +265,7 @@ def train_models(
         bank_mip=bank_mip,
         grid=grid,
         impact=impact,
-        layout=reference_layout(),
+        layout=layout,
         n_q=n_q,
         kfold=kfold,
         train_start=ticks[0].timestamp,

@@ -178,7 +178,9 @@ def fit_logistic(
     max_iter: int = 5000,
     position_weight_index: int | None = None,
 ) -> LogisticModel:
-    """Maximum-likelihood logistic fit by gradient descent with line search."""
+    """Maximum-likelihood logistic fit by gradient descent with line search; ``l2`` must be finite and >= 0."""
+    if not 0.0 <= l2 < math.inf:  # NaN fails too
+        raise ValueError(f"l2 must be finite and at least 0, got {l2}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
@@ -381,7 +383,7 @@ def _ladder_level_losses(residuals: np.ndarray, taus: np.ndarray) -> np.ndarray:
 def quantile_levels(n_q: int) -> np.ndarray:
     """n_q evenly spaced levels placed at bin midpoints of (0, 1)."""
     if n_q < 2:
-        raise ValueError("need at least 2 quantile levels")
+        raise ValueError(f"n_q must be at least 2, got {n_q}")
     return (np.arange(n_q) + 0.5) / n_q
 
 

@@ -192,28 +192,19 @@ def _fills(book: OrderBook, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(side == 1, -cost, cost), q
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionTable:
-    """Cost surface of one settlement period over positions x alpha grid."""
+    """Cost surface of one settlement period over positions x alpha grid, and its per-alpha decision."""
 
     positions_by_size: np.ndarray  # grid ordered by |u| (optimizer order)
     fill_prices: np.ndarray  # q(u) per row
     rho: np.ndarray  # risk of -p per (row, alpha)
     phi: np.ndarray  # (q(u) + rho) * u per (row, alpha)
-
-    def argmin_rows(self) -> np.ndarray:
-        # First occurrence wins, so exact ties resolve to the smallest |u|.
-        return np.argmin(self.phi, axis=0)
+    best: tuple[np.ndarray, np.ndarray, np.ndarray]  # per alpha: u*, q(u*) and phi(u*), read-only
 
     def best_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-alpha optimal position, its fill price, and its cost."""
-        rows = self.argmin_rows()
-        cols = np.arange(self.phi.shape[1])
-        return (
-            self.positions_by_size[rows],
-            self.fill_prices[rows],
-            self.phi[rows, cols],
-        )
+        return self.best
 
     def hindsight_losses(self, realized_price: float) -> np.ndarray:
         """Realized per-alpha loss (q(u*) - p) * u* once the price is known.
@@ -221,7 +212,7 @@ class DecisionTable:
         This is the summand of the adaptive-alpha window; the fill price of
         each counterfactual position replays the recorded ladder.
         """
-        us, qs, _ = self.best_positions()
+        us, qs, _ = self.best
         return (qs - realized_price) * us
 
 
@@ -265,17 +256,22 @@ def decision_table(
     The forecast depends on the position (decision-dependent
     distribution). The forecasts of all positions form one set of arrays
     (see ``_rho_rows``), from which the risk term of every (position,
-    alpha) pair is taken, so the same table serves both the live decision
-    and the adaptive-alpha bookkeeping. ``actions`` is an
-    ActionSpace or an explicit position array already ordered by absolute
-    size (one-sided strategy legs pass the latter).
+    alpha) pair is taken. The per-alpha argmin is taken here, once, so one
+    decision serves both the live trade and the adaptive-alpha
+    bookkeeping. ``actions`` is an ActionSpace or an explicit position
+    array already ordered by absolute size (one-sided strategy legs pass
+    the latter).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     us = actions.ordered_grid() if isinstance(actions, ActionSpace) else np.asarray(actions, dtype=float)
     q = fill_prices(book, us)
     rho = _rho_rows(kind, forecast_fn, us, alphas)
     phi = (q[:, None] + rho) * us[:, None]
-    return DecisionTable(positions_by_size=us, fill_prices=q, rho=rho, phi=phi)
+    rows = np.argmin(phi, axis=0)  # first occurrence wins, so exact ties resolve to the smallest |u|
+    best = (us[rows], q[rows], phi[rows, np.arange(alphas.size)])
+    for column in best:
+        column.flags.writeable = False
+    return DecisionTable(positions_by_size=us, fill_prices=q, rho=rho, phi=phi, best=best)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,17 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="^alpha_grid_size must be at least 2$"):
             SimConfig(alpha_grid_size=size)
 
+    @pytest.mark.parametrize("name", ["window", "alpha_grid_size"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_non_integer_counts_rejected_by_name(self, name, value):
+        # a float window was truncated by the adapter and stamped unchanged in the ledger header
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            SimConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = SimConfig(window=np.int64(3), alpha_grid_size=np.int32(5))
+        assert (config.window, config.alpha_grid_size) == (3, 5)
+
     @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
     def test_non_finite_delta_rejected(self, delta):
         with pytest.raises(ValueError, match="delta_hours"):

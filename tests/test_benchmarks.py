@@ -6,6 +6,7 @@ import pytest
 
 from benchmark_oracle import benchmark_rows, dynamic_transition_matrix, markov_state_probability
 from linear_bank_oracle import descent_linear_quantile_bank, linear_pinball_loss_and_grad
+from imbtrader import benchmarks
 from imbtrader._optim import _GAP_TOL, _design, fit_quantile_lp
 from imbtrader.benchmarks import (
     LinearQuantileBank,
@@ -17,9 +18,11 @@ from imbtrader.benchmarks import (
     fit_transition_models,
     run_benchmark,
 )
+from imbtrader.data_io import FeatureLayout
 from imbtrader.dists import canonical_rows
 from imbtrader.pipeline import LeakageError, attach_z
 from imbtrader.price_models import LogisticModel, pinball_loss
+from test_backtest import toy_models, toy_tick
 
 
 class TestStaticTransitions:
@@ -254,6 +257,28 @@ class TestBenchmarkRun:
         message = f"tick {ticks[150].timestamp.isoformat()} is not after the training end {models.train_end.isoformat()}"
         with pytest.raises(LeakageError, match=f"^{re.escape(message)}$"):
             run_benchmark(suite, attach_z(ticks[150:300], models))
+
+    @pytest.mark.parametrize("dropped", ["quarter_onehot", "price_diff"])
+    def test_layout_without_a_block_rejected_by_name(self, trained, dropped):
+        layout = trained[0].layout
+        blocks = {name: bounds for name, bounds in layout.blocks.items() if name != dropped}
+        message = f"the dynamic benchmark needs the feature block '{dropped}', the layout has none"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dynamic_feature_columns(FeatureLayout(names=layout.names, blocks=blocks))
+
+    @pytest.mark.parametrize("models, kwargs, message", [
+        # a hand-built bundle whose one block is "all": no dynamic benchmark columns
+        (toy_models(), {}, "the dynamic benchmark needs the feature block 'quarter_onehot', the layout has none"),
+        (None, {"max_iter": -1}, "max_iter must be at least 0, got -1"),
+    ], ids=["single block layout", "negative max_iter"])
+    def test_bad_suite_input_fails_before_any_fit(self, trained, monkeypatch, models, kwargs, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the inputs were checked")
+
+        for name in ("fit_static_transitions", "fit_transition_models", "fit_linear_quantile_bank"):
+            monkeypatch.setattr(benchmarks, name, no_fit)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_benchmark_suite([toy_tick()] * 3, models or trained[0], **kwargs)
 
     def test_dynamic_feature_columns_subset(self, trained):
         models, _, _ = trained

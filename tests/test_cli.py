@@ -446,10 +446,14 @@ class TestConfig:
         (*case, command) for case in [
             ("--window", "0", "window must be at least 1"),
             ("--window", "2.5", "invalid literal for int() with base 10: '2.5'"),
+        ] for command in ("backtest", "sweep")
+    ] + [
+        # the single reactivities are backtest flags; a sweep takes both from its grids
+        (*case, "backtest") for case in [
             ("--beta-est", "2", "beta_est 2.0 outside [0, 1]"),
             ("--beta-true", "-1", "beta_true -1.0 outside [0, 1]"),
             ("--beta-true", "nan", "beta_true nan outside [0, 1]"),
-        ] for command in ("backtest", "sweep")
+        ]
     ] + [
         # the grids are sweep flags; each value is read and checked like the single value's flag
         (*case, "sweep") for case in [
@@ -468,6 +472,20 @@ class TestConfig:
             build_parser().parse_args(args)
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {problem}\n")
+
+    @pytest.mark.parametrize("flag", ["--beta-est", "--beta-true"])
+    def test_sweep_takes_no_single_reactivity(self, capsys, flag):
+        # the grids set both reactivities of every cell, so a single value (or its abbreviation of a grid flag)
+        # is not an argument of sweep; backtest still reads and checks it
+        sweep = ["sweep", "--out", "out", "--models", "models.json", "--beta-est-grid", "1", "--beta-true-grid", "1"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*sweep, flag, "0.5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["backtest", "--out", "out", "--models", "models.json", flag, "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {flag[2:].replace('-', '_')} 2.0 outside [0, 1]\n")
 
     def test_bad_grid_fails_before_reading_files(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

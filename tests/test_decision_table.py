@@ -1,4 +1,5 @@
 """The array decision table against the per-position object table it replaced."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestAgainstObjectTable:
             q, rho, phi = object_table(pf, tick.book, positions, kind, alphas)
             assert np.array_equal(table.fill_prices, q)
             assert np.max(np.abs(table.rho - rho)) <= RHO_TOL[kind]
-            assert np.array_equal(table.argmin_rows(), np.argmin(phi, axis=0))
+            assert np.array_equal(table.best_positions()[0], positions[np.argmin(phi, axis=0)])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_atom_count_changes_with_position(self, kind):
@@ -90,7 +91,7 @@ class TestAgainstObjectTable:
         table = decision_table(fn, book, actions, kind, alphas)
         _, rho, phi = object_table(fn, book, actions.ordered_grid(), kind, alphas)
         assert np.max(np.abs(table.rho - rho)) <= RHO_TOL[kind]
-        assert np.array_equal(table.argmin_rows(), np.argmin(phi, axis=0))
+        assert np.array_equal(table.best_positions()[0], actions.ordered_grid()[np.argmin(phi, axis=0)])
 
 
 class TestEvarKernelOnTrainedBundle:
@@ -210,6 +211,41 @@ class TestDeadRegime:
 
 
 class TestTies:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["expectation", "cvar"])
+    def test_decision_is_the_first_occurrence_argmin(self, kind, seed):
+        # Each position u != 0 gets price atoms q(u) - a/u and q(u) - b/u with a, b multiples of 120, so at
+        # alphas of powers of two every phi lies between a and b, exactly: a random table of a few integers.
+        # Two random positions get a = b = -360, below every other phi: an exact tie at each column's minimum.
+        rng = np.random.default_rng(seed)
+        actions = ActionSpace(step=1.0, u_max=6.0, allow_short=True)
+        book = OrderBook(asks=((64.0, 10.0),), bids=((60.0, 10.0),))
+        plants = {float(u): 120.0 * rng.integers(-2, 2, size=2) for u in actions.ordered_grid()}
+        for u in rng.choice(actions.ordered_grid()[1:], size=2, replace=False):
+            plants[float(u)] = np.array([-360.0, -360.0])
+
+        def fn(u):
+            q = 64.0 if u > 0.0 else 60.0
+            prices = q - plants[u] / u if u != 0.0 else [q]
+            return MixtureForecast(0.5, uniform_dist(prices), uniform_dist(prices))
+
+        alphas = np.array([0.0, 0.25, 0.5, 1.0])
+        table = decision_table(fn, book, actions, kind, alphas)
+        rows = np.argmin(table.phi, axis=0)
+        us, qs, costs = table.best_positions()
+        assert np.all(costs == -360.0) and np.all(np.sum(table.phi == costs, axis=0) == 2)
+        assert np.array_equal(us, table.positions_by_size[rows])
+        assert np.array_equal(qs, table.fill_prices[rows])
+        assert np.array_equal(costs, table.phi[rows, np.arange(alphas.size)])
+        for p in (-37.5, 0.0, 61.0, 250.0):
+            assert np.array_equal(table.hindsight_losses(p), (qs - p) * us)
+        for column in (us, qs, costs):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.phi = np.zeros_like(table.phi)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_exact_ties_go_to_smallest_abs_position(self, kind):
         # Powers of two keep every risk value exact: rho = -64 = -q, so phi == 0 everywhere.

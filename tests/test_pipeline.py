@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbtrader import backtest
+from imbtrader import backtest, pipeline
 from imbtrader.backtest import SimConfig, beta_sweep, run_backtest
 from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
 from imbtrader.data_io import reference_layout
@@ -69,12 +69,35 @@ class TestTrainModels:
         assert out[1] is not raw_ticks[-1] and raw_ticks[-1].z is None
         assert out[1].z.tolist() == [models.weight_model.predict(raw_ticks[-1].x)]
 
-    def test_ticks_of_another_width_rejected(self, small_market):
-        # train_models names its features with reference_layout(); ticks of another width fail the bundle's check
+    @pytest.mark.parametrize("change, message", [
+        # train_models names its features with reference_layout(), so ticks of another width are refused
+        ({"width": 5}, "ticks carry 5 features, the layout names 107"),
+        ({"kfold": 1}, "kfold must be at least 2, got 1"),
+        ({"kfold": 0}, "kfold must be at least 2, got 0"),
+        ({"logistic_max_iter": -5}, "logistic_max_iter must be at least 0, got -5"),
+        ({"bank_max_iter": -1}, "bank_max_iter must be at least 0, got -1"),
+        ({"n_q": 1}, "n_q must be at least 2, got 1"),
+        ({"u_max": 0.0}, "u_max must be positive"),
+        ({"u_max": -1.0}, "u_max must be positive"),
+    ], ids=["width", "kfold 1", "kfold 0", "logistic_max_iter", "bank_max_iter", "n_q", "u_max 0", "u_max < 0"])
+    def test_bad_input_rejected_before_the_first_fit(self, small_market, monkeypatch, change, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the inputs were checked")
+
+        monkeypatch.setattr(pipeline, "fit_logistic", no_fit)
         cfg, ticks, _ = small_market
-        narrow = [replace(t, x=t.x[:5]) for t in ticks[:300]]
-        with pytest.raises(ValueError, match="^weight_model has 5 features, the layout's 107 names need 107$"):
-            train_models(narrow, grid=cfg.grid, n_q=4, kfold=2, logistic_max_iter=20, bank_max_iter=5)
+        kwargs = {"n_q": 4, "kfold": 2, "logistic_max_iter": 20, "bank_max_iter": 5} | change
+        width = kwargs.pop("width", None)
+        train = [replace(t, x=t.x[:width]) for t in ticks[:300]]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_models(train, grid=cfg.grid, **kwargs)
+
+    @pytest.mark.parametrize("l2", [-1.0, float("nan")])
+    def test_bad_l2_rejected(self, small_market, l2):
+        # fit_logistic's rule, met by the first fit before its solver runs
+        cfg, ticks, _ = small_market
+        with pytest.raises(ValueError, match=f"^l2 must be finite and at least 0, got {l2}$"):
+            train_models(ticks[:300], grid=cfg.grid, n_q=4, kfold=2, l2=l2)
 
     def test_empty_ticks_rejected(self, small_market):
         cfg, _, _ = small_market

@@ -115,6 +115,12 @@ class TestFitLogistic:
         with pytest.raises(DegenerateLabelsError):
             fit_logistic(np.zeros((4, 1)), np.ones(4))
 
+    @pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf")])
+    def test_bad_l2_rejected_by_name(self, l2):
+        # a negative penalty rewards large weights: the descent ran them up to 1e153 before this check
+        with pytest.raises(ValueError, match=f"^l2 must be finite and at least 0, got {l2}$"):
+            fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]), l2=l2)
+
     def test_intercept_only_matches_base_rate(self):
         rng = np.random.default_rng(3)
         y = (rng.random(2000) < 0.31).astype(float)
