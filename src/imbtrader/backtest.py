@@ -173,7 +173,7 @@ class _Cell:
                 adapter.update()
 
     def result(self, skipped: list[tuple[datetime, str]]) -> BacktestResult:
-        report = _build_report(self.config.delta_hours, self.ledger, skipped, self.legs)
+        report = _build_report(self.config.delta_hours, self.ledger, len(skipped), self.legs)
         return BacktestResult(config=self.config, report=report, ledger=self.ledger, skipped=list(skipped))
 
 
@@ -235,7 +235,7 @@ def _replay(
     return [[cell.result(skipped) for cell in row] for row in cells]
 
 
-def _build_report(delta_hours: float, ledger, skipped, legs=()) -> Report:
+def _build_report(delta_hours: float, ledger, n_skipped: int, legs=()) -> Report:
     """Aggregates of a ledger; the alpha path of each leg is read off its records.
 
     ``legs`` seeds the path, so a leg without records still reports an empty one.
@@ -265,7 +265,7 @@ def _build_report(delta_hours: float, ledger, skipped, legs=()) -> Report:
         traded_volume_mwh=volume,
         profit_per_trade=(total / volume) if volume > 0 else 0.0,
         n_periods=len(timestamps),
-        n_skipped=len(skipped),
+        n_skipped=n_skipped,
         daily_cumulative=daily,
         alpha_path=alpha_path,
     )
@@ -283,7 +283,7 @@ def write_ledger(path, result: BacktestResult) -> None:
         "# profit_eur = (realized_price - fill_price) * u_mw * delta_hours",
         f"# total_profit_eur={report.total_profit!r} "
         f"total_per_mw_period={report.total_per_mw_period!r} "
-        f"traded_volume_mwh={report.traded_volume_mwh!r}",
+        f"traded_volume_mwh={report.traded_volume_mwh!r} n_skipped={report.n_skipped}",
         ",".join(LEDGER_COLUMNS),
     ]
     for r in result.ledger:
@@ -318,31 +318,39 @@ def _ledger_delta(text: str) -> float:
     return delta
 
 
+def _ledger_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"n_skipped must be a count, got {text}")
+    return int(text)
+
+
+# readers of the header values that report reads
+_LEDGER_HEADER = {"delta_hours": _ledger_delta, "n_skipped": _ledger_count}
+
+
 def read_ledger(path) -> tuple[list[TradeRecord], dict, float]:
     """Parse a ledger CSV back into records, header metadata, and delta.
 
     A malformed data row (wrong field count, a bad timestamp or number, or a
-    non-finite number) or header ``delta_hours`` raises a ``ValueError``
-    that names its line. Without a ``delta_hours`` header the delta is
-    ``SimConfig``'s default.
+    non-finite number) or header ``delta_hours`` or ``n_skipped`` raises a
+    ``ValueError`` that names its line; the metadata holds those two as
+    numbers. Without a ``delta_hours`` header the delta is ``SimConfig``'s
+    default.
     """
     meta: dict = {}
     records: list[TradeRecord] = []
-    delta = SimConfig.delta_hours
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line or line.startswith("timestamp,"):
             continue
         try:
             if line.startswith("#"):
                 header = dict(token.split("=", 1) for token in line[1:].split() if "=" in token)
-                if "delta_hours" in header:
-                    delta = _ledger_delta(header["delta_hours"])
-                meta.update(header)
+                meta.update({key: _LEDGER_HEADER.get(key, str)(value) for key, value in header.items()})
             else:
                 records.append(_ledger_record(line.split(",")))
         except ValueError as exc:
             raise ValueError(f"ledger line {lineno}: {exc}") from exc
-    return records, meta, delta
+    return records, meta, meta.get("delta_hours", SimConfig.delta_hours)
 
 
 @dataclass

@@ -69,20 +69,17 @@ def _beta_grid(which: str):
 
 # readers of the synthetic keys, by SyntheticConfig's field annotations (strings: annotations are postponed)
 _READ_BY_TYPE = {"int": integer, "float": numeric, "datetime": timestamp}
-_RESERVES = ("afrr_volumes", "mfrr_volumes")
-# the ladder `train` fits on: the `reserves` keys, else the generator's volumes
-_DEFAULT_RESERVES = {f.name: f.default for f in dataclasses.fields(SyntheticConfig) if f.name in _RESERVES}
 _ACTION_KEYS = {"step_mw": "step", "u_max_mw": "u_max", "allow_short": "allow_short"}
 
-# Each section's keys are the keyword arguments of the call it feeds: `synthetic` and
-# `reserves` of SyntheticConfig, `model` of train_models, `benchmark` of
+# Each section's keys are the keyword arguments of the call it feeds: `synthetic` of SyntheticConfig
+# (but its `grid`), `reserves` of ReserveGrid, `model` of train_models, `benchmark` of
 # fit_benchmark_suite, and `strategy` of ActionSpace (renamed by _ACTION_KEYS) and SimConfig.
 _read_config = some_fields({
     "seed": integer,
     "synthetic": some_fields({
-        f.name: _READ_BY_TYPE[f.type] for f in dataclasses.fields(SyntheticConfig) if f.name not in _RESERVES
+        f.name: _READ_BY_TYPE[f.type] for f in dataclasses.fields(SyntheticConfig) if f.name != "grid"
     }),
-    "reserves": some_fields(dict.fromkeys(_RESERVES, lambda v: tuple(array_of(numeric)(v)))),
+    "reserves": some_fields({f.name: lambda v: tuple(array_of(numeric)(v)) for f in dataclasses.fields(ReserveGrid)}),
     "model": some_fields({
         **dict.fromkeys(("n_q", "kfold", "logistic_max_iter", "bank_max_iter"), integer), "l2": numeric,
     }),
@@ -114,7 +111,7 @@ def _load_config(path) -> dict:
     strategy = config.get("strategy", {})
     kwargs = {
         "seed": config.get("seed"),
-        "synthetic": {**config.get("synthetic", {}), **config.get("reserves", {})},
+        "synthetic": config.get("synthetic", {}),
         "reserves": config.get("reserves", {}),
         "model": config.get("model", {}),
         "actions": {_ACTION_KEYS[k]: v for k, v in strategy.items() if k in _ACTION_KEYS},
@@ -171,7 +168,7 @@ def cmd_generate(args) -> int:
     synthetic = config["synthetic"]
     # the flag, then synthetic.seed, then the top-level seed
     seed = args.seed if args.seed is not None else synthetic.get("seed", config["seed"])
-    cfg = SyntheticConfig(**{**synthetic, **_given(seed=seed)})
+    cfg = SyntheticConfig(**{**synthetic, **_given(seed=seed)}, grid=ReserveGrid(**config["reserves"]))
     out = _out_dir(args)
     truth = write_synthetic_dataset(out, cfg)
     (out / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
@@ -181,7 +178,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    grid = ReserveGrid(**{**_DEFAULT_RESERVES, **config["reserves"]})
+    grid = ReserveGrid(**config["reserves"])
     ticks = _between(_load_ticks(args, grid), args.start, args.end)
     if not ticks:
         raise ValueError("no training ticks in the requested range")
@@ -285,10 +282,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, _, delta = read_ledger(args.ledger)
+    records, meta, delta = read_ledger(args.ledger)
     if not records:
         raise ValueError("ledger is empty")
-    report = _build_report(delta, records, [])
+    report = _build_report(delta, records, meta.get("n_skipped", 0))  # a ledger without the count reports 0
     out = _out_dir(args)
     _write_report_files(out, report)
     print(
@@ -342,11 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", choices=RISK_KINDS, default=None)
         p.add_argument("--alpha", type=_sim_flag("alpha"), help="risk weight in [0,1] or 'adaptive'")
         p.add_argument("--window", type=_sim_flag("window"), help="adaptive window size N")
-        for b in ("est", "true"):  # a sweep takes both reactivities from its grids
+        for b in ("est", "true"):  # a sweep takes both reactivities from its grids, none from the config
             if name == "backtest":
                 p.add_argument(f"--beta-{b}", dest=f"beta_{b}", type=_sim_flag(f"beta_{b}"))
             else:
-                p.add_argument(f"--beta-{b}-grid", required=True, type=_beta_grid(b), help="comma-separated values")
+                p.add_argument(f"--beta-{b}-grid", required=True, type=_beta_grid(b),
+                               help=f"comma-separated values; the config's strategy.beta_{b} is not read")
         p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="aggregate an existing ledger (no recomputation)")

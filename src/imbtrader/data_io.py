@@ -461,22 +461,13 @@ class SyntheticConfig:
     price_gap_mean: float = 140.0
     price_gap_std: float = 0.0
     price_noise_std: float = 0.0
-    afrr_volumes: tuple[float, ...] = (1.0, 50.0, 100.0, 150.0, 200.0)
-    mfrr_volumes: tuple[float, ...] = (1.0, 100.0, 200.0, 300.0, 500.0, 700.0)
-    afrr_ladder_slope: float = 0.05
-    mfrr_ladder_slope: float = 0.08
-    mdp_anchor: int = 2  # aFRR ladder column carrying the downregulation price
-    mip_anchor: int = 3  # mFRR ladder column carrying the upregulation price
+    grid: ReserveGrid = field(default_factory=ReserveGrid)
     book_levels: int = 3
     book_level_volume: float = 6.0
     book_tick: float = 1.5
     book_spread: float = 2.0
     edge: float = 4.0
     book_noise_std: float = 0.0
-
-    @property
-    def grid(self) -> ReserveGrid:
-        return ReserveGrid(self.afrr_volumes, self.mfrr_volumes)
 
     def __post_init__(self):
         scales = ("price_gap_std", "price_noise_std", "book_noise_std", "imbalance_scale")
@@ -495,15 +486,19 @@ class SyntheticConfig:
         for name, (rule, ok) in rules.items():
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
-        if not 0 <= self.mdp_anchor < len(self.afrr_volumes):
-            raise ValueError("mdp_anchor outside the aFRR ladder")
-        if not 0 <= self.mip_anchor < len(self.mfrr_volumes):
-            raise ValueError("mip_anchor outside the mFRR ladder")
+        for name, anchor in (("afrr_volumes", _MDP_ANCHOR), ("mfrr_volumes", _MIP_ANCHOR)):
+            volumes = getattr(self.grid, name)
+            if len(volumes) <= anchor:  # too short to hold its anchor column
+                raise ValueError(f"grid.{name} must hold at least {anchor + 1} volumes, got {volumes}")
 
 
 # Fixed couplings between the forecast-difference features and the regime
 # logit; scaled by SyntheticConfig.signal_strength.
 _SIGNAL_WEIGHTS = {"solar": 0.004, "wind": 0.003, "load": -0.003, "price": -0.05}
+# The reserve ladder's price law: a column is its ladder's system price plus the ladder's slope (EUR/MWh
+# per MW) times its volume's distance from the anchor column's, which carries that price itself.
+_AFRR_SLOPE, _MFRR_SLOPE = 0.05, 0.08
+_MDP_ANCHOR, _MIP_ANCHOR = 2, 3  # the aFRR column of the downregulation price, the mFRR column of the upregulation
 
 
 def generate_synthetic_market(
@@ -554,10 +549,9 @@ def generate_synthetic_market(
     p_mdp = p_mdp_sys + cfg.price_noise_std * rng.normal(size=n)
     p_mip = p_mip_sys + cfg.price_noise_std * rng.normal(size=n)
 
-    afrr = np.asarray(cfg.afrr_volumes)
-    mfrr = np.asarray(cfg.mfrr_volumes)
-    afrr_prices = p_mdp_sys[:, None] + cfg.afrr_ladder_slope * (afrr - afrr[cfg.mdp_anchor])
-    mfrr_prices = p_mip_sys[:, None] + cfg.mfrr_ladder_slope * (mfrr - mfrr[cfg.mip_anchor])
+    afrr, mfrr = np.asarray(cfg.grid.afrr_volumes), np.asarray(cfg.grid.mfrr_volumes)
+    afrr_prices = p_mdp_sys[:, None] + _AFRR_SLOPE * (afrr - afrr[_MDP_ANCHOR])
+    mfrr_prices = p_mip_sys[:, None] + _MFRR_SLOPE * (mfrr - mfrr[_MIP_ANCHOR])
 
     pi = 1.0 / (1.0 + np.exp(-logits))
     expected_settlement = pi * p_mdp_sys + (1.0 - pi) * p_mip_sys
@@ -588,8 +582,8 @@ def generate_synthetic_market(
         "signal_weights": dict(_SIGNAL_WEIGHTS),
         "signal_strength": cfg.signal_strength,
         "base_rate": float(np.mean(is_surplus(s))),
-        "mdp_anchor_column": cfg.mdp_anchor,
-        "mip_anchor_column": len(cfg.afrr_volumes) + cfg.mip_anchor,
+        "mdp_anchor_column": _MDP_ANCHOR,
+        "mip_anchor_column": len(cfg.grid.afrr_volumes) + _MIP_ANCHOR,
         "edge": cfg.edge,
     }
     return MarketRecords(timestamps, values), books, truth

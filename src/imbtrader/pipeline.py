@@ -205,8 +205,8 @@ def train_models(
 ) -> TrainedModels:
     """Fit the full model set on feature-complete training ticks (``build_features`` rows, which the bundle's
     ``reference_layout`` names). Ticks of another width, ``kfold`` below 2, a negative iteration cap, ``n_q``
-    below 2, a ``u_max`` that is not positive and (by ``fit_logistic``'s rule) a negative or non-finite ``l2``
-    are rejected by name before any solver runs.
+    below 2, a ``u_max`` that is not positive and finite and (by ``fit_logistic``'s rule) a negative or
+    non-finite ``l2`` are rejected by name before any solver runs.
 
     The position-augmented weight model is trained with artificial trades
     whose appended feature is the induced imbalance shift (full reactivity),
@@ -230,7 +230,7 @@ def train_models(
         if cap < 0:
             raise ValueError(f"{name} must be at least 0, got {cap}")
     quantile_levels(n_q)  # rejects n_q below 2
-    # its own seeded generator: drawn before the fits, it rejects a u_max that is not positive first
+    # its own seeded generator: drawn before the fits, it rejects a u_max that is not positive and finite first
     x_aug, aug_labels, _ = augment_with_positions(x, s, u_max=u_max, beta=1.0, rng=seed, u_min=-u_max)
     labels = is_surplus(s).astype(float)
 

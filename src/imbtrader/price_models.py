@@ -234,10 +234,10 @@ def augment_with_positions(
 
     Returns ``(augmented_features, labels, sampled_positions)``.
     """
-    if u_max <= 0.0:
-        raise ValueError("u_max must be positive")
-    if u_min > u_max:
-        raise ValueError("u_min must not exceed u_max")
+    if not 0.0 < u_max < math.inf:  # NaN fails too
+        raise ValueError(f"u_max must be positive and finite, got {u_max}")
+    if not -math.inf < u_min <= u_max:  # NaN fails too
+        raise ValueError(f"u_min must be finite and not exceed u_max, got {u_min}")
     x = np.asarray(x, dtype=float)
     s = np.asarray(imbalance, dtype=float).ravel()
     if x.ndim != 2 or x.shape[0] != s.size:
@@ -251,10 +251,10 @@ def augment_with_positions(
 
 @dataclass(frozen=True)
 class ReserveGrid:
-    """Fixed ladders of reserve volumes (MW), automatic then manual."""
+    """Fixed ladders of reserve volumes (MW), automatic then manual; the defaults are the example market's."""
 
-    afrr_volumes: tuple[float, ...]
-    mfrr_volumes: tuple[float, ...]
+    afrr_volumes: tuple[float, ...] = (1.0, 50.0, 100.0, 150.0, 200.0)
+    mfrr_volumes: tuple[float, ...] = (1.0, 100.0, 200.0, 300.0, 500.0, 700.0)
 
     def __post_init__(self):
         for name, vols in (("afrr_volumes", self.afrr_volumes), ("mfrr_volumes", self.mfrr_volumes)):

@@ -292,6 +292,7 @@ class TestLedgerIO:
         assert len(records) == len(result.ledger)
         assert delta == config.delta_hours
         assert meta["measure"] == "cvar"
+        assert (meta["delta_hours"], meta["n_skipped"]) == (0.25, 0)
         total = sum(r.profit(delta) for r in records)
         assert total == pytest.approx(result.report.total_profit)
 
@@ -316,6 +317,14 @@ class TestLedgerIO:
         assert "delta_hours=0.25" in lines[1]  # line 2
         path.write_text("\n".join(lines).replace("delta_hours=0.25", "delta_hours=abc") + "\n")
         with pytest.raises(ValueError, match="^ledger line 2: delta_hours must be positive and finite, got abc$"):
+            read_ledger(path)
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "nan", ""])
+    def test_unreadable_skip_count_names_its_header_line(self, ledger_lines, value):
+        path, lines = ledger_lines
+        assert lines[3].endswith(" n_skipped=0")  # line 4, the totals
+        path.write_text("\n".join(lines).replace("n_skipped=0", f"n_skipped={value}") + "\n")
+        with pytest.raises(ValueError, match=f"^ledger line 4: n_skipped must be a count, got {value}$"):
             read_ledger(path)
 
     def test_header_without_delta_takes_the_sim_default(self, ledger_lines):

@@ -242,6 +242,42 @@ class TestPipelineCommands:
         assert len(lines[1].split(",")) == 3
         assert (out / "sweep.txt").exists()
 
+    def test_sweep_reads_no_reactivity_from_the_config(self, workspace):
+        # the grids set both reactivities of every cell, so the config's strategy.beta_est and beta_true go unread
+        outs = []
+        for beta in (0.3, 1.0):
+            config = workspace["root"] / f"beta_{beta}.yaml"
+            strategy = {**SMOKE_CONFIG["strategy"], "beta_est": beta, "beta_true": beta}
+            config.write_text(yaml.safe_dump(SMOKE_CONFIG | {"strategy": strategy}))
+            outs.append(workspace["root"] / f"sweep_beta_{beta}")
+            assert main(["sweep", "--config", str(config), "--data", str(workspace["data"]),
+                         "--models", str(workspace["models"]), "--out", str(outs[-1]), "--alpha", "0.9",
+                         "--to", "2024-01-05T23:45:00+00:00", "--beta-est-grid", "0,1", "--beta-true-grid", "0,1"]) == 0
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+    def test_report_rebuilds_the_backtest_report_with_skipped_ticks(self, workspace):
+        # the books of two traded periods are deleted, so backtest skips them and counts them in the ledger
+        data = workspace["root"] / "two_books_missing"
+        data.mkdir()
+        (data / "market.csv").write_bytes((workspace["data"] / "market.csv").read_bytes())
+        books = (workspace["data"] / "books.csv").read_text().splitlines(keepends=True)
+        missing = ("2024-01-05T10:00:00+00:00,", "2024-01-05T10:15:00+00:00,")
+        (data / "books.csv").write_text("".join(line for line in books if not line.startswith(missing)))
+        bt_out, rp_out = workspace["root"] / "bt_skipped", workspace["root"] / "rp_skipped"
+        assert main(["backtest", "--config", str(workspace["config"]), "--data", str(data),
+                     "--models", str(workspace["models"]), "--out", str(bt_out)]) == 0
+        assert main(["report", "--ledger", str(bt_out / "ledger.csv"), "--out", str(rp_out)]) == 0
+        assert json.loads((bt_out / "report.json").read_text())["n_skipped"] == 2
+        for name in ("report.json", "cumulative.csv", "alpha_path.csv"):
+            assert (rp_out / name).read_bytes() == (bt_out / name).read_bytes()
+        # a ledger written without the count reports none skipped
+        ledger = (bt_out / "ledger.csv").read_text()
+        assert ledger.count(" n_skipped=2\n") == 1
+        (workspace["root"] / "old_ledger.csv").write_text(ledger.replace(" n_skipped=2\n", "\n"))
+        old_out = workspace["root"] / "rp_old_ledger"
+        assert main(["report", "--ledger", str(workspace["root"] / "old_ledger.csv"), "--out", str(old_out)]) == 0
+        assert json.loads((old_out / "report.json").read_text())["n_skipped"] == 0
+
     def test_report_reproduces_backtest_totals(self, workspace):
         bt_out = workspace["root"] / "bt_for_report"
         assert main(
@@ -402,6 +438,9 @@ BAD_CONFIGS = {
         "synthetic: {afrr_volumes: [1, 50, 100, 150, 200]}", "synthetic.afrr_volumes: unexpected field",
     ),
     "removed training knob": ("model: {train_short_positions: false}", "model.train_short_positions: unexpected field"),
+    # the generator's ladder slopes and anchor columns are constants, and its ladder comes from `reserves`
+    **{f"removed ladder knob {key}": (f"synthetic: {{{key}: 2}}", f"synthetic.{key}: unexpected field")
+       for key in ("afrr_ladder_slope", "mfrr_ladder_slope", "mdp_anchor", "mip_anchor", "grid")},
     "quoted seed": ("seed: '7'", "seed: expected an integer, got string"),
     "unknown section": ("strategies: {window: 5}", "strategies: unexpected field"),
     "word for a number": ("model: {l2: small}", "model.l2: could not convert string to float: 'small'"),
@@ -544,8 +583,7 @@ class TestConfig:
          {"synthetic": {"start": datetime(2024, 1, 1, 6, tzinfo=timezone.utc)}}),
         ("synthetic: {start: '2024-01-01T00:00:00Z'}",
          {"synthetic": {"start": datetime(2024, 1, 1, tzinfo=timezone.utc)}}),
-        ("reserves: {afrr_volumes: [1, 2.5e1, 50]}",
-         {"synthetic": {"afrr_volumes": (1.0, 25.0, 50.0)}, "reserves": {"afrr_volumes": (1.0, 25.0, 50.0)}}),
+        ("reserves: {afrr_volumes: [1, 2.5e1, 50]}", {"reserves": {"afrr_volumes": (1.0, 25.0, 50.0)}}),
         ("strategy: {alpha: adaptive, u_max_mw: 2, allow_short: true}",
          {"sim": {"alpha": None}, "actions": {"u_max": 2.0, "allow_short": True}}),
     ], ids=["no config", "empty file", "l2 without a point", "l2 with a point", "unquoted timestamp", "naive timestamp",
@@ -584,16 +622,22 @@ class TestConfig:
         assert (sim.seed, sim.window, sim.alpha, sim.measure, sim.beta_est) == (9, 3, None, "evar", 0.5)
         assert self._sim(tmp_path, "--alpha", "0.25").alpha == 0.25
 
+    def test_default_ladder_is_the_example_ladder(self):
+        # generate and train both build the ladder as ReserveGrid(**reserves), so a section left out is this one
+        example = ReserveGrid(**_load_config(EXAMPLE_CONFIG)["reserves"])
+        assert ReserveGrid() == example == SyntheticConfig().grid
+
     def test_example_config_loads_every_key(self):
         doc = yaml.safe_load(EXAMPLE_CONFIG.read_text())
         config = _load_config(EXAMPLE_CONFIG)
         assert config["seed"] == doc["seed"]
-        assert config["synthetic"].keys() == doc["synthetic"].keys() | doc["reserves"].keys()
+        assert config["synthetic"].keys() == doc["synthetic"].keys()
+        assert config["reserves"].keys() == doc["reserves"].keys()
         assert config["model"].keys() == doc["model"].keys()
         assert len(config["actions"]) + len(config["sim"]) == len(doc["strategy"])
         assert config["benchmark"].keys() == doc["benchmark"].keys()
         # every key is a keyword of the call its section feeds
-        SyntheticConfig(**config["synthetic"])
+        SyntheticConfig(**config["synthetic"], grid=ReserveGrid(**config["reserves"]))
         SimConfig(**config["sim"], actions=ActionSpace(**config["actions"]))
         inspect.signature(train_models).bind_partial(**config["model"])
         inspect.signature(fit_benchmark_suite).bind_partial(**config["benchmark"])

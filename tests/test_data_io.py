@@ -32,7 +32,7 @@ from imbtrader.data_io import (
     write_synthetic_dataset,
 )
 from imbtrader.market_impact import estimate_sensitivities, is_surplus
-from imbtrader.price_models import fit_logistic
+from imbtrader.price_models import ReserveGrid, fit_logistic
 
 UTC = timezone.utc
 FIXTURE_DAY = Path(__file__).resolve().parents[1] / "data" / "fixture_day"
@@ -123,7 +123,7 @@ class TestCsvRoundTrip:
             load_market_csv(tmp_path / "market.csv", cfg.grid)
 
     def test_market_on_another_ladder_names_the_first_differing_column(self, tmp_path):
-        cfg = small_cfg(n_periods=10, afrr_volumes=(1.0, 60.0, 120.0, 180.0, 240.0))
+        cfg = small_cfg(n_periods=10, grid=ReserveGrid(afrr_volumes=(1.0, 60.0, 120.0, 180.0, 240.0)))
         records, _, _ = generate_synthetic_market(cfg)
         write_market_csv(tmp_path / "market.csv", records, cfg.grid)
         message = "market.csv: header column 14 is 'afrr_60', expected 'afrr_50'"
@@ -318,12 +318,29 @@ class TestSyntheticGenerator:
         assert k_mdp == pytest.approx(truth["k_mdp"], abs=1e-6)
         assert k_mip == pytest.approx(truth["k_mip"], abs=1e-6)
 
-    def test_anchored_ladder_columns_equal_prices_when_noiseless(self):
-        cfg = small_cfg(price_noise_std=0.0, price_gap_std=0.0)
+    # the anchors are aFRR column 2 and mFRR column 3, so the mFRR anchor's column follows the aFRR ladder's length
+    @pytest.mark.parametrize("grid, columns", [
+        (ReserveGrid(), (2, 5 + 3)),
+        (ReserveGrid((1.0, 20.0, 40.0, 60.0), (1.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)), (2, 4 + 3)),
+    ], ids=["default", "other"])
+    def test_anchored_ladder_columns_equal_prices_when_noiseless(self, grid, columns):
+        cfg = small_cfg(price_noise_std=0.0, price_gap_std=0.0, grid=grid)
         records, _, truth = generate_synthetic_market(cfg)
         reserve = records.reserve_prices
+        assert reserve.shape[1] == grid.size
+        assert (truth["mdp_anchor_column"], truth["mip_anchor_column"]) == columns
         assert reserve[:, truth["mdp_anchor_column"]] == pytest.approx(records.column("p_mdp"))
         assert reserve[:, truth["mip_anchor_column"]] == pytest.approx(records.column("p_mip"))
+
+    # the generator prices each ladder from its anchor column: aFRR column 2, mFRR column 3
+    @pytest.mark.parametrize("grid, message", [
+        (ReserveGrid(afrr_volumes=(1.0, 50.0)), "grid.afrr_volumes must hold at least 3 volumes, got (1.0, 50.0)"),
+        (ReserveGrid(mfrr_volumes=(1.0, 100.0, 200.0)),
+         "grid.mfrr_volumes must hold at least 4 volumes, got (1.0, 100.0, 200.0)"),
+    ], ids=["afrr", "mfrr"])
+    def test_ladder_shorter_than_its_anchor_rejected(self, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_cfg(grid=grid)
 
     def test_zero_signal_gives_base_rate_weight(self):
         cfg = small_cfg(n_periods=96 * 20, signal_strength=0.0, regime_persistence=0.0, seed=9)

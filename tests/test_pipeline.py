@@ -77,9 +77,12 @@ class TestTrainModels:
         ({"logistic_max_iter": -5}, "logistic_max_iter must be at least 0, got -5"),
         ({"bank_max_iter": -1}, "bank_max_iter must be at least 0, got -1"),
         ({"n_q": 1}, "n_q must be at least 2, got 1"),
-        ({"u_max": 0.0}, "u_max must be positive"),
-        ({"u_max": -1.0}, "u_max must be positive"),
-    ], ids=["width", "kfold 1", "kfold 0", "logistic_max_iter", "bank_max_iter", "n_q", "u_max 0", "u_max < 0"])
+        ({"u_max": 0.0}, "u_max must be positive and finite, got 0.0"),
+        ({"u_max": -1.0}, "u_max must be positive and finite, got -1.0"),
+        ({"u_max": math.nan}, "u_max must be positive and finite, got nan"),
+        ({"u_max": math.inf}, "u_max must be positive and finite, got inf"),
+    ], ids=["width", "kfold 1", "kfold 0", "logistic_max_iter", "bank_max_iter", "n_q", "u_max 0", "u_max < 0",
+            "u_max nan", "u_max inf"])
     def test_bad_input_rejected_before_the_first_fit(self, small_market, monkeypatch, change, message):
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the inputs were checked")

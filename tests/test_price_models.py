@@ -202,6 +202,12 @@ class TestAugmentWithPositions:
         _, labels, _ = augment_with_positions(np.zeros((3, 1)), np.zeros(3), u_max=5.0, beta=0.0, rng=0)
         assert np.all(labels)
 
+    # numpy's uniform draw would fail on a non-finite bound without naming it (train_models checks u_max)
+    @pytest.mark.parametrize("u_min", [-math.inf, math.nan, 6.0])
+    def test_bad_u_min_rejected_by_name(self, u_min):
+        with pytest.raises(ValueError, match=f"^u_min must be finite and not exceed u_max, got {u_min}$"):
+            augment_with_positions(np.zeros((3, 1)), np.ones(3), u_max=5.0, beta=1.0, rng=0, u_min=u_min)
+
     def test_deterministic_under_seed(self):
         x = np.zeros((20, 1))
         s = np.linspace(-2, 2, 20)
