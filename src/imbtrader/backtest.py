@@ -16,13 +16,14 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from ._fields import timestamp
-from .data_io import MarketTick
+from .data_io import PERIOD, MarketTick
 from .market_impact import realized_settlement_price
 from .dists import row_atoms
 from .pipeline import LeakageError, PositionForecast, TrainedModels, check_out_of_sample, forecast_rows
@@ -65,8 +66,8 @@ class SimConfig:
     window: int = 500
     alpha_grid_size: int = 200
     actions: ActionSpace = field(default_factory=ActionSpace)
-    delta_hours: float = 0.25
     seed: int = 0
+    delta_hours: ClassVar[float] = PERIOD / timedelta(hours=1)  # MWh per MW held one period; not a setting
 
     def __post_init__(self):
         if self.measure not in RISK_KINDS:
@@ -83,12 +84,14 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}")
-        if not 0.0 < self.delta_hours < math.inf:  # NaN fails too
-            raise ValueError(f"delta_hours must be positive and finite, got {self.delta_hours}")
 
     @property
     def adaptive(self) -> bool:
         return self.alpha is None
+
+    @property
+    def legs(self) -> tuple[str, ...]:  # each a one-sided decision with its own alpha track
+        return ("long", "short") if self.actions.allow_short else ("long",)
 
 
 @dataclass
@@ -141,14 +144,13 @@ def run_backtest(config: SimConfig, models: TrainedModels, ticks: list[MarketTic
 class _Cell:
     """One (beta_est, beta_true) pair of a replay: its settlement, ledger and alpha tracks."""
 
-    def __init__(self, config: SimConfig, models: TrainedModels, legs, alphas):
+    def __init__(self, config: SimConfig, models: TrainedModels, alphas):
         self.config, self.alphas = config, alphas
         self.impact_true = models.impact_with_beta(config.beta_true)
         self.adapters = (
-            {leg: AlphaAdapter(alphas, config.window, config.measure) for leg in legs}
+            {leg: AlphaAdapter(alphas, config.window, config.measure) for leg in config.legs}
             if config.adaptive else None
         )
-        self.legs = legs
         self.ledger: list[TradeRecord] = []
 
     def trade(self, tick: MarketTick, tables: dict) -> None:
@@ -173,7 +175,7 @@ class _Cell:
                 adapter.update()
 
     def result(self, skipped: list[tuple[datetime, str]]) -> BacktestResult:
-        report = _build_report(self.config.delta_hours, self.ledger, len(skipped), self.legs)
+        report = _build_report(self.config.delta_hours, self.ledger, len(skipped), self.config.legs)
         return BacktestResult(config=self.config, report=report, ledger=self.ledger, skipped=list(skipped))
 
 
@@ -194,14 +196,14 @@ def _replay(
         raise ValueError("no ticks to replay")
     check_out_of_sample(ticks, models.train_end)
 
-    legs = ("long", "short") if config.actions.allow_short else ("long",)
+    legs = config.legs
     positions = {leg: leg_positions(config.actions, leg) for leg in legs}
     if config.adaptive:
         alphas = default_alpha_grid(config.measure, config.alpha_grid_size)
     else:
         alphas = np.array([config.alpha])
     cells = [
-        [_Cell(replace(config, beta_est=e, beta_true=t), models, legs, alphas) for t in beta_true_grid]
+        [_Cell(replace(config, beta_est=e, beta_true=t), models, alphas) for t in beta_true_grid]
         for e in beta_est_grid
     ]
 
@@ -279,7 +281,7 @@ def write_ledger(path, result: BacktestResult) -> None:
         "# imbtrader ledger v1",
         f"# measure={config.measure} alpha={alpha_text} beta_est={config.beta_est!r} "
         f"beta_true={config.beta_true!r} window={config.window} "
-        f"delta_hours={config.delta_hours!r} seed={config.seed}",
+        f"delta_hours={config.delta_hours!r} seed={config.seed} legs={','.join(config.legs)}",
         "# profit_eur = (realized_price - fill_price) * u_mw * delta_hours",
         f"# total_profit_eur={report.total_profit!r} "
         f"total_per_mw_period={report.total_per_mw_period!r} "
@@ -324,18 +326,25 @@ def _ledger_count(text: str) -> int:
     return int(text)
 
 
+def _ledger_legs(text: str) -> tuple[str, ...]:
+    legs = tuple(text.split(","))
+    if not set(legs) <= {"long", "short"}:
+        raise ValueError(f"legs must be long or short, got {text}")
+    return legs
+
+
 # readers of the header values that report reads
-_LEDGER_HEADER = {"delta_hours": _ledger_delta, "n_skipped": _ledger_count}
+_LEDGER_HEADER = {"delta_hours": _ledger_delta, "n_skipped": _ledger_count, "legs": _ledger_legs}
 
 
 def read_ledger(path) -> tuple[list[TradeRecord], dict, float]:
     """Parse a ledger CSV back into records, header metadata, and delta.
 
     A malformed data row (wrong field count, a bad timestamp or number, or a
-    non-finite number) or header ``delta_hours`` or ``n_skipped`` raises a
-    ``ValueError`` that names its line; the metadata holds those two as
-    numbers. Without a ``delta_hours`` header the delta is ``SimConfig``'s
-    default.
+    non-finite number) or header ``delta_hours``, ``n_skipped`` or ``legs``
+    raises a ``ValueError`` that names its line; the metadata holds the first
+    two as numbers and ``legs`` as a tuple. Without a ``delta_hours`` header
+    the delta is ``SimConfig.delta_hours``.
     """
     meta: dict = {}
     records: list[TradeRecord] = []

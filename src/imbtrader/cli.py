@@ -86,7 +86,6 @@ _read_config = some_fields({
     "strategy": some_fields({
         "step_mw": numeric, "u_max_mw": numeric, "allow_short": boolean, "measure": string, "alpha": _alpha,
         "window": integer, "alpha_grid_size": integer, "beta_est": numeric, "beta_true": numeric,
-        "delta_hours": numeric,
     }),
     "benchmark": some_fields({"horizon": integer, "max_iter": integer}),
 })
@@ -283,9 +282,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     records, meta, delta = read_ledger(args.ledger)
-    if not records:
-        raise ValueError("ledger is empty")
-    report = _build_report(delta, records, meta.get("n_skipped", 0))  # a ledger without the count reports 0
+    if not records and "legs" not in meta:  # an older ledger names its legs only in its records
+        raise ValueError("ledger is empty and names no legs")
+    # a ledger without the count reports 0
+    report = _build_report(delta, records, meta.get("n_skipped", 0), meta.get("legs", ()))
     out = _out_dir(args)
     _write_report_files(out, report)
     print(

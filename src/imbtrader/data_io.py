@@ -440,7 +440,7 @@ def _default_start() -> datetime:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs of the synthetic market; planted parameters are returned as truth.
+    """Knobs of the synthetic market; its planted law is the generator's constants below, returned as truth.
 
     With ``price_noise_std`` and ``price_gap_std`` both zero the regulation
     prices are exactly affine in the imbalance volume and exactly equal to
@@ -451,36 +451,18 @@ class SyntheticConfig:
     seed: int = 0
     n_periods: int = 96 * 30
     start: datetime = field(default_factory=_default_start)
-    regime_bias: float = 0.3
-    regime_persistence: float = 0.6
-    signal_strength: float = 1.0
-    imbalance_scale: float = 120.0
-    k_mdp: float = 0.40
-    k_mip: float = 0.41
-    mdp_price_mean: float = 40.0
-    price_gap_mean: float = 140.0
     price_gap_std: float = 0.0
     price_noise_std: float = 0.0
-    grid: ReserveGrid = field(default_factory=ReserveGrid)
-    book_levels: int = 3
-    book_level_volume: float = 6.0
-    book_tick: float = 1.5
-    book_spread: float = 2.0
     edge: float = 4.0
-    book_noise_std: float = 0.0
+    grid: ReserveGrid = field(default_factory=ReserveGrid)
 
     def __post_init__(self):
-        scales = ("price_gap_std", "price_noise_std", "book_noise_std", "imbalance_scale")
         rules = {  # NaN fails every rule
+            "seed": ("at least 0", self.seed >= 0),
             "n_periods": ("at least 1", self.n_periods >= 1),
             "start": ("quarter-hour aligned", _on_quarter_hour(self.start)),
-            **{name: ("nonnegative and finite", 0.0 <= getattr(self, name) < math.inf) for name in scales},
-            "book_levels": ("at least 1", self.book_levels >= 1),
-            # a one-level book never adds the tick, so only a non-finite tick breaks it
-            "book_tick": ("positive and finite", math.isfinite(self.book_tick)
-                          and (self.book_tick > 0.0 or self.book_levels == 1)),
-            "book_level_volume": ("positive and finite", 0.0 < self.book_level_volume < math.inf),
-            "book_spread": ("finite", math.isfinite(self.book_spread)),
+            **{name: ("nonnegative and finite", 0.0 <= getattr(self, name) < math.inf)
+               for name in ("price_gap_std", "price_noise_std")},
             "edge": ("finite", math.isfinite(self.edge)),
         }
         for name, (rule, ok) in rules.items():
@@ -492,13 +474,19 @@ class SyntheticConfig:
                 raise ValueError(f"grid.{name} must hold at least {anchor + 1} volumes, got {volumes}")
 
 
-# Fixed couplings between the forecast-difference features and the regime
-# logit; scaled by SyntheticConfig.signal_strength.
+# The planted law of the synthetic market (see the README). The regime: a surplus period's log-odds are the
+# bias, plus the signal (the couplings below of the forecast differences, times its strength), plus the
+# persistence times the four-period-lagged imbalance over its scale (MW), which also spreads the imbalance.
+_REGIME_BIAS, _REGIME_PERSISTENCE, _SIGNAL_STRENGTH, _IMBALANCE_SCALE = 0.3, 0.6, 1.0, 120.0
 _SIGNAL_WEIGHTS = {"solar": 0.004, "wind": 0.003, "load": -0.003, "price": -0.05}
+# The prices (EUR/MWh): p_mdp = mean - k_mdp * s and p_mip = mean + gap - k_mip * s, the gap's mean below.
+_K_MDP, _K_MIP, _MDP_PRICE_MEAN, _PRICE_GAP_MEAN = 0.40, 0.41, 40.0, 140.0
 # The reserve ladder's price law: a column is its ladder's system price plus the ladder's slope (EUR/MWh
 # per MW) times its volume's distance from the anchor column's, which carries that price itself.
 _AFRR_SLOPE, _MFRR_SLOPE = 0.05, 0.08
 _MDP_ANCHOR, _MIP_ANCHOR = 2, 3  # the aFRR column of the downregulation price, the mFRR column of the upregulation
+# The books: levels per side, volume per level (MW), and the tick between levels and the spread (EUR/MWh).
+_BOOK_LEVELS, _BOOK_LEVEL_VOLUME, _BOOK_TICK, _BOOK_SPREAD = 3, 6.0, 1.5, 2.0
 
 
 def generate_synthetic_market(
@@ -527,7 +515,7 @@ def generate_synthetic_market(
     price_da = 60.0 + 20.0 * (load_da - 9000.0) / 2500.0 + rng.normal(0.0, 4.0, size=n)
     diff_price = rng.normal(0.0, 8.0, size=n)
 
-    signal = cfg.signal_strength * (
+    signal = _SIGNAL_STRENGTH * (
         _SIGNAL_WEIGHTS["solar"] * diff_solar
         + _SIGNAL_WEIGHTS["wind"] * diff_wind
         + _SIGNAL_WEIGHTS["load"] * diff_load
@@ -535,17 +523,17 @@ def generate_synthetic_market(
     )
     s = np.empty(n)
     logits = np.empty(n)
-    magnitudes = np.abs(rng.normal(0.0, cfg.imbalance_scale, size=n)) + 1e-9
+    magnitudes = np.abs(rng.normal(0.0, _IMBALANCE_SCALE, size=n)) + 1e-9
     regime_draws = rng.random(n)
     for t in range(n):
-        lagged = s[t - 4] / cfg.imbalance_scale if t >= 4 else 0.0
-        logits[t] = cfg.regime_bias + signal[t] + cfg.regime_persistence * lagged
+        lagged = s[t - 4] / _IMBALANCE_SCALE if t >= 4 else 0.0
+        logits[t] = _REGIME_BIAS + signal[t] + _REGIME_PERSISTENCE * lagged
         positive = regime_draws[t] < 1.0 / (1.0 + np.exp(-logits[t]))
         s[t] = magnitudes[t] if positive else -magnitudes[t]
 
-    p_mdp_sys = cfg.mdp_price_mean - cfg.k_mdp * s
-    gap = cfg.price_gap_mean + cfg.price_gap_std * rng.normal(size=n)
-    p_mip_sys = cfg.mdp_price_mean + gap - cfg.k_mip * s
+    p_mdp_sys = _MDP_PRICE_MEAN - _K_MDP * s
+    gap = _PRICE_GAP_MEAN + cfg.price_gap_std * rng.normal(size=n)
+    p_mip_sys = _MDP_PRICE_MEAN + gap - _K_MIP * s
     p_mdp = p_mdp_sys + cfg.price_noise_std * rng.normal(size=n)
     p_mip = p_mip_sys + cfg.price_noise_std * rng.normal(size=n)
 
@@ -555,7 +543,7 @@ def generate_synthetic_market(
 
     pi = 1.0 / (1.0 + np.exp(-logits))
     expected_settlement = pi * p_mdp_sys + (1.0 - pi) * p_mip_sys
-    best_ask = expected_settlement - cfg.edge + cfg.book_noise_std * rng.normal(size=n)
+    best_ask = expected_settlement - cfg.edge
 
     # columns in BASE_COLUMNS order, then the reserve ladder
     values = np.column_stack([
@@ -566,21 +554,21 @@ def generate_synthetic_market(
         price_da, price_da + diff_price,
         afrr_prices, mfrr_prices,
     ])
-    steps = np.arange(cfg.book_levels) * cfg.book_tick
-    prices = np.stack([best_ask[:, None] + steps, best_ask[:, None] - cfg.book_spread - steps], axis=1)
-    volumes = np.full(prices.shape, cfg.book_level_volume)
-    books = OrderBooks(timestamps, prices, volumes, np.full((n, 2), cfg.book_levels))
+    steps = np.arange(_BOOK_LEVELS) * _BOOK_TICK
+    prices = np.stack([best_ask[:, None] + steps, best_ask[:, None] - _BOOK_SPREAD - steps], axis=1)
+    volumes = np.full(prices.shape, _BOOK_LEVEL_VOLUME)
+    books = OrderBooks(timestamps, prices, volumes, np.full((n, 2), _BOOK_LEVELS))
     fault = ladder_fault(books.prices, books.volumes, books.counts)
-    if fault:  # a price that overflows, or a tick too small to move a price
+    if fault:  # a price that overflows, or one too large for the tick to move it
         raise ValueError(f"book at {timestamps[fault[0][0]].isoformat()}: {fault[1]}")
 
     truth = {
-        "k_mdp": cfg.k_mdp,
-        "k_mip": cfg.k_mip,
-        "regime_bias": cfg.regime_bias,
-        "regime_persistence": cfg.regime_persistence,
+        "k_mdp": _K_MDP,
+        "k_mip": _K_MIP,
+        "regime_bias": _REGIME_BIAS,
+        "regime_persistence": _REGIME_PERSISTENCE,
         "signal_weights": dict(_SIGNAL_WEIGHTS),
-        "signal_strength": cfg.signal_strength,
+        "signal_strength": _SIGNAL_STRENGTH,
         "base_rate": float(np.mean(is_surplus(s))),
         "mdp_anchor_column": _MDP_ANCHOR,
         "mip_anchor_column": len(cfg.grid.afrr_volumes) + _MIP_ANCHOR,

@@ -204,8 +204,8 @@ def train_models(
     bank_max_iter: int = 400,
 ) -> TrainedModels:
     """Fit the full model set on feature-complete training ticks (``build_features`` rows, which the bundle's
-    ``reference_layout`` names). Ticks of another width, ``kfold`` below 2, a negative iteration cap, ``n_q``
-    below 2, a ``u_max`` that is not positive and finite and (by ``fit_logistic``'s rule) a negative or
+    ``reference_layout`` names). Ticks of another width, ``kfold`` below 2, a negative iteration cap or seed,
+    ``n_q`` below 2, a ``u_max`` that is not positive and finite and (by ``fit_logistic``'s rule) a negative or
     non-finite ``l2`` are rejected by name before any solver runs.
 
     The position-augmented weight model is trained with artificial trades
@@ -226,9 +226,9 @@ def train_models(
         raise ValueError(f"ticks carry {x.shape[1]} features, the layout names {len(layout.names)}")
     if kfold < 2:
         raise ValueError(f"kfold must be at least 2, got {kfold}")
-    for name, cap in (("logistic_max_iter", logistic_max_iter), ("bank_max_iter", bank_max_iter)):
-        if cap < 0:
-            raise ValueError(f"{name} must be at least 0, got {cap}")
+    for name, value in (("logistic_max_iter", logistic_max_iter), ("bank_max_iter", bank_max_iter), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
     quantile_levels(n_q)  # rejects n_q below 2
     # its own seeded generator: drawn before the fits, it rejects a u_max that is not positive and finite first
     x_aug, aug_labels, _ = augment_with_positions(x, s, u_max=u_max, beta=1.0, rng=seed, u_min=-u_max)

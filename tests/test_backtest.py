@@ -1,8 +1,8 @@
 import json
 import re
 from collections import Counter
-from dataclasses import replace
-from datetime import datetime, timezone
+from dataclasses import fields, replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from imbtrader.backtest import (
     run_backtest,
     write_ledger,
 )
-from imbtrader.data_io import FeatureLayout, MarketTick, SyntheticConfig, synthetic_ticks
+from imbtrader.data_io import PERIOD, FeatureLayout, MarketTick, SyntheticConfig, synthetic_ticks
 from imbtrader.market_impact import ImpactParams, Regime
 from imbtrader.pipeline import TrainedModels, attach_z, make_forecaster, train_models
 from imbtrader.price_models import LogisticModel, QuantileModelBank, ReserveGrid, quantile_levels
@@ -112,10 +112,11 @@ class TestSimConfig:
         config = SimConfig(window=np.int64(3), alpha_grid_size=np.int32(5))
         assert (config.window, config.alpha_grid_size) == (3, 5)
 
-    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
-    def test_non_finite_delta_rejected(self, delta):
-        with pytest.raises(ValueError, match="delta_hours"):
-            SimConfig(delta_hours=delta)
+    def test_delta_is_the_settlement_period_not_a_setting(self):
+        assert SimConfig.delta_hours == SimConfig().delta_hours == PERIOD / timedelta(hours=1) == 0.25
+        assert "delta_hours" not in {f.name for f in fields(SimConfig)}
+        with pytest.raises(TypeError, match="delta_hours"):
+            SimConfig(delta_hours=1.0)
 
     def test_adaptive_flag(self):
         assert SimConfig(alpha=None).adaptive
@@ -140,7 +141,7 @@ class TestHandLedger:
         tick = toy_tick()
         config = SimConfig(
             measure="expectation", alpha=1.0, beta_est=0.0, beta_true=0.0,
-            actions=ActionSpace(step=1.0, u_max=5.0), delta_hours=0.25,
+            actions=ActionSpace(step=1.0, u_max=5.0),
         )
         result = run_backtest(config, models, [tick])
         assert len(result.ledger) == 1
@@ -292,7 +293,7 @@ class TestLedgerIO:
         assert len(records) == len(result.ledger)
         assert delta == config.delta_hours
         assert meta["measure"] == "cvar"
-        assert (meta["delta_hours"], meta["n_skipped"]) == (0.25, 0)
+        assert (meta["delta_hours"], meta["n_skipped"], meta["legs"]) == (0.25, 0, ("long",))
         total = sum(r.profit(delta) for r in records)
         assert total == pytest.approx(result.report.total_profit)
 
@@ -325,6 +326,22 @@ class TestLedgerIO:
         assert lines[3].endswith(" n_skipped=0")  # line 4, the totals
         path.write_text("\n".join(lines).replace("n_skipped=0", f"n_skipped={value}") + "\n")
         with pytest.raises(ValueError, match=f"^ledger line 4: n_skipped must be a count, got {value}$"):
+            read_ledger(path)
+
+    @pytest.mark.parametrize("allow_short, legs", [(False, ("long",)), (True, ("long", "short"))])
+    def test_header_names_the_legs(self, trained, tmp_path, allow_short, legs):
+        models, _, test_ticks = trained
+        actions = ActionSpace(step=0.5, u_max=3.0, allow_short=allow_short)
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, run_backtest(SimConfig(measure="cvar", alpha=0.9, actions=actions), models, test_ticks[:5]))
+        assert path.read_text().splitlines()[1].endswith(f" legs={','.join(legs)}")  # line 2
+        assert read_ledger(path)[1]["legs"] == legs
+
+    @pytest.mark.parametrize("value", ["both", "long,", "", "long,flat"])
+    def test_unknown_leg_names_its_header_line(self, ledger_lines, value):
+        path, lines = ledger_lines
+        path.write_text("\n".join(lines).replace("legs=long", f"legs={value}") + "\n")
+        with pytest.raises(ValueError, match=f"^ledger line 2: legs must be long or short, got {value}$"):
             read_ledger(path)
 
     def test_header_without_delta_takes_the_sim_default(self, ledger_lines):

@@ -292,6 +292,40 @@ class TestPipelineCommands:
         assert derived["traded_volume_mwh"] == pytest.approx(original["traded_volume_mwh"])
         assert derived["daily_cumulative"] == original["daily_cumulative"]
 
+    @pytest.mark.parametrize("allow_short", [False, True], ids=["long", "long and short"])
+    def test_report_on_an_all_skipped_ledger_writes_the_backtest_report(self, workspace, allow_short):
+        # books.csv cut to its header: every tick is skipped, and the ledger's header alone names the legs
+        root = workspace["root"] / f"all_skipped_{allow_short}"
+        data = root / "data"
+        data.mkdir(parents=True)
+        (data / "market.csv").write_bytes((workspace["data"] / "market.csv").read_bytes())
+        (data / "books.csv").write_text("timestamp,side,price,volume\n")
+        config = root / "config.yaml"
+        config.write_text(yaml.safe_dump(SMOKE_CONFIG | {"strategy": {**SMOKE_CONFIG["strategy"],
+                                                                      "allow_short": allow_short}}))
+        assert main(["backtest", "--config", str(config), "--data", str(data), "--models", str(workspace["models"]),
+                     "--out", str(root / "bt"), "--to", "2024-01-05T23:45:00+00:00"]) == 0
+        assert json.loads((root / "bt" / "report.json").read_text())["n_skipped"] == 96
+        assert main(["report", "--ledger", str(root / "bt" / "ledger.csv"), "--out", str(root / "rp")]) == 0
+        for name in ("report.json", "cumulative.csv", "alpha_path.csv"):
+            assert (root / "rp" / name).read_bytes() == (root / "bt" / name).read_bytes()
+        legs = ["long", "short"] if allow_short else ["long"]
+        assert json.loads((root / "rp" / "report.json").read_text())["alpha_path"] == dict.fromkeys(legs, [])
+
+    def test_report_on_a_ledger_without_legs_reads_them_off_its_records(self, workspace, tmp_path, capsys):
+        bt_out = tmp_path / "bt"
+        assert main(["backtest", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--models", str(workspace["models"]), "--out", str(bt_out)]) == 0
+        lines = (bt_out / "ledger.csv").read_text().splitlines()
+        assert lines[1].endswith(" legs=long")
+        older = tmp_path / "older.csv"
+        older.write_text("\n".join([lines[1].removesuffix(" legs=long")] + lines[2:]) + "\n")
+        assert main(["report", "--ledger", str(older), "--out", str(tmp_path / "rp")]) == 0
+        assert (tmp_path / "rp" / "report.json").read_bytes() == (bt_out / "report.json").read_bytes()
+        older.write_text("\n".join([lines[1].removesuffix(" legs=long")] + lines[2:5]) + "\n")
+        assert main(["report", "--ledger", str(older), "--out", str(tmp_path / "rp_empty")]) == 1
+        assert capsys.readouterr().err == "error: ledger is empty and names no legs\n"
+
     def test_report_rebuilds_a_two_leg_alpha_path(self, workspace):
         config = workspace["root"] / "short.yaml"
         config.write_text(yaml.safe_dump(SMOKE_CONFIG | {"strategy": {**SMOKE_CONFIG["strategy"], "allow_short": True}}))
@@ -322,14 +356,13 @@ class TestErrorsAndMisc:
         )
         assert code == 0
 
-    def test_non_finite_delta_hours_rejected(self, workspace, capsys):
-        config = workspace["root"] / "nan_delta.yaml"
-        config.write_text(yaml.safe_dump({**SMOKE_CONFIG, "strategy": {**SMOKE_CONFIG["strategy"],
-                                                                      "delta_hours": float("nan")}}))
-        code = main(["backtest", "--config", str(config), "--data", str(workspace["data"]),
-                     "--models", str(workspace["models"]), "--out", str(workspace["root"] / "bt_nan")])
-        assert code == 1
-        assert "delta_hours" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, seed", [("generate", "-1"), ("train", "-3")])
+    def test_negative_seed_named(self, workspace, tmp_path, capsys, command, seed):
+        args = [command, "--config", str(workspace["config"]), "--out", str(tmp_path / "out"), "--seed", seed]
+        if command == "train":
+            args += ["--data", str(workspace["data"]), "--to", TRAIN_END]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: seed must be at least 0, got {seed}\n"
 
     def test_infinite_u_max_rejected(self, workspace, capsys):
         config = workspace["root"] / "inf_u_max.yaml"
@@ -441,6 +474,13 @@ BAD_CONFIGS = {
     # the generator's ladder slopes and anchor columns are constants, and its ladder comes from `reserves`
     **{f"removed ladder knob {key}": (f"synthetic: {{{key}: 2}}", f"synthetic.{key}: unexpected field")
        for key in ("afrr_ladder_slope", "mfrr_ladder_slope", "mdp_anchor", "mip_anchor", "grid")},
+    # the rest of the planted law is constants of the generator too
+    **{f"removed planted-law key {key}": (f"synthetic: {{{key}: 1}}", f"synthetic.{key}: unexpected field")
+       for key in ("regime_bias", "regime_persistence", "signal_strength", "imbalance_scale", "k_mdp", "k_mip",
+                   "mdp_price_mean", "price_gap_mean", "book_levels", "book_level_volume", "book_tick",
+                   "book_spread", "book_noise_std")},
+    # the settlement period is the data's quarter-hour
+    "removed strategy key delta_hours": ("strategy: {delta_hours: 1.0}", "strategy.delta_hours: unexpected field"),
     "quoted seed": ("seed: '7'", "seed: expected an integer, got string"),
     "unknown section": ("strategies: {window: 5}", "strategies: unexpected field"),
     "word for a number": ("model: {l2: small}", "model.l2: could not convert string to float: 'small'"),
@@ -599,7 +639,7 @@ class TestConfig:
         out = tmp_path / "gen"
         assert main(["generate", "--out", str(out)]) == 0
         truth = json.loads((out / "truth.json").read_text())
-        assert truth["k_mdp"] == SyntheticConfig().k_mdp
+        assert truth["k_mdp"] == 0.40
         assert len((out / "market.csv").read_text().splitlines()) == 1 + SyntheticConfig().n_periods
 
     def _sim(self, tmp_path, *flags) -> SimConfig:
