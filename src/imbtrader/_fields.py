@@ -9,7 +9,7 @@ field``), however deep the field sits.
 from __future__ import annotations
 
 import math
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from typing import Callable
 
 import numpy as np
@@ -105,11 +105,8 @@ def string(value) -> str:
 
 
 def timestamp(value) -> datetime:
-    """An ISO 8601 timestamp in UTC: ``Z`` or an offset is converted, a timestamp without one is read as UTC.
-
-    A date or datetime, which YAML makes of an unquoted timestamp, is read from its text the same way.
-    """
-    text = str(value) if isinstance(value, date) else string(value)
+    """An ISO 8601 timestamp in UTC: ``Z`` or an offset is converted, a timestamp without one is read as UTC."""
+    text = string(value)
     ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
     try:
         return (ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)).astimezone(timezone.utc)

@@ -175,7 +175,7 @@ class _Cell:
                 adapter.update()
 
     def result(self, skipped: list[tuple[datetime, str]]) -> BacktestResult:
-        report = _build_report(self.config.delta_hours, self.ledger, len(skipped), self.config.legs)
+        report = _build_report(self.ledger, len(skipped), self.config.legs)
         return BacktestResult(config=self.config, report=report, ledger=self.ledger, skipped=list(skipped))
 
 
@@ -237,20 +237,22 @@ def _replay(
     return [[cell.result(skipped) for cell in row] for row in cells]
 
 
-def _build_report(delta_hours: float, ledger, n_skipped: int, legs=()) -> Report:
-    """Aggregates of a ledger; the alpha path of each leg is read off its records.
+def _build_report(ledger, n_skipped: int, legs) -> Report:
+    """Aggregates of a ledger whose records trade the ``legs``; each leg's alpha path is read off its records.
 
-    ``legs`` seeds the path, so a leg without records still reports an empty one.
+    Each of the ``legs`` reports a path, so a leg without records reports an empty one. The totals are
+    floats (0.0) when there are no records.
     """
-    total = sum(r.profit(delta_hours) for r in ledger)
-    per_period = sum((r.realized_price - r.fill_price) * r.u for r in ledger)
-    volume = sum(abs(r.u) * delta_hours for r in ledger)
+    delta_hours = SimConfig.delta_hours
+    total = sum((r.profit(delta_hours) for r in ledger), 0.0)
+    per_period = sum(((r.realized_price - r.fill_price) * r.u for r in ledger), 0.0)
+    volume = sum((abs(r.u) * delta_hours for r in ledger), 0.0)
     daily: list[tuple[date, float]] = []
     alpha_path: dict = {leg: [] for leg in legs}
     running = 0.0
     current_day = None
     for r in ledger:
-        alpha_path.setdefault(r.leg, []).append((r.timestamp, r.alpha))
+        alpha_path[r.leg].append((r.timestamp, r.alpha))
         day = r.timestamp.date()
         if current_day is None:
             current_day = day
@@ -315,8 +317,8 @@ def _ledger_delta(text: str) -> float:
         delta = float(text)
     except ValueError:
         delta = math.nan
-    if not 0.0 < delta < math.inf:  # NaN fails too
-        raise ValueError(f"delta_hours must be positive and finite, got {text}")
+    if delta != SimConfig.delta_hours:  # NaN fails too
+        raise ValueError(f"delta_hours must be the settlement period {SimConfig.delta_hours!r}, got {text}")
     return delta
 
 
@@ -333,18 +335,19 @@ def _ledger_legs(text: str) -> tuple[str, ...]:
     return legs
 
 
-# readers of the header values that report reads
+# readers of the header values that report reads; a ledger must have all three
 _LEDGER_HEADER = {"delta_hours": _ledger_delta, "n_skipped": _ledger_count, "legs": _ledger_legs}
 
 
-def read_ledger(path) -> tuple[list[TradeRecord], dict, float]:
-    """Parse a ledger CSV back into records, header metadata, and delta.
+def read_ledger(path) -> tuple[list[TradeRecord], dict]:
+    """Parse a ledger CSV back into records and header metadata.
 
     A malformed data row (wrong field count, a bad timestamp or number, or a
-    non-finite number) or header ``delta_hours``, ``n_skipped`` or ``legs``
-    raises a ``ValueError`` that names its line; the metadata holds the first
-    two as numbers and ``legs`` as a tuple. Without a ``delta_hours`` header
-    the delta is ``SimConfig.delta_hours``.
+    non-finite number) or header ``delta_hours`` (which must be the settlement
+    period, ``SimConfig.delta_hours``), ``n_skipped`` or ``legs`` raises a
+    ``ValueError`` that names its line; the metadata holds the first two as
+    numbers and ``legs`` as a tuple. A header without one of those three, or
+    a record of a leg the header does not name, raises a ``ValueError`` too.
     """
     meta: dict = {}
     records: list[TradeRecord] = []
@@ -352,14 +355,21 @@ def read_ledger(path) -> tuple[list[TradeRecord], dict, float]:
         if not line or line.startswith("timestamp,"):
             continue
         try:
-            if line.startswith("#"):
-                header = dict(token.split("=", 1) for token in line[1:].split() if "=" in token)
+            if line.startswith("#"):  # key=value tokens: a token that starts with "=" names no key
+                header = dict(token.split("=", 1) for token in line[1:].split() if token.find("=") > 0)
                 meta.update({key: _LEDGER_HEADER.get(key, str)(value) for key, value in header.items()})
             else:
                 records.append(_ledger_record(line.split(",")))
         except ValueError as exc:
             raise ValueError(f"ledger line {lineno}: {exc}") from exc
-    return records, meta, meta.get("delta_hours", SimConfig.delta_hours)
+    missing = next((key for key in _LEDGER_HEADER if key not in meta), None)
+    if missing is not None:
+        raise ValueError(f"ledger header has no {missing}")
+    stray = next((r for r in records if r.leg not in meta["legs"]), None)
+    if stray is not None:
+        raise ValueError(f"ledger record at {stray.timestamp.isoformat()} is of leg {stray.leg!r}, "
+                         f"the header names {','.join(meta['legs'])}")
+    return records, meta
 
 
 @dataclass

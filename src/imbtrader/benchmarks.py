@@ -161,7 +161,6 @@ class BenchmarkSuite:
     static_matrix: np.ndarray
     transition_models: tuple[LogisticModel, LogisticModel]
     linear_bank: LinearQuantileBank
-    horizon: int
     train_end: datetime
 
 
@@ -169,12 +168,12 @@ def fit_benchmark_suite(
     train_ticks: list[MarketTick],
     models: TrainedModels,
     *,
-    horizon: int = DEFAULT_HORIZON,
     max_iter: int = 400,
 ) -> BenchmarkSuite:
-    """Fit the state-transition and linear benchmarks on the training slice; bad inputs fail before any fit."""
-    if horizon < 1:  # at 0 the Markov rows would start from the realized state they forecast
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    """Fit the state-transition and linear benchmarks on the training slice; bad inputs fail before any fit.
+
+    ``max_iter`` caps the descents of the two transition fits; the linear bank's LP keeps its own cap.
+    """
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     dyn_cols = dynamic_feature_columns(models.layout)
@@ -183,13 +182,12 @@ def fit_benchmark_suite(
     y = np.array([t.settlement_price for t in train_ticks])
     static_matrix = fit_static_transitions(labels)
     transition_models = fit_transition_models(labels, x[:, dyn_cols], max_iter=max_iter)
-    linear_bank = fit_linear_quantile_bank(_linear_design(train_ticks), y, n_q=models.n_q, max_iter=max_iter)
+    linear_bank = fit_linear_quantile_bank(_linear_design(train_ticks), y, n_q=models.n_q)
     return BenchmarkSuite(
         models=models,
         static_matrix=static_matrix,
         transition_models=transition_models,
         linear_bank=linear_bank,
-        horizon=horizon,
         train_end=train_ticks[-1].timestamp,
     )
 
@@ -219,10 +217,10 @@ class BenchmarkTable:
 
 def run_benchmark(suite: BenchmarkSuite, ticks: list[MarketTick]) -> BenchmarkTable:
     """Score every benchmark model on the ticks all of them can forecast: all but the first
-    ``horizon``, whose balancing state ``horizon`` periods back the Markov models need. A tick at or before
-    the suite's or its bundle's training end (the ``mixture`` row scores the bundle) raises ``LeakageError``."""
+    ``DEFAULT_HORIZON``, whose balancing state that many periods back the Markov models need. A tick at or
+    before the suite's or its bundle's training end (the ``mixture`` row scores the bundle) raises ``LeakageError``."""
     check_out_of_sample(ticks, max(suite.train_end, suite.models.train_end))
-    h = suite.horizon
+    h = DEFAULT_HORIZON
     scored = ticks[h:]
     if not scored:
         raise ValueError("no evaluation ticks with full benchmark coverage")

@@ -68,26 +68,25 @@ def _beta_grid(which: str):
 
 
 # readers of the synthetic keys, by SyntheticConfig's field annotations (strings: annotations are postponed)
-_READ_BY_TYPE = {"int": integer, "float": numeric, "datetime": timestamp}
+_READ_BY_TYPE = {"int": integer, "float": numeric}
 _ACTION_KEYS = {"step_mw": "step", "u_max_mw": "u_max", "allow_short": "allow_short"}
 
 # Each section's keys are the keyword arguments of the call it feeds: `synthetic` of SyntheticConfig
-# (but its `grid`), `reserves` of ReserveGrid, `model` of train_models, `benchmark` of
-# fit_benchmark_suite, and `strategy` of ActionSpace (renamed by _ACTION_KEYS) and SimConfig.
+# (but its `seed`, the top-level one, and its `grid`), `reserves` of ReserveGrid, `model` of train_models
+# (but its `l2`), `benchmark` of fit_benchmark_suite, and `strategy` of ActionSpace (renamed by
+# _ACTION_KEYS) and SimConfig.
 _read_config = some_fields({
     "seed": integer,
     "synthetic": some_fields({
-        f.name: _READ_BY_TYPE[f.type] for f in dataclasses.fields(SyntheticConfig) if f.name != "grid"
+        f.name: _READ_BY_TYPE[f.type] for f in dataclasses.fields(SyntheticConfig) if f.name not in ("seed", "grid")
     }),
     "reserves": some_fields({f.name: lambda v: tuple(array_of(numeric)(v)) for f in dataclasses.fields(ReserveGrid)}),
-    "model": some_fields({
-        **dict.fromkeys(("n_q", "kfold", "logistic_max_iter", "bank_max_iter"), integer), "l2": numeric,
-    }),
+    "model": some_fields(dict.fromkeys(("n_q", "kfold", "logistic_max_iter", "bank_max_iter"), integer)),
     "strategy": some_fields({
         "step_mw": numeric, "u_max_mw": numeric, "allow_short": boolean, "measure": string, "alpha": _alpha,
         "window": integer, "alpha_grid_size": integer, "beta_est": numeric, "beta_true": numeric,
     }),
-    "benchmark": some_fields({"horizon": integer, "max_iter": integer}),
+    "benchmark": some_fields({"max_iter": integer}),
 })
 
 
@@ -164,10 +163,8 @@ def _load_ticks(args, grid):
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
-    synthetic = config["synthetic"]
-    # the flag, then synthetic.seed, then the top-level seed
-    seed = args.seed if args.seed is not None else synthetic.get("seed", config["seed"])
-    cfg = SyntheticConfig(**{**synthetic, **_given(seed=seed)}, grid=ReserveGrid(**config["reserves"]))
+    grid = ReserveGrid(**config["reserves"])
+    cfg = SyntheticConfig(**config["synthetic"], **_given(seed=_seed(config, args)), grid=grid)
     out = _out_dir(args)
     truth = write_synthetic_dataset(out, cfg)
     (out / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
@@ -281,11 +278,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, meta, delta = read_ledger(args.ledger)
-    if not records and "legs" not in meta:  # an older ledger names its legs only in its records
-        raise ValueError("ledger is empty and names no legs")
-    # a ledger without the count reports 0
-    report = _build_report(delta, records, meta.get("n_skipped", 0), meta.get("legs", ()))
+    records, meta = read_ledger(args.ledger)
+    report = _build_report(records, meta["n_skipped"], meta["legs"])
     out = _out_dir(args)
     _write_report_files(out, report)
     print(

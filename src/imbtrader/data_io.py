@@ -434,10 +434,6 @@ def resolve_data_dir(cli_value) -> Path:
     raise ValueError(f"no data directory given and {DATA_DIR_ENV} is not set")
 
 
-def _default_start() -> datetime:
-    return datetime(2024, 1, 1, tzinfo=timezone.utc)
-
-
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs of the synthetic market; its planted law is the generator's constants below, returned as truth.
@@ -450,7 +446,6 @@ class SyntheticConfig:
 
     seed: int = 0
     n_periods: int = 96 * 30
-    start: datetime = field(default_factory=_default_start)
     price_gap_std: float = 0.0
     price_noise_std: float = 0.0
     edge: float = 4.0
@@ -460,7 +455,6 @@ class SyntheticConfig:
         rules = {  # NaN fails every rule
             "seed": ("at least 0", self.seed >= 0),
             "n_periods": ("at least 1", self.n_periods >= 1),
-            "start": ("quarter-hour aligned", _on_quarter_hour(self.start)),
             **{name: ("nonnegative and finite", 0.0 <= getattr(self, name) < math.inf)
                for name in ("price_gap_std", "price_noise_std")},
             "edge": ("finite", math.isfinite(self.edge)),
@@ -474,6 +468,8 @@ class SyntheticConfig:
                 raise ValueError(f"grid.{name} must hold at least {anchor + 1} volumes, got {volumes}")
 
 
+# The synthetic market's first period.
+_START = datetime(2024, 1, 1, tzinfo=timezone.utc)
 # The planted law of the synthetic market (see the README). The regime: a surplus period's log-odds are the
 # bias, plus the signal (the couplings below of the forecast differences, times its strength), plus the
 # persistence times the four-period-lagged imbalance over its scale (MW), which also spreads the imbalance.
@@ -502,7 +498,7 @@ def generate_synthetic_market(
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_periods
-    timestamps = [cfg.start + i * PERIOD for i in range(n)]
+    timestamps = [_START + i * PERIOD for i in range(n)]
     quarters = np.array([quarter_of_day(ts) for ts in timestamps])
 
     daylight = np.clip(np.sin((quarters - 24) * np.pi / 48.0), 0.0, None)

@@ -211,8 +211,8 @@ def train_models(
     The position-augmented weight model is trained with artificial trades
     whose appended feature is the induced imbalance shift (full reactivity),
     sampled uniformly over ``[-u_max, u_max]`` so one model serves long and
-    short positions. The keyword arguments other than ``grid``, ``u_max``
-    and ``seed`` are the keys of the CLI config's ``model`` section.
+    short positions. The keyword arguments other than ``grid``, ``u_max``,
+    ``seed`` and ``l2`` are the keys of the CLI config's ``model`` section.
     """
     if not ticks:
         raise ValueError("no training ticks")

@@ -10,7 +10,7 @@ one-row product, all scored by ``score_batch``.
 """
 import numpy as np
 
-from imbtrader.benchmarks import chain_state_probability, dynamic_feature_columns
+from imbtrader.benchmarks import DEFAULT_HORIZON, chain_state_probability, dynamic_feature_columns
 from imbtrader.dists import DiscretePriceDistribution, ForecastScores, MixtureForecast, crps, flatten
 from imbtrader.market_impact import is_surplus
 from imbtrader.price_models import predict_regulation_distribution
@@ -74,7 +74,7 @@ def linear_distribution(bank, x) -> DiscretePriceDistribution:
 def benchmark_rows(suite, ticks) -> list:
     """``run_benchmark(suite, ticks).rows``, one distribution object per model and tick."""
     dyn_cols = dynamic_feature_columns(suite.models.layout)
-    h = suite.horizon
+    h = DEFAULT_HORIZON
     out = {"mixture": [], "static_rsmm": [], "dynamic_rsmm": [], "linear_quantile": []}
     for i in range(h, len(ticks)):
         tick = ticks[i]

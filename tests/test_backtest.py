@@ -289,12 +289,13 @@ class TestLedgerIO:
         result = run_backtest(config, models, test_ticks[:30])
         path = tmp_path / "ledger.csv"
         write_ledger(path, result)
-        records, meta, delta = read_ledger(path)
+        records, meta = read_ledger(path)
         assert len(records) == len(result.ledger)
-        assert delta == config.delta_hours
         assert meta["measure"] == "cvar"
         assert (meta["delta_hours"], meta["n_skipped"], meta["legs"]) == (0.25, 0, ("long",))
-        total = sum(r.profit(delta) for r in records)
+        # the "# profit_eur = ..." comment line names no key
+        assert "" not in meta
+        total = sum(r.profit(config.delta_hours) for r in records)
         assert total == pytest.approx(result.report.total_profit)
 
     def test_nonpositive_delta_rejected(self, trained, tmp_path):
@@ -313,11 +314,14 @@ class TestLedgerIO:
         with pytest.raises(ValueError, match="delta_hours"):
             read_ledger(path)
 
-    def test_unreadable_delta_names_its_header_line(self, ledger_lines):
+    @pytest.mark.parametrize("value", ["abc", "1.0", "0.5", "-0.25"])
+    def test_delta_other_than_the_settlement_period_names_its_header_line(self, ledger_lines, value):
+        # the profit_eur column is at the quarter-hour; a header stating another period would rescale the totals
         path, lines = ledger_lines
         assert "delta_hours=0.25" in lines[1]  # line 2
-        path.write_text("\n".join(lines).replace("delta_hours=0.25", "delta_hours=abc") + "\n")
-        with pytest.raises(ValueError, match="^ledger line 2: delta_hours must be positive and finite, got abc$"):
+        path.write_text("\n".join(lines).replace("delta_hours=0.25", f"delta_hours={value}") + "\n")
+        message = f"ledger line 2: delta_hours must be the settlement period 0.25, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_ledger(path)
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "nan", ""])
@@ -344,13 +348,22 @@ class TestLedgerIO:
         with pytest.raises(ValueError, match=f"^ledger line 2: legs must be long or short, got {value}$"):
             read_ledger(path)
 
-    def test_header_without_delta_takes_the_sim_default(self, ledger_lines):
+    @pytest.mark.parametrize("token", ["delta_hours=0.25", "n_skipped=0", "legs=long"])
+    def test_header_without_a_token_fails_naming_it(self, ledger_lines, token):
         path, lines = ledger_lines
-        path.write_text("\n".join(lines).replace("delta_hours=0.25", "") + "\n")
-        records, meta, delta = read_ledger(path)
-        assert "delta_hours" not in meta
-        assert delta == SimConfig.delta_hours
-        assert len(records) == len(lines) - 5
+        assert sum(token in line.split() for line in lines) == 1
+        path.write_text("\n".join(lines).replace(token, "") + "\n")
+        with pytest.raises(ValueError, match=f"^ledger header has no {token.split('=')[0]}$"):
+            read_ledger(path)
+
+    def test_record_of_a_leg_the_header_does_not_name_fails(self, ledger_lines):
+        path, lines = ledger_lines
+        row = lines[6].split(",")
+        lines[6] = ",".join(row[:1] + ["short"] + row[2:])
+        path.write_text("\n".join(lines) + "\n")
+        message = f"ledger record at {row[0]} is of leg 'short', the header names long"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_ledger(path)
 
     # (field index, new text); None truncates the row to five fields.
     @pytest.mark.parametrize("field, value", [

@@ -9,6 +9,7 @@ from linear_bank_oracle import descent_linear_quantile_bank, linear_pinball_loss
 from imbtrader import benchmarks
 from imbtrader._optim import _GAP_TOL, _design, fit_quantile_lp
 from imbtrader.benchmarks import (
+    DEFAULT_HORIZON,
     LinearQuantileBank,
     chain_state_probability,
     dynamic_feature_columns,
@@ -196,7 +197,7 @@ class TestBenchmarkRun:
         assert [name for name, _ in table.rows] == [
             "mixture", "static_rsmm", "dynamic_rsmm", "linear_quantile",
         ]
-        assert table.n_scored == len(test_ticks) - suite.horizon
+        assert table.n_scored == len(test_ticks) - DEFAULT_HORIZON
         csv_text = table.to_csv_string()
         assert csv_text.splitlines()[0] == "model,rmse,mae,std,crps"
         assert len(csv_text.splitlines()) == 5
@@ -237,12 +238,17 @@ class TestBenchmarkRun:
         run_benchmark(suite, test_ticks)
         assert distribution_objects == []
 
-    @pytest.mark.parametrize("horizon", [0, -2])
-    def test_horizon_below_one_rejected(self, trained, horizon):
-        # at 0 the Markov rows would start from the realized state they score
+    def test_max_iter_caps_the_transition_fits_only(self, trained, monkeypatch):
+        # the linear bank's interior-point levels keep fit_linear_quantile_bank's own cap
         models, train_ticks, _ = trained
-        with pytest.raises(ValueError, match=f"^horizon must be at least 1, got {horizon}$"):
-            fit_benchmark_suite(train_ticks, models, horizon=horizon)
+        caps = {}
+        for name in ("fit_transition_models", "fit_linear_quantile_bank"):
+            def capture(*args, _name=name, _fit=getattr(benchmarks, name), **kwargs):
+                caps[_name] = kwargs.get("max_iter")
+                return _fit(*args, **kwargs)
+            monkeypatch.setattr(benchmarks, name, capture)
+        fit_benchmark_suite(train_ticks, models, max_iter=7)
+        assert caps == {"fit_transition_models": 7, "fit_linear_quantile_bank": None}
 
     def test_split_mismatch_rejected(self, trained):
         models, train_ticks, test_ticks = trained

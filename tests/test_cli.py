@@ -9,7 +9,7 @@ import yaml
 from benchmark_oracle import quantile, score_batch, std
 from imbtrader import cli
 from imbtrader.backtest import SimConfig
-from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
+from imbtrader.benchmarks import DEFAULT_HORIZON, fit_benchmark_suite, run_benchmark
 from imbtrader.cli import _load_config, _sim_config, build_parser, main
 from imbtrader.data_io import SyntheticConfig, load_dataset
 from imbtrader.dists import MixtureForecast, flatten
@@ -36,7 +36,7 @@ SMOKE_CONFIG = {
         "window": 20,
         "alpha_grid_size": 16,
     },
-    "benchmark": {"horizon": 5, "max_iter": 100},
+    "benchmark": {"max_iter": 100},
 }
 
 TRAIN_END = "2024-01-04T23:45:00+00:00"
@@ -146,17 +146,6 @@ class TestPipelineCommands:
         assert len(lines) == 5  # four models
         assert all(len(line.split(",")) == 5 for line in lines)
 
-    @pytest.mark.parametrize("horizon", [0, -2])
-    def test_benchmark_horizon_below_one_fails(self, workspace, capsys, horizon):
-        config = workspace["root"] / f"horizon_{horizon}.yaml"
-        config.write_text(yaml.safe_dump(SMOKE_CONFIG | {"benchmark": {"horizon": horizon, "max_iter": 100}}))
-        code = main(
-            ["benchmark", "--config", str(config), "--data", str(workspace["data"]),
-             "--models", str(workspace["models"]), "--out", str(workspace["root"] / f"bench_{horizon}")]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: horizon must be at least 1, got {horizon}\n"
-
     def test_forecast_outputs(self, workspace):
         out = workspace["root"] / "fc"
         code = main(
@@ -196,9 +185,9 @@ class TestPipelineCommands:
             ]
         # and the benchmark's `mixture` row scores the same forecasts
         suite = fit_benchmark_suite([t for t in ticks if t.timestamp <= models.train_end], models, max_iter=5)
-        observed = [t.settlement_price for t in eval_ticks[suite.horizon :]]
+        observed = [t.settlement_price for t in eval_ticks[DEFAULT_HORIZON:]]
         assert dict(run_benchmark(suite, eval_ticks).rows)["mixture"] == score_batch(
-            mixture[suite.horizon :], observed
+            mixture[DEFAULT_HORIZON:], observed
         )
 
     def test_forecast_builds_no_distribution_object_per_tick(self, workspace, distribution_objects):
@@ -255,7 +244,7 @@ class TestPipelineCommands:
                          "--to", "2024-01-05T23:45:00+00:00", "--beta-est-grid", "0,1", "--beta-true-grid", "0,1"]) == 0
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
 
-    def test_report_rebuilds_the_backtest_report_with_skipped_ticks(self, workspace):
+    def test_report_rebuilds_the_backtest_report_with_skipped_ticks(self, workspace, capsys):
         # the books of two traded periods are deleted, so backtest skips them and counts them in the ledger
         data = workspace["root"] / "two_books_missing"
         data.mkdir()
@@ -270,13 +259,14 @@ class TestPipelineCommands:
         assert json.loads((bt_out / "report.json").read_text())["n_skipped"] == 2
         for name in ("report.json", "cumulative.csv", "alpha_path.csv"):
             assert (rp_out / name).read_bytes() == (bt_out / name).read_bytes()
-        # a ledger written without the count reports none skipped
+        # a ledger written without the count is refused, naming it
         ledger = (bt_out / "ledger.csv").read_text()
         assert ledger.count(" n_skipped=2\n") == 1
         (workspace["root"] / "old_ledger.csv").write_text(ledger.replace(" n_skipped=2\n", "\n"))
         old_out = workspace["root"] / "rp_old_ledger"
-        assert main(["report", "--ledger", str(workspace["root"] / "old_ledger.csv"), "--out", str(old_out)]) == 0
-        assert json.loads((old_out / "report.json").read_text())["n_skipped"] == 0
+        assert main(["report", "--ledger", str(workspace["root"] / "old_ledger.csv"), "--out", str(old_out)]) == 1
+        assert capsys.readouterr().err == "error: ledger header has no n_skipped\n"
+        assert not (old_out / "report.json").exists()
 
     def test_report_reproduces_backtest_totals(self, workspace):
         bt_out = workspace["root"] / "bt_for_report"
@@ -310,21 +300,39 @@ class TestPipelineCommands:
         for name in ("report.json", "cumulative.csv", "alpha_path.csv"):
             assert (root / "rp" / name).read_bytes() == (root / "bt" / name).read_bytes()
         legs = ["long", "short"] if allow_short else ["long"]
-        assert json.loads((root / "rp" / "report.json").read_text())["alpha_path"] == dict.fromkeys(legs, [])
+        report = json.loads((root / "rp" / "report.json").read_text())
+        assert report["alpha_path"] == dict.fromkeys(legs, [])
+        # the totals of no records are floats, as those of a run that trades
+        totals = ("total_profit_eur", "total_per_mw_period", "traded_volume_mwh", "profit_per_trade_eur_per_mwh")
+        assert [report[key] for key in totals] == [0.0] * 4
+        assert all(isinstance(report[key], float) for key in totals)
+        header = (root / "bt" / "ledger.csv").read_text().splitlines()[3]
+        assert header == "# total_profit_eur=0.0 total_per_mw_period=0.0 traded_volume_mwh=0.0 n_skipped=96"
 
-    def test_report_on_a_ledger_without_legs_reads_them_off_its_records(self, workspace, tmp_path, capsys):
+    def test_report_on_a_ledger_without_legs_fails_naming_them(self, workspace, tmp_path, capsys):
         bt_out = tmp_path / "bt"
         assert main(["backtest", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
                      "--models", str(workspace["models"]), "--out", str(bt_out)]) == 0
         lines = (bt_out / "ledger.csv").read_text().splitlines()
         assert lines[1].endswith(" legs=long")
         older = tmp_path / "older.csv"
-        older.write_text("\n".join([lines[1].removesuffix(" legs=long")] + lines[2:]) + "\n")
-        assert main(["report", "--ledger", str(older), "--out", str(tmp_path / "rp")]) == 0
-        assert (tmp_path / "rp" / "report.json").read_bytes() == (bt_out / "report.json").read_bytes()
-        older.write_text("\n".join([lines[1].removesuffix(" legs=long")] + lines[2:5]) + "\n")
-        assert main(["report", "--ledger", str(older), "--out", str(tmp_path / "rp_empty")]) == 1
-        assert capsys.readouterr().err == "error: ledger is empty and names no legs\n"
+        for rows, name in ((lines[2:], "rp"), (lines[2:5], "rp_empty")):  # with and without records
+            older.write_text("\n".join([lines[1].removesuffix(" legs=long")] + rows) + "\n")
+            assert main(["report", "--ledger", str(older), "--out", str(tmp_path / name)]) == 1
+            assert capsys.readouterr().err == "error: ledger header has no legs\n"
+
+    def test_report_on_a_ledger_of_another_period_fails_naming_it(self, workspace, tmp_path, capsys):
+        # the ledger's profit_eur column is at the quarter-hour; a header stating another period is refused
+        bt_out = tmp_path / "bt"
+        assert main(["backtest", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--models", str(workspace["models"]), "--out", str(bt_out)]) == 0
+        ledger = (bt_out / "ledger.csv").read_text()
+        assert ledger.count(" delta_hours=0.25 ") == 1
+        (tmp_path / "other.csv").write_text(ledger.replace(" delta_hours=0.25 ", " delta_hours=1.0 "))
+        assert main(["report", "--ledger", str(tmp_path / "other.csv"), "--out", str(tmp_path / "rp")]) == 1
+        message = "ledger line 2: delta_hours must be the settlement period 0.25, got 1.0"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "rp").exists()
 
     def test_report_rebuilds_a_two_leg_alpha_path(self, workspace):
         config = workspace["root"] / "short.yaml"
@@ -374,13 +382,6 @@ class TestErrorsAndMisc:
         assert code == 1
         assert "u_max" in capsys.readouterr().err
 
-    def test_generate_rejects_an_off_grid_start(self, tmp_path, capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text("synthetic: {start: '2024-01-01T00:07:00+00:00'}\n")
-        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "gen")]) == 1
-        assert capsys.readouterr().err == "error: start must be quarter-hour aligned, got 2024-01-01 00:07:00+00:00\n"
-        assert not (tmp_path / "gen" / "market.csv").exists()
-
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -394,16 +395,18 @@ class TestErrorsAndMisc:
         assert all(t.book is not None for t in ticks)
 
 
-# A market on a non-default aFRR ladder; no strategy section, so a model command's flags alone set its run.
+# A market on a non-default aFRR ladder; no strategy section, so a model command's flags alone set its run
+# (backtest's --seed sets the seed its ledger header records, which the config's top-level seed would set).
 LADDER_CONFIG = {
-    "synthetic": {**SMOKE_CONFIG["synthetic"], "seed": 5},
+    "seed": 5,
+    "synthetic": SMOKE_CONFIG["synthetic"],
     "reserves": {"afrr_volumes": [1, 60, 120, 180, 240]},
     "model": SMOKE_CONFIG["model"],
 }
 MODEL_COMMANDS = {
     "forecast": [],
     "benchmark": ["--to", "2024-01-05T23:45:00+00:00"],
-    "backtest": ["--to", "2024-01-05T23:45:00+00:00", "--alpha", "0.9"],
+    "backtest": ["--to", "2024-01-05T23:45:00+00:00", "--alpha", "0.9", "--seed", "5"],
     "sweep": ["--to", "2024-01-05T23:45:00+00:00", "--alpha", "0.9", "--beta-est-grid", "1", "--beta-true-grid", "0,1"],
 }
 OUTPUTS = {"forecast": "forecasts.csv", "benchmark": "benchmark.csv", "backtest": "ledger.csv", "sweep": "sweep.csv"}
@@ -466,7 +469,7 @@ BAD_CONFIGS = {
     "section not a mapping": ("model: 5", "model: expected an object, got number"),
     "word for an integer": ("strategy: {window: ten}", "strategy.window: expected an integer, got string"),
     "quoted boolean": ("strategy: {allow_short: 'false'}", "strategy.allow_short: expected a boolean, got string"),
-    "fraction for an integer": ("benchmark: {horizon: 5.5}", "benchmark.horizon: expected an integer, got 5.5"),
+    "fraction for an integer": ("benchmark: {max_iter: 5.5}", "benchmark.max_iter: expected an integer, got 5.5"),
     "reserves under synthetic": (
         "synthetic: {afrr_volumes: [1, 50, 100, 150, 200]}", "synthetic.afrr_volumes: unexpected field",
     ),
@@ -481,13 +484,17 @@ BAD_CONFIGS = {
                    "book_spread", "book_noise_std")},
     # the settlement period is the data's quarter-hour
     "removed strategy key delta_hours": ("strategy: {delta_hours: 1.0}", "strategy.delta_hours: unexpected field"),
+    # the Markov lead is benchmarks.DEFAULT_HORIZON, the synthetic start a generator constant, the generator's
+    # seed the top-level one, and the ridge penalty train_models' default
+    **{f"removed key {section}.{key}": (f"{section}: {{{key}: {value}}}", f"{section}.{key}: unexpected field")
+       for section, key, value in (("benchmark", "horizon", 5), ("synthetic", "start", "'2024-01-01T00:00:00Z'"),
+                                   ("synthetic", "seed", 7), ("model", "l2", 1.0e-4))},
     "quoted seed": ("seed: '7'", "seed: expected an integer, got string"),
     "unknown section": ("strategies: {window: 5}", "strategies: unexpected field"),
-    "word for a number": ("model: {l2: small}", "model.l2: could not convert string to float: 'small'"),
+    "word for a number": ("synthetic: {edge: small}", "synthetic.edge: could not convert string to float: 'small'"),
     "bad ladder volume": (
         "reserves: {mfrr_volumes: [1, x]}", "reserves.mfrr_volumes.1: could not convert string to float: 'x'",
     ),
-    "bad timestamp": ("synthetic: {start: 5}", "synthetic.start: expected a string, got number"),
     "document is a list": ("- seed\n- 7", "expected an object, got array"),
     "window out of range": ("strategy: {window: 0}", "strategy: window must be at least 1"),
     "position grid": ("strategy: {step_mw: 0.3, u_max_mw: 1.0}", "strategy: u_max 1.0 is not a multiple of step 0.3"),
@@ -615,25 +622,30 @@ class TestConfig:
     @pytest.mark.parametrize("text, expected", [
         (None, {}),
         ("", {}),
-        ("model: {l2: 1e-4}", {"model": {"l2": 1e-4}}),
-        ("model: {l2: 1.0e-4}", {"model": {"l2": 1e-4}}),
-        ("synthetic: {start: 2024-01-01T00:00:00+00:00}",
-         {"synthetic": {"start": datetime(2024, 1, 1, tzinfo=timezone.utc)}}),
-        ("synthetic: {start: 2024-01-01 06:00:00}",
-         {"synthetic": {"start": datetime(2024, 1, 1, 6, tzinfo=timezone.utc)}}),
-        ("synthetic: {start: '2024-01-01T00:00:00Z'}",
-         {"synthetic": {"start": datetime(2024, 1, 1, tzinfo=timezone.utc)}}),
+        ("synthetic: {price_noise_std: 1e-4}", {"synthetic": {"price_noise_std": 1e-4}}),
+        ("synthetic: {price_noise_std: 1.0e-4}", {"synthetic": {"price_noise_std": 1e-4}}),
         ("reserves: {afrr_volumes: [1, 2.5e1, 50]}", {"reserves": {"afrr_volumes": (1.0, 25.0, 50.0)}}),
         ("strategy: {alpha: adaptive, u_max_mw: 2, allow_short: true}",
          {"sim": {"alpha": None}, "actions": {"u_max": 2.0, "allow_short": True}}),
-    ], ids=["no config", "empty file", "l2 without a point", "l2 with a point", "unquoted timestamp", "naive timestamp",
-            "quoted timestamp", "reserves", "strategy split"])
+    ], ids=["no config", "empty file", "number without a point", "number with a point", "reserves", "strategy split"])
     def test_good_config_loads(self, tmp_path, text, expected):
         config = None if text is None else tmp_path / "config.yaml"
         if config is not None:
             config.write_text(text + "\n")
         empty = {"seed": None, "synthetic": {}, "reserves": {}, "model": {}, "actions": {}, "sim": {}, "benchmark": {}}
         assert _load_config(config) == {**empty, **expected}
+
+    def test_generate_takes_the_seed_flag_else_the_top_level_seed(self, tmp_path):
+        # the rule of train and backtest: the flag, then the top-level key, then the library default
+        def market(name, doc, *flags) -> bytes:
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(yaml.safe_dump({"synthetic": {"n_periods": 40}, **doc}))
+            assert main(["generate", "--config", str(config), "--out", str(tmp_path / name), *flags]) == 0
+            return (tmp_path / name / "market.csv").read_bytes()
+
+        seeded = market("seed_3", {"seed": 3})
+        assert seeded == market("flag_3", {}, "--seed", "3") == market("flag_wins", {"seed": 4}, "--seed", "3")
+        assert seeded != market("default", {}) == market("seed_0", {"seed": 0})
 
     def test_generate_without_config_uses_the_library_defaults(self, tmp_path):
         out = tmp_path / "gen"

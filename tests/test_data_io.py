@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 import math
 import re
@@ -358,11 +359,14 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             small_cfg(seed=-1)
 
-    @pytest.mark.parametrize("minutes, seconds", [(7, 0), (15, 30), (0, 0.5)])
-    def test_start_off_the_quarter_hour_rejected(self, minutes, seconds):
-        start = datetime(2024, 1, 1, tzinfo=UTC) + timedelta(minutes=minutes, seconds=seconds)
-        with pytest.raises(ValueError, match=f"^start must be quarter-hour aligned, got {re.escape(str(start))}$"):
-            small_cfg(start=start)
+    def test_market_starts_at_the_generator_start(self):
+        # the start is a constant of the generator, like its planted law: no setting holds it
+        records, books, _ = generate_synthetic_market(small_cfg(n_periods=3))
+        first = datetime(2024, 1, 1, tzinfo=UTC)
+        assert records.timestamps == books.timestamps == [first + i * timedelta(minutes=15) for i in range(3)]
+        assert [f.name for f in dataclasses.fields(SyntheticConfig)] == [
+            "seed", "n_periods", "price_gap_std", "price_noise_std", "edge", "grid",
+        ]
 
     @pytest.mark.parametrize("field", ["price_gap_std", "price_noise_std"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
