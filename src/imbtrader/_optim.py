@@ -1,15 +1,22 @@
-"""The package's two solvers: batched gradient descent and a batched quantile LP.
+"""The package's solvers: batched gradient descent, Newton's method for one
+smooth convex problem, and a batched quantile LP.
 
-Both are deterministic by construction (no shuffling, no randomness), so
-every fit in the package is bit-reproducible for a given dataset and
-initial point.
+All are deterministic by construction (no shuffling, no randomness), so
+every fit in the package is bit-reproducible for a given dataset, initial
+point and BLAS thread count.
 
 Gradient descent (``minimize_gd``) uses a backtracking line search. One
 call solves a batch of independent problems: each keeps its own step size,
 iteration count and stopping state, and every round evaluates all problems
 still running in one objective call. A batch is split across the CPUs the
 process may use; since no problem reads another's state, every result is
-the same bit for bit whatever the number of threads.
+the same bit for bit whatever the number of threads. The softmax banks fit
+this way.
+
+Newton's method (``minimize_newton``) takes exact Newton steps, each
+solved by a Cholesky factorization of the Hessian, with an Armijo
+backtracking line search (Nocedal & Wright, *Numerical Optimization*, 2006,
+ch. 3). The logistic fits use it.
 
 Linear quantile regression (``fit_quantile_lp``) is a linear program,
 solved exactly for every level at once by a primal-dual interior-point
@@ -25,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["GdResult", "minimize_gd", "problem_blocks", "log_unfinished", "LpResult", "fit_quantile_lp"]
+__all__ = ["GdResult", "minimize_gd", "minimize_newton", "problem_blocks", "log_unfinished", "LpResult",
+           "fit_quantile_lp"]
 
 # Stacked objectives evaluate their problems in blocks whose largest
 # temporary holds at most this many float64 elements (256 KiB), so the
@@ -34,13 +42,19 @@ _BLOCK_ELEMENTS = 1 << 15
 
 # Gradient max-norm that counts as converged, and the line search: first step,
 # Armijo sufficient-decrease factor, backtracking and growth factors, and the
-# step below which the search stalls. Every fit in the package uses these.
+# step below which the search stalls. The descent uses them all; Newton's
+# method shares the Armijo factor, the backtracking factor and the stall step.
 _GRAD_TOL, _INITIAL_STEP, _ARMIJO, _SHRINK, _GROW, _MIN_STEP = 1e-6, 1.0, 1e-4, 0.5, 2.0, 1e-18
+# Gradient max-norm at which Newton's method counts as converged. Near the
+# optimum a step changes the loss by less than rounding can resolve, so a step
+# whose loss change is within _LOSS_ROUNDING of the loss passes the line
+# search when it lowers the gradient max-norm instead.
+_NEWTON_TOL, _LOSS_ROUNDING = 1e-10, 64 * np.finfo(float).eps
 
 
 @dataclass
 class GdResult:
-    """Per-problem outcome of a batched fit: one row or entry per problem."""
+    """Per-problem outcome of a fit: one row or entry per problem (a Newton fit has one)."""
 
     x: np.ndarray  # (P, m)
     fun: np.ndarray  # (P,)
@@ -80,9 +94,9 @@ def minimize_gd(
     (R, m). Each problem's step size backtracks until the Armijo
     sufficient-decrease condition holds and is grown geometrically after
     each accepted step, which lets the iterates cover the exponentially
-    growing parameter scales that separable classification data and
-    near-one-hot softmax fits produce. A problem stops on the max-norm of
-    its gradient, the iteration cap, or a stalled line search.
+    growing parameter scales that near-one-hot softmax fits produce. A
+    problem stops on the max-norm of its gradient, the iteration cap, or a
+    stalled line search.
 
     With W = min(P, usable CPUs) >= 2, problem i is solved in group i mod W:
     the calling thread solves group 0 and W - 1 worker threads the others,
@@ -148,6 +162,54 @@ def _descend(value_and_grad, x, max_iter) -> GdResult:
         stalled[gave_up] = True
         active[gave_up] = False
     return GdResult(x, f, gnorm, iterations, converged, stalled)
+
+
+def minimize_newton(
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    hessian: Callable[[np.ndarray], np.ndarray],
+    x0,
+    *,
+    max_iter: int,
+) -> GdResult:
+    """Minimize one smooth convex objective of ``x`` (m,) by damped Newton steps.
+
+    ``value_and_grad(x)`` returns the value and gradient (m,), ``hessian(x)``
+    the (m, m) Hessian. Each direction solves the Newton system by Cholesky;
+    a Hessian that is not positive definite (singular, when the objective is
+    flat along some direction) takes the least-squares solution instead. The
+    step starts at 1 and backtracks until the Armijo condition holds; the
+    search stalls once the step no longer moves ``x``. The fit stops on a
+    gradient max-norm of _NEWTON_TOL, after ``max_iter`` Newton iterations,
+    or on a stalled line search; the result is a one-problem ``GdResult``.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = value_and_grad(x)
+    gnorm = _max_norms(g[None])[0]
+    iterations, stalled = 0, False
+    while gnorm > _NEWTON_TOL and iterations < max_iter and not stalled:
+        h = hessian(x)
+        try:
+            lower = np.linalg.cholesky(h)
+            d = np.linalg.solve(lower.T, np.linalg.solve(lower, -g))
+        except np.linalg.LinAlgError:
+            d = np.linalg.lstsq(h, -g, rcond=None)[0]
+        slope, step = float(g @ d), 1.0
+        while True:
+            x_new = x + step * d
+            if step < _MIN_STEP or np.array_equal(x_new, x):  # stalled: keep x, count the iteration
+                stalled = True
+                break
+            f_new, g_new = value_and_grad(x_new)
+            gnorm_new = _max_norms(g_new[None])[0]
+            if np.isfinite(f_new) and (f_new <= f + _ARMIJO * step * slope
+                                       or abs(f_new - f) <= _LOSS_ROUNDING * abs(f) and gnorm_new < gnorm):
+                x, f, g, gnorm = x_new, f_new, g_new, gnorm_new
+                break
+            step *= _SHRINK
+        iterations += 1
+    converged = gnorm <= _NEWTON_TOL
+    return GdResult(x[None], np.array([f]), np.array([gnorm]), np.array([iterations]), np.array([converged]),
+                    np.array([stalled]))
 
 
 def problem_blocks(n_problems: int, per_problem: int) -> list[slice]:

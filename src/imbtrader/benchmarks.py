@@ -172,7 +172,7 @@ def fit_benchmark_suite(
 ) -> BenchmarkSuite:
     """Fit the state-transition and linear benchmarks on the training slice; bad inputs fail before any fit.
 
-    ``max_iter`` caps the descents of the two transition fits; the linear bank's LP keeps its own cap.
+    ``max_iter`` caps the Newton iterations of the two transition fits; the linear bank's LP keeps its own cap.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")

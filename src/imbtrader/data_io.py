@@ -26,9 +26,10 @@ import csv
 import logging
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -166,21 +167,29 @@ class FeatureLayout:
                 raise ValueError(f"block {name!r} is [{start}, {end}], need 0 <= start <= end <= {len(self.names)}")
 
 
-def _read_columns(path: Path, header: list[str]) -> list[tuple[str, ...]]:
-    """The data rows of a CSV file with ``header``, as columns.
+# Loaders parse their files in blocks of this many rows, so a file's cell texts
+# are never all alive at once.
+_BLOCK_ROWS = 1024
 
-    This and the readers below check one rule at a time over all rows; the
-    ``DataValidationError`` names the first row that breaks it.
+
+def _read_blocks(path: Path, header: list[str]) -> Iterator[tuple[int, list[tuple[str, ...]]]]:
+    """The data rows of a CSV file with ``header``, in blocks of at most _BLOCK_ROWS rows.
+
+    Each block comes as the index of its first data row and its columns.
+    The readers below check one rule at a time over a block; the
+    ``DataValidationError`` names the first row of the block that breaks it.
     """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         fault = _header_fault(next(reader, None), header)
         if fault:
             raise DataValidationError(f"{path.name}: {fault}")
-        rows = list(reader)
-    widths = np.fromiter(map(len, rows), int, len(rows))
-    _reject_first(widths != len(header), lambda i: f"expected {len(header)} fields, got {widths[i]}")
-    return list(zip(*rows)) or [()] * len(header)
+        start = 0
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            widths = np.fromiter(map(len, rows), int, len(rows))
+            _reject_first(widths != len(header), lambda i: f"expected {len(header)} fields, got {widths[i]}", start)
+            yield start, list(zip(*rows))
+            start += len(rows)
 
 
 def _header_fault(found: list[str] | None, header: list[str]) -> str | None:
@@ -196,35 +205,37 @@ def _header_fault(found: list[str] | None, header: list[str]) -> str | None:
             return f"header column {column} is {got!r}, expected {want!r}"
 
 
-def _reject_first(bad: np.ndarray, message) -> None:
+def _reject_first(bad: np.ndarray, message, start: int) -> None:
+    """Raise naming the first ``bad`` row of a block whose first data row is ``start``."""
     hits = np.flatnonzero(bad)
     if hits.size:
-        raise DataValidationError(f"row {hits[0] + 2}: {message(hits[0])}")
+        raise DataValidationError(f"row {start + hits[0] + 2}: {message(hits[0])}")
 
 
-def _read_timestamps(texts: tuple[str, ...]) -> list[datetime]:
-    """Each text as a UTC timestamp; a text that repeats is parsed once."""
-    parsed = {}
+def _read_timestamps(texts: tuple[str, ...], start: int, parsed: dict[str, datetime]) -> list[datetime]:
+    """Each text of a block as a UTC timestamp; a text already in ``parsed`` is not parsed again."""
     for text in dict.fromkeys(texts):
-        try:
-            parsed[text] = timestamp(text)
-        except ValueError as exc:
-            raise DataValidationError(f"row {texts.index(text) + 2}: bad timestamp {text!r}: {exc}") from None
+        if text not in parsed:
+            try:
+                parsed[text] = timestamp(text)
+            except ValueError as exc:
+                row = start + texts.index(text) + 2
+                raise DataValidationError(f"row {row}: bad timestamp {text!r}: {exc}") from None
     return list(map(parsed.get, texts))
 
 
-def _read_numbers(columns: list[tuple[str, ...]]) -> np.ndarray:
-    """The columns as a (rows, columns) array of finite numbers."""
+def _read_numbers(columns: list[tuple[str, ...]], start: int) -> np.ndarray:
+    """The columns of a block as a (rows, columns) array of finite numbers."""
     try:
         flat = np.fromiter(map(float, chain.from_iterable(columns)), float, len(columns) * len(columns[0]))
     except ValueError:  # name the first row with a cell that is not a number
-        for row, cells in enumerate(zip(*columns), start=2):
+        for row, cells in enumerate(zip(*columns), start=start + 2):
             try:
                 list(map(float, cells))
             except ValueError as exc:
                 raise DataValidationError(f"row {row}: unparseable number: {exc}") from None
     values = np.ascontiguousarray(flat.reshape(len(columns), -1).T)
-    _reject_first(~np.isfinite(values).all(axis=1), lambda i: "non-finite value")
+    _reject_first(~np.isfinite(values).all(axis=1), lambda i: "non-finite value", start)
     return values
 
 
@@ -252,11 +263,13 @@ def load_market_csv(path, grid: ReserveGrid) -> MarketRecords:
     differs from the grid's, or the offending row number on unparseable
     numbers, misaligned timestamps, duplicates, or quarter-hour gaps.
     """
-    columns = _read_columns(Path(path), BASE_COLUMNS + grid.column_labels())
-    timestamps = _read_timestamps(columns[0])
-    values = _read_numbers(columns[1:])
+    header = BASE_COLUMNS + grid.column_labels()
+    timestamps, values, parsed = [], [np.empty((0, len(header) - 1))], {}  # an empty file keeps its width
+    for start, columns in _read_blocks(Path(path), header):
+        timestamps += _read_timestamps(columns[0], start, parsed)
+        values.append(_read_numbers(columns[1:], start))
     _validate_cadence(timestamps)
-    return MarketRecords(timestamps, values)
+    return MarketRecords(timestamps, np.concatenate(values))
 
 
 def write_market_csv(path, records: MarketRecords, grid: ReserveGrid) -> None:
@@ -276,14 +289,18 @@ def load_order_books(path) -> OrderBooks:
     number, a non-finite value, and a level that breaks a ladder rule
     (``strategy.ladder_fault``) raise ``DataValidationError`` naming the row.
     """
-    columns = _read_columns(Path(path), BOOK_COLUMNS)
-    stamps = _read_timestamps(columns[0])
-    sides = np.array(columns[1], dtype=str)
-    _reject_first((sides != "ask") & (sides != "bid"), lambda i: f"side must be ask or bid, got {columns[1][i]!r}")
-    values = _read_numbers(columns[2:])
-    timestamps = sorted(set(stamps))
+    stamps, bids, values, parsed = [], [np.empty(0, bool)], [np.empty((0, 2))], {}
+    for start, columns in _read_blocks(Path(path), BOOK_COLUMNS):
+        stamps += _read_timestamps(columns[0], start, parsed)
+        sides = np.array(columns[1], dtype=str)
+        _reject_first((sides != "ask") & (sides != "bid"),
+                      lambda i: f"side must be ask or bid, got {columns[1][i]!r}", start)
+        bids.append(sides == "bid")
+        values.append(_read_numbers(columns[2:], start))
+    values = np.concatenate(values)
+    timestamps = sorted(set(parsed.values()))
     index = {ts: i for i, ts in enumerate(timestamps)}
-    ladders = 2 * np.fromiter(map(index.get, stamps), int, len(stamps)) + (sides == "bid")  # 2 * book + side
+    ladders = 2 * np.fromiter(map(index.get, stamps), int, len(stamps)) + np.concatenate(bids)  # 2 * book + side
     order = np.argsort(ladders, kind="stable")  # the rows of each ladder, in file order
     ladders = ladders[order]
     levels = np.arange(ladders.size) - np.searchsorted(ladders, ladders)

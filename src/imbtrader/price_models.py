@@ -4,7 +4,8 @@ The mixture weight is a logistic regression on exogenous features (plus an
 optional position feature); each regulation-price distribution comes from a
 bank of softmax models that allocate probability over a fixed ladder of
 reserve volumes and price that allocation with the known ladder prices.
-All fitting is deterministic full-batch gradient descent.
+All fitting is deterministic and full-batch: the logistic models by
+Newton's method, the banks by gradient descent.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import log_unfinished, minimize_gd, problem_blocks
+from ._optim import log_unfinished, minimize_gd, minimize_newton, problem_blocks
 from .dists import DiscretePriceDistribution
 from .market_impact import Regime, is_surplus
 
@@ -170,6 +171,24 @@ def logistic_loss_and_grad(params: np.ndarray, x: np.ndarray, y: np.ndarray, l2:
     return val, grad
 
 
+def _logistic_hessian(params: np.ndarray, x: np.ndarray, l2: float) -> np.ndarray:
+    """Hessian of ``logistic_loss_and_grad`` in the bias and the weights: X'WX / n plus the penalty's 2 * l2.
+
+    X is x with a leading column of ones and W holds p (1 - p) per row,
+    taken as exp(-|z|) / (1 + exp(-|z|))^2 so that it stays positive where
+    p rounds to 0 or 1.
+    """
+    z = x @ params[1:] + params[0]
+    e = np.exp(-np.abs(z))
+    v = e / (1.0 + e) ** 2 / z.size
+    h = np.empty((params.size, params.size))
+    h[0, 0] = v.sum()
+    h[0, 1:] = h[1:, 0] = v @ x
+    h[1:, 1:] = x.T @ (x * v[:, None])
+    h[range(1, params.size), range(1, params.size)] += 2.0 * l2
+    return h
+
+
 def fit_logistic(
     x,
     y,
@@ -178,7 +197,13 @@ def fit_logistic(
     max_iter: int = 5000,
     position_weight_index: int | None = None,
 ) -> LogisticModel:
-    """Maximum-likelihood logistic fit by gradient descent with line search; ``l2`` must be finite and >= 0."""
+    """Penalized maximum-likelihood logistic fit by Newton's method; ``l2`` must be finite and >= 0.
+
+    Minimizes ``logistic_loss_and_grad`` on the standardized features by
+    ``_optim.minimize_newton``, from all-zero parameters, until the
+    gradient max-norm is at most 1e-10; ``max_iter`` caps the Newton
+    iterations. A fit that hits the cap or stalls logs one warning.
+    """
     if not 0.0 <= l2 < math.inf:  # NaN fails too
         raise ValueError(f"l2 must be finite and at least 0, got {l2}")
     x = np.asarray(x, dtype=float)
@@ -196,13 +221,10 @@ def fit_logistic(
     scaler = FeatureScaler.fit(x) if x.shape[1] > 0 else None
     xs = scaler.transform(x) if scaler is not None else x
 
-    def objective(params, _):
-        val, grad = logistic_loss_and_grad(params[0], xs, y, l2)
-        return np.array([val]), grad[None]
-
-    result = minimize_gd(
-        objective,
-        np.zeros((1, x.shape[1] + 1)),
+    result = minimize_newton(
+        lambda params: logistic_loss_and_grad(params, xs, y, l2),
+        lambda params: _logistic_hessian(params, xs, l2),
+        np.zeros(x.shape[1] + 1),
         max_iter=max_iter,
     )
     log_unfinished(logger, f"logistic fit ({y.size} rows x {x.shape[1]} features)", result, max_iter,

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from imbtrader import data_io
 from imbtrader.data_io import (
     BASE_COLUMNS,
     FEATURE_BLOCKS,
@@ -66,6 +67,47 @@ class TestCsvRoundTrip:
         assert loaded_books.timestamps == books.timestamps
         for name in ("prices", "volumes", "counts"):
             assert bits(getattr(loaded_books, name)) == bits(getattr(books, name))
+
+    def test_blocks_of_rows_load_the_same_bits(self, tmp_path, monkeypatch):
+        # 7-row blocks split both files, and the books' ladders, across many blocks
+        monkeypatch.setattr(data_io, "_BLOCK_ROWS", 7)
+        cfg = small_cfg(n_periods=30, price_noise_std=6.0, price_gap_std=10.0)
+        records, books, _ = generate_synthetic_market(cfg)
+        write_market_csv(tmp_path / "market.csv", records, cfg.grid)
+        write_order_books(tmp_path / "books.csv", books)
+        loaded = load_market_csv(tmp_path / "market.csv", cfg.grid)
+        assert loaded.timestamps == records.timestamps
+        assert bits(loaded.values) == bits(records.values)
+        loaded_books = load_order_books(tmp_path / "books.csv")
+        assert loaded_books.timestamps == books.timestamps
+        for name in ("prices", "volumes", "counts"):
+            assert bits(getattr(loaded_books, name)) == bits(getattr(books, name))
+
+    @pytest.mark.parametrize("file, field, value, message", [
+        ("market.csv", 0, "noon", "bad timestamp 'noon'"),
+        ("market.csv", 3, "x", "unparseable number"),
+        ("market.csv", 3, "inf", "non-finite value"),
+        ("books.csv", 0, "noon", "bad timestamp 'noon'"),
+        ("books.csv", 1, "offer", "side must be ask or bid, got 'offer'"),
+        ("books.csv", 2, "x", "unparseable number"),
+        ("books.csv", 3, "nan", "non-finite value"),
+        ("books.csv", 4, "1.0", "expected 4 fields, got 5"),
+    ], ids=["market-timestamp", "market-number", "market-non-finite", "books-timestamp", "books-side",
+            "books-number", "books-non-finite", "books-width"])
+    def test_fault_in_a_later_block_names_its_row(self, tmp_path, monkeypatch, file, field, value, message):
+        monkeypatch.setattr(data_io, "_BLOCK_ROWS", 7)
+        cfg = small_cfg(n_periods=30)
+        records, books, _ = generate_synthetic_market(cfg)
+        write_market_csv(tmp_path / "market.csv", records, cfg.grid)
+        write_order_books(tmp_path / "books.csv", books)
+        path = tmp_path / file
+        lines = path.read_text().splitlines()
+        cells = lines[17].split(",")  # row 18: the fourth row of the third block
+        cells[field:field + 1] = [value]  # past the last field: one extra field
+        lines[17] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError, match=f"^row 18: {re.escape(message)}"):
+            load_dataset(tmp_path, cfg.grid)
 
     def test_fixture_day_rewrites_byte_for_byte(self, tmp_path):
         grid = SyntheticConfig().grid

@@ -5,6 +5,7 @@ used before its fits were batched; the batched code must reproduce them bit
 for bit, whether a batch is solved on one thread or split across several.
 The batched descent fits are the softmax banks and the descent fit of the
 linear bank, which the tests keep as the reference for its LP fit.
+Newton's method runs on small problems whose outcome is known.
 """
 import logging
 import sys
@@ -15,7 +16,7 @@ import pytest
 
 from linear_bank_oracle import descent_linear_quantile_bank, linear_pinball_loss_and_grad_rows
 from imbtrader import _optim
-from imbtrader._optim import GdResult, _row_dots, log_unfinished, minimize_gd, problem_blocks
+from imbtrader._optim import GdResult, _row_dots, log_unfinished, minimize_gd, minimize_newton, problem_blocks
 from imbtrader.benchmarks import fit_linear_quantile_bank
 from imbtrader.data_io import SyntheticConfig, synthetic_ticks
 from imbtrader.market_impact import Regime
@@ -275,6 +276,41 @@ class TestBankBitIdentity:
         for i, tau in enumerate(taus):
             val, grad = oracle_linear_pinball_loss_and_grad(params[i], x, y, tau)
             assert vals[i] == val and np.array_equal(grads[i], grad)
+
+
+class TestNewton:
+    def test_quadratic_solved_in_one_step(self):
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+        result = minimize_newton(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), lambda x: a, np.zeros(2), max_iter=5)
+        assert result.iterations.tolist() == [1] and result.converged.tolist() == [True]
+        assert np.allclose(result.x[0], np.linalg.solve(a, b), rtol=0, atol=1e-15)
+
+    def test_step_below_the_loss_rounding_is_taken_when_the_gradient_falls(self):
+        # the loss rounds one unit up at the optimum, so the Armijo test fails there; the step still lowers the
+        # gradient max-norm, so it is taken (halving steps would need four iterations)
+        def value_and_grad(x):
+            return 1.0 + 0.5 * x @ x + (0.0 if x.any() else np.finfo(float).eps), x.copy()
+
+        result = minimize_newton(value_and_grad, lambda x: np.eye(2), np.array([1e-9, 0.0]), max_iter=10)
+        assert result.iterations.tolist() == [1] and result.converged.tolist() == [True]
+
+    def test_singular_hessian_takes_the_least_squares_direction(self):
+        # unpenalized, with a constant column and a copy of another: the Hessian is singular
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(200, 3))
+        y = (x[:, 0] + rng.logistic(size=200) > 0).astype(float)
+        wide = fit_logistic(np.hstack([x, np.ones((200, 1)), x[:, :1]]), y, l2=0.0)
+        narrow = fit_logistic(x, y, l2=0.0)
+        assert wide.weights[3] == 0.0
+        assert np.allclose(wide.weights[[0, 4]], narrow.weights[0] / 2, rtol=1e-9, atol=0)
+        assert np.allclose(wide.weights[1:3], narrow.weights[1:], rtol=1e-9, atol=0)
+
+    def test_line_search_stalls_where_the_loss_is_not_finite(self):
+        result = minimize_newton(lambda x: (float(x @ x) if x[0] == 1.0 else np.nan, 2 * x), lambda x: 2 * np.eye(1),
+                                 np.array([1.0]), max_iter=10)
+        assert result.iterations.tolist() == [1] and result.stalled.tolist() == [True]
+        assert result.x.tolist() == [[1.0]] and result.converged.tolist() == [False]
 
 
 class TestFitLogging:

@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import math
 import re
 from dataclasses import replace
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from imbtrader import backtest, pipeline
 from imbtrader.backtest import SimConfig, beta_sweep, run_backtest
 from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
-from imbtrader.data_io import reference_layout
+from imbtrader.data_io import SyntheticConfig, reference_layout, synthetic_ticks
 from imbtrader.dists import MixtureForecast, flatten
 from imbtrader.pipeline import (
     LeakageError, PositionForecast, TrainedModels, _reader, _to_json, attach_z, forecast_rows, make_forecaster,
@@ -107,6 +108,16 @@ class TestTrainModels:
         cfg, _, _ = small_market
         with pytest.raises(ValueError):
             train_models([], grid=cfg.grid)
+
+    def test_every_logistic_fit_converges_on_a_four_day_window(self, caplog):
+        # perfbench retrain's sizes and caps: 384 training rows, n_q = 100, the example config's iteration caps;
+        # the two transition fits, about 170 rows x 103 features each, are the hardest to converge
+        cfg = SyntheticConfig(seed=1, n_periods=96 * 5, price_noise_std=8.0, price_gap_std=5.0)
+        ticks, _ = synthetic_ticks(cfg)
+        with caplog.at_level(logging.WARNING):
+            models = train_models(ticks[:384], grid=cfg.grid, n_q=100, logistic_max_iter=2000, bank_max_iter=400)
+            fit_benchmark_suite(ticks[:384], models, max_iter=400)
+        assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("logistic fit")] == []
 
 
 class TestForecaster:

@@ -5,7 +5,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from logistic_oracle import descent_logistic, training_loss_and_grad
 
+from imbtrader import _optim
 from imbtrader.data_io import FeatureLayout, MarketTick
 from imbtrader.market_impact import ImpactParams, Regime
 from imbtrader.pipeline import TrainedModels, _reader, _to_json, make_forecaster
@@ -91,9 +93,7 @@ class TestSigmoidPredict:
 class TestFitLogistic:
     def test_separable_data_fits_tightly(self):
         # sign-separable with a margin, so finite iterations reach high confidence
-        rng = np.random.default_rng(1)
-        x = (np.sign(rng.normal(size=200)) * (0.25 + np.abs(rng.normal(size=200))))[:, None]
-        y = (x[:, 0] > 0).astype(float)
+        x, y = separable_data()
         model = fit_logistic(x, y, l2=1e-10)
         p = model.predict(x)
         assert np.all(np.where(y == 1, p, 1 - p) >= 0.95)
@@ -126,6 +126,38 @@ class TestFitLogistic:
         y = (rng.random(2000) < 0.31).astype(float)
         model = fit_logistic(np.zeros((2000, 0)), y)
         assert model.predict(np.zeros((1, 0)))[0] == pytest.approx(y.mean(), abs=0.01)
+
+
+def separable_data():
+    """``test_separable_data_fits_tightly``'s sign-separable data."""
+    rng = np.random.default_rng(1)
+    x = (np.sign(rng.normal(size=200)) * (0.25 + np.abs(rng.normal(size=200))))[:, None]
+    return x, (x[:, 0] > 0).astype(float)
+
+
+def random_data():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(300, 8)) * rng.uniform(0.1, 10.0, size=8) + rng.normal(size=8)
+    y = (x @ rng.normal(size=8) * 0.1 + rng.logistic(size=300) > 0).astype(float)
+    return x, y
+
+
+def intercept_only_data():
+    rng = np.random.default_rng(3)
+    return np.zeros((2000, 0)), (rng.random(2000) < 0.31).astype(float)
+
+
+class TestNewtonAgainstDescent:
+    """The Newton fit against the descent it replaced, on the same data and penalty."""
+
+    @pytest.mark.parametrize("data, l2", [(random_data, 1e-4), (separable_data, 1e-10), (intercept_only_data, 1e-4)],
+                             ids=["random", "separable", "intercept_only"])
+    def test_loss_no_higher_and_gradient_within_tolerance(self, data, l2):
+        x, y = data()
+        newton_loss, grad = training_loss_and_grad(fit_logistic(x, y, l2=l2), x, y, l2)
+        oracle_loss, _ = training_loss_and_grad(descent_logistic(x, y, l2=l2), x, y, l2)
+        assert newton_loss <= oracle_loss
+        assert np.abs(grad).max() <= _optim._NEWTON_TOL
 
 
 class TestGradients:
