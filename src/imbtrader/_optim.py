@@ -8,10 +8,11 @@ point and BLAS thread count.
 Gradient descent (``minimize_gd``) uses a backtracking line search. One
 call solves a batch of independent problems: each keeps its own step size,
 iteration count and stopping state, and every round evaluates all problems
-still running in one objective call. A batch is split across the CPUs the
-process may use; since no problem reads another's state, every result is
-the same bit for bit whatever the number of threads. The softmax banks fit
-this way.
+still running in one objective call, which is given each trial's Armijo
+bound; only accepted trials' gradients are read, so the banks compute no
+others. A batch is split across the CPUs the process may use; since no
+problem reads another's state, every result is the same bit for bit
+whatever the number of threads. The softmax banks fit this way.
 
 Newton's method (``minimize_newton``) takes exact Newton steps, each
 solved by a Cholesky factorization of the Hessian, with an Armijo
@@ -36,9 +37,9 @@ __all__ = ["GdResult", "minimize_gd", "minimize_newton", "problem_blocks", "log_
            "fit_quantile_lp"]
 
 # Stacked objectives evaluate their problems in blocks whose largest
-# temporary holds at most this many float64 elements (256 KiB), so the
+# temporary holds at most this many float64 elements (384 KiB), so the
 # temporaries of a batch stay this small however many problems it holds.
-_BLOCK_ELEMENTS = 1 << 15
+_BLOCK_ELEMENTS = 3 << 14
 
 # Gradient max-norm that counts as converged, and the line search: first step,
 # Armijo sufficient-decrease factor, backtracking and growth factors, and the
@@ -82,17 +83,20 @@ def _usable_cpus() -> int:
 
 
 def minimize_gd(
-    value_and_grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    value_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray]],
     x0,
     *,
     max_iter: int = 1000,
 ) -> GdResult:
     """Minimize P independent differentiable objectives by steepest descent.
 
-    ``x0`` is (P, m). ``value_and_grad(x, idx)`` takes the points (R, m) of
-    the problems ``idx`` (R,) and returns their values (R,) and gradients
-    (R, m). Each problem's step size backtracks until the Armijo
-    sufficient-decrease condition holds and is grown geometrically after
+    ``x0`` is (P, m). ``value_and_grad(x, idx, bound)`` takes the points
+    (R, m) of the problems ``idx`` (R,) and returns their values (R,) and
+    gradients (R, m). ``bound`` is None at ``x0``; at a trial point it holds
+    each trial's Armijo bound (R,), and a trial is accepted when its value
+    is finite and at most its bound. Only the gradients of accepted trials
+    are read, so the others may be NaN. Each problem's step size backtracks
+    until the Armijo condition holds and is grown geometrically after
     each accepted step, which lets the iterates cover the exponentially
     growing parameter scales that near-one-hot softmax fits produce. A
     problem stops on the max-norm of its gradient, the iteration cap, or a
@@ -110,7 +114,7 @@ def minimize_gd(
     groups = [np.arange(i, n_problems, n_groups) for i in range(n_groups)]
 
     def solve(group: np.ndarray) -> GdResult:
-        return _descend(lambda p, idx: value_and_grad(p, group[idx]), x[group], max_iter)
+        return _descend(lambda p, idx, bound: value_and_grad(p, group[idx], bound), x[group], max_iter)
 
     with ThreadPoolExecutor(n_groups - 1) as pool:
         workers = [pool.submit(solve, group) for group in groups[1:]]
@@ -127,7 +131,7 @@ def minimize_gd(
 def _descend(value_and_grad, x, max_iter) -> GdResult:
     """Solve the batch ``x`` (P, m) on the current thread, updating ``x`` in place."""
     n_problems = x.shape[0]
-    f, g = value_and_grad(x, np.arange(n_problems))
+    f, g = value_and_grad(x, np.arange(n_problems), None)
     f, g = np.array(f, dtype=float), np.array(g, dtype=float)
     gnorm = _max_norms(g)
     iterations = np.zeros(n_problems, dtype=int)
@@ -144,8 +148,9 @@ def _descend(value_and_grad, x, max_iter) -> GdResult:
     begin(np.flatnonzero(active))
     while (running := np.flatnonzero(active)).size:
         x_new = x[running] - step[running, None] * g[running]
-        f_new, g_new = value_and_grad(x_new, running)
-        ok = np.isfinite(f_new) & (f_new <= f[running] - _ARMIJO * step[running] * gsq[running])
+        bound = f[running] - _ARMIJO * step[running] * gsq[running]
+        f_new, g_new = value_and_grad(x_new, running, bound)
+        ok = np.isfinite(f_new) & (f_new <= bound)
         moved = running[ok]
         x[moved], f[moved], g[moved] = x_new[ok], f_new[ok], g_new[ok]
         iterations[moved] += 1
@@ -393,8 +398,10 @@ def fit_quantile_lp(x, y, taus, *, max_iter: int) -> LpResult:
     r = c - design.dot(*least_squares)[0]
     z = np.maximum(r, 0.0) + _START_SLACK * y_scale
     start = (np.hstack(least_squares)[0], z, z - r)
+    # Blocks of 8192 // n levels (6n floats a level): a block's levels share BLAS products, so the
+    # fit's last bits depend on this partition.
     parts = [_interior_point(design, c, taus[blk], start, y_scale, max_iter)
-             for blk in problem_blocks(taus.size, 4 * n)]  # a level's iterate (a, s, z, w) is 4n floats
+             for blk in problem_blocks(taus.size, 6 * n)]
     beta, gap, iterations, converged, stalled = (np.concatenate(p) for p in zip(*parts))
     k = design.indicators.size
     dense = beta[:, k:] / design.scale

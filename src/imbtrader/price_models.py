@@ -326,34 +326,90 @@ def quantile_loss_and_grad(
     return float(val[0]), grad[0]
 
 
-def quantile_loss_and_grad_rows(params, z, o, y, taus, n_outputs: int):
+def _ladder_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the ladder axis of ``a`` (B, k, n), with the bits of the sum over
+    the last axis of its row-major (B, n, k) layout; returns ``out[:, 0]``.
+
+    ``out`` (B, k, n) is scratch and may be ``a`` itself. numpy sums a
+    contiguous axis pairwise and adds the result to +0.0: up to 7 terms in
+    order; up to 128, 8 running partials over the columns j, j + 8, ...,
+    added as a fixed tree, then the rest in order; past 128, two halves, the
+    first a multiple of 8 long. Adding +0.0 only turns a -0.0 sum into +0.0.
+    """
+    k = a.shape[1]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        total = _ladder_sum(a[:, :half], out[:, :half])
+        return np.add(total, _ladder_sum(a[:, half:], out[:, half:]), out=total)
+    if k < 8:
+        total = np.add(a[:, 0], 0.0, out=out[:, 0])
+        for j in range(1, k):
+            total += a[:, j]
+        return total
+    head = k - k % 8
+    r = a[:, :8]
+    for i in range(8, head, 8):
+        r = np.add(r, a[:, i : i + 8], out=out[:, :8])
+    pairs = np.add(r[:, 0::2], r[:, 1::2], out=out[:, 0:8:2])
+    quads = np.add(pairs[:, 0::2], pairs[:, 1::2], out=pairs[:, 0::2])
+    total = np.add(quads[:, 0], quads[:, 1], out=quads[:, 0])
+    for j in range(head, k):
+        total += a[:, j]
+    total += 0.0
+    return total
+
+
+def quantile_loss_and_grad_rows(params, z, o, y, taus, n_outputs: int, bound=None):
     """``quantile_loss_and_grad`` for a stack of parameter rows, one level each.
 
     ``params`` is (P, n_outputs * (n_features + 1)) and ``taus`` (P,); returns
-    the losses (P,) and gradients (P, m). Problems are evaluated in blocks of
-    bounded size, and every row gets the bits of its own one-row call.
+    the losses (P,) and gradients (P, m). With ``bound`` (P,), only the rows
+    whose loss is finite and at most their bound get gradients; the other
+    gradient rows are NaN. Problems are evaluated in blocks of bounded size,
+    and every row gets the bits of its own one-row call: the softmax runs
+    ladder-major, (B, k, n), and sums the ladder in numpy's pairwise order,
+    while the logits and the gradient's products take the row-major
+    (B, n, k) layout, as a one-row call does.
     """
     n, d = z.shape
-    kd = n_outputs * d
+    k = n_outputs
+    kd = k * d
     taus = np.asarray(taus, dtype=float)
     vals = np.empty(params.shape[0])
-    grads = np.empty(params.shape)
-    for blk in problem_blocks(params.shape[0], n * n_outputs):
-        w_mat = params[blk, :kd].reshape(-1, n_outputs, d)
+    grads = np.full(params.shape, np.nan)
+    blocks = problem_blocks(params.shape[0], n * k)
+    size = min(blocks[0].stop, params.shape[0]) if blocks else 0
+    o_t = np.ascontiguousarray(o.T)
+    # A block's two (B, k, n) temporaries: the softmax, ladder-major; and the row-major logits, then
+    # the ladder sums' scratch, then d loss / d logits, row-major again.
+    soft, work = np.empty((2, size, k * n))
+    for blk in blocks:
+        rows = np.arange(params.shape[0])[blk]
+        b = rows.size
         # Stacked matmuls give each slice the bits of its own 2-D product; einsum does not.
-        weights = np.matmul(z, w_mat.transpose(0, 2, 1))
-        weights += params[blk, None, kd:]
-        _softmax_rows_inplace(weights)
-        scratch = np.multiply(weights, o)
-        yhat = scratch.sum(axis=2)
+        logits = np.matmul(z, params[blk, :kd].reshape(-1, k, d).transpose(0, 2, 1), out=work[:b].reshape(b, n, k))
+        w = np.add(logits.transpose(0, 2, 1), params[blk, kd:, None], out=soft[:b].reshape(b, k, n))
+        np.subtract(w, w.max(axis=1, keepdims=True), out=w)
+        np.exp(w, out=w)
+        scratch = work[:b].reshape(b, k, n)
+        w /= _ladder_sum(w, scratch)[:, None]
+        yhat = _ladder_sum(np.multiply(w, o_t, out=scratch), scratch)
         e = y - yhat
         coef = np.where(e >= 0.0, taus[blk, None], taus[blk, None] - 1.0)
         vals[blk] = np.mean(coef * e, axis=1)
-        np.subtract(o, yhat[:, :, None], out=scratch)
-        weights *= (-coef / n)[:, :, None]
-        weights *= scratch  # d loss / d logits
-        grads[blk, :kd] = np.matmul(weights.transpose(0, 2, 1), z).reshape(-1, kd)
-        grads[blk, kd:] = weights.sum(axis=1)
+        if bound is None:
+            picked = np.arange(b)
+        else:
+            picked = np.flatnonzero(np.isfinite(vals[blk]) & (vals[blk] <= bound[blk]))
+        m, yhat = picked.size, yhat[picked]
+        # The picked rows' d loss / d logits: ladder-major in ``soft``, then row-major in ``work``.
+        dl = np.take(w, picked, axis=0, out=scratch[:m], mode="clip")
+        dl *= (-coef[picked] / n)[:, None]
+        dl = np.multiply(dl, np.subtract(o_t, yhat[:, None], out=w[:m]), out=w[:m])
+        g = work[:m].reshape(m, n, k)
+        np.copyto(g, dl.transpose(0, 2, 1))
+        grads[rows[picked], :kd] = np.matmul(g.transpose(0, 2, 1), z).reshape(-1, kd)
+        grads[rows[picked], kd:] = g.sum(axis=1)
     return vals, grads
 
 
@@ -430,8 +486,12 @@ def fit_quantile_bank(
         z = z[:, None]  # single-feature input as a column
     o = np.asarray(o, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    if z.shape[0] != y.size or o.shape != (y.size, o.shape[1]):
+    if o.ndim != 2:
+        raise ValueError(f"ladder prices o must be 2-D (rows x ladder columns), got shape {o.shape}")
+    if z.shape[0] != y.size or o.shape[0] != y.size:
         raise ValueError("inconsistent training shapes")
+    if o.shape[1] == 0:
+        raise ValueError("ladder prices o have no ladder columns")
     if y.size == 0:
         raise ValueError(f"no training rows for regime {regime.value}")
     for name, values in (("z", z), ("o", o), ("y", y)):
@@ -447,7 +507,7 @@ def fit_quantile_bank(
     x0 = np.zeros((n_q, n_out * d + n_out))
     x0[np.arange(n_q), n_out * d + _ladder_level_losses(y[:, None] - o, taus).argmin(axis=1)] = 2.0
     result = minimize_gd(
-        lambda p, idx: quantile_loss_and_grad_rows(p, zs, o, y, taus[idx], n_out),
+        lambda p, idx, bound: quantile_loss_and_grad_rows(p, zs, o, y, taus[idx], n_out, bound),
         x0,
         max_iter=max_iter,
     )

@@ -50,7 +50,7 @@ def descent_linear_quantile_bank(x, y, *, n_q: int, max_iter: int = 400) -> Line
     x0 = np.zeros((n_q, x.shape[1] + 1))
     x0[:, -1] = np.quantile(y, taus)  # start at the unconditional quantile
     result = minimize_gd(
-        lambda p, idx: linear_pinball_loss_and_grad_rows(p, xs, y, taus[idx]),
+        lambda p, idx, bound: linear_pinball_loss_and_grad_rows(p, xs, y, taus[idx]),
         x0,
         max_iter=max_iter,
     )

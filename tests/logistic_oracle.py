@@ -18,7 +18,7 @@ def descent_logistic(x, y, *, l2: float = 1e-4, max_iter: int = 5000) -> Logisti
     scaler = FeatureScaler.fit(x) if x.shape[1] > 0 else None
     xs = scaler.transform(x) if scaler is not None else x
 
-    def objective(params, _):
+    def objective(params, _, bound):
         val, grad = logistic_loss_and_grad(params[0], xs, y, l2)
         return np.array([val]), grad[None]
 

@@ -117,12 +117,19 @@ def oracle_fit_linear_quantile_bank(x, y, *, n_q, grad_tol=1e-6, max_iter=400):
     return weights, biases
 
 
-def batched(problems):
-    """A batched objective from one-problem ``(x) -> (f, g)`` callables."""
+def batched(problems, *, nan_rejected=False):
+    """A batched objective from one-problem ``(x) -> (f, g)`` callables.
 
-    def value_and_grad(x, idx):
+    With ``nan_rejected``, a row whose value is not finite or above its bound
+    gets a NaN gradient, as the bank objective gives it.
+    """
+
+    def value_and_grad(x, idx, bound):
         pairs = [problems[i](row) for i, row in zip(idx, x)]
-        return np.array([f for f, _ in pairs]), np.array([g for _, g in pairs])
+        f, g = np.array([f for f, _ in pairs]), np.array([g for _, g in pairs])
+        if nan_rejected and bound is not None:
+            g[~(np.isfinite(f) & (f <= bound))] = np.nan
+        return f, g
 
     return value_and_grad
 
@@ -187,6 +194,13 @@ class TestMinimizeGd:
         assert result.iterations[5] == 60 and not result.converged[5]
         assert result.stalled.tolist() == [False, False, False, True, True, False]
 
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_nan_gradients_of_rejected_trials_are_never_read(self, cpus, n_cpus):
+        cpus(n_cpus)
+        result = minimize_gd(batched(MIXED, nan_rejected=True), MIXED_X0, max_iter=60)
+        for i, (fn, x0) in enumerate(zip(MIXED, MIXED_X0)):
+            assert_same(result, i, oracle_minimize_gd(fn, x0, max_iter=60))
+
     def test_row_dots_are_one_dimensional_dot_products(self):
         g = np.random.default_rng(4).normal(size=(40, 119)) * 10.0 ** np.arange(-20, 20)[:, None]
         assert np.array_equal(_row_dots(g), [row @ row for row in g])
@@ -206,11 +220,11 @@ class TestMinimizeGd:
         assert len(problem_blocks(n_q, n * k)) > 1
         x0 = rng.normal(0.0, 0.5, size=(n_q, k * d + k))
         result = minimize_gd(
-            lambda p, idx: quantile_loss_and_grad_rows(p, z, o, y, taus[idx], k), x0, max_iter=40
+            lambda p, idx, bound: quantile_loss_and_grad_rows(p, z, o, y, taus[idx], k, bound), x0, max_iter=40
         )
         for i, tau in enumerate(taus):
             alone = minimize_gd(
-                lambda p, _: quantile_loss_and_grad_rows(p, z, o, y, taus[i : i + 1], k),
+                lambda p, _, bound: quantile_loss_and_grad_rows(p, z, o, y, taus[i : i + 1], k, bound),
                 x0[i : i + 1], max_iter=40,
             )
             oracle = oracle_minimize_gd(
@@ -236,6 +250,39 @@ def market_data(n_periods, d):
     mip = [t for t in ticks if t.s < 0.0]
     z = np.random.default_rng(d).uniform(0.0, 1.0, size=(len(mip), d))
     return z, np.stack([t.o for t in mip]), np.array([t.p_mip for t in mip])
+
+
+def kernel_data(seed, n, k, d, n_rows):
+    """Bank inputs (n, d), ladder (n, k), targets and parameter rows, with the rows' levels."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, d))
+    o = np.sort(rng.normal(50.0, 20.0, size=(n, k)), axis=1)
+    y = o[np.arange(n), rng.integers(0, k, n)] + rng.normal(0.0, 5.0, n)
+    return z, o, y, rng.normal(0.0, 3.0, size=(n_rows, k * d + k)), quantile_levels(n_rows)
+
+
+class TestBankKernel:
+    """The stacked bank objective, whose ladder sums follow numpy's pairwise order, against one-row calls."""
+
+    @pytest.mark.parametrize("k", [3, 8, 11, 16, 17, 130])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [7, 1500])
+    def test_rows_match_the_oracle_bit_for_bit(self, k, d, n):
+        z, o, y, params, taus = kernel_data(k + 10 * d + n, n, k, d, 5)
+        vals, grads = quantile_loss_and_grad_rows(params, z, o, y, taus, k)
+        for i, tau in enumerate(taus):
+            val, grad = oracle_quantile_loss_and_grad(params[i], z, o, y, tau, k)
+            assert vals[i] == val and np.array_equal(grads[i], grad)
+
+    def test_rows_above_their_bound_get_values_and_nan_gradients(self):
+        z, o, y, params, taus = kernel_data(3, 300, 11, 2, 9)
+        vals, grads = quantile_loss_and_grad_rows(params, z, o, y, taus, 11)
+        above = np.arange(9) % 3 == 1
+        bound = np.where(above, np.nextafter(vals, -np.inf), vals)  # the other rows sit on their bound
+        got_vals, got_grads = quantile_loss_and_grad_rows(params, z, o, y, taus, 11, bound)
+        assert np.array_equal(got_vals, vals)
+        assert np.array_equal(got_grads[~above], grads[~above])
+        assert np.isnan(got_grads[above]).all()
 
 
 class TestBankBitIdentity:
@@ -395,9 +442,9 @@ class TestSplitBatch:
         cpus(2)
         calls = []
 
-        def value_and_grad(x, idx):
+        def value_and_grad(x, idx, bound):
             calls.append((threading.get_ident(), tuple(idx.tolist())))
-            return batched(ODD)(x, idx)
+            return batched(ODD)(x, idx, bound)
 
         minimize_gd(value_and_grad, ODD_X0, max_iter=60)
         groups = {}
@@ -410,11 +457,11 @@ class TestSplitBatch:
         cpus(2)
         raised_on = []
 
-        def value_and_grad(x, idx):
+        def value_and_grad(x, idx, bound):
             if 3 in idx:
                 raised_on.append(threading.current_thread())
                 raise FloatingPointError("problem 3 failed")
-            return batched(ODD)(x, idx)
+            return batched(ODD)(x, idx, bound)
 
         with pytest.raises(FloatingPointError, match="problem 3 failed"):
             minimize_gd(value_and_grad, ODD_X0, max_iter=60)

@@ -391,6 +391,15 @@ class TestQuantileBank:
         with pytest.raises(ValueError):
             fit_quantile_bank(np.zeros((0, 1)), np.zeros((0, 2)), np.zeros(0), regime=Regime.MDP, n_q=2)
 
+    @pytest.mark.parametrize("o, message", [
+        (np.full(30, 50.0), r"ladder prices o must be 2-D \(rows x ladder columns\), got shape \(30,\)"),
+        (np.zeros((30, 0)), "ladder prices o have no ladder columns"),
+    ], ids=["one-dimensional", "zero-width"])
+    def test_bad_ladder_named(self, o, message):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_quantile_bank(rng.uniform(size=(30, 1)), o, rng.normal(50.0, 9.0, 30), regime=Regime.MIP, n_q=3)
+
     @pytest.mark.parametrize("name", ["z", "o", "y"])
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_input_rejected(self, name, bad):
