@@ -10,9 +10,11 @@ call solves a batch of independent problems: each keeps its own step size,
 iteration count and stopping state, and every round evaluates all problems
 still running in one objective call, which is given each trial's Armijo
 bound; only accepted trials' gradients are read, so the banks compute no
-others. A batch is split across the CPUs the process may use; since no
-problem reads another's state, every result is the same bit for bit
-whatever the number of threads. The softmax banks fit this way.
+others. A problem also stops once an accepted step leaves its loss
+unchanged in working precision, the termination test of Gill, Murray &
+Wright (*Practical Optimization*, 1981). Since no problem reads
+another's state, each result is the same bit for bit whatever batch it is
+solved in. The softmax banks fit this way.
 
 Newton's method (``minimize_newton``) takes exact Newton steps, each
 solved by a Cholesky factorization of the Hessian, with an Armijo
@@ -26,9 +28,7 @@ method (Frisch-Newton).
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,14 +74,6 @@ def _max_norms(g: np.ndarray) -> np.ndarray:
     return np.abs(g).max(axis=1, initial=0.0)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def minimize_gd(
     value_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray]],
     x0,
@@ -99,37 +91,11 @@ def minimize_gd(
     until the Armijo condition holds and is grown geometrically after
     each accepted step, which lets the iterates cover the exponentially
     growing parameter scales that near-one-hot softmax fits produce. A
-    problem stops on the max-norm of its gradient, the iteration cap, or a
-    stalled line search.
-
-    With W = min(P, usable CPUs) >= 2, problem i is solved in group i mod W:
-    the calling thread solves group 0 and W - 1 worker threads the others,
-    so ``value_and_grad`` must be safe to call from several threads at once.
+    problem stops on the max-norm of its gradient, on an accepted step whose
+    value equals its current value bit for bit (both count as converged),
+    on the iteration cap, or on a stalled line search.
     """
     x = np.array(x0, dtype=float, ndmin=2)
-    n_problems = x.shape[0]
-    n_groups = min(n_problems, _usable_cpus())
-    if n_groups < 2:
-        return _descend(value_and_grad, x, max_iter)
-    groups = [np.arange(i, n_problems, n_groups) for i in range(n_groups)]
-
-    def solve(group: np.ndarray) -> GdResult:
-        return _descend(lambda p, idx, bound: value_and_grad(p, group[idx], bound), x[group], max_iter)
-
-    with ThreadPoolExecutor(n_groups - 1) as pool:
-        workers = [pool.submit(solve, group) for group in groups[1:]]
-        parts = [solve(groups[0])] + [w.result() for w in workers]
-    merged = {}
-    for field in fields(GdResult):
-        first = getattr(parts[0], field.name)
-        merged[field.name] = out = np.empty((n_problems,) + first.shape[1:], first.dtype)
-        for group, part in zip(groups, parts):
-            out[group] = getattr(part, field.name)
-    return GdResult(**merged)
-
-
-def _descend(value_and_grad, x, max_iter) -> GdResult:
-    """Solve the batch ``x`` (P, m) on the current thread, updating ``x`` in place."""
     n_problems = x.shape[0]
     f, g = value_and_grad(x, np.arange(n_problems), None)
     f, g = np.array(f, dtype=float), np.array(g, dtype=float)
@@ -152,10 +118,11 @@ def _descend(value_and_grad, x, max_iter) -> GdResult:
         f_new, g_new = value_and_grad(x_new, running, bound)
         ok = np.isfinite(f_new) & (f_new <= bound)
         moved = running[ok]
+        flat = f_new[ok] == f[moved]  # the step left the loss unchanged in working precision
         x[moved], f[moved], g[moved] = x_new[ok], f_new[ok], g_new[ok]
         iterations[moved] += 1
         gnorm[moved] = _max_norms(g[moved])
-        converged[moved] = gnorm[moved] <= _GRAD_TOL
+        converged[moved] = (gnorm[moved] <= _GRAD_TOL) | flat
         active[moved] = ~converged[moved] & (iterations[moved] < max_iter)
         begin(moved[active[moved]])
         backtrack = running[~ok]

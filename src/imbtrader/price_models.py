@@ -479,7 +479,10 @@ def fit_quantile_bank(
     ``z`` are the model inputs, ``o`` the per-row ladder prices, and ``y``
     the observed regulation prices of this regime. Every level starts from
     its best pure ladder level and is trained to its own pinball loss; one
-    solver call fits all levels.
+    solver call fits all levels, on the calling thread. A level stops once
+    its gradient max-norm is at most 1e-6 or an accepted step leaves its
+    loss unchanged bit for bit (both count as converged), on a stalled line
+    search, or after ``max_iter`` iterations.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:

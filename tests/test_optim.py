@@ -2,14 +2,12 @@
 
 The oracles are the one-problem solver and per-level bank loops the package
 used before its fits were batched; the batched code must reproduce them bit
-for bit, whether a batch is solved on one thread or split across several.
+for bit.
 The batched descent fits are the softmax banks and the descent fit of the
 linear bank, which the tests keep as the reference for its LP fit.
 Newton's method runs on small problems whose outcome is known.
 """
 import logging
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -50,6 +48,8 @@ def oracle_minimize_gd(value_and_grad, x0, *, grad_tol=1e-6, max_iter=1000, init
             step *= shrink
             if step < min_step:
                 return x, f, gnorm, iterations, False
+        if f_new == f:  # the accepted step left the loss unchanged: stop there, converged
+            return x_new, f_new, float(np.max(np.abs(g_new))) if g_new.size else 0.0, iterations, True
         x, f, g = x_new, f_new, g_new
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     return x, f, gnorm, max_iter, gnorm <= grad_tol
@@ -159,6 +159,11 @@ def slope(x):
     return float(c @ x), c
 
 
+def below_rounding(x):
+    """A slope of 1e-3 on a loss of 1e12: the gradient test fails, but no step the search takes changes the loss."""
+    return 1e12 + 1e-3 * float(np.sum(x)), np.full_like(x, 1e-3)
+
+
 MIXED = [
     quadratic([1.0, 2.0], [0.5, -1.0]),  # converged at x0 = centre
     quadratic([1.0, 3.0], [2.0, -1.0]),  # converges after some steps
@@ -194,12 +199,23 @@ class TestMinimizeGd:
         assert result.iterations[5] == 60 and not result.converged[5]
         assert result.stalled.tolist() == [False, False, False, True, True, False]
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_nan_gradients_of_rejected_trials_are_never_read(self, cpus, n_cpus):
-        cpus(n_cpus)
+    def test_nan_gradients_of_rejected_trials_are_never_read(self):
         result = minimize_gd(batched(MIXED, nan_rejected=True), MIXED_X0, max_iter=60)
         for i, (fn, x0) in enumerate(zip(MIXED, MIXED_X0)):
             assert_same(result, i, oracle_minimize_gd(fn, x0, max_iter=60))
+
+    def test_accepted_step_that_leaves_the_loss_unchanged_ends_the_problem(self):
+        x0 = np.array([[0.0, 0.0], MIXED_X0[1]])
+        result = minimize_gd(batched([below_rounding, MIXED[1]]), x0, max_iter=60)
+        assert result.iterations[0] == 1 and result.converged[0] and not result.stalled[0]
+        assert result.grad_norm[0] > _optim._GRAD_TOL and result.fun[0] == 1e12
+        assert np.array_equal(result.x[0], [-2e-3, -2e-3])  # the accepted point is kept
+        assert_same(result, 0, oracle_minimize_gd(below_rounding, x0[0], max_iter=60))
+        # the other problem of the batch runs on with the bits it has alone
+        alone = minimize_gd(batched(MIXED[1:2]), x0[1:], max_iter=60)
+        assert alone.iterations[0] > 1
+        for name in ("x", "fun", "grad_norm", "iterations", "converged", "stalled"):
+            assert np.array_equal(getattr(result, name)[1], getattr(alone, name)[0]), name
 
     def test_row_dots_are_one_dimensional_dot_products(self):
         g = np.random.default_rng(4).normal(size=(40, 119)) * 10.0 ** np.arange(-20, 20)[:, None]
@@ -289,8 +305,8 @@ class TestBankBitIdentity:
     @pytest.mark.parametrize("d", [1, 2])
     def test_quantile_bank_matches_per_level_loop(self, d):
         z, o, y = market_data(400, d)
-        bank = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=12, max_iter=120)
-        taus, weights, biases, outcomes = oracle_fit_quantile_bank(z, o, y, n_q=12, max_iter=120)
+        bank = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=12, max_iter=60)
+        taus, weights, biases, outcomes = oracle_fit_quantile_bank(z, o, y, n_q=12, max_iter=60)
         assert np.array_equal(bank.taus, taus)
         assert np.array_equal(bank.weights, weights)
         assert np.array_equal(bank.biases, biases)
@@ -377,6 +393,14 @@ class TestFitLogging:
         ]
         assert linear.gap.max() > _optim._GAP_TOL
 
+    def test_no_bank_level_runs_to_the_cap(self, caplog):
+        # every level stops once an accepted step leaves its loss unchanged, by iteration 73 here; without that
+        # stop, 4 of the 12 levels run to the cap with a loss that no longer moves
+        z, o, y = market_data(400, 1)
+        with caplog.at_level(logging.WARNING):
+            fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=12, max_iter=400)
+        assert caplog.records == []
+
     def test_counts_capped_and_stalled_and_stays_quiet_when_all_converged(self, caplog):
         logger = logging.getLogger("imbtrader.test")
         result = minimize_gd(batched(MIXED), MIXED_X0, max_iter=60)
@@ -387,130 +411,3 @@ class TestFitLogging:
         assert [r.getMessage() for r in caplog.records] == [
             "bank x: 2/6 levels hit max_iter=60, 2 stalled",
         ]
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the number of CPUs the solver sees as usable."""
-    return lambda n: monkeypatch.setattr(_optim, "_usable_cpus", lambda: n)
-
-
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """Names of the threads started while the test runs."""
-    started, start = [], threading.Thread.start
-
-    def record(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", record)
-    return started
-
-
-GD_FIELDS = ("x", "fun", "grad_norm", "iterations", "converged", "stalled")
-# MIXED plus a second problem that converges after some steps, so P is odd
-ODD = MIXED + [quadratic([2.0, 1.0], [-1.0, 3.0])]
-ODD_X0 = np.vstack([MIXED_X0, [[1.0, 1.0]]])
-
-
-class TestSplitBatch:
-    @pytest.mark.parametrize("n_cpus", [2, 3, 4, 16])
-    @pytest.mark.parametrize("picks", [range(7), range(6), [3, 4], [2]], ids=["P7", "P6", "P2", "P1"])
-    def test_split_matches_serial_and_oracle(self, cpus, n_cpus, picks):
-        problems, x0 = [ODD[i] for i in picks], ODD_X0[list(picks)]
-        cpus(1)
-        serial = minimize_gd(batched(problems), x0, max_iter=60)
-        cpus(n_cpus)
-        split = minimize_gd(batched(problems), x0, max_iter=60)
-        for name in GD_FIELDS:
-            got, want = getattr(split, name), getattr(serial, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), name
-        for i, (fn, start) in enumerate(zip(problems, x0)):
-            assert_same(split, i, oracle_minimize_gd(fn, start, max_iter=60))
-
-    def test_split_batch_covers_every_stop_reason(self, cpus):
-        cpus(2)
-        result = minimize_gd(batched(ODD), ODD_X0, max_iter=60)
-        assert result.iterations[0] == 0 and result.converged[0]  # converged at x0
-        assert result.iterations[2] == 60 and not result.converged[2]  # iteration cap
-        assert result.stalled[3] and np.isfinite(result.fun[3])  # stalled at a kink
-        assert result.stalled[4] and result.iterations[4] == 1  # only non-finite trial values
-        assert result.converged.tolist() == [True, True, False, False, False, False, True]
-
-    def test_objective_receives_global_indices(self, cpus):
-        cpus(2)
-        calls = []
-
-        def value_and_grad(x, idx, bound):
-            calls.append((threading.get_ident(), tuple(idx.tolist())))
-            return batched(ODD)(x, idx, bound)
-
-        minimize_gd(value_and_grad, ODD_X0, max_iter=60)
-        groups = {}
-        for thread, idx in calls:
-            groups.setdefault(thread, set()).update(idx)
-        assert sorted(map(sorted, groups.values())) == [[0, 2, 4, 6], [1, 3, 5]]
-        assert threading.get_ident() in groups and 0 in groups[threading.get_ident()]
-
-    def test_worker_exception_reaches_caller(self, cpus):
-        cpus(2)
-        raised_on = []
-
-        def value_and_grad(x, idx, bound):
-            if 3 in idx:
-                raised_on.append(threading.current_thread())
-                raise FloatingPointError("problem 3 failed")
-            return batched(ODD)(x, idx, bound)
-
-        with pytest.raises(FloatingPointError, match="problem 3 failed"):
-            minimize_gd(value_and_grad, ODD_X0, max_iter=60)
-        assert raised_on and raised_on[0] is not threading.main_thread()
-
-    def test_one_usable_cpu_starts_no_thread(self, cpus, thread_starts):
-        cpus(1)
-        minimize_gd(batched(ODD), ODD_X0, max_iter=60)
-        assert thread_starts == []
-        cpus(4)
-        minimize_gd(batched(ODD[:1]), ODD_X0[:1], max_iter=60)  # one problem: no split
-        assert thread_starts == []
-        minimize_gd(batched(ODD), ODD_X0, max_iter=60)
-        assert 0 < len(thread_starts) <= 3  # an idle worker may take a later group
-
-    def test_cpu_view_is_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(_optim.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert _optim._usable_cpus() == 3
-        monkeypatch.delattr(_optim.os, "sched_getaffinity")
-        monkeypatch.setattr(_optim.os, "cpu_count", lambda: None)
-        assert _optim._usable_cpus() == 1
-
-    def test_banks_identical_with_one_and_two_cpus(self, cpus):
-        z, o, y = market_data(400, 2)
-        x = np.hstack([z, o])
-        fits = []
-        for n_cpus in (1, 2):
-            cpus(n_cpus)
-            fits.append((
-                fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=11, max_iter=120),
-                fit_linear_quantile_bank(x, y, n_q=11, max_iter=150),
-            ))
-        (bank1, linear1), (bank2, linear2) = fits
-        assert np.array_equal(bank1.weights, bank2.weights)
-        assert np.array_equal(bank1.biases, bank2.biases)
-        assert np.array_equal(linear1.weights, linear2.weights)
-        assert np.array_equal(linear1.biases, linear2.biases)
-
-    def test_many_threads_with_frequent_switches_match_serial(self, cpus):
-        """More threads than cores, switching every microsecond: a lost or misplaced row would show."""
-        z, o, y = market_data(400, 1)
-        cpus(1)
-        serial = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=16, max_iter=40)
-        cpus(8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            split = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=16, max_iter=40)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(split.weights, serial.weights)
-        assert np.array_equal(split.biases, serial.biases)
