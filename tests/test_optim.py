@@ -8,6 +8,7 @@ linear bank, which the tests keep as the reference for its LP fit.
 Newton's method runs on small problems whose outcome is known.
 """
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ def below_rounding(x):
     return 1e12 + 1e-3 * float(np.sum(x)), np.full_like(x, 1e-3)
 
 
+def below_rounding_near_origin(x):
+    """``below_rounding`` within 1e-3 of the origin and non-finite beyond it, so the first trial is rejected."""
+    return below_rounding(x) if np.max(np.abs(x)) <= 1e-3 else (np.nan, np.full_like(x, 1e-3))
+
+
+def offset_quadratic(x):
+    """A quadratic on a loss of 1e6: its loss stops moving while the gradient is still above the tolerance."""
+    f, g = quadratic([1.0, 3.0], [2.0, -1.0])(x)
+    return 1e6 + f, g
+
+
 MIXED = [
     quadratic([1.0, 2.0], [0.5, -1.0]),  # converged at x0 = centre
     quadratic([1.0, 3.0], [2.0, -1.0]),  # converges after some steps
@@ -216,6 +228,29 @@ class TestMinimizeGd:
         assert alone.iterations[0] > 1
         for name in ("x", "fun", "grad_norm", "iterations", "converged", "stalled"):
             assert np.array_equal(getattr(result, name)[1], getattr(alone, name)[0]), name
+
+    @pytest.mark.parametrize("fn", [below_rounding_near_origin, offset_quadratic], ids=["after backtracking",
+                                                                                        "after moving steps"])
+    def test_flat_stop_matches_the_oracle(self, fn):
+        x0 = np.zeros((1, 2))
+        result = minimize_gd(batched([fn]), x0, max_iter=400)
+        assert_same(result, 0, oracle_minimize_gd(fn, x0[0], max_iter=400))
+        assert result.converged[0] and not result.stalled[0] and result.grad_norm[0] > _optim._GRAD_TOL
+        if fn is below_rounding_near_origin:  # the trial at step 2 is rejected, the one at step 1 is flat
+            assert result.iterations[0] == 1 and np.array_equal(result.x[0], [-1e-3, -1e-3])
+        else:  # steps that lowered the loss came first
+            assert result.iterations[0] > 1 and result.fun[0] < fn(x0[0])[0]
+
+    @pytest.mark.parametrize("fn", [below_rounding, offset_quadratic])
+    def test_flat_step_on_the_last_allowed_iteration_counts_as_converged(self, fn):
+        x0 = np.zeros((1, 2))
+        iterations = int(minimize_gd(batched([fn]), x0, max_iter=400).iterations[0])
+        result = minimize_gd(batched([fn]), x0, max_iter=iterations)
+        assert result.iterations[0] == iterations and result.converged[0] and not result.stalled[0]
+        assert_same(result, 0, oracle_minimize_gd(fn, x0[0], max_iter=iterations))
+        # one iteration fewer leaves the problem at the cap, short of the flat step
+        short = minimize_gd(batched([fn]), x0, max_iter=iterations - 1)
+        assert short.iterations[0] == iterations - 1 and not short.converged[0]
 
     def test_row_dots_are_one_dimensional_dot_products(self):
         g = np.random.default_rng(4).normal(size=(40, 119)) * 10.0 ** np.arange(-20, 20)[:, None]
@@ -277,6 +312,78 @@ def kernel_data(seed, n, k, d, n_rows):
     return z, o, y, rng.normal(0.0, 3.0, size=(n_rows, k * d + k)), quantile_levels(n_rows)
 
 
+GD_FIELDS = ("x", "fun", "grad_norm", "iterations", "converged", "stalled")
+# MIXED plus a second problem that converges after some steps, and one whose loss stops moving at once
+ODD = MIXED + [quadratic([2.0, 1.0], [-1.0, 3.0]), below_rounding]
+ODD_X0 = np.vstack([MIXED_X0, [[1.0, 1.0], [0.0, 0.0]]])
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+class TestBatchIndependence:
+    """A problem's result depends only on its own objective and start, not on the batch it is solved in."""
+
+    @pytest.mark.parametrize("picks", [range(8), range(7), range(6), [3, 4], [2], range(7, -1, -1)],
+                             ids=["P8", "P7", "P6", "P2", "P1", "reversed"])
+    def test_any_batch_matches_the_oracle(self, picks):
+        problems, x0 = [ODD[i] for i in picks], ODD_X0[list(picks)]
+        result = minimize_gd(batched(problems), x0, max_iter=60)
+        for i, (fn, start) in enumerate(zip(problems, x0)):
+            assert_same(result, i, oracle_minimize_gd(fn, start, max_iter=60))
+
+    @pytest.mark.parametrize("i", range(len(ODD)))
+    def test_each_problem_matches_itself_solved_alone(self, i):
+        batch = minimize_gd(batched(ODD), ODD_X0, max_iter=60)
+        alone = minimize_gd(batched(ODD[i : i + 1]), ODD_X0[i : i + 1], max_iter=60)
+        for name in GD_FIELDS:
+            got, want = getattr(batch, name)[i], getattr(alone, name)[0]
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), name
+
+    def test_objective_receives_the_running_problems_by_global_index(self):
+        calls = []
+
+        def value_and_grad(x, idx, bound):
+            calls.append(idx.tolist())
+            return batched(ODD)(x, idx, bound)
+
+        result = minimize_gd(value_and_grad, ODD_X0, max_iter=60)
+        assert calls[0] == list(range(8))
+        for before, after in zip(calls, calls[1:]):
+            assert after == sorted(after) and set(after) <= set(before)
+        # converged at x0: never evaluated again; every other problem: at least one trial per iteration
+        assert all(0 not in idx for idx in calls[1:]) and set().union(*calls[1:]) == set(range(1, 8))
+        trials = [sum(i in idx for idx in calls[1:]) for i in range(8)]
+        assert all(n_trials >= n for n_trials, n in zip(trials, result.iterations.tolist()))
+        assert trials[5] == result.iterations[5] == 60  # every trial on the unbounded slope is accepted
+
+    def test_objective_exception_reaches_the_caller(self):
+        def value_and_grad(x, idx, bound):
+            if bound is not None and 3 in idx:
+                raise FloatingPointError("problem 3 failed")
+            return batched(ODD)(x, idx, bound)
+
+        with pytest.raises(FloatingPointError, match="problem 3 failed"):
+            minimize_gd(value_and_grad, ODD_X0, max_iter=60)
+
+    def test_fits_start_no_thread(self, thread_starts):
+        z, o, y = market_data(400, 2)
+        minimize_gd(batched(ODD), ODD_X0, max_iter=60)
+        fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=11, max_iter=120)
+        fit_linear_quantile_bank(np.hstack([z, o]), y, n_q=11, max_iter=150)
+        assert thread_starts == []
+
+
 class TestBankKernel:
     """The stacked bank objective, whose ladder sums follow numpy's pairwise order, against one-row calls."""
 
@@ -312,6 +419,17 @@ class TestBankBitIdentity:
         assert np.array_equal(bank.biases, biases)
         # the data exercises levels that converge and levels that hit the cap
         assert {out[4] for out in outcomes} == {True, False}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_quantile_bank_matches_per_level_loop_up_to_the_flat_stop(self, d):
+        z, o, y = market_data(400, d)
+        bank = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=12, max_iter=400)
+        _, weights, biases, outcomes = oracle_fit_quantile_bank(z, o, y, n_q=12, max_iter=400)
+        assert np.array_equal(bank.weights, weights)
+        assert np.array_equal(bank.biases, biases)
+        # some levels stop on the gradient test, others on a step that left their loss unchanged
+        assert all(out[4] for out in outcomes)
+        assert min(out[2] for out in outcomes) <= 1e-6 < max(out[2] for out in outcomes)
 
     def test_quantile_bank_over_several_blocks(self):
         z, o, y = market_data(3000, 1)
