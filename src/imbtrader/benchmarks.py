@@ -91,9 +91,13 @@ def fit_transition_models(labels, features, *, max_iter: int = 2000):
     prev = labels[:-1]
     nxt = labels[1:].astype(float)
     rows = features[1:]
-    from_pos = fit_logistic(rows[prev], nxt[prev], max_iter=max_iter)
-    from_neg = fit_logistic(rows[~prev], nxt[~prev], max_iter=max_iter)
-    return from_pos, from_neg
+    models = []
+    for state, mask in (("surplus", prev), ("shortage", ~prev)):
+        try:
+            models.append(fit_logistic(rows[mask], nxt[mask], max_iter=max_iter))
+        except ValueError as err:
+            raise type(err)(f"transitions from {state}: {err}") from err
+    return tuple(models)
 
 
 @dataclass(frozen=True)

@@ -56,13 +56,6 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_rows_inplace(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, written over ``logits``."""
-    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
-    np.exp(logits, out=logits)
-    return np.divide(logits, logits.sum(axis=-1, keepdims=True), out=logits)
-
-
 @dataclass(frozen=True)
 class FeatureScaler:
     """Per-column standardization frozen at fit time."""
@@ -212,6 +205,8 @@ def fit_logistic(
     y = np.asarray(y, dtype=float).ravel()
     if y.size != x.shape[0]:
         raise ValueError("label length does not match feature rows")
+    if y.size == 0:
+        raise ValueError("training data has no rows")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite features")
     if not np.all((y == 0.0) | (y == 1.0)):
@@ -326,39 +321,6 @@ def quantile_loss_and_grad(
     return float(val[0]), grad[0]
 
 
-def _ladder_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum over the ladder axis of ``a`` (B, k, n), with the bits of the sum over
-    the last axis of its row-major (B, n, k) layout; returns ``out[:, 0]``.
-
-    ``out`` (B, k, n) is scratch and may be ``a`` itself. numpy sums a
-    contiguous axis pairwise and adds the result to +0.0: up to 7 terms in
-    order; up to 128, 8 running partials over the columns j, j + 8, ...,
-    added as a fixed tree, then the rest in order; past 128, two halves, the
-    first a multiple of 8 long. Adding +0.0 only turns a -0.0 sum into +0.0.
-    """
-    k = a.shape[1]
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        total = _ladder_sum(a[:, :half], out[:, :half])
-        return np.add(total, _ladder_sum(a[:, half:], out[:, half:]), out=total)
-    if k < 8:
-        total = np.add(a[:, 0], 0.0, out=out[:, 0])
-        for j in range(1, k):
-            total += a[:, j]
-        return total
-    head = k - k % 8
-    r = a[:, :8]
-    for i in range(8, head, 8):
-        r = np.add(r, a[:, i : i + 8], out=out[:, :8])
-    pairs = np.add(r[:, 0::2], r[:, 1::2], out=out[:, 0:8:2])
-    quads = np.add(pairs[:, 0::2], pairs[:, 1::2], out=pairs[:, 0::2])
-    total = np.add(quads[:, 0], quads[:, 1], out=quads[:, 0])
-    for j in range(head, k):
-        total += a[:, j]
-    total += 0.0
-    return total
-
-
 def quantile_loss_and_grad_rows(params, z, o, y, taus, n_outputs: int, bound=None):
     """``quantile_loss_and_grad`` for a stack of parameter rows, one level each.
 
@@ -366,50 +328,42 @@ def quantile_loss_and_grad_rows(params, z, o, y, taus, n_outputs: int, bound=Non
     the losses (P,) and gradients (P, m). With ``bound`` (P,), only the rows
     whose loss is finite and at most their bound get gradients; the other
     gradient rows are NaN. Problems are evaluated in blocks of bounded size,
-    and every row gets the bits of its own one-row call: the softmax runs
-    ladder-major, (B, k, n), and sums the ladder in numpy's pairwise order,
-    while the logits and the gradient's products take the row-major
-    (B, n, k) layout, as a one-row call does.
+    ladder-major, (B, k, n): the logits are each level's (k, d) weights times
+    ``z.T``, and the softmax and ladder price sum over the ladder axis. So
+    every row gets the bits of its own one-row call.
     """
     n, d = z.shape
-    k = n_outputs
-    kd = k * d
+    k, kd = n_outputs, n_outputs * d
     taus = np.asarray(taus, dtype=float)
     vals = np.empty(params.shape[0])
     grads = np.full(params.shape, np.nan)
     blocks = problem_blocks(params.shape[0], n * k)
     size = min(blocks[0].stop, params.shape[0]) if blocks else 0
-    o_t = np.ascontiguousarray(o.T)
-    # A block's two (B, k, n) temporaries: the softmax, ladder-major; and the row-major logits, then
-    # the ladder sums' scratch, then d loss / d logits, row-major again.
-    soft, work = np.empty((2, size, k * n))
+    z_t, o_t = np.ascontiguousarray(z.T), np.ascontiguousarray(o.T)
+    # A block's two (B, k, n) buffers: the softmax, then o - yhat; and w * o, then d loss / d logits.
+    soft, work = np.empty((2, size, k, n))
     for blk in blocks:
         rows = np.arange(params.shape[0])[blk]
-        b = rows.size
         # Stacked matmuls give each slice the bits of its own 2-D product; einsum does not.
-        logits = np.matmul(z, params[blk, :kd].reshape(-1, k, d).transpose(0, 2, 1), out=work[:b].reshape(b, n, k))
-        w = np.add(logits.transpose(0, 2, 1), params[blk, kd:, None], out=soft[:b].reshape(b, k, n))
-        np.subtract(w, w.max(axis=1, keepdims=True), out=w)
+        w = np.matmul(params[blk, :kd].reshape(-1, k, d), z_t, out=soft[: rows.size])
+        w += params[blk, kd:, None]
+        w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
-        scratch = work[:b].reshape(b, k, n)
-        w /= _ladder_sum(w, scratch)[:, None]
-        yhat = _ladder_sum(np.multiply(w, o_t, out=scratch), scratch)
+        w /= w.sum(axis=1, keepdims=True)
+        yhat = np.multiply(w, o_t, out=work[: rows.size]).sum(axis=1)
         e = y - yhat
         coef = np.where(e >= 0.0, taus[blk, None], taus[blk, None] - 1.0)
         vals[blk] = np.mean(coef * e, axis=1)
         if bound is None:
-            picked = np.arange(b)
+            picked = np.arange(rows.size)
         else:
             picked = np.flatnonzero(np.isfinite(vals[blk]) & (vals[blk] <= bound[blk]))
         m, yhat = picked.size, yhat[picked]
-        # The picked rows' d loss / d logits: ladder-major in ``soft``, then row-major in ``work``.
-        dl = np.take(w, picked, axis=0, out=scratch[:m], mode="clip")
+        dl = np.take(w, picked, axis=0, out=work[:m], mode="clip")
         dl *= (-coef[picked] / n)[:, None]
-        dl = np.multiply(dl, np.subtract(o_t, yhat[:, None], out=w[:m]), out=w[:m])
-        g = work[:m].reshape(m, n, k)
-        np.copyto(g, dl.transpose(0, 2, 1))
-        grads[rows[picked], :kd] = np.matmul(g.transpose(0, 2, 1), z).reshape(-1, kd)
-        grads[rows[picked], kd:] = g.sum(axis=1)
+        dl *= np.subtract(o_t, yhat[:, None], out=soft[:m])
+        grads[rows[picked], :kd] = np.matmul(dl, z).reshape(-1, kd)
+        grads[rows[picked], kd:] = dl.sum(axis=2)
     return vals, grads
 
 
@@ -533,8 +487,10 @@ def quantile_matrix(bank: QuantileModelBank, z, o) -> np.ndarray:
     zs = bank.scaler.transform(z) if bank.scaler is not None else z
     # Stacked matmuls match one tick's ``weights @ zs`` and ``w @ o`` bit for bit; einsum does not.
     logits = np.matmul(bank.weights, zs[:, None, :, None])[..., 0]
-    logits += bank.biases  # in place: the logits of many ticks are the largest array here
-    w = _softmax_rows_inplace(logits)
+    logits += bank.biases  # the softmax runs in place: the logits of many ticks are the largest array here
+    logits -= logits.max(axis=-1, keepdims=True)
+    w = np.exp(logits, out=logits)
+    w /= w.sum(axis=-1, keepdims=True)
     return np.matmul(w, o[:, :, None])[..., 0]
 
 

@@ -22,7 +22,7 @@ from imbtrader.benchmarks import (
 from imbtrader.data_io import FeatureLayout
 from imbtrader.dists import canonical_rows
 from imbtrader.pipeline import LeakageError, attach_z
-from imbtrader.price_models import LogisticModel, pinball_loss
+from imbtrader.price_models import DegenerateLabelsError, LogisticModel, pinball_loss
 from test_backtest import toy_models, toy_tick
 
 
@@ -74,6 +74,22 @@ class TestMarkovPropagation:
         stat = stat / stat.sum()
         for start in (True, False):
             assert markov_state_probability(t, start, 200) == pytest.approx(stat[0], abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "labels, error, message",
+        [
+            # the one surplus tick is the last: no transition leaves surplus
+            ([False] * 9 + [True], ValueError, "transitions from surplus: training data has no rows"),
+            # every tick after a shortage is a shortage
+            ([True, True, False, False, False, False], DegenerateLabelsError,
+             "transitions from shortage: training data contains a single label"),
+        ],
+        ids=["no rows", "single label"],
+    )
+    def test_unfittable_state_named(self, labels, error, message):
+        features = np.random.default_rng(0).normal(size=(len(labels), 2))
+        with pytest.raises(error, match=f"^{message}$"):
+            fit_transition_models(labels, features)
 
     def test_dynamic_with_constant_inputs_reproduces_static_exactly(self):
         # constant inputs give input-independent transitions

@@ -60,15 +60,16 @@ def oracle_quantile_loss_and_grad(params, z, o, y, tau, n_outputs):
     n, d = z.shape
     w_mat = params[: n_outputs * d].reshape(n_outputs, d)
     b = params[n_outputs * d :]
-    logits = z @ w_mat.T + b
-    ew = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    weights = ew / ew.sum(axis=-1, keepdims=True)
-    yhat = np.sum(weights * o, axis=1)
+    o_t = np.ascontiguousarray(o.T)
+    logits = w_mat @ np.ascontiguousarray(z.T) + b[:, None]
+    ew = np.exp(logits - logits.max(axis=0))
+    weights = ew / ew.sum(axis=0)
+    yhat = np.sum(weights * o_t, axis=0)
     e = y - yhat
     val = float(np.mean(np.where(e >= 0.0, tau * e, (tau - 1.0) * e)))
     dval_dyhat = -np.where(e >= 0.0, tau, tau - 1.0) / n
-    dlogits = dval_dyhat[:, None] * weights * (o - yhat[:, None])
-    return val, np.concatenate([(dlogits.T @ z).ravel(), dlogits.sum(axis=0)])
+    dlogits = dval_dyhat * weights * (o_t - yhat)
+    return val, np.concatenate([(dlogits @ z).ravel(), dlogits.sum(axis=1)])
 
 
 def oracle_fit_quantile_bank(z, o, y, *, n_q, grad_tol=1e-6, max_iter=400):
@@ -385,11 +386,15 @@ class TestBatchIndependence:
 
 
 class TestBankKernel:
-    """The stacked bank objective, whose ladder sums follow numpy's pairwise order, against one-row calls."""
+    """The stacked bank objective against one-row oracle calls on (k, n) arrays summed over the ladder axis.
+
+    With n = 1 a level's (k, 1) block is contiguous along the ladder, so numpy sums it pairwise; otherwise
+    it adds the ladder columns in order. Both layouts sum in the same order either way.
+    """
 
     @pytest.mark.parametrize("k", [3, 8, 11, 16, 17, 130])
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("n", [7, 1500])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 1500])
     def test_rows_match_the_oracle_bit_for_bit(self, k, d, n):
         z, o, y, params, taus = kernel_data(k + 10 * d + n, n, k, d, 5)
         vals, grads = quantile_loss_and_grad_rows(params, z, o, y, taus, k)

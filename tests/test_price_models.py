@@ -115,6 +115,11 @@ class TestFitLogistic:
         with pytest.raises(DegenerateLabelsError):
             fit_logistic(np.zeros((4, 1)), np.ones(4))
 
+    def test_no_rows_rejected_by_name(self):
+        # numpy's "zero-size array to reduction operation minimum" before this check
+        with pytest.raises(ValueError, match="^training data has no rows$"):
+            fit_logistic(np.zeros((0, 2)), np.zeros(0))
+
     @pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf")])
     def test_bad_l2_rejected_by_name(self, l2):
         # a negative penalty rewards large weights: the descent ran them up to 1e153 before this check
