@@ -2,6 +2,7 @@
 
 ``timestamp`` is also the package's one reader of a timestamp text: the
 CSV loaders, the ledger reader and the ``--from``/``--to`` flags use it.
+The fits check the counts they are given with ``read_field(name, integer, value)``.
 Every error is a ``FieldError`` that names the dotted path of the field it
 is about (``bank_mip.taus: missing``, ``model.bank_max_itr: unexpected
 field``), however deep the field sits.
@@ -38,7 +39,7 @@ def _expected(what: str, value) -> TypeError:
     return TypeError(f"expected {what}, got {_json_type(value)}")
 
 
-def _read(path: str, read: Callable, value):
+def read_field(path: str, read: Callable, value):
     """``read(value)``; a failure becomes a FieldError under ``path``."""
     try:
         return read(value)
@@ -66,7 +67,7 @@ def some_fields(readers: dict[str, Callable]) -> Callable:
         unexpected = next((key for key in d if key not in readers), None)
         if unexpected is not None:
             raise FieldError(str(unexpected), "unexpected field")
-        return {key: _read(key, readers[key], value) for key, value in d.items()}
+        return {key: read_field(key, readers[key], value) for key, value in d.items()}
 
     return read_some
 
@@ -85,11 +86,12 @@ def numeric(value) -> float:
 
 
 def integer(value) -> int:
+    """A Python or numpy integer, as a Python int: a bool or a float is none, even a whole one."""
     if isinstance(value, float):
         raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise _expected("an integer", value)
-    return value
+    return int(value)
 
 
 def boolean(value) -> bool:
@@ -137,7 +139,7 @@ def array_of(read: Callable) -> Callable:
     def read_array(value) -> list:
         if not isinstance(value, list):
             raise _expected("an array", value)
-        return [_read(str(i), read, item) for i, item in enumerate(value)]
+        return [read_field(str(i), read, item) for i, item in enumerate(value)]
 
     return read_array
 
@@ -146,6 +148,6 @@ def object_of(read: Callable) -> Callable:
     def read_object(value) -> dict:
         if not isinstance(value, dict):
             raise _expected("an object", value)
-        return {key: _read(key, read, item) for key, item in value.items()}
+        return {key: read_field(key, read, item) for key, item in value.items()}
 
     return read_object

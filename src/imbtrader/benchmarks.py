@@ -19,7 +19,7 @@ from .data_io import FeatureLayout, MarketTick
 from .dists import ForecastScores, canonical_rows, flatten_rows, score_rows
 from .market_impact import is_surplus
 from .pipeline import TrainedModels, check_out_of_sample, forecast_rows
-from .price_models import FeatureScaler, LogisticModel, fit_logistic, quantile_levels
+from .price_models import LogisticModel, fit_logistic, quantile_levels
 
 __all__ = [
     "fit_static_transitions",
@@ -102,17 +102,15 @@ def fit_transition_models(labels, features, *, max_iter: int = 2000):
 
 @dataclass(frozen=True)
 class LinearQuantileBank:
-    """Per-level affine models of the settlement price (implicit benchmark)."""
+    """Per-level affine models of the settlement price (implicit benchmark), at ``quantile_levels(n_q)``."""
 
-    taus: np.ndarray
-    weights: np.ndarray  # (n_q, n_features)
+    weights: np.ndarray  # (n_q, n_features), on the input's own columns
     biases: np.ndarray  # (n_q,)
-    scaler: FeatureScaler
 
     def predict_matrix(self, x) -> np.ndarray:
         """One row of n_q prices per input row; a stacked matmul gives each row the bits of its own call."""
-        xs = self.scaler.transform(np.atleast_2d(np.asarray(x, dtype=float)))
-        return np.matmul(xs[:, None, :], self.weights.T)[:, 0] + self.biases
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.matmul(x[:, None, :], self.weights.T)[:, 0] + self.biases
 
 
 def fit_linear_quantile_bank(x, y, *, n_q: int, max_iter: int = 400) -> LinearQuantileBank:
@@ -127,15 +125,10 @@ def fit_linear_quantile_bank(x, y, *, n_q: int, max_iter: int = 400) -> LinearQu
     for name, values in (("x", x), ("y", y)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"non-finite {name}")
-    taus = quantile_levels(n_q)
-    scaler = FeatureScaler.fit(x)
-    result = fit_quantile_lp(x, y, taus, max_iter=max_iter)
+    result = fit_quantile_lp(x, y, quantile_levels(n_q), max_iter=max_iter)
     log_unfinished(logger, "bank linear", result, max_iter,
                    note=f"largest relative duality gap {result.gap.max():.1e}")
-    # the same affine models on the scaler's standardized columns
-    weights = result.weights * scaler.scale
-    biases = result.intercepts + result.weights @ scaler.mean
-    return LinearQuantileBank(taus=taus, weights=weights, biases=biases, scaler=scaler)
+    return LinearQuantileBank(weights=result.weights, biases=result.intercepts)
 
 
 def dynamic_feature_columns(layout: FeatureLayout) -> np.ndarray:
@@ -178,6 +171,8 @@ def fit_benchmark_suite(
 
     ``max_iter`` caps the Newton iterations of the two transition fits; the linear bank's LP keeps its own cap.
     """
+    if len(train_ticks) < 3:  # fit_transition_models' minimum, checked before the static chain is fitted
+        raise ValueError(f"need at least 3 training ticks, got {len(train_ticks)}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     dyn_cols = dynamic_feature_columns(models.layout)

@@ -45,22 +45,23 @@ _SIM_FLAGS = {"alpha": _alpha, "beta_est": float, "beta_true": float, "window": 
 
 
 def _sim_flag(name: str):
-    """The flag of ``SimConfig.<name>``, read and range-checked when the flags are parsed, so a bad
-    value fails naming the flag. It returns the text, so None still means the flag was not given
-    (``--alpha adaptive`` reads as None)."""
-    def check(text: str) -> str:
+    """The flag of ``SimConfig.<name>``: its value, read and range-checked when the flags are parsed, so a
+    bad value fails naming the flag (``--alpha adaptive`` reads as None). A flag not given is left out of
+    the parsed arguments (``default=argparse.SUPPRESS``)."""
+    def read(text: str):
         try:
-            SimConfig(**{name: _SIM_FLAGS[name](text)})
+            value = _SIM_FLAGS[name](text)
+            SimConfig(**{name: value})
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return text
-    return check
+        return value
+    return read
 
 
 def _beta_grid(which: str):
-    """The flag of a comma-separated grid of ``SimConfig.beta_<which>`` values, each checked by ``_sim_flag``."""
+    """The flag of a comma-separated grid of ``SimConfig.beta_<which>`` values, each read by ``_sim_flag``."""
     def read(text: str) -> list[float]:
-        values = [float(_sim_flag(f"beta_{which}")(v)) for v in text.split(",") if v.strip() != ""]
+        values = [_sim_flag(f"beta_{which}")(v) for v in text.split(",") if v.strip() != ""]
         if not values:
             raise argparse.ArgumentTypeError("empty grid")
         return values
@@ -134,7 +135,7 @@ def _seed(config: dict, args):
 
 
 def _sim_config(config: dict, args) -> SimConfig:
-    flags = {name: read(text) for name, read in _SIM_FLAGS.items() if (text := getattr(args, name, None)) is not None}
+    flags = {name: value for name, value in vars(args).items() if name in _SIM_FLAGS}
     sim = {**config["sim"], **_given(measure=args.measure, seed=_seed(config, args)), **flags}
     return SimConfig(**sim, actions=ActionSpace(**config["actions"]))
 
@@ -331,11 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the trading {name}", allow_abbrev=False)
         common(p, needs_models=True, seeded=name == "backtest")  # only a backtest ledger records a seed
         p.add_argument("--measure", choices=RISK_KINDS, default=None)
-        p.add_argument("--alpha", type=_sim_flag("alpha"), help="risk weight in [0,1] or 'adaptive'")
-        p.add_argument("--window", type=_sim_flag("window"), help="adaptive window size N")
+        p.add_argument("--alpha", type=_sim_flag("alpha"), default=argparse.SUPPRESS,
+                       help="risk weight in [0,1] or 'adaptive'")
+        p.add_argument("--window", type=_sim_flag("window"), default=argparse.SUPPRESS, help="adaptive window size N")
         for b in ("est", "true"):  # a sweep takes both reactivities from its grids, none from the config
             if name == "backtest":
-                p.add_argument(f"--beta-{b}", dest=f"beta_{b}", type=_sim_flag(f"beta_{b}"))
+                p.add_argument(f"--beta-{b}", dest=f"beta_{b}", type=_sim_flag(f"beta_{b}"), default=argparse.SUPPRESS)
             else:
                 p.add_argument(f"--beta-{b}-grid", required=True, type=_beta_grid(b),
                                help=f"comma-separated values; the config's strategy.beta_{b} is not read")

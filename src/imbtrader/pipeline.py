@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import array_of, floats, integer, number, object_of, optional, read_fields, string, timestamp
+from ._fields import (
+    array_of, floats, integer, number, object_of, optional, read_field, read_fields, string, timestamp,
+)
 from .data_io import FeatureLayout, MarketTick, reference_layout
 from .dists import DiscretePriceDistribution, MixtureForecast, canonical_rows, row_atoms
 from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
@@ -27,7 +29,6 @@ from .price_models import (
     augment_with_positions,
     fit_logistic,
     fit_quantile_bank,
-    quantile_levels,
     quantile_matrix,
 )
 
@@ -67,6 +68,8 @@ class TrainedModels:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_q", "kfold", "seed"):  # Python ints, which the bundle's JSON holds
+            setattr(self, name, read_field(name, integer, getattr(self, name)))
         index, last = self.position_model.position_weight_index, self.position_model.n_features - 1
         if index != last:
             raise ValueError(f"position_model.position_weight_index is {index}, the last feature is {last}")
@@ -191,6 +194,14 @@ def _crossvalidated_weight(x: np.ndarray, labels: np.ndarray, kfold: int, l2: fl
     return z
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as a Python int, if it is an integer of at least ``least``; otherwise a ValueError naming it."""
+    value = read_field(name, integer, value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def train_models(
     ticks: list[MarketTick],
     *,
@@ -204,9 +215,10 @@ def train_models(
     bank_max_iter: int = 400,
 ) -> TrainedModels:
     """Fit the full model set on feature-complete training ticks (``build_features`` rows, which the bundle's
-    ``reference_layout`` names). Ticks of another width, ``kfold`` below 2, a negative iteration cap or seed,
-    ``n_q`` below 2, a ``u_max`` that is not positive and finite and (by ``fit_logistic``'s rule) a negative or
-    non-finite ``l2`` are rejected by name before any solver runs.
+    ``reference_layout`` names). Ticks of another width, a count (``kfold``, ``n_q``, an iteration cap or the
+    seed) that is not an integer, ``kfold`` below 2, a negative iteration cap or seed, ``n_q`` below 2, a
+    ``u_max`` that is not positive and finite and (by ``fit_logistic``'s rule) a negative or non-finite ``l2``
+    are rejected by name before any solver runs.
 
     The position-augmented weight model is trained with artificial trades
     whose appended feature is the induced imbalance shift (full reactivity),
@@ -224,12 +236,9 @@ def train_models(
     layout = reference_layout()
     if x.shape[1] != len(layout.names):
         raise ValueError(f"ticks carry {x.shape[1]} features, the layout names {len(layout.names)}")
-    if kfold < 2:
-        raise ValueError(f"kfold must be at least 2, got {kfold}")
-    for name, value in (("logistic_max_iter", logistic_max_iter), ("bank_max_iter", bank_max_iter), ("seed", seed)):
-        if value < 0:
-            raise ValueError(f"{name} must be at least 0, got {value}")
-    quantile_levels(n_q)  # rejects n_q below 2
+    kfold, n_q, seed = _count("kfold", kfold, 2), _count("n_q", n_q, 2), _count("seed", seed, 0)
+    logistic_max_iter = _count("logistic_max_iter", logistic_max_iter, 0)
+    bank_max_iter = _count("bank_max_iter", bank_max_iter, 0)
     # its own seeded generator: drawn before the fits, it rejects a u_max that is not positive and finite first
     x_aug, aug_labels, _ = augment_with_positions(x, s, u_max=u_max, beta=1.0, rng=seed, u_min=-u_max)
     labels = is_surplus(s).astype(float)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import integer, read_field
 from ._optim import log_unfinished, minimize_gd, minimize_newton, problem_blocks
 from .dists import DiscretePriceDistribution
 from .market_impact import Regime, is_surplus
@@ -369,7 +370,7 @@ def quantile_loss_and_grad_rows(params, z, o, y, taus, n_outputs: int, bound=Non
 
 @dataclass(frozen=True)
 class QuantileModelBank:
-    """Per-level softmax price models of one regime; levels are even inside (0, 1)."""
+    """Per-level softmax price models of one regime, at the levels ``quantile_levels(n_q)``."""
 
     regime: Regime
     taus: np.ndarray  # (n_q,)
@@ -379,13 +380,9 @@ class QuantileModelBank:
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
-        if taus.ndim != 1 or taus.size < 1 or np.any(taus <= 0.0) or np.any(taus >= 1.0):
-            raise ValueError("taus must be a non-empty 1-D array strictly inside (0, 1)")
-        steps = np.diff(taus)
-        if np.any(steps <= 0.0):
-            raise ValueError("taus must be strictly increasing")
-        if steps.size and np.any(np.abs(steps - steps[0]) > 1e-9 * max(steps[0], 1e-30)):
-            raise ValueError("taus must be evenly spaced")
+        # forecasts give every level mass 1 / n_q, which only the bin midpoints earn
+        if taus.ndim != 1 or taus.size == 0 or not np.array_equal(taus, quantile_levels(taus.size)):
+            raise ValueError("taus must be quantile_levels(n_q), the n_q bin midpoints of (0, 1)")
         w_shape, b_shape = np.shape(self.weights), np.shape(self.biases)
         if len(w_shape) != 3 or w_shape[:2] != b_shape or b_shape[0] != taus.size:
             raise ValueError(f"weights {w_shape}, biases {b_shape}: need (n_q, k, d), (n_q, k), n_q={taus.size}")
@@ -403,19 +400,11 @@ class QuantileModelBank:
         return self.biases.shape[1]
 
 
-def _ladder_level_losses(residuals: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Mean pinball loss (n_q, k) of each pure ladder level, given residuals (n, k)."""
-    out = np.empty((taus.size, residuals.shape[1]))
-    for blk in problem_blocks(taus.size, residuals.size):
-        t = taus[blk, None, None]
-        out[blk] = np.mean(np.where(residuals >= 0.0, t, t - 1.0) * residuals, axis=1)
-    return out
-
-
 def quantile_levels(n_q: int) -> np.ndarray:
-    """n_q evenly spaced levels placed at bin midpoints of (0, 1)."""
-    if n_q < 2:
-        raise ValueError(f"n_q must be at least 2, got {n_q}")
+    """The n_q bin midpoints (i + 0.5) / n_q of (0, 1); ``n_q`` is an integer (numpy's too), at least 1."""
+    n_q = read_field("n_q", integer, n_q)
+    if n_q < 1:
+        raise ValueError(f"n_q must be at least 1, got {n_q}")
     return (np.arange(n_q) + 0.5) / n_q
 
 
@@ -460,9 +449,13 @@ def fit_quantile_bank(
     zs = scaler.transform(z)
     # The softmax pullback of the pinball loss is non-convex with flat
     # one-hot corners; warm-starting each level at its best pure ladder
-    # level keeps early line-search jumps out of the wrong corner.
+    # level keeps early line-search jumps out of the wrong corner. Since
+    # rho_tau(e) = tau * e - min(e, 0), a pure column's mean loss at every
+    # level follows from two means of its residuals e = y - o_j.
+    e = y[:, None] - o
+    level_losses = taus[:, None] * e.mean(axis=0) - np.minimum(e, 0.0).mean(axis=0)
     x0 = np.zeros((n_q, n_out * d + n_out))
-    x0[np.arange(n_q), n_out * d + _ladder_level_losses(y[:, None] - o, taus).argmin(axis=1)] = 2.0
+    x0[np.arange(n_q), n_out * d + level_losses.argmin(axis=1)] = 2.0
     result = minimize_gd(
         lambda p, idx, bound: quantile_loss_and_grad_rows(p, zs, o, y, taus[idx], n_out, bound),
         x0,

@@ -67,7 +67,7 @@ def dynamic_transition_matrix(models, features) -> np.ndarray:
 
 def linear_distribution(bank, x) -> DiscretePriceDistribution:
     """Equal-mass distribution over the linear bank's prices for one feature row."""
-    values = (bank.scaler.transform(np.atleast_2d(np.asarray(x, dtype=float))) @ bank.weights.T + bank.biases)[0]
+    values = (np.atleast_2d(np.asarray(x, dtype=float)) @ bank.weights.T + bank.biases)[0]
     return DiscretePriceDistribution(values, np.full(values.size, 1.0 / values.size))
 
 

@@ -4,8 +4,9 @@
 ``_optim.minimize_gd`` on its mean pinball loss, from the unconditional
 quantile, and stops at ``max_iter`` descent iterations; the loss and its
 analytic (sub)gradient are evaluated for a stack of levels at once. The
-exact LP fit of ``benchmarks.fit_linear_quantile_bank`` must reach a
-training loss no higher than this at every level.
+descent runs on standardized columns, and its models are returned on the
+columns of x. The exact LP fit of ``benchmarks.fit_linear_quantile_bank``
+must reach a training loss no higher than this at every level.
 """
 import numpy as np
 
@@ -54,5 +55,10 @@ def descent_linear_quantile_bank(x, y, *, n_q: int, max_iter: int = 400) -> Line
         x0,
         max_iter=max_iter,
     )
-    return LinearQuantileBank(taus=taus, weights=result.x[:, :-1].copy(), biases=result.x[:, -1].copy(),
-                              scaler=scaler)
+    return LinearQuantileBank(*on_own_columns(result.x[:, :-1], result.x[:, -1], scaler))
+
+
+def on_own_columns(weights: np.ndarray, biases: np.ndarray, scaler: FeatureScaler):
+    """Affine models fitted on ``scaler``'s standardized columns, moved to the columns of x itself."""
+    weights = weights / scaler.scale
+    return weights, biases - weights @ scaler.mean

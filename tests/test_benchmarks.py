@@ -22,7 +22,7 @@ from imbtrader.benchmarks import (
 from imbtrader.data_io import FeatureLayout
 from imbtrader.dists import canonical_rows
 from imbtrader.pipeline import LeakageError, attach_z
-from imbtrader.price_models import DegenerateLabelsError, LogisticModel, pinball_loss
+from imbtrader.price_models import DegenerateLabelsError, LogisticModel, pinball_loss, quantile_levels
 from test_backtest import toy_models, toy_tick
 
 
@@ -104,10 +104,15 @@ class TestMarkovPropagation:
         assert dynamic == static
 
 
+def levels(bank) -> np.ndarray:
+    """A linear bank's levels, from its level count."""
+    return quantile_levels(bank.biases.size)
+
+
 def training_losses(bank, x, y) -> np.ndarray:
     """Each level's mean pinball loss on the training rows."""
     preds = bank.predict_matrix(x)
-    return np.array([np.mean(pinball_loss(tau, y - preds[:, i])) for i, tau in enumerate(bank.taus)])
+    return np.array([np.mean(pinball_loss(tau, y - preds[:, i])) for i, tau in enumerate(levels(bank))])
 
 
 class TestLinearQuantileBank:
@@ -119,7 +124,7 @@ class TestLinearQuantileBank:
         bank = fit_linear_quantile_bank(x, y, n_q=4, max_iter=600)
         preds = bank.predict_matrix(x)
         losses = [
-            float(np.mean(pinball_loss(tau, y - preds[:, i]))) for i, tau in enumerate(bank.taus)
+            float(np.mean(pinball_loss(tau, y - preds[:, i]))) for i, tau in enumerate(levels(bank))
         ]
         assert max(losses) <= 1e-3
 
@@ -138,6 +143,12 @@ class TestLinearQuantileBank:
         x = rng.normal(size=(300, 4))
         assert np.array_equal(bank.predict_matrix(x), np.vstack([bank.predict_matrix(row) for row in x]))
 
+    @pytest.mark.parametrize("n_q", [2.5, 8.0])
+    def test_level_count_must_be_an_integer(self, n_q):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match=f"^n_q: expected an integer, got {n_q}$"):
+            fit_linear_quantile_bank(rng.normal(size=(60, 3)), rng.normal(size=60), n_q=n_q)
+
     @pytest.mark.parametrize("name", ["x", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, name, bad):
@@ -155,19 +166,18 @@ class TestLinearQuantileBank:
         descent = descent_linear_quantile_bank(x, y, n_q=9)
         exact, reference = (training_losses(b, x, y) for b in (bank, descent))
         assert np.all(exact <= reference)
-        result = fit_quantile_lp(x, y, bank.taus, max_iter=400)
+        result = fit_quantile_lp(x, y, levels(bank), max_iter=400)
         assert np.all(result.converged) and np.all(result.gap <= _GAP_TOL)
         # the loss is convex, so a point that no small step improves on is its minimum
         for direction in rng.normal(size=(20, 6)):
             for step in (1e-3, -1e-3):
-                moved = LinearQuantileBank(bank.taus, bank.weights + step * direction[:5],
-                                           bank.biases + step * direction[5], bank.scaler)
+                moved = LinearQuantileBank(bank.weights + step * direction[:5], bank.biases + step * direction[5])
                 assert np.all(training_losses(moved, x, y) >= exact * (1.0 - _GAP_TOL))
 
     def test_intercept_only_gives_the_sample_quantiles(self):
         y = np.random.default_rng(12).lognormal(size=101)
         bank = fit_linear_quantile_bank(np.empty((101, 0)), y, n_q=4)
-        assert bank.biases == pytest.approx(np.quantile(y, bank.taus, method="inverted_cdf"), rel=1e-6)
+        assert bank.biases == pytest.approx(np.quantile(y, levels(bank), method="inverted_cdf"), rel=1e-6)
 
     @pytest.mark.parametrize("categories", [6, 5], ids=["every_row_in_a_group", "reference_category"])
     def test_indicator_block_and_dense_design_agree(self, categories):
@@ -301,6 +311,13 @@ class TestBenchmarkRun:
             monkeypatch.setattr(benchmarks, name, no_fit)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fit_benchmark_suite([toy_tick()] * 3, models or trained[0], **kwargs)
+
+    @pytest.mark.parametrize("n_ticks", [0, 1, 2])
+    def test_too_few_training_ticks_named_before_any_fit(self, trained, caplog, n_ticks):
+        with caplog.at_level(logging.DEBUG), \
+                pytest.raises(ValueError, match=f"^need at least 3 training ticks, got {n_ticks}$"):
+            fit_benchmark_suite(trained[1][:n_ticks], trained[0])
+        assert caplog.records == []
 
     def test_dynamic_feature_columns_subset(self, trained):
         models, _, _ = trained

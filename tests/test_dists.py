@@ -193,9 +193,9 @@ class TestReorder:
                 biases=np.zeros((n, 2)), scaler=None,
             )
 
-        with pytest.raises(ValueError, match="evenly spaced"):
+        with pytest.raises(ValueError, match="bin midpoints"):
             bank([0.1, 0.5, 0.8])
-        with pytest.raises(ValueError, match="inside"):
+        with pytest.raises(ValueError, match="bin midpoints"):
             bank([0.0, 0.5])
 
 

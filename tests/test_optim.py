@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from linear_bank_oracle import descent_linear_quantile_bank, linear_pinball_loss_and_grad_rows
+from linear_bank_oracle import descent_linear_quantile_bank, linear_pinball_loss_and_grad_rows, on_own_columns
 from imbtrader import _optim
 from imbtrader._optim import GdResult, _row_dots, log_unfinished, minimize_gd, minimize_newton, problem_blocks
 from imbtrader.benchmarks import fit_linear_quantile_bank
@@ -105,7 +105,8 @@ def oracle_linear_pinball_loss_and_grad(params, x, y, tau):
 
 def oracle_fit_linear_quantile_bank(x, y, *, n_q, grad_tol=1e-6, max_iter=400):
     taus = quantile_levels(n_q)
-    xs = FeatureScaler.fit(x).transform(x)
+    scaler = FeatureScaler.fit(x)
+    xs = scaler.transform(x)
     weights, biases = np.empty((n_q, x.shape[1])), np.empty(n_q)
     for i, tau in enumerate(taus):
         x0 = np.zeros(x.shape[1] + 1)
@@ -116,7 +117,7 @@ def oracle_fit_linear_quantile_bank(x, y, *, n_q, grad_tol=1e-6, max_iter=400):
         )
         weights[i] = out[0][:-1]
         biases[i] = out[0][-1]
-    return weights, biases
+    return on_own_columns(weights, biases, scaler)
 
 
 def batched(problems, *, nan_rejected=False):

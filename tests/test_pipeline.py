@@ -79,11 +79,18 @@ class TestTrainModels:
         ({"bank_max_iter": -1}, "bank_max_iter must be at least 0, got -1"),
         ({"seed": -3}, "seed must be at least 0, got -3"),
         ({"n_q": 1}, "n_q must be at least 2, got 1"),
+        ({"kfold": 3.0}, "kfold: expected an integer, got 3.0"),
+        ({"n_q": 2.5}, "n_q: expected an integer, got 2.5"),
+        ({"n_q": 8.0}, "n_q: expected an integer, got 8.0"),
+        ({"seed": 1.0}, "seed: expected an integer, got 1.0"),
+        ({"logistic_max_iter": 20.0}, "logistic_max_iter: expected an integer, got 20.0"),
+        ({"bank_max_iter": 5.5}, "bank_max_iter: expected an integer, got 5.5"),
         ({"u_max": 0.0}, "u_max must be positive and finite, got 0.0"),
         ({"u_max": -1.0}, "u_max must be positive and finite, got -1.0"),
         ({"u_max": math.nan}, "u_max must be positive and finite, got nan"),
         ({"u_max": math.inf}, "u_max must be positive and finite, got inf"),
-    ], ids=["width", "kfold 1", "kfold 0", "logistic_max_iter", "bank_max_iter", "seed", "n_q", "u_max 0",
+    ], ids=["width", "kfold 1", "kfold 0", "logistic_max_iter", "bank_max_iter", "seed", "n_q", "kfold float",
+            "n_q 2.5", "n_q 8.0", "seed float", "logistic_max_iter float", "bank_max_iter float", "u_max 0",
             "u_max < 0", "u_max nan", "u_max inf"])
     def test_bad_input_rejected_before_the_first_fit(self, small_market, monkeypatch, change, message):
         def no_fit(*args, **kwargs):
@@ -103,6 +110,25 @@ class TestTrainModels:
         cfg, ticks, _ = small_market
         with pytest.raises(ValueError, match=f"^l2 must be finite and at least 0, got {l2}$"):
             train_models(ticks[:300], grid=cfg.grid, n_q=4, kfold=2, l2=l2)
+
+    def test_numpy_integer_counts_give_a_bundle_that_saves(self, small_market, tmp_path):
+        cfg, ticks, _ = small_market
+        models = train_models(ticks[:300], grid=cfg.grid, n_q=np.int64(4), kfold=np.int64(2), seed=np.int64(1),
+                              logistic_max_iter=20, bank_max_iter=5)
+        models.save(tmp_path / "models.json")
+        loaded = TrainedModels.load(tmp_path / "models.json")
+        assert (loaded.n_q, loaded.kfold, loaded.seed) == (4, 2, 1)
+
+    def test_bundle_stores_its_counts_as_python_ints(self, trained, tmp_path):
+        models = trained[0]
+        numpy_counts = replace(models, n_q=np.int64(models.n_q), kfold=np.int32(models.kfold),
+                               seed=np.uint8(models.seed))
+        assert all(type(getattr(numpy_counts, name)) is int for name in ("n_q", "kfold", "seed"))
+        models.save(tmp_path / "python.json")
+        numpy_counts.save(tmp_path / "numpy.json")
+        assert (tmp_path / "numpy.json").read_text() == (tmp_path / "python.json").read_text()
+        with pytest.raises(ValueError, match=r"^kfold: expected an integer, got 3\.0$"):
+            replace(models, kfold=3.0)
 
     def test_empty_ticks_rejected(self, small_market):
         cfg, _, _ = small_market
@@ -306,7 +332,8 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit, field",
         [
-            (lambda doc: doc["bank_mdp"].update(taus=[t * t for t in doc["bank_mdp"]["taus"]]), "taus must be evenly"),
+            (lambda doc: doc["bank_mdp"].update(taus=[t * t for t in doc["bank_mdp"]["taus"]]),
+             "taus must be quantile_levels"),
             (lambda doc: doc["grid"]["mfrr_volumes"].append(10_000.0), "bank_mdp"),
             (lambda doc: doc["position_model"].update(position_weight_index=0), "position_weight_index"),
             (lambda doc: resize(doc["weight_model"], list.pop), "weight_model has"),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -340,6 +341,18 @@ class TestQuantileBank:
     def test_levels_are_midpoints(self):
         taus = quantile_levels(4)
         assert taus.tolist() == [0.125, 0.375, 0.625, 0.875]
+        assert quantile_levels(1).tolist() == [0.5]
+        assert np.array_equal(quantile_levels(np.int64(4)), taus)
+
+    @pytest.mark.parametrize("n_q, message", [
+        (0, "n_q must be at least 1, got 0"),
+        (2.5, "n_q: expected an integer, got 2.5"),
+        (8.0, "n_q: expected an integer, got 8.0"),
+        (True, "n_q: expected an integer, got boolean"),
+    ])
+    def test_level_count_must_be_a_positive_integer(self, n_q, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quantile_levels(n_q)
 
     def test_planted_one_hot_recovery(self):
         rng = np.random.default_rng(12)
@@ -418,10 +431,11 @@ class TestQuantileBank:
     @pytest.mark.parametrize(
         "taus, weights_shape, biases_shape, message",
         [
-            ([0.1, 0.5, 0.8], (3, 2, 1), (3, 2), "evenly spaced"),
-            ([0.0, 0.5], (2, 2, 1), (2, 2), "inside"),
-            ([0.75, 0.25], (2, 2, 1), (2, 2), "increasing"),
-            ([[0.25, 0.75]], (2, 2, 1), (2, 2), "1-D"),
+            ([0.1, 0.5, 0.8], (3, 2, 1), (3, 2), "bin midpoints"),
+            ([0.1, 0.2, 0.3], (3, 2, 1), (3, 2), "bin midpoints"),
+            ([0.0, 0.5], (2, 2, 1), (2, 2), "bin midpoints"),
+            ([0.75, 0.25], (2, 2, 1), (2, 2), "bin midpoints"),
+            ([[0.25, 0.75]], (2, 2, 1), (2, 2), "bin midpoints"),
             ([0.25, 0.75], (3, 2, 1), (2, 2), "weights"),
             ([0.25, 0.75], (2, 2), (2, 2), "weights"),
             ([0.25, 0.75], (2, 2, 1), (2, 3), "biases"),
