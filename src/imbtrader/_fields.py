@@ -2,7 +2,7 @@
 
 ``timestamp`` is also the package's one reader of a timestamp text: the
 CSV loaders, the ledger reader and the ``--from``/``--to`` flags use it.
-The fits check the counts they are given with ``read_field(name, integer, value)``.
+The fits check the counts they are given (sizes, seeds and iteration caps) with ``count``.
 Every error is a ``FieldError`` that names the dotted path of the field it
 is about (``bank_mip.taus: missing``, ``model.bank_max_itr: unexpected
 field``), however deep the field sits.
@@ -92,6 +92,14 @@ def integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise _expected("an integer", value)
     return int(value)
+
+
+def count(name: str, value, least: int) -> int:
+    """``value`` as a Python int, if it is an integer of at least ``least``; otherwise a ValueError naming it."""
+    value = read_field(name, integer, value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def boolean(value) -> bool:

@@ -14,6 +14,7 @@ from datetime import datetime
 
 import numpy as np
 
+from ._fields import count
 from ._optim import fit_quantile_lp, log_unfinished
 from .data_io import FeatureLayout, MarketTick
 from .dists import ForecastScores, canonical_rows, flatten_rows, score_rows
@@ -84,6 +85,7 @@ def fit_transition_models(labels, features, *, max_iter: int = 2000):
     Each model predicts P(next state is positive) from the next period's
     exogenous features.
     """
+    max_iter = count("max_iter", max_iter, 0)
     labels = np.asarray(labels, dtype=bool)
     features = np.asarray(features, dtype=float)
     if labels.size != features.shape[0] or labels.size < 3:
@@ -118,6 +120,7 @@ def fit_linear_quantile_bank(x, y, *, n_q: int, max_iter: int = 400) -> LinearQu
 
     ``max_iter`` caps the interior-point iterations of each level.
     """
+    max_iter = count("max_iter", max_iter, 0)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.ndim != 2 or x.shape[0] != y.size or y.size == 0:
@@ -173,8 +176,7 @@ def fit_benchmark_suite(
     """
     if len(train_ticks) < 3:  # fit_transition_models' minimum, checked before the static chain is fitted
         raise ValueError(f"need at least 3 training ticks, got {len(train_ticks)}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+    max_iter = count("max_iter", max_iter, 0)
     dyn_cols = dynamic_feature_columns(models.layout)
     labels = np.array([is_surplus(t.s) for t in train_ticks])
     x = np.stack([t.x for t in train_ticks])

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fields import (
-    array_of, floats, integer, number, object_of, optional, read_field, read_fields, string, timestamp,
+    array_of, count, floats, integer, number, object_of, optional, read_field, read_fields, string, timestamp,
 )
 from .data_io import FeatureLayout, MarketTick, reference_layout
 from .dists import DiscretePriceDistribution, MixtureForecast, canonical_rows, row_atoms
@@ -194,14 +194,6 @@ def _crossvalidated_weight(x: np.ndarray, labels: np.ndarray, kfold: int, l2: fl
     return z
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as a Python int, if it is an integer of at least ``least``; otherwise a ValueError naming it."""
-    value = read_field(name, integer, value)
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 def train_models(
     ticks: list[MarketTick],
     *,
@@ -236,9 +228,9 @@ def train_models(
     layout = reference_layout()
     if x.shape[1] != len(layout.names):
         raise ValueError(f"ticks carry {x.shape[1]} features, the layout names {len(layout.names)}")
-    kfold, n_q, seed = _count("kfold", kfold, 2), _count("n_q", n_q, 2), _count("seed", seed, 0)
-    logistic_max_iter = _count("logistic_max_iter", logistic_max_iter, 0)
-    bank_max_iter = _count("bank_max_iter", bank_max_iter, 0)
+    kfold, n_q, seed = count("kfold", kfold, 2), count("n_q", n_q, 2), count("seed", seed, 0)
+    logistic_max_iter = count("logistic_max_iter", logistic_max_iter, 0)
+    bank_max_iter = count("bank_max_iter", bank_max_iter, 0)
     # its own seeded generator: drawn before the fits, it rejects a u_max that is not positive and finite first
     x_aug, aug_labels, _ = augment_with_positions(x, s, u_max=u_max, beta=1.0, rng=seed, u_min=-u_max)
     labels = is_surplus(s).astype(float)

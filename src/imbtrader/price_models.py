@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import integer, read_field
+from ._fields import count, integer, read_field
 from ._optim import log_unfinished, minimize_gd, minimize_newton, problem_blocks
 from .dists import DiscretePriceDistribution
 from .market_impact import Regime, is_surplus
@@ -198,6 +198,7 @@ def fit_logistic(
     gradient max-norm is at most 1e-10; ``max_iter`` caps the Newton
     iterations. A fit that hits the cap or stalls logs one warning.
     """
+    max_iter = count("max_iter", max_iter, 0)
     if not 0.0 <= l2 < math.inf:  # NaN fails too
         raise ValueError(f"l2 must be finite and at least 0, got {l2}")
     x = np.asarray(x, dtype=float)
@@ -427,6 +428,7 @@ def fit_quantile_bank(
     loss unchanged bit for bit (both count as converged), on a stalled line
     search, or after ``max_iter`` iterations.
     """
+    max_iter = count("max_iter", max_iter, 0)
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         z = z[:, None]  # single-feature input as a column

@@ -24,6 +24,7 @@ from imbtrader.dists import canonical_rows
 from imbtrader.pipeline import LeakageError, attach_z
 from imbtrader.price_models import DegenerateLabelsError, LogisticModel, pinball_loss, quantile_levels
 from test_backtest import toy_models, toy_tick
+from test_price_models import BAD_CAPS, no_solver
 
 
 class TestStaticTransitions:
@@ -91,6 +92,13 @@ class TestMarkovPropagation:
         with pytest.raises(error, match=f"^{message}$"):
             fit_transition_models(labels, features)
 
+    @BAD_CAPS
+    def test_bad_iteration_cap_rejected_by_name(self, monkeypatch, cap, message):
+        monkeypatch.setattr(benchmarks, "fit_logistic", no_solver)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_transition_models(rng.random(40) < 0.5, rng.normal(size=(40, 2)), max_iter=cap)
+
     def test_dynamic_with_constant_inputs_reproduces_static_exactly(self):
         # constant inputs give input-independent transitions
         rng = np.random.default_rng(2)
@@ -148,6 +156,14 @@ class TestLinearQuantileBank:
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError, match=f"^n_q: expected an integer, got {n_q}$"):
             fit_linear_quantile_bank(rng.normal(size=(60, 3)), rng.normal(size=60), n_q=n_q)
+
+    @BAD_CAPS
+    def test_bad_iteration_cap_rejected_by_name(self, monkeypatch, cap, message):
+        monkeypatch.setattr(benchmarks, "fit_quantile_lp", no_solver)
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_linear_quantile_bank(rng.normal(size=(60, 3)), rng.normal(size=60), n_q=4,
+                                     max_iter=cap)
 
     @pytest.mark.parametrize("name", ["x", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -302,7 +318,8 @@ class TestBenchmarkRun:
         # a hand-built bundle whose one block is "all": no dynamic benchmark columns
         (toy_models(), {}, "the dynamic benchmark needs the feature block 'quarter_onehot', the layout has none"),
         (None, {"max_iter": -1}, "max_iter must be at least 0, got -1"),
-    ], ids=["single block layout", "negative max_iter"])
+        (None, {"max_iter": 2.5}, "max_iter: expected an integer, got 2.5"),
+    ], ids=["single block layout", "negative max_iter", "fractional max_iter"])
     def test_bad_suite_input_fails_before_any_fit(self, trained, monkeypatch, models, kwargs, message):
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the inputs were checked")

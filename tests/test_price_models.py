@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from logistic_oracle import descent_logistic, training_loss_and_grad
 
-from imbtrader import _optim
+from imbtrader import _optim, price_models
 from imbtrader.data_io import FeatureLayout, MarketTick
 from imbtrader.market_impact import ImpactParams, Regime
 from imbtrader.pipeline import TrainedModels, _reader, _to_json, make_forecaster
@@ -27,6 +27,17 @@ from imbtrader.price_models import (
     quantile_loss_and_grad,
     quantile_matrix,
 )
+
+
+# Iteration caps that are no count: a fraction ran as its floor, a negative cap as 0.
+BAD_CAPS = pytest.mark.parametrize("cap, message", [
+    (2.5, "max_iter: expected an integer, got 2.5"),
+    (-1, "max_iter must be at least 0, got -1"),
+], ids=["fraction", "negative"])
+
+
+def no_solver(*args, **kwargs):
+    raise AssertionError("the solver ran before the iteration cap was checked")
 
 
 def bare_logistic(bias, weights, position_index=None):
@@ -120,6 +131,12 @@ class TestFitLogistic:
         # numpy's "zero-size array to reduction operation minimum" before this check
         with pytest.raises(ValueError, match="^training data has no rows$"):
             fit_logistic(np.zeros((0, 2)), np.zeros(0))
+
+    @BAD_CAPS
+    def test_bad_iteration_cap_rejected_by_name(self, monkeypatch, cap, message):
+        monkeypatch.setattr(price_models, "minimize_newton", no_solver)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]), max_iter=cap)
 
     @pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf")])
     def test_bad_l2_rejected_by_name(self, l2):
@@ -404,6 +421,14 @@ class TestQuantileBank:
             idx = list(bank.taus).index(tau)
             analytic = probe * (1.0 + 0.15 * normal_quantile(tau))
             assert np.all(np.abs(probe_preds[:, idx] - analytic) <= 0.05 * np.abs(analytic))
+
+    @BAD_CAPS
+    def test_bad_iteration_cap_rejected_by_name(self, monkeypatch, cap, message):
+        monkeypatch.setattr(price_models, "minimize_gd", no_solver)
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_quantile_bank(rng.uniform(size=(30, 1)), np.sort(rng.normal(50.0, 9.0, (30, 3)), axis=1),
+                              rng.normal(50.0, 9.0, 30), regime=Regime.MIP, n_q=3, max_iter=cap)
 
     def test_empty_regime_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from evar_kernel_oracle import evar_bracket_rows as oracle_bracket_rows
 from evar_oracle import oracle_evar_grid
 from flat_oracle import cvar_rows as per_row_cvar_rows
 from flat_oracle import evaluate, risk_of_negated_price
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from imbtrader import risk
+from imbtrader.data_io import SyntheticConfig, load_dataset, write_synthetic_dataset
 from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten, regime_rows
+from imbtrader.pipeline import attach_z, make_forecaster, train_models
 from imbtrader.risk import RiskSpec, cvar, cvar_grid, cvar_rows, evar, evar_bracket_rows, evar_grid
-from imbtrader.strategy import ActionSpace, OrderBook, decision_table
+from imbtrader.strategy import ActionSpace, OrderBook, decision_table, default_alpha_grid, leg_positions
 
 
 def uniform_dist(values):
@@ -364,3 +368,150 @@ class TestAlphaChecksInTables:
         f = MixtureForecast(0.5, uniform_dist([10.0, 30.0]), uniform_dist([100.0, 300.0]))
         with pytest.raises(ValueError, match="alpha"):
             decision_table(lambda u: f, OrderBook(asks=((1.0, 5.0),)), ActionSpace(step=1.0, u_max=2.0), kind, alphas)
+
+
+def assert_same_bits(got, want):
+    """Estimate, lower and upper bound equal, signs of zero included."""
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@pytest.fixture(scope="module")
+def seed1_legs(tmp_path_factory):
+    """EVaR kernel inputs of both legs at the first two replay ticks of perfbench's seed-1 market and bundle."""
+    cfg = SyntheticConfig(seed=1, n_periods=15 * 96, price_noise_std=8.0, price_gap_std=5.0)
+    workdir = tmp_path_factory.mktemp("seed1")
+    write_synthetic_dataset(workdir, cfg)
+    ticks = load_dataset(workdir, cfg.grid)
+    models = train_models(ticks[:384], grid=cfg.grid, n_q=100, kfold=5, l2=1e-4, u_max=5.0, seed=1,
+                          logistic_max_iter=2000, bank_max_iter=400)
+    legs = []
+    for tick in attach_z(ticks[384:386], models):
+        forecast = make_forecaster(models, tick, 1.0)
+        for leg in ("long", "short"):
+            pi, (down, m_down), (up, m_up) = forecast.regime_rows(leg_positions(ActionSpace(), leg))
+            legs.append((np.stack([pi, 1.0 - pi], axis=1), [(-down, m_down), (-up, m_up)]))
+    return legs
+
+
+def stacked(legs):
+    """One call's inputs holding the rows of every leg."""
+    weights = np.concatenate([w for w, _ in legs])
+    regimes = [tuple(np.concatenate([r[g][i] for _, r in legs]) for i in range(2)) for g in range(2)]
+    return weights, regimes
+
+
+GRIDS = {"evar": default_alpha_grid("evar"), "cvar": default_alpha_grid("cvar")}
+
+
+def oracle_mixture_bracket(forecasts, alphas):
+    """``mixture_bracket`` on the kernel that computes every node."""
+    pi, (down, m_down), (up, m_up) = regime_rows(forecasts)
+    return oracle_bracket_rows(np.stack([pi, 1.0 - pi], axis=1), [(-down, m_down), (-up, m_up)], alphas)
+
+
+class TestEvarKernelBits:
+    """The node window and the per-(row, alpha) pass against the kernel that computed every node."""
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_benchmark_legs(self, seed1_legs, grid):
+        for weights, regimes in seed1_legs:
+            assert_same_bits(evar_bracket_rows(weights, regimes, GRIDS[grid]),
+                             oracle_bracket_rows(weights, regimes, GRIDS[grid]))
+
+    def test_the_evar_grid_skips_nodes(self):
+        # The window's first node for the EVaR grid's largest interior alpha, 1 - 0.1 / 159.
+        t_min = -np.log(GRIDS["evar"][-2])
+        assert risk._nodes(1.0, t_min)[1] == 120
+
+    @pytest.mark.parametrize("alphas", [
+        1.0 - np.array([1e-16, 1e-12, 1e-9, 1e-7]),  # t_min below node 0: no node skipped
+        np.array([float(np.nextafter(1.0, 0.0)), 0.5, 1e-3]),
+        np.array([1e-300, 1e-30, 1e-9]),  # most nodes skipped, most rows past t_max
+    ], ids=["near one", "next to one and below", "tiny"])
+    def test_alphas_at_the_ends(self, seed1_legs, alphas):
+        for weights, regimes in seed1_legs[:2]:
+            assert_same_bits(evar_bracket_rows(weights, regimes, alphas), oracle_bracket_rows(weights, regimes, alphas))
+        if alphas[0] > 0.5:
+            assert risk._nodes(1.0, -np.log(alphas.max()))[1] == 0
+
+    def test_rows_past_t_max_give_the_max(self):
+        # The largest losses, 3 and 10, have masses 1/6 and 0.3: alphas below them are past t_max.
+        alphas = np.array([0.05, 0.2, 0.29, 0.31, 0.45, 0.6, 0.9])
+        forecasts = [
+            MixtureForecast(0.5, uniform_dist([-3.0, -1.0, 0.0]), DiscretePriceDistribution([-1.0, 0.0], [0.5, 0.5])),
+            MixtureForecast(1.0, DiscretePriceDistribution([-10.0, 0.0, 5.0], [0.3, 0.4, 0.3]), uniform_dist([1.0])),
+        ]
+        got = mixture_bracket(forecasts, alphas)
+        assert_same_bits(got, oracle_mixture_bracket(forecasts, alphas))
+        assert np.all(got[0][1, :2] == 10.0)
+
+    def test_regimes_that_are_not_translates(self):
+        rng = np.random.default_rng(6)
+        forecasts = [MixtureForecast(float(rng.uniform()), random_dist(rng, 20), random_dist(rng, 20))
+                     for _ in range(40)]
+        for alphas in GRIDS.values():
+            assert_same_bits(mixture_bracket(forecasts, alphas), oracle_mixture_bracket(forecasts, alphas))
+
+    def test_zero_weights_and_zero_spreads(self):
+        point, live = DiscretePriceDistribution([64.0], [1.0]), uniform_dist([30.0, 90.0, 95.0])
+        dead = uniform_dist([-500.0, -400.0])
+        forecasts = [MixtureForecast(0.0, dead, live), MixtureForecast(1.0, live, dead),
+                     MixtureForecast(0.3, point, point), MixtureForecast(0.7, live, live.shift(2.0)),
+                     MixtureForecast(0.0, point, point)]
+        for alphas in (*GRIDS.values(), np.linspace(0.0, 1.0, 21)):
+            assert_same_bits(mixture_bracket(forecasts, alphas), oracle_mixture_bracket(forecasts, alphas))
+            assert_same_bits(mixture_bracket(forecasts[2:3], alphas), oracle_mixture_bracket(forecasts[2:3], alphas))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_random_mixtures(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 30))
+        alphas = np.array(data.draw(st.lists(st.one_of(st.sampled_from(EDGE_ALPHAS), st.floats(0.0, 1.0)),
+                                             min_size=1, max_size=8)))
+        weights = rng.choice([0.0, 0.3, 1.0], size=n) if data.draw(st.booleans()) else rng.uniform(size=n)
+        # Up regimes are random or translates of one law, so some calls share its cumulant and some do not.
+        ups = [random_dist(rng, 6) if rng.uniform() < 0.5 else uniform_dist([2.0, 7.0]).shift(float(w))
+               for w in weights]
+        forecasts = [MixtureForecast(float(w), random_dist(rng, 6, float(rng.choice([1.0, 100.0]))), up)
+                     for w, up in zip(weights, ups)]
+        assert_same_bits(mixture_bracket(forecasts, alphas), oracle_mixture_bracket(forecasts, alphas))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 51, 102])
+    def test_bits_do_not_depend_on_the_block_size(self, seed1_legs, monkeypatch, block_rows):
+        weights, regimes = stacked(seed1_legs[:2])  # 102 rows: both legs of one tick
+        default = evar_bracket_rows(weights, regimes, GRIDS["evar"])
+        monkeypatch.setattr(risk, "_BLOCK_ROWS", block_rows)
+        assert_same_bits(evar_bracket_rows(weights, regimes, GRIDS["evar"]), default)
+        assert_same_bits(default, oracle_bracket_rows(weights, regimes, GRIDS["evar"]))
+
+
+@st.composite
+def laws(draw):
+    """A discrete law (atoms, masses) with positive masses, a spread_max at least its spread, and a t_min."""
+    k = draw(st.integers(2, 8))
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k)))
+    masses = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    spread = values.max() - values.min()
+    assume(spread > 1e-6)
+    spread_max = spread * draw(st.sampled_from([1.0, 1.5, 10.0]))
+    largest_alpha = draw(st.one_of(st.floats(1e-12, 1.0 - 1e-12), st.sampled_from([GRIDS["evar"][-2], 0.5])))
+    return values, masses / masses.sum(), spread_max, -np.log(largest_alpha)
+
+
+class TestNodeWindow:
+    @settings(deadline=None, max_examples=300)
+    @given(laws())
+    def test_nodes_left_of_the_window_lie_at_half_the_smallest_target(self, law):
+        # Popoviciu: K'' <= spread^2 / 4, so t(s) <= (s spread)^2 / 8, at most t_min / 2 while
+        # s spread_max <= sqrt(4 t_min).
+        values, masses, spread_max, t_min = law
+        s, first = risk._nodes(spread_max, t_min)
+        covered = np.flatnonzero(s * spread_max <= np.sqrt(4.0 * t_min))
+        assert first == (covered[-1] if covered.size else 0)
+        y = values - values.max()
+        tilt = masses * np.exp(np.multiply.outer(s[covered], y))  # (nodes x atoms), exponents >= -sqrt(4 t_min)
+        k = np.log(tilt.sum(axis=1))
+        t = s[covered] * (tilt @ y) / tilt.sum(axis=1) - k
+        assert np.all(t <= 0.5 * t_min * (1.0 + 1e-9))
