@@ -48,6 +48,7 @@ _QUINTIC = ((10.0, -6.0, -4.0, -1.5, 0.5), (-15.0, 8.0, 7.0, 1.5, -1.0), (6.0, -
 _EXP_FLOOR = -600.0  # exp() is slow on arguments that underflow
 _BLOCK_ROWS = 17  # rows per block of (rows x nodes) work
 _CHUNK = 64  # nodes per cumulant matmul
+_S_NODES = np.geomspace(*_S_RANGE, EVAR_NODES)
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,10 @@ def cvar_rows(values: np.ndarray, masses: np.ndarray, alphas) -> np.ndarray:
     atom; it equals the infimum of ``s + E[Z - s]_+ / alpha`` exactly.
     ``alpha == 0`` gives the largest atom of positive mass, ``alpha == 1``
     the expectation. Returns (rows x alphas).
+
+    One tail index per (row, alpha): a ``searchsorted`` per row, or a count
+    per alpha when there are fewer alphas than rows. The tail terms are
+    ``take``s at row-offset flat indices of a contiguous worst-first copy.
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_alphas(a)
@@ -103,11 +108,9 @@ def cvar_rows(values: np.ndarray, masses: np.ndarray, alphas) -> np.ndarray:
     if np.any(interior):
         ai = a[interior]
         n, k = values.shape
-        v = values[:, ::-1]  # worst loss first
-        m = masses[:, ::-1]
+        v, m = np.ascontiguousarray(values[:, ::-1]), masses[:, ::-1]  # worst loss first
         # Column i holds the mass (and mass-weighted loss) of the i worst atoms.
-        cm = np.zeros((n, k + 1))
-        cmv = np.zeros((n, k + 1))
+        cm, cmv = np.zeros((2, n, k + 1))
         np.cumsum(m, axis=1, out=cm[:, 1:])
         np.cumsum(m * v, axis=1, out=cmv[:, 1:])
         # The tail index is searchsorted(row, alpha, "left"). A cumsum of nonnegative masses never
@@ -116,10 +119,15 @@ def cvar_rows(values: np.ndarray, masses: np.ndarray, alphas) -> np.ndarray:
         if ai.size < n:
             idx = np.stack([np.count_nonzero(cm[:, 1:] < x, axis=1) for x in ai], axis=1)
         else:
-            idx = np.stack([np.searchsorted(row, ai, side="left") for row in cm[:, 1:]])
-        idx = np.minimum(idx, k - 1)  # guard a float cumsum that ends below alpha
-        rows = np.arange(n)[:, None]
-        out[:, interior] = (cmv[rows, idx] + (ai - cm[rows, idx]) * v[rows, idx]) / ai
+            idx = np.empty((n, ai.size), dtype=np.intp)
+            for i, row in enumerate(cm[:, 1:]):
+                idx[i] = row.searchsorted(ai, side="left")
+        np.minimum(idx, k - 1, out=idx)  # guard a float cumsum that ends below alpha
+        idx += np.arange(0, n * (k + 1), k + 1)[:, None]  # flat index of the tail atom in cm and cmv
+        tail, total = np.take(cm, idx), np.take(cmv, idx)
+        idx -= np.arange(n)[:, None]  # and in v, whose rows are one column shorter
+        np.multiply(np.subtract(ai, tail, out=tail), np.take(v, idx), out=tail)
+        out[:, interior] = np.divide(np.add(total, tail, out=tail), ai, out=tail)
     return out
 
 
@@ -149,7 +157,7 @@ def _nodes(spread_max: float, t_min: float) -> tuple[np.ndarray, int]:
     That is the last node with s spread_max <= sqrt(4 t_min), where t <= t_min / 2 (module docstring), or
     node 0 if there is none.
     """
-    s = np.geomspace(*_S_RANGE, EVAR_NODES) / spread_max
+    s = _S_NODES / spread_max
     return s, max(int(np.searchsorted(s * spread_max, np.sqrt(4.0 * t_min), side="right")) - 1, 0)
 
 
@@ -167,8 +175,8 @@ def evar_bracket_rows(weights: np.ndarray, regimes, alphas) -> tuple[np.ndarray,
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_alphas(a)
     w = np.asarray(weights, dtype=float)
-    tops = np.stack([np.max(np.where(m > 0.0, v, -np.inf), axis=1) for v, m in regimes], axis=1)
-    lows = np.stack([np.min(np.where(m > 0.0, v, np.inf), axis=1) for v, m in regimes], axis=1)
+    tops = np.stack([np.max(v, axis=1, where=m > 0.0, initial=-np.inf) for v, m in regimes], axis=1)
+    lows = np.stack([np.min(v, axis=1, where=m > 0.0, initial=np.inf) for v, m in regimes], axis=1)
     vmax = np.max(np.where(w > 0.0, tops, -np.inf), axis=1)
     spread = vmax - np.min(np.where(w > 0.0, lows, np.inf), axis=1)
     mean = np.sum(w * np.stack([mean_rows(v, m) for v, m in regimes], axis=1), axis=1)

@@ -234,8 +234,12 @@ def _rho_rows(kind: str, forecast_fn: ForecastFn, us: np.ndarray, alphas: np.nda
         pi, (down, m_down), (up, m_up) = regime_rows([forecast_fn(float(u)) for u in us])
     if kind == "evar":
         return evar_bracket_rows(np.stack([pi, 1.0 - pi], axis=1), [(-down, m_down), (-up, m_up)], alphas)[0]
-    losses = -np.hstack([down, up])
-    masses = np.hstack([m_down * pi[:, None], m_up * (1.0 - pi)[:, None]])
+    split = down.shape[1]  # down atoms, then up atoms
+    losses, masses = np.empty((2, us.size, split + up.shape[1]))
+    np.negative(down, out=losses[:, :split])
+    np.negative(up, out=losses[:, split:])
+    np.multiply(m_down, pi[:, None], out=masses[:, :split])
+    np.multiply(m_up, (1.0 - pi)[:, None], out=masses[:, split:])
     order = np.argsort(losses, axis=1, kind="stable")
     order += np.arange(0, losses.size, losses.shape[1])[:, None]  # flat index of each sorted atom
     losses, masses = np.take(losses, order), np.take(masses, order)
@@ -482,6 +486,10 @@ class AlphaAdapter:
         losses = np.asarray(losses, dtype=float)
         if losses.shape != self.alphas.shape:
             raise ValueError("loss vector shape does not match the alpha grid")
+        finite = np.isfinite(losses)
+        if not finite.all():  # one NaN would leave select_alpha no minimizer for a whole window
+            j = int(np.argmin(finite))
+            raise ValueError(f"loss {float(losses[j])!r} at alpha {float(self.alphas[j])!r} is not finite")
         i = self._end % self.window
         self._buffer[i] = losses
         self._buffer[i + self.window] = losses

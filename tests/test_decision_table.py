@@ -2,6 +2,7 @@
 import dataclasses
 import tracemalloc
 
+import cvar_table_oracle
 import numpy as np
 import pytest
 from evar_oracle import oracle_evar_grid
@@ -18,6 +19,14 @@ KINDS = ("expectation", "cvar", "evar")
 # |rho - reference| per measure, EUR/MWh: CVaR and the expectation repeat the
 # reference's arithmetic; EVaR interpolates between the kernel's dual nodes.
 RHO_TOL = {"expectation": 1e-9, "cvar": 1e-9, "evar": 1e-6}
+# Alpha sets of the bit tests: fewer alphas than the 51 rows of a leg take one count per alpha, the
+# others one search per row.
+TABLE_ALPHAS = {
+    "cvar grid": default_alpha_grid("cvar", 200),
+    "sweep": np.array([0.9]),
+    "few unsorted": np.array([0.5, 1.0, 0.0, 0.9, 0.5, 0.05, 1.0, 0.0, 0.3]),
+    "many unsorted": np.random.default_rng(3).permutation(np.tile(np.linspace(0.0, 1.0, 30), 2)),
+}
 
 
 def reference_cvar_grid(dist, alphas):
@@ -92,6 +101,26 @@ class TestAgainstObjectTable:
         _, rho, phi = object_table(fn, book, actions.ordered_grid(), kind, alphas)
         assert np.max(np.abs(table.rho - rho)) <= RHO_TOL[kind]
         assert np.array_equal(table.best_positions()[0], actions.ordered_grid()[np.argmin(phi, axis=0)])
+
+
+class TestCvarTableBits:
+    """CVaR and expectation tables against the frozen row builder and kernel of ``cvar_table_oracle``."""
+
+    @pytest.mark.parametrize("alphas", sorted(TABLE_ALPHAS))
+    @pytest.mark.parametrize("leg", ["long", "short"])
+    @pytest.mark.parametrize("kind", ["cvar", "expectation"])
+    def test_trained_bundle(self, trained, kind, leg, alphas):
+        models, _, test_ticks = trained
+        positions, alphas = leg_positions(PAPER_GRID, leg), TABLE_ALPHAS[alphas]
+        for i, tick in enumerate(test_ticks[:12]):
+            pf = make_forecaster(models, tick, 1.0)
+            for fn in (pf, lambda u: pf(u)) if i < 3 else (pf,):  # a plain callable builds its rows per position
+                table = decision_table(fn, tick.book, positions, kind, alphas)
+                rho, phi, best = cvar_table_oracle.table(fn, table.fill_prices, positions, kind, alphas)
+                assert table.rho.tobytes() == rho.tobytes()
+                assert table.phi.tobytes() == phi.tobytes()
+                for got, want in zip(table.best_positions(), best, strict=True):
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestEvarKernelOnTrainedBundle:

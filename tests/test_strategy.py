@@ -478,6 +478,20 @@ class TestAlphaGridAndAdapter:
         with pytest.raises(ValueError):
             adapter.record(np.zeros(4))
 
+    @pytest.mark.parametrize("bad, alpha", [([1.0, np.nan, 0.0, 0.0, 0.0], "0.25"),
+                                            ([0.0, 0.0, np.inf, -np.inf, 0.0], "0.5")], ids=["nan", "inf pair"])
+    def test_non_finite_losses_rejected_before_any_write(self, bad, alpha):
+        # A NaN used to make every update() of the next `window` records raise a bare IndexError.
+        adapter = AlphaAdapter(np.linspace(0, 1, 5), window=3, kind="cvar")
+        adapter.record(np.array([0.0, 0.0, 0.0, -1.0, 0.0]))
+        state = (adapter._end, adapter._count, adapter._buffer.copy())
+        with pytest.raises(ValueError, match=rf"at alpha {alpha} is not finite"):
+            adapter.record(np.array(bad))
+        assert (adapter._end, adapter._count) == state[:2]
+        assert np.array_equal(adapter._buffer, state[2], equal_nan=True)  # rows never written hold garbage
+        assert np.array_equal(adapter.windowed_mean(), [0.0, 0.0, 0.0, -1.0, 0.0])
+        assert adapter.update() == 0.75
+
     def test_rolling_equals_recompute_from_scratch(self):
         rng = np.random.default_rng(77)
         alphas = np.linspace(0.0, 1.0, 21)
