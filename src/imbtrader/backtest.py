@@ -31,9 +31,11 @@ from .risk import RISK_KINDS
 from .strategy import (
     ActionSpace,
     AlphaAdapter,
+    InsufficientDepthError,
     TradeRecord,
     decision_table,
     default_alpha_grid,
+    fill_prices,
     leg_positions,
 )
 
@@ -209,16 +211,18 @@ def _replay(
 
     skipped: list[tuple[datetime, str]] = []
     traded = []
+    largest = [positions[leg][-1] for leg in legs]  # a book that fills these fills every position of the legs
     for tick in ticks:
         if tick.book is None:
             reason = "missing order book"
-        elif tick.book.depth("ask") < config.actions.u_max or (
-            "short" in legs and tick.book.depth("bid") < config.actions.u_max
-        ):
-            reason = "insufficient book depth"
         else:
-            traded.append(tick)
-            continue
+            try:  # the fill kernel's own depth rule
+                fill_prices(tick.book, largest)
+            except InsufficientDepthError:
+                reason = "insufficient book depth"
+            else:
+                traded.append(tick)
+                continue
         skipped.append((tick.timestamp, reason))
         logger.info("skipping %s: %s", tick.timestamp.isoformat(), reason)
 

@@ -146,15 +146,12 @@ class MixtureForecast:
 
 
 def flatten(forecast: MixtureForecast) -> DiscretePriceDistribution:
-    """Collapse a two-component mixture into a single discrete distribution.
+    """Collapse a two-component mixture into a single discrete distribution: one row of ``flatten_rows``.
 
     Each down-atom keeps pi times its mass, each up-atom (1 - pi) times its
     mass; the result is canonicalized (sorted, merged, zero atoms dropped).
     """
-    values = np.concatenate([forecast.down.values, forecast.up.values])
-    masses = np.concatenate(
-        [forecast.down.masses * forecast.pi, forecast.up.masses * (1.0 - forecast.pi)]
-    )
+    (values,), (masses,) = flatten_rows(*regime_rows([forecast]))
     return DiscretePriceDistribution(values, masses)
 
 
@@ -227,8 +224,8 @@ def moment_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.
 
 def quantile_rows(values: np.ndarray, masses: np.ndarray, taus) -> np.ndarray:
     """Left-continuous CDF inverse (the smallest value with CDF >= tau) of each canonical row at each level."""
-    if np.any((np.asarray(taus) < 0.0) | (np.asarray(taus) > 1.0)):
-        raise ValueError(f"quantile levels {taus} outside [0, 1]")
+    if not np.all((np.asarray(taus) >= 0.0) & (np.asarray(taus) <= 1.0)):  # NaN fails too
+        raise ValueError(f"quantile levels {taus} outside [0, 1] or not a number")
     cdf = np.cumsum(masses, axis=1)
     idx = np.count_nonzero(cdf[:, None, :] < np.reshape(taus, (-1, 1)), axis=2)  # searchsorted, side="left"
     # the padding repeats the last CDF value, so a float cumsum < tau falls back to the last atom

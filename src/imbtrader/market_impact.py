@@ -93,7 +93,7 @@ def estimate_sensitivities(
 
 
 def adjust_price(price: float, regime: Regime, u: float, params: ImpactParams) -> float:
-    """Regulation price after absorbing an own trade of ``u`` MW."""
+    """Regulation price after absorbing an own trade of ``u`` MW; prices and positions may be arrays that broadcast."""
     return price - params.sensitivity(regime) * params.beta * u
 
 

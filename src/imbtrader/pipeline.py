@@ -20,7 +20,7 @@ from ._fields import (
 )
 from .data_io import FeatureLayout, MarketTick, reference_layout
 from .dists import DiscretePriceDistribution, MixtureForecast, canonical_rows, row_atoms
-from .market_impact import ImpactParams, Regime, estimate_sensitivities, is_surplus
+from .market_impact import ImpactParams, Regime, adjust_price, estimate_sensitivities, is_surplus
 from .price_models import (
     FeatureScaler,
     LogisticModel,
@@ -70,9 +70,8 @@ class TrainedModels:
     def __post_init__(self):
         for name in ("n_q", "kfold", "seed"):  # Python ints, which the bundle's JSON holds
             setattr(self, name, read_field(name, integer, getattr(self, name)))
-        index, last = self.position_model.position_weight_index, self.position_model.n_features - 1
-        if index != last:
-            raise ValueError(f"position_model.position_weight_index is {index}, the last feature is {last}")
+        if self.position_model.position_weight_index is None:  # LogisticModel keeps it the last feature
+            raise ValueError("position_model has no position feature: its position_weight_index is None")
         n = len(self.layout.names)
         for name, want in (("weight_model", n), ("position_model", n + 1)):
             got = getattr(self, name).n_features
@@ -301,38 +300,32 @@ class PositionForecast:
 
     Built from the tick's features and each regime's atoms and masses: one
     row of ``forecast_rows`` without its padding (see ``dists.row_atoms``).
-    Calling it with a position ``u`` gives the ``MixtureForecast`` at ``u``:
-    each regime distribution shifted by ``-k * beta * u`` and the weight
-    ``pi(u)`` of the position model. ``regime_rows`` gives the weights and
-    regimes of a whole position vector as arrays: the rows that
-    ``dists.regime_rows`` builds from the calls, bit for bit.
+    ``regime_rows`` gives the weights and regimes of a whole position vector
+    as arrays, the rows that ``dists.regime_rows`` builds from forecasts: at
+    each position ``u``, each regime's prices moved by the settlement's own
+    impact law (``market_impact.adjust_price`` at ``u``) and the weight
+    ``pi(u)`` of the position model. Calling it with one ``u`` gives that
+    row as a ``MixtureForecast``.
     """
 
     def __init__(self, models: TrainedModels, x, down, up, beta_est: float):
-        impact = models.impact_with_beta(beta_est)
-        self.beta = impact.beta
-        self.slopes = (-impact.k_mdp * impact.beta, -impact.k_mip * impact.beta)
+        self.impact = models.impact_with_beta(beta_est)
         self.down, self.up = down, up
         self._position_model = models.position_model
         self._x = np.asarray(x, dtype=float)
 
-    def pis(self, us) -> np.ndarray:
-        """Mixture weight at each position; the position feature is ``beta * u``."""
-        return self._position_model.predict_positions(self._x, self.beta * np.asarray(us, dtype=float))
-
     def __call__(self, u: float) -> MixtureForecast:
-        down, up = (DiscretePriceDistribution(v + slope * u, m) for (v, m), slope in self._regimes())
-        return MixtureForecast(pi=float(self.pis([u])[0]), down=down, up=up)
+        pi, *regimes = self.regime_rows([u])
+        down, up = (DiscretePriceDistribution(v[0], m[0]) for v, m in regimes)
+        return MixtureForecast(pi=float(pi[0]), down=down, up=up)
 
     def regime_rows(self, us):
         """Mixture weight and each regime's price atoms and masses, one row per position."""
         us = np.asarray(us, dtype=float)
-        regimes = [(v + (slope * us)[:, None], np.broadcast_to(m, (us.size, m.size)))
-                   for (v, m), slope in self._regimes()]
-        return (self.pis(us), *regimes)
-
-    def _regimes(self):
-        return zip((self.down, self.up), self.slopes)
+        pi = self._position_model.predict_positions(self._x, self.impact.beta * us)  # the position feature: beta * u
+        rows = [(adjust_price(v, regime, us[:, None], self.impact), np.broadcast_to(m, (us.size, m.size)))
+                for (v, m), regime in ((self.down, Regime.MDP), (self.up, Regime.MIP))]
+        return (pi, *rows)
 
 
 def make_forecaster(models: TrainedModels, tick: MarketTick, beta_est: float) -> PositionForecast:

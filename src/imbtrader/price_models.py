@@ -80,9 +80,15 @@ class FeatureScaler:
         return (np.asarray(x, dtype=float) - self.mean) / self.scale
 
 
+def _check_position_index(i: int | None, n_weights: int) -> None:  # the position feature, if any, is the last
+    if i is not None and i != n_weights - 1:
+        where = "is not the last of" if 0 <= i < n_weights else "is outside"
+        raise ValueError(f"position_weight_index {i} {where} the {n_weights} weights")
+
+
 @dataclass(frozen=True)
 class LogisticModel:
-    """Sigmoid of an affine score; optionally tracks a trade-position feature."""
+    """Sigmoid of an affine score; optionally tracks a trade-position feature, the last one."""
 
     bias: float
     weights: np.ndarray
@@ -97,9 +103,7 @@ class LogisticModel:
             widths = {np.shape(self.scaler.mean), np.shape(self.scaler.scale)}
             if widths != {shape}:
                 raise ValueError(f"scaler widths {sorted(widths)} do not match the model's {shape[0]} weights")
-        i = self.position_weight_index
-        if i is not None and not 0 <= i < shape[0]:
-            raise ValueError(f"position_weight_index {i} is outside the {shape[0]} weights")
+        _check_position_index(self.position_weight_index, shape[0])
 
     @property
     def n_features(self) -> int:
@@ -117,13 +121,12 @@ class LogisticModel:
         mat = x[None, :] if single else x
         if mat.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {mat.shape[1]}")
-        i = self.position_weight_index
-        if i is None:
+        if self.position_weight_index is None:
             if self.scaler is not None:
                 mat = self.scaler.transform(mat)
             score = mat @ self.weights + self.bias
         else:
-            score = self._position_scores(np.delete(mat, i, axis=1), mat[:, i])
+            score = self._position_scores(mat[:, :-1], mat[:, -1])
         p = np.clip(_stable_sigmoid(score), _P_LO, _P_HI)
         return float(p[0]) if single else p
 
@@ -142,12 +145,10 @@ class LogisticModel:
         return np.clip(_stable_sigmoid(score), _P_LO, _P_HI)
 
     def _position_scores(self, rest: np.ndarray, position: np.ndarray) -> np.ndarray:
-        i = self.position_weight_index
-        others = np.arange(self.n_features) != i  # one mask costs a third of three np.delete calls
         if self.scaler is not None:
-            rest = (rest - self.scaler.mean[others]) / self.scaler.scale[others]
-            position = (position - self.scaler.mean[i]) / self.scaler.scale[i]
-        return (rest @ self.weights[others] + self.bias) + position * self.weights[i]
+            rest = (rest - self.scaler.mean[:-1]) / self.scaler.scale[:-1]
+            position = (position - self.scaler.mean[-1]) / self.scaler.scale[-1]
+        return (rest @ self.weights[:-1] + self.bias) + position * self.weights[-1]
 
 
 def logistic_loss_and_grad(params: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
@@ -204,6 +205,7 @@ def fit_logistic(
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
+    _check_position_index(position_weight_index, x.shape[1])
     y = np.asarray(y, dtype=float).ravel()
     if y.size != x.shape[0]:
         raise ValueError("label length does not match feature rows")

@@ -59,10 +59,14 @@ class RiskSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in RISK_KINDS:
-            raise ValueError(f"unknown risk kind {self.kind!r}; expected one of {RISK_KINDS}")
+        _check_kind(self.kind)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in RISK_KINDS:
+        raise ValueError(f"unknown risk kind {kind!r}; expected one of {RISK_KINDS}")
 
 
 def _check_alphas(alphas: np.ndarray) -> None:

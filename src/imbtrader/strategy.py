@@ -16,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
+from ._fields import count
 from .dists import MixtureForecast, regime_rows
 from .market_impact import ImpactParams
-from .risk import RISK_KINDS, RiskSpec, _check_alphas, cvar_rows, evar_bracket_rows, mean_rows
+from .risk import RiskSpec, _check_alphas, _check_kind, cvar_rows, evar_bracket_rows, mean_rows
 
 __all__ = [
     "ActionSpace",
@@ -148,7 +149,7 @@ class OrderBook:
         return book
 
     def depth(self, side: str) -> float:
-        # left to right, as the depth test against u_max expects; np.sum adds 8 or more levels in another order
+        # left to right, the order the fill kernel takes the levels in; np.sum adds 8 or more in another order
         return float(np.cumsum(self.volumes[SIDES.index(side)])[-1])
 
     def best_price(self) -> float:
@@ -224,8 +225,7 @@ def _rho_rows(kind: str, forecast_fn: ForecastFn, us: np.ndarray, alphas: np.nda
     expectation flatten the regimes, down atoms then up, and sort each row.
     Every measure rejects alphas outside [0, 1] or NaN.
     """
-    if kind not in RISK_KINDS:
-        raise ValueError(f"unknown risk kind {kind!r}")
+    _check_kind(kind)
     _check_alphas(alphas)
     whole_tick = getattr(forecast_fn, "regime_rows", None)
     if whole_tick is not None:
@@ -421,8 +421,8 @@ def default_alpha_grid(kind: str, size: int = 200) -> np.ndarray:
     The entropic measure reacts mostly near alpha = 1, so its grid puts
     four fifths of the points on [0.9, 1] and a coarse tail below.
     """
-    if size < 2:
-        raise ValueError("grid size must be at least 2")
+    size = count("size", size, 2)
+    _check_kind(kind)
     if kind == "evar":
         n_tail = max(size // 5, 1)
         tail = np.linspace(0.0, 0.9, n_tail, endpoint=False)
@@ -455,8 +455,8 @@ class AlphaAdapter:
     """
 
     def __init__(self, alphas: np.ndarray, window: int, kind: str):
-        if window < 1:
-            raise ValueError("window must be at least 1")
+        self.window = count("window", window, 1)
+        _check_kind(kind)  # the leg's measure: checked by name, though the tuning is the same for every measure
         self.alphas = np.asarray(alphas, dtype=float)
         if self.alphas.ndim != 1 or self.alphas.size < 1:
             raise ValueError("alpha grid must be a non-empty 1-D array")
@@ -464,8 +464,6 @@ class AlphaAdapter:
             raise ValueError("alpha grid must lie in [0, 1]")  # NaN fails this too
         if np.any(np.diff(self.alphas) <= 0.0):
             raise ValueError("alpha grid must be strictly increasing")
-        self.window = int(window)
-        self.kind = kind
         # Each row is written at i and i + window, so the trailing window is
         # always the contiguous slice that ends at the latest write.
         self._buffer = np.empty((2 * self.window, self.alphas.size))

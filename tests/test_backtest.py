@@ -22,7 +22,7 @@ from imbtrader.market_impact import ImpactParams, Regime
 from imbtrader.pipeline import TrainedModels, attach_z, make_forecaster, train_models
 from imbtrader.price_models import LogisticModel, QuantileModelBank, ReserveGrid, quantile_levels
 from imbtrader.risk import RiskSpec
-from imbtrader.strategy import ActionSpace, OrderBook, optimal_position
+from imbtrader.strategy import ActionSpace, OrderBook, fill_prices, optimal_position
 
 UTC = timezone.utc
 
@@ -159,6 +159,21 @@ class TestHandLedger:
         result = run_backtest(config, models, [tick])
         assert result.report.total_profit == 0.0
         assert result.report.traded_volume_mwh == 0.0
+
+    @pytest.mark.parametrize("bid_volume, allow_short, rows", [(1.4, False, 1), (1.4, True, 2), (1.3, False, 1),
+                                                               (1.3, True, 0)])
+    def test_skips_by_the_fill_rule(self, bid_volume, allow_short, rows):
+        # levels of 1.6, 1.7, 1.4 and 0.3 MW sum left to right to 4.999999999999999 MW, yet fill 5 MW: the
+        # tick is traded; a side 0.1 MW short of a traded leg's largest position skips it
+        asks = [(80.0 + i, v) for i, v in enumerate((1.6, 1.7, 1.4, 0.3))]
+        bids = [(79.0 - i, v) for i, v in enumerate((1.6, 1.7, bid_volume, 0.3))]
+        book = OrderBook(asks=asks, bids=bids)
+        assert book.depth("ask") < 5.0 and fill_prices(book, [5.0]).size == 1
+        config = SimConfig(measure="expectation", alpha=1.0,
+                           actions=ActionSpace(step=1.0, u_max=5.0, allow_short=allow_short))
+        result = run_backtest(config, toy_models(), [replace(toy_tick(), book=book)])
+        assert len(result.ledger) == rows
+        assert result.report.n_skipped == (rows == 0)
 
     def test_no_ticks_rejected(self):
         with pytest.raises(ValueError, match="^no ticks to replay$"):

@@ -117,6 +117,17 @@ class TestFlatten:
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60, deadline=None)
+    def test_flatten_is_one_canonicalization_of_both_regimes(self, pi):
+        # down atoms then up, weighted by pi and 1 - pi, canonicalized once: an up atom within MERGE_TOL merges
+        down = uniform_dist([1.0, 2.0, 5.0])
+        up = DiscretePriceDistribution([2.0 + 0.1 * MERGE_TOL, 50.0, 80.0], [0.2, 0.3, 0.5])
+        want = DiscretePriceDistribution(np.concatenate([down.values, up.values]),
+                                         np.concatenate([down.masses * pi, up.masses * (1.0 - pi)]))
+        flat = flatten(MixtureForecast(pi, down, up))
+        assert flat.values.tobytes() == want.values.tobytes() and flat.masses.tobytes() == want.masses.tobytes()
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
     def test_mass_always_one(self, pi):
         down = uniform_dist([1.0, 2.0, 5.0])
         up = uniform_dist([50.0, 80.0])
@@ -163,6 +174,12 @@ class TestMoments:
     def test_quantile_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             quantile_rows(*as_rows([DiscretePriceDistribution([1.0], [1.0])]), 1.5)
+
+    @pytest.mark.parametrize("taus", [[np.nan], [0.5, np.nan]])
+    def test_quantile_rejects_nan_level(self, taus):
+        # NaN passed the range check and gave each row's first atom
+        with pytest.raises(ValueError, match="outside \\[0, 1\\] or not a number"):
+            quantile_rows(*as_rows([uniform_dist([1.0, 2.0])]), taus)
 
 
 class TestReorder:

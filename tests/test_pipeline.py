@@ -16,13 +16,14 @@ from imbtrader import backtest, pipeline
 from imbtrader.backtest import SimConfig, beta_sweep, run_backtest
 from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
 from imbtrader.data_io import SyntheticConfig, reference_layout, synthetic_ticks
-from imbtrader.dists import MixtureForecast, flatten
+from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten
+from imbtrader.market_impact import is_surplus, realized_settlement_price
 from imbtrader.pipeline import (
     LeakageError, PositionForecast, TrainedModels, _reader, _to_json, attach_z, forecast_rows, make_forecaster,
     train_models,
 )
 from imbtrader.price_models import LogisticModel, predict_regulation_distribution
-from imbtrader.strategy import ActionSpace
+from imbtrader.strategy import ActionSpace, leg_positions
 from test_backtest import toy_models
 
 
@@ -189,6 +190,38 @@ class TestForecaster:
             for u in (-3.0, 0.0, 2.5):
                 a, b = forecast(u), fresh(u)
                 assert (a.pi, a.down, a.up) == (b.pi, b.down, b.up)
+
+    @pytest.mark.parametrize("leg", ["long", "short"])
+    @pytest.mark.parametrize("beta_est", [0.0, 0.5])
+    def test_rows_shift_by_minus_k_beta_u(self, trained, leg, beta_est):
+        # each regime row is v + (-k * beta) * u bit for bit, u = 0 and the short leg's -0.0 start included;
+        # a call at one position is that position's row of regime_rows([u])
+        models, _, test_ticks = trained
+        impact = models.impact_with_beta(beta_est)
+        fn = make_forecaster(models, test_ticks[10], beta_est)
+        us = leg_positions(ActionSpace(), leg)
+        assert us[0] == 0.0 and np.signbit(us[0]) == (leg == "short")
+        _, *rows = fn.regime_rows(us)
+        for (values, masses), (v, m), k in zip(rows, (fn.down, fn.up), (impact.k_mdp, impact.k_mip)):
+            assert values.tobytes() == (v + (-k * impact.beta * us)[:, None]).tobytes()
+            assert np.ascontiguousarray(masses).tobytes() == np.tile(m, (us.size, 1)).tobytes()
+        for u in us:
+            (pi,), *one = fn.regime_rows([u])
+            forecast = fn(u)
+            assert forecast.pi == pi
+            assert (forecast.down, forecast.up) == tuple(DiscretePriceDistribution(v[0], m[0]) for v, m in one)
+
+    @settings(max_examples=100, deadline=None)
+    @given(prices=st.tuples(*[st.floats(-500.0, 500.0)] * 2), u=st.floats(-5.0, 5.0), beta=st.floats(0.0, 1.0),
+           s=st.floats(-50.0, 50.0))
+    def test_one_atom_regime_settles_at_its_shifted_price(self, trained, prices, u, beta, s):
+        # the forecast's shift and the settlement are one impact law
+        models, _, test_ticks = trained
+        p_mdp, p_mip = prices
+        forecast = PositionForecast(models, test_ticks[0].x, *[(np.array([p]), np.ones(1)) for p in prices], beta)
+        _, (down, _), (up, _) = forecast.regime_rows([u])
+        shifted = down[0, 0] if is_surplus(s + beta * u) else up[0, 0]
+        assert shifted == realized_settlement_price(s, u, models.impact_with_beta(beta), p_mdp, p_mip)
 
     def test_rows_build_no_distribution_object(self, trained, distribution_objects):
         models, _, test_ticks = trained
@@ -392,6 +425,9 @@ NESTED = [
      "weight_model: position_weight_index 107 is outside the 107 weights"),
     ("weight_model.position_weight_index-negative", lambda doc: doc["weight_model"].update(position_weight_index=-1),
      "weight_model: position_weight_index -1 is outside the 107 weights"),
+    ("position_model.position_weight_index-not-last",
+     lambda doc: doc["position_model"].update(position_weight_index=0),
+     "position_model: position_weight_index 0 is not the last of the 108 weights"),
     ("bank_mdp.scaler.scale-zero", lambda doc: doc["bank_mdp"]["scaler"].update(scale=[0.0]),
      "bank_mdp.scaler: scale entries must be > 0, entry 0 is 0.0"),
     ("position_model.scaler.scale-negative", lambda doc: doc["position_model"]["scaler"]["scale"].__setitem__(5, -1.0),

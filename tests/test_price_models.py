@@ -90,6 +90,13 @@ class TestSigmoidPredict:
         with pytest.raises(ValueError):
             model.predict([1.0])
 
+    @pytest.mark.parametrize("index, where", [(0, "is not the last of"), (1, "is not the last of"),
+                                              (3, "is outside"), (-1, "is outside")])
+    def test_position_feature_is_the_last(self, index, where):
+        with pytest.raises(ValueError, match=f"^position_weight_index {index} {where} the 3 weights$"):
+            bare_logistic(0.0, [1.0, 2.0, 3.0], position_index=index)
+        assert bare_logistic(0.0, [1.0, 2.0, 3.0], position_index=2).position_weight_index == 2
+
     def test_strictly_inside_unit_interval_and_monotone(self):
         rng = np.random.default_rng(0)
         model = bare_logistic(float(rng.normal()), rng.normal(size=3))
@@ -137,6 +144,15 @@ class TestFitLogistic:
         monkeypatch.setattr(price_models, "minimize_newton", no_solver)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]), max_iter=cap)
+
+    @pytest.mark.parametrize("index, message", [
+        (0, "position_weight_index 0 is not the last of the 2 weights"),
+        (2, "position_weight_index 2 is outside the 2 weights"),
+    ])
+    def test_position_index_that_is_not_the_last_rejected_before_the_fit(self, monkeypatch, index, message):
+        monkeypatch.setattr(price_models, "minimize_newton", no_solver)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_logistic(np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0]), position_weight_index=index)
 
     @pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf")])
     def test_bad_l2_rejected_by_name(self, l2):
@@ -585,11 +601,12 @@ class TestForecast:
         assert all(a <= b for a, b in zip(pis, pis[1:]))  # w_u = 0.03 > 0
 
     def test_requires_position_feature(self):
-        plain = LogisticModel(bias=0.0, weights=np.zeros(2), scaler=None)
-        first = replace(self.weight_model, position_weight_index=0)
-        for position_model in (plain, first):
-            with pytest.raises(ValueError, match="position_weight_index"):
-                make_forecaster(replace(self.models, position_model=position_model), self.tick, 1.0)
+        plain = LogisticModel(bias=0.0, weights=np.zeros(3), scaler=None)
+        with pytest.raises(ValueError, match="position_model has no position feature"):
+            make_forecaster(replace(self.models, position_model=plain), self.tick, 1.0)
+        # a position feature that is not the last is rejected by the model itself, before any bundle holds it
+        with pytest.raises(ValueError, match="position_weight_index 0 is not the last"):
+            replace(self.weight_model, position_weight_index=0)
 
 
 def table_round_trip(value):

@@ -422,6 +422,31 @@ class TestAlphaGridAndAdapter:
         assert default_alpha_grid("evar", 2).tolist() == [0.0, 1.0]
         assert default_alpha_grid("evar", 3).tolist() == [0.0, 0.9, 1.0]
 
+    @pytest.mark.parametrize("size, message", [
+        (2.5, "size: expected an integer, got 2.5"), (True, "size: expected an integer, got boolean"),
+        (1, "size must be at least 2, got 1"),
+    ])
+    def test_grid_size_must_be_a_count(self, size, message):
+        # 2.5 used to raise a bare TypeError from linspace
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_alpha_grid("cvar", size)
+
+    @pytest.mark.parametrize("window, message", [
+        (2.5, "window: expected an integer, got 2.5"), (True, "window: expected an integer, got boolean"),
+        (0, "window must be at least 1, got 0"),
+    ])
+    def test_window_must_be_a_count(self, window, message):
+        # 2.5 used to keep a window of 2, and True one of 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AlphaAdapter(np.linspace(0, 1, 5), window=window, kind="cvar")
+
+    def test_unknown_measure_rejected_by_name(self):
+        # default_alpha_grid("bogus", 3) used to return the CVaR grid
+        with pytest.raises(ValueError, match="^unknown risk kind 'bogus'"):
+            default_alpha_grid("bogus", 3)
+        with pytest.raises(ValueError, match="^unknown risk kind 'bogus'"):
+            AlphaAdapter(np.linspace(0, 1, 5), window=3, kind="bogus")
+
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
     def test_alpha_grid_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
