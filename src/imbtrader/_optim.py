@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["GdResult", "minimize_gd", "minimize_newton", "problem_blocks", "log_unfinished", "LpResult",
-           "fit_quantile_lp"]
+__all__ = ["GdResult", "minimize_gd", "minimize_newton", "NEWTON_MAX_ITER", "problem_blocks", "log_unfinished",
+           "LpResult", "fit_quantile_lp"]
 
 # Stacked objectives evaluate their problems in blocks whose largest
 # temporary holds at most this many float64 elements (384 KiB), so the
@@ -51,6 +51,9 @@ _GRAD_TOL, _INITIAL_STEP, _ARMIJO, _SHRINK, _GROW, _MIN_STEP = 1e-6, 1.0, 1e-4, 
 # whose loss change is within _LOSS_ROUNDING of the loss passes the line
 # search when it lowers the gradient max-norm instead.
 _NEWTON_TOL, _LOSS_ROUNDING = 1e-10, 64 * np.finfo(float).eps
+# The Newton iteration cap of every logistic fit: five times the most any fit
+# of the tests, the example config or perfbench takes (20), so it binds on none.
+NEWTON_MAX_ITER = 100
 
 
 @dataclass
@@ -286,8 +289,8 @@ class _Design:
 def _design(x: np.ndarray) -> _Design:
     """Split x into indicator columns with disjoint non-empty supports, taken in
     column order, and an intercept plus the other columns, standardized and
-    kept when a Gram-Schmidt QR of [D, R] gives them a diagonal above
-    _RANK_TOL of their norm (twice orthogonalized, so working precision)."""
+    kept when the part of each outside D and the kept columns before it holds
+    more than _RANK_TOL of its norm: the |r_ii| of LAPACK QRs (``np.linalg.qr``)."""
     n, d = x.shape
     group = np.full(n, -1)
     indicators = []
@@ -308,20 +311,17 @@ def _design(x: np.ndarray) -> _Design:
     scale[scale == 0.0] = 1.0
     columns = np.concatenate(([-1], others))
     dense = (np.hstack([np.ones((n, 1)), rest]) - mean) / scale
-    # R's part outside D: each group's mean removed
-    outside = dense.copy()
+    # R's part outside D (each group's mean removed), with zero rows up to m: its QR has m diagonal entries
+    m = dense.shape[1]
+    outside = np.vstack([dense, np.zeros((max(m - n, 0), m))])
     grouped = n - counts[k]
     outside[:grouped] -= np.repeat(np.add.reduceat(dense[:grouped], starts, axis=0) / counts[:k, None],
                                    counts[:k], axis=0)
-    basis, keep = np.empty((n, 0)), []
-    for i in range(dense.shape[1]):
-        v = outside[:, i]
-        for _ in range(2):
-            v = v - basis @ (basis.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > _RANK_TOL * np.linalg.norm(dense[:, i]):
-            basis = np.column_stack([basis, v / norm])
-            keep.append(i)
+    # |r_ii| is column i's norm outside the columns before it while none of those is dependent, so each QR drops
+    # the first dependent column; r keeps the columns' norms and inner products, so later QRs factor its m rows
+    r, keep, least = np.linalg.qr(outside, mode="r"), np.arange(m), _RANK_TOL * np.linalg.norm(dense, axis=0)
+    while (low := np.flatnonzero(np.abs(np.diag(np.linalg.qr(r[:, keep], mode="r"))) <= least[keep])).size:
+        keep = np.delete(keep, low[0])
     dense = dense[:, keep]
     return _Design(order=order, indicators=np.array(indicators, dtype=int), starts=starts, counts=counts,
                    dense=dense, outer=(dense[:, :, None] * dense[:, None, :]).reshape(n, -1),

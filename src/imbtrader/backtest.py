@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -22,16 +21,17 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._fields import timestamp
+from ._fields import count, timestamp
 from .data_io import PERIOD, MarketTick
 from .market_impact import realized_settlement_price
 from .dists import row_atoms
 from .pipeline import LeakageError, PositionForecast, TrainedModels, check_out_of_sample, forecast_rows
-from .risk import RISK_KINDS
+from .risk import _check_kind
 from .strategy import (
     ActionSpace,
     AlphaAdapter,
     InsufficientDepthError,
+    LEGS,
     TradeRecord,
     decision_table,
     default_alpha_grid,
@@ -72,28 +72,23 @@ class SimConfig:
     delta_hours: ClassVar[float] = PERIOD / timedelta(hours=1)  # MWh per MW held one period; not a setting
 
     def __post_init__(self):
-        if self.measure not in RISK_KINDS:
-            raise ValueError(f"unknown measure {self.measure!r}")
+        _check_kind(self.measure)
         for name in ("beta_est", "beta_true"):
             b = getattr(self, name)
             if not 0.0 <= b <= 1.0:
                 raise ValueError(f"{name} {b} outside [0, 1]")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
-        for name, least in (("window", 1), ("alpha_grid_size", 2)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}")
+        count("window", self.window, 1)  # AlphaAdapter's rule
+        count("alpha_grid_size", self.alpha_grid_size, 2)  # default_alpha_grid's rule
 
     @property
     def adaptive(self) -> bool:
         return self.alpha is None
 
     @property
-    def legs(self) -> tuple[str, ...]:  # each a one-sided decision with its own alpha track
-        return ("long", "short") if self.actions.allow_short else ("long",)
+    def legs(self) -> tuple[str, ...]:
+        return LEGS if self.actions.allow_short else LEGS[:1]
 
 
 @dataclass
@@ -334,8 +329,8 @@ def _ledger_count(text: str) -> int:
 
 def _ledger_legs(text: str) -> tuple[str, ...]:
     legs = tuple(text.split(","))
-    if not set(legs) <= {"long", "short"}:
-        raise ValueError(f"legs must be long or short, got {text}")
+    if not set(legs) <= set(LEGS):
+        raise ValueError(f"legs must be {' or '.join(LEGS)}, got {text}")
     return legs
 
 

@@ -15,7 +15,7 @@ from datetime import datetime
 import numpy as np
 
 from ._fields import count
-from ._optim import fit_quantile_lp, log_unfinished
+from ._optim import NEWTON_MAX_ITER, fit_quantile_lp, log_unfinished
 from .data_io import FeatureLayout, MarketTick
 from .dists import ForecastScores, canonical_rows, flatten_rows, score_rows
 from .market_impact import is_surplus
@@ -79,7 +79,7 @@ def chain_state_probability(matrices, start_positive: bool) -> float:
     return float(nu[_STATE_POS])
 
 
-def fit_transition_models(labels, features, *, max_iter: int = 2000):
+def fit_transition_models(labels, features, *, max_iter: int = NEWTON_MAX_ITER):
     """Input-conditioned transitions: one logistic model per current state.
 
     Each model predicts P(next state is positive) from the next period's
@@ -168,7 +168,7 @@ def fit_benchmark_suite(
     train_ticks: list[MarketTick],
     models: TrainedModels,
     *,
-    max_iter: int = 400,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> BenchmarkSuite:
     """Fit the state-transition and linear benchmarks on the training slice; bad inputs fail before any fit.
 

@@ -74,7 +74,7 @@ _ACTION_KEYS = {"step_mw": "step", "u_max_mw": "u_max", "allow_short": "allow_sh
 
 # Each section's keys are the keyword arguments of the call it feeds: `synthetic` of SyntheticConfig
 # (but its `seed`, the top-level one, and its `grid`), `reserves` of ReserveGrid, `model` of train_models
-# (but its `l2`), `benchmark` of fit_benchmark_suite, and `strategy` of ActionSpace (renamed by
+# (but its `l2` and its Newton cap `logistic_max_iter`), and `strategy` of ActionSpace (renamed by
 # _ACTION_KEYS) and SimConfig.
 _read_config = some_fields({
     "seed": integer,
@@ -82,12 +82,11 @@ _read_config = some_fields({
         f.name: _READ_BY_TYPE[f.type] for f in dataclasses.fields(SyntheticConfig) if f.name not in ("seed", "grid")
     }),
     "reserves": some_fields({f.name: lambda v: tuple(array_of(numeric)(v)) for f in dataclasses.fields(ReserveGrid)}),
-    "model": some_fields(dict.fromkeys(("n_q", "kfold", "logistic_max_iter", "bank_max_iter"), integer)),
+    "model": some_fields(dict.fromkeys(("n_q", "kfold", "bank_max_iter"), integer)),
     "strategy": some_fields({
         "step_mw": numeric, "u_max_mw": numeric, "allow_short": boolean, "measure": string, "alpha": _alpha,
         "window": integer, "alpha_grid_size": integer, "beta_est": numeric, "beta_true": numeric,
     }),
-    "benchmark": some_fields({"max_iter": integer}),
 })
 
 
@@ -115,7 +114,6 @@ def _load_config(path) -> dict:
         "model": config.get("model", {}),
         "actions": {_ACTION_KEYS[k]: v for k, v in strategy.items() if k in _ACTION_KEYS},
         "sim": {k: v for k, v in strategy.items() if k not in _ACTION_KEYS},
-        "benchmark": config.get("benchmark", {}),
     }
     try:
         SimConfig(**kwargs["sim"], actions=ActionSpace(**kwargs["actions"]))
@@ -216,14 +214,14 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    config = _load_config(args.config)
+    _load_config(args.config)  # checked, though benchmark reads none of its keys
     models = TrainedModels.load(args.models)
     ticks = _load_ticks(args, models.grid)
     train_ticks = _between(ticks, models.train_start, models.train_end)
     eval_ticks = _out_of_sample(ticks, args, models)
     if not train_ticks or not eval_ticks:
         raise ValueError("benchmark needs ticks on both sides of the training boundary")
-    suite = fit_benchmark_suite(train_ticks, models, **config["benchmark"])
+    suite = fit_benchmark_suite(train_ticks, models)
     table = run_benchmark(suite, eval_ticks)
     out = _out_dir(args)
     (out / "benchmark.csv").write_text(table.to_csv_string())

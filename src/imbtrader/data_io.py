@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import timestamp
+from ._fields import count, timestamp
 from .market_impact import is_surplus
 from .price_models import ReserveGrid
 from .strategy import SIDES, OrderBook, ladder_fault
@@ -469,14 +469,13 @@ class SyntheticConfig:
     grid: ReserveGrid = field(default_factory=ReserveGrid)
 
     def __post_init__(self):
-        rules = {  # NaN fails every rule
-            "seed": ("at least 0", self.seed >= 0),
-            "n_periods": ("at least 1", self.n_periods >= 1),
-            **{name: ("nonnegative and finite", 0.0 <= getattr(self, name) < math.inf)
-               for name in ("price_gap_std", "price_noise_std")},
-            "edge": ("finite", math.isfinite(self.edge)),
-        }
-        for name, (rule, ok) in rules.items():
+        count("seed", self.seed, 0)
+        count("n_periods", self.n_periods, 1)
+        for name, rule, ok in (  # NaN fails every rule
+            ("price_gap_std", "nonnegative and finite", 0.0 <= self.price_gap_std < math.inf),
+            ("price_noise_std", "nonnegative and finite", 0.0 <= self.price_noise_std < math.inf),
+            ("edge", "finite", math.isfinite(self.edge)),
+        ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         for name, anchor in (("afrr_volumes", _MDP_ANCHOR), ("mfrr_volumes", _MIP_ANCHOR)):

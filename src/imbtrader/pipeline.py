@@ -18,10 +18,12 @@ import numpy as np
 from ._fields import (
     array_of, count, floats, integer, number, object_of, optional, read_field, read_fields, string, timestamp,
 )
+from ._optim import NEWTON_MAX_ITER
 from .data_io import FeatureLayout, MarketTick, reference_layout
 from .dists import DiscretePriceDistribution, MixtureForecast, canonical_rows, row_atoms
 from .market_impact import ImpactParams, Regime, adjust_price, estimate_sensitivities, is_surplus
 from .price_models import (
+    BANK_MAX_ITER,
     FeatureScaler,
     LogisticModel,
     QuantileModelBank,
@@ -202,8 +204,8 @@ def train_models(
     l2: float = 1e-4,
     u_max: float = 5.0,
     seed: int = 0,
-    logistic_max_iter: int = 2000,
-    bank_max_iter: int = 400,
+    logistic_max_iter: int = NEWTON_MAX_ITER,
+    bank_max_iter: int = BANK_MAX_ITER,
 ) -> TrainedModels:
     """Fit the full model set on feature-complete training ticks (``build_features`` rows, which the bundle's
     ``reference_layout`` names). Ticks of another width, a count (``kfold``, ``n_q``, an iteration cap or the
@@ -211,11 +213,10 @@ def train_models(
     ``u_max`` that is not positive and finite and (by ``fit_logistic``'s rule) a negative or non-finite ``l2``
     are rejected by name before any solver runs.
 
-    The position-augmented weight model is trained with artificial trades
-    whose appended feature is the induced imbalance shift (full reactivity),
-    sampled uniformly over ``[-u_max, u_max]`` so one model serves long and
-    short positions. The keyword arguments other than ``grid``, ``u_max``,
-    ``seed`` and ``l2`` are the keys of the CLI config's ``model`` section.
+    The position-augmented weight model is trained with artificial trades whose appended feature is the induced
+    imbalance shift (full reactivity), sampled uniformly over ``[-u_max, u_max]`` so one model serves long and
+    short positions. The keys of the CLI config's ``model`` section are the keyword arguments ``n_q``, ``kfold``
+    and ``bank_max_iter``; ``l2`` and the Newton cap ``logistic_max_iter`` are library arguments only.
     """
     if not ticks:
         raise ValueError("no training ticks")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import count, integer, read_field
-from ._optim import log_unfinished, minimize_gd, minimize_newton, problem_blocks
+from ._optim import NEWTON_MAX_ITER, log_unfinished, minimize_gd, minimize_newton, problem_blocks
 from .dists import DiscretePriceDistribution
 from .market_impact import Regime, is_surplus
 
@@ -32,6 +32,7 @@ __all__ = [
     "quantile_loss_and_grad",
     "quantile_loss_and_grad_rows",
     "QuantileModelBank",
+    "BANK_MAX_ITER",
     "fit_quantile_bank",
     "predict_regulation_distribution",
     "quantile_matrix",
@@ -42,6 +43,8 @@ logger = logging.getLogger(__name__)
 # Probabilities are kept strictly inside (0, 1) so downstream logits stay finite.
 _P_LO = 1e-300
 _P_HI = float(np.nextafter(1.0, 0.0))
+
+BANK_MAX_ITER = 400  # descent cap of each bank level: it binds on some, so the config sets it too
 
 
 class DegenerateLabelsError(ValueError):
@@ -189,7 +192,7 @@ def fit_logistic(
     y,
     *,
     l2: float = 1e-4,
-    max_iter: int = 5000,
+    max_iter: int = NEWTON_MAX_ITER,
     position_weight_index: int | None = None,
 ) -> LogisticModel:
     """Penalized maximum-likelihood logistic fit by Newton's method; ``l2`` must be finite and >= 0.
@@ -418,7 +421,7 @@ def fit_quantile_bank(
     *,
     regime: Regime,
     n_q: int,
-    max_iter: int = 400,
+    max_iter: int = BANK_MAX_ITER,
 ) -> QuantileModelBank:
     """Fit the per-level softmax models of one regime independently.
 

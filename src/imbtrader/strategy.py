@@ -23,6 +23,7 @@ from .risk import RiskSpec, _check_alphas, _check_kind, cvar_rows, evar_bracket_
 
 __all__ = [
     "ActionSpace",
+    "LEGS",
     "leg_positions",
     "OrderBook",
     "InsufficientDepthError",
@@ -84,8 +85,13 @@ class ActionSpace:
         return np.column_stack((leg_positions(self, "short"), leg_positions(self, "long"))).ravel()[1:]
 
 
+LEGS = ("long", "short")  # the strategy legs: each a one-sided decision with its own alpha track
+
+
 def leg_positions(actions: ActionSpace, leg: str) -> np.ndarray:
     """One-sided position grid of a strategy leg, ordered by absolute size; the short leg starts at -0.0."""
+    if leg not in LEGS:
+        raise ValueError(f"unknown leg {leg!r}; expected one of {LEGS}")
     base = np.arange(actions.n_steps + 1) * actions.step
     return base if leg == "long" else -base
 

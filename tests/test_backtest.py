@@ -22,7 +22,7 @@ from imbtrader.market_impact import ImpactParams, Regime
 from imbtrader.pipeline import TrainedModels, attach_z, make_forecaster, train_models
 from imbtrader.price_models import LogisticModel, QuantileModelBank, ReserveGrid, quantile_levels
 from imbtrader.risk import RiskSpec
-from imbtrader.strategy import ActionSpace, OrderBook, fill_prices, optimal_position
+from imbtrader.strategy import LEGS, ActionSpace, AlphaAdapter, OrderBook, fill_prices, optimal_position
 
 UTC = timezone.utc
 
@@ -98,15 +98,29 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("size", [1, 0, -3])
     def test_alpha_grid_below_two_rejected_by_name(self, size):
-        with pytest.raises(ValueError, match="^alpha_grid_size must be at least 2$"):
+        with pytest.raises(ValueError, match=f"^alpha_grid_size must be at least 2, got {size}$"):
             SimConfig(alpha_grid_size=size)
 
     @pytest.mark.parametrize("name", ["window", "alpha_grid_size"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
-    def test_non_integer_counts_rejected_by_name(self, name, value):
+    @pytest.mark.parametrize("value, got", [(2.5, "2.5"), (3.0, "3.0"), (True, "boolean"), ("3", "string")],
+                             ids=["2.5", "3.0", "True", "3"])
+    def test_non_integer_counts_rejected_by_name(self, name, value, got):
         # a float window was truncated by the adapter and stamped unchanged in the ledger header
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer, got {got}$"):
             SimConfig(**{name: value})
+
+    @pytest.mark.parametrize("window", [0, 2.5, True])
+    def test_window_follows_the_adapter_rule(self, window):
+        # SimConfig reads its window by the rule of the adapter that keeps it, so their messages agree
+        with pytest.raises(ValueError) as adapter:
+            AlphaAdapter(np.linspace(0.0, 1.0, 3), window=window, kind="cvar")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(adapter.value))}$"):
+            SimConfig(window=window)
+
+    def test_unknown_measure_named_by_the_risk_rule(self):
+        with pytest.raises(ValueError, match=r"^unknown risk kind 'var'; expected one of \('expectation', 'cvar', "
+                                             r"'evar'\)$"):
+            SimConfig(measure="var")
 
     def test_numpy_integer_counts_accepted(self):
         config = SimConfig(window=np.int64(3), alpha_grid_size=np.int32(5))
@@ -133,6 +147,17 @@ class TestLegPositions:
         # ledgers print a flat short leg as -0.0
         flat = leg_positions(ActionSpace(step=0.5, u_max=1.5), "short")[0]
         assert flat == 0.0 and np.signbit(flat)
+
+    @pytest.mark.parametrize("leg", ["Long", "shorts", ""])
+    def test_unknown_leg_rejected_by_name(self, leg):
+        # any leg but "long" used to get the short grid
+        message = f"unknown leg {leg!r}; expected one of ('long', 'short')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            leg_positions(ActionSpace(step=0.5, u_max=1.5), leg)
+
+    def test_run_legs_are_the_strategy_legs(self):
+        assert SimConfig(actions=ActionSpace(allow_short=True)).legs == LEGS == ("long", "short")
+        assert SimConfig().legs == ("long",)
 
 
 class TestHandLedger:

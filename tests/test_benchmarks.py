@@ -213,6 +213,23 @@ class TestLinearQuantileBank:
         dense = fit_linear_quantile_bank(doubled, y, n_q=9).predict_matrix(doubled)
         assert np.abs(fitted - dense).max() <= 1e-8 * np.abs(fitted).max()
 
+    @pytest.mark.parametrize("n", [6, 9, 12, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_design_keeps_each_column_that_adds_rank(self, seed, n):
+        # Dependent columns before independent ones, on fewer rows than columns too: a dependent column still
+        # takes a direction in a QR, so a single QR of such a design can drop a later column that adds rank.
+        rng = np.random.default_rng(seed)
+        onehot = np.eye(4)[rng.integers(0, 4, n)][:, :3]  # the fourth group's rows are in no group
+        free = rng.normal(size=(n, 3))
+        x = np.column_stack([onehot, free[:, 0], 2.0 * free[:, 0], np.full(n, 3.0), onehot @ rng.normal(size=3),
+                             free[:, 1], free[:, 0] - free[:, 1], free[:, 2], rng.normal(size=n)])
+        design = _design(x)
+        others = np.setdiff1d(np.arange(x.shape[1]), design.indicators)
+        ordered = np.column_stack([x[:, design.indicators], np.ones(n), x[:, others]])
+        ranks = [np.linalg.matrix_rank(ordered[:, :i]) for i in range(design.indicators.size, ordered.shape[1] + 1)]
+        adds_rank = np.concatenate(([-1], others))[np.diff(ranks) > 0]
+        assert design.columns.tolist() == adds_rank.tolist()
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(50, 2))

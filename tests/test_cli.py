@@ -27,7 +27,7 @@ SMOKE_CONFIG = {
         "price_gap_std": 5.0,
         "edge": 5.0,
     },
-    "model": {"n_q": 8, "kfold": 3, "logistic_max_iter": 200, "bank_max_iter": 100},
+    "model": {"n_q": 8, "kfold": 3, "bank_max_iter": 100},
     "strategy": {
         "step_mw": 0.5,
         "u_max_mw": 2.0,
@@ -36,7 +36,6 @@ SMOKE_CONFIG = {
         "window": 20,
         "alpha_grid_size": 16,
     },
-    "benchmark": {"max_iter": 100},
 }
 
 TRAIN_END = "2024-01-04T23:45:00+00:00"
@@ -469,7 +468,7 @@ BAD_CONFIGS = {
     "section not a mapping": ("model: 5", "model: expected an object, got number"),
     "word for an integer": ("strategy: {window: ten}", "strategy.window: expected an integer, got string"),
     "quoted boolean": ("strategy: {allow_short: 'false'}", "strategy.allow_short: expected a boolean, got string"),
-    "fraction for an integer": ("benchmark: {max_iter: 5.5}", "benchmark.max_iter: expected an integer, got 5.5"),
+    "fraction for an integer": ("model: {kfold: 5.5}", "model.kfold: expected an integer, got 5.5"),
     "reserves under synthetic": (
         "synthetic: {afrr_volumes: [1, 50, 100, 150, 200]}", "synthetic.afrr_volumes: unexpected field",
     ),
@@ -484,11 +483,14 @@ BAD_CONFIGS = {
                    "book_spread", "book_noise_std")},
     # the settlement period is the data's quarter-hour
     "removed strategy key delta_hours": ("strategy: {delta_hours: 1.0}", "strategy.delta_hours: unexpected field"),
-    # the Markov lead is benchmarks.DEFAULT_HORIZON, the synthetic start a generator constant, the generator's
-    # seed the top-level one, and the ridge penalty train_models' default
+    # the synthetic start is a generator constant, the generator's seed the top-level one, the ridge penalty
+    # train_models' default, and the Newton cap _optim.NEWTON_MAX_ITER
     **{f"removed key {section}.{key}": (f"{section}: {{{key}: {value}}}", f"{section}.{key}: unexpected field")
-       for section, key, value in (("benchmark", "horizon", 5), ("synthetic", "start", "'2024-01-01T00:00:00Z'"),
-                                   ("synthetic", "seed", 7), ("model", "l2", 1.0e-4))},
+       for section, key, value in (("synthetic", "start", "'2024-01-01T00:00:00Z'"), ("synthetic", "seed", 7),
+                                   ("model", "l2", 1.0e-4), ("model", "logistic_max_iter", 2000))},
+    # the Markov lead is benchmarks.DEFAULT_HORIZON and the transition fits' cap the Newton cap: no benchmark key
+    **{f"removed section benchmark with {key}": (f"benchmark: {{{key}: {value}}}", "benchmark: unexpected field")
+       for key, value in (("horizon", 5), ("max_iter", 400))},
     "quoted seed": ("seed: '7'", "seed: expected an integer, got string"),
     "unknown section": ("strategies: {window: 5}", "strategies: unexpected field"),
     "word for a number": ("synthetic: {edge: small}", "synthetic.edge: could not convert string to float: 'small'"),
@@ -496,10 +498,14 @@ BAD_CONFIGS = {
         "reserves: {mfrr_volumes: [1, x]}", "reserves.mfrr_volumes.1: could not convert string to float: 'x'",
     ),
     "document is a list": ("- seed\n- 7", "expected an object, got array"),
-    "window out of range": ("strategy: {window: 0}", "strategy: window must be at least 1"),
+    "window out of range": ("strategy: {window: 0}", "strategy: window must be at least 1, got 0"),
+    "unknown measure": (
+        "strategy: {measure: var}",
+        "strategy: unknown risk kind 'var'; expected one of ('expectation', 'cvar', 'evar')",
+    ),
     "position grid": ("strategy: {step_mw: 0.3, u_max_mw: 1.0}", "strategy: u_max 1.0 is not a multiple of step 0.3"),
     "alpha out of range": ("strategy: {alpha: 1.5}", "strategy: alpha 1.5 outside [0, 1]"),
-    "alpha grid of one": ("strategy: {alpha_grid_size: 1}", "strategy: alpha_grid_size must be at least 2"),
+    "alpha grid of one": ("strategy: {alpha_grid_size: 1}", "strategy: alpha_grid_size must be at least 2, got 1"),
 }
 
 
@@ -530,7 +536,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("flag, value, problem, command", [
         (*case, command) for case in [
-            ("--window", "0", "window must be at least 1"),
+            ("--window", "0", "window must be at least 1, got 0"),
             ("--window", "2.5", "invalid literal for int() with base 10: '2.5'"),
         ] for command in ("backtest", "sweep")
     ] + [
@@ -632,7 +638,7 @@ class TestConfig:
         config = None if text is None else tmp_path / "config.yaml"
         if config is not None:
             config.write_text(text + "\n")
-        empty = {"seed": None, "synthetic": {}, "reserves": {}, "model": {}, "actions": {}, "sim": {}, "benchmark": {}}
+        empty = {"seed": None, "synthetic": {}, "reserves": {}, "model": {}, "actions": {}, "sim": {}}
         assert _load_config(config) == {**empty, **expected}
 
     def test_generate_takes_the_seed_flag_else_the_top_level_seed(self, tmp_path):
@@ -687,9 +693,8 @@ class TestConfig:
         assert config["reserves"].keys() == doc["reserves"].keys()
         assert config["model"].keys() == doc["model"].keys()
         assert len(config["actions"]) + len(config["sim"]) == len(doc["strategy"])
-        assert config["benchmark"].keys() == doc["benchmark"].keys()
+        assert config.keys() - {"actions", "sim"} == doc.keys() - {"strategy"}
         # every key is a keyword of the call its section feeds
         SyntheticConfig(**config["synthetic"], grid=ReserveGrid(**config["reserves"]))
         SimConfig(**config["sim"], actions=ActionSpace(**config["actions"]))
         inspect.signature(train_models).bind_partial(**config["model"])
-        inspect.signature(fit_benchmark_suite).bind_partial(**config["benchmark"])

@@ -401,6 +401,30 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             small_cfg(seed=-1)
 
+    def test_fractional_period_count_rejected_by_name(self):
+        # generation's range() would end in a bare TypeError
+        with pytest.raises(ValueError, match="^n_periods: expected an integer, got 2.5$"):
+            small_cfg(n_periods=2.5)
+
+    def test_boolean_period_count_rejected_by_name(self):
+        # numpy would fail on it inside the generator
+        with pytest.raises(ValueError, match="^n_periods: expected an integer, got boolean$"):
+            small_cfg(n_periods=True)
+
+    def test_fractional_seed_rejected_by_name(self):
+        # numpy's SeedSequence would fail on it inside the generator
+        with pytest.raises(ValueError, match="^seed: expected an integer, got 1.5$"):
+            small_cfg(seed=1.5)
+
+    def test_boolean_seed_rejected_by_name(self):
+        # True would silently generate seed 1's market
+        with pytest.raises(ValueError, match="^seed: expected an integer, got boolean$"):
+            small_cfg(seed=True)
+
+    def test_numpy_integer_counts_accepted(self):
+        records = generate_synthetic_market(small_cfg(seed=np.int64(3), n_periods=np.int32(4)))[0]
+        assert np.array_equal(records.values, generate_synthetic_market(small_cfg(seed=3, n_periods=4))[0].values)
+
     def test_market_starts_at_the_generator_start(self):
         # the start is a constant of the generator, like its planted law: no setting holds it
         records, books, _ = generate_synthetic_market(small_cfg(n_periods=3))

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbtrader import backtest, pipeline
+from imbtrader import backtest, pipeline, price_models
+from imbtrader._optim import NEWTON_MAX_ITER
 from imbtrader.backtest import SimConfig, beta_sweep, run_backtest
 from imbtrader.benchmarks import fit_benchmark_suite, run_benchmark
 from imbtrader.data_io import SyntheticConfig, reference_layout, synthetic_ticks
@@ -137,7 +138,7 @@ class TestTrainModels:
             train_models([], grid=cfg.grid)
 
     def test_every_logistic_fit_converges_on_a_four_day_window(self, caplog):
-        # perfbench retrain's sizes and caps: 384 training rows, n_q = 100, the example config's iteration caps;
+        # perfbench retrain's sizes and caps: 384 training rows, n_q = 100, its iteration caps;
         # the two transition fits, about 170 rows x 103 features each, are the hardest to converge
         cfg = SyntheticConfig(seed=1, n_periods=96 * 5, price_noise_std=8.0, price_gap_std=5.0)
         ticks, _ = synthetic_ticks(cfg)
@@ -145,6 +146,24 @@ class TestTrainModels:
             models = train_models(ticks[:384], grid=cfg.grid, n_q=100, logistic_max_iter=2000, bank_max_iter=400)
             fit_benchmark_suite(ticks[:384], models, max_iter=400)
         assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("logistic fit")] == []
+
+    def test_logistic_fits_stay_far_below_the_newton_cap(self, small_market, monkeypatch):
+        # the cap is five times the most Newton iterations a fit was measured to take (20), so a change that slows
+        # the fits toward it fails here before it cuts one short
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(newton(*args, **kwargs))
+            return results[-1]
+
+        newton = price_models.minimize_newton
+        monkeypatch.setattr(price_models, "minimize_newton", recorded)
+        cfg, ticks, _ = small_market
+        train = ticks[: int(len(ticks) * 0.6)]
+        fit_benchmark_suite(train, train_models(train, grid=cfg.grid, n_q=12, kfold=3, bank_max_iter=150))
+        assert len(results) == 7  # the weight model, its 3 folds, the position model and the 2 transition fits
+        assert all(r.converged[0] and not r.stalled[0] for r in results)
+        assert max(r.iterations[0] for r in results) <= 20 <= NEWTON_MAX_ITER // 5
 
 
 class TestForecaster:
