@@ -10,11 +10,12 @@ call solves a batch of independent problems: each keeps its own step size,
 iteration count and stopping state, and every round evaluates all problems
 still running in one objective call, which is given each trial's Armijo
 bound; only accepted trials' gradients are read, so the banks compute no
-others. A problem also stops once an accepted step leaves its loss
-unchanged in working precision, the termination test of Gill, Murray &
-Wright (*Practical Optimization*, 1981). Since no problem reads
-another's state, each result is the same bit for bit whatever batch it is
-solved in. The softmax banks fit this way.
+others. A problem also stops once an accepted step lowers its finite loss
+by no more than rounding (``_LOSS_ROUNDING`` of the loss, the band Newton's
+method uses too), the termination test of Gill, Murray & Wright
+(*Practical Optimization*, 1981). Since no problem reads another's state,
+each result is the same bit for bit whatever batch it is solved in. The
+softmax banks fit this way.
 
 Newton's method (``minimize_newton``) takes exact Newton steps, each
 solved by a Cholesky factorization of the Hessian, with an Armijo
@@ -49,7 +50,8 @@ _GRAD_TOL, _INITIAL_STEP, _ARMIJO, _SHRINK, _GROW, _MIN_STEP = 1e-6, 1.0, 1e-4, 
 # Gradient max-norm at which Newton's method counts as converged. Near the
 # optimum a step changes the loss by less than rounding can resolve, so a step
 # whose loss change is within _LOSS_ROUNDING of the loss passes the line
-# search when it lowers the gradient max-norm instead.
+# search when it lowers the gradient max-norm instead; the descent stops on an
+# accepted step within the same band.
 _NEWTON_TOL, _LOSS_ROUNDING = 1e-10, 64 * np.finfo(float).eps
 # The Newton iteration cap of every logistic fit: five times the most any fit
 # of the tests, the example config or perfbench takes (20), so it binds on none.
@@ -94,9 +96,9 @@ def minimize_gd(
     until the Armijo condition holds and is grown geometrically after
     each accepted step, which lets the iterates cover the exponentially
     growing parameter scales that near-one-hot softmax fits produce. A
-    problem stops on the max-norm of its gradient, on an accepted step whose
-    value equals its current value bit for bit (both count as converged),
-    on the iteration cap, or on a stalled line search.
+    problem stops on the max-norm of its gradient, on an accepted step that
+    lowers its finite value by at most ``_LOSS_ROUNDING`` of it (both count
+    as converged), on the iteration cap, or on a stalled line search.
     """
     x = np.array(x0, dtype=float, ndmin=2)
     n_problems = x.shape[0]
@@ -121,7 +123,8 @@ def minimize_gd(
         f_new, g_new = value_and_grad(x_new, running, bound)
         ok = np.isfinite(f_new) & (f_new <= bound)
         moved = running[ok]
-        flat = f_new[ok] == f[moved]  # the step left the loss unchanged in working precision
+        # the step lowered the loss by no more than rounding: Newton's band; an infinite loss is never flat
+        flat = np.isfinite(f[moved]) & (f[moved] - f_new[ok] <= _LOSS_ROUNDING * np.abs(f[moved]))
         x[moved], f[moved], g[moved] = x_new[ok], f_new[ok], g_new[ok]
         iterations[moved] += 1
         gnorm[moved] = _max_norms(g[moved])

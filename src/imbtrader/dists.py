@@ -27,6 +27,7 @@ __all__ = [
     "flatten_rows",
     "moment_rows",
     "quantile_rows",
+    "crps_rows",
     "crps",
     "score_rows",
 ]
@@ -232,28 +233,43 @@ def quantile_rows(values: np.ndarray, masses: np.ndarray, taus) -> np.ndarray:
     return np.take_along_axis(values, np.minimum(idx, np.count_nonzero(masses, axis=1)[:, None] - 1), axis=1)
 
 
-def _crps(values: np.ndarray, masses: np.ndarray, observed: float) -> float:
-    if not np.isfinite(observed):
-        raise ValueError("observed price must be finite")
-    pts = np.unique(np.concatenate([values, [observed]]))
-    if pts.size < 2:
-        return 0.0
-    cdf = np.cumsum(masses)
-    idx = np.searchsorted(values, pts[:-1], side="right")
-    f = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-    h = (pts[:-1] >= observed).astype(float)
-    seg = np.diff(pts)
-    return float(np.sum((f - h) ** 2 * seg))
-
-
-def crps(forecast: DiscretePriceDistribution, observed: float) -> float:
-    """Continuous ranked probability score of a discrete forecast.
+def crps_rows(values: np.ndarray, masses: np.ndarray, observed) -> np.ndarray:
+    """Continuous ranked probability score of each canonical row against its observed price.
 
     Computes the integral of (F(x) - 1{x >= observed})^2 exactly: both the
     forecast CDF and the observation step function are piecewise constant,
-    so the integrand is summed in closed form over its breakpoints.
+    so the integrand is summed in closed form over its breakpoints, the
+    row's atoms and its observation. Each row sums its own terms only: with
+    the padding, numpy's pairwise sum would group them otherwise.
     """
-    return _crps(forecast.values, forecast.masses, observed)
+    obs = np.asarray(observed, dtype=float)
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observed price must be finite")
+    n_rows, width = values.shape
+    k = np.count_nonzero(masses, axis=1)
+    below = np.count_nonzero((np.arange(width) < k[:, None]) & (values < obs[:, None]), axis=1)
+    on = np.take_along_axis(values, np.minimum(below, k - 1)[:, None], axis=1)[:, 0] == obs
+    # Breakpoint j is the observation, once, or the last of the ``held`` atoms at or below it: the
+    # breakpoints from the observation on sit one slot right unless it is an atom.
+    col = np.arange(width + 1)
+    after = ~on[:, None] & (col >= below[:, None])
+    held = col + 1 - after
+    last = np.minimum(np.maximum(held - 1, 0), width - 1)
+    pts = np.where(after & (col == below[:, None]), obs[:, None], np.take_along_axis(values, last, axis=1))
+    f = np.where(held > 0, np.take_along_axis(np.cumsum(masses, axis=1), last, axis=1), 0.0)[:, :-1]
+    h = (pts[:, :-1] >= obs[:, None]).astype(float)
+    terms = (f - h) ** 2 * np.diff(pts, axis=1)
+    n_terms = k - on
+    scores = np.empty(n_rows)
+    for count in np.unique(n_terms):
+        rows = n_terms == count
+        scores[rows] = np.sum(terms[rows][:, :count], axis=1)
+    return scores
+
+
+def crps(forecast: DiscretePriceDistribution, observed: float) -> float:
+    """Continuous ranked probability score of a discrete forecast: one row of ``crps_rows``."""
+    return float(crps_rows(forecast.values[None], forecast.masses[None], [observed])[0])
 
 
 @dataclass(frozen=True)
@@ -279,7 +295,7 @@ def score_rows(values: np.ndarray, masses: np.ndarray, observed) -> ForecastScor
         raise ValueError("need one observation per forecast row, and at least one row")
     means, stds = moment_rows(values, masses)
     medians = quantile_rows(values, masses, 0.5)[:, 0]
-    scores = np.array([_crps(v, m, y) for (v, m), y in zip(row_atoms(values, masses), obs)])
+    scores = crps_rows(values, masses, obs)
     return ForecastScores(
         rmse=float(np.sqrt(np.mean((means - obs) ** 2))),
         mae=float(np.mean(np.abs(medians - obs))),

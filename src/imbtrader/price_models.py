@@ -351,8 +351,12 @@ def quantile_loss_and_grad_rows(params, z, o, y, taus, n_outputs: int, bound=Non
     soft, work = np.empty((2, size, k, n))
     for blk in blocks:
         rows = np.arange(params.shape[0])[blk]
-        # Stacked matmuls give each slice the bits of its own 2-D product; einsum does not.
-        w = np.matmul(params[blk, :kd].reshape(-1, k, d), z_t, out=soft[: rows.size])
+        # Stacked matmuls give each slice the bits of its own 2-D product; einsum does not. With one
+        # feature each product term is a single multiply, so the outer product has the same bits.
+        if d == 1:
+            w = np.multiply(params[blk, :k, None], z_t, out=soft[: rows.size])
+        else:
+            w = np.matmul(params[blk, :kd].reshape(-1, k, d), z_t, out=soft[: rows.size])
         w += params[blk, kd:, None]
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
@@ -429,9 +433,9 @@ def fit_quantile_bank(
     the observed regulation prices of this regime. Every level starts from
     its best pure ladder level and is trained to its own pinball loss; one
     solver call fits all levels, on the calling thread. A level stops once
-    its gradient max-norm is at most 1e-6 or an accepted step leaves its
-    loss unchanged bit for bit (both count as converged), on a stalled line
-    search, or after ``max_iter`` iterations.
+    its gradient max-norm is at most 1e-6 or an accepted step lowers its
+    loss by no more than rounding (both count as converged), on a stalled
+    line search, or after ``max_iter`` iterations.
     """
     max_iter = count("max_iter", max_iter, 0)
     z = np.asarray(z, dtype=float)

@@ -2,7 +2,8 @@
 
 ``score_batch`` scores ``DiscretePriceDistribution`` objects one at a time,
 with the standard deviation and quantiles those objects computed themselves
-before ``dists.score_rows`` took canonical rows. ``benchmark_rows`` is the
+before ``dists.score_rows`` took canonical rows, and the one-row CRPS of
+``crps_oracle``. ``benchmark_rows`` is the
 benchmark runner as it was: per tick, both regime distributions, one
 flattened mixture per explicit model with its transition matrices
 recomputed for every window, and the linear bank's distribution from a
@@ -10,8 +11,9 @@ one-row product, all scored by ``score_batch``.
 """
 import numpy as np
 
+from crps_oracle import crps
 from imbtrader.benchmarks import DEFAULT_HORIZON, chain_state_probability, dynamic_feature_columns
-from imbtrader.dists import DiscretePriceDistribution, ForecastScores, MixtureForecast, crps, flatten
+from imbtrader.dists import DiscretePriceDistribution, ForecastScores, MixtureForecast, flatten
 from imbtrader.market_impact import is_surplus
 from imbtrader.price_models import predict_regulation_distribution
 

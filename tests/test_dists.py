@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from benchmark_oracle import score_batch, std
 from canonical_oracle import canonical_atoms
+from crps_oracle import crps_atoms
 from imbtrader.dists import (
     MERGE_TOL,
     DiscretePriceDistribution,
@@ -12,10 +13,12 @@ from imbtrader.dists import (
     MixtureForecast,
     canonical_rows,
     crps,
+    crps_rows,
     flatten,
     flatten_rows,
     moment_rows,
     quantile_rows,
+    row_atoms,
     score_rows,
 )
 from imbtrader.market_impact import Regime
@@ -242,6 +245,52 @@ class TestCrps:
             integrand = (cdf - (grid >= y)) ** 2
             oracle = np.trapezoid(integrand, grid)
             assert crps(d, y) == pytest.approx(oracle, abs=1e-3)
+
+
+def crps_case(rng, n_atoms, where):
+    """A canonical row of ``n_atoms`` random atoms and an observation ``where`` relative to them."""
+    values = np.unique(rng.normal(50.0, 30.0, n_atoms))
+    masses = rng.random(values.size) + 0.05
+    masses /= masses.sum()
+    i = rng.integers(values.size)
+    observed = {"below": values[0] - rng.random() - 0.5, "above": values[-1] + rng.random() + 0.5,
+                "on": values[i], "between": values[min(i, values.size - 2)] + 1e-3}[where]
+    return values, masses, observed
+
+
+class TestCrpsRows:
+    """``crps_rows`` against the one-row routine it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("where", ["below", "above", "on", "between"])
+    def test_term_counts_around_the_pairwise_blocks(self, where):
+        # a row has one term per breakpoint gap: its atoms, plus the observation unless it sits on one
+        rng = np.random.default_rng(["below", "above", "on", "between"].index(where))
+        extra = 1 if where == "on" else 0
+        counts = [n for n in (1, 2, 7, 8, 9, 128, 129, 201) if n + extra >= 2 or where != "between"]
+        cases = [crps_case(rng, n + extra, where) for n in counts]
+        dists = [DiscretePriceDistribution(v, m) for v, m, _ in cases]
+        observed = np.array([y for _, _, y in cases])
+        assert [np.unique(np.append(d.values, y)).size - 1 for d, y in zip(dists, observed)] == counts
+        want = [crps_atoms(d.values, d.masses, y) for d, y in zip(dists, observed)]
+        assert crps_rows(*as_rows(dists), observed).tolist() == want
+        assert [crps(d, y) for d, y in zip(dists, observed)] == want
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_rows_equal_the_oracle(self, data):
+        n = data.draw(st.integers(1, 6))
+        values, masses = canonical_rows(*data.draw(distribution_rows(n, max_atoms=40)))
+        observed = data.draw(st.lists(ATOM_VALUES | st.floats(-200.0, 200.0), min_size=n, max_size=n))
+        want = [crps_atoms(v, m, y) for (v, m), y in zip(row_atoms(values, masses), observed)]
+        assert crps_rows(values, masses, observed).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observed_price_must_be_finite(self, bad):
+        values, masses = as_rows([uniform_dist([1.0, 2.0])] * 2)
+        with pytest.raises(ValueError, match="observed price must be finite"):
+            crps_rows(values, masses, [1.5, bad])
+        with pytest.raises(ValueError, match="observed price must be finite"):
+            crps(uniform_dist([1.0, 2.0]), bad)
 
 
 class TestScoreBatch:

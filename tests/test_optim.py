@@ -28,8 +28,11 @@ from imbtrader.price_models import (
 )
 
 
+LOSS_ROUNDING = 64 * np.finfo(float).eps
+
+
 def oracle_minimize_gd(value_and_grad, x0, *, grad_tol=1e-6, max_iter=1000, initial_step=1.0,
-                       armijo=1e-4, shrink=0.5, grow=2.0, min_step=1e-18):
+                       armijo=1e-4, shrink=0.5, grow=2.0, min_step=1e-18, loss_rounding=LOSS_ROUNDING):
     """One-problem steepest descent with Armijo backtracking: (x, fun, grad_norm, iterations, converged)."""
     x = np.asarray(x0, dtype=float).copy()
     f, g = value_and_grad(x)
@@ -49,7 +52,8 @@ def oracle_minimize_gd(value_and_grad, x0, *, grad_tol=1e-6, max_iter=1000, init
             step *= shrink
             if step < min_step:
                 return x, f, gnorm, iterations, False
-        if f_new == f:  # the accepted step left the loss unchanged: stop there, converged
+        # the accepted step moved the loss by no more than rounding: stop there, converged
+        if np.isfinite(f) and f - f_new <= loss_rounding * abs(f):
             return x_new, f_new, float(np.max(np.abs(g_new))) if g_new.size else 0.0, iterations, True
         x, f, g = x_new, f_new, g_new
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
@@ -172,6 +176,31 @@ def below_rounding_near_origin(x):
     return below_rounding(x) if np.max(np.abs(x)) <= 1e-3 else (np.nan, np.full_like(x, 1e-3))
 
 
+def one_drop(drop):
+    """A loss of 1 at the origin and 1 - ``drop`` everywhere else, with a gradient above the tolerance."""
+
+    def f(x):
+        return (1.0 if not np.any(x) else 1.0 - drop), np.full_like(x, 2e-6)
+
+    return f
+
+
+def infinite_at_origin(x):
+    """``MIXED[1]``'s quadratic, except for a loss of +inf at the origin."""
+    f, g = MIXED[1](x)
+    return (np.inf if not np.any(x) else f), g
+
+
+def newton_below_rounding():
+    """Newton's method from near the optimum of a loss that rounds one unit up there, so the Armijo test fails;
+    the step still lowers the gradient max-norm, so it is taken (halving steps would need four iterations)."""
+
+    def value_and_grad(x):
+        return 1.0 + 0.5 * x @ x + (0.0 if x.any() else np.finfo(float).eps), x.copy()
+
+    return minimize_newton(value_and_grad, lambda x: np.eye(2), np.array([1e-9, 0.0]), max_iter=10)
+
+
 def offset_quadratic(x):
     """A quadratic on a loss of 1e6: its loss stops moving while the gradient is still above the tolerance."""
     f, g = quadratic([1.0, 3.0], [2.0, -1.0])(x)
@@ -253,6 +282,36 @@ class TestMinimizeGd:
         # one iteration fewer leaves the problem at the cap, short of the flat step
         short = minimize_gd(batched([fn]), x0, max_iter=iterations - 1)
         assert short.iterations[0] == iterations - 1 and not short.converged[0]
+
+    def test_step_within_the_rounding_band_ends_the_problem(self):
+        # from a loss of 1 the band is exactly 2**-46: a first step that lowers the loss by the band stops,
+        # one that lowers it by twice the band runs on
+        band = _optim._LOSS_ROUNDING
+        x0 = np.zeros((2, 1))
+        result = minimize_gd(batched([one_drop(band), one_drop(2 * band)]), x0, max_iter=400)
+        assert result.fun.tolist() == [1.0 - band, 1.0 - 2 * band]
+        assert result.iterations[0] == 1 and result.converged[0] and not result.stalled[0]
+        assert result.iterations[1] > 1 and result.converged[1]
+        for i, drop in enumerate([band, 2 * band]):
+            assert_same(result, i, oracle_minimize_gd(one_drop(drop), x0[i], max_iter=400))
+
+    def test_infinite_start_is_not_flat(self):
+        # every finite step lowers an infinite loss by more than any band of it
+        x0 = np.zeros((1, 2))
+        result = minimize_gd(batched([infinite_at_origin]), x0, max_iter=60)
+        assert result.iterations[0] > 1 and result.converged[0] and result.grad_norm[0] <= _optim._GRAD_TOL
+        assert_same(result, 0, oracle_minimize_gd(infinite_at_origin, x0[0], max_iter=60))
+
+    def test_descent_and_newton_read_one_rounding_band(self, monkeypatch):
+        assert _optim._LOSS_ROUNDING == LOSS_ROUNDING
+        band = _optim._LOSS_ROUNDING
+
+        def descent(drop):
+            return minimize_gd(batched([one_drop(drop)]), np.zeros((1, 1)), max_iter=400)
+
+        assert descent(band).iterations[0] == 1 and newton_below_rounding().iterations[0] == 1
+        monkeypatch.setattr(_optim, "_LOSS_ROUNDING", 0.0)
+        assert descent(band).iterations[0] > 1 and newton_below_rounding().iterations[0] > 1
 
     def test_row_dots_are_one_dimensional_dot_products(self):
         g = np.random.default_rng(4).normal(size=(40, 119)) * 10.0 ** np.arange(-20, 20)[:, None]
@@ -386,6 +445,20 @@ class TestBatchIndependence:
         assert thread_starts == []
 
 
+def stacked_matmul_rows(params, z, o, y, taus, k):
+    """The bank objective in one block, its logits from the stacked matmul of (k, d) weights and ``z.T``."""
+    n, d = z.shape
+    w = np.matmul(params[:, : k * d].reshape(-1, k, d), np.ascontiguousarray(z.T)) + params[:, k * d :, None]
+    w = np.exp(w - w.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    o_t = np.ascontiguousarray(o.T)
+    yhat = (w * o_t).sum(axis=1)
+    e = y - yhat
+    coef = np.where(e >= 0.0, taus[:, None], taus[:, None] - 1.0)
+    dl = w * (-coef / n)[:, None] * (o_t - yhat[:, None])
+    return np.mean(coef * e, axis=1), np.hstack([np.matmul(dl, z).reshape(-1, k * d), dl.sum(axis=2)])
+
+
 class TestBankKernel:
     """The stacked bank objective against one-row oracle calls on (k, n) arrays summed over the ladder axis.
 
@@ -402,6 +475,17 @@ class TestBankKernel:
         for i, tau in enumerate(taus):
             val, grad = oracle_quantile_loss_and_grad(params[i], z, o, y, tau, k)
             assert vals[i] == val and np.array_equal(grads[i], grad)
+
+    @pytest.mark.parametrize("n", [200, 3310])
+    def test_one_feature_logits_match_the_stacked_matmul(self, n):
+        # d = 1 takes its logits as an outer product; signed zeros in z and in the weights included
+        z, o, y, params, taus = kernel_data(n, n, 11, 1, 9)
+        z[::7] = 0.0
+        z[3::7] = -0.0
+        params[::2, :11] = np.where(params[::2, :11] > 0.0, 0.0, -0.0)
+        vals, grads = quantile_loss_and_grad_rows(params, z, o, y, taus, 11)
+        want_vals, want_grads = stacked_matmul_rows(params, z, o, y, taus, 11)
+        assert vals.tobytes() == want_vals.tobytes() and grads.tobytes() == want_grads.tobytes()
 
     def test_rows_above_their_bound_get_values_and_nan_gradients(self):
         z, o, y, params, taus = kernel_data(3, 300, 11, 2, 9)
@@ -433,7 +517,7 @@ class TestBankBitIdentity:
         _, weights, biases, outcomes = oracle_fit_quantile_bank(z, o, y, n_q=12, max_iter=400)
         assert np.array_equal(bank.weights, weights)
         assert np.array_equal(bank.biases, biases)
-        # some levels stop on the gradient test, others on a step that left their loss unchanged
+        # some levels stop on the gradient test, others on a step that moved their loss by no more than rounding
         assert all(out[4] for out in outcomes)
         assert min(out[2] for out in outcomes) <= 1e-6 < max(out[2] for out in outcomes)
 
@@ -474,12 +558,7 @@ class TestNewton:
         assert np.allclose(result.x[0], np.linalg.solve(a, b), rtol=0, atol=1e-15)
 
     def test_step_below_the_loss_rounding_is_taken_when_the_gradient_falls(self):
-        # the loss rounds one unit up at the optimum, so the Armijo test fails there; the step still lowers the
-        # gradient max-norm, so it is taken (halving steps would need four iterations)
-        def value_and_grad(x):
-            return 1.0 + 0.5 * x @ x + (0.0 if x.any() else np.finfo(float).eps), x.copy()
-
-        result = minimize_newton(value_and_grad, lambda x: np.eye(2), np.array([1e-9, 0.0]), max_iter=10)
+        result = newton_below_rounding()
         assert result.iterations.tolist() == [1] and result.converged.tolist() == [True]
 
     def test_singular_hessian_takes_the_least_squares_direction(self):
@@ -518,8 +597,8 @@ class TestFitLogging:
         assert linear.gap.max() > _optim._GAP_TOL
 
     def test_no_bank_level_runs_to_the_cap(self, caplog):
-        # every level stops once an accepted step leaves its loss unchanged, by iteration 73 here; without that
-        # stop, 4 of the 12 levels run to the cap with a loss that no longer moves
+        # every level stops once an accepted step moves its loss by no more than rounding, by iteration 66
+        # here; without a flat stop, 4 of the 12 levels run to the cap with a loss that no longer moves
         z, o, y = market_data(400, 1)
         with caplog.at_level(logging.WARNING):
             fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=12, max_iter=400)
