@@ -301,14 +301,19 @@ def write_ledger(path, result: BacktestResult) -> None:
 def _ledger_record(parts: list[str]) -> TradeRecord:
     if len(parts) != len(LEDGER_COLUMNS):
         raise ValueError(f"expected {len(LEDGER_COLUMNS)} fields, got {len(parts)}")
-    u, fill_price, realized_price, alpha = numbers = [float(p) for p in parts[2:6]]
-    for name, value in zip(LEDGER_COLUMNS[2:6], numbers):
+    u, fill_price, realized_price, alpha, profit = numbers = [float(p) for p in parts[2:6] + parts[7:]]
+    for name, value in zip(LEDGER_COLUMNS[2:6] + LEDGER_COLUMNS[7:], numbers):
         if not math.isfinite(value):
             raise ValueError(f"{name} is {value}")
-    return TradeRecord(
+    _check_kind(parts[6])
+    record = TradeRecord(
         timestamp=timestamp(parts[0]), leg=parts[1], u=u, fill_price=fill_price,
         realized_price=realized_price, alpha=alpha, measure=parts[6],
     )
+    if profit != (expected := record.profit(SimConfig.delta_hours)):  # the writer prints this product's repr
+        raise ValueError(f"profit_eur is {parts[7]}, not (realized_price - fill_price) * u_mw * delta_hours, "
+                         f"{expected!r}")
+    return record
 
 
 def _ledger_delta(text: str) -> float:
@@ -331,6 +336,8 @@ def _ledger_legs(text: str) -> tuple[str, ...]:
     legs = tuple(text.split(","))
     if not set(legs) <= set(LEGS):
         raise ValueError(f"legs must be {' or '.join(LEGS)}, got {text}")
+    if len(set(legs)) < len(legs):
+        raise ValueError(f"legs must name each leg once, got {text}")
     return legs
 
 
@@ -341,9 +348,11 @@ _LEDGER_HEADER = {"delta_hours": _ledger_delta, "n_skipped": _ledger_count, "leg
 def read_ledger(path) -> tuple[list[TradeRecord], dict]:
     """Parse a ledger CSV back into records and header metadata.
 
-    A malformed data row (wrong field count, a bad timestamp or number, or a
-    non-finite number) or header ``delta_hours`` (which must be the settlement
-    period, ``SimConfig.delta_hours``), ``n_skipped`` or ``legs`` raises a
+    A malformed data row (wrong field count, a bad timestamp or number, a
+    non-finite number, a ``measure`` outside ``risk.RISK_KINDS``, or a
+    ``profit_eur`` other than the row's own product, which the writer prints
+    exactly) or header ``delta_hours`` (which must be the settlement period,
+    ``SimConfig.delta_hours``), ``n_skipped`` or ``legs`` (each leg once) raises a
     ``ValueError`` that names its line; the metadata holds the first two as
     numbers and ``legs`` as a tuple. A header without one of those three, or
     a record of a leg the header does not name, raises a ``ValueError`` too.

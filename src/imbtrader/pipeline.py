@@ -1,10 +1,10 @@
 """Training orchestration: fit every model of the trading loop and bundle them.
 
-The bundle is what backtests pin: both logistic weight models (plain for
-the price-model input, position-augmented for trading), the two quantile
-banks, the reserve grid, estimated sensitivities, the feature layout, and
-the training date range for leakage checks. The bundle's file format, a
-versioned JSON document with named weights, is one field table here.
+The bundle is what backtests pin: the logistic weight model, the position
+model that trades on its score plus one position coefficient, the two
+quantile banks, the reserve grid, estimated sensitivities, the feature
+layout, the training date range for leakage checks, and a seed no fit draws
+from. The bundle's file format, a versioned JSON document, is one field table.
 """
 from __future__ import annotations
 
@@ -28,8 +28,9 @@ from .price_models import (
     LogisticModel,
     QuantileModelBank,
     ReserveGrid,
-    augment_with_positions,
+    _check_u_max,
     fit_logistic,
+    fit_position_model,
     fit_quantile_bank,
     quantile_matrix,
 )
@@ -213,10 +214,10 @@ def train_models(
     ``u_max`` that is not positive and finite and (by ``fit_logistic``'s rule) a negative or non-finite ``l2``
     are rejected by name before any solver runs.
 
-    The position-augmented weight model is trained with artificial trades whose appended feature is the induced
-    imbalance shift (full reactivity), sampled uniformly over ``[-u_max, u_max]`` so one model serves long and
-    short positions. The keys of the CLI config's ``model`` section are the keyword arguments ``n_q``, ``kfold``
-    and ``bank_max_iter``; ``l2`` and the Newton cap ``logistic_max_iter`` are library arguments only.
+    The position model adds to the weight model one coefficient on the induced imbalance shift (full reactivity),
+    fitted over positions uniform on ``[-u_max, u_max]`` (``fit_position_model``). ``seed`` is recorded in the
+    bundle but draws nothing. The keys of the CLI config's ``model`` section are the keyword arguments ``n_q``,
+    ``kfold`` and ``bank_max_iter``; ``l2`` and the Newton cap ``logistic_max_iter`` are library arguments only.
     """
     if not ticks:
         raise ValueError("no training ticks")
@@ -231,48 +232,23 @@ def train_models(
     kfold, n_q, seed = count("kfold", kfold, 2), count("n_q", n_q, 2), count("seed", seed, 0)
     logistic_max_iter = count("logistic_max_iter", logistic_max_iter, 0)
     bank_max_iter = count("bank_max_iter", bank_max_iter, 0)
-    # its own seeded generator: drawn before the fits, it rejects a u_max that is not positive and finite first
-    x_aug, aug_labels, _ = augment_with_positions(x, s, u_max=u_max, beta=1.0, rng=seed, u_min=-u_max)
-    labels = is_surplus(s).astype(float)
+    _check_u_max(u_max)
+    pos = is_surplus(s)
+    labels = pos.astype(float)
 
     weight_model = fit_logistic(x, labels, l2=l2, max_iter=logistic_max_iter)
     z = _crossvalidated_weight(x, labels, kfold, l2, logistic_max_iter)
+    position_model = fit_position_model(weight_model, x, s, u_max=u_max, max_iter=logistic_max_iter)
 
-    position_model = fit_logistic(
-        x_aug,
-        aug_labels.astype(float),
-        l2=l2,
-        max_iter=logistic_max_iter,
-        position_weight_index=x.shape[1],
-    )
-
-    pos = is_surplus(s)
-    p_mdp = np.array([t.p_mdp for t in ticks])
-    p_mip = np.array([t.p_mip for t in ticks])
-    bank_mdp = fit_quantile_bank(
-        z[pos], o[pos], p_mdp[pos], regime=Regime.MDP, n_q=n_q, max_iter=bank_max_iter
-    )
-    bank_mip = fit_quantile_bank(
-        z[~pos], o[~pos], p_mip[~pos], regime=Regime.MIP, n_q=n_q, max_iter=bank_max_iter
-    )
+    p_mdp, p_mip = np.array([t.p_mdp for t in ticks]), np.array([t.p_mip for t in ticks])
+    bank_mdp = fit_quantile_bank(z[pos], o[pos], p_mdp[pos], regime=Regime.MDP, n_q=n_q, max_iter=bank_max_iter)
+    bank_mip = fit_quantile_bank(z[~pos], o[~pos], p_mip[~pos], regime=Regime.MIP, n_q=n_q, max_iter=bank_max_iter)
 
     k_mdp, k_mip = estimate_sensitivities(s, np.where(pos, p_mdp, p_mip))
     impact = ImpactParams(beta=1.0, k_mdp=max(k_mdp, 0.0), k_mip=max(k_mip, 0.0))
-
-    return TrainedModels(
-        weight_model=weight_model,
-        position_model=position_model,
-        bank_mdp=bank_mdp,
-        bank_mip=bank_mip,
-        grid=grid,
-        impact=impact,
-        layout=layout,
-        n_q=n_q,
-        kfold=kfold,
-        train_start=ticks[0].timestamp,
-        train_end=ticks[-1].timestamp,
-        seed=seed,
-    )
+    return TrainedModels(weight_model=weight_model, position_model=position_model, bank_mdp=bank_mdp,
+                         bank_mip=bank_mip, grid=grid, impact=impact, layout=layout, n_q=n_q, kfold=kfold,
+                         train_start=ticks[0].timestamp, train_end=ticks[-1].timestamp, seed=seed)
 
 
 def _z(models: TrainedModels, tick: MarketTick) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Mixture-weight logistic model and reserve-ladder quantile price models.
 
-The mixture weight is a logistic regression on exogenous features (plus an
-optional position feature); each regulation-price distribution comes from a
-bank of softmax models that allocate probability over a fixed ladder of
-reserve volumes and price that allocation with the known ladder prices.
-All fitting is deterministic and full-batch: the logistic models by
-Newton's method, the banks by gradient descent.
+The mixture weight is a logistic regression on exogenous features (plus, to
+trade, one coefficient on a position feature); each regulation-price
+distribution comes from a bank of softmax models that price an allocation
+over a fixed ladder of reserve volumes with the known ladder prices. All
+fitting is deterministic and full-batch: the logistic models and the
+position coefficient by Newton's method, the banks by gradient descent.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ __all__ = [
     "LogisticModel",
     "fit_logistic",
     "logistic_loss_and_grad",
+    "position_loss",
+    "fit_position_model",
     "augment_with_positions",
     "ReserveGrid",
     "pinball_loss",
@@ -45,6 +47,11 @@ _P_LO = 1e-300
 _P_HI = float(np.nextafter(1.0, 0.0))
 
 BANK_MAX_ITER = 400  # descent cap of each bank level: it binds on some, so the config sets it too
+
+# numpy.polynomial.legendre.leggauss(8), the rule of ``position_loss``, written out: computing it costs ~1 MB of RSS
+_HALF_RULE = np.array([[0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],  # nodes > 0
+                       [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]])  # weights
+_POSITION_NODES, _POSITION_WEIGHTS = np.hstack([_HALF_RULE[:, ::-1] * [[-1.0], [1.0]], _HALF_RULE])
 
 
 class DegenerateLabelsError(ValueError):
@@ -239,6 +246,47 @@ def fit_logistic(
     )
 
 
+def _check_u_max(u_max: float) -> None:
+    if not 0.0 < u_max < math.inf:  # NaN fails too
+        raise ValueError(f"u_max must be positive and finite, got {u_max}")
+
+
+def position_loss(c: float, eta, s, u_max: float) -> tuple[float, float, float]:
+    """Mean log-loss of the labels ``is_surplus(s + u)`` at the scores ``eta + c * u`` over u ~ U[-u_max, u_max],
+    and its first two derivatives in ``c``. A row's label flips once, at u = -s: each side of that point (clipped
+    to the interval) is integrated by the 8-point Gauss-Legendre rule."""
+    nodes, weights = _POSITION_NODES, _POSITION_WEIGHTS
+    s = np.asarray(s, dtype=float)[:, None]
+    flip = np.clip(-s, -u_max, u_max)  # the sides [-u_max, flip] and [flip, u_max]: midpoints, half-widths
+    u = np.hstack([(flip - u_max) / 2 + (flip + u_max) / 2 * nodes, (flip + u_max) / 2 + (u_max - flip) / 2 * nodes])
+    w = np.hstack([(flip + u_max) * weights, (u_max - flip) * weights]) / (4 * u_max * s.size)
+    y, z = is_surplus(s + u), np.asarray(eta, dtype=float)[:, None] + c * u
+    e = np.exp(-np.abs(z))
+    loss = np.maximum(z, 0.0) - y * z + np.log1p(e)
+    # e / (1 + e)^2 is p (1 - p), and stays positive where p rounds to 0 or 1
+    slope, curvature = (_stable_sigmoid(z) - y) * u, e / (1.0 + e) ** 2 * u**2
+    return float(np.sum(w * loss)), float(np.sum(w * slope)), float(np.sum(w * curvature))
+
+
+def fit_position_model(weight_model: LogisticModel, x, s, *, u_max: float, max_iter: int = NEWTON_MAX_ITER):
+    """``weight_model`` plus a position feature, unscaled so that position 0 adds exactly 0, whose coefficient
+    minimizes ``position_loss`` at the weight model's scores: by Newton's method from 0, without a penalty."""
+    _check_u_max(u_max)
+    scaler = weight_model.scaler
+    eta = scaler.transform(x) @ weight_model.weights + weight_model.bias
+
+    def value_and_grad(c):
+        value, slope, _ = position_loss(c[0], eta, s, u_max)
+        return value, np.array([slope])
+
+    result = minimize_newton(value_and_grad, lambda c: np.array([[position_loss(c[0], eta, s, u_max)[2]]]),
+                             np.zeros(1), max_iter=max_iter)
+    log_unfinished(logger, f"logistic fit (position coefficient, {eta.size} rows)", result, max_iter, unit="fits")
+    return LogisticModel(weight_model.bias, np.append(weight_model.weights, result.x[0, 0]),
+                         FeatureScaler(np.append(scaler.mean, 0.0), np.append(scaler.scale, 1.0)),
+                         position_weight_index=weight_model.n_features)
+
+
 def augment_with_positions(
     x,
     imbalance,
@@ -254,12 +302,11 @@ def augment_with_positions(
     feature is the induced imbalance shift ``beta * u`` and the new label
     is ``is_surplus(s + beta * u)``, i.e. whether the system is still in
     surplus after absorbing the trade. Deterministic for a fixed seed or
-    generator.
+    generator. No package fit calls it (perfbench's training mirror does).
 
     Returns ``(augmented_features, labels, sampled_positions)``.
     """
-    if not 0.0 < u_max < math.inf:  # NaN fails too
-        raise ValueError(f"u_max must be positive and finite, got {u_max}")
+    _check_u_max(u_max)
     if not -math.inf < u_min <= u_max:  # NaN fails too
         raise ValueError(f"u_min must be finite and not exceed u_max, got {u_min}")
     x = np.asarray(x, dtype=float)

@@ -388,6 +388,12 @@ class TestLedgerIO:
         with pytest.raises(ValueError, match=f"^ledger line 2: legs must be long or short, got {value}$"):
             read_ledger(path)
 
+    def test_repeated_leg_names_its_header_line(self, ledger_lines):
+        path, lines = ledger_lines
+        path.write_text("\n".join(lines).replace("legs=long", "legs=long,long") + "\n")
+        with pytest.raises(ValueError, match="^ledger line 2: legs must name each leg once, got long,long$"):
+            read_ledger(path)
+
     @pytest.mark.parametrize("token", ["delta_hours=0.25", "n_skipped=0", "legs=long"])
     def test_header_without_a_token_fails_naming_it(self, ledger_lines, token):
         path, lines = ledger_lines
@@ -417,6 +423,30 @@ class TestLedgerIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="^ledger line 7: "):
             read_ledger(path)
+
+    # profit_eur is the row's own product, as the writer prints it, and measure one of risk.RISK_KINDS
+    @pytest.mark.parametrize("field, value, message", [
+        (7, "nan", "profit_eur is nan"),
+        (7, "999.0", "profit_eur is 999.0, not (realized_price - fill_price) * u_mw * delta_hours, "),
+        (6, "bogus", "unknown risk kind 'bogus'; expected one of ('expectation', 'cvar', 'evar')"),
+    ], ids=["profit nan", "profit wrong", "measure"])
+    def test_row_that_contradicts_itself_names_its_line(self, ledger_lines, field, value, message):
+        path, lines = ledger_lines
+        row = lines[6].split(",")
+        assert float(row[7]) != 999.0
+        lines[6] = ",".join(row[:field] + [value] + row[field + 1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape('ledger line 7: ' + message)}"):
+            read_ledger(path)
+
+    def test_every_written_profit_reads_back(self, trained, tmp_path):
+        models, _, test_ticks = trained
+        config = SimConfig(measure="evar", actions=ActionSpace(step=0.5, u_max=3.0, allow_short=True), window=10)
+        result = run_backtest(config, models, test_ticks[:60])
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, result)
+        assert any(r.u != 0.0 for r in result.ledger)
+        assert read_ledger(path)[0] == result.ledger
 
 
 SWEEP_GRID = [0.0, 0.5, 1.0]

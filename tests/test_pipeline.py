@@ -147,6 +147,17 @@ class TestTrainModels:
             fit_benchmark_suite(ticks[:384], models, max_iter=400)
         assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("logistic fit")] == []
 
+    def test_the_seed_draws_nothing(self, small_market):
+        cfg, ticks, _ = small_market
+        kwargs = {"grid": cfg.grid, "n_q": 4, "kfold": 2, "logistic_max_iter": 20, "bank_max_iter": 5}
+        first, second = (_to_json(train_models(ticks[:300], seed=seed, **kwargs)) for seed in (0, 5))
+        assert (first.pop("seed"), second.pop("seed")) == (0, 5)
+        assert first == second
+
+    def test_surplus_grows_with_the_position(self, trained):
+        # a long position adds surplus (the shift beta * u), so it raises the fitted surplus probability
+        assert trained[0].position_model.weights[-1] > 0.0
+
     def test_logistic_fits_stay_far_below_the_newton_cap(self, small_market, monkeypatch):
         # the cap is five times the most Newton iterations a fit was measured to take (20), so a change that slows
         # the fits toward it fails here before it cuts one short
@@ -161,7 +172,7 @@ class TestTrainModels:
         cfg, ticks, _ = small_market
         train = ticks[: int(len(ticks) * 0.6)]
         fit_benchmark_suite(train, train_models(train, grid=cfg.grid, n_q=12, kfold=3, bank_max_iter=150))
-        assert len(results) == 7  # the weight model, its 3 folds, the position model and the 2 transition fits
+        assert len(results) == 7  # the weight model, its 3 folds, the position coefficient and the 2 transition fits
         assert all(r.converged[0] and not r.stalled[0] for r in results)
         assert max(r.iterations[0] for r in results) <= 20 <= NEWTON_MAX_ITER // 5
 
@@ -182,6 +193,13 @@ class TestForecaster:
                 assert fast.pi == slow.pi
                 assert fast.down == slow.down
                 assert fast.up == slow.up
+
+    def test_flat_position_trades_on_the_weight_models_probability(self, trained):
+        models, _, test_ticks = trained
+        for tick in test_ticks:
+            for beta_est in (0.0, 0.5, 1.0):
+                pi = make_forecaster(models, tick, beta_est).regime_rows([0.0])[0]
+                assert pi[0] == models.weight_model.predict(tick.x)
 
     def test_replay_forecasts_match_a_fresh_forecast(self, trained, monkeypatch):
         # The replay builds each (tick, beta_est) forecast from the rows of one forecast_rows call.

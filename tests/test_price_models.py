@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 from logistic_oracle import descent_logistic, training_loss_and_grad
+from position_oracle import midpoint_position_loss
 
 from imbtrader import _optim, price_models
 from imbtrader.data_io import FeatureLayout, MarketTick
@@ -19,9 +20,11 @@ from imbtrader.price_models import (
     ReserveGrid,
     augment_with_positions,
     fit_logistic,
+    fit_position_model,
     fit_quantile_bank,
     logistic_loss_and_grad,
     pinball_loss,
+    position_loss,
     predict_regulation_distribution,
     quantile_levels,
     quantile_loss_and_grad,
@@ -295,6 +298,60 @@ class TestAugmentWithPositions:
         s = np.zeros(500)
         _, _, u = augment_with_positions(x, s, u_max=5.0, beta=1.0, rng=1, u_min=-5.0)
         assert u.min() < -2.0 and u.max() > 2.0
+
+
+def position_rows(n=120, seed=8, u_max=5.0):
+    """Scores and imbalances of ``n`` rows, about a third of them within ``u_max`` of their flip."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(scale=1.5, size=n), rng.normal(scale=3.0 * u_max, size=n)
+
+
+class TestPositionLoss:
+    def test_the_rule_is_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        np.testing.assert_allclose(price_models._POSITION_NODES, nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(price_models._POSITION_WEIGHTS, weights, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("c", [-0.08, 0.0, 0.03])
+    def test_derivatives_match_finite_differences(self, c):
+        eta, s = position_rows()
+        h = 1e-4
+        _, slope, curvature = position_loss(c, eta, s, 5.0)
+        below, above = position_loss(c - h, eta, s, 5.0), position_loss(c + h, eta, s, 5.0)
+        assert slope == pytest.approx((above[0] - below[0]) / (2 * h), rel=1e-6)
+        assert curvature == pytest.approx((above[1] - below[1]) / (2 * h), rel=1e-6)
+        assert curvature > 0.0
+
+    @pytest.mark.parametrize("c", [-0.05, 0.03, 0.1])
+    def test_quadrature_matches_midpoints(self, c):
+        eta, s = position_rows(n=40)
+        assert position_loss(c, eta, s, 5.0)[0] == pytest.approx(midpoint_position_loss(c, eta, s, 5.0), rel=1e-8)
+
+    def test_no_row_near_its_flip_gives_no_position_effect(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(200, 3))
+        s = np.where(x[:, 0] + rng.normal(size=200) >= 0.0, 1.0, -1.0) * (5.0 + rng.exponential(4.0, size=200))
+        model = fit_position_model(fit_logistic(x, s >= 0.0), x, s, u_max=5.0)
+        assert abs(model.weights[-1]) <= 1e-12
+
+    def test_the_position_column_adds_nothing_at_zero(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(300, 4))
+        s = 6.0 * (x[:, 1] + rng.normal(size=300))
+        weight_model = fit_logistic(x, s >= 0.0)
+        model = fit_position_model(weight_model, x, s, u_max=5.0)
+        assert model.weights[-1] > 0.0 and model.position_weight_index == 4
+        assert (model.scaler.mean[-1], model.scaler.scale[-1]) == (0.0, 1.0)
+        for row in x[:20]:
+            assert model.predict_positions(row, [0.0])[0] == weight_model.predict(row)
+
+    @pytest.mark.parametrize("u_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_u_max_rejected_before_the_solver(self, monkeypatch, u_max):
+        x = np.random.default_rng(6).normal(size=(20, 2))
+        weight_model = fit_logistic(x, x[:, 0] >= 0.0)
+        monkeypatch.setattr(price_models, "minimize_newton", no_solver)
+        with pytest.raises(ValueError, match=f"^u_max must be positive and finite, got {u_max}$"):
+            fit_position_model(weight_model, x, x[:, 0], u_max=u_max)
 
 
 class TestSoftmaxWeights:
