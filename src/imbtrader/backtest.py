@@ -68,7 +68,6 @@ class SimConfig:
     window: int = 500
     alpha_grid_size: int = 200
     actions: ActionSpace = field(default_factory=ActionSpace)
-    seed: int = 0
     delta_hours: ClassVar[float] = PERIOD / timedelta(hours=1)  # MWh per MW held one period; not a setting
 
     def __post_init__(self):
@@ -282,7 +281,7 @@ def write_ledger(path, result: BacktestResult) -> None:
         "# imbtrader ledger v1",
         f"# measure={config.measure} alpha={alpha_text} beta_est={config.beta_est!r} "
         f"beta_true={config.beta_true!r} window={config.window} "
-        f"delta_hours={config.delta_hours!r} seed={config.seed} legs={','.join(config.legs)}",
+        f"delta_hours={config.delta_hours!r} legs={','.join(config.legs)}",
         "# profit_eur = (realized_price - fill_price) * u_mw * delta_hours",
         f"# total_profit_eur={report.total_profit!r} "
         f"total_per_mw_period={report.total_per_mw_period!r} "

@@ -4,10 +4,11 @@ Every command reads an optional YAML config, checked once into the keyword
 arguments of the library calls it feeds (flags win over config values,
 which win over the defaults of those calls), writes its artifacts into
 ``--out``, and is idempotent: identical inputs and seed produce
-byte-identical outputs. The data directory may come from ``--data`` or the
-``IMBTRADER_DATA_DIR`` environment variable. Only ``generate`` and ``train``
-read the config's ``reserves``; the commands that load a bundle read the
-reserve ladder from ``models.json``.
+byte-identical outputs at a fixed BLAS thread count (the fits' matrix
+products may round differently on another thread count). The data directory
+may come from ``--data`` or the ``IMBTRADER_DATA_DIR`` environment variable.
+Only ``generate`` and ``train`` read the config's ``reserves``; the commands
+that load a bundle read the reserve ladder from ``models.json``.
 """
 from __future__ import annotations
 
@@ -128,13 +129,13 @@ def _given(**kwargs) -> dict:
 
 
 def _seed(config: dict, args):
-    flag = getattr(args, "seed", None)  # sweep has no --seed
-    return flag if flag is not None else config["seed"]
+    """The seed of ``generate`` and ``train``, the only commands with ``--seed``: the flag, else the config's."""
+    return args.seed if args.seed is not None else config["seed"]
 
 
 def _sim_config(config: dict, args) -> SimConfig:
     flags = {name: value for name, value in vars(args).items() if name in _SIM_FLAGS}
-    sim = {**config["sim"], **_given(measure=args.measure, seed=_seed(config, args)), **flags}
+    sim = {**config["sim"], **_given(measure=args.measure), **flags}
     return SimConfig(**sim, actions=ActionSpace(**config["actions"]))
 
 
@@ -297,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="count", default=0, help="increase log verbosity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_data=True, needs_models=False, seeded=True):
+    def common(p, needs_data=True, needs_models=False):
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
-        if seeded:
+        if not needs_models:  # a command that loads a bundle draws nothing
             p.add_argument("--seed", type=int, default=None)
         if needs_data:
             p.add_argument("--data", help="dataset directory (or set IMBTRADER_DATA_DIR)")
@@ -318,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("forecast", help="write per-period forecast summaries")
-    common(p, needs_models=True, seeded=False)
+    common(p, needs_models=True)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("benchmark", help="score the mixture model against benchmarks")
-    common(p, needs_models=True, seeded=False)
+    common(p, needs_models=True)
     p.set_defaults(func=cmd_benchmark)
 
     for name, func in (("backtest", cmd_backtest), ("sweep", cmd_sweep)):
         # flags in full only: an abbreviation would read sweep's --beta-est as --beta-est-grid
         p = sub.add_parser(name, help=f"run the trading {name}", allow_abbrev=False)
-        common(p, needs_models=True, seeded=name == "backtest")  # only a backtest ledger records a seed
+        common(p, needs_models=True)
         p.add_argument("--measure", choices=RISK_KINDS, default=None)
         p.add_argument("--alpha", type=_sim_flag("alpha"), default=argparse.SUPPRESS,
                        help="risk weight in [0,1] or 'adaptive'")

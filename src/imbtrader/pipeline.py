@@ -1,10 +1,10 @@
 """Training orchestration: fit every model of the trading loop and bundle them.
 
 The bundle is what backtests pin: the logistic weight model, the position
-model that trades on its score plus one position coefficient, the two
-quantile banks, the reserve grid, estimated sensitivities, the feature
-layout, the training date range for leakage checks, and a seed no fit draws
-from. The bundle's file format, a versioned JSON document, is one field table.
+coefficient that trades add to its score (one number), the two quantile
+banks, the reserve grid, estimated sensitivities, the feature layout, the
+training date range for leakage checks, and a seed no fit draws from. The
+bundle's file format, a versioned JSON document, is one field table.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .price_models import (
     QuantileModelBank,
     ReserveGrid,
     _check_u_max,
+    clipped_sigmoid,
     fit_logistic,
     fit_position_model,
     fit_quantile_bank,
@@ -38,7 +39,7 @@ from .price_models import (
 __all__ = ["LeakageError", "check_out_of_sample", "TrainedModels", "train_models", "attach_z", "forecast_rows",
            "PositionForecast", "make_forecaster"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class LeakageError(ValueError):
@@ -58,7 +59,7 @@ class TrainedModels:
     """Everything a backtest needs, pinned to its training range; checked when built."""
 
     weight_model: LogisticModel
-    position_model: LogisticModel
+    position_coef: float
     bank_mdp: QuantileModelBank
     bank_mip: QuantileModelBank
     grid: ReserveGrid
@@ -73,13 +74,10 @@ class TrainedModels:
     def __post_init__(self):
         for name in ("n_q", "kfold", "seed"):  # Python ints, which the bundle's JSON holds
             setattr(self, name, read_field(name, integer, getattr(self, name)))
-        if self.position_model.position_weight_index is None:  # LogisticModel keeps it the last feature
-            raise ValueError("position_model has no position feature: its position_weight_index is None")
-        n = len(self.layout.names)
-        for name, want in (("weight_model", n), ("position_model", n + 1)):
-            got = getattr(self, name).n_features
-            if got != want:
-                raise ValueError(f"{name} has {got} features, the layout's {n} names need {want}")
+        self.position_coef = read_field("position_coef", number, self.position_coef)  # a finite Python float
+        n, got = len(self.layout.names), self.weight_model.n_features
+        if got != n:
+            raise ValueError(f"weight_model has {got} features for the layout's {n} names")
         for name, regime in (("bank_mdp", Regime.MDP), ("bank_mip", Regime.MIP)):
             bank = getattr(self, name)
             if bank.regime is not regime:
@@ -103,7 +101,10 @@ class TrainedModels:
         """Read a bundle written by ``save``; a bad field raises a ValueError naming its dotted path."""
         path = Path(path)
         try:
-            return _reader(cls)(json.loads(path.read_text()))
+            doc = json.loads(path.read_text())
+            if isinstance(doc, dict) and "format_version" in doc:  # first: another version has other fields
+                read_field("format_version", _format_version, doc["format_version"])
+            return _reader(cls)(doc)
         except ValueError as e:  # a JSONDecodeError too
             raise ValueError(f"{path.name}: {e}") from None
 
@@ -167,15 +168,14 @@ _FORMAT = {
         "impact": _reader(ImpactParams),
         "layout": _reader(FeatureLayout),
         "weight_model": _reader(LogisticModel),
-        "position_model": _reader(LogisticModel),
+        "position_coef": number,
         "bank_mdp": _reader(QuantileModelBank),
         "bank_mip": _reader(QuantileModelBank),
     },
     ReserveGrid: {"afrr_volumes": array_of(number), "mfrr_volumes": array_of(number)},
     ImpactParams: {"beta": number, "k_mdp": number, "k_mip": number},
     FeatureLayout: {"names": lambda v: tuple(array_of(string)(v)), "blocks": object_of(_block_bounds)},
-    LogisticModel: {"bias": number, "weights": floats, "scaler": optional(_reader(FeatureScaler)),
-                    "position_weight_index": optional(integer)},
+    LogisticModel: {"bias": number, "weights": floats, "scaler": optional(_reader(FeatureScaler))},
     FeatureScaler: {"mean": floats, "scale": floats},
     QuantileModelBank: {"regime": lambda v: Regime(string(v)), "taus": floats, "weights": floats, "biases": floats,
                         "scaler": optional(_reader(FeatureScaler))},
@@ -214,10 +214,12 @@ def train_models(
     ``u_max`` that is not positive and finite and (by ``fit_logistic``'s rule) a negative or non-finite ``l2``
     are rejected by name before any solver runs.
 
-    The position model adds to the weight model one coefficient on the induced imbalance shift (full reactivity),
-    fitted over positions uniform on ``[-u_max, u_max]`` (``fit_position_model``). ``seed`` is recorded in the
-    bundle but draws nothing. The keys of the CLI config's ``model`` section are the keyword arguments ``n_q``,
-    ``kfold`` and ``bank_max_iter``; ``l2`` and the Newton cap ``logistic_max_iter`` are library arguments only.
+    The position coefficient ``position_coef`` is one number added to the weight model's score per MW of the
+    induced imbalance shift (full reactivity), fitted over positions uniform on ``[-u_max, u_max]``
+    (``fit_position_model``). The keys of the CLI config's ``model`` section are the keyword arguments ``n_q``,
+    ``kfold`` and ``bank_max_iter``; ``l2`` is a library argument only. ``seed``, which the bundle records but
+    no fit draws from, and the Newton cap ``logistic_max_iter`` are kept because perfbench's training mirror
+    passes them; they go when the mirror is rewritten.
     """
     if not ticks:
         raise ValueError("no training ticks")
@@ -238,7 +240,7 @@ def train_models(
 
     weight_model = fit_logistic(x, labels, l2=l2, max_iter=logistic_max_iter)
     z = _crossvalidated_weight(x, labels, kfold, l2, logistic_max_iter)
-    position_model = fit_position_model(weight_model, x, s, u_max=u_max, max_iter=logistic_max_iter)
+    position_coef = fit_position_model(weight_model, x, s, u_max=u_max, max_iter=logistic_max_iter)
 
     p_mdp, p_mip = np.array([t.p_mdp for t in ticks]), np.array([t.p_mip for t in ticks])
     bank_mdp = fit_quantile_bank(z[pos], o[pos], p_mdp[pos], regime=Regime.MDP, n_q=n_q, max_iter=bank_max_iter)
@@ -246,7 +248,7 @@ def train_models(
 
     k_mdp, k_mip = estimate_sensitivities(s, np.where(pos, p_mdp, p_mip))
     impact = ImpactParams(beta=1.0, k_mdp=max(k_mdp, 0.0), k_mip=max(k_mip, 0.0))
-    return TrainedModels(weight_model=weight_model, position_model=position_model, bank_mdp=bank_mdp,
+    return TrainedModels(weight_model=weight_model, position_coef=position_coef, bank_mdp=bank_mdp,
                          bank_mip=bank_mip, grid=grid, impact=impact, layout=layout, n_q=n_q, kfold=kfold,
                          train_start=ticks[0].timestamp, train_end=ticks[-1].timestamp, seed=seed)
 
@@ -281,15 +283,17 @@ class PositionForecast:
     as arrays, the rows that ``dists.regime_rows`` builds from forecasts: at
     each position ``u``, each regime's prices moved by the settlement's own
     impact law (``market_impact.adjust_price`` at ``u``) and the weight
-    ``pi(u)`` of the position model. Calling it with one ``u`` gives that
-    row as a ``MixtureForecast``.
+    ``pi(u) = sigmoid(score + c * (beta * u))``: the weight model's score of
+    the tick, taken once, plus the bundle's position coefficient ``c`` times
+    the induced imbalance shift. Calling it with one ``u`` gives that row as
+    a ``MixtureForecast``.
     """
 
     def __init__(self, models: TrainedModels, x, down, up, beta_est: float):
         self.impact = models.impact_with_beta(beta_est)
         self.down, self.up = down, up
-        self._position_model = models.position_model
-        self._x = np.asarray(x, dtype=float)
+        self._coef = models.position_coef
+        self._score = models.weight_model.score(np.reshape(x, (1, -1)))
 
     def __call__(self, u: float) -> MixtureForecast:
         pi, *regimes = self.regime_rows([u])
@@ -299,7 +303,7 @@ class PositionForecast:
     def regime_rows(self, us):
         """Mixture weight and each regime's price atoms and masses, one row per position."""
         us = np.asarray(us, dtype=float)
-        pi = self._position_model.predict_positions(self._x, self.impact.beta * us)  # the position feature: beta * u
+        pi = clipped_sigmoid(self._score + self._coef * (self.impact.beta * us))
         rows = [(adjust_price(v, regime, us[:, None], self.impact), np.broadcast_to(m, (us.size, m.size)))
                 for (v, m), regime in ((self.down, Regime.MDP), (self.up, Regime.MIP))]
         return (pi, *rows)

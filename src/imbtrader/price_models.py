@@ -1,7 +1,7 @@
 """Mixture-weight logistic model and reserve-ladder quantile price models.
 
-The mixture weight is a logistic regression on exogenous features (plus, to
-trade, one coefficient on a position feature); each regulation-price
+The mixture weight is a logistic regression on exogenous features; to trade,
+one position coefficient is added to its score. Each regulation-price
 distribution comes from a bank of softmax models that price an allocation
 over a fixed ladder of reserve volumes with the known ladder prices. All
 fitting is deterministic and full-batch: the logistic models and the
@@ -24,6 +24,7 @@ __all__ = [
     "DegenerateLabelsError",
     "FeatureScaler",
     "LogisticModel",
+    "clipped_sigmoid",
     "fit_logistic",
     "logistic_loss_and_grad",
     "position_loss",
@@ -67,6 +68,11 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def clipped_sigmoid(score: np.ndarray) -> np.ndarray:
+    """Probabilities of logistic scores, kept strictly inside (0, 1)."""
+    return np.clip(_stable_sigmoid(score), _P_LO, _P_HI)
+
+
 @dataclass(frozen=True)
 class FeatureScaler:
     """Per-column standardization frozen at fit time."""
@@ -98,7 +104,12 @@ def _check_position_index(i: int | None, n_weights: int) -> None:  # the positio
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Sigmoid of an affine score; optionally tracks a trade-position feature, the last one."""
+    """Sigmoid of an affine score of the scaled features.
+
+    ``position_weight_index`` marks the last feature as a trade position. Only perfbench's training mirror
+    sets it (``fit_logistic``); no package model or bundle carries one, and it changes no prediction. It goes
+    when the mirror is rewritten.
+    """
 
     bias: float
     weights: np.ndarray
@@ -119,46 +130,20 @@ class LogisticModel:
     def n_features(self) -> int:
         return self.weights.size
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Probabilities for a feature matrix (n, d) or single vector (d,).
-
-        With a position feature the score is the score of the other
-        features plus the position term, the arithmetic of
-        ``predict_positions``, so one vector gets the same bits either way.
-        """
+    def score(self, x: np.ndarray) -> np.ndarray:
+        """Affine scores of a feature matrix (n, d): the scaler, then the weights and the bias."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        mat = x[None, :] if single else x
-        if mat.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {mat.shape[1]}")
-        if self.position_weight_index is None:
-            if self.scaler is not None:
-                mat = self.scaler.transform(mat)
-            score = mat @ self.weights + self.bias
-        else:
-            score = self._position_scores(mat[:, :-1], mat[:, -1])
-        p = np.clip(_stable_sigmoid(score), _P_LO, _P_HI)
-        return float(p[0]) if single else p
-
-    def predict_positions(self, x, shifts) -> np.ndarray:
-        """Probabilities of one exogenous vector at each position-feature value.
-
-        ``x`` holds every feature but the position one; the score of ``x``
-        is computed once and the position term is added elementwise.
-        """
-        if self.position_weight_index is None:
-            raise ValueError("model was fitted without a position feature")
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features - 1,):
-            raise ValueError(f"expected {self.n_features - 1} features besides the position, got {x.size}")
-        score = self._position_scores(x[None, :], np.asarray(shifts, dtype=float))
-        return np.clip(_stable_sigmoid(score), _P_LO, _P_HI)
-
-    def _position_scores(self, rest: np.ndarray, position: np.ndarray) -> np.ndarray:
+        if x.shape[1] != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {x.shape[1]}")
         if self.scaler is not None:
-            rest = (rest - self.scaler.mean[:-1]) / self.scaler.scale[:-1]
-            position = (position - self.scaler.mean[-1]) / self.scaler.scale[-1]
-        return (rest @ self.weights[:-1] + self.bias) + position * self.weights[-1]
+            x = self.scaler.transform(x)
+        return x @ self.weights + self.bias
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Probabilities for a feature matrix (n, d) or single vector (d,)."""
+        x = np.asarray(x, dtype=float)
+        p = clipped_sigmoid(self.score(x[None, :] if x.ndim == 1 else x))
+        return float(p[0]) if x.ndim == 1 else p
 
 
 def logistic_loss_and_grad(params: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
@@ -208,6 +193,7 @@ def fit_logistic(
     ``_optim.minimize_newton``, from all-zero parameters, until the
     gradient max-norm is at most 1e-10; ``max_iter`` caps the Newton
     iterations. A fit that hits the cap or stalls logs one warning.
+    ``position_weight_index`` is kept for perfbench's training mirror only (see ``LogisticModel``).
     """
     max_iter = count("max_iter", max_iter, 0)
     if not 0.0 <= l2 < math.inf:  # NaN fails too
@@ -268,12 +254,11 @@ def position_loss(c: float, eta, s, u_max: float) -> tuple[float, float, float]:
     return float(np.sum(w * loss)), float(np.sum(w * slope)), float(np.sum(w * curvature))
 
 
-def fit_position_model(weight_model: LogisticModel, x, s, *, u_max: float, max_iter: int = NEWTON_MAX_ITER):
-    """``weight_model`` plus a position feature, unscaled so that position 0 adds exactly 0, whose coefficient
-    minimizes ``position_loss`` at the weight model's scores: by Newton's method from 0, without a penalty."""
+def fit_position_model(weight_model: LogisticModel, x, s, *, u_max: float, max_iter: int = NEWTON_MAX_ITER) -> float:
+    """The position coefficient c of the mixture weight sigma(score + c * u): the minimizer of ``position_loss``
+    at the weight model's scores, by Newton's method from 0, without a penalty."""
     _check_u_max(u_max)
-    scaler = weight_model.scaler
-    eta = scaler.transform(x) @ weight_model.weights + weight_model.bias
+    eta = weight_model.score(x)
 
     def value_and_grad(c):
         value, slope, _ = position_loss(c[0], eta, s, u_max)
@@ -282,9 +267,7 @@ def fit_position_model(weight_model: LogisticModel, x, s, *, u_max: float, max_i
     result = minimize_newton(value_and_grad, lambda c: np.array([[position_loss(c[0], eta, s, u_max)[2]]]),
                              np.zeros(1), max_iter=max_iter)
     log_unfinished(logger, f"logistic fit (position coefficient, {eta.size} rows)", result, max_iter, unit="fits")
-    return LogisticModel(weight_model.bias, np.append(weight_model.weights, result.x[0, 0]),
-                         FeatureScaler(np.append(scaler.mean, 0.0), np.append(scaler.scale, 1.0)),
-                         position_weight_index=weight_model.n_features)
+    return float(result.x[0, 0])
 
 
 def augment_with_positions(
@@ -302,7 +285,8 @@ def augment_with_positions(
     feature is the induced imbalance shift ``beta * u`` and the new label
     is ``is_surplus(s + beta * u)``, i.e. whether the system is still in
     surplus after absorbing the trade. Deterministic for a fixed seed or
-    generator. No package fit calls it (perfbench's training mirror does).
+    generator. No package fit calls it: it is kept for perfbench's training
+    mirror only, and goes when the mirror is rewritten.
 
     Returns ``(augmented_features, labels, sampled_positions)``.
     """

@@ -269,7 +269,7 @@ def test_criterion_07_backtest_determinism_and_conservation(tmp_path):
     models, stream = _acceptance_backtest_setup()
     config = SimConfig(
         measure="cvar", alpha=None, window=30, alpha_grid_size=24,
-        actions=ActionSpace(step=0.5, u_max=3.0), seed=17,
+        actions=ActionSpace(step=0.5, u_max=3.0),
     )
     a = run_backtest(config, models, stream)
     b = run_backtest(config, models, stream)
@@ -312,14 +312,11 @@ def _latency_bundle(n_q=100, n_features=8):
             biases=rng.normal(scale=0.5, size=(n_q, grid.size)) + level,
             scaler=None,
         )
+    weight_model = LogisticModel(bias=0.1, weights=rng.normal(scale=0.1, size=n_features))
+    rng.normal(scale=0.1, size=n_features)  # drawn and discarded, so the banks and the tick keep their draws
     models = TrainedModels(
-        weight_model=LogisticModel(bias=0.1, weights=rng.normal(scale=0.1, size=n_features)),
-        position_model=LogisticModel(
-            bias=0.1,
-            weights=np.append(rng.normal(scale=0.1, size=n_features), 0.007),
-            scaler=None,
-            position_weight_index=n_features,
-        ),
+        weight_model=weight_model,
+        position_coef=0.007,
         bank_mdp=bank(Regime.MDP, 0.0),
         bank_mip=bank(Regime.MIP, 1.0),
         grid=grid,

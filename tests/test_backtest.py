@@ -30,9 +30,6 @@ UTC = timezone.utc
 def toy_models(price=100.0):
     """Hand-built bundle: pi = 0.5 everywhere, both regimes a point mass."""
     weight = LogisticModel(bias=0.0, weights=np.zeros(2), scaler=None)
-    position = LogisticModel(
-        bias=0.0, weights=np.zeros(3), scaler=None, position_weight_index=2
-    )
     one_hot = 300.0
     bank_mdp = QuantileModelBank(
         regime=Regime.MDP,
@@ -50,7 +47,7 @@ def toy_models(price=100.0):
     )
     return TrainedModels(
         weight_model=weight,
-        position_model=position,
+        position_coef=0.0,
         bank_mdp=bank_mdp,
         bank_mip=bank_mip,
         grid=ReserveGrid((1.0,), (1.0,)),
@@ -371,6 +368,14 @@ class TestLedgerIO:
         path.write_text("\n".join(lines).replace("n_skipped=0", f"n_skipped={value}") + "\n")
         with pytest.raises(ValueError, match=f"^ledger line 4: n_skipped must be a count, got {value}$"):
             read_ledger(path)
+
+    def test_header_records_no_seed_and_an_old_seed_token_is_read(self, ledger_lines):
+        # a backtest draws nothing, so its header records no seed; a ledger written with one still reads
+        path, lines = ledger_lines
+        assert not any(token.startswith("seed=") for token in lines[1].split())
+        records, meta = read_ledger(path)
+        path.write_text("\n".join(lines).replace(" legs=long", " seed=7 legs=long") + "\n")
+        assert read_ledger(path) == (records, {**meta, "seed": "7"})
 
     @pytest.mark.parametrize("allow_short, legs", [(False, ("long",)), (True, ("long", "short"))])
     def test_header_names_the_legs(self, trained, tmp_path, allow_short, legs):

@@ -394,8 +394,7 @@ class TestErrorsAndMisc:
         assert all(t.book is not None for t in ticks)
 
 
-# A market on a non-default aFRR ladder; no strategy section, so a model command's flags alone set its run
-# (backtest's --seed sets the seed its ledger header records, which the config's top-level seed would set).
+# A market on a non-default aFRR ladder; no strategy section, so a model command's flags alone set its run.
 LADDER_CONFIG = {
     "seed": 5,
     "synthetic": SMOKE_CONFIG["synthetic"],
@@ -405,7 +404,7 @@ LADDER_CONFIG = {
 MODEL_COMMANDS = {
     "forecast": [],
     "benchmark": ["--to", "2024-01-05T23:45:00+00:00"],
-    "backtest": ["--to", "2024-01-05T23:45:00+00:00", "--alpha", "0.9", "--seed", "5"],
+    "backtest": ["--to", "2024-01-05T23:45:00+00:00", "--alpha", "0.9"],
     "sweep": ["--to", "2024-01-05T23:45:00+00:00", "--alpha", "0.9", "--beta-est-grid", "1", "--beta-true-grid", "0,1"],
 }
 OUTPUTS = {"forecast": "forecasts.csv", "benchmark": "benchmark.csv", "backtest": "ledger.csv", "sweep": "sweep.csv"}
@@ -607,15 +606,16 @@ class TestConfig:
     @pytest.mark.parametrize("command", [
         ["forecast", "--models", "models.json"],
         ["benchmark", "--models", "models.json"],
-        # a sweep replays without randomness, and sweep.csv and sweep.txt record no seed
+        # a backtest and a sweep replay without randomness, and their outputs record no seed
+        ["backtest", "--models", "models.json"],
         ["sweep", "--models", "models.json", "--beta-est-grid", "1", "--beta-true-grid", "1"],
-    ], ids=["forecast", "benchmark", "sweep"])
+    ], ids=["forecast", "benchmark", "backtest", "sweep"])
     def test_seed_only_where_a_command_reads_it(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([*command, "--out", "out", "--seed", "3"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 3\n")
-        for seeded in (["generate"], ["train"], ["backtest", "--models", "models.json"]):
+        for seeded in (["generate"], ["train"]):
             assert build_parser().parse_args([*seeded, "--out", "out", "--seed", "3"]).seed == 3
 
     def test_bad_range_flag_fails_before_reading_data(self, tmp_path, capsys):
@@ -642,7 +642,7 @@ class TestConfig:
         assert _load_config(config) == {**empty, **expected}
 
     def test_generate_takes_the_seed_flag_else_the_top_level_seed(self, tmp_path):
-        # the rule of train and backtest: the flag, then the top-level key, then the library default
+        # the rule of train: the flag, then the top-level key, then the library default
         def market(name, doc, *flags) -> bytes:
             config = tmp_path / f"{name}.yaml"
             config.write_text(yaml.safe_dump({"synthetic": {"n_periods": 40}, **doc}))
@@ -670,14 +670,13 @@ class TestConfig:
 
     def test_config_wins_over_defaults(self, tmp_path):
         sim = self._sim(tmp_path)
-        assert (sim.seed, sim.window, sim.alpha, sim.measure) == (5, 20, 0.9, "cvar")
+        assert (sim.window, sim.alpha, sim.measure) == (20, 0.9, "cvar")
         assert sim.alpha_grid_size == 16 and sim.actions == ActionSpace(step=0.5, u_max=2.0)
         assert (sim.beta_est, sim.delta_hours) == (SimConfig.beta_est, SimConfig.delta_hours)
 
     def test_flags_win_over_config(self, tmp_path):
-        sim = self._sim(tmp_path, "--seed", "9", "--window", "3", "--alpha", "adaptive", "--measure", "evar",
-                        "--beta-est", "0.5")
-        assert (sim.seed, sim.window, sim.alpha, sim.measure, sim.beta_est) == (9, 3, None, "evar", 0.5)
+        sim = self._sim(tmp_path, "--window", "3", "--alpha", "adaptive", "--measure", "evar", "--beta-est", "0.5")
+        assert (sim.window, sim.alpha, sim.measure, sim.beta_est) == (3, None, "evar", 0.5)
         assert self._sim(tmp_path, "--alpha", "0.25").alpha == 0.25
 
     def test_default_ladder_is_the_example_ladder(self):

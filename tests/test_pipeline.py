@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from position_oracle import appended_position_pi
 
 from imbtrader import backtest, pipeline, price_models
 from imbtrader._optim import NEWTON_MAX_ITER
@@ -20,24 +21,22 @@ from imbtrader.data_io import SyntheticConfig, reference_layout, synthetic_ticks
 from imbtrader.dists import DiscretePriceDistribution, MixtureForecast, flatten
 from imbtrader.market_impact import is_surplus, realized_settlement_price
 from imbtrader.pipeline import (
-    LeakageError, PositionForecast, TrainedModels, _reader, _to_json, attach_z, forecast_rows, make_forecaster,
-    train_models,
+    LeakageError, PositionForecast, TrainedModels, _to_json, attach_z, forecast_rows, make_forecaster, train_models,
 )
-from imbtrader.price_models import LogisticModel, predict_regulation_distribution
+from imbtrader.price_models import predict_regulation_distribution
 from imbtrader.strategy import ActionSpace, leg_positions
 from test_backtest import toy_models
 
 
-def full_forecast(weight_model, mdp_bank, mip_bank, x, z, o, u, impact):
+def full_forecast(weight_model, position_coef, mdp_bank, mip_bank, x, z, o, u, impact):
     """Reference: rebuild the position-adjusted mixture from scratch at one position.
 
-    The mixture weight sees the imbalance shift ``beta * u`` appended as the
-    position feature; each regime distribution is shifted down by its
-    sensitivity times the same shift.
+    The mixture weight is the weight model extended by the imbalance shift
+    ``beta * u`` as a position feature of coefficient ``position_coef``;
+    each regime distribution is shifted down by its sensitivity times the
+    same shift.
     """
-    if weight_model.position_weight_index != weight_model.n_features - 1:
-        raise ValueError("position feature must be the last model feature")
-    pi = weight_model.predict(np.append(np.asarray(x, dtype=float), impact.beta * u))
+    pi = float(appended_position_pi(weight_model, position_coef, x, [impact.beta * u])[0])
     down = predict_regulation_distribution(mdp_bank, z, o).shift(-impact.k_mdp * impact.beta * u)
     up = predict_regulation_distribution(mip_bank, z, o).shift(-impact.k_mip * impact.beta * u)
     return MixtureForecast(pi=pi, down=down, up=up)
@@ -52,7 +51,7 @@ class TestTrainModels:
         assert models.layout == reference_layout()
         assert models.train_start == train_ticks[0].timestamp
         assert models.train_end == train_ticks[-1].timestamp
-        assert models.position_model.position_weight_index == train_ticks[0].x.shape[0]
+        assert type(models.position_coef) is float and math.isfinite(models.position_coef)
         # mild noise: sensitivities land near the planted slopes
         assert models.impact.k_mdp == pytest.approx(truth["k_mdp"], abs=0.05)
         assert models.impact.k_mip == pytest.approx(truth["k_mip"], abs=0.05)
@@ -156,7 +155,7 @@ class TestTrainModels:
 
     def test_surplus_grows_with_the_position(self, trained):
         # a long position adds surplus (the shift beta * u), so it raises the fitted surplus probability
-        assert trained[0].position_model.weights[-1] > 0.0
+        assert trained[0].position_coef > 0.0
 
     def test_logistic_fits_stay_far_below_the_newton_cap(self, small_market, monkeypatch):
         # the cap is five times the most Newton iterations a fit was measured to take (20), so a change that slows
@@ -187,7 +186,7 @@ class TestForecaster:
             for u in (-3.0, 0.0, 0.1, 5.0):
                 fast = fn(u)
                 slow = full_forecast(
-                    models.position_model, models.bank_mdp, models.bank_mip,
+                    models.weight_model, models.position_coef, models.bank_mdp, models.bank_mip,
                     tick.x, tick.z, tick.o, u, impact,
                 )
                 assert fast.pi == slow.pi
@@ -200,6 +199,17 @@ class TestForecaster:
             for beta_est in (0.0, 0.5, 1.0):
                 pi = make_forecaster(models, tick, beta_est).regime_rows([0.0])[0]
                 assert pi[0] == models.weight_model.predict(tick.x)
+
+    @pytest.mark.parametrize("leg", ["long", "short"])
+    def test_weights_are_the_extended_models_bit_for_bit(self, trained, leg):
+        # pi(u) = sigmoid(score + c * (beta * u)) keeps the bits of the weight model extended by a position feature
+        models, _, test_ticks = trained
+        us = leg_positions(ActionSpace(), leg)
+        for tick in test_ticks:
+            for beta_est in (0.0, 0.5, 1.0):
+                pi = make_forecaster(models, tick, beta_est).regime_rows(us)[0]
+                want = appended_position_pi(models.weight_model, models.position_coef, tick.x, beta_est * us)
+                assert pi.tobytes() == want.tobytes()
 
     def test_replay_forecasts_match_a_fresh_forecast(self, trained, monkeypatch):
         # The replay builds each (tick, beta_est) forecast from the rows of one forecast_rows call.
@@ -340,12 +350,11 @@ class TestBankInput:
 
 # test_backtest.toy_models() as saved: the key order, and a value of every kind the format writes
 TOY_BUNDLE_TEXT = (
-    '{"format_version": 1, "package": "imbtrader", "train_start": "2024-01-01T00:00:00+00:00", '
+    '{"format_version": 2, "package": "imbtrader", "train_start": "2024-01-01T00:00:00+00:00", '
     '"train_end": "2024-01-31T00:00:00+00:00", "seed": 0, "n_q": 2, "kfold": 1, '
     '"grid": {"afrr_volumes": [1.0], "mfrr_volumes": [1.0]}, "impact": {"beta": 1.0, "k_mdp": 0.0, "k_mip": 0.0}, '
     '"layout": {"names": ["f0", "f1"], "blocks": {"all": [0, 2]}}, '
-    '"weight_model": {"bias": 0.0, "weights": [0.0, 0.0], "scaler": null, "position_weight_index": null}, '
-    '"position_model": {"bias": 0.0, "weights": [0.0, 0.0, 0.0], "scaler": null, "position_weight_index": 2}, '
+    '"weight_model": {"bias": 0.0, "weights": [0.0, 0.0], "scaler": null}, "position_coef": 0.0, '
     '"bank_mdp": {"regime": "mdp", "taus": [0.25, 0.75], "weights": [[[0.0], [0.0]], [[0.0], [0.0]]], '
     '"biases": [[300.0, 0.0], [300.0, 0.0]], "scaler": null}, '
     '"bank_mip": {"regime": "mip", "taus": [0.25, 0.75], "weights": [[[0.0], [0.0]], [[0.0], [0.0]]], '
@@ -379,7 +388,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bundle", ["trained", "toy"])
     def test_save_load_save_gives_the_same_bytes(self, trained, tmp_path, bundle):
-        # the toy bundle has no scalers, a position index, tuples, Regime values and datetimes
+        # the toy bundle has no scalers, tuples, Regime values and datetimes
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         (trained[0] if bundle == "trained" else toy_models()).save(first)
         TrainedModels.load(first).save(second)
@@ -394,9 +403,22 @@ class TestSerialization:
         models, _, _ = trained
         path = tmp_path / "models.json"
         models.save(path)
-        doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        doc = path.read_text().replace('"format_version": 2', '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(ValueError, match="version"):
+            TrainedModels.load(path)
+
+    def test_version_1_bundle_rejected(self, trained, tmp_path):
+        # format 1 held the position coefficient as the last weight of a second logistic model
+        models, _, _ = trained
+        path = tmp_path / "models.json"
+        models.save(path)
+        doc = json.loads(path.read_text())
+        c = doc.pop("position_coef")
+        position_model = dict(doc["weight_model"], weights=doc["weight_model"]["weights"] + [c],
+                              position_weight_index=len(doc["weight_model"]["weights"]))
+        path.write_text(json.dumps({**doc, "format_version": 1, "position_model": position_model}))
+        with pytest.raises(ValueError, match=r"^models\.json: format_version: unsupported model file version 1$"):
             TrainedModels.load(path)
 
     @pytest.mark.parametrize(
@@ -405,16 +427,12 @@ class TestSerialization:
             (lambda doc: doc["bank_mdp"].update(taus=[t * t for t in doc["bank_mdp"]["taus"]]),
              "taus must be quantile_levels"),
             (lambda doc: doc["grid"]["mfrr_volumes"].append(10_000.0), "bank_mdp"),
-            (lambda doc: doc["position_model"].update(position_weight_index=0), "position_weight_index"),
             (lambda doc: resize(doc["weight_model"], list.pop), "weight_model has"),
-            (lambda doc: (resize(doc["position_model"], lambda v: v.insert(0, 1.0)),
-                          doc["position_model"].update(position_weight_index=len(doc["position_model"]["weights"]) - 1)),
-             "position_model has"),
             (lambda doc: [doc["bank_mip"]["scaler"][k].append(1.0) for k in ("mean", "scale")], "scaler widths"),
             (lambda doc: doc.update(n_q=doc["n_q"] + 1), "bank_mdp has 12 quantile levels, n_q is 13"),
         ],
-        ids=["uneven_taus", "bank_outputs_vs_grid", "position_not_last", "weight_features_vs_layout",
-             "position_features_vs_layout", "bank_scaler_width", "bank_levels_vs_n_q"],
+        ids=["uneven_taus", "bank_outputs_vs_grid", "weight_features_vs_layout", "bank_scaler_width",
+             "bank_levels_vs_n_q"],
     )
     def test_malformed_bundle_rejected(self, trained, tmp_path, edit, field):
         models, _, _ = trained
@@ -430,15 +448,15 @@ class TestSerialization:
 # Every top-level field of models.json, with a value of the wrong JSON type for it
 WRONG_TYPE = {"format_version": "1", "package": 5, "train_start": 5, "train_end": None, "seed": "7",
               "n_q": None, "kfold": 3.0, "grid": [], "impact": "0.5", "layout": 0, "weight_model": None,
-              "position_model": [], "bank_mdp": True, "bank_mip": "mip"}
+              "position_coef": "0.5", "bank_mdp": True, "bank_mip": "mip"}
 BUNDLE_FIELDS = list(WRONG_TYPE)
 NESTED = [
     # (id, edit, message); one or more nested fields per model
     ("weight_model.bias", lambda doc: doc["weight_model"].pop("bias"), "weight_model.bias: missing"),
     ("weight_model.scaler.mean", lambda doc: doc["weight_model"]["scaler"].pop("mean"),
      "weight_model.scaler.mean: missing"),
-    ("position_model.position_weight_index", lambda doc: doc["position_model"].update(position_weight_index="107"),
-     "position_model.position_weight_index: expected an integer, got string"),
+    ("weight_model.position_weight_index", lambda doc: doc["weight_model"].update(position_weight_index=None),
+     "weight_model.position_weight_index: unexpected field"),
     ("bank_mdp.weights", lambda doc: doc["bank_mdp"].update(weights="0.5"),
      "bank_mdp.weights: expected an array of numbers, got string"),
     ("bank_mdp.biases", lambda doc: doc["bank_mdp"]["biases"][2].__setitem__(0, "1.5"),
@@ -458,17 +476,10 @@ NESTED = [
      "weight_model: weights must be 1-D, got shape (1, 107)"),
     ("weight_model.scaler.mean-short", lambda doc: doc["weight_model"]["scaler"]["mean"].pop(),
      "weight_model: scaler widths [(106,), (107,)] do not match the model's 107 weights"),
-    ("weight_model.position_weight_index-outside", lambda doc: doc["weight_model"].update(position_weight_index=107),
-     "weight_model: position_weight_index 107 is outside the 107 weights"),
-    ("weight_model.position_weight_index-negative", lambda doc: doc["weight_model"].update(position_weight_index=-1),
-     "weight_model: position_weight_index -1 is outside the 107 weights"),
-    ("position_model.position_weight_index-not-last",
-     lambda doc: doc["position_model"].update(position_weight_index=0),
-     "position_model: position_weight_index 0 is not the last of the 108 weights"),
     ("bank_mdp.scaler.scale-zero", lambda doc: doc["bank_mdp"]["scaler"].update(scale=[0.0]),
      "bank_mdp.scaler: scale entries must be > 0, entry 0 is 0.0"),
-    ("position_model.scaler.scale-negative", lambda doc: doc["position_model"]["scaler"]["scale"].__setitem__(5, -1.0),
-     "position_model.scaler: scale entries must be > 0, entry 5 is -1.0"),
+    ("weight_model.scaler.scale-negative", lambda doc: doc["weight_model"]["scaler"]["scale"].__setitem__(5, -1.0),
+     "weight_model.scaler: scale entries must be > 0, entry 5 is -1.0"),
     ("layout.blocks-past-the-names", lambda doc: doc["layout"]["blocks"].update(price_diff=[106, 200]),
      "layout: block 'price_diff' is [106, 200], need 0 <= start <= end <= 107"),
     ("layout.blocks-negative-start", lambda doc: doc["layout"]["blocks"].update(price_diff=[-3, 2]),
@@ -529,7 +540,7 @@ class TestBundleReaderErrors:
             TrainedModels.load(saved[1]([]))
 
     @pytest.mark.parametrize("path, bad, shown", [
-        (("position_model", "bias"), math.nan, "nan"),
+        (("weight_model", "bias"), math.nan, "nan"),
         (("impact", "k_mdp"), math.inf, "inf"),
         (("grid", "afrr_volumes", 1), math.nan, "nan"),
         (("weight_model", "weights", 3), -math.inf, "-inf"),
@@ -547,15 +558,25 @@ class TestBundleReaderErrors:
 
     def test_number_too_large_for_a_float_named(self, saved):
         doc, rewrite = saved
-        doc["position_model"]["bias"] = 10**400
-        with pytest.raises(ValueError, match=re.escape("models.json: position_model.bias: ")):
+        doc["weight_model"]["bias"] = 10**400
+        with pytest.raises(ValueError, match=re.escape("models.json: weight_model.bias: ")):
             TrainedModels.load(rewrite(doc))
 
-    def test_position_weight_index_must_be_an_integer(self, trained):
-        doc, read = _to_json(trained[0].position_model), _reader(LogisticModel)
-        assert read(doc).position_weight_index == doc["position_weight_index"]
-        with pytest.raises(ValueError, match="position_weight_index: expected an integer, got string"):
-            read(dict(doc, position_weight_index=str(doc["position_weight_index"])))
+    @pytest.mark.parametrize("bad, message", [  # a missing one is test_missing_field_named[position_coef]
+        ("0.01", "position_coef: expected a number, got string"),
+        (math.nan, "position_coef: expected a finite number, got nan"),
+        (10**400, "position_coef: int too large to convert to float"),
+    ], ids=["string", "nan", "10**400"])
+    def test_bad_position_coef_named(self, saved, bad, message):
+        doc, rewrite = saved
+        doc["position_coef"] = bad
+        with pytest.raises(ValueError, match=f"^models\\.json: {re.escape(message)}$"):
+            TrainedModels.load(rewrite(doc))
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_hand_built_bundle_with_a_non_finite_coefficient_rejected(self, trained, c):
+        with pytest.raises(ValueError, match=f"^position_coef: expected a finite number, got {c!r}$"):
+            replace(trained[0], position_coef=c)
 
 
 def numeric_leaves(doc, path=()):

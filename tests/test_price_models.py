@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -19,6 +18,7 @@ from imbtrader.price_models import (
     QuantileModelBank,
     ReserveGrid,
     augment_with_positions,
+    clipped_sigmoid,
     fit_logistic,
     fit_position_model,
     fit_quantile_bank,
@@ -331,19 +331,18 @@ class TestPositionLoss:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(200, 3))
         s = np.where(x[:, 0] + rng.normal(size=200) >= 0.0, 1.0, -1.0) * (5.0 + rng.exponential(4.0, size=200))
-        model = fit_position_model(fit_logistic(x, s >= 0.0), x, s, u_max=5.0)
-        assert abs(model.weights[-1]) <= 1e-12
+        c = fit_position_model(fit_logistic(x, s >= 0.0), x, s, u_max=5.0)
+        assert type(c) is float and abs(c) <= 1e-12
 
-    def test_the_position_column_adds_nothing_at_zero(self):
+    def test_position_zero_gives_the_weight_models_probability(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(300, 4))
         s = 6.0 * (x[:, 1] + rng.normal(size=300))
         weight_model = fit_logistic(x, s >= 0.0)
-        model = fit_position_model(weight_model, x, s, u_max=5.0)
-        assert model.weights[-1] > 0.0 and model.position_weight_index == 4
-        assert (model.scaler.mean[-1], model.scaler.scale[-1]) == (0.0, 1.0)
+        c = fit_position_model(weight_model, x, s, u_max=5.0)
+        assert type(c) is float and c > 0.0
         for row in x[:20]:
-            assert model.predict_positions(row, [0.0])[0] == weight_model.predict(row)
+            assert clipped_sigmoid(weight_model.score(row[None, :]) + c * 0.0)[0] == weight_model.predict(row)
 
     @pytest.mark.parametrize("u_max", [0.0, -1.0, math.nan, math.inf])
     def test_bad_u_max_rejected_before_the_solver(self, monkeypatch, u_max):
@@ -587,12 +586,7 @@ class TestForecast:
 
     def setup_method(self):
         rng = np.random.default_rng(15)
-        self.weight_model = LogisticModel(
-            bias=0.1,
-            weights=np.array([0.5, -0.2, 0.03]),
-            scaler=None,
-            position_weight_index=2,
-        )
+        self.weight_model = LogisticModel(bias=0.1, weights=np.array([0.5, -0.2]))
         self.bank_down = QuantileModelBank(
             regime=Regime.MDP,
             taus=quantile_levels(4),
@@ -612,8 +606,8 @@ class TestForecast:
         self.o = np.array([20.0, 180.0])
         utc = timezone.utc
         self.models = TrainedModels(
-            weight_model=LogisticModel(bias=0.1, weights=np.array([0.5, -0.2])),
-            position_model=self.weight_model,
+            weight_model=self.weight_model,
+            position_coef=0.03,
             bank_mdp=self.bank_down,
             bank_mip=self.bank_up,
             grid=ReserveGrid((1.0,), (1.0,)),
@@ -639,7 +633,7 @@ class TestForecast:
         up0 = predict_regulation_distribution(self.bank_up, self.z, self.o)
         assert f.down == down0
         assert f.up == up0
-        assert f.pi == self.weight_model.predict(np.append(self.x, 0.0))
+        assert f.pi == self.weight_model.predict(self.x)
 
     def test_position_shifts_up_regime_quantiles(self):
         f0 = self.forecast(0.0)
@@ -655,15 +649,7 @@ class TestForecast:
 
     def test_pi_monotone_in_u_with_weight_sign(self):
         pis = [self.forecast(u).pi for u in np.linspace(-5, 5, 11)]
-        assert all(a <= b for a, b in zip(pis, pis[1:]))  # w_u = 0.03 > 0
-
-    def test_requires_position_feature(self):
-        plain = LogisticModel(bias=0.0, weights=np.zeros(3), scaler=None)
-        with pytest.raises(ValueError, match="position_model has no position feature"):
-            make_forecaster(replace(self.models, position_model=plain), self.tick, 1.0)
-        # a position feature that is not the last is rejected by the model itself, before any bundle holds it
-        with pytest.raises(ValueError, match="position_weight_index 0 is not the last"):
-            replace(self.weight_model, position_weight_index=0)
+        assert all(a <= b for a, b in zip(pis, pis[1:]))  # c = 0.03 > 0
 
 
 def table_round_trip(value):
@@ -676,10 +662,9 @@ class TestSerialization:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(100, 3))
         y = (x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=100) > 0).astype(float)
-        model = fit_logistic(x, y, position_weight_index=2)
+        model = fit_logistic(x, y)
         restored = table_round_trip(model)
         assert np.array_equal(restored.predict(x), model.predict(x))
-        assert restored.position_weight_index == model.position_weight_index == 2
         assert np.array_equal(restored.weights, model.weights)
         assert np.array_equal(restored.scaler.scale, model.scaler.scale)
 
