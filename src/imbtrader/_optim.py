@@ -11,16 +11,20 @@ iteration count and stopping state, and every round evaluates all problems
 still running in one objective call, which is given each trial's Armijo
 bound; only accepted trials' gradients are read, so the banks compute no
 others. A problem also stops once an accepted step lowers its finite loss
-by no more than rounding (``_LOSS_ROUNDING`` of the loss, the band Newton's
-method uses too), the termination test of Gill, Murray & Wright
-(*Practical Optimization*, 1981). Since no problem reads another's state,
-each result is the same bit for bit whatever batch it is solved in. The
-softmax banks fit this way.
+by at most ``_PROGRESS_TOL`` of it: L-BFGS-B's relative-reduction test,
+``factr * eps`` at its default ``factr = 1e7`` (Byrd, Lu, Nocedal & Zhu,
+SIAM J. Sci. Comput. 16, 1995), a tolerance tied to the accuracy a fit
+needs rather than to rounding (Gill, Murray & Wright, *Practical
+Optimization*, 1981). Since no problem reads another's state, each result
+is the same bit for bit whatever batch it is solved in. The softmax banks
+fit this way.
 
 Newton's method (``minimize_newton``) takes exact Newton steps, each
 solved by a Cholesky factorization of the Hessian, with an Armijo
 backtracking line search (Nocedal & Wright, *Numerical Optimization*, 2006,
-ch. 3). The logistic fits use it.
+ch. 3); near the optimum its line search also takes a step whose loss change
+is within rounding (``_LOSS_ROUNDING``) when it lowers the gradient. The
+logistic fits use it.
 
 Linear quantile regression (``fit_quantile_lp``) is a linear program,
 solved exactly for every level at once by a primal-dual interior-point
@@ -50,9 +54,11 @@ _GRAD_TOL, _INITIAL_STEP, _ARMIJO, _SHRINK, _GROW, _MIN_STEP = 1e-6, 1.0, 1e-4, 
 # Gradient max-norm at which Newton's method counts as converged. Near the
 # optimum a step changes the loss by less than rounding can resolve, so a step
 # whose loss change is within _LOSS_ROUNDING of the loss passes the line
-# search when it lowers the gradient max-norm instead; the descent stops on an
-# accepted step within the same band.
+# search when it lowers the gradient max-norm instead.
 _NEWTON_TOL, _LOSS_ROUNDING = 1e-10, 64 * np.finfo(float).eps
+# The descent stops a problem on an accepted step that lowers its loss by at
+# most this share of it: L-BFGS-B's factr * eps at its default factr = 1e7.
+_PROGRESS_TOL = 1e7 * np.finfo(float).eps
 # The Newton iteration cap of every logistic fit: five times the most any fit
 # of the tests, the example config or perfbench takes (20), so it binds on none.
 NEWTON_MAX_ITER = 100
@@ -97,7 +103,7 @@ def minimize_gd(
     each accepted step, which lets the iterates cover the exponentially
     growing parameter scales that near-one-hot softmax fits produce. A
     problem stops on the max-norm of its gradient, on an accepted step that
-    lowers its finite value by at most ``_LOSS_ROUNDING`` of it (both count
+    lowers its finite value by at most ``_PROGRESS_TOL`` of it (both count
     as converged), on the iteration cap, or on a stalled line search.
     """
     x = np.array(x0, dtype=float, ndmin=2)
@@ -123,8 +129,8 @@ def minimize_gd(
         f_new, g_new = value_and_grad(x_new, running, bound)
         ok = np.isfinite(f_new) & (f_new <= bound)
         moved = running[ok]
-        # the step lowered the loss by no more than rounding: Newton's band; an infinite loss is never flat
-        flat = np.isfinite(f[moved]) & (f[moved] - f_new[ok] <= _LOSS_ROUNDING * np.abs(f[moved]))
+        # the step made negligible relative progress; an infinite loss is never flat
+        flat = np.isfinite(f[moved]) & (f[moved] - f_new[ok] <= _PROGRESS_TOL * np.abs(f[moved]))
         x[moved], f[moved], g[moved] = x_new[ok], f_new[ok], g_new[ok]
         iterations[moved] += 1
         gnorm[moved] = _max_norms(g[moved])

@@ -75,15 +75,15 @@ _ACTION_KEYS = {"step_mw": "step", "u_max_mw": "u_max", "allow_short": "allow_sh
 
 # Each section's keys are the keyword arguments of the call it feeds: `synthetic` of SyntheticConfig
 # (but its `seed`, the top-level one, and its `grid`), `reserves` of ReserveGrid, `model` of train_models
-# (but its `l2` and its Newton cap `logistic_max_iter`), and `strategy` of ActionSpace (renamed by
-# _ACTION_KEYS) and SimConfig.
+# (but its `l2` and its two solver caps, `logistic_max_iter` and `bank_max_iter`), and `strategy` of
+# ActionSpace (renamed by _ACTION_KEYS) and SimConfig.
 _read_config = some_fields({
     "seed": integer,
     "synthetic": some_fields({
         f.name: _READ_BY_TYPE[f.type] for f in dataclasses.fields(SyntheticConfig) if f.name not in ("seed", "grid")
     }),
     "reserves": some_fields({f.name: lambda v: tuple(array_of(numeric)(v)) for f in dataclasses.fields(ReserveGrid)}),
-    "model": some_fields(dict.fromkeys(("n_q", "kfold", "bank_max_iter"), integer)),
+    "model": some_fields(dict.fromkeys(("n_q", "kfold"), integer)),
     "strategy": some_fields({
         "step_mw": numeric, "u_max_mw": numeric, "allow_short": boolean, "measure": string, "alpha": _alpha,
         "window": integer, "alpha_grid_size": integer, "beta_est": numeric, "beta_true": numeric,

@@ -216,10 +216,10 @@ def train_models(
 
     The position coefficient ``position_coef`` is one number added to the weight model's score per MW of the
     induced imbalance shift (full reactivity), fitted over positions uniform on ``[-u_max, u_max]``
-    (``fit_position_model``). The keys of the CLI config's ``model`` section are the keyword arguments ``n_q``,
-    ``kfold`` and ``bank_max_iter``; ``l2`` is a library argument only. ``seed``, which the bundle records but
-    no fit draws from, and the Newton cap ``logistic_max_iter`` are kept because perfbench's training mirror
-    passes them; they go when the mirror is rewritten.
+    (``fit_position_model``). The keys of the CLI config's ``model`` section are the keyword arguments ``n_q``
+    and ``kfold``; ``l2`` and the bank cap ``bank_max_iter`` are library arguments only. ``seed``, which the
+    bundle records but no fit draws from, and the Newton cap ``logistic_max_iter`` are kept because perfbench's
+    training mirror passes them; they go when the mirror is rewritten.
     """
     if not ticks:
         raise ValueError("no training ticks")

@@ -27,7 +27,7 @@ SMOKE_CONFIG = {
         "price_gap_std": 5.0,
         "edge": 5.0,
     },
-    "model": {"n_q": 8, "kfold": 3, "bank_max_iter": 100},
+    "model": {"n_q": 8, "kfold": 3},
     "strategy": {
         "step_mw": 0.5,
         "u_max_mw": 2.0,
@@ -483,10 +483,11 @@ BAD_CONFIGS = {
     # the settlement period is the data's quarter-hour
     "removed strategy key delta_hours": ("strategy: {delta_hours: 1.0}", "strategy.delta_hours: unexpected field"),
     # the synthetic start is a generator constant, the generator's seed the top-level one, the ridge penalty
-    # train_models' default, and the Newton cap _optim.NEWTON_MAX_ITER
+    # train_models' default, the Newton cap _optim.NEWTON_MAX_ITER, and the bank cap price_models.BANK_MAX_ITER
     **{f"removed key {section}.{key}": (f"{section}: {{{key}: {value}}}", f"{section}.{key}: unexpected field")
        for section, key, value in (("synthetic", "start", "'2024-01-01T00:00:00Z'"), ("synthetic", "seed", 7),
-                                   ("model", "l2", 1.0e-4), ("model", "logistic_max_iter", 2000))},
+                                   ("model", "l2", 1.0e-4), ("model", "logistic_max_iter", 2000),
+                                   ("model", "bank_max_iter", 400))},
     # the Markov lead is benchmarks.DEFAULT_HORIZON and the transition fits' cap the Newton cap: no benchmark key
     **{f"removed section benchmark with {key}": (f"benchmark: {{{key}: {value}}}", "benchmark: unexpected field")
        for key, value in (("horizon", 5), ("max_iter", 400))},
