@@ -4,7 +4,7 @@
 CSV loaders, the ledger reader and the ``--from``/``--to`` flags use it.
 The fits check the counts they are given (sizes, seeds and iteration caps) with ``count``.
 Every error is a ``FieldError`` that names the dotted path of the field it
-is about (``bank_mip.taus: missing``, ``model.bank_max_itr: unexpected
+is about (``bank_mip.biases: missing``, ``model.bank_max_itr: unexpected
 field``), however deep the field sits.
 """
 from __future__ import annotations

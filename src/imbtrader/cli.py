@@ -8,7 +8,8 @@ byte-identical outputs at a fixed BLAS thread count (the fits' matrix
 products may round differently on another thread count). The data directory
 may come from ``--data`` or the ``IMBTRADER_DATA_DIR`` environment variable.
 Only ``generate`` and ``train`` read the config's ``reserves``; the commands
-that load a bundle read the reserve ladder from ``models.json``.
+that load a bundle read the reserve ladder from ``models.json``. Only
+``generate`` draws, so only it reads the top-level ``seed`` or ``--seed``.
 """
 from __future__ import annotations
 
@@ -128,11 +129,6 @@ def _given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _seed(config: dict, args):
-    """The seed of ``generate`` and ``train``, the only commands with ``--seed``: the flag, else the config's."""
-    return args.seed if args.seed is not None else config["seed"]
-
-
 def _sim_config(config: dict, args) -> SimConfig:
     flags = {name: value for name, value in vars(args).items() if name in _SIM_FLAGS}
     sim = {**config["sim"], **_given(measure=args.measure), **flags}
@@ -164,7 +160,8 @@ def _load_ticks(args, grid):
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     grid = ReserveGrid(**config["reserves"])
-    cfg = SyntheticConfig(**config["synthetic"], **_given(seed=_seed(config, args)), grid=grid)
+    seed = _given(seed=config["seed"]) | _given(seed=args.seed)  # the flag, else the config's, else the default
+    cfg = SyntheticConfig(**config["synthetic"], **seed, grid=grid)
     out = _out_dir(args)
     truth = write_synthetic_dataset(out, cfg)
     (out / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
@@ -178,13 +175,7 @@ def cmd_train(args) -> int:
     ticks = _between(_load_ticks(args, grid), args.start, args.end)
     if not ticks:
         raise ValueError("no training ticks in the requested range")
-    models = train_models(
-        ticks,
-        grid=grid,
-        u_max=ActionSpace(**config["actions"]).u_max,
-        **config["model"],
-        **_given(seed=_seed(config, args)),
-    )
+    models = train_models(ticks, grid=grid, u_max=ActionSpace(**config["actions"]).u_max, **config["model"])
     out = _out_dir(args)
     models.save(out / "models.json")
     print(
@@ -301,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_data=True, needs_models=False):
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
-        if not needs_models:  # a command that loads a bundle draws nothing
-            p.add_argument("--seed", type=int, default=None)
         if needs_data:
             p.add_argument("--data", help="dataset directory (or set IMBTRADER_DATA_DIR)")
             p.add_argument("--from", dest="start", type=timestamp, help="first timestamp (ISO 8601; no offset: UTC)")
@@ -312,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
     common(p, needs_data=False)
+    p.add_argument("--seed", type=int, default=None)  # the one command that draws
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="fit all models and save the bundle")

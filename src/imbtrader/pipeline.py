@@ -2,9 +2,10 @@
 
 The bundle is what backtests pin: the logistic weight model, the position
 coefficient that trades add to its score (one number), the two quantile
-banks, the reserve grid, estimated sensitivities, the feature layout, the
-training date range for leakage checks, and a seed no fit draws from. The
-bundle's file format, a versioned JSON document, is one field table.
+banks (each regime's by its slot, with the one level count both share), the
+reserve grid, estimated sensitivities, the feature layout and the training
+date range for leakage checks. The bundle's file format, a versioned JSON
+document, is one field table that states each fact once.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .price_models import (
 __all__ = ["LeakageError", "check_out_of_sample", "TrainedModels", "train_models", "attach_z", "forecast_rows",
            "PositionForecast", "make_forecaster"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class LeakageError(ValueError):
@@ -65,30 +66,32 @@ class TrainedModels:
     grid: ReserveGrid
     impact: ImpactParams
     layout: FeatureLayout
-    n_q: int
     kfold: int
     train_start: datetime
     train_end: datetime
-    seed: int
 
     def __post_init__(self):
-        for name in ("n_q", "kfold", "seed"):  # Python ints, which the bundle's JSON holds
-            setattr(self, name, read_field(name, integer, getattr(self, name)))
+        self.kfold = read_field("kfold", integer, self.kfold)  # a Python int, which the bundle's JSON holds
         self.position_coef = read_field("position_coef", number, self.position_coef)  # a finite Python float
         n, got = len(self.layout.names), self.weight_model.n_features
         if got != n:
             raise ValueError(f"weight_model has {got} features for the layout's {n} names")
-        for name, regime in (("bank_mdp", Regime.MDP), ("bank_mip", Regime.MIP)):
+        for name in ("bank_mdp", "bank_mip"):
             bank = getattr(self, name)
-            if bank.regime is not regime:
-                raise ValueError(f"{name}.regime is {bank.regime.value}, expected {regime.value}")
+            if bank.weights.shape[2] != 1:
+                raise ValueError(f"{name} takes {bank.weights.shape[2]} inputs, expected 1 (z)")
             if bank.n_outputs != self.grid.size:
                 raise ValueError(f"{name} outputs must match the grid's {self.grid.size} reserve prices")
-            if bank.n_q != self.n_q:
-                raise ValueError(f"{name} has {bank.n_q} quantile levels, n_q is {self.n_q}")
+        if self.bank_mdp.n_q != self.bank_mip.n_q:
+            raise ValueError(f"bank_mdp has {self.bank_mdp.n_q} quantile levels, bank_mip {self.bank_mip.n_q}")
         if self.train_start > self.train_end:
             start, end = self.train_start.isoformat(), self.train_end.isoformat()
             raise ValueError(f"train_start {start} is after train_end {end}")
+
+    @property
+    def n_q(self) -> int:
+        """The level count of both banks."""
+        return self.bank_mdp.n_q
 
     def impact_with_beta(self, beta: float) -> ImpactParams:
         return replace(self.impact, beta=beta)
@@ -141,8 +144,6 @@ def _to_json(value):
         return {key: _to_json(getattr(value, key)) for key in _FORMAT[type(value)] if key not in _HEADER}
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, Regime):
-        return value.value
     if isinstance(value, datetime):
         return value.isoformat()
     if isinstance(value, tuple):
@@ -161,8 +162,6 @@ _FORMAT = {
         "package": string,
         "train_start": timestamp,
         "train_end": timestamp,
-        "seed": integer,
-        "n_q": integer,
         "kfold": integer,
         "grid": _reader(ReserveGrid),
         "impact": _reader(ImpactParams),
@@ -177,8 +176,7 @@ _FORMAT = {
     FeatureLayout: {"names": lambda v: tuple(array_of(string)(v)), "blocks": object_of(_block_bounds)},
     LogisticModel: {"bias": number, "weights": floats, "scaler": optional(_reader(FeatureScaler))},
     FeatureScaler: {"mean": floats, "scale": floats},
-    QuantileModelBank: {"regime": lambda v: Regime(string(v)), "taus": floats, "weights": floats, "biases": floats,
-                        "scaler": optional(_reader(FeatureScaler))},
+    QuantileModelBank: {"weights": floats, "biases": floats, "scaler": optional(_reader(FeatureScaler))},
 }
 
 
@@ -217,9 +215,10 @@ def train_models(
     The position coefficient ``position_coef`` is one number added to the weight model's score per MW of the
     induced imbalance shift (full reactivity), fitted over positions uniform on ``[-u_max, u_max]``
     (``fit_position_model``). The keys of the CLI config's ``model`` section are the keyword arguments ``n_q``
-    and ``kfold``; ``l2`` and the bank cap ``bank_max_iter`` are library arguments only. ``seed``, which the
-    bundle records but no fit draws from, and the Newton cap ``logistic_max_iter`` are kept because perfbench's
-    training mirror passes them; they go when the mirror is rewritten.
+    and ``kfold``; ``l2`` and the bank cap ``bank_max_iter`` are library arguments only. ``seed`` is checked
+    and then unused: no fit draws from it and the bundle does not record it. It and the Newton cap
+    ``logistic_max_iter`` are kept because perfbench's training mirror passes them; they go when the mirror
+    is rewritten.
     """
     if not ticks:
         raise ValueError("no training ticks")
@@ -231,7 +230,8 @@ def train_models(
     layout = reference_layout()
     if x.shape[1] != len(layout.names):
         raise ValueError(f"ticks carry {x.shape[1]} features, the layout names {len(layout.names)}")
-    kfold, n_q, seed = count("kfold", kfold, 2), count("n_q", n_q, 2), count("seed", seed, 0)
+    kfold, n_q = count("kfold", kfold, 2), count("n_q", n_q, 2)
+    count("seed", seed, 0)  # checked, then unused
     logistic_max_iter = count("logistic_max_iter", logistic_max_iter, 0)
     bank_max_iter = count("bank_max_iter", bank_max_iter, 0)
     _check_u_max(u_max)
@@ -249,8 +249,8 @@ def train_models(
     k_mdp, k_mip = estimate_sensitivities(s, np.where(pos, p_mdp, p_mip))
     impact = ImpactParams(beta=1.0, k_mdp=max(k_mdp, 0.0), k_mip=max(k_mip, 0.0))
     return TrainedModels(weight_model=weight_model, position_coef=position_coef, bank_mdp=bank_mdp,
-                         bank_mip=bank_mip, grid=grid, impact=impact, layout=layout, n_q=n_q, kfold=kfold,
-                         train_start=ticks[0].timestamp, train_end=ticks[-1].timestamp, seed=seed)
+                         bank_mip=bank_mip, grid=grid, impact=impact, layout=layout, kfold=kfold,
+                         train_start=ticks[0].timestamp, train_end=ticks[-1].timestamp)
 
 
 def _z(models: TrainedModels, tick: MarketTick) -> np.ndarray:

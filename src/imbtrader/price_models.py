@@ -3,7 +3,8 @@
 The mixture weight is a logistic regression on exogenous features; to trade,
 one position coefficient is added to its score. Each regulation-price
 distribution comes from a bank of softmax models that price an allocation
-over a fixed ladder of reserve volumes with the known ladder prices. All
+over a fixed ladder of reserve volumes with the known ladder prices, one
+model at each of its n_q equal-mass levels. All
 fitting is deterministic and full-batch: the logistic models and the
 position coefficient by Newton's method, the banks by gradient descent.
 """
@@ -413,22 +414,16 @@ def quantile_loss_and_grad_rows(params, z, o, y, taus, n_outputs: int, bound=Non
 
 @dataclass(frozen=True)
 class QuantileModelBank:
-    """Per-level softmax price models of one regime, at the levels ``quantile_levels(n_q)``."""
+    """Per-level softmax price models of one regime: ``n_q`` levels, the first axis of ``biases``."""
 
-    regime: Regime
-    taus: np.ndarray  # (n_q,)
     weights: np.ndarray  # (n_q, n_outputs, n_features)
     biases: np.ndarray  # (n_q, n_outputs)
     scaler: FeatureScaler | None
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
-        # forecasts give every level mass 1 / n_q, which only the bin midpoints earn
-        if taus.ndim != 1 or taus.size == 0 or not np.array_equal(taus, quantile_levels(taus.size)):
-            raise ValueError("taus must be quantile_levels(n_q), the n_q bin midpoints of (0, 1)")
         w_shape, b_shape = np.shape(self.weights), np.shape(self.biases)
-        if len(w_shape) != 3 or w_shape[:2] != b_shape or b_shape[0] != taus.size:
-            raise ValueError(f"weights {w_shape}, biases {b_shape}: need (n_q, k, d), (n_q, k), n_q={taus.size}")
+        if len(w_shape) != 3 or w_shape[:2] != b_shape or b_shape[0] == 0:
+            raise ValueError(f"weights {w_shape}, biases {b_shape}: need (n_q, k, d), (n_q, k), n_q at least 1")
         if self.scaler is not None:
             widths = {np.shape(self.scaler.mean), np.shape(self.scaler.scale)}
             if widths != {(w_shape[2],)}:
@@ -436,7 +431,13 @@ class QuantileModelBank:
 
     @property
     def n_q(self) -> int:
-        return self.taus.size
+        return self.biases.shape[0]
+
+    @property
+    def taus(self) -> np.ndarray:
+        """The levels ``quantile_levels(n_q)``: forecasts give every level mass 1 / n_q, which only the bin
+        midpoints earn."""
+        return quantile_levels(self.n_q)
 
     @property
     def n_outputs(self) -> int:
@@ -470,7 +471,8 @@ def fit_quantile_bank(
     loss by at most 1e7 * eps of it, L-BFGS-B's default relative test (both
     count as converged), on a stalled line search, or after ``max_iter``
     iterations; the default cap, ``BANK_MAX_ITER``, binds on no level of the
-    example config or of perfbench's fits.
+    example config or of perfbench's fits. ``regime`` names the bank in its
+    log line and errors; the bank does not record it.
     """
     max_iter = count("max_iter", max_iter, 0)
     z = np.asarray(z, dtype=float)
@@ -510,7 +512,7 @@ def fit_quantile_bank(
     log_unfinished(logger, f"bank {regime.value}", result, max_iter)
     weights = result.x[:, : n_out * d].reshape(n_q, n_out, d).copy()
     biases = result.x[:, n_out * d :].copy()
-    return QuantileModelBank(regime=regime, taus=taus, weights=weights, biases=biases, scaler=scaler)
+    return QuantileModelBank(weights=weights, biases=biases, scaler=scaler)
 
 
 def quantile_matrix(bank: QuantileModelBank, z, o) -> np.ndarray:

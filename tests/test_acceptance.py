@@ -304,10 +304,8 @@ def test_criterion_08_beta_sweep_structure():
 def _latency_bundle(n_q=100, n_features=8):
     rng = np.random.default_rng(5)
     grid = ReserveGrid((1.0, 50.0, 100.0, 150.0, 200.0), (1.0, 100.0, 200.0, 300.0, 500.0, 700.0))
-    def bank(regime, level):
+    def bank(level):
         return QuantileModelBank(
-            regime=regime,
-            taus=quantile_levels(n_q),
             weights=rng.normal(scale=0.2, size=(n_q, grid.size, 1)),
             biases=rng.normal(scale=0.5, size=(n_q, grid.size)) + level,
             scaler=None,
@@ -317,18 +315,16 @@ def _latency_bundle(n_q=100, n_features=8):
     models = TrainedModels(
         weight_model=weight_model,
         position_coef=0.007,
-        bank_mdp=bank(Regime.MDP, 0.0),
-        bank_mip=bank(Regime.MIP, 1.0),
+        bank_mdp=bank(0.0),
+        bank_mip=bank(1.0),
         grid=grid,
         impact=ImpactParams(beta=1.0, k_mdp=0.40, k_mip=0.41),
         layout=FeatureLayout(
             names=tuple(f"f{i}" for i in range(n_features)), blocks={"all": (0, n_features)}
         ),
-        n_q=n_q,
         kfold=1,
         train_start=datetime(2024, 1, 1, tzinfo=UTC),
         train_end=datetime(2024, 1, 31, tzinfo=UTC),
-        seed=0,
     )
     base = rng.normal(scale=30.0, size=grid.size)
     tick = MarketTick(

@@ -18,9 +18,9 @@ from imbtrader.backtest import (
     write_ledger,
 )
 from imbtrader.data_io import PERIOD, FeatureLayout, MarketTick, SyntheticConfig, synthetic_ticks
-from imbtrader.market_impact import ImpactParams, Regime
+from imbtrader.market_impact import ImpactParams
 from imbtrader.pipeline import TrainedModels, attach_z, make_forecaster, train_models
-from imbtrader.price_models import LogisticModel, QuantileModelBank, ReserveGrid, quantile_levels
+from imbtrader.price_models import LogisticModel, QuantileModelBank, ReserveGrid
 from imbtrader.risk import RiskSpec
 from imbtrader.strategy import LEGS, ActionSpace, AlphaAdapter, OrderBook, fill_prices, optimal_position
 
@@ -32,15 +32,11 @@ def toy_models(price=100.0):
     weight = LogisticModel(bias=0.0, weights=np.zeros(2), scaler=None)
     one_hot = 300.0
     bank_mdp = QuantileModelBank(
-        regime=Regime.MDP,
-        taus=quantile_levels(2),
         weights=np.zeros((2, 2, 1)),
         biases=np.array([[one_hot, 0.0], [one_hot, 0.0]]),
         scaler=None,
     )
     bank_mip = QuantileModelBank(
-        regime=Regime.MIP,
-        taus=quantile_levels(2),
         weights=np.zeros((2, 2, 1)),
         biases=np.array([[0.0, one_hot], [0.0, one_hot]]),
         scaler=None,
@@ -53,11 +49,9 @@ def toy_models(price=100.0):
         grid=ReserveGrid((1.0,), (1.0,)),
         impact=ImpactParams(beta=1.0, k_mdp=0.0, k_mip=0.0),
         layout=FeatureLayout(names=("f0", "f1"), blocks={"all": (0, 2)}),
-        n_q=2,
         kfold=1,
         train_start=datetime(2024, 1, 1, tzinfo=UTC),
         train_end=datetime(2024, 1, 31, tzinfo=UTC),
-        seed=0,
     )
 
 

@@ -363,13 +363,18 @@ class TestErrorsAndMisc:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("command, seed", [("generate", "-1"), ("train", "-3")])
-    def test_negative_seed_named(self, workspace, tmp_path, capsys, command, seed):
-        args = [command, "--config", str(workspace["config"]), "--out", str(tmp_path / "out"), "--seed", seed]
-        if command == "train":
-            args += ["--data", str(workspace["data"]), "--to", TRAIN_END]
+    def test_negative_seed_named(self, workspace, tmp_path, capsys):
+        args = ["generate", "--config", str(workspace["config"]), "--out", str(tmp_path / "out"), "--seed", "-1"]
         assert main(args) == 1
-        assert capsys.readouterr().err == f"error: seed must be at least 0, got {seed}\n"
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+
+    def test_train_reads_no_seed(self, workspace, tmp_path):
+        # only generate draws: a config that differs in its top-level seed alone trains the same bundle
+        config = tmp_path / "seed_6.yaml"
+        config.write_text(yaml.safe_dump({**SMOKE_CONFIG, "seed": SMOKE_CONFIG["seed"] + 1}))
+        assert main(["train", "--config", str(config), "--data", str(workspace["data"]), "--out", str(tmp_path),
+                     "--to", TRAIN_END]) == 0
+        assert (tmp_path / "models.json").read_bytes() == workspace["models"].read_bytes()
 
     def test_infinite_u_max_rejected(self, workspace, capsys):
         config = workspace["root"] / "inf_u_max.yaml"
@@ -605,19 +610,19 @@ class TestConfig:
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {problem}\n")
 
     @pytest.mark.parametrize("command", [
+        ["train"],  # no fit draws, and the bundle records no seed
         ["forecast", "--models", "models.json"],
         ["benchmark", "--models", "models.json"],
         # a backtest and a sweep replay without randomness, and their outputs record no seed
         ["backtest", "--models", "models.json"],
         ["sweep", "--models", "models.json", "--beta-est-grid", "1", "--beta-true-grid", "1"],
-    ], ids=["forecast", "benchmark", "backtest", "sweep"])
+    ], ids=["train", "forecast", "benchmark", "backtest", "sweep"])
     def test_seed_only_where_a_command_reads_it(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([*command, "--out", "out", "--seed", "3"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 3\n")
-        for seeded in (["generate"], ["train"]):
-            assert build_parser().parse_args([*seeded, "--out", "out", "--seed", "3"]).seed == 3
+        assert build_parser().parse_args(["generate", "--out", "out", "--seed", "3"]).seed == 3
 
     def test_bad_range_flag_fails_before_reading_data(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -643,7 +648,7 @@ class TestConfig:
         assert _load_config(config) == {**empty, **expected}
 
     def test_generate_takes_the_seed_flag_else_the_top_level_seed(self, tmp_path):
-        # the rule of train: the flag, then the top-level key, then the library default
+        # the flag, then the top-level key, then the library default
         def market(name, doc, *flags) -> bytes:
             config = tmp_path / f"{name}.yaml"
             config.write_text(yaml.safe_dump({"synthetic": {"n_periods": 40}, **doc}))

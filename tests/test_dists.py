@@ -21,7 +21,6 @@ from imbtrader.dists import (
     row_atoms,
     score_rows,
 )
-from imbtrader.market_impact import Regime
 from imbtrader.price_models import QuantileModelBank, predict_regulation_distribution
 
 
@@ -61,10 +60,7 @@ def quantile_forecast(values):
     prices are ``values``, so the bank's raw outputs arrive unordered.
     """
     n = len(values)
-    bank = QuantileModelBank(
-        regime=Regime.MDP, taus=(np.arange(n) + 0.5) / n, weights=np.zeros((n, n, 1)),
-        biases=300.0 * np.eye(n), scaler=None,
-    )
+    bank = QuantileModelBank(weights=np.zeros((n, n, 1)), biases=300.0 * np.eye(n), scaler=None)
     return predict_regulation_distribution(bank, [0.0], values)
 
 
@@ -204,19 +200,6 @@ class TestReorder:
         d = quantile_forecast(values)
         assert d.values.tolist() == sorted(values.tolist())
         assert np.all(d.masses == 1.0 / 9)
-
-    def test_levels_validated(self):
-        def bank(taus):
-            n = len(taus)
-            return QuantileModelBank(
-                regime=Regime.MDP, taus=np.array(taus), weights=np.zeros((n, 2, 1)),
-                biases=np.zeros((n, 2)), scaler=None,
-            )
-
-        with pytest.raises(ValueError, match="bin midpoints"):
-            bank([0.1, 0.5, 0.8])
-        with pytest.raises(ValueError, match="bin midpoints"):
-            bank([0.0, 0.5])
 
 
 class TestCrps:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import logging
 import math
@@ -23,7 +24,7 @@ from imbtrader.market_impact import is_surplus, realized_settlement_price
 from imbtrader.pipeline import (
     LeakageError, PositionForecast, TrainedModels, _to_json, attach_z, forecast_rows, make_forecaster, train_models,
 )
-from imbtrader.price_models import predict_regulation_distribution
+from imbtrader.price_models import predict_regulation_distribution, quantile_levels
 from imbtrader.strategy import ActionSpace, leg_positions
 from test_backtest import toy_models
 
@@ -118,13 +119,12 @@ class TestTrainModels:
                               logistic_max_iter=20, bank_max_iter=5)
         models.save(tmp_path / "models.json")
         loaded = TrainedModels.load(tmp_path / "models.json")
-        assert (loaded.n_q, loaded.kfold, loaded.seed) == (4, 2, 1)
+        assert (loaded.n_q, loaded.kfold) == (4, 2)
 
     def test_bundle_stores_its_counts_as_python_ints(self, trained, tmp_path):
         models = trained[0]
-        numpy_counts = replace(models, n_q=np.int64(models.n_q), kfold=np.int32(models.kfold),
-                               seed=np.uint8(models.seed))
-        assert all(type(getattr(numpy_counts, name)) is int for name in ("n_q", "kfold", "seed"))
+        numpy_counts = replace(models, kfold=np.int32(models.kfold))
+        assert type(numpy_counts.kfold) is int and type(numpy_counts.n_q) is int
         models.save(tmp_path / "python.json")
         numpy_counts.save(tmp_path / "numpy.json")
         assert (tmp_path / "numpy.json").read_text() == (tmp_path / "python.json").read_text()
@@ -150,8 +150,7 @@ class TestTrainModels:
         cfg, ticks, _ = small_market
         kwargs = {"grid": cfg.grid, "n_q": 4, "kfold": 2, "logistic_max_iter": 20, "bank_max_iter": 5}
         first, second = (_to_json(train_models(ticks[:300], seed=seed, **kwargs)) for seed in (0, 5))
-        assert (first.pop("seed"), second.pop("seed")) == (0, 5)
-        assert first == second
+        assert "seed" not in first and first == second
 
     def test_surplus_grows_with_the_position(self, trained):
         # a long position adds surplus (the shift beta * u), so it raises the fitted surplus probability
@@ -350,14 +349,14 @@ class TestBankInput:
 
 # test_backtest.toy_models() as saved: the key order, and a value of every kind the format writes
 TOY_BUNDLE_TEXT = (
-    '{"format_version": 2, "package": "imbtrader", "train_start": "2024-01-01T00:00:00+00:00", '
-    '"train_end": "2024-01-31T00:00:00+00:00", "seed": 0, "n_q": 2, "kfold": 1, '
+    '{"format_version": 3, "package": "imbtrader", "train_start": "2024-01-01T00:00:00+00:00", '
+    '"train_end": "2024-01-31T00:00:00+00:00", "kfold": 1, '
     '"grid": {"afrr_volumes": [1.0], "mfrr_volumes": [1.0]}, "impact": {"beta": 1.0, "k_mdp": 0.0, "k_mip": 0.0}, '
     '"layout": {"names": ["f0", "f1"], "blocks": {"all": [0, 2]}}, '
     '"weight_model": {"bias": 0.0, "weights": [0.0, 0.0], "scaler": null}, "position_coef": 0.0, '
-    '"bank_mdp": {"regime": "mdp", "taus": [0.25, 0.75], "weights": [[[0.0], [0.0]], [[0.0], [0.0]]], '
+    '"bank_mdp": {"weights": [[[0.0], [0.0]], [[0.0], [0.0]]], '
     '"biases": [[300.0, 0.0], [300.0, 0.0]], "scaler": null}, '
-    '"bank_mip": {"regime": "mip", "taus": [0.25, 0.75], "weights": [[[0.0], [0.0]], [[0.0], [0.0]]], '
+    '"bank_mip": {"weights": [[[0.0], [0.0]], [[0.0], [0.0]]], '
     '"biases": [[0.0, 300.0], [0.0, 300.0]], "scaler": null}}'
 )
 
@@ -388,7 +387,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bundle", ["trained", "toy"])
     def test_save_load_save_gives_the_same_bytes(self, trained, tmp_path, bundle):
-        # the toy bundle has no scalers, tuples, Regime values and datetimes
+        # the toy bundle has no scalers; the trained one has them
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         (trained[0] if bundle == "trained" else toy_models()).save(first)
         TrainedModels.load(first).save(second)
@@ -403,36 +402,41 @@ class TestSerialization:
         models, _, _ = trained
         path = tmp_path / "models.json"
         models.save(path)
-        doc = path.read_text().replace('"format_version": 2', '"format_version": 99')
+        doc = path.read_text().replace('"format_version": 3', '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(ValueError, match="version"):
             TrainedModels.load(path)
 
     def test_version_1_bundle_rejected(self, trained, tmp_path):
-        # format 1 held the position coefficient as the last weight of a second logistic model
+        # format 2 also held the seed, n_q and each bank's regime and levels; format 1, besides, held the
+        # position coefficient as the last weight of a second logistic model
         models, _, _ = trained
         path = tmp_path / "models.json"
         models.save(path)
         doc = json.loads(path.read_text())
-        c = doc.pop("position_coef")
-        position_model = dict(doc["weight_model"], weights=doc["weight_model"]["weights"] + [c],
-                              position_weight_index=len(doc["weight_model"]["weights"]))
-        path.write_text(json.dumps({**doc, "format_version": 1, "position_model": position_model}))
-        with pytest.raises(ValueError, match=r"^models\.json: format_version: unsupported model file version 1$"):
-            TrainedModels.load(path)
+        banks = {name: dict(doc[name], regime=name[-3:], taus=models.bank_mdp.taus.tolist())
+                 for name in ("bank_mdp", "bank_mip")}
+        version_2 = {**doc, **banks, "format_version": 2, "seed": 0, "n_q": models.n_q}
+        version_1 = {**version_2, "format_version": 1}
+        c = version_1.pop("position_coef")
+        version_1["position_model"] = dict(doc["weight_model"], weights=doc["weight_model"]["weights"] + [c],
+                                           position_weight_index=len(doc["weight_model"]["weights"]))
+        for version, old in ((1, version_1), (2, version_2)):
+            path.write_text(json.dumps(old))
+            message = f"models.json: format_version: unsupported model file version {version}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TrainedModels.load(path)
 
     @pytest.mark.parametrize(
         "edit, field",
         [
-            (lambda doc: doc["bank_mdp"].update(taus=[t * t for t in doc["bank_mdp"]["taus"]]),
-             "taus must be quantile_levels"),
             (lambda doc: doc["grid"]["mfrr_volumes"].append(10_000.0), "bank_mdp"),
             (lambda doc: resize(doc["weight_model"], list.pop), "weight_model has"),
             (lambda doc: [doc["bank_mip"]["scaler"][k].append(1.0) for k in ("mean", "scale")], "scaler widths"),
-            (lambda doc: doc.update(n_q=doc["n_q"] + 1), "bank_mdp has 12 quantile levels, n_q is 13"),
+            (lambda doc: [doc["bank_mip"][k].pop() for k in ("weights", "biases")],
+             "bank_mdp has 12 quantile levels, bank_mip 11"),
         ],
-        ids=["uneven_taus", "bank_outputs_vs_grid", "weight_features_vs_layout", "bank_scaler_width",
-             "bank_levels_vs_n_q"],
+        ids=["bank_outputs_vs_grid", "weight_features_vs_layout", "bank_scaler_width", "bank_levels_differ"],
     )
     def test_malformed_bundle_rejected(self, trained, tmp_path, edit, field):
         models, _, _ = trained
@@ -445,10 +449,20 @@ class TestSerialization:
             TrainedModels.load(path)
 
 
+def widen_bank(doc):
+    """Give bank_mdp a second input: a zero weight per level and output, and a unit column of its scaler,
+    so the bank stays whole in itself."""
+    for level in doc["bank_mdp"]["weights"]:
+        for row in level:
+            row.append(0.0)
+    for key, value in (("mean", 0.0), ("scale", 1.0)):
+        doc["bank_mdp"]["scaler"][key].append(value)
+
+
 # Every top-level field of models.json, with a value of the wrong JSON type for it
-WRONG_TYPE = {"format_version": "1", "package": 5, "train_start": 5, "train_end": None, "seed": "7",
-              "n_q": None, "kfold": 3.0, "grid": [], "impact": "0.5", "layout": 0, "weight_model": None,
-              "position_coef": "0.5", "bank_mdp": True, "bank_mip": "mip"}
+WRONG_TYPE = {"format_version": "1", "package": 5, "train_start": 5, "train_end": None, "kfold": 3.0,
+              "grid": [], "impact": "0.5", "layout": 0, "weight_model": None, "position_coef": "0.5",
+              "bank_mdp": True, "bank_mip": "mip"}
 BUNDLE_FIELDS = list(WRONG_TYPE)
 NESTED = [
     # (id, edit, message); one or more nested fields per model
@@ -461,8 +475,13 @@ NESTED = [
      "bank_mdp.weights: expected an array of numbers, got string"),
     ("bank_mdp.biases", lambda doc: doc["bank_mdp"]["biases"][2].__setitem__(0, "1.5"),
      "bank_mdp.biases: expected an array of numbers, found a value that is not a number"),
-    ("bank_mip.taus", lambda doc: doc["bank_mip"].pop("taus"), "bank_mip.taus: missing"),
-    ("bank_mip.regime", lambda doc: doc["bank_mip"].update(regime="up"), "bank_mip.regime: 'up' is not a valid Regime"),
+    ("bank_mip.biases-missing", lambda doc: doc["bank_mip"].pop("biases"), "bank_mip.biases: missing"),
+    # format 2's keys: each fact is stated once, so a format-3 file that repeats one is malformed
+    ("seed", lambda doc: doc.update(seed=7), "seed: unexpected field"),
+    ("n_q", lambda doc: doc.update(n_q=12), "n_q: unexpected field"),
+    ("bank_mdp.taus", lambda doc: doc["bank_mdp"].update(taus=quantile_levels(12).tolist()),
+     "bank_mdp.taus: unexpected field"),
+    ("bank_mip.regime", lambda doc: doc["bank_mip"].update(regime="mip"), "bank_mip.regime: unexpected field"),
     ("grid.afrr_volumes", lambda doc: doc["grid"]["afrr_volumes"].__setitem__(1, "50"),
      "grid.afrr_volumes.1: expected a number, got string"),
     ("impact.gamma", lambda doc: doc["impact"].update(gamma=1.0), "impact.gamma: unexpected field"),
@@ -484,8 +503,8 @@ NESTED = [
      "layout: block 'price_diff' is [106, 200], need 0 <= start <= end <= 107"),
     ("layout.blocks-negative-start", lambda doc: doc["layout"]["blocks"].update(price_diff=[-3, 2]),
      "layout: block 'price_diff' is [-3, 2], need 0 <= start <= end <= 107"),
-    ("bank_mdp.regime-of-the-other-bank", lambda doc: doc["bank_mdp"].update(regime="mip"),
-     "models.json: bank_mdp.regime is mip, expected mdp"),
+    ("bank_mdp.weights-two-inputs", widen_bank,
+     "models.json: bank_mdp takes 2 inputs, expected 1 (z)"),
     ("train_start-after-train_end", lambda doc: doc.update(train_start=doc["train_end"], train_end=doc["train_start"]),
      "models.json: train_start 2024-01-05T19:30:00+00:00 is after train_end 2024-01-01T01:45:00+00:00"),
 ]
@@ -546,7 +565,7 @@ class TestBundleReaderErrors:
         (("weight_model", "weights", 3), -math.inf, "-inf"),
         (("weight_model", "scaler", "scale", 5), math.inf, "inf"),
         (("bank_mdp", "weights", 2, 1, 0), math.nan, "nan"),
-        (("bank_mip", "taus", 0), math.nan, "nan"),
+        (("bank_mip", "biases", 3, 1), math.nan, "nan"),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_non_finite_number_named(self, saved, path, bad, shown):
         doc, rewrite = saved
@@ -577,6 +596,24 @@ class TestBundleReaderErrors:
     def test_hand_built_bundle_with_a_non_finite_coefficient_rejected(self, trained, c):
         with pytest.raises(ValueError, match=f"^position_coef: expected a finite number, got {c!r}$"):
             replace(trained[0], position_coef=c)
+
+    @pytest.mark.parametrize("bank, message", [
+        (lambda b: replace(b, weights=np.concatenate([b.weights, b.weights], axis=2), scaler=None),
+         "bank_mip takes 2 inputs, expected 1 (z)"),
+        (lambda b: replace(b, weights=b.weights[:-1], biases=b.biases[:-1]),
+         "bank_mdp has 12 quantile levels, bank_mip 11"),
+    ], ids=["two inputs", "fewer levels"])
+    def test_hand_built_bundle_with_a_bank_of_another_shape_rejected(self, trained, bank, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(trained[0], bank_mip=bank(trained[0].bank_mip))
+
+    def test_the_bundle_states_its_level_count_once(self, trained):
+        models = trained[0]
+        assert [f.name for f in dataclasses.fields(TrainedModels)] == [
+            "weight_model", "position_coef", "bank_mdp", "bank_mip", "grid", "impact", "layout", "kfold",
+            "train_start", "train_end",
+        ]
+        assert models.n_q == models.bank_mdp.n_q == models.bank_mip.n_q == 12
 
 
 def numeric_leaves(doc, path=()):

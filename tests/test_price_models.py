@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -53,8 +54,6 @@ def bare_logistic(bias, weights, position_index=None):
 def one_level_bank(weight_matrix, biases):
     """A bank with a single quantile level: one softmax allocation over the ladder."""
     return QuantileModelBank(
-        regime=Regime.MDP,
-        taus=np.array([0.5]),
         weights=np.asarray(weight_matrix, float)[None],
         biases=np.asarray(biases, float)[None],
         scaler=None,
@@ -526,33 +525,29 @@ class TestQuantileBank:
             fit_quantile_bank(data["z"], data["o"], data["y"], regime=Regime.MIP, n_q=3)
 
     @pytest.mark.parametrize(
-        "taus, weights_shape, biases_shape, message",
-        [
-            ([0.1, 0.5, 0.8], (3, 2, 1), (3, 2), "bin midpoints"),
-            ([0.1, 0.2, 0.3], (3, 2, 1), (3, 2), "bin midpoints"),
-            ([0.0, 0.5], (2, 2, 1), (2, 2), "bin midpoints"),
-            ([0.75, 0.25], (2, 2, 1), (2, 2), "bin midpoints"),
-            ([[0.25, 0.75]], (2, 2, 1), (2, 2), "bin midpoints"),
-            ([0.25, 0.75], (3, 2, 1), (2, 2), "weights"),
-            ([0.25, 0.75], (2, 2), (2, 2), "weights"),
-            ([0.25, 0.75], (2, 2, 1), (2, 3), "biases"),
-        ],
+        "weights_shape, biases_shape",
+        [((3, 2, 1), (2, 2)), ((2, 2), (2, 2)), ((2, 2, 1), (2, 3)), ((0, 2, 1), (0, 2))],
+        ids=["levels", "weights 2-D", "outputs", "no levels"],
     )
-    def test_construction_checks_levels_and_shapes(self, taus, weights_shape, biases_shape, message):
-        with pytest.raises(ValueError, match=message):
-            QuantileModelBank(
-                regime=Regime.MDP, taus=np.array(taus), weights=np.zeros(weights_shape),
-                biases=np.zeros(biases_shape), scaler=None,
-            )
+    def test_construction_checks_shapes(self, weights_shape, biases_shape):
+        message = f"weights {weights_shape}, biases {biases_shape}: need (n_q, k, d), (n_q, k), n_q at least 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuantileModelBank(weights=np.zeros(weights_shape), biases=np.zeros(biases_shape), scaler=None)
+
+    @pytest.mark.parametrize("n_q", [1, 3, 100])
+    def test_levels_follow_the_level_count(self, n_q):
+        # the bank states its level count once, as the first axis of its parameters
+        bank = QuantileModelBank(weights=np.zeros((n_q, 2, 1)), biases=np.zeros((n_q, 2)), scaler=None)
+        assert type(bank.n_q) is int and bank.n_q == n_q
+        assert np.array_equal(bank.taus, quantile_levels(n_q))
+        assert [f.name for f in dataclasses.fields(QuantileModelBank)] == ["weights", "biases", "scaler"]
 
 
 class TestPredictRegulationDistribution:
     def test_two_quantiles_half_mass_each(self):
         weights = np.zeros((2, 2, 1))
         biases = np.array([[200.0, 0.0], [0.0, 200.0]])
-        bank = QuantileModelBank(
-            regime=Regime.MDP, taus=quantile_levels(2), weights=weights, biases=biases, scaler=None
-        )
+        bank = QuantileModelBank(weights=weights, biases=biases, scaler=None)
         dist = predict_regulation_distribution(bank, [0.0], [10.0, 30.0])
         assert dist.values.tolist() == [10.0, 30.0]
         assert dist.masses.tolist() == [0.5, 0.5]
@@ -560,17 +555,13 @@ class TestPredictRegulationDistribution:
     def test_unordered_quantiles_reordered(self):
         weights = np.zeros((2, 2, 1))
         biases = np.array([[0.0, 200.0], [200.0, 0.0]])  # first level picks the larger price
-        bank = QuantileModelBank(
-            regime=Regime.MDP, taus=quantile_levels(2), weights=weights, biases=biases, scaler=None
-        )
+        bank = QuantileModelBank(weights=weights, biases=biases, scaler=None)
         dist = predict_regulation_distribution(bank, [0.0], [10.0, 30.0])
         assert np.all(np.diff(dist.values) > 0)
 
     def test_expectation_is_mean_of_quantiles(self):
         rng = np.random.default_rng(14)
         bank = QuantileModelBank(
-            regime=Regime.MIP,
-            taus=quantile_levels(8),
             weights=rng.normal(size=(8, 3, 2)),
             biases=rng.normal(size=(8, 3)),
             scaler=None,
@@ -588,15 +579,11 @@ class TestForecast:
         rng = np.random.default_rng(15)
         self.weight_model = LogisticModel(bias=0.1, weights=np.array([0.5, -0.2]))
         self.bank_down = QuantileModelBank(
-            regime=Regime.MDP,
-            taus=quantile_levels(4),
             weights=rng.normal(size=(4, 2, 1)),
             biases=rng.normal(size=(4, 2)),
             scaler=None,
         )
         self.bank_up = QuantileModelBank(
-            regime=Regime.MIP,
-            taus=quantile_levels(4),
             weights=rng.normal(size=(4, 2, 1)),
             biases=rng.normal(size=(4, 2)),
             scaler=None,
@@ -613,11 +600,9 @@ class TestForecast:
             grid=ReserveGrid((1.0,), (1.0,)),
             impact=ImpactParams(beta=1.0, k_mdp=0.4, k_mip=0.41),
             layout=FeatureLayout(names=("f0", "f1"), blocks={"all": (0, 2)}),
-            n_q=4,
             kfold=1,
             train_start=datetime(2024, 1, 1, tzinfo=utc),
             train_end=datetime(2024, 1, 31, tzinfo=utc),
-            seed=0,
         )
         self.tick = MarketTick(
             timestamp=datetime(2024, 6, 1, tzinfo=utc), x=self.x, o=self.o, s=5.0,
@@ -675,7 +660,9 @@ class TestSerialization:
         y = o[:, 1] + rng.normal(scale=5.0, size=50)
         bank = fit_quantile_bank(z, o, y, regime=Regime.MIP, n_q=3, max_iter=100)
         restored = table_round_trip(bank)
-        assert restored.regime is Regime.MIP
+        for name in ("weights", "biases"):
+            assert np.array_equal(getattr(restored, name), getattr(bank, name))
+        assert np.array_equal(restored.taus, bank.taus)
         probe_z, probe_o = [0.1], [90.0, 100.0, 140.0]
         assert predict_regulation_distribution(restored, probe_z, probe_o) == \
             predict_regulation_distribution(bank, probe_z, probe_o)
